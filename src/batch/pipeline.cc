@@ -11,21 +11,6 @@
 namespace sipt::batch
 {
 
-BatchOptions
-BatchOptions::fromEnv()
-{
-    BatchOptions opts;
-    if (const char *env = std::getenv("SIPT_BATCH_MUTATE")) {
-        const std::string_view value(env);
-        if (value == "probe")
-            opts.mutateProbe = true;
-        else if (!value.empty())
-            fatal("SIPT_BATCH_MUTATE: unknown mutation '", env,
-                  "' (expected \"probe\")");
-    }
-    return opts;
-}
-
 namespace
 {
 
@@ -39,11 +24,27 @@ constexpr std::uint64_t maxFlatSlots = 1ull << 24;
  * already holds the whole reference window, so each stage can ask
  * the host CPU to start loading the simulator structures (page-map
  * slots, tag sets) that references a few iterations ahead will
- * touch — latency the scalar engine, which learns each reference's
- * address only as it processes it, cannot hide.
+ * touch — latency a one-reference-at-a-time loop, which learns
+ * each address only as it processes it, cannot hide.
  */
-constexpr std::size_t xlatPrefetchDist = 8;
+constexpr std::size_t resolvePrefetchDist = 8;
 constexpr std::size_t accountPrefetchDist = 4;
+
+/** The probe corruption SIPT_BATCH_MUTATE selects for @p policy
+ *  (see BatchPipeline::probeFlip_). */
+Addr
+probeFlipFromEnv(IndexingPolicy policy)
+{
+    const char *env = std::getenv("SIPT_BATCH_MUTATE");
+    if (env == nullptr || *env == '\0')
+        return 0;
+    if (std::string_view(env) != "probe")
+        fatal("SIPT_BATCH_MUTATE: unknown mutation '", env,
+              "' (expected \"probe\")");
+    // Restricted to one policy so the cross-policy digest
+    // comparison must diverge.
+    return policy == IndexingPolicy::SiptNaive ? pageBase(1) : 0;
+}
 
 } // namespace
 
@@ -53,10 +54,8 @@ BatchPipeline::BatchPipeline(cpu::TraceSource &source,
                              SiptL1Cache &l1, cpu::TraceCore &core)
     : source_(source), mmu_(mmu), pageTable_(page_table), l1_(l1),
       core_(core), check_(l1.params().check),
-      options_(BatchOptions::fromEnv())
+      probeFlip_(probeFlipFromEnv(l1.params().policy))
 {
-    SIPT_ASSERT(!mmu.hasWalker(),
-                "batched engine cannot time radix page walks");
     buildFlatMap();
 }
 
@@ -139,7 +138,7 @@ BatchPipeline::run(std::uint64_t max_refs)
         const std::size_t got = source_.nextBatch(batch_, want);
         if (got == 0)
             break;
-        translateBatch(batch_);
+        resolveBatch(batch_);
         predictBatch(batch_);
         accountBatch(batch_);
         remaining -= got;
@@ -150,16 +149,15 @@ BatchPipeline::run(std::uint64_t max_refs)
 }
 
 void
-BatchPipeline::translateBatch(cpu::RefBatch &batch)
+BatchPipeline::resolveBatch(cpu::RefBatch &batch)
 {
-    // The flat snapshot supplies the pure VA->PA function without
-    // the page table's hash probes; the TLB hierarchy still sees
-    // every reference, in order, through translateEntry().
-    const bool check = check_.enabled;
+    // Stateless: the flat snapshot supplies the pure VA->PA
+    // function without the page table's hash probes. The TLB
+    // hierarchy sees every reference later, in the account stage.
     const bool flat = flat_.valid;
     for (std::size_t i = 0; i < batch.size; ++i) {
-        if (flat && i + xlatPrefetchDist < batch.size) {
-            const Addr ahead = batch.vaddr[i + xlatPrefetchDist];
+        if (flat && i + resolvePrefetchDist < batch.size) {
+            const Addr ahead = batch.vaddr[i + resolvePrefetchDist];
             const Vpn chunk = hugePageNumber(ahead);
             if (chunk - flat_.hugeBase < flat_.hugeFrame.size())
                 prefetchRead(
@@ -179,22 +177,8 @@ BatchPipeline::translateBatch(cpu::RefBatch &batch)
                 panic("MMU translate of unmapped va ", va);
             entry = *xlat;
         }
-        const vm::MmuResult res = mmu_.translateEntry(va, entry);
-        if (check)
-            checkTranslation(va, res.paddr);
-        batch.paddr[i] = res.paddr;
-        batch.xlatLatency[i] = res.latency;
-        batch.l1TlbHit[i] = res.l1Hit ? 1 : 0;
-        batch.hugePage[i] = res.hugePage ? 1 : 0;
-    }
-    if (options_.mutateProbe &&
-        l1_.params().policy == IndexingPolicy::SiptNaive) {
-        // Self-test corruption: a flipped physical index bit after
-        // the golden-TLB check, exactly what a broken probe stage
-        // would feed the array. Restricted to one policy so the
-        // cross-policy digest comparison must diverge.
-        for (std::size_t i = 0; i < batch.size; ++i)
-            batch.paddr[i] ^= pageBase(1);
+        batch.paddr[i] = entry.paddr;
+        batch.hugePage[i] = entry.hugePage ? 1 : 0;
     }
 }
 
@@ -203,7 +187,7 @@ BatchPipeline::predictBatch(cpu::RefBatch &batch)
 {
     // Predict stage: sole owner of the predictor tables (IDB,
     // perceptron, translation tables, counters). They advance once
-    // per reference, in order, exactly as the scalar loop trains
+    // per reference, in order, exactly as access() would train
     // them. The huge-page lane feeds the superpage-aware policies.
     l1_.decideBatch(batch.size, batch.pc.data(),
                     batch.vaddr.data(), batch.paddr.data(),
@@ -214,53 +198,35 @@ BatchPipeline::predictBatch(cpu::RefBatch &batch)
 void
 BatchPipeline::accountBatch(cpu::RefBatch &batch)
 {
-    // Tracer check hoisted: one branch per batch, not per access.
-    if (!l1_.traceEnabled()) {
-        for (std::size_t i = 0; i < batch.size; ++i) {
-            if (i + accountPrefetchDist < batch.size)
-                l1_.prefetchAccess(
-                    batch.paddr[i + accountPrefetchDist]);
-            const MemRef ref = batch.refAt(i);
-            const double disp = core_.dispatchRef(ref);
-            vm::MmuResult xlat;
-            xlat.paddr = batch.paddr[i];
-            xlat.hugePage = batch.hugePage[i] != 0;
-            xlat.latency = batch.xlatLatency[i];
-            xlat.l1Hit = batch.l1TlbHit[i] != 0;
-            const L1AccessResult res = l1_.accessDecidedUntraced(
-                ref, xlat, static_cast<Cycles>(disp),
-                static_cast<SpecDecision>(batch.decision[i]));
-            core_.completeRef(ref, disp, res.latency, !res.hit);
-            batch.latency[i] = res.latency;
-            batch.outcome[i] = (res.hit ? 1u : 0u) |
-                               (res.fast ? 2u : 0u);
-        }
-        return;
-    }
+    const bool check = check_.enabled;
     for (std::size_t i = 0; i < batch.size; ++i) {
+        if (i + accountPrefetchDist < batch.size)
+            l1_.prefetchAccess(batch.paddr[i + accountPrefetchDist]);
         const MemRef ref = batch.refAt(i);
         const double disp = core_.dispatchRef(ref);
-        vm::MmuResult xlat;
-        xlat.paddr = batch.paddr[i];
-        xlat.hugePage = batch.hugePage[i] != 0;
-        xlat.latency = batch.xlatLatency[i];
-        xlat.l1Hit = batch.l1TlbHit[i] != 0;
+        const auto now = static_cast<Cycles>(disp);
+        // TLB accounting at the dispatch cycle: a radix walk's PTE
+        // reads reach the below-L1 hierarchy at the cycle the core
+        // issued the reference, interleaved in reference order with
+        // the L1 fills.
+        vm::MmuResult xlat = mmu_.translateEntry(
+            ref.vaddr,
+            vm::Translation{batch.paddr[i], batch.hugePage[i] != 0},
+            now);
+        if (check)
+            checkTranslation(ref.vaddr, xlat.paddr);
+        xlat.paddr ^= probeFlip_;
         const L1AccessResult res = l1_.accessDecided(
-            ref, xlat, static_cast<Cycles>(disp),
+            ref, xlat, now,
             static_cast<SpecDecision>(batch.decision[i]));
         core_.completeRef(ref, disp, res.latency, !res.hit);
-        batch.latency[i] = res.latency;
-        batch.outcome[i] = (res.hit ? 1u : 0u) |
-                           (res.fast ? 2u : 0u);
     }
 }
 
 void
 BatchPipeline::checkTranslation(Addr vaddr, Addr paddr)
 {
-    // Golden-TLB check, identical to the scalar SystemPort's: the
-    // timed translation must equal an untimed page-table walk
-    // (this also guards the VPN memo above).
+    // This also guards the flat snapshot the resolve stage reads.
     const auto golden = pageTable_.translate(vaddr);
     std::string error;
     if (!golden) {

@@ -1,38 +1,38 @@
 /**
  * @file
- * The batched access engine: runs the simulation loop over
+ * The simulation engine: runs every core's reference loop over
  * RefBatch-sized groups of references in fixed stages —
- * generate-N, translate-N, predict-N, account-N — instead of
+ * generate-N, resolve-N, predict-N, account-N — instead of
  * threading one reference at a time through every layer.
  *
- * The stage split follows the state-dependency structure of the
- * scalar loop. Each simulated component's state is touched by
- * exactly one stage, in reference order, so every component sees
- * the same state-transition sequence as under the scalar engine:
+ * Each simulated component's state is touched by exactly one
+ * stage, in reference order:
  *
  *  - generate: workload RNG / cursors  (TraceSource::nextBatch)
- *  - translate: TLB hierarchy          (Mmu::translateEntry)
+ *  - resolve:  nothing — the pure VA->PA function, read from a
+ *              flat page-map snapshot
  *  - predict:  bypass/combined/xlat tables
  *              (SiptL1Cache::decideBatch)
- *  - account:  L1 array + hierarchy + core timing
- *              (dispatchRef / accessDecided / completeRef)
+ *  - account:  TLB hierarchy, L1 array, below-L1 hierarchy and
+ *              core timing (dispatchRef / Mmu::translateEntry /
+ *              accessDecided / completeRef)
  *
- * The one observable coupling between stages is the per-access
- * invariant checker, which snapshots the L1 *counters* at every
- * access — so all counter mutation stays in the account stage
- * (decide/decideBatch touch predictor state only). Predictor
- * state legitimately runs a batch ahead of the counters: nothing
+ * TLB accounting runs in the account stage, at each reference's
+ * dispatch cycle: a radix walker's PTE reads go through the same
+ * below-L1 hierarchy as L1 fills, and their latency depends on the
+ * issue cycle, so they must interleave with the fills in reference
+ * order. Predictions need only the resolved address and huge-page
+ * bit, never TLB state, which is why the predict stage can run a
+ * batch ahead.
+ *
+ * The per-access invariant checker snapshots the L1 *counters* at
+ * every access, so all counter mutation stays in the account stage
+ * (decideBatch touches predictor state only). Predictor state
+ * legitimately runs a batch ahead of the counters: nothing
  * observes predictor internals between accesses.
  *
- * Translation latency must not depend on simulated time for the
- * stages to commute with the scalar loop; the engine therefore
- * refuses an MMU with an attached radix walker (the system layer
- * falls back to the scalar engine for those configs).
- *
- * Equivalence with the scalar engine is bit-for-bit — same stats,
- * energy, metrics, and SIPT_CHECK functional digest — and is
- * enforced by tests/test_batch.cpp and the sipt-fuzz campaigns,
- * which flip engines per sample.
+ * Timing is pinned by the committed engine fixtures
+ * (tests/test_batch.cpp); function by the golden model.
  */
 
 #ifndef SIPT_BATCH_PIPELINE_HH
@@ -54,49 +54,28 @@
 namespace sipt::batch
 {
 
-/** Batched-engine knobs, normally environment-derived. */
-struct BatchOptions
-{
-    /**
-     * Harness self-test corruption (SIPT_BATCH_MUTATE=probe):
-     * feeds the probe stage a physical address with a flipped
-     * index bit — after the golden-TLB check, and only under the
-     * SIPT-naive policy, so the corruption surfaces as a
-     * functional-digest divergence between policies that the
-     * policy-invariance fuzzer must catch.
-     */
-    bool mutateProbe = false;
-
-    /** Read the SIPT_BATCH_MUTATE environment variable. */
-    static BatchOptions fromEnv();
-};
-
 /**
  * Drives one core's warmup/measure episodes through the staged
  * batch loop. Construct once per core; run() may be called
- * repeatedly (timing state carries over, like TraceCore::run).
+ * repeatedly (timing state carries over between calls).
  */
 class BatchPipeline
 {
   public:
     /**
-     * @pre @p mmu has no radix walker attached (walk latency
-     *      depends on the issue cycle, which the translate stage
-     *      does not know yet).
+     * @param mmu the core's MMU, with or without a radix walker
+     * @param page_table the address space's table; immutable for
+     *        the pipeline's lifetime
      */
     BatchPipeline(cpu::TraceSource &source, vm::Mmu &mmu,
                   const vm::PageTable &page_table, SiptL1Cache &l1,
                   cpu::TraceCore &core);
 
-    /**
-     * Run up to @p max_refs references. Stream-equivalent to
-     * TraceCore::run() over a SystemPort wrapping the same
-     * components.
-     */
+    /** Run up to @p max_refs references (fewer only when the
+     *  source is exhausted). */
     cpu::CoreResult run(std::uint64_t max_refs);
 
-    /** First golden-TLB mismatch, or empty (sticky, like
-     *  SystemPort::checkFailure). */
+    /** First golden-TLB mismatch, or empty (sticky). */
     const std::string &checkFailure() const { return failure_; }
 
   private:
@@ -124,7 +103,7 @@ class BatchPipeline
         /** 2 MiB-aligned physical base per chunk number. */
         std::vector<Addr> hugeFrame;
         /** False when the VA span was too sparse to flatten (the
-         *  translate stage then queries the page table directly).*/
+         *  resolve stage then queries the page table directly). */
         bool valid = false;
     };
 
@@ -134,9 +113,15 @@ class BatchPipeline
     /** Resolve @p vaddr through the snapshot. @pre flat_.valid. */
     vm::Translation flatTranslate(Addr vaddr) const;
 
-    void translateBatch(cpu::RefBatch &batch);
+    void resolveBatch(cpu::RefBatch &batch);
     void predictBatch(cpu::RefBatch &batch);
     void accountBatch(cpu::RefBatch &batch);
+
+    /**
+     * Golden-TLB check: whatever the timed MMU (TLB hierarchy +
+     * walker) returned must equal an untimed page-table walk —
+     * TLB state may only affect latency, never the translation.
+     */
     void checkTranslation(Addr vaddr, Addr paddr);
 
     cpu::TraceSource &source_;
@@ -145,7 +130,15 @@ class BatchPipeline
     SiptL1Cache &l1_;
     cpu::TraceCore &core_;
     check::Options check_;
-    BatchOptions options_;
+    /**
+     * Harness self-test corruption (SIPT_BATCH_MUTATE=probe): a
+     * physical-address bit XORed into what the L1 probes, after
+     * the golden-TLB check, and only under the SIPT-naive policy,
+     * so the corruption surfaces as a functional-digest divergence
+     * between policies that the policy-invariance fuzzer must
+     * catch. 0 (no corruption) otherwise.
+     */
+    Addr probeFlip_ = 0;
     FlatPageMap flat_;
     cpu::RefBatch batch_;
     std::string failure_;

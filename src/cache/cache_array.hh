@@ -95,8 +95,8 @@ class CacheArray
     /**
      * Update replacement state for a line already located by
      * probe(). Equivalent to the touch a lookup() hit performs,
-     * without rescanning the set — the batched engine's fused hit
-     * path probes once and touches by way.
+     * without rescanning the set — the L1's access path probes
+     * once and touches by way.
      */
     void
     touch(std::uint32_t set, std::uint32_t way)
@@ -105,7 +105,7 @@ class CacheArray
     }
 
     /**
-     * Host-prefetch the tag storage of @p set. The batched engine
+     * Host-prefetch the tag storage of @p set. The access pipeline
      * issues this a few references ahead of the probe/insert that
      * will scan the set; it has no effect on simulated state.
      */

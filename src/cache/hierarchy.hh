@@ -66,7 +66,7 @@ class BelowL1
 
     /**
      * Host-prefetch the tag sets a miss on @p paddr would scan
-     * (private L2 and shared LLC). The batched engine calls this a
+     * (private L2 and shared LLC). The access pipeline calls this a
      * few references ahead; no simulated state is touched.
      */
     void

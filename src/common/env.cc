@@ -1,5 +1,6 @@
 #include "common/env.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -10,6 +11,15 @@ namespace sipt
 
 namespace
 {
+
+/** Record @p reason for a rejected parse. */
+std::nullopt_t
+reject(const char **why, const char *reason)
+{
+    if (why)
+        *why = reason;
+    return std::nullopt;
+}
 
 /** Shared reject-and-fall-back reporting. */
 template <typename T>
@@ -24,6 +34,51 @@ rejected(const char *name, const char *value, const char *why,
 
 } // namespace
 
+std::optional<std::uint64_t>
+parseU64(const char *text, std::uint64_t min, std::uint64_t max,
+         const char **why)
+{
+    if (*text == '\0')
+        return reject(why, "empty value");
+    // strtoull skips leading blanks and happily wraps "-1" (or
+    // " -1") to ULLONG_MAX; accept nothing but digits up front so a
+    // negative never masquerades as huge.
+    if (*text == '-' || *text == '+')
+        return reject(why, "signed value");
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return reject(why, "not a whole number");
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE)
+        return reject(why, "out of range");
+    if (*end != '\0')
+        return reject(why, "not a whole number");
+    if (v < min || v > max)
+        return reject(why, "out of accepted range");
+    return static_cast<std::uint64_t>(v);
+}
+
+std::optional<double>
+parseDouble(const char *text, double min, double max,
+            const char **why)
+{
+    if (*text == '\0')
+        return reject(why, "empty value");
+    if (std::isspace(static_cast<unsigned char>(*text)))
+        return reject(why, "not a number");
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (errno == ERANGE)
+        return reject(why, "out of range");
+    if (end == text || *end != '\0')
+        return reject(why, "not a number");
+    if (!(v >= min && v <= max))
+        return reject(why, "out of accepted range");
+    return v;
+}
+
 std::uint64_t
 envU64(const char *name, std::uint64_t fallback, std::uint64_t min,
        std::uint64_t max)
@@ -31,25 +86,10 @@ envU64(const char *name, std::uint64_t fallback, std::uint64_t min,
     const char *value = std::getenv(name);
     if (!value)
         return fallback;
-    if (*value == '\0')
-        return rejected(name, value, "empty value", fallback);
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (errno == ERANGE)
-        return rejected(name, value, "out of range", fallback);
-    if (end == value || *end != '\0') {
-        return rejected(name, value, "not a whole number",
-                        fallback);
-    }
-    // strtoull happily wraps "-1" to ULLONG_MAX; reject any
-    // explicit sign so a negative never masquerades as huge.
-    if (*value == '-' || *value == '+')
-        return rejected(name, value, "signed value", fallback);
-    if (v < min || v > max)
-        return rejected(name, value, "out of accepted range",
-                        fallback);
-    return static_cast<std::uint64_t>(v);
+    const char *why = nullptr;
+    if (const auto v = parseU64(value, min, max, &why))
+        return *v;
+    return rejected(name, value, why, fallback);
 }
 
 double
@@ -59,20 +99,10 @@ envDouble(const char *name, double fallback, double min,
     const char *value = std::getenv(name);
     if (!value)
         return fallback;
-    if (*value == '\0')
-        return rejected(name, value, "empty value", fallback);
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(value, &end);
-    if (errno == ERANGE)
-        return rejected(name, value, "out of range", fallback);
-    if (end == value || *end != '\0')
-        return rejected(name, value, "not a number", fallback);
-    if (!(v >= min && v <= max)) {
-        return rejected(name, value, "out of accepted range",
-                        fallback);
-    }
-    return v;
+    const char *why = nullptr;
+    if (const auto v = parseDouble(value, min, max, &why))
+        return *v;
+    return rejected(name, value, why, fallback);
 }
 
 } // namespace sipt

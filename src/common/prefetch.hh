@@ -1,6 +1,6 @@
 /**
  * @file
- * Host-side software-prefetch hints for the batched engine.
+ * Host-side software-prefetch hints for the access pipeline.
  *
  * The batch pipeline knows the virtual and physical addresses of
  * the next few hundred references before it accounts the current

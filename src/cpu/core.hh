@@ -119,13 +119,12 @@ class MemPort
 /**
  * The trace-driven core model.
  *
- * Besides the classic pull-driven run() loop, the per-reference
- * timing steps are exposed as dispatchRef()/completeRef() (with
- * beginRun()/endRun() bracketing the accounting) so the batched
- * engine can drive exactly the same arithmetic over references it
- * fetched, translated, and predicted in bulk. run() itself is
- * written on top of these steps, which is what makes the two
- * engines cycle-identical by construction.
+ * The per-reference timing steps are exposed as
+ * dispatchRef()/completeRef() (with beginRun()/endRun() bracketing
+ * the accounting) so the simulator's access pipeline can drive
+ * them over references it fetched and predicted in bulk. run() is
+ * the same steps as a one-reference-at-a-time loop over a MemPort,
+ * for unit tests and stand-alone core studies.
  */
 class TraceCore
 {

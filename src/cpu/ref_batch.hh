@@ -1,16 +1,16 @@
 /**
  * @file
- * The struct-of-arrays reference batch that the batched engine
- * pipelines through its generate/translate/predict/account stages.
+ * The struct-of-arrays reference batch that the pipeline moves
+ * through its generate/resolve/predict/account stages.
  *
  * Each lane is a flat fixed-capacity array; lane i across all
  * arrays describes the i-th reference of the batch. The layout
  * keeps every stage a tight loop over contiguous same-typed data:
- * the generator fills the MemRef lanes, the translate stage fills
- * the paddr/latency lanes, the predict stage fills the decision
- * lane, and the account stage consumes all of them in order while
- * writing the outcome lanes. No stage allocates; a pipeline owns
- * exactly one RefBatch and recycles it.
+ * the generator fills the MemRef lanes, the resolve stage fills
+ * the paddr/hugePage lanes, the predict stage fills the decision
+ * lane, and the account stage consumes all of them in order. No
+ * stage allocates; a pipeline owns exactly one RefBatch and
+ * recycles it.
  */
 
 #ifndef SIPT_CPU_REF_BATCH_HH
@@ -32,7 +32,7 @@ struct RefBatch
 {
     /** References per full batch. Large enough to amortise the
      *  per-batch virtual dispatch and stage-switch overhead, small
-     *  enough that all lanes stay cache-resident (~7 KiB total). */
+     *  enough that all lanes stay cache-resident (~9 KiB total). */
     static constexpr std::size_t capacity = 256;
 
     /** Valid lanes: indices [0, size) hold references. */
@@ -47,24 +47,15 @@ struct RefBatch
     std::array<std::uint8_t, capacity> chainId;
     std::array<std::uint8_t, capacity> chainTail;
 
-    // --- Translate-stage lanes ----------------------------------
-    /** Full physical address (vm::MmuResult::paddr). */
+    // --- Resolve-stage lanes ------------------------------------
+    /** Full physical address (vm::Translation::paddr). */
     std::array<Addr, capacity> paddr;
-    /** Translation latency in cycles. */
-    std::array<Cycles, capacity> xlatLatency;
-    /** vm::MmuResult::l1Hit / hugePage as 0/1 flags. */
-    std::array<std::uint8_t, capacity> l1TlbHit;
+    /** 1 when the page is a 2 MiB mapping, else 0. */
     std::array<std::uint8_t, capacity> hugePage;
 
     // --- Predict-stage lane -------------------------------------
     /** Speculation outcome codes (sipt::SpecDecision values). */
     std::array<std::uint8_t, capacity> decision;
-
-    // --- Account-stage lanes ------------------------------------
-    /** Load-to-use latency charged for each reference. */
-    std::array<Cycles, capacity> latency;
-    /** Outcome flags: bit 0 = L1 hit, bit 1 = fast access. */
-    std::array<std::uint8_t, capacity> outcome;
 
     /** Discard all lanes. */
     void clear() { size = 0; }

@@ -36,8 +36,8 @@ class TraceSource
      * Produce up to @p max_refs references directly into the
      * caller's batch (replacing its contents). Must yield exactly
      * the stream next() would: the generators override this with a
-     * loop around their internal generation step so the batched
-     * engine pays one virtual call per batch, and this default
+     * loop around their internal generation step so the access
+     * pipeline pays one virtual call per batch, and this default
      * adapter keeps single-ref-only sources (and wrappers like
      * TeeSource) correct.
      *

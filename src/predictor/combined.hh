@@ -76,7 +76,7 @@ class CombinedIndexPredictor
 
     /**
      * Fused predict + update for one access whose translation is
-     * already known (the batched engine translates before it
+     * already known (the pipeline resolves the address before it
      * predicts). Computes the perceptron output once instead of
      * twice; state, counter, and trace-event sequence are
      * identical to predict() followed by update(). Defined inline

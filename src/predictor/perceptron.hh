@@ -76,7 +76,7 @@ class PerceptronBypassPredictor
 
     /**
      * Fused predict + train for one access whose outcome is
-     * already known (the batched engine translates before it
+     * already known (the pipeline resolves the address before it
      * predicts, so @p unchanged is available up front). Computes
      * the perceptron output once instead of twice; state, counter,
      * and trace-event sequence are identical to

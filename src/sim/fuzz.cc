@@ -135,8 +135,8 @@ diffPolicies(
             return os.str();
         }
         // Strawman bookkeeping is fed from the same observation
-        // stream, so it must be exactly as policy- and
-        // engine-invariant as the digest.
+        // stream, so it must be exactly as policy-invariant as
+        // the digest.
         if (result.vivtReverseProbes != ref.vivtReverseProbes ||
             result.vivtInvalidations != ref.vivtInvalidations ||
             result.vivtDirtyForwards != ref.vivtDirtyForwards) {
@@ -191,13 +191,6 @@ sampleAt(std::uint64_t master_seed, std::uint64_t index)
         c.xlatPredEntries = std::uint32_t{16}
                             << rng.below(4);
     }
-    // Alternate access-pipeline engines across samples: every
-    // campaign then checks the batched engine's digests against
-    // scalar-engine digests through the same policy-invariance
-    // oracle (the engine is excluded from the memo key, so a
-    // cached result legitimately serves both).
-    c.engine = rng.chance(0.5) ? sim::EngineSelect::Batch
-                               : sim::EngineSelect::Scalar;
     c.condition =
         static_cast<sim::MemCondition>(rng.below(4));
 

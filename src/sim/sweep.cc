@@ -331,8 +331,6 @@ configFromJson(const Json &j, std::string &error)
     }
     if (!needBool("check", c.check))
         return std::nullopt;
-    // `engine` is key-exempt (serves both engines) and stays at
-    // its default; it is deliberately not part of the wire format.
     return c;
 }
 

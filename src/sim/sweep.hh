@@ -190,13 +190,22 @@ class SweepRunner
     async(F fn) -> std::shared_future<std::invoke_result_t<F>>
     {
         using T = std::invoke_result_t<F>;
+        // The task is counted before its future becomes ready, so
+        // a caller holding every result also sees every task in
+        // stats().
         auto task = std::make_shared<std::packaged_task<T()>>(
-            std::move(fn));
+            [this, fn = std::move(fn)]() mutable -> T {
+                if constexpr (std::is_void_v<T>) {
+                    fn();
+                    noteGenericDone();
+                } else {
+                    T result = fn();
+                    noteGenericDone();
+                    return result;
+                }
+            });
         auto fut = task->get_future().share();
-        post([this, task] {
-            runGenericTraced([&] { (*task)(); });
-            noteGenericDone();
-        });
+        post([this, task] { runGenericTraced([&] { (*task)(); }); });
         return fut;
     }
 

@@ -1,7 +1,6 @@
 #include "sim/system.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string_view>
@@ -31,67 +30,6 @@ namespace
 constexpr std::uint64_t agingChurnOps = 20'000;
 constexpr double agingResidentFraction = 0.22;
 
-/** Glue: MMU + L1 behind the core's memory port. */
-class SystemPort : public cpu::MemPort
-{
-  public:
-    SystemPort(vm::Mmu &mmu, const vm::PageTable &page_table,
-               SiptL1Cache &l1)
-        : mmu_(mmu), pageTable_(page_table), l1_(l1),
-          check_(l1.params().check)
-    {
-    }
-
-    Cycles
-    access(const MemRef &ref, Cycles now, bool &miss_out) override
-    {
-        const vm::MmuResult xlat =
-            mmu_.translate(ref.vaddr, pageTable_, now);
-        if (check_.enabled)
-            checkTranslation(ref.vaddr, xlat.paddr);
-        const L1AccessResult res = l1_.access(ref, xlat, now);
-        miss_out = !res.hit;
-        return res.latency;
-    }
-
-    /** First golden-TLB mismatch, or empty. */
-    const std::string &checkFailure() const { return failure_; }
-
-  private:
-    /**
-     * Golden-TLB check: whatever the timed MMU (TLB hierarchy +
-     * walker) returned must equal an untimed page-table walk —
-     * TLB state may only affect latency, never the translation.
-     */
-    void
-    checkTranslation(Addr vaddr, Addr paddr)
-    {
-        const auto golden = pageTable_.translate(vaddr);
-        std::string error;
-        if (!golden) {
-            error = detail::formatMessage(
-                "MMU translated unmapped va 0x", std::hex, vaddr);
-        } else if (golden->paddr != paddr) {
-            error = detail::formatMessage(
-                "TLB divergence at va 0x", std::hex, vaddr,
-                ": MMU pa 0x", paddr, ", page table pa 0x",
-                golden->paddr);
-        }
-        if (error.empty())
-            return;
-        if (check_.abortOnDivergence)
-            panic("SIPT_CHECK: ", error);
-        if (failure_.empty())
-            failure_ = error;
-    }
-
-    vm::Mmu &mmu_;
-    const vm::PageTable &pageTable_;
-    SiptL1Cache &l1_;
-    check::Options check_;
-    std::string failure_;
-};
-
 /** PTE reads of the radix walker go through the hierarchy. */
 class WalkThroughCaches : public vm::WalkPort
 {
@@ -111,52 +49,50 @@ class WalkThroughCaches : public vm::WalkPort
     cache::BelowL1 &below_;
 };
 
+/**
+ * Physical memory conditioned before any application starts
+ * (Sec. VII-B): weeks-of-uptime allocator churn, then, for the
+ * Fragmented condition, fragmentation to Fu(9) > 0.95. The pinned
+ * frames stand for other resident processes, so this must outlive
+ * every address space allocated from its buddy allocator.
+ */
+struct ConditionedMemory
+{
+    os::BuddyAllocator buddy;
+    os::SystemAger ager;
+    os::MemoryFragmenter fragmenter;
+
+    explicit ConditionedMemory(const SystemConfig &config)
+        : buddy(config.physMemBytes / pageSize), ager(buddy),
+          fragmenter(buddy)
+    {
+        Rng rng(config.seed);
+        ager.age(agingChurnOps, agingResidentFraction, rng);
+        if (config.condition == MemCondition::Fragmented)
+            fragmenter.fragmentTo(0.95, 9, rng, 0.30);
+    }
+};
+
+/** An application's address space and reference source. */
+struct Workload
+{
+    std::unique_ptr<os::AddressSpace> as;
+    std::unique_ptr<cpu::TraceSource> source;
+};
+
 /** Everything one core owns. */
 struct CoreInstance
 {
-    std::unique_ptr<os::AddressSpace> as;
-    std::unique_ptr<cpu::TraceSource> workload;
+    Workload workload;
     std::unique_ptr<vm::Mmu> mmu;
     std::unique_ptr<cache::BelowL1> below;
     std::unique_ptr<SiptL1Cache> l1;
     std::unique_ptr<cpu::TraceCore> core;
-    std::unique_ptr<SystemPort> port;
     std::unique_ptr<WalkThroughCaches> walkPort;
     std::unique_ptr<vm::PageWalker> walker;
-    /** Batched engine when selected; scalar run() otherwise. */
     std::unique_ptr<batch::BatchPipeline> pipeline;
     cpu::CoreResult measured;
-
-    /** Run refs through whichever engine this core uses. */
-    cpu::CoreResult
-    run(std::uint64_t max_refs)
-    {
-        return pipeline ? pipeline->run(max_refs)
-                        : core->run(*workload, *port, max_refs);
-    }
 };
-
-/**
- * Resolve the engine for a config. Radix-walker configs always
- * take the scalar path: walk latency depends on the issue cycle,
- * which the batched translate stage does not know yet.
- */
-bool
-useBatchEngine(const SystemConfig &config)
-{
-    if (config.radixWalker)
-        return false;
-    switch (config.engine) {
-      case EngineSelect::Scalar:
-        return false;
-      case EngineSelect::Batch:
-        return true;
-      case EngineSelect::Auto:
-        break;
-    }
-    const char *env = std::getenv("SIPT_BATCH");
-    return env == nullptr || std::string_view(env) != "0";
-}
 
 os::PagingPolicy
 policyFor(const SystemConfig &config, double thp_affinity)
@@ -179,6 +115,48 @@ policyFor(const SystemConfig &config, double thp_affinity)
     return pol;
 }
 
+/**
+ * Build @p app's address space and reference source: the
+ * allocation phase demand-faults every page in from @p buddy.
+ * Seeds derive from @p seed (+1 address space, +2 workload).
+ */
+Workload
+buildWorkload(const SystemConfig &config, const std::string &app,
+              os::BuddyAllocator &buddy, std::uint64_t seed,
+              const os::SharedSegment *shared)
+{
+    Workload w;
+    if (isTraceApp(app)) {
+        // Replay: the trace supplies the layout and mapping, so
+        // the paging policy and footprint scale are moot (no
+        // demand fault ever fires).
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(config, 0.0), seed + 1);
+        w.source = std::make_unique<workload::TraceReplaySource>(
+            traceAppPath(app), *w.as, /*loop=*/true);
+    } else if (workload::isSynonymApp(app)) {
+        // Multi-mapping scenarios: mmapAlias/mmapCow need
+        // small-mapped sources, so THP stays off for these
+        // regardless of condition. Footprints are fixed (no
+        // scaling): a few hundred KiB against gigabytes.
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(config, 0.0), seed + 1);
+        w.source = std::make_unique<workload::SynonymWorkload>(
+            workload::synonymSpec(app), *w.as, seed + 2, shared);
+    } else {
+        workload::AppProfile profile = workload::appProfile(app);
+        profile.footprintBytes = static_cast<std::uint64_t>(
+            static_cast<double>(profile.footprintBytes) *
+            config.footprintScale);
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(config, profile.thpAffinity),
+            seed + 1);
+        w.source = std::make_unique<workload::SyntheticWorkload>(
+            profile, *w.as, seed + 2);
+    }
+    return w;
+}
+
 CoreInstance
 buildCore(const SystemConfig &config, const std::string &app,
           os::BuddyAllocator &buddy, cache::TimingCache &llc,
@@ -186,38 +164,7 @@ buildCore(const SystemConfig &config, const std::string &app,
           const os::SharedSegment *shared = nullptr)
 {
     CoreInstance inst;
-    if (isTraceApp(app)) {
-        // Replay: the trace supplies the layout and mapping, so
-        // the paging policy and footprint scale are moot (no
-        // demand fault ever fires).
-        inst.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        inst.workload =
-            std::make_unique<workload::TraceReplaySource>(
-                traceAppPath(app), *inst.as, /*loop=*/true);
-    } else if (workload::isSynonymApp(app)) {
-        // Multi-mapping scenarios: mmapAlias/mmapCow need
-        // small-mapped sources, so THP stays off for these
-        // regardless of condition. Footprints are fixed (no
-        // scaling): a few hundred KiB against gigabytes.
-        inst.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        inst.workload =
-            std::make_unique<workload::SynonymWorkload>(
-                workload::synonymSpec(app), *inst.as, seed + 2,
-                shared);
-    } else {
-        workload::AppProfile profile = workload::appProfile(app);
-        profile.footprintBytes = static_cast<std::uint64_t>(
-            static_cast<double>(profile.footprintBytes) *
-            config.footprintScale);
-        inst.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, profile.thpAffinity),
-            seed + 1);
-        inst.workload =
-            std::make_unique<workload::SyntheticWorkload>(
-                profile, *inst.as, seed + 2);
-    }
+    inst.workload = buildWorkload(config, app, buddy, seed, shared);
     inst.mmu = std::make_unique<vm::Mmu>(mmuPreset());
 
     const cache::TimingCacheParams l2 = l2Preset();
@@ -247,8 +194,6 @@ buildCore(const SystemConfig &config, const std::string &app,
         p.seed = seed + 3;
         return p;
     }());
-    inst.port = std::make_unique<SystemPort>(
-        *inst.mmu, inst.as->pageTable(), *inst.l1);
     if (config.radixWalker) {
         inst.walkPort =
             std::make_unique<WalkThroughCaches>(*inst.below);
@@ -256,11 +201,9 @@ buildCore(const SystemConfig &config, const std::string &app,
             vm::WalkerParams{}, *inst.walkPort);
         inst.mmu->setWalker(inst.walker.get());
     }
-    if (useBatchEngine(config)) {
-        inst.pipeline = std::make_unique<batch::BatchPipeline>(
-            *inst.workload, *inst.mmu, inst.as->pageTable(),
-            *inst.l1, *inst.core);
-    }
+    inst.pipeline = std::make_unique<batch::BatchPipeline>(
+        *inst.workload.source, *inst.mmu,
+        inst.workload.as->pageTable(), *inst.l1, *inst.core);
     return inst;
 }
 
@@ -285,7 +228,7 @@ collect(const std::string &app, const SystemConfig &config,
     r.l1 = inst.l1->stats();
     r.l1HitRate = inst.l1->hitRate();
     r.fastFraction = inst.l1->fastFraction();
-    r.hugeCoverage = inst.as->hugeCoverage();
+    r.hugeCoverage = inst.workload.as->hugeCoverage();
     r.energy = energy::computeEnergy(
         *inst.l1, *inst.below, llc_dyn_share,
         llc_static_share_mw, seconds);
@@ -313,9 +256,7 @@ collect(const std::string &app, const SystemConfig &config,
     r.checkFailure = inst.l1->checkFailure();
     if (r.checkFailure.empty() && inst.below->fillTracker())
         r.checkFailure = inst.below->fillTracker()->failure();
-    if (r.checkFailure.empty() && inst.port)
-        r.checkFailure = inst.port->checkFailure();
-    if (r.checkFailure.empty() && inst.pipeline)
+    if (r.checkFailure.empty())
         r.checkFailure = inst.pipeline->checkFailure();
     if (const auto *checker = inst.l1->checker()) {
         const auto &vivt = checker->vivt().stats();
@@ -384,42 +325,18 @@ recordTrace(const std::string &app, const SystemConfig &config,
         fatal("recordTrace: cannot re-record a trace app (", app,
               ")");
 
-    // Same pre-conditioning and seed derivation as
+    // Same conditioning, seed derivation and workload build as
     // runSingleCore(): the recorded stream and layout are exactly
     // what the live run would have seen.
-    os::BuddyAllocator buddy(config.physMemBytes / pageSize);
-    Rng sys_rng(config.seed);
-    os::SystemAger ager(buddy);
-    os::MemoryFragmenter fragmenter(buddy);
-    ager.age(agingChurnOps, agingResidentFraction, sys_rng);
-    if (config.condition == MemCondition::Fragmented)
-        fragmenter.fragmentTo(0.95, 9, sys_rng, 0.30);
-
-    const std::uint64_t seed = config.seed + 10;
-    std::unique_ptr<os::AddressSpace> as;
-    std::unique_ptr<cpu::TraceSource> source;
-    if (workload::isSynonymApp(app)) {
-        as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        source = std::make_unique<workload::SynonymWorkload>(
-            workload::synonymSpec(app), *as, seed + 2);
-    } else {
-        workload::AppProfile profile = workload::appProfile(app);
-        profile.footprintBytes = static_cast<std::uint64_t>(
-            static_cast<double>(profile.footprintBytes) *
-            config.footprintScale);
-        as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, profile.thpAffinity),
-            seed + 1);
-        source = std::make_unique<workload::SyntheticWorkload>(
-            profile, *as, seed + 2);
-    }
+    ConditionedMemory memory(config);
+    const Workload w = buildWorkload(config, app, memory.buddy,
+                                     config.seed + 10, nullptr);
 
     // Allocation phase done: snapshot the layout (for synonym
     // apps that layout is many-to-one), then tee the stream a
     // core would consume into the file.
-    workload::TraceRecorder recorder(path, app, config.seed, *as);
-    cpu::TeeSource tee(*source, recorder);
+    workload::TraceRecorder recorder(path, app, config.seed, *w.as);
+    cpu::TeeSource tee(*w.source, recorder);
     const std::uint64_t total =
         config.warmupRefs + config.measureRefs;
     MemRef ref;
@@ -472,28 +389,19 @@ hashValue(const SystemConfig &config)
 RunResult
 runSingleCore(const std::string &app, const SystemConfig &config)
 {
-    os::BuddyAllocator buddy(config.physMemBytes / pageSize);
-    Rng sys_rng(config.seed);
-
-    // Condition physical memory before the application starts.
-    os::SystemAger ager(buddy);
-    os::MemoryFragmenter fragmenter(buddy);
-    ager.age(agingChurnOps, agingResidentFraction, sys_rng);
-    if (config.condition == MemCondition::Fragmented)
-        fragmenter.fragmentTo(0.95, 9, sys_rng, 0.30);
-
+    ConditionedMemory memory(config);
     dram::Dram dram;
     cache::TimingCache llc(llcPreset(config.outOfOrder, 1));
 
-    CoreInstance inst = buildCore(config, app, buddy, llc, dram,
-                                  config.seed + 10);
+    CoreInstance inst = buildCore(config, app, memory.buddy, llc,
+                                  dram, config.seed + 10);
 
-    inst.run(config.warmupRefs);
+    inst.pipeline->run(config.warmupRefs);
     resetCoreStats(inst);
     llc.resetStats();
     dram.resetStats();
 
-    inst.measured = inst.run(config.measureRefs);
+    inst.measured = inst.pipeline->run(config.measureRefs);
 
     const double seconds = inst.measured.seconds(3.0);
     return collect(app, config, inst, llc.dynamicEnergyNj(),
@@ -508,14 +416,7 @@ runMulticore(const std::vector<std::string> &mix,
         fatal("runMulticore: empty mix");
     const auto cores = static_cast<std::uint32_t>(mix.size());
 
-    os::BuddyAllocator buddy(config.physMemBytes / pageSize);
-    Rng sys_rng(config.seed);
-    os::SystemAger ager(buddy);
-    os::MemoryFragmenter fragmenter(buddy);
-    ager.age(agingChurnOps, agingResidentFraction, sys_rng);
-    if (config.condition == MemCondition::Fragmented)
-        fragmenter.fragmentTo(0.95, 9, sys_rng, 0.30);
-
+    ConditionedMemory memory(config);
     dram::Dram dram;
     cache::TimingCache llc(llcPreset(config.outOfOrder, cores));
 
@@ -538,7 +439,8 @@ runMulticore(const std::vector<std::string> &mix,
             segments.emplace(
                 key,
                 std::make_unique<os::SharedSegment>(
-                    buddy, workload::synonymMappingBytes(spec),
+                    memory.buddy,
+                    workload::synonymMappingBytes(spec),
                     spec.hugePages));
         }
     }
@@ -553,8 +455,8 @@ runMulticore(const std::vector<std::string> &mix,
             if (it != segments.end())
                 shared = it->second.get();
         }
-        insts.push_back(buildCore(config, mix[c], buddy, llc,
-                                  dram,
+        insts.push_back(buildCore(config, mix[c], memory.buddy,
+                                  llc, dram,
                                   config.seed + 100 * (c + 1),
                                   shared));
     }
@@ -571,7 +473,7 @@ runMulticore(const std::vector<std::string> &mix,
                     continue;
                 const std::uint64_t n = std::min(
                     slice, refs_per_core - done[c]);
-                const auto res = insts[c].run(n);
+                const auto res = insts[c].pipeline->run(n);
                 insts[c].measured.cycles += res.cycles;
                 insts[c].measured.instructions +=
                     res.instructions;

@@ -57,28 +57,6 @@ conditionFromName(std::string_view name);
  */
 std::uint64_t defaultWarmupRefs();
 
-/**
- * Which access-pipeline engine executes a run. The batched engine
- * (src/batch) and the scalar reference loop are bit-identical in
- * every result — stats, energy, metrics, SIPT_CHECK digest —
- * which is enforced by tests/test_batch.cpp and by the fuzzer
- * flipping engines per sample. Because the choice can never
- * influence a result, it is deliberately EXCLUDED from the
- * run-cache key (SystemConfig::operator== / hashValue).
- */
-enum class EngineSelect : std::uint8_t
-{
-    /** Follow the SIPT_BATCH environment variable: unset or any
-     *  value but "0" selects the batched engine. */
-    Auto,
-    /** Force the scalar reference loop. */
-    Scalar,
-    /** Force the batched engine (still falls back to scalar for
-     *  radix-walker configs, whose translation latency depends on
-     *  the issue cycle). */
-    Batch,
-};
-
 /** One experiment's system description. */
 struct SystemConfig
 {
@@ -125,23 +103,12 @@ struct SystemConfig
      * the run-cache key because it changes the result payload.
      */
     bool check = false;
-    /**
-     * Access-pipeline engine. NOT part of the run-cache key: both
-     * engines are bit-identical, so a cached result serves either
-     * (the fuzzer relies on this to flip engines without losing
-     * cross-sample memoisation).
-     */
-    // sipt-analyze: key-exempt(serves both engines)
-    EngineSelect engine = EngineSelect::Auto;
 
     /**
-     * Equality over every result-influencing field; together with
-     * hashValue() this makes a config usable as a run-cache key,
-     * so every field that influences simulation results MUST
-     * participate here. `engine` is the one deliberate exception
-     * (see EngineSelect) — which is why this cannot be a defaulted
-     * comparison. tests/test_config_key.cpp walks the fields and
-     * asserts both the participation and the exception.
+     * Equality over every field; together with hashValue() this
+     * makes a config usable as a run-cache key, so every field
+     * that influences simulation results MUST participate here.
+     * tests/test_config_key.cpp walks the fields and asserts it.
      */
     bool
     operator==(const SystemConfig &other) const
@@ -165,8 +132,7 @@ struct SystemConfig
     }
 };
 
-/** Hash over every SystemConfig field except `engine` (run-cache
- *  key; see EngineSelect for why engine is excluded). */
+/** Hash over every SystemConfig field (the run-cache key). */
 std::size_t hashValue(const SystemConfig &config);
 
 /** Metrics from one application run. */

@@ -71,6 +71,27 @@ specClassOf(SpecDecision decision)
     return check::SpecClass::Direct;
 }
 
+/** The tracer's view of a decision: both bypass flavours are one
+ *  outcome there. */
+trace::AccessOutcome
+traceOutcomeOf(SpecDecision decision)
+{
+    switch (decision) {
+      case SpecDecision::Direct:
+        return trace::AccessOutcome::Direct;
+      case SpecDecision::Speculate:
+        return trace::AccessOutcome::Speculate;
+      case SpecDecision::DeltaHit:
+        return trace::AccessOutcome::DeltaHit;
+      case SpecDecision::Replay:
+        return trace::AccessOutcome::Replay;
+      case SpecDecision::BypassCorrect:
+      case SpecDecision::BypassLoss:
+        return trace::AccessOutcome::Bypass;
+    }
+    return trace::AccessOutcome::Direct;
+}
+
 } // namespace
 
 SiptL1Cache::SiptL1Cache(const L1Params &params,
@@ -123,41 +144,6 @@ SiptL1Cache::SiptL1Cache(const L1Params &params,
     trace_ = trace::Tracer::globalIfEnabled();
     if (trace_)
         traceLane_ = trace_->newLane();
-}
-
-std::uint32_t
-SiptL1Cache::physSpecBits(Addr paddr) const
-{
-    // Degenerate VIPT-feasible geometry: no index bit lies above
-    // the page offset, so the bit range below would be inverted
-    // (pageShift - 1 down to pageShift). There is nothing to
-    // speculate on; the answer is the empty bit string.
-    if (specBits_ == 0)
-        return 0;
-    return static_cast<std::uint32_t>(
-        bits(paddr, pageShift + specBits_ - 1, pageShift));
-}
-
-std::uint32_t
-SiptL1Cache::physSet(Addr paddr) const
-{
-    return array_.setOf(paddr);
-}
-
-std::uint32_t
-SiptL1Cache::specSet(Addr vaddr, std::uint32_t spec_bits) const
-{
-    // With no speculative bits the set is fully determined by the
-    // page offset, which VA and PA share.
-    if (specBits_ == 0)
-        return array_.setOf(vaddr);
-    // Replace the index bits above the page offset with the
-    // speculated values; bits below the page offset are identical
-    // in VA and PA.
-    const Addr spec_addr =
-        (vaddr & ~(mask(specBits_) << pageShift)) |
-        (static_cast<Addr>(spec_bits) << pageShift);
-    return array_.setOf(spec_addr);
 }
 
 L1AccessResult
@@ -334,180 +320,57 @@ SiptL1Cache::decideBatch(std::size_t n, const Addr *pcs,
     }
 }
 
-L1AccessResult
-SiptL1Cache::accessDecided(const MemRef &ref,
+void
+SiptL1Cache::observeAccess(const MemRef &ref,
                            const vm::MmuResult &xlat, Cycles now,
-                           SpecDecision decision)
+                           SpecDecision decision,
+                           const L1AccessResult &res,
+                           std::uint32_t set, int way,
+                           const std::optional<cache::Eviction>
+                               &evicted)
 {
-    return trace_
-               ? accessDecidedImpl<true>(ref, xlat, now, decision)
-               : accessDecidedImpl<false>(ref, xlat, now,
-                                          decision);
-}
-
-L1AccessResult
-SiptL1Cache::accessDecidedChecked(const MemRef &ref,
-                                  const vm::MmuResult &xlat,
-                                  Cycles now,
-                                  SpecDecision decision)
-{
-    return accessDecidedImpl<false>(ref, xlat, now, decision);
-}
-
-template <bool Traced>
-L1AccessResult
-SiptL1Cache::accessDecidedImpl(const MemRef &ref,
-                               const vm::MmuResult &xlat,
-                               Cycles now, SpecDecision decision)
-{
-    ++stats_.accesses;
-    if (ref.op == MemOp::Load)
-        ++stats_.loads;
-    else
-        ++stats_.stores;
-
-    const Addr paddr = xlat.paddr;
-    const Cycles xlat_done = xlat.latency;
-    // When the access can proceed in parallel with translation the
-    // hit completes at max(array, translation); otherwise the array
-    // access starts only after translation.
-    const Cycles parallel_ready =
-        now + std::max<Cycles>(params_.hitLatency, xlat_done);
-    const Cycles serial_ready =
-        now + xlat_done + params_.hitLatency;
-
-    bool fast = true;
-    Cycles ready = parallel_ready;
-    // Read only by the Traced instantiation.
-    [[maybe_unused]] auto outcome = trace::AccessOutcome::Direct;
-
-    switch (decision) {
-      case SpecDecision::Direct:
-        break;
-      case SpecDecision::Speculate:
-        ++stats_.spec.correctSpeculation;
-        outcome = trace::AccessOutcome::Speculate;
-        break;
-      case SpecDecision::DeltaHit:
-        ++stats_.spec.idbHit;
-        outcome = trace::AccessOutcome::DeltaHit;
-        break;
-      case SpecDecision::Replay:
-        outcome = trace::AccessOutcome::Replay;
-        // Wasted speculative probe, then replay with the physical
-        // index once translation completes.
-        ++stats_.spec.extraAccess;
-        ++stats_.extraArrayAccesses;
-        ++stats_.arrayAccesses;
-        // The wasted probe went to the *wrong set*: way prediction
-        // cannot salvage it, so it costs a full read regardless of
-        // the predictor.
-        stats_.weightedArrayAccesses += 1.0;
-        fast = false;
-        ready = serial_ready;
-        break;
-      case SpecDecision::BypassCorrect:
-        // Bypass: wait for the PA; single array access.
-        fast = false;
-        ready = serial_ready;
-        outcome = trace::AccessOutcome::Bypass;
-        ++stats_.spec.correctBypass;
-        break;
-      case SpecDecision::BypassLoss:
-        fast = false;
-        ready = serial_ready;
-        outcome = trace::AccessOutcome::Bypass;
-        ++stats_.spec.opportunityLoss;
-        break;
+    if (checker_) {
+        check::Observation obs;
+        obs.vaddr = ref.vaddr;
+        obs.paddr = xlat.paddr;
+        obs.op = ref.op;
+        obs.hugePage = xlat.hugePage;
+        obs.spec = specClassOf(decision);
+        obs.hit = res.hit;
+        if (res.hit) {
+            obs.dirtyAfter =
+                array_.dirtyAt(set, static_cast<std::uint32_t>(way));
+        } else {
+            obs.dirtyAfter = ref.op == MemOp::Store;
+            if (evicted) {
+                obs.evicted = true;
+                obs.evictedLine = evicted->lineAddr;
+                obs.evictedDirty = evicted->dirty;
+                obs.writeback = evicted->dirty;
+            }
+        }
+        checker_->onAccess(obs, statsView());
     }
-
-    if (xlat.hugePage) {
-        ++stats_.hugeAccesses;
-        if (decision == SpecDecision::Replay)
-            ++stats_.hugeReplays;
-        else if (decision == SpecDecision::BypassLoss)
-            ++stats_.hugeBypassLosses;
-    }
-
-    if (fast)
-        ++stats_.fastAccesses;
-    else
-        ++stats_.slowAccesses;
-
-    const L1AccessResult res = finishAccess(
-        ref, paddr, now, ready, fast, xlat.hugePage, decision);
-    if constexpr (Traced) {
+    if (trace_) {
         trace::AccessEvent event;
         event.policy = policyName(params_.policy);
-        event.outcome = outcome;
+        event.outcome = traceOutcomeOf(decision);
         event.pc = ref.pc;
         event.vaddr = ref.vaddr;
         event.cycle = now;
-        event.tlbLatency = xlat_done;
+        event.tlbLatency = xlat.latency;
         event.l1Latency = res.latency;
         event.hit = res.hit;
         event.fast = res.fast;
         trace_->access(traceLane_, event);
     }
-    return res;
-}
-
-L1AccessResult
-SiptL1Cache::finishAccess(const MemRef &ref, Addr paddr, Cycles now,
-                          Cycles ready, bool fast, bool huge_page,
-                          SpecDecision decision)
-{
-    const std::uint32_t set = physSet(paddr);
-    const int way = array_.probe(set, paddr);
-    const Cycles way_penalty = chargeArrayAccess(set, way);
-
-    L1AccessResult res;
-    res.fast = fast;
-
-    check::Observation obs;
-    obs.vaddr = ref.vaddr;
-    obs.paddr = paddr;
-    obs.op = ref.op;
-    obs.hugePage = huge_page;
-    obs.spec = specClassOf(decision);
-
-    if (way >= 0) {
-        ++stats_.hits;
-        res.hit = true;
-        array_.lookup(set, paddr); // update replacement state
-        if (ref.op == MemOp::Store)
-            array_.setDirty(set, static_cast<std::uint32_t>(way));
-        res.latency = (ready - now) + way_penalty;
-        if (checker_) {
-            obs.hit = true;
-            obs.dirtyAfter =
-                array_.dirtyAt(set, static_cast<std::uint32_t>(way));
-            checker_->onAccess(obs, statsView());
-        }
-        return res;
-    }
-
-    std::optional<cache::Eviction> evicted;
-    res = missFill(ref, paddr, set, now, ready, fast, &evicted);
-    if (checker_) {
-        obs.hit = false;
-        obs.dirtyAfter = ref.op == MemOp::Store;
-        if (evicted) {
-            obs.evicted = true;
-            obs.evictedLine = evicted->lineAddr;
-            obs.evictedDirty = evicted->dirty;
-            obs.writeback = evicted->dirty;
-        }
-        checker_->onAccess(obs, statsView());
-    }
-    return res;
 }
 
 L1AccessResult
 SiptL1Cache::missFill(const MemRef &ref, Addr paddr,
                       std::uint32_t set, Cycles now, Cycles ready,
                       bool fast,
-                      std::optional<cache::Eviction> *evicted_out)
+                      std::optional<cache::Eviction> &evicted_out)
 {
     ++stats_.misses;
     const Cycles fill_latency = below_.fill(paddr, ready);
@@ -521,18 +384,16 @@ SiptL1Cache::missFill(const MemRef &ref, Addr paddr,
     const Addr next_line = paddr + lineSize;
     if (pageNumber(next_line) == pageNumber(paddr))
         below_.prefetch(next_line, ready);
-    const auto evicted =
-        array_.insert(set, paddr, ref.op == MemOp::Store);
-    if (evicted && evicted->dirty) {
+    evicted_out = array_.insert(set, paddr, ref.op == MemOp::Store);
+    if (evicted_out && evicted_out->dirty) {
         ++stats_.writebacks;
-        below_.writeback(evicted->lineAddr, ready + fill_latency);
+        below_.writeback(evicted_out->lineAddr,
+                         ready + fill_latency);
     }
     L1AccessResult res;
     res.hit = false;
     res.fast = fast;
     res.latency = (ready - now) + fill_latency;
-    if (evicted_out)
-        *evicted_out = evicted;
     return res;
 }
 

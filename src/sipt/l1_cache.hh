@@ -33,8 +33,9 @@
  *    a PC-indexed full-frame delta predictor instead of the IDB.
  *
  * Every policy funnels through one per-reference decision kernel
- * (decideOne, shared by decide() and decideBatch()) so the scalar
- * and batched engines cannot drift.
+ * (decideOne, shared by decide() and decideBatch()), and every
+ * access through one accessDecided() body, so each policy's
+ * semantics and the speculation-outcome accounting exist once.
  *
  * Correctness never depends on prediction: lines live under their
  * physical set and full physical line-address tags are compared on
@@ -170,10 +171,10 @@ struct L1Stats
  * predictor state and the VA/PA index bits; consumed by
  * accessDecided(), which applies the corresponding statistics and
  * latency model. Keeping the decision a plain value is what lets
- * the batched engine run the predictor stage over a whole batch
- * while deferring every counter update to the in-order account
- * stage (the per-access invariant checker snapshots counters at
- * every access, so they must advance one access at a time).
+ * the pipeline run the predictor stage over a whole batch while
+ * deferring every counter update to the in-order account stage
+ * (the per-access invariant checker snapshots counters at every
+ * access, so they must advance one access at a time).
  */
 enum class SpecDecision : std::uint8_t
 {
@@ -233,7 +234,7 @@ class SiptL1Cache
      * the decision depends on the huge-page bit as well as the PA
      * (on 2 MiB pages the speculative index bits are statically
      * correct). One decideOne() kernel serves this and
-     * decideBatch(), so the two engines cannot drift.
+     * decideBatch(), so the two cannot drift.
      */
     SpecDecision decide(const MemRef &ref,
                         const vm::MmuResult &xlat);
@@ -253,41 +254,21 @@ class SiptL1Cache
     /**
      * Execute one memory reference whose speculation outcome was
      * already decided: applies every statistics counter for the
-     * access, charges the latency model, probes/fills the array,
-     * and feeds the checker and tracer. access() is exactly
-     * decide() + accessDecided().
+     * access, charges the latency model, probes/fills the array
+     * with one set scan, then hands the outcome to the post-access
+     * observers (golden-model checker, tracer) when either is on.
+     * access() is exactly decide() + accessDecided(). Defined
+     * inline below: it is the pipeline's per-reference account
+     * step.
      */
     L1AccessResult accessDecided(const MemRef &ref,
                                  const vm::MmuResult &xlat,
                                  Cycles now, SpecDecision decision);
 
     /**
-     * accessDecided() without any tracer test in the access path:
-     * the caller hoisted the tracer-enabled check (the batched
-     * engine performs it once per batch, not once per reference).
-     * Only valid while tracing is disabled — events that should
-     * have been emitted are lost otherwise.
-     *
-     * Defined inline below as the batched engine's fused account
-     * step: one set scan per hit (probe, then touch by way)
-     * instead of the reference path's probe-then-lookup rescan,
-     * with the same final state — the scan count is the only
-     * difference, and replacement/statistics updates happen in
-     * the same order. Checked runs take the reference path so the
-     * per-access checker sees the classic protocol.
-     */
-    L1AccessResult
-    accessDecidedUntraced(const MemRef &ref,
-                          const vm::MmuResult &xlat, Cycles now,
-                          SpecDecision decision);
-
-    /** Tracer-enabled test for callers hoisting it per batch. */
-    bool traceEnabled() const { return trace_ != nullptr; }
-
-    /**
      * Host-prefetch the tag sets an access to @p paddr will scan:
      * this L1's set and, in case it misses, the L2/LLC sets below.
-     * The batched engine issues this a few references ahead of the
+     * The pipeline issues this a few references ahead of the
      * account step; simulated state is untouched.
      */
     void
@@ -367,42 +348,29 @@ class SiptL1Cache
                     const std::uint8_t *huge_pages,
                     std::uint8_t *decisions_out);
 
-    /** Shared body of accessDecided{,Untraced}: the tracer branch
-     *  is compiled out of the Traced=false instantiation. */
-    template <bool Traced>
-    L1AccessResult accessDecidedImpl(const MemRef &ref,
-                                     const vm::MmuResult &xlat,
-                                     Cycles now,
-                                     SpecDecision decision);
-
-    /** Out-of-line accessDecidedImpl<false> for the inline fused
-     *  path's checker fallback (avoids instantiating the template
-     *  from other translation units). */
-    L1AccessResult accessDecidedChecked(const MemRef &ref,
-                                        const vm::MmuResult &xlat,
-                                        Cycles now,
-                                        SpecDecision decision);
-
     /**
-     * The miss half of finishAccess(): fill from below, next-line
-     * prefetch, insert, writeback accounting. Shared by the
-     * reference path and the fused batched path so the miss
-     * semantics exist exactly once. @p evicted_out (when non-null)
-     * receives the eviction for the caller's checker observation.
+     * The miss half of accessDecided(): fill from below, next-line
+     * prefetch, insert, writeback accounting. @p evicted_out
+     * receives the eviction for the post-access observers.
      */
     L1AccessResult missFill(const MemRef &ref, Addr paddr,
                             std::uint32_t set, Cycles now,
                             Cycles ready, bool fast,
                             std::optional<cache::Eviction>
-                                *evicted_out = nullptr);
+                                &evicted_out);
 
-    /** Index bits above the page offset of a *physical* address. */
-    std::uint32_t physSpecBits(Addr paddr) const;
-    /** Set number from a physical address. */
-    std::uint32_t physSet(Addr paddr) const;
-    /** Set obtained by substituting @p spec_bits into the
-     *  speculative positions of the VA-derived set. */
-    std::uint32_t specSet(Addr vaddr, std::uint32_t spec_bits) const;
+    /**
+     * Post-access observers, called only when the checker or the
+     * tracer is on: feeds the golden model the access (with the
+     * counters as they stand after it) and emits the trace event.
+     * @p way is the resident way on a hit, -1 on a miss.
+     */
+    void observeAccess(const MemRef &ref, const vm::MmuResult &xlat,
+                       Cycles now, SpecDecision decision,
+                       const L1AccessResult &res, std::uint32_t set,
+                       int way,
+                       const std::optional<cache::Eviction>
+                           &evicted);
 
     /** Account one array access attempt; @p resident_way is the
      *  way the line was found in, or -1. @return way-mispredict
@@ -411,14 +379,6 @@ class SiptL1Cache
 
     /** Snapshot the counters for the invariant checkers. */
     check::StatsView statsView() const;
-
-    /** Handle hit/miss once the correct physical set is known.
-     *  @p huge_page and @p decision feed the checker's per-access
-     *  decision-legality observation only. */
-    L1AccessResult finishAccess(const MemRef &ref, Addr paddr,
-                                Cycles now, Cycles ready, bool fast,
-                                bool huge_page,
-                                SpecDecision decision);
 
     L1Params params_;
     cache::BelowL1 &below_;
@@ -471,29 +431,17 @@ SiptL1Cache::chargeArrayAccess(std::uint32_t set, int resident_way)
 }
 
 inline L1AccessResult
-SiptL1Cache::accessDecidedUntraced(const MemRef &ref,
-                                   const vm::MmuResult &xlat,
-                                   Cycles now, SpecDecision decision)
+SiptL1Cache::accessDecided(const MemRef &ref,
+                           const vm::MmuResult &xlat, Cycles now,
+                           SpecDecision decision)
 {
-    if (checker_)
-        return accessDecidedChecked(ref, xlat, now, decision);
-
     ++stats_.accesses;
     if (ref.op == MemOp::Load)
         ++stats_.loads;
     else
         ++stats_.stores;
 
-    const Addr paddr = xlat.paddr;
-    const Cycles xlat_done = xlat.latency;
-    const Cycles parallel_ready =
-        now + std::max<Cycles>(params_.hitLatency, xlat_done);
-    const Cycles serial_ready =
-        now + xlat_done + params_.hitLatency;
-
     bool fast = true;
-    Cycles ready = parallel_ready;
-
     switch (decision) {
       case SpecDecision::Direct:
         break;
@@ -504,22 +452,24 @@ SiptL1Cache::accessDecidedUntraced(const MemRef &ref,
         ++stats_.spec.idbHit;
         break;
       case SpecDecision::Replay:
+        // Wasted speculative probe, then replay with the physical
+        // index once translation completes. The wasted probe went
+        // to the *wrong set*: way prediction cannot salvage it, so
+        // it costs a full read regardless of the predictor.
         ++stats_.spec.extraAccess;
         ++stats_.extraArrayAccesses;
         ++stats_.arrayAccesses;
         stats_.weightedArrayAccesses += 1.0;
         fast = false;
-        ready = serial_ready;
         break;
       case SpecDecision::BypassCorrect:
-        fast = false;
-        ready = serial_ready;
+        // Bypass: wait for the PA; single array access.
         ++stats_.spec.correctBypass;
+        fast = false;
         break;
       case SpecDecision::BypassLoss:
-        fast = false;
-        ready = serial_ready;
         ++stats_.spec.opportunityLoss;
+        fast = false;
         break;
     }
 
@@ -536,23 +486,37 @@ SiptL1Cache::accessDecidedUntraced(const MemRef &ref,
     else
         ++stats_.slowAccesses;
 
-    // Fused finishAccess(): one scan, then touch/dirty by way.
+    // A fast access proceeds in parallel with translation and
+    // completes at max(array, translation); otherwise the array
+    // access starts only after translation.
+    const Cycles ready =
+        fast ? now + std::max<Cycles>(params_.hitLatency,
+                                      xlat.latency)
+             : now + xlat.latency + params_.hitLatency;
+
+    // One set scan: probe, then touch/dirty the resident way.
+    const Addr paddr = xlat.paddr;
     const std::uint32_t set = array_.setOf(paddr);
     const int way = array_.probe(set, paddr);
     const Cycles way_penalty = chargeArrayAccess(set, way);
+    L1AccessResult res;
+    std::optional<cache::Eviction> evicted;
     if (way >= 0) {
         ++stats_.hits;
         const auto w = static_cast<std::uint32_t>(way);
         array_.touch(set, w);
         if (ref.op == MemOp::Store)
             array_.setDirty(set, w);
-        L1AccessResult res;
         res.hit = true;
         res.fast = fast;
         res.latency = (ready - now) + way_penalty;
-        return res;
+    } else {
+        res = missFill(ref, paddr, set, now, ready, fast, evicted);
     }
-    return missFill(ref, paddr, set, now, ready, fast);
+    if (checker_ || trace_) [[unlikely]]
+        observeAccess(ref, xlat, now, decision, res, set, way,
+                      evicted);
+    return res;
 }
 
 } // namespace sipt

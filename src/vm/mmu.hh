@@ -72,9 +72,10 @@ class Mmu
 
     /**
      * Translate @p vaddr whose page-table entry @p entry has
-     * already been resolved (the batched engine memoizes the pure
-     * page-table lookup and reuses the TLB/walk accounting here).
-     * translate() is exactly a page-table lookup followed by this.
+     * already been resolved (the pipeline reads it from a flat
+     * page-map snapshot and charges the TLB/walk accounting here,
+     * at the dispatch cycle @p now). translate() is exactly a
+     * page-table lookup followed by this.
      */
     MmuResult translateEntry(Addr vaddr, const Translation &entry,
                              Cycles now = 0);
@@ -85,10 +86,6 @@ class Mmu
      * constant walkLatency. Pass nullptr to detach.
      */
     void setWalker(PageWalker *walker) { walker_ = walker; }
-
-    /** True when a radix walker is attached (in which case
-     *  translation latency depends on the issue cycle). */
-    bool hasWalker() const { return walker_ != nullptr; }
 
     /** Invalidate all TLB state. */
     void flushAll();
@@ -120,9 +117,9 @@ class Mmu
     std::uint64_t walks_ = 0;
 };
 
-// Inline: translateEntry is on the per-reference critical path of
-// both engines; the batched translate stage inlines the whole TLB
-// hit path into its loop.
+// Inline: translateEntry is on the per-reference critical path; the
+// pipeline's account stage inlines the whole TLB hit path into its
+// loop.
 inline MmuResult
 Mmu::translateEntry(Addr vaddr, const Translation &entry,
                     Cycles now)

@@ -40,8 +40,8 @@ class Tlb
      * @return true on hit (and update LRU state)
      *
      * Defined inline below: lookup/insert are on the per-reference
-     * critical path of both engines and the batched translate
-     * stage inlines them into its loop.
+     * critical path, and the pipeline's account stage inlines them
+     * into its loop.
      */
     bool lookup(Vpn vpn, bool huge_page = false);
 

@@ -1,40 +1,42 @@
 /**
  * @file
- * Batched-vs-scalar engine equivalence. The batch pipeline is the
- * default engine; the scalar per-reference loop is the reference
- * implementation. The contract is bit-for-bit identity of every
- * result a run produces — statistics, energy, derived metrics
- * JSON, and the SIPT_CHECK functional digest — across indexing
- * policies, speculative-bit counts, trace replay, partial final
- * batches, and multicore mixes. The engine selector must also be
- * invisible to the run-cache key.
+ * Engine timing fixtures. Every test runs a handful of small,
+ * fully specified experiments through runSingleCore/runMulticore
+ * and compares one row per run — cycles, instructions, every
+ * L1Stats counter, page walks, and the SIPT_CHECK functional digest
+ * for checked runs — against a committed table in
+ * tests/fixtures/engine/<TestName>.txt. The golden model checks
+ * function; these tables check timing, so any drift in the
+ * pipeline's stage order, the core model or the L1 latency model
+ * shows up as a row diff.
+ *
+ * Each run writes its actual table to the build tree
+ * (build/tests/engine_fixtures/<TestName>.txt). After an
+ * intentional timing change, regenerate with:
+ *
+ *   ctest --test-dir build -R BatchEngine
+ *   cp -r build/tests/engine_fixtures/. tests/fixtures/engine/
+ *
+ * Warmup and measure sizes are set explicitly, so SIPT_REFS and
+ * SIPT_WARMUP do not change the rows.
  */
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/metrics.hh"
-#include "sim/report.hh"
 #include "sim/system.hh"
 
 namespace sipt::sim
 {
 namespace
 {
-
-/** Scratch directory for the trace round-trip test. */
-std::string
-scratchFile(const std::string &name)
-{
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "sipt_test_batch";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-}
 
 /** Small but non-trivial run sizes: several full batches plus a
  *  partial tail (batch capacity is 256). */
@@ -44,106 +46,106 @@ smallConfig()
     SystemConfig config;
     config.warmupRefs = 3'000;
     config.measureRefs = 12'500;
+    config.l1Config = L1Config::Sipt32K2;
+    config.policy = IndexingPolicy::SiptCombined;
     config.check = true; // populate the functional digest
     return config;
 }
 
-/** Serialised derived-metrics JSON for one run result. */
+/** One fixture row: @p label followed by the timing-relevant
+ *  fields of @p r. Doubles print with 17 significant digits, which
+ *  round-trips them exactly. */
 std::string
-metricsJson(const RunResult &result)
+row(const std::string &label, const RunResult &r)
 {
-    MetricsRegistry metrics;
-    fillRunMetrics(metrics, "run", result);
-    return metrics.toJson().dump();
+    const L1Stats &s = r.l1;
+    std::ostringstream os;
+    os << std::setprecision(17) << label << " cycles=" << r.cycles
+       << " instructions=" << r.instructions
+       << " accesses=" << s.accesses << " loads=" << s.loads
+       << " stores=" << s.stores << " hits=" << s.hits
+       << " misses=" << s.misses << " writebacks=" << s.writebacks
+       << " fastAccesses=" << s.fastAccesses
+       << " slowAccesses=" << s.slowAccesses
+       << " extraArrayAccesses=" << s.extraArrayAccesses
+       << " arrayAccesses=" << s.arrayAccesses
+       << " weightedArrayAccesses=" << s.weightedArrayAccesses
+       << " hugeAccesses=" << s.hugeAccesses
+       << " hugeReplays=" << s.hugeReplays
+       << " hugeBypassLosses=" << s.hugeBypassLosses
+       << " correctSpeculation=" << s.spec.correctSpeculation
+       << " correctBypass=" << s.spec.correctBypass
+       << " opportunityLoss=" << s.spec.opportunityLoss
+       << " extraAccess=" << s.spec.extraAccess
+       << " idbHit=" << s.spec.idbHit
+       << " pageWalks=" << r.pageWalks << " checkDigest="
+       << std::hex << std::setw(16) << std::setfill('0')
+       << r.checkDigest;
+    return os.str();
 }
 
-/** Assert bit-for-bit identity of two run results. */
-void
-expectIdentical(const RunResult &scalar, const RunResult &batch,
-                const std::string &label)
+/** Run @p app under @p config (which must set check), assert the
+ *  run stayed golden, and return its fixture row. */
+std::string
+checkedRow(const std::string &label, const std::string &app,
+           const SystemConfig &config, RunResult *out = nullptr)
 {
-    SCOPED_TRACE(label);
-    EXPECT_EQ(scalar.ipc, batch.ipc);
-    EXPECT_EQ(scalar.cycles, batch.cycles);
-    EXPECT_EQ(scalar.instructions, batch.instructions);
-
-    EXPECT_EQ(scalar.l1.accesses, batch.l1.accesses);
-    EXPECT_EQ(scalar.l1.loads, batch.l1.loads);
-    EXPECT_EQ(scalar.l1.stores, batch.l1.stores);
-    EXPECT_EQ(scalar.l1.hits, batch.l1.hits);
-    EXPECT_EQ(scalar.l1.misses, batch.l1.misses);
-    EXPECT_EQ(scalar.l1.writebacks, batch.l1.writebacks);
-    EXPECT_EQ(scalar.l1.fastAccesses, batch.l1.fastAccesses);
-    EXPECT_EQ(scalar.l1.slowAccesses, batch.l1.slowAccesses);
-    EXPECT_EQ(scalar.l1.extraArrayAccesses,
-              batch.l1.extraArrayAccesses);
-    EXPECT_EQ(scalar.l1.arrayAccesses, batch.l1.arrayAccesses);
-    EXPECT_EQ(scalar.l1.weightedArrayAccesses,
-              batch.l1.weightedArrayAccesses);
-    EXPECT_EQ(scalar.l1.spec.correctSpeculation,
-              batch.l1.spec.correctSpeculation);
-    EXPECT_EQ(scalar.l1.spec.correctBypass,
-              batch.l1.spec.correctBypass);
-    EXPECT_EQ(scalar.l1.spec.opportunityLoss,
-              batch.l1.spec.opportunityLoss);
-    EXPECT_EQ(scalar.l1.spec.extraAccess,
-              batch.l1.spec.extraAccess);
-    EXPECT_EQ(scalar.l1.spec.idbHit, batch.l1.spec.idbHit);
-
-    EXPECT_EQ(scalar.energy.l1Dynamic, batch.energy.l1Dynamic);
-    EXPECT_EQ(scalar.energy.l2Dynamic, batch.energy.l2Dynamic);
-    EXPECT_EQ(scalar.energy.llcDynamic, batch.energy.llcDynamic);
-    EXPECT_EQ(scalar.energy.l1Static, batch.energy.l1Static);
-    EXPECT_EQ(scalar.energy.l2Static, batch.energy.l2Static);
-    EXPECT_EQ(scalar.energy.llcStatic, batch.energy.llcStatic);
-
-    EXPECT_EQ(scalar.l1HitRate, batch.l1HitRate);
-    EXPECT_EQ(scalar.fastFraction, batch.fastFraction);
-    EXPECT_EQ(scalar.wayPredAccuracy, batch.wayPredAccuracy);
-    EXPECT_EQ(scalar.dtlbHitRate, batch.dtlbHitRate);
-    EXPECT_EQ(scalar.pageWalks, batch.pageWalks);
-    EXPECT_EQ(scalar.l1Mpki, batch.l1Mpki);
-    EXPECT_EQ(scalar.hugeCoverage, batch.hugeCoverage);
-
-    EXPECT_EQ(scalar.checkDigest, batch.checkDigest);
-    EXPECT_EQ(scalar.checkEvents, batch.checkEvents);
-    EXPECT_EQ(scalar.checkFailure, batch.checkFailure);
-    EXPECT_TRUE(scalar.checkFailure.empty())
-        << scalar.checkFailure;
-
-    EXPECT_EQ(metricsJson(scalar), metricsJson(batch));
+    const RunResult r = runSingleCore(app, config);
+    EXPECT_TRUE(r.checkFailure.empty())
+        << label << ": " << r.checkFailure;
+    if (out)
+        *out = r;
+    return row(label, r);
 }
 
-/** Run @p config under both engines and assert identity. */
+/**
+ * Write @p rows as the current test's actual table, then compare
+ * them line by line with the committed fixture of the same name.
+ */
 void
-compareEngines(const std::string &app, SystemConfig config,
-               const std::string &label)
+expectMatchesFixture(const std::vector<std::string> &rows)
 {
-    config.engine = EngineSelect::Scalar;
-    const RunResult scalar = runSingleCore(app, config);
-    config.engine = EngineSelect::Batch;
-    const RunResult batch = runSingleCore(app, config);
-    expectIdentical(scalar, batch, label);
+    const std::string name = testing::UnitTest::GetInstance()
+                                 ->current_test_info()
+                                 ->name();
+    const std::filesystem::path out_dir(SIPT_ENGINE_FIXTURE_OUT);
+    std::filesystem::create_directories(out_dir);
+    const auto out_path = out_dir / (name + ".txt");
+    {
+        std::ofstream out(out_path);
+        out << "# BatchEngine." << name
+            << ": one row per run (tests/test_batch.cpp)\n";
+        for (const std::string &r : rows)
+            out << r << '\n';
+    }
+
+    const auto fixture_path =
+        std::filesystem::path(SIPT_ENGINE_FIXTURE_DIR) /
+        (name + ".txt");
+    std::ifstream in(fixture_path);
+    ASSERT_TRUE(in) << "missing fixture " << fixture_path
+                    << "; actual table written to " << out_path;
+    std::vector<std::string> expected;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] != '#')
+            expected.push_back(line);
+    }
+    ASSERT_EQ(expected.size(), rows.size())
+        << "row count differs; actual table in " << out_path;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(expected[i], rows[i]) << "actual: " << out_path;
 }
 
 TEST(BatchEngine, BitIdenticalAcrossPoliciesAndSpecBits)
 {
     // L1 geometries spanning 0..3 speculative index bits at 2-way
     // (32 KiB / 2-way = 2 bits above the 4 KiB page offset, etc.).
-    struct Geometry
-    {
-        std::uint64_t sizeBytes;
-        unsigned specBits;
-    };
-    const Geometry geometries[] = {
-        {8 * 1024, 0},
-        {16 * 1024, 1},
-        {32 * 1024, 2},
-        {64 * 1024, 3},
-    };
-    for (const Geometry &geom : geometries) {
+    const std::uint64_t sizes_kib[] = {8, 16, 32, 64};
+    std::vector<std::string> rows;
+    for (const std::uint64_t kib : sizes_kib) {
         std::vector<IndexingPolicy> policies;
-        if (geom.specBits == 0) {
+        if (kib == 8) {
             // VIPT-feasible geometry: no bits to speculate on.
             policies = {IndexingPolicy::Vipt,
                         IndexingPolicy::Ideal};
@@ -156,119 +158,125 @@ TEST(BatchEngine, BitIdenticalAcrossPoliciesAndSpecBits)
                         IndexingPolicy::SiptRevelator,
                         IndexingPolicy::SiptPcax};
         }
+        std::uint64_t digest = 0;
         for (const IndexingPolicy policy : policies) {
             SystemConfig config = smallConfig();
-            config.l1Config = L1Config::Sipt32K2;
-            config.l1SizeBytes = geom.sizeBytes;
+            config.l1SizeBytes = kib * 1024;
             config.l1Assoc = 2;
             config.policy = policy;
-            compareEngines(
-                "gcc", config,
-                "size=" + std::to_string(geom.sizeBytes) +
-                    " policy=" +
-                    std::to_string(static_cast<int>(policy)));
+            RunResult r;
+            rows.push_back(checkedRow(
+                "gcc/" + std::to_string(kib) + "K-2way/" +
+                    policyName(policy),
+                "gcc", config, &r));
+            // The functional stream is policy-invariant.
+            if (digest == 0)
+                digest = r.checkDigest;
+            EXPECT_EQ(digest, r.checkDigest)
+                << policyName(policy) << " at " << kib << " KiB";
         }
     }
+    expectMatchesFixture(rows);
 }
 
 TEST(BatchEngine, BitIdenticalWithWayPredictionAndInOrder)
 {
     SystemConfig config = smallConfig();
-    config.l1Config = L1Config::Sipt32K2;
-    config.policy = IndexingPolicy::SiptCombined;
     config.wayPrediction = true;
-    compareEngines("hmmer", config, "way-prediction");
-
     SystemConfig inorder = smallConfig();
     inorder.outOfOrder = false;
-    inorder.l1Config = L1Config::Sipt32K2;
     inorder.policy = IndexingPolicy::SiptBypass;
-    compareEngines("mcf", inorder, "in-order core");
+    expectMatchesFixture({
+        checkedRow("hmmer/way-prediction", "hmmer", config),
+        checkedRow("mcf/in-order", "mcf", inorder),
+    });
 }
 
 TEST(BatchEngine, BitIdenticalUnderMemoryConditions)
 {
-    // Fragmented physical memory and THP-off change the page-table
-    // shape (small-page heavy, scattered frames), exercising both
-    // the flat page-map snapshot and its sparse fallback.
+    // The conditions change the page-table shape (small-page
+    // heavy, scattered frames), exercising both the flat page-map
+    // snapshot and its huge-page lane.
+    std::vector<std::string> rows;
     for (const MemCondition condition :
-         {MemCondition::Fragmented, MemCondition::ThpOff}) {
+         {MemCondition::Normal, MemCondition::Fragmented,
+          MemCondition::ThpOff, MemCondition::NoContiguity}) {
         SystemConfig config = smallConfig();
-        config.l1Config = L1Config::Sipt32K2;
-        config.policy = IndexingPolicy::SiptCombined;
         config.condition = condition;
-        compareEngines("astar", config,
-                       std::string("condition=") +
-                           conditionName(condition));
+        rows.push_back(checkedRow(
+            std::string("astar/") + conditionName(condition),
+            "astar", config));
     }
+    expectMatchesFixture(rows);
 }
 
 TEST(BatchEngine, BitIdenticalOnHugePageSynonyms)
 {
-    // A 2 MiB-backed shared-synonym stream drives the batch
-    // pipeline's huge-page lane: the VESPA gate fires on every
-    // reference, and the translation predictors see huge frames.
+    // A 2 MiB-backed shared-synonym stream drives the pipeline's
+    // huge-page lane: the VESPA gate fires on every reference, and
+    // the translation predictors see huge frames.
+    std::vector<std::string> rows;
     for (const IndexingPolicy policy :
          {IndexingPolicy::SiptCombined, IndexingPolicy::SiptVespa,
           IndexingPolicy::SiptRevelator,
           IndexingPolicy::SiptPcax}) {
         SystemConfig config = smallConfig();
-        config.l1Config = L1Config::Sipt32K2;
         config.policy = policy;
-        compareEngines("synonym:shared-huge", config,
-                       "huge synonyms policy=" +
-                           std::to_string(
-                               static_cast<int>(policy)));
+        rows.push_back(checkedRow(
+            std::string("shared-huge/") + policyName(policy),
+            "synonym:shared-huge", config));
     }
+    expectMatchesFixture(rows);
 }
 
 TEST(BatchEngine, PartialFinalBatchSizes)
 {
     // Batch capacity is 256: cover a run smaller than one batch, a
     // prime-size run, and a multiple-plus-tail run.
+    std::vector<std::string> rows;
     for (const std::uint64_t measure : {100ull, 257ull, 1000ull}) {
         SystemConfig config = smallConfig();
         config.warmupRefs = 100;
         config.measureRefs = measure;
-        config.l1Config = L1Config::Sipt32K2;
-        config.policy = IndexingPolicy::SiptCombined;
-        compareEngines("libquantum", config,
-                       "measure=" + std::to_string(measure));
+        rows.push_back(checkedRow(
+            "libquantum/measure=" + std::to_string(measure),
+            "libquantum", config));
     }
+    expectMatchesFixture(rows);
 }
 
 TEST(BatchEngine, TraceReplayRoundTripBitIdentical)
 {
-    SystemConfig config = smallConfig();
-    config.l1Config = L1Config::Sipt32K2;
-    config.policy = IndexingPolicy::SiptCombined;
-
-    const std::string path = scratchFile("replay.sipttrace");
+    const SystemConfig config = smallConfig();
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "sipt_test_batch";
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "replay.sipttrace").string();
     recordTrace("milc", config, path);
-    const std::string app = "trace:" + path;
 
-    // Replay under both engines, and against the live run.
-    config.engine = EngineSelect::Scalar;
-    const RunResult live = runSingleCore("milc", config);
-    const RunResult scalar = runSingleCore(app, config);
-    config.engine = EngineSelect::Batch;
-    const RunResult batch = runSingleCore(app, config);
-    expectIdentical(scalar, batch, "trace replay");
-    EXPECT_EQ(live.checkDigest, batch.checkDigest);
-    EXPECT_EQ(live.ipc, batch.ipc);
+    RunResult live;
+    RunResult replay;
+    checkedRow("milc/live", "milc", config, &live);
+    const std::string replay_row =
+        checkedRow("milc/replay", "trace:" + path, config, &replay);
+    EXPECT_EQ(live.checkDigest, replay.checkDigest);
+    EXPECT_EQ(live.ipc, replay.ipc);
+    expectMatchesFixture({replay_row});
     std::filesystem::remove(path);
 }
 
-TEST(BatchEngine, RadixWalkerFallsBackToScalar)
+TEST(BatchEngine, RadixWalkerConfigs)
 {
-    // Radix-walker translation latency depends on the issue cycle,
-    // so the batch engine must fall back; requesting Batch still
-    // has to produce the scalar result.
-    SystemConfig config = smallConfig();
-    config.l1Config = L1Config::Sipt32K2;
-    config.policy = IndexingPolicy::SiptCombined;
-    config.radixWalker = true;
-    compareEngines("gcc", config, "radix walker");
+    // Walk latency depends on the dispatch cycle, and PTE reads
+    // share the below-L1 hierarchy with L1 fills.
+    std::vector<std::string> rows;
+    for (const char *app : {"gcc", "mcf"}) {
+        SystemConfig config = smallConfig();
+        config.radixWalker = true;
+        rows.push_back(
+            checkedRow(std::string(app) + "/radix", app, config));
+    }
+    expectMatchesFixture(rows);
 }
 
 TEST(BatchEngine, MulticoreBitIdentical)
@@ -276,43 +284,18 @@ TEST(BatchEngine, MulticoreBitIdentical)
     SystemConfig config = smallConfig();
     config.warmupRefs = 1'000;
     config.measureRefs = 4'000;
-    config.l1Config = L1Config::Sipt32K2;
-    config.policy = IndexingPolicy::SiptCombined;
     const std::vector<std::string> mix = {"mcf", "hmmer", "gcc",
                                           "astar"};
-
-    config.engine = EngineSelect::Scalar;
-    const MulticoreResult scalar = runMulticore(mix, config);
-    config.engine = EngineSelect::Batch;
-    const MulticoreResult batch = runMulticore(mix, config);
-
-    ASSERT_EQ(scalar.perCore.size(), batch.perCore.size());
-    for (std::size_t i = 0; i < scalar.perCore.size(); ++i) {
-        expectIdentical(scalar.perCore[i], batch.perCore[i],
-                        "core " + std::to_string(i));
+    const MulticoreResult result = runMulticore(mix, config);
+    ASSERT_EQ(result.perCore.size(), mix.size());
+    std::vector<std::string> rows;
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+        const RunResult &r = result.perCore[i];
+        EXPECT_TRUE(r.checkFailure.empty()) << r.checkFailure;
+        rows.push_back(
+            row("quad/core" + std::to_string(i) + "/" + mix[i], r));
     }
-    EXPECT_EQ(scalar.sumIpc, batch.sumIpc);
-    EXPECT_EQ(scalar.energy.dynamicTotal(),
-              batch.energy.dynamicTotal());
-    EXPECT_EQ(scalar.energy.staticTotal(),
-              batch.energy.staticTotal());
-}
-
-TEST(BatchEngine, EngineExcludedFromRunCacheKey)
-{
-    SystemConfig a;
-    SystemConfig b = a;
-    b.engine = EngineSelect::Batch;
-    a.engine = EngineSelect::Scalar;
-    // Bit-identical engines: the selector must be invisible to the
-    // run cache, or a sweep could return different-engine results
-    // for the same key (fine) while missing its memo (not fine).
-    EXPECT_TRUE(a == b);
-    EXPECT_EQ(hashValue(a), hashValue(b));
-
-    // A result-influencing field must still break equality.
-    b.measureRefs += 1;
-    EXPECT_FALSE(a == b);
+    expectMatchesFixture(rows);
 }
 
 } // namespace

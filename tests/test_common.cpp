@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -309,6 +310,68 @@ TEST(Env, DoubleParsesAndFallsBack)
     unsetenv("ENVTEST_DBL");
     EXPECT_DOUBLE_EQ(envDouble("ENVTEST_DBL", 0.2, 0.0, 1.0),
                      0.2);
+}
+
+TEST(Env, ParseU64Table)
+{
+    // The command-line front doors reject everything a bare
+    // strtoull would have bent into a different number.
+    struct Case
+    {
+        const char *text;
+        std::optional<std::uint64_t> want;
+    };
+    const Case cases[] = {
+        {"4000000", 4'000'000},
+        {"1", 1},
+        {"1099511627776", std::uint64_t{1} << 40},
+        {"4e6", std::nullopt},  // bare strtoull: 4
+        {"-1", std::nullopt},   // bare strtoull: 2^64-1
+        {"+5", std::nullopt},
+        {"12x", std::nullopt},
+        {"", std::nullopt},
+        {" 7", std::nullopt},
+        {" -1", std::nullopt},  // blank, then a wrapped negative
+        {"0", std::nullopt},    // below min
+        {"1099511627777", std::nullopt}, // above max
+        {"99999999999999999999999", std::nullopt},
+    };
+    for (const Case &c : cases) {
+        const char *why = nullptr;
+        const auto got =
+            parseU64(c.text, 1, std::uint64_t{1} << 40, &why);
+        EXPECT_EQ(got, c.want) << "'" << c.text << "'";
+        EXPECT_EQ(why == nullptr, c.want.has_value())
+            << "'" << c.text << "'";
+    }
+}
+
+TEST(Env, ParseDoubleTable)
+{
+    struct Case
+    {
+        const char *text;
+        std::optional<double> want;
+    };
+    const Case cases[] = {
+        {"0.25", 0.25},
+        {"1e-2", 0.01},
+        {"2", 2.0},
+        {"abc", std::nullopt}, // bare strtod: 0
+        {"0.5x", std::nullopt},
+        {"", std::nullopt},
+        {"nan", std::nullopt},
+        {" 0.5", std::nullopt},
+        {"0", std::nullopt},   // below min
+        {"1e400", std::nullopt},
+    };
+    for (const Case &c : cases) {
+        const char *why = nullptr;
+        const auto got = parseDouble(c.text, 1e-6, 1e3, &why);
+        EXPECT_EQ(got, c.want) << "'" << c.text << "'";
+        EXPECT_EQ(why == nullptr, c.want.has_value())
+            << "'" << c.text << "'";
+    }
 }
 
 } // namespace

@@ -6,7 +6,7 @@
  * result for a different experiment.
  */
 
-#include <string_view>
+#include <array>
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,7 @@ namespace
  * sipt-analyze config-key pass diffs the two, so the annotation
  * and this test cannot drift apart silently.
  */
-const char *const kKeyExemptFields[] = {"engine"};
+constexpr std::array<const char *, 0> kKeyExemptFields = {};
 
 /** Mutate one field, expect inequality and a hash change. */
 template <typename Mutate>
@@ -109,48 +109,15 @@ TEST(ConfigKey, EveryFieldParticipates)
     });
 }
 
-TEST(ConfigKey, EngineIsTheDeliberateException)
-{
-    // The batched and scalar engines are bit-identical in every
-    // result, so the selector must NOT participate in the key: a
-    // sweep memo populated under one engine must be served to the
-    // other (the fuzzer flips engines per sample and relies on
-    // this).
-    const SystemConfig base;
-    for (const EngineSelect engine :
-         {EngineSelect::Auto, EngineSelect::Scalar,
-          EngineSelect::Batch}) {
-        SystemConfig changed = base;
-        changed.engine = engine;
-        EXPECT_TRUE(changed == base)
-            << "engine participates in operator==";
-        EXPECT_EQ(hashValue(changed), hashValue(base))
-            << "engine participates in hashValue()";
-    }
-}
-
 TEST(ConfigKey, ExemptListFlipsLeaveTheKeyUnchanged)
 {
-    // Walk kKeyExemptFields and perturb each named field, proving
-    // every listed exemption really is outside the key. A field
-    // added to the key without removing it from the exemption
-    // list (or vice versa) fails either here or in sipt-analyze.
-    const SystemConfig base;
+    // Every listed exemption must be proven outside the key by a
+    // mutation here (perturb the field, expect operator== and
+    // hashValue() unchanged). No field is exempt today, so a new
+    // entry fails until its mutation is added.
     for (const char *field : kKeyExemptFields) {
-        SystemConfig changed = base;
-        if (std::string_view{field} == "engine") {
-            changed.engine = EngineSelect::Scalar;
-        } else {
-            FAIL() << "kKeyExemptFields names `" << field
-                   << "` but this test has no mutation for it; "
-                      "add one so the exemption stays proven";
-        }
-        EXPECT_TRUE(changed == base)
-            << field << " participates in operator== despite "
-                        "its key-exempt annotation";
-        EXPECT_EQ(hashValue(changed), hashValue(base))
-            << field << " participates in hashValue() despite "
-                        "its key-exempt annotation";
+        FAIL() << "kKeyExemptFields names `" << field
+               << "` but this test has no mutation for it";
     }
 }
 

@@ -4,7 +4,7 @@
  * three translation-aware policies built on it. Every policy's
  * scalar decide() and batched decideBatch() must produce identical
  * SpecDecision streams over a mixed small/huge reference stream —
- * the regression that pins both engines to one kernel. On top of
+ * the regression that pins both entry points to one kernel. On top of
  * that: the VESPA superpage gate (huge pages speculate
  * unconditionally and leave the predictors untouched), Revelator's
  * hashed translation table (learns a stable VPN→PFN mapping after

@@ -3,7 +3,7 @@
  * The synonym & coherence scenario pack, end to end: multi-mapping
  * workloads (alias / fork-COW / shared segments, small and huge
  * pages) run with the differential checker on, under every
- * indexing policy and both access-pipeline engines.
+ * indexing policy.
  *
  * The differential claim under test: SIPT's functional digest
  * stays byte-identical to the golden physically-indexed model on
@@ -284,37 +284,6 @@ TEST(SynonymScenarios, VipFeasibleGeometryMatchesIdeal)
     }
 }
 
-TEST(SynonymScenarios, ScalarAndBatchEnginesBitIdentical)
-{
-    for (const std::string &app : scenarioApps()) {
-        sim::SystemConfig config = scenarioConfig();
-        config.l1SizeBytes = 32 * 1024;
-        config.l1Assoc = 2;
-        config.policy = IndexingPolicy::SiptCombined;
-
-        config.engine = sim::EngineSelect::Scalar;
-        const sim::RunResult scalar =
-            sim::runSingleCore(app, config);
-        config.engine = sim::EngineSelect::Batch;
-        const sim::RunResult batch =
-            sim::runSingleCore(app, config);
-
-        EXPECT_TRUE(scalar.checkFailure.empty())
-            << app << ": " << scalar.checkFailure;
-        EXPECT_TRUE(batch.checkFailure.empty())
-            << app << ": " << batch.checkFailure;
-        EXPECT_EQ(scalar.checkDigest, batch.checkDigest) << app;
-        EXPECT_EQ(scalar.checkEvents, batch.checkEvents) << app;
-        EXPECT_EQ(scalar.vivtInvalidations,
-                  batch.vivtInvalidations)
-            << app;
-        EXPECT_EQ(scalar.vivtReverseProbes,
-                  batch.vivtReverseProbes)
-            << app;
-        EXPECT_GT(scalar.vivtInvalidations, 0u) << app;
-    }
-}
-
 TEST(SynonymScenarios, MulticoreSharedSegmentRunsClean)
 {
     // Two cores attach the *same* shared segment (plus figure
@@ -393,21 +362,15 @@ TEST(SynonymScenarios, TraceRoundTripManyToOneLayout)
     EXPECT_GE(max_names, 3u)
         << "alias-a3 layout should map one frame thrice";
 
-    // Replay is digest-identical to the live run, on both engines.
+    // Replay is digest-identical to the live run.
     const sim::RunResult live = sim::runSingleCore(app, config);
-    for (const auto engine :
-         {sim::EngineSelect::Scalar, sim::EngineSelect::Batch}) {
-        config.engine = engine;
-        const sim::RunResult replay =
-            sim::runSingleCore("trace:" + path, config);
-        EXPECT_TRUE(replay.checkFailure.empty())
-            << replay.checkFailure;
-        EXPECT_EQ(replay.checkDigest, live.checkDigest);
-        EXPECT_EQ(replay.checkEvents, live.checkEvents);
-        EXPECT_EQ(replay.vivtInvalidations,
-                  live.vivtInvalidations);
-        EXPECT_GT(replay.vivtInvalidations, 0u);
-    }
+    const sim::RunResult replay =
+        sim::runSingleCore("trace:" + path, config);
+    EXPECT_TRUE(replay.checkFailure.empty()) << replay.checkFailure;
+    EXPECT_EQ(replay.checkDigest, live.checkDigest);
+    EXPECT_EQ(replay.checkEvents, live.checkEvents);
+    EXPECT_EQ(replay.vivtInvalidations, live.vivtInvalidations);
+    EXPECT_GT(replay.vivtInvalidations, 0u);
     std::remove(path.c_str());
 }
 

@@ -2,15 +2,15 @@
  * @file
  * sipt-fuzz: policy-invariance fuzzing driver.
  *
- * Samples seeded (geometry, memory-condition, workload, engine)
- * points — a quarter of them multi-mapping synonym scenarios
- * (alias count, index-bit skew, huge-page mix over alias / COW /
- * shared-segment modes) — runs each under every feasible indexing
- * policy with the differential golden-model checker enabled, and
- * requires all policies to produce byte-identical functional
- * event digests. Synonym samples additionally require the VIVT
- * strawman to have counted reverse-map invalidations (the
- * bookkeeping SIPT avoids). A divergence prints a one-line repro:
+ * Samples seeded (geometry, memory-condition, workload) points —
+ * a quarter of them multi-mapping synonym scenarios (alias count,
+ * index-bit skew, huge-page mix over alias / COW / shared-segment
+ * modes) — runs each under every feasible indexing policy with
+ * the differential golden-model checker enabled, and requires all
+ * policies to produce byte-identical functional event digests.
+ * Synonym samples additionally require the VIVT strawman to have
+ * counted reverse-map invalidations (the bookkeeping SIPT avoids).
+ * A divergence prints a one-line repro:
  *
  *   SIPT-FUZZ-REPRO seed=<N> index=<M> config={...}
  *
@@ -31,11 +31,15 @@
 #include <string>
 
 #include "check/options.hh"
+#include "common/env.hh"
 #include "sim/fuzz.hh"
 #include "sim/sweep.hh"
 
 namespace
 {
+
+/** Largest --count accepted. */
+constexpr std::uint64_t maxCount = std::uint64_t{1} << 32;
 
 int
 usage()
@@ -45,6 +49,23 @@ usage()
         << " [--expect-fail]\n"
         << "       sipt-fuzz --repro '<repro line>'\n";
     return 2;
+}
+
+/** Parse a whole-number flag value in [min, max] into @p out;
+ *  reports and returns false on bad input ("4e6", "-1", "12x"). */
+bool
+numberFlag(const std::string &flag, const char *text,
+           std::uint64_t min, std::uint64_t max, std::uint64_t &out)
+{
+    const char *why = nullptr;
+    const auto v = sipt::parseU64(text, min, max, &why);
+    if (!v) {
+        std::cerr << "sipt-fuzz: " << flag << " '" << text
+                  << "': " << why << "\n";
+        return false;
+    }
+    out = *v;
+    return true;
 }
 
 /** Replay one sample and report every policy's verdict. */
@@ -96,9 +117,12 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--seed" && has_value) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            if (!numberFlag(arg, argv[++i], 0, ~std::uint64_t{0},
+                            seed))
+                return usage();
         } else if (arg == "--count" && has_value) {
-            count = std::strtoull(argv[++i], nullptr, 10);
+            if (!numberFlag(arg, argv[++i], 1, maxCount, count))
+                return usage();
         } else if (arg == "--repro" && has_value) {
             repro = argv[++i];
         } else if (arg == "--expect-fail") {

@@ -32,6 +32,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/env.hh"
 #include "common/json.hh"
 #include "sim/system.hh"
 #include "workload/trace_format.hh"
@@ -65,6 +66,33 @@ argValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
+/** Largest --refs/--warmup accepted (matches SIPT_REFS). */
+constexpr std::uint64_t maxRefs = std::uint64_t{1} << 40;
+
+/** Report a rejected flag value; returns the usage exit code. */
+int
+badValue(const char *flag, const char *value, const char *why)
+{
+    std::cerr << "sipt-trace: " << flag << " '" << value
+              << "': " << why << "\n";
+    return usage();
+}
+
+/** The next argv value after a flag as a whole number in
+ *  [min, max], or exit with usage. */
+std::uint64_t
+numberValue(int argc, char **argv, int &i, std::uint64_t min,
+            std::uint64_t max)
+{
+    const char *flag = argv[i];
+    const char *value = argValue(argc, argv, i);
+    const char *why = nullptr;
+    const auto v = sipt::parseU64(value, min, max, &why);
+    if (!v)
+        std::exit(badValue(flag, value, why));
+    return *v;
+}
+
 int
 cmdRecord(int argc, char **argv)
 {
@@ -79,14 +107,14 @@ cmdRecord(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--out") == 0) {
             out = argValue(argc, argv, i);
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            config.seed = std::strtoull(
-                argValue(argc, argv, i), nullptr, 10);
+            config.seed = numberValue(argc, argv, i, 0,
+                                      ~std::uint64_t{0});
         } else if (std::strcmp(argv[i], "--refs") == 0) {
-            config.measureRefs = std::strtoull(
-                argValue(argc, argv, i), nullptr, 10);
+            config.measureRefs =
+                numberValue(argc, argv, i, 1, maxRefs);
         } else if (std::strcmp(argv[i], "--warmup") == 0) {
-            config.warmupRefs = std::strtoull(
-                argValue(argc, argv, i), nullptr, 10);
+            config.warmupRefs =
+                numberValue(argc, argv, i, 0, maxRefs);
         } else if (std::strcmp(argv[i], "--condition") == 0) {
             const char *name = argValue(argc, argv, i);
             const auto cond = sipt::sim::conditionFromName(name);
@@ -98,8 +126,14 @@ cmdRecord(int argc, char **argv)
             config.condition = *cond;
         } else if (std::strcmp(argv[i], "--footprint-scale") ==
                    0) {
-            config.footprintScale = std::strtod(
-                argValue(argc, argv, i), nullptr);
+            const char *flag = argv[i];
+            const char *value = argValue(argc, argv, i);
+            const char *why = nullptr;
+            const auto scale =
+                sipt::parseDouble(value, 1e-6, 1e3, &why);
+            if (!scale)
+                return badValue(flag, value, why);
+            config.footprintScale = *scale;
         } else {
             std::cerr << "sipt-trace: unknown option '"
                       << argv[i] << "'\n";
