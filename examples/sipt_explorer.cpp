@@ -19,6 +19,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/env.hh"
 #include "common/table.hh"
 #include "sim/report.hh"
 #include "sim/system.hh"
@@ -41,6 +42,9 @@ usage()
            "[--list-apps]\n";
     std::exit(2);
 }
+
+/** Strict numeric flag values; a bad one exits with usage. */
+const FlagParser flags{"sipt_explorer", []() -> int { usage(); }};
 
 sim::L1Config
 parseL1(const std::string &s)
@@ -130,11 +134,11 @@ main(int argc, char **argv)
         } else if (arg == "--radix-walker") {
             cfg.radixWalker = true;
         } else if (arg == "--refs") {
-            cfg.measureRefs = std::strtoull(
-                value().c_str(), nullptr, 10);
+            cfg.measureRefs =
+                flags.u64(argc, argv, i, 1, sim::maxRefs);
         } else if (arg == "--seed") {
             cfg.seed =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flags.u64(argc, argv, i, 0, ~std::uint64_t{0});
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--list-apps") {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <iostream>
 
 #include "common/logging.hh"
 
@@ -77,6 +78,49 @@ parseDouble(const char *text, double min, double max,
     if (!(v >= min && v <= max))
         return reject(why, "out of accepted range");
     return v;
+}
+
+const char *
+FlagParser::value(int argc, char **argv, int &i) const
+{
+    if (i + 1 >= argc)
+        reject(argv[i], "", "missing value");
+    return argv[++i];
+}
+
+void
+FlagParser::reject(const char *flag, const char *value,
+                   const char *why) const
+{
+    std::cerr << tool << ": " << flag << " '" << value
+              << "': " << why << "\n";
+    std::exit(usage());
+}
+
+std::uint64_t
+FlagParser::u64(int argc, char **argv, int &i, std::uint64_t min,
+                std::uint64_t max) const
+{
+    const char *flag = argv[i];
+    const char *text = value(argc, argv, i);
+    const char *why = nullptr;
+    const auto v = parseU64(text, min, max, &why);
+    if (!v)
+        reject(flag, text, why);
+    return *v;
+}
+
+double
+FlagParser::number(int argc, char **argv, int &i, double min,
+                   double max) const
+{
+    const char *flag = argv[i];
+    const char *text = value(argc, argv, i);
+    const char *why = nullptr;
+    const auto v = parseDouble(text, min, max, &why);
+    if (!v)
+        reject(flag, text, why);
+    return *v;
 }
 
 std::uint64_t

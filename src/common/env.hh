@@ -10,8 +10,8 @@
  * it, and on any problem warn once and fall back to the default —
  * a misconfigured run is loud but never dies or runs with a value
  * the user did not write. parseU64/parseDouble are the same checks
- * as pure functions, for command-line flags that must reject bad
- * input outright.
+ * as pure functions, and FlagParser applies them to command-line
+ * flags, which must reject bad input outright.
  *
  * Call sites must pass the variable name as a string literal
  * ("SIPT_FOO"): tools/sipt-analyze's env-registry pass matches the
@@ -46,6 +46,34 @@ std::optional<std::uint64_t> parseU64(const char *text,
 std::optional<double> parseDouble(const char *text, double min,
                                   double max,
                                   const char **why = nullptr);
+
+/**
+ * Strict numeric command-line flags, shared by every tool. u64()
+ * and number() parse the value after the flag at argv[i] with
+ * parseU64()/parseDouble() and advance @p i past it. A missing or
+ * rejected value prints "<tool>: <flag> '<value>': <why>" to
+ * stderr and exits with the status usage() returns, so
+ * "--refs 4e6" or "--workers -1" is a usage error, never a
+ * silently truncated or wrapped run.
+ */
+struct FlagParser
+{
+    /** Message prefix (the tool's name). */
+    const char *tool;
+    /** Prints the tool's usage; returns its exit status. */
+    int (*usage)();
+
+    std::uint64_t u64(int argc, char **argv, int &i,
+                      std::uint64_t min, std::uint64_t max) const;
+    double number(int argc, char **argv, int &i, double min,
+                  double max) const;
+
+  private:
+    /** The value after argv[i] (advancing @p i), or exit. */
+    const char *value(int argc, char **argv, int &i) const;
+    [[noreturn]] void reject(const char *flag, const char *value,
+                             const char *why) const;
+};
 
 /**
  * Read an unsigned integer environment variable strictly.

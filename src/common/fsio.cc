@@ -9,6 +9,11 @@
 namespace sipt::fsio
 {
 
+namespace
+{
+
+/** ::write() @p bytes to @p fd in full, retrying short writes and
+ *  EINTR. False on any hard write error. */
 bool
 writeAll(int fd, std::string_view bytes)
 {
@@ -27,6 +32,7 @@ writeAll(int fd, std::string_view bytes)
     return true;
 }
 
+/** fsync a directory so a rename inside it is durable. */
 bool
 syncDir(const std::string &dir)
 {
@@ -37,6 +43,8 @@ syncDir(const std::string &dir)
     ::close(fd);
     return ok;
 }
+
+} // namespace
 
 bool
 atomicPublish(const std::string &path, std::string_view bytes,

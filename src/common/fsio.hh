@@ -1,16 +1,15 @@
 /**
  * @file
- * Durable file I/O helpers shared by everything that persists
- * state: the sweep engine's disk cache and the serve module's
- * result-store journal.
+ * Durable whole-file publishing, the one write primitive behind
+ * the sweep engine's file-per-key disk cache (which is also the
+ * serve daemon's result store).
  *
- * The contract all of them build on is write-then-publish: bytes
- * are written to a private file (or appended to a journal), fsync'd
- * so they are on the platter, and only then made visible — by an
- * atomic rename for whole files, or by being covered by the
- * journal's record checksum for appends. A crash at any point
- * leaves either the old state or the new state, never a torn file
- * whose name promises valid content.
+ * The contract is write-then-publish: bytes are written to a
+ * private temp file, fsync'd so they are on the platter, and only
+ * then made visible by an atomic rename. A crash at any point
+ * leaves the old file or the new one — plus, at worst, a stray
+ * temp file no reader opens — never a torn file whose name
+ * promises valid content.
  */
 
 #ifndef SIPT_COMMON_FSIO_HH
@@ -21,14 +20,6 @@
 
 namespace sipt::fsio
 {
-
-/** ::write() @p bytes to @p fd in full, retrying short writes and
- *  EINTR. False on any hard write error. */
-bool writeAll(int fd, std::string_view bytes);
-
-/** fsync a directory so renames/creations inside it are durable.
- *  False when the directory cannot be opened or synced. */
-bool syncDir(const std::string &dir);
 
 /**
  * Atomically publish @p bytes at @p path: write them to

@@ -44,10 +44,8 @@ writeLine(int fd, const std::string &line)
 
 Server::Server(const ServerOptions &options)
     : options_(options),
-      store_(ResultStore::Options{options.storeDir,
-                                  options.storeBudget,
-                                  UINT64_MAX}),
-      sweep_(sim::SweepOptions{1, options.sweepCacheDir})
+      sweep_(sim::SweepOptions{1, options.storeDir,
+                               options.storeBudget})
 {
     queue_ = std::make_unique<JobQueue>(
         options_.workers, options_.queueDepth,
@@ -111,13 +109,16 @@ Server::stop()
     }
     stopCv_.notify_all();
 
-    if (listenFd_ >= 0) {
+    // shutdown() wakes the blocked accept(); the fd is closed and
+    // cleared only after the accept thread, which reads it, exits.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
     {
         std::lock_guard lock(connsMu_);
         for (const int fd : connFds_)
@@ -216,9 +217,8 @@ Server::handleLine(const std::string &line, bool &shutdown_seen)
 Json
 Server::handleSubmit(const Request &request)
 {
-    const std::string key =
-        sim::runKeyJson(request.app, request.config);
-    const std::string id = jobIdFor(key);
+    const std::string id =
+        jobIdFor(sim::runKeyJson(request.app, request.config));
 
     std::lock_guard lock(jobsMu_);
     auto it = jobs_.find(id);
@@ -227,16 +227,18 @@ Server::handleSubmit(const Request &request)
         // created; report where it is instead of re-running.
         return stateResponse(id, stateName(it->second.state));
     }
-    std::string cached;
-    if (store_.get(key, cached)) {
+    auto cached = sweep_.lookup(request.app, request.config);
+    if (cached.valid()) {
+        ++storeHits_;
         Job job;
         job.state = JobState::Done;
         job.app = request.app;
         job.config = request.config;
-        job.keyJson = key;
+        job.result = std::move(cached);
         jobs_.emplace(id, std::move(job));
         return stateResponse(id, "cached");
     }
+    ++storeMisses_;
     if (!queue_->tryPush(id)) {
         ++rejectedBusy_;
         // Retry hint scales with backlog; derived from queue
@@ -246,7 +248,6 @@ Server::handleSubmit(const Request &request)
     Job job;
     job.app = request.app;
     job.config = request.config;
-    job.keyJson = key;
     jobs_.emplace(id, std::move(job));
     return stateResponse(id, "queued");
 }
@@ -266,7 +267,7 @@ Server::handlePoll(const Request &request)
 Json
 Server::handleResult(const Request &request)
 {
-    std::string key;
+    std::shared_future<sim::RunResult> result;
     {
         std::lock_guard lock(jobsMu_);
         auto it = jobs_.find(request.job);
@@ -281,24 +282,11 @@ Server::handleResult(const Request &request)
             return jobErrorResponse("not-ready", request.job,
                                     stateName(job.state),
                                     "state");
-        key = job.keyJson;
+        ++storeHits_;
+        result = job.result;
     }
-    std::string result_json;
-    if (!store_.get(key, result_json)) {
-        // Evicted between completion and fetch: the client must
-        // resubmit (which re-runs or hits the sweep cache).
-        std::lock_guard lock(jobsMu_);
-        jobs_.erase(request.job);
-        return jobErrorResponse("evicted", request.job, "",
-                                nullptr);
-    }
-    const auto parsed = Json::parse(result_json);
-    SIPT_ASSERT(parsed.has_value(),
-                "serve: stored result is not JSON for job ",
-                request.job);
-    return resultResponse(
-        request.job,
-        metricsPayload(sim::runResultFromJson(*parsed)));
+    return resultResponse(request.job,
+                          metricsPayload(result.get()));
 }
 
 Json
@@ -324,16 +312,16 @@ Server::handleStats()
     queue.set("pending", std::uint64_t{queue_->pending()});
     queue.set("started", queue_->started());
 
-    const StoreStats s = store_.stats();
+    const sim::SweepStats s = sweep_.stats();
     Json store = Json::object();
-    store.set("entries", s.entries);
-    store.set("bytes", s.bytes);
-    store.set("hits", s.hits);
-    store.set("misses", s.misses);
+    store.set("entries", s.diskEntries);
+    store.set("bytes", s.diskBytes);
+    {
+        std::lock_guard lock(jobsMu_);
+        store.set("hits", storeHits_);
+        store.set("misses", storeMisses_);
+    }
     store.set("evictions", s.evictions);
-    store.set("replayedRecords", s.replayedRecords);
-    store.set("droppedRecords", s.droppedRecords);
-    store.set("compactions", s.compactions);
 
     Json payload = Json::object();
     payload.set("jobs", std::move(jobs));
@@ -347,7 +335,6 @@ Server::runJob(const std::string &job_id)
 {
     std::string app;
     sim::SystemConfig config;
-    std::string key;
     {
         std::lock_guard lock(jobsMu_);
         auto it = jobs_.find(job_id);
@@ -356,18 +343,16 @@ Server::runJob(const std::string &job_id)
         it->second.state = JobState::Running;
         app = it->second.app;
         config = it->second.config;
-        key = it->second.keyJson;
     }
+    // threads=1 makes enqueue() simulate inline right here and
+    // publish the entry file before returning; the shared runner's
+    // memo still dedups across workers.
     try {
-        // threads=1 makes enqueue() simulate inline right here;
-        // the shared runner's memo + disk cache still dedups
-        // across workers and daemon restarts.
-        const sim::RunResult result =
-            sweep_.enqueue(app, config).get();
-        store_.put(key,
-                   sim::runResultToJson(result).dump());
+        auto result = sweep_.enqueue(app, config);
+        result.get();
         std::lock_guard lock(jobsMu_);
         jobs_[job_id].state = JobState::Done;
+        jobs_[job_id].result = std::move(result);
     } catch (const std::exception &e) {
         std::lock_guard lock(jobsMu_);
         jobs_[job_id].state = JobState::Failed;

@@ -1,24 +1,28 @@
 /**
  * @file
  * The sipt-serve daemon core: a Unix-domain-socket server that
- * accepts NDJSON protocol requests (serve/protocol.hh), feeds
- * submitted jobs through a bounded JobQueue into the sim::sweep
- * engine, and persists results in a crash-safe ResultStore.
+ * accepts NDJSON protocol requests (serve/protocol.hh) and feeds
+ * submitted jobs through a bounded JobQueue into one
+ * sim::SweepRunner, whose file-per-key disk tier (sim/sweep.hh) is
+ * the daemon's durable result store: a result is acknowledged
+ * ("done") only after its entry file is published, so it survives
+ * a restart and is then served "cached" with the same bytes.
  *
  * Dedup is layered: the job id is the hash of the engine's
  * canonical run key, so identical submissions from any client
  * collapse onto one jobs-map entry; the worker then runs the job
- * through a shared SweepRunner whose memo/in-flight cache (and
- * optional SIPT_RUN_CACHE disk cache, PR 1) dedups again beneath
- * the store. A unique configuration therefore simulates exactly
- * once no matter how many clients race to submit it — the race
- * tests assert executed == unique keys.
+ * through the shared SweepRunner, whose memo/in-flight cache dedups
+ * again. A unique configuration therefore simulates exactly once
+ * no matter how many clients race to submit it — the race tests
+ * assert executed == unique keys. A finished job's result is read
+ * from the runner's memo, so fetching it never depends on its entry
+ * file surviving eviction.
  *
  * Thread model: one accept thread, one thread per connection
  * (joined on stop), N queue workers. The SweepRunner is built with
  * threads=1, which makes enqueue() run inline in the calling
  * worker thread — the JobQueue owns the parallelism, the sweep
- * engine contributes only its cache.
+ * engine contributes its memo and its store.
  */
 
 // sipt-lint: allow-file(raw-thread) -- accept/connection threads
@@ -29,6 +33,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,7 +44,6 @@
 #include "common/json.hh"
 #include "serve/job_queue.hh"
 #include "serve/protocol.hh"
-#include "serve/store.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::serve
@@ -49,18 +53,18 @@ struct ServerOptions
 {
     /** Unix-domain socket path (stale files are unlinked). */
     std::string socketPath;
-    /** ResultStore root directory. */
+    /** Result store: the SweepRunner disk-cache directory. Point
+     *  it at a SIPT_RUN_CACHE directory to share results with the
+     *  figure benches. */
     std::string storeDir;
     /** Queue worker threads; 0 = accept-but-never-run (used by
      *  the deterministic protocol-fixture tests). */
     unsigned workers = 2;
     /** Bounded queue depth (backpressure beyond it). */
     std::size_t queueDepth = 64;
-    /** Store byte budget; 0 = unlimited. */
+    /** Store byte budget (LRU eviction beyond it); 0 =
+     *  unlimited. */
     std::uint64_t storeBudget = 0;
-    /** SweepRunner disk-cache dir; "" = SIPT_RUN_CACHE, "-" =
-     *  off. The store sits above this cache, not instead of it. */
-    std::string sweepCacheDir = "";
 };
 
 class Server
@@ -105,7 +109,8 @@ class Server
         JobState state = JobState::Queued;
         std::string app;
         sim::SystemConfig config;
-        std::string keyJson;
+        /** The runner's memo entry (Done only). */
+        std::shared_future<sim::RunResult> result;
         /** Failure detail (Failed only). */
         std::string detail;
     };
@@ -128,7 +133,6 @@ class Server
     static const char *stateName(JobState state);
 
     ServerOptions options_;
-    ResultStore store_;
     sim::SweepRunner sweep_;
     std::unique_ptr<JobQueue> queue_;
 
@@ -136,6 +140,10 @@ class Server
     std::map<std::string, Job> jobs_;
     std::uint64_t rejectedBusy_ = 0;
     std::uint64_t badRequests_ = 0;
+    /** Store probes (cached submits, result fetches) that found
+     *  the result, and submits that did not. */
+    std::uint64_t storeHits_ = 0;
+    std::uint64_t storeMisses_ = 0;
 
     int listenFd_ = -1;
     std::thread acceptThread_;

@@ -6,12 +6,14 @@
 // (app, SystemConfig).
 // sipt-lint: allow-file(nondeterminism)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "common/env.hh"
 #include "common/fsio.hh"
@@ -93,6 +95,42 @@ energyToJson(const energy::EnergyBreakdown &e)
     j.set("l2Static", e.l2Static);
     j.set("llcStatic", e.llcStatic);
     return j;
+}
+
+/**
+ * True when @p j has exactly @p shape's members (in any order),
+ * each with a compatible type — an integer also stands for a
+ * double, and arrays only need to be arrays. On a mismatch
+ * @p where names the innermost offending member, if any. The
+ * result decoders check this first, so their get()/as*() calls
+ * cannot panic on a malformed cache entry.
+ */
+bool
+sameShape(const Json &j, const Json &shape, std::string &where)
+{
+    if (shape.isObject()) {
+        if (!j.isObject())
+            return false;
+        for (std::size_t i = 0; i < shape.size(); ++i) {
+            const auto &[name, member] = shape.member(i);
+            const Json *v = j.find(name);
+            if (v == nullptr || !sameShape(*v, member, where)) {
+                if (where.empty())
+                    where = name;
+                return false;
+            }
+        }
+        return j.size() == shape.size();
+    }
+    if (shape.isDouble())
+        return j.isNumber();
+    if (shape.isUint())
+        return j.isUint();
+    if (shape.isString())
+        return j.isString();
+    if (shape.isArray())
+        return j.isArray();
+    return shape.isBool() && j.isBool();
 }
 
 energy::EnergyBreakdown
@@ -360,9 +398,14 @@ runResultToJson(const RunResult &r)
     return j;
 }
 
-RunResult
-runResultFromJson(const Json &j)
+std::optional<RunResult>
+runResultFromJson(const Json &j, std::string &error)
 {
+    std::string where;
+    if (!sameShape(j, runResultToJson(RunResult{}), where)) {
+        error = "malformed result at \"" + where + "\"";
+        return std::nullopt;
+    }
     RunResult r;
     r.app = j.get("app").asString();
     r.ipc = j.get("ipc").asDouble();
@@ -402,13 +445,22 @@ multiResultToJson(const MulticoreResult &r)
     return j;
 }
 
-MulticoreResult
-multiResultFromJson(const Json &j)
+std::optional<MulticoreResult>
+multiResultFromJson(const Json &j, std::string &error)
 {
+    std::string where;
+    if (!sameShape(j, multiResultToJson(MulticoreResult{}), where)) {
+        error = "malformed multicore result at \"" + where + "\"";
+        return std::nullopt;
+    }
     MulticoreResult r;
     const Json &per = j.get("perCore");
-    for (std::size_t i = 0; i < per.size(); ++i)
-        r.perCore.push_back(runResultFromJson(per.at(i)));
+    for (std::size_t i = 0; i < per.size(); ++i) {
+        auto core = runResultFromJson(per.at(i), error);
+        if (!core)
+            return std::nullopt;
+        r.perCore.push_back(std::move(*core));
+    }
     r.sumIpc = j.get("sumIpc").asDouble();
     r.energy = energyFromJson(j.get("energy"));
     return r;
@@ -443,6 +495,18 @@ multiKeyJson(const std::vector<std::string> &mix,
     j.set("traceHashes", std::move(hashes));
     j.set("config", configToJson(config));
     return j;
+}
+
+/** Cache entry file name for @p key_json. */
+std::string
+entryName(const std::string &key_json, bool multicore)
+{
+    char name[64];
+    std::snprintf(name, sizeof(name), "%s%016llx.json",
+                  multicore ? "multi-" : "run-",
+                  static_cast<unsigned long long>(
+                      fnv1a64(key_json)));
+    return name;
 }
 
 } // namespace
@@ -496,6 +560,7 @@ SweepRunner::SweepRunner(const SweepOptions &options)
         options.threads ? options.threads : threadsFromEnv();
     cacheDir_ = options.cacheDir.empty() ? cacheDirFromEnv()
                                          : options.cacheDir;
+    cacheBudget_ = options.cacheBudget;
     if (cacheDir_ == "-")
         cacheDir_.clear();
     if (!cacheDir_.empty()) {
@@ -506,6 +571,28 @@ SweepRunner::SweepRunner(const SweepOptions &options)
                  "' (", ec.message(), "); disk cache disabled");
             cacheDir_.clear();
         }
+    }
+    // Index the entries already on disk. Only published entries
+    // count: never the serve daemon's socket or a `*.tmp.*` file.
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    for (fs::directory_iterator it(cacheDir_, ec);
+         !cacheDir_.empty() && !ec && it != fs::directory_iterator();
+         it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        std::error_code entry_ec;
+        if (!(name.starts_with("run-") ||
+              name.starts_with("multi-")) ||
+            !name.ends_with(".json") || !it->is_regular_file(entry_ec))
+            continue;
+        const std::uint64_t bytes = it->file_size(entry_ec);
+        const fs::file_time_type stamp =
+            it->last_write_time(entry_ec);
+        if (entry_ec)
+            continue;
+        disk_[name] = DiskEntry{bytes, stamp};
+        diskBytes_ += bytes;
+        lastStamp_ = std::max(lastStamp_, stamp);
     }
     stats_.threads = threads_;
     if (threads_ > 1) {
@@ -611,54 +698,83 @@ SweepRunner::noteJobDone(double seconds)
     lastComplete_ = std::chrono::steady_clock::now();
 }
 
-bool
-SweepRunner::loadFromDisk(const std::string &key_json,
-                          bool multicore, Json &result_out) const
+void
+SweepRunner::touchLocked(const std::string &name,
+                         std::uint64_t bytes)
+{
+    // Strictly increasing stamps keep the recency order total even
+    // when two touches land in one clock tick.
+    lastStamp_ = std::max(std::filesystem::file_time_type::clock::now(),
+                          lastStamp_ + std::chrono::nanoseconds(1));
+    std::error_code ec;
+    std::filesystem::last_write_time(
+        std::filesystem::path(cacheDir_) / name, lastStamp_, ec);
+    DiskEntry &entry = disk_[name];
+    diskBytes_ = diskBytes_ - entry.bytes + bytes;
+    entry = DiskEntry{bytes, lastStamp_};
+}
+
+template <typename Result>
+std::optional<Result>
+SweepRunner::loadFromDisk(const std::string &key_json)
 {
     if (cacheDir_.empty())
-        return false;
-    const char *prefix = multicore ? "multi-" : "run-";
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s%016llx.json", prefix,
-                  static_cast<unsigned long long>(
-                      fnv1a64(key_json)));
+        return std::nullopt;
+    const std::string name = entryName(
+        key_json, std::is_same_v<Result, MulticoreResult>);
     const std::filesystem::path path =
         std::filesystem::path(cacheDir_) / name;
     std::ifstream in(path);
     if (!in)
-        return false;
+        return std::nullopt;
     std::ostringstream buf;
     buf << in.rdbuf();
-    const auto parsed = Json::parse(buf.str());
-    if (!parsed) {
-        warn("sweep: unreadable cache entry ", path.string());
-        return false;
+    const std::string bytes = buf.str();
+
+    const auto entry = Json::parse(bytes);
+    const Json *version = entry ? entry->find("version") : nullptr;
+    const Json *key = entry ? entry->find("key") : nullptr;
+    const Json *result = entry ? entry->find("result") : nullptr;
+    // "sum" guards the result bytes; entries written before it
+    // existed (same format version, three members) still load.
+    const Json *sum = entry ? entry->find("sum") : nullptr;
+    std::string error;
+    std::optional<Result> decoded;
+    if (!version || !key || !result ||
+        entry->size() != (sum ? 4u : 3u) || !version->isUint()) {
+        error = "not a cache entry";
+    } else if (version->asUint() != cacheFormatVersion ||
+               key->dump() != key_json) {
+        // Another format version, or a 64-bit file-name collision:
+        // a clean miss, never someone else's result.
+        return std::nullopt;
+    } else if (sum && (!sum->isUint() ||
+                       sum->asUint() != fnv1a64(result->dump()))) {
+        error = "result checksum mismatch";
+    } else if constexpr (std::is_same_v<Result, MulticoreResult>) {
+        decoded = multiResultFromJson(*result, error);
+    } else {
+        decoded = runResultFromJson(*result, error);
     }
-    const Json *version = parsed->find("version");
-    const Json *key = parsed->find("key");
-    const Json *result = parsed->find("result");
-    if (!version || version->asUint() != cacheFormatVersion ||
-        !key || !result)
-        return false;
-    // Verify the stored key: a 64-bit file-name collision must
-    // degrade to a miss, never to someone else's result.
-    if (key->dump() != key_json)
-        return false;
-    result_out = *result;
-    return true;
+    if (!decoded) {
+        warn("sweep: ignoring cache entry ", path.string(), " (",
+             error, ")");
+        return std::nullopt;
+    }
+    std::lock_guard lock(cacheMu_);
+    touchLocked(name, bytes.size());
+    ++stats_.diskHits;
+    lastComplete_ = std::chrono::steady_clock::now();
+    return decoded;
 }
 
 void
 SweepRunner::storeToDisk(const std::string &key_json,
-                         bool multicore, const Json &result) const
+                         bool multicore, const Json &result)
 {
     if (cacheDir_.empty())
         return;
-    const char *prefix = multicore ? "multi-" : "run-";
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s%016llx.json", prefix,
-                  static_cast<unsigned long long>(
-                      fnv1a64(key_json)));
+    const std::string name = entryName(key_json, multicore);
     const std::filesystem::path path =
         std::filesystem::path(cacheDir_) / name;
 
@@ -666,6 +782,8 @@ SweepRunner::storeToDisk(const std::string &key_json,
     entry.set("version", cacheFormatVersion);
     entry.set("key", *Json::parse(key_json));
     entry.set("result", result);
+    entry.set("sum", fnv1a64(result.dump()));
+    const std::string bytes = entry.dump() + '\n';
 
     // Write-to-temp + fsync + rename so concurrent writers
     // (several bench processes sharing one cache dir) never expose
@@ -674,9 +792,29 @@ SweepRunner::storeToDisk(const std::string &key_json,
     const std::string tmp_suffix =
         ".tmp." + std::to_string(std::hash<std::thread::id>{}(
                       std::this_thread::get_id()));
-    if (!fsio::atomicPublish(path.string(), entry.dump() + '\n',
-                             tmp_suffix))
+    if (!fsio::atomicPublish(path.string(), bytes, tmp_suffix)) {
         warn("sweep: cannot write cache entry ", path.string());
+        return;
+    }
+
+    std::lock_guard lock(cacheMu_);
+    touchLocked(name, bytes.size());
+    // Evict least recently used entries until the directory fits;
+    // the entry just published is the most recent.
+    while (cacheBudget_ != 0 && diskBytes_ > cacheBudget_) {
+        const auto victim = std::min_element(
+            disk_.begin(), disk_.end(),
+            [](const auto &a, const auto &b) {
+                return std::tie(a.second.stamp, a.first) <
+                       std::tie(b.second.stamp, b.first);
+            });
+        std::error_code ec;
+        std::filesystem::remove(
+            std::filesystem::path(cacheDir_) / victim->first, ec);
+        diskBytes_ -= victim->second.bytes;
+        disk_.erase(victim);
+        ++stats_.evictions;
+    }
 }
 
 std::shared_future<RunResult>
@@ -707,14 +845,8 @@ SweepRunner::enqueue(const std::string &app,
 
     const std::string key_json =
         singleKeyJson(app, config, trace_hash).dump();
-    Json cached;
-    if (loadFromDisk(key_json, false, cached)) {
-        {
-            std::lock_guard lock(cacheMu_);
-            ++stats_.diskHits;
-            lastComplete_ = std::chrono::steady_clock::now();
-        }
-        promise->set_value(runResultFromJson(cached));
+    if (auto cached = loadFromDisk<RunResult>(key_json)) {
+        promise->set_value(std::move(*cached));
         return future;
     }
 
@@ -741,6 +873,41 @@ SweepRunner::enqueue(const std::string &app,
             promise->set_exception(std::current_exception());
         }
     });
+    return future;
+}
+
+std::shared_future<RunResult>
+SweepRunner::lookup(const std::string &app,
+                    const SystemConfig &config)
+{
+    const std::uint64_t trace_hash = traceHashFor(app);
+    const SingleKey key{app, config, trace_hash};
+    const std::string key_json =
+        singleKeyJson(app, config, trace_hash).dump();
+    {
+        std::lock_guard lock(cacheMu_);
+        if (const auto it = single_.find(key); it != single_.end()) {
+            if (it->second.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready)
+                return {};
+            const std::string name = entryName(key_json, false);
+            if (const auto d = disk_.find(name); d != disk_.end())
+                touchLocked(name, d->second.bytes);
+            return it->second;
+        }
+    }
+
+    auto cached = loadFromDisk<RunResult>(key_json);
+    if (!cached)
+        return {};
+    std::promise<RunResult> loaded;
+    loaded.set_value(std::move(*cached));
+    std::shared_future<RunResult> future =
+        loaded.get_future().share();
+    std::lock_guard lock(cacheMu_);
+    // A no-op when a concurrent enqueue() of the key got there
+    // first; its result is the same.
+    single_.emplace(key, future);
     return future;
 }
 
@@ -776,14 +943,8 @@ SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
 
     const std::string key_json =
         multiKeyJson(mix, config, trace_hashes).dump();
-    Json cached;
-    if (loadFromDisk(key_json, true, cached)) {
-        {
-            std::lock_guard lock(cacheMu_);
-            ++stats_.diskHits;
-            lastComplete_ = std::chrono::steady_clock::now();
-        }
-        promise->set_value(multiResultFromJson(cached));
+    if (auto cached = loadFromDisk<MulticoreResult>(key_json)) {
+        promise->set_value(std::move(*cached));
         return future;
     }
 
@@ -832,6 +993,8 @@ SweepRunner::stats() const
 {
     std::lock_guard lock(cacheMu_);
     SweepStats s = stats_;
+    s.diskEntries = disk_.size();
+    s.diskBytes = diskBytes_;
     if (anySubmitted_) {
         const auto end = lastComplete_.time_since_epoch().count()
                              ? lastComplete_

@@ -22,10 +22,20 @@
  *    simulation is still running share the in-flight job instead of
  *    re-simulating;
  *  - on disk (optional): SIPT_RUN_CACHE=<dir> persists every result
- *    as a small JSON file, so re-running a bench — or another bench
- *    that needs the same baseline runs — is near-instant. Entries
- *    store the full key and are verified on load, so a file-name
- *    hash collision degrades to a cache miss, never a wrong result.
+ *    as one small JSON file per key, published by write-tmp +
+ *    fsync + rename (common/fsio.hh), so re-running a bench — or
+ *    another bench that needs the same baseline runs — is
+ *    near-instant. Entries store the full key and are verified on
+ *    load, so a file-name hash collision degrades to a cache miss,
+ *    never a wrong result; an entry that fails to decode warns and
+ *    is re-run and republished.
+ *
+ * The disk tier is also sipt-serve's durable result store. The
+ * runner indexes the directory once when it opens it. With a byte
+ * budget set, each publish deletes least-recently-used entries
+ * until the directory fits. Recency is the file's mtime, which
+ * every publish, disk hit and lookup() sets, so a restarted runner
+ * evicts in the same order.
  *
  * Generic tasks (async()) run arbitrary work on the same pool for
  * the trace-analysis benches; they are not cached.
@@ -38,6 +48,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -66,6 +77,9 @@ struct SweepOptions
     /** On-disk cache directory; empty = SIPT_RUN_CACHE or off.
      *  "-" disables the disk cache even when the env var is set. */
     std::string cacheDir;
+    /** Disk-cache byte budget (sum of entry file sizes); 0 =
+     *  unlimited. */
+    std::uint64_t cacheBudget = 0;
 };
 
 /** Aggregate engine counters (printed in every bench footer). */
@@ -80,8 +94,14 @@ struct SweepStats
     std::uint64_t memoHits = 0;
     /** Attached to a still-running simulation of the same key. */
     std::uint64_t inflightShares = 0;
-    /** Served from the on-disk JSON cache. */
+    /** Served from the on-disk JSON cache (by enqueue() or
+     *  lookup()). */
     std::uint64_t diskHits = 0;
+    /** Entry files in the disk cache, and their summed size. */
+    std::uint64_t diskEntries = 0;
+    std::uint64_t diskBytes = 0;
+    /** Entries deleted to keep the disk cache within budget. */
+    std::uint64_t evictions = 0;
     /** Uncached generic async() tasks executed. */
     std::uint64_t genericTasks = 0;
     /** Wall-clock seconds from first submission to last
@@ -125,9 +145,16 @@ Json configToJson(const SystemConfig &config);
 std::optional<SystemConfig>
 configFromJson(const Json &j, std::string &error);
 
-/** RunResult <-> disk-cache/wire JSON. */
+/** RunResult -> disk-cache/wire JSON. */
 Json runResultToJson(const RunResult &result);
-RunResult runResultFromJson(const Json &j);
+
+/** Strict inverse of runResultToJson(), in the style of
+ *  configFromJson(): every member must be present with the right
+ *  type and unknown members are rejected. On failure returns
+ *  nullopt and sets @p error, so a malformed cache entry is a
+ *  miss, never a panic. */
+std::optional<RunResult> runResultFromJson(const Json &j,
+                                           std::string &error);
 
 /** Content hash of the trace file behind a "trace:<path>" app
  *  (0 for synthetic apps); part of every dedup key. */
@@ -158,7 +185,6 @@ class SweepRunner
     static SweepRunner &global();
 
     unsigned threads() const { return threads_; }
-    const std::string &cacheDir() const { return cacheDir_; }
 
     /**
      * Submit one single-core run. Returns immediately; the result
@@ -167,6 +193,15 @@ class SweepRunner
      */
     std::shared_future<RunResult>
     enqueue(const std::string &app, const SystemConfig &config);
+
+    /**
+     * Non-executing probe for one single-core run: the ready memo
+     * entry for the key, or — on a disk hit — the entry loaded into
+     * the memo. Refreshes the disk entry's recency. Returns an
+     * invalid future on a miss, including a run still in flight.
+     */
+    std::shared_future<RunResult>
+    lookup(const std::string &app, const SystemConfig &config);
 
     /** Submit one multiprogrammed runMulticore() job. */
     std::shared_future<MulticoreResult>
@@ -257,14 +292,29 @@ class SweepRunner
     void noteGenericDone();
     void noteJobDone(double seconds);
 
-    /** Disk-cache probe / store; no-ops when the cache is off. */
-    bool loadFromDisk(const std::string &key_json,
-                      bool multicore, Json &result_out) const;
+    /** One indexed disk-cache entry file. */
+    struct DiskEntry
+    {
+        std::uint64_t bytes = 0;
+        std::filesystem::file_time_type stamp;
+    };
+
+    /** Disk-cache probe: the decoded entry for @p key_json, or
+     *  nullopt on a miss. A malformed entry warns and misses; a
+     *  hit counts in diskHits and refreshes recency. */
+    template <typename Result>
+    std::optional<Result> loadFromDisk(const std::string &key_json);
+    /** Publish one entry, then evict to the budget. */
     void storeToDisk(const std::string &key_json, bool multicore,
-                     const Json &result) const;
+                     const Json &result);
+    /** Mark entry file @p name (of @p bytes) used now: set its
+     *  mtime to a fresh stamp and index it. Caller holds
+     *  cacheMu_. */
+    void touchLocked(const std::string &name, std::uint64_t bytes);
 
     unsigned threads_ = 1;
     std::string cacheDir_;
+    std::uint64_t cacheBudget_ = 0;
 
     // Pool state.
     std::vector<std::thread> workers_;
@@ -283,6 +333,13 @@ class SweepRunner
                        MultiKeyHash>
         multi_;
     SweepStats stats_;
+    // Disk-cache index (under cacheMu_): entry file name -> size
+    // and recency.
+    std::unordered_map<std::string, DiskEntry> disk_;
+    std::uint64_t diskBytes_ = 0;
+    /** Latest stamp handed out; stamps strictly increase. */
+    std::filesystem::file_time_type lastStamp_ =
+        std::filesystem::file_time_type::min();
     std::chrono::steady_clock::time_point firstSubmit_;
     std::chrono::steady_clock::time_point lastComplete_;
     bool anySubmitted_ = false;

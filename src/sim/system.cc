@@ -352,15 +352,13 @@ defaultMeasureRefs()
 {
     // Strict parse: "2000x" or a negative must not silently run a
     // different experiment than the user asked for.
-    return envU64("SIPT_REFS", 400'000, 1,
-                  std::uint64_t{1} << 40);
+    return envU64("SIPT_REFS", 400'000, 1, maxRefs);
 }
 
 std::uint64_t
 defaultWarmupRefs()
 {
-    return envU64("SIPT_WARMUP", 150'000, 1,
-                  std::uint64_t{1} << 40);
+    return envU64("SIPT_WARMUP", 150'000, 1, maxRefs);
 }
 
 std::size_t

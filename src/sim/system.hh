@@ -50,6 +50,10 @@ const char *conditionName(MemCondition condition);
 std::optional<MemCondition>
 conditionFromName(std::string_view name);
 
+/** Largest warmup or measured reference count accepted from
+ *  SIPT_REFS, SIPT_WARMUP or a tool's --refs/--warmup flag. */
+constexpr std::uint64_t maxRefs = std::uint64_t{1} << 40;
+
 /**
  * Default warmup references per run; reads the SIPT_WARMUP
  * environment variable so CI smoke runs can shrink warmup the

@@ -374,5 +374,31 @@ TEST(Env, ParseDoubleTable)
     }
 }
 
+int
+testUsage()
+{
+    return 7;
+}
+
+TEST(Env, FlagParserReadsValuesAndExitsOnBadOnes)
+{
+    const FlagParser flags{"tool", testUsage};
+    char prog[] = "tool", refs[] = "--refs", good[] = "4000000",
+         bad[] = "4e6", scale[] = "--scale", half[] = "0.5";
+    char *argv[] = {prog, refs, good, scale, half, refs, bad, refs};
+    int i = 1;
+    EXPECT_EQ(flags.u64(8, argv, i, 1, 1u << 30), 4'000'000u);
+    EXPECT_EQ(i, 2);
+    i = 3;
+    EXPECT_EQ(flags.number(8, argv, i, 0.0, 1.0), 0.5);
+    EXPECT_EQ(i, 4);
+    i = 5;
+    EXPECT_EXIT(flags.u64(8, argv, i, 1, 1u << 30),
+                testing::ExitedWithCode(7), "tool: --refs '4e6'");
+    i = 7;
+    EXPECT_EXIT(flags.u64(8, argv, i, 1, 1u << 30),
+                testing::ExitedWithCode(7), "missing value");
+}
+
 } // namespace
 } // namespace sipt

@@ -5,8 +5,9 @@
  * over a real Unix-domain socket against a workerless server, so
  * any wire-format drift fails byte-for-byte), end-to-end
  * submit->poll->result equality with the standalone engine,
- * submission dedup, bounded-queue backpressure, malformed-frame
- * survival, and the result store's byte-budget LRU eviction.
+ * submission dedup, restart recovery from the store, bounded-queue
+ * backpressure, and malformed-frame survival. The store itself is
+ * covered by test_serve_store.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +20,6 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
-#include "serve/store.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::serve
@@ -72,7 +72,6 @@ testOptions(const TestPaths &paths, unsigned workers,
     options.storeDir = paths.store();
     options.workers = workers;
     options.queueDepth = queue_depth;
-    options.sweepCacheDir = "-";
     return options;
 }
 
@@ -448,7 +447,7 @@ TEST(Serve, ResubmitAfterRestartIsServedFromTheStore)
         server.stop();
     }
     {
-        // Same store dir, fresh daemon: the journaled result
+        // Same store dir, fresh daemon: the published entry file
         // survives the restart, so the resubmit is "cached" and
         // the bytes match without re-running.
         Server server(testOptions(paths, 2));
@@ -558,72 +557,6 @@ TEST(Serve, UnknownJobAndNotReadyErrors)
               "not-ready");
     EXPECT_EQ(not_ready->find("state")->asString(), "queued");
     server.stop();
-}
-
-TEST(ServeStore, EvictionHonorsByteBudgetLru)
-{
-    TestPaths paths("lru");
-    ResultStore store(
-        ResultStore::Options{paths.store(), 300, 0});
-
-    // Each entry is exactly 100 bytes (4-byte key + 96-byte
-    // value), so the budget fits three.
-    auto value = [](char c) { return std::string(96, c); };
-    store.put("k-01", value('a'));
-    store.put("k-02", value('b'));
-    store.put("k-03", value('c'));
-    EXPECT_EQ(store.stats().entries, 3u);
-    EXPECT_EQ(store.stats().bytes, 300u);
-
-    // A fourth entry evicts the least recently used (k-01).
-    store.put("k-04", value('d'));
-    EXPECT_EQ(store.stats().entries, 3u);
-    EXPECT_EQ(store.stats().bytes, 300u);
-    EXPECT_EQ(store.stats().evictions, 1u);
-    std::string out;
-    EXPECT_FALSE(store.get("k-01", out));
-
-    // A get() refreshes recency: k-02 survives the next insert,
-    // k-03 does not.
-    EXPECT_TRUE(store.get("k-02", out));
-    store.put("k-05", value('e'));
-    EXPECT_TRUE(store.get("k-02", out));
-    EXPECT_FALSE(store.get("k-03", out));
-    EXPECT_EQ(store.stats().evictions, 2u);
-    EXPECT_LE(store.stats().bytes, 300u);
-
-    // Overwriting a key replaces its bytes instead of leaking
-    // budget.
-    store.put("k-02", value('B'));
-    EXPECT_TRUE(store.get("k-02", out));
-    EXPECT_EQ(out, value('B'));
-    EXPECT_LE(store.stats().bytes, 300u);
-}
-
-TEST(ServeStore, CompactionPreservesStateAndShrinksJournals)
-{
-    TestPaths paths("compact");
-    ResultStore store(
-        ResultStore::Options{paths.store(), 0, 0});
-    // Overwrite one key many times: the journal accumulates dead
-    // records the live map no longer needs.
-    for (int i = 0; i < 50; ++i)
-        store.put("key-a",
-                  "value-" + std::to_string(i) +
-                      std::string(64, 'x'));
-    store.put("key-b", "other");
-    const std::string before = store.snapshot();
-
-    store.compact();
-    EXPECT_GE(store.stats().compactions, 16u);
-    EXPECT_EQ(store.snapshot(), before);
-
-    // Reopen: the compacted journals replay to the same state.
-    ResultStore reopened(
-        ResultStore::Options{paths.store(), 0, 0});
-    EXPECT_EQ(reopened.snapshot(), before);
-    // Compaction kept only live records on disk.
-    EXPECT_EQ(reopened.stats().replayedRecords, 2u);
 }
 
 } // namespace

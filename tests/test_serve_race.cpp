@@ -68,7 +68,6 @@ TEST(ServeRace, OverlappingClientsExecuteEachKeyExactlyOnce)
     options.storeDir = (root / "store").string();
     options.workers = 4;
     options.queueDepth = 64;
-    options.sweepCacheDir = "-";
     Server server(options);
     server.start();
 

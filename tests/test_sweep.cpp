@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 
 #include "sim/sweep.hh"
 
@@ -207,6 +210,141 @@ TEST(Sweep, TruncatedDiskEntryIsDiscardedNotFatal)
         EXPECT_EQ(runner.stats().diskHits, 1u);
     }
     std::filesystem::remove_all(dir);
+}
+
+/** @p obj without member @p name (members keep their order). */
+Json
+without(const Json &obj, const std::string &name)
+{
+    Json out = Json::object();
+    for (std::size_t i = 0; i < obj.size(); ++i)
+        if (obj.member(i).first != name)
+            out.set(obj.member(i).first, obj.member(i).second);
+    return out;
+}
+
+/** Run @p cfg once into a fresh disk cache at @p dir, then rewrite
+ *  its one entry file as @p edit of the parsed entry. Returns the
+ *  run's result. */
+RunResult
+publishThenEdit(const std::filesystem::path &dir,
+                const SystemConfig &cfg,
+                const std::function<Json(const Json &)> &edit)
+{
+    std::filesystem::remove_all(dir);
+    RunResult cold;
+    {
+        SweepRunner runner(SweepOptions{1, dir.string()});
+        cold = runner.enqueue("mcf", cfg).get();
+    }
+    std::filesystem::path entry;
+    for (const auto &file : std::filesystem::directory_iterator(dir))
+        entry = file.path();
+    std::ostringstream bytes;
+    bytes << std::ifstream(entry).rdbuf();
+    const auto parsed = Json::parse(bytes.str());
+    EXPECT_TRUE(parsed.has_value());
+    std::ofstream(entry, std::ios::trunc)
+        << edit(parsed.value_or(Json())).dump() << '\n';
+    return cold;
+}
+
+TEST(Sweep, MalformedDiskEntryIsAMissNotAnAbort)
+{
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "sipt_test_malformed_cache";
+    const auto cfg = quick(IndexingPolicy::SiptCombined);
+
+    // Each edit keeps the file name and the stored key valid, so
+    // only the result decoder or the version check can catch it.
+    // Dropping "sum" selects the checksum-free entry layout, which
+    // older builds wrote and which still loads.
+    const std::vector<std::function<Json(const Json &)>> edits = {
+        [](const Json &entry) {
+            Json e = without(entry, "sum");
+            e.set("result", without(entry.get("result"), "app"));
+            return e;
+        },
+        [](const Json &entry) {
+            Json e = without(entry, "sum");
+            e.set("version", "5");
+            return e;
+        },
+        [](const Json &entry) {
+            Json e = without(entry, "sum");
+            Json result = entry.get("result");
+            result.set("l1", std::uint64_t{7});
+            e.set("result", result);
+            return e;
+        },
+        [](const Json &entry) {
+            Json e = without(entry, "sum");
+            Json result = entry.get("result");
+            result.set("extra", std::uint64_t{1});
+            e.set("result", result);
+            return e;
+        },
+    };
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        const RunResult cold = publishThenEdit(dir, cfg, edits[i]);
+        {
+            SweepRunner runner(SweepOptions{1, dir.string()});
+            expectSameResult(cold, runner.enqueue("mcf", cfg).get());
+            EXPECT_EQ(runner.stats().diskHits, 0u) << i;
+            EXPECT_EQ(runner.stats().executed, 1u) << i;
+        }
+        // The re-run republished a good entry.
+        SweepRunner runner(SweepOptions{1, dir.string()});
+        (void)runner.enqueue("mcf", cfg).get();
+        EXPECT_EQ(runner.stats().diskHits, 1u) << i;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Sweep, ChecksumFreeEntriesStillLoad)
+{
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "sipt_test_legacy_cache";
+    const auto cfg = quick(IndexingPolicy::SiptCombined);
+    // The layout earlier builds wrote: version, key, result.
+    const RunResult cold =
+        publishThenEdit(dir, cfg, [](const Json &entry) {
+            EXPECT_NE(entry.find("sum"), nullptr);
+            return without(entry, "sum");
+        });
+
+    SweepRunner runner(SweepOptions{1, dir.string()});
+    expectSameResult(cold, runner.enqueue("mcf", cfg).get());
+    EXPECT_EQ(runner.stats().diskHits, 1u);
+    EXPECT_EQ(runner.stats().executed, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Sweep, ResultDecoderIsStrict)
+{
+    const Json good = runResultToJson(
+        runSingleCore("mcf", quick(IndexingPolicy::SiptCombined)));
+    std::string error;
+    ASSERT_TRUE(runResultFromJson(good, error).has_value()) << error;
+
+    EXPECT_FALSE(runResultFromJson(Json("x"), error).has_value());
+    EXPECT_FALSE(
+        runResultFromJson(without(good, "app"), error).has_value());
+    EXPECT_NE(error.find("app"), std::string::npos) << error;
+
+    Json wrong_type = good;
+    wrong_type.set("pageWalks", "12");
+    EXPECT_FALSE(runResultFromJson(wrong_type, error).has_value());
+    EXPECT_NE(error.find("pageWalks"), std::string::npos) << error;
+
+    Json nested = good;
+    nested.set("energy", without(good.get("energy"), "l1Static"));
+    EXPECT_FALSE(runResultFromJson(nested, error).has_value());
+    EXPECT_NE(error.find("l1Static"), std::string::npos) << error;
+
+    Json extra = good;
+    extra.set("engine", std::uint64_t{1});
+    EXPECT_FALSE(runResultFromJson(extra, error).has_value());
 }
 
 TEST(Sweep, DiskCacheRoundTripsMulticore)

@@ -35,6 +35,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/env.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "sim/presets.hh"
@@ -66,6 +67,9 @@ argValue(int argc, char **argv, int &i)
         std::exit(usage());
     return argv[++i];
 }
+
+/** Strict numeric flag values; a bad one exits with usage. */
+const sipt::FlagParser flags{"sipt-client", usage};
 
 void
 sleepMs(std::uint64_t ms)
@@ -117,14 +121,14 @@ parseRunSpec(int argc, char **argv, int i)
             }
             spec.config.condition = *condition;
         } else if (arg == "--seed") {
-            spec.config.seed = std::strtoull(
-                argValue(argc, argv, i), nullptr, 10);
+            spec.config.seed =
+                flags.u64(argc, argv, i, 0, ~std::uint64_t{0});
         } else if (arg == "--refs") {
-            spec.config.measureRefs = std::strtoull(
-                argValue(argc, argv, i), nullptr, 10);
+            spec.config.measureRefs =
+                flags.u64(argc, argv, i, 1, sipt::sim::maxRefs);
         } else if (arg == "--warmup") {
-            spec.config.warmupRefs = std::strtoull(
-                argValue(argc, argv, i), nullptr, 10);
+            spec.config.warmupRefs =
+                flags.u64(argc, argv, i, 0, sipt::sim::maxRefs);
         } else if (arg == "--wait") {
             spec.wait = true;
         } else {

@@ -51,22 +51,8 @@ usage()
     return 2;
 }
 
-/** Parse a whole-number flag value in [min, max] into @p out;
- *  reports and returns false on bad input ("4e6", "-1", "12x"). */
-bool
-numberFlag(const std::string &flag, const char *text,
-           std::uint64_t min, std::uint64_t max, std::uint64_t &out)
-{
-    const char *why = nullptr;
-    const auto v = sipt::parseU64(text, min, max, &why);
-    if (!v) {
-        std::cerr << "sipt-fuzz: " << flag << " '" << text
-                  << "': " << why << "\n";
-        return false;
-    }
-    out = *v;
-    return true;
-}
+/** Strict numeric flag values; a bad one exits with usage. */
+const sipt::FlagParser flags{"sipt-fuzz", usage};
 
 /** Replay one sample and report every policy's verdict. */
 int
@@ -116,13 +102,10 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
-        if (arg == "--seed" && has_value) {
-            if (!numberFlag(arg, argv[++i], 0, ~std::uint64_t{0},
-                            seed))
-                return usage();
-        } else if (arg == "--count" && has_value) {
-            if (!numberFlag(arg, argv[++i], 1, maxCount, count))
-                return usage();
+        if (arg == "--seed") {
+            seed = flags.u64(argc, argv, i, 0, ~std::uint64_t{0});
+        } else if (arg == "--count") {
+            count = flags.u64(argc, argv, i, 1, maxCount);
         } else if (arg == "--repro" && has_value) {
             repro = argv[++i];
         } else if (arg == "--expect-fail") {

@@ -4,13 +4,15 @@
  *
  *   sipt-serve [--socket <path>] [--store <dir>] [--workers N]
  *              [--queue-depth N] [--store-budget BYTES]
- *              [--sweep-cache <dir>|-]
  *
  * Listens on a Unix-domain socket for NDJSON protocol requests
  * (see src/serve/protocol.hh), runs submitted (app, config) jobs
  * through the sim::sweep engine on a bounded worker pool, and
- * keeps results in a sharded, journaled, crash-safe store under
- * --store. Runs until a client sends {"op":"shutdown"}.
+ * keeps results in the engine's file-per-key disk cache under
+ * --store — one crash-safe JSON file per run key, evicted least
+ * recently used first beyond --store-budget bytes. Point --store
+ * at a SIPT_RUN_CACHE directory to share results with the figure
+ * benches. Runs until a client sends {"op":"shutdown"}.
  *
  * --socket defaults to $SIPT_SERVE_SOCKET, then
  * <store>/sipt-serve.sock. --store defaults to ./sipt-serve-store.
@@ -34,8 +36,7 @@ usage()
     std::cerr
         << "usage: sipt-serve [--socket <path>] [--store <dir>]\n"
         << "           [--workers N] [--queue-depth N]\n"
-        << "           [--store-budget BYTES]\n"
-        << "           [--sweep-cache <dir>|-]\n";
+        << "           [--store-budget BYTES]\n";
     return 1;
 }
 
@@ -46,6 +47,9 @@ argValue(int argc, char **argv, int &i)
         std::exit(usage());
     return argv[++i];
 }
+
+/** Strict numeric flag values; a bad one exits with usage. */
+const sipt::FlagParser flags{"sipt-serve", usage};
 
 } // namespace
 
@@ -62,18 +66,13 @@ main(int argc, char **argv)
             options.storeDir = argValue(argc, argv, i);
         } else if (arg == "--workers") {
             options.workers = static_cast<unsigned>(
-                std::strtoul(argValue(argc, argv, i), nullptr,
-                             10));
+                flags.u64(argc, argv, i, 1, 4096));
         } else if (arg == "--queue-depth") {
             options.queueDepth = static_cast<std::size_t>(
-                std::strtoull(argValue(argc, argv, i), nullptr,
-                              10));
+                flags.u64(argc, argv, i, 1, 1u << 20));
         } else if (arg == "--store-budget") {
             options.storeBudget =
-                std::strtoull(argValue(argc, argv, i), nullptr,
-                              10);
-        } else if (arg == "--sweep-cache") {
-            options.sweepCacheDir = argValue(argc, argv, i);
+                flags.u64(argc, argv, i, 0, ~std::uint64_t{0});
         } else {
             return usage();
         }

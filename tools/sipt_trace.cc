@@ -66,32 +66,8 @@ argValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-/** Largest --refs/--warmup accepted (matches SIPT_REFS). */
-constexpr std::uint64_t maxRefs = std::uint64_t{1} << 40;
-
-/** Report a rejected flag value; returns the usage exit code. */
-int
-badValue(const char *flag, const char *value, const char *why)
-{
-    std::cerr << "sipt-trace: " << flag << " '" << value
-              << "': " << why << "\n";
-    return usage();
-}
-
-/** The next argv value after a flag as a whole number in
- *  [min, max], or exit with usage. */
-std::uint64_t
-numberValue(int argc, char **argv, int &i, std::uint64_t min,
-            std::uint64_t max)
-{
-    const char *flag = argv[i];
-    const char *value = argValue(argc, argv, i);
-    const char *why = nullptr;
-    const auto v = sipt::parseU64(value, min, max, &why);
-    if (!v)
-        std::exit(badValue(flag, value, why));
-    return *v;
-}
+/** Strict numeric flag values; a bad one exits with usage. */
+const sipt::FlagParser flags{"sipt-trace", usage};
 
 int
 cmdRecord(int argc, char **argv)
@@ -107,14 +83,14 @@ cmdRecord(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--out") == 0) {
             out = argValue(argc, argv, i);
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            config.seed = numberValue(argc, argv, i, 0,
-                                      ~std::uint64_t{0});
+            config.seed =
+                flags.u64(argc, argv, i, 0, ~std::uint64_t{0});
         } else if (std::strcmp(argv[i], "--refs") == 0) {
             config.measureRefs =
-                numberValue(argc, argv, i, 1, maxRefs);
+                flags.u64(argc, argv, i, 1, sipt::sim::maxRefs);
         } else if (std::strcmp(argv[i], "--warmup") == 0) {
             config.warmupRefs =
-                numberValue(argc, argv, i, 0, maxRefs);
+                flags.u64(argc, argv, i, 0, sipt::sim::maxRefs);
         } else if (std::strcmp(argv[i], "--condition") == 0) {
             const char *name = argValue(argc, argv, i);
             const auto cond = sipt::sim::conditionFromName(name);
@@ -126,14 +102,8 @@ cmdRecord(int argc, char **argv)
             config.condition = *cond;
         } else if (std::strcmp(argv[i], "--footprint-scale") ==
                    0) {
-            const char *flag = argv[i];
-            const char *value = argValue(argc, argv, i);
-            const char *why = nullptr;
-            const auto scale =
-                sipt::parseDouble(value, 1e-6, 1e3, &why);
-            if (!scale)
-                return badValue(flag, value, why);
-            config.footprintScale = *scale;
+            config.footprintScale =
+                flags.number(argc, argv, i, 1e-6, 1e3);
         } else {
             std::cerr << "sipt-trace: unknown option '"
                       << argv[i] << "'\n";
