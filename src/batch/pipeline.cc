@@ -6,7 +6,6 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/prefetch.hh"
 
 namespace sipt::batch
 {
@@ -14,15 +13,10 @@ namespace sipt::batch
 namespace
 {
 
-/** Upper bound on flat-map array slots (8 B each): covers a 64 GiB
- *  contiguous VA span of 4 KiB pages before falling back to direct
- *  page-table lookups. */
-constexpr std::uint64_t maxFlatSlots = 1ull << 24;
-
 /**
  * Host-prefetch lookahead distances, in references. The batch
  * already holds the whole reference window, so each stage can ask
- * the host CPU to start loading the simulator structures (page-map
+ * the host CPU to start loading the simulator structures (page-table
  * slots, tag sets) that references a few iterations ahead will
  * touch — latency a one-reference-at-a-time loop, which learns
  * each address only as it processes it, cannot hide.
@@ -56,74 +50,6 @@ BatchPipeline::BatchPipeline(cpu::TraceSource &source,
       core_(core), check_(l1.params().check),
       probeFlip_(probeFlipFromEnv(l1.params().policy))
 {
-    buildFlatMap();
-}
-
-void
-BatchPipeline::buildFlatMap()
-{
-    Vpn small_lo = ~Vpn{0};
-    Vpn small_hi = 0;
-    Vpn huge_lo = ~Vpn{0};
-    Vpn huge_hi = 0;
-    std::uint64_t smalls = 0;
-    std::uint64_t huges = 0;
-    pageTable_.forEachSmall([&](Vpn vpn, Pfn) {
-        small_lo = std::min(small_lo, vpn);
-        small_hi = std::max(small_hi, vpn);
-        ++smalls;
-    });
-    pageTable_.forEachHuge([&](Vpn chunk, Pfn) {
-        huge_lo = std::min(huge_lo, chunk);
-        huge_hi = std::max(huge_hi, chunk);
-        ++huges;
-    });
-
-    const std::uint64_t small_span =
-        smalls ? small_hi - small_lo + 1 : 0;
-    const std::uint64_t huge_span =
-        huges ? huge_hi - huge_lo + 1 : 0;
-    if (small_span + huge_span > maxFlatSlots)
-        return; // pathologically sparse VA layout: stay unflattened
-
-    flat_.smallBase = smalls ? small_lo : 0;
-    flat_.smallFrame.assign(
-        static_cast<std::size_t>(small_span),
-        FlatPageMap::unmapped);
-    flat_.hugeBase = huges ? huge_lo : 0;
-    flat_.hugeFrame.assign(static_cast<std::size_t>(huge_span),
-                           FlatPageMap::unmapped);
-    pageTable_.forEachSmall([&](Vpn vpn, Pfn pfn) {
-        flat_.smallFrame[vpn - flat_.smallBase] = pageBase(pfn);
-    });
-    pageTable_.forEachHuge([&](Vpn chunk, Pfn base_pfn) {
-        flat_.hugeFrame[chunk - flat_.hugeBase] =
-            pageBase(base_pfn);
-    });
-    flat_.valid = true;
-}
-
-vm::Translation
-BatchPipeline::flatTranslate(Addr vaddr) const
-{
-    // Huge mappings first, mirroring PageTable::translate().
-    const Vpn chunk = hugePageNumber(vaddr);
-    if (chunk - flat_.hugeBase < flat_.hugeFrame.size()) {
-        const Addr base = flat_.hugeFrame[chunk - flat_.hugeBase];
-        if (base != FlatPageMap::unmapped) {
-            return vm::Translation{
-                base | (vaddr & mask(hugePageShift)), true};
-        }
-    }
-    const Vpn vpn = pageNumber(vaddr);
-    if (vpn - flat_.smallBase < flat_.smallFrame.size()) {
-        const Addr base = flat_.smallFrame[vpn - flat_.smallBase];
-        if (base != FlatPageMap::unmapped) {
-            return vm::Translation{base | pageOffset(vaddr),
-                                   false};
-        }
-    }
-    panic("MMU translate of unmapped va ", vaddr);
 }
 
 cpu::CoreResult
@@ -151,34 +77,18 @@ BatchPipeline::run(std::uint64_t max_refs)
 void
 BatchPipeline::resolveBatch(cpu::RefBatch &batch)
 {
-    // Stateless: the flat snapshot supplies the pure VA->PA
-    // function without the page table's hash probes. The TLB
+    // Stateless: the page table is the pure VA->PA function (no
+    // page is mapped or unmapped once references flow). The TLB
     // hierarchy sees every reference later, in the account stage.
-    const bool flat = flat_.valid;
     for (std::size_t i = 0; i < batch.size; ++i) {
-        if (flat && i + resolvePrefetchDist < batch.size) {
-            const Addr ahead = batch.vaddr[i + resolvePrefetchDist];
-            const Vpn chunk = hugePageNumber(ahead);
-            if (chunk - flat_.hugeBase < flat_.hugeFrame.size())
-                prefetchRead(
-                    &flat_.hugeFrame[chunk - flat_.hugeBase]);
-            const Vpn vpn = pageNumber(ahead);
-            if (vpn - flat_.smallBase < flat_.smallFrame.size())
-                prefetchRead(
-                    &flat_.smallFrame[vpn - flat_.smallBase]);
-        }
+        if (i + resolvePrefetchDist < batch.size)
+            pageTable_.prefetch(batch.vaddr[i + resolvePrefetchDist]);
         const Addr va = batch.vaddr[i];
-        vm::Translation entry;
-        if (flat) {
-            entry = flatTranslate(va);
-        } else {
-            const auto xlat = pageTable_.translate(va);
-            if (!xlat)
-                panic("MMU translate of unmapped va ", va);
-            entry = *xlat;
-        }
-        batch.paddr[i] = entry.paddr;
-        batch.hugePage[i] = entry.hugePage ? 1 : 0;
+        const auto entry = pageTable_.translate(va);
+        if (!entry)
+            panic("MMU translate of unmapped va ", va);
+        batch.paddr[i] = entry->paddr;
+        batch.hugePage[i] = entry->hugePage ? 1 : 0;
     }
 }
 
@@ -226,7 +136,9 @@ BatchPipeline::accountBatch(cpu::RefBatch &batch)
 void
 BatchPipeline::checkTranslation(Addr vaddr, Addr paddr)
 {
-    // This also guards the flat snapshot the resolve stage reads.
+    // The golden walk reads the same table as the resolve stage, so
+    // this checks the TLB hierarchy (and the probe-address path),
+    // not the table itself.
     const auto golden = pageTable_.translate(vaddr);
     std::string error;
     if (!golden) {

@@ -9,8 +9,8 @@
  * stage, in reference order:
  *
  *  - generate: workload RNG / cursors  (TraceSource::nextBatch)
- *  - resolve:  nothing — the pure VA->PA function, read from a
- *              flat page-map snapshot
+ *  - resolve:  nothing — the pure VA->PA function, read from the
+ *              address space's dense page table
  *  - predict:  bypass/combined/xlat tables
  *              (SiptL1Cache::decideBatch)
  *  - account:  TLB hierarchy, L1 array, below-L1 hierarchy and
@@ -41,7 +41,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "check/options.hh"
 #include "common/types.hh"
@@ -79,40 +78,6 @@ class BatchPipeline
     const std::string &checkFailure() const { return failure_; }
 
   private:
-    /**
-     * Flat, pointer-free snapshot of the page table, taken at
-     * construction. The table is immutable during a run (the
-     * allocation phase touched every page before the first
-     * reference), so the VA->PA function can be arrays indexed by
-     * page number instead of per-reference hash probes — the
-     * golden-TLB check compares every translation against the live
-     * page table whenever SIPT_CHECK is on, guarding the snapshot.
-     * Huge mappings are consulted before small ones, mirroring
-     * PageTable::translate().
-     */
-    struct FlatPageMap
-    {
-        /** Sentinel frame value for unmapped slots. */
-        static constexpr Addr unmapped = ~Addr{0};
-        /** First 4 KiB VPN covered by smallFrame. */
-        Vpn smallBase = 0;
-        /** Page-aligned physical base per 4 KiB VPN. */
-        std::vector<Addr> smallFrame;
-        /** First 2 MiB chunk number covered by hugeFrame. */
-        Vpn hugeBase = 0;
-        /** 2 MiB-aligned physical base per chunk number. */
-        std::vector<Addr> hugeFrame;
-        /** False when the VA span was too sparse to flatten (the
-         *  resolve stage then queries the page table directly). */
-        bool valid = false;
-    };
-
-    /** Build the snapshot (capped at maxFlatSlots array slots). */
-    void buildFlatMap();
-
-    /** Resolve @p vaddr through the snapshot. @pre flat_.valid. */
-    vm::Translation flatTranslate(Addr vaddr) const;
-
     void resolveBatch(cpu::RefBatch &batch);
     void predictBatch(cpu::RefBatch &batch);
     void accountBatch(cpu::RefBatch &batch);
@@ -139,7 +104,6 @@ class BatchPipeline
      * catch. 0 (no corruption) otherwise.
      */
     Addr probeFlip_ = 0;
-    FlatPageMap flat_;
     cpu::RefBatch batch_;
     std::string failure_;
 };

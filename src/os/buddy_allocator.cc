@@ -7,55 +7,42 @@ namespace sipt::os
 {
 
 void
-BuddyAllocator::FreeList::push(Pfn base)
+BuddyAllocator::pushFree(unsigned order, Pfn base)
 {
-    const bool inserted =
-        pos.emplace(base,
-                    static_cast<std::uint32_t>(blocks.size()))
-            .second;
-    SIPT_ASSERT(inserted, "double free of block ", base);
-    blocks.push_back(base);
+    std::vector<Pfn> &list = freeLists_[order];
+    SIPT_ASSERT(slot_[base] == 0, "double free of block ", base);
+    slot_[base] = static_cast<std::uint32_t>(
+        (list.size() << orderBits) | (order + 1));
+    list.push_back(base);
 }
 
 bool
-BuddyAllocator::FreeList::erase(Pfn base)
+BuddyAllocator::eraseFree(unsigned order, Pfn base)
 {
-    auto it = pos.find(base);
-    if (it == pos.end())
+    const std::uint32_t slot = slot_[base];
+    if ((slot & mask(orderBits)) != order + 1)
         return false;
-    const std::uint32_t idx = it->second;
-    pos.erase(it);
-    const Pfn last = blocks.back();
-    blocks.pop_back();
-    if (idx < blocks.size()) {
-        blocks[idx] = last;
-        pos[last] = idx;
+    std::vector<Pfn> &list = freeLists_[order];
+    const std::size_t idx = slot >> orderBits;
+    slot_[base] = 0;
+    const Pfn last = list.back();
+    list.pop_back();
+    if (idx < list.size()) {
+        list[idx] = last;
+        slot_[last] = static_cast<std::uint32_t>(
+            (idx << orderBits) | (order + 1));
     }
     return true;
 }
 
-bool
-BuddyAllocator::FreeList::contains(Pfn base) const
-{
-    return pos.find(base) != pos.end();
-}
-
 Pfn
-BuddyAllocator::FreeList::popBack()
+BuddyAllocator::popBack(unsigned order)
 {
-    SIPT_ASSERT(!blocks.empty(), "pop from empty free list");
-    const Pfn base = blocks.back();
-    blocks.pop_back();
-    pos.erase(base);
-    return base;
-}
-
-Pfn
-BuddyAllocator::FreeList::popAt(std::size_t idx)
-{
-    SIPT_ASSERT(idx < blocks.size(), "popAt out of range");
-    const Pfn base = blocks[idx];
-    erase(base);
+    std::vector<Pfn> &list = freeLists_[order];
+    SIPT_ASSERT(!list.empty(), "pop from empty free list");
+    const Pfn base = list.back();
+    list.pop_back();
+    slot_[base] = 0;
     return base;
 }
 
@@ -68,6 +55,12 @@ BuddyAllocator::BuddyAllocator(std::uint64_t total_frames,
         fatal("BuddyAllocator: zero frames");
     if (max_order > 20)
         fatal("BuddyAllocator: max_order ", max_order, " too large");
+    // A slot's position field must hold any list index.
+    if (total_frames > (std::uint64_t{1} << (32 - orderBits)))
+        fatal("BuddyAllocator: ", total_frames,
+              " frames exceed the 2^", 32 - orderBits,
+              "-frame limit");
+    slot_ = MappedArray<std::uint32_t>(total_frames);
 
     // Seed the free lists with naturally aligned blocks of the
     // largest possible order, exactly as a fresh zone would look.
@@ -80,7 +73,7 @@ BuddyAllocator::BuddyAllocator(std::uint64_t total_frames,
                 (std::uint64_t{1} << order) > remaining)) {
             --order;
         }
-        freeLists_[order].push(base);
+        pushFree(order, base);
         const std::uint64_t sz = std::uint64_t{1} << order;
         base += sz;
         remaining -= sz;
@@ -93,9 +86,36 @@ BuddyAllocator::splitTo(Pfn base, unsigned from, unsigned to)
 {
     while (from > to) {
         --from;
-        freeLists_[from].push(base + (Pfn{1} << from));
+        pushFree(from, base + (Pfn{1} << from));
     }
     return base;
+}
+
+void
+BuddyAllocator::freeRange(Pfn lo, Pfn end)
+{
+    while (lo < end) {
+        unsigned fo = 0;
+        while (fo < maxOrder_ && (lo & mask(fo + 1)) == 0 &&
+               lo + (std::uint64_t{1} << (fo + 1)) <= end) {
+            ++fo;
+        }
+        free(lo, fo);
+        lo += std::uint64_t{1} << fo;
+    }
+}
+
+Pfn
+BuddyAllocator::carve(unsigned o, std::size_t idx, Pfn keep,
+                      unsigned order)
+{
+    const Pfn block = freeLists_[o][idx];
+    eraseFree(o, block);
+    freeFrames_ -= std::uint64_t{1} << o; // free() adds the rest back
+    freeRange(block, keep);
+    freeRange(keep + (std::uint64_t{1} << order),
+              block + (std::uint64_t{1} << o));
+    return keep;
 }
 
 std::optional<Pfn>
@@ -110,7 +130,7 @@ BuddyAllocator::allocate(unsigned order)
     if (o > maxOrder_)
         return std::nullopt;
 
-    const Pfn base = splitTo(freeLists_[o].popBack(), o, order);
+    const Pfn base = splitTo(popBack(o), o, order);
     freeFrames_ -= std::uint64_t{1} << order;
     return base;
 }
@@ -136,37 +156,11 @@ BuddyAllocator::allocateRandom(unsigned order, Rng &rng)
         pick -= freeLists_[o].size();
         ++o;
     }
-    const Pfn block =
-        freeLists_[o].popAt(static_cast<std::size_t>(pick));
     // Retain a random aligned sub-block instead of always the
     // lowest so even splits of big blocks are scattered.
-    const std::uint64_t sub_count = std::uint64_t{1} << (o - order);
-    const std::uint64_t sub = rng.below(sub_count);
-    const Pfn keep = block + (sub << order);
-    // Free everything around the kept sub-block.
-    freeFrames_ -= std::uint64_t{1} << o; // temporarily all gone
-    Pfn lo = block;
-    while (lo < keep) {
-        unsigned fo = 0;
-        while (fo < maxOrder_ && (lo & mask(fo + 1)) == 0 &&
-               lo + (std::uint64_t{1} << (fo + 1)) <= keep) {
-            ++fo;
-        }
-        free(lo, fo);
-        lo += std::uint64_t{1} << fo;
-    }
-    Pfn hi = keep + (std::uint64_t{1} << order);
-    const Pfn end = block + (std::uint64_t{1} << o);
-    while (hi < end) {
-        unsigned fo = 0;
-        while (fo < maxOrder_ && (hi & mask(fo + 1)) == 0 &&
-               hi + (std::uint64_t{1} << (fo + 1)) <= end) {
-            ++fo;
-        }
-        free(hi, fo);
-        hi += std::uint64_t{1} << fo;
-    }
-    return keep;
+    const auto idx = static_cast<std::size_t>(pick);
+    const std::uint64_t sub = rng.below(std::uint64_t{1} << (o - order));
+    return carve(o, idx, freeLists_[o][idx] + (sub << order), order);
 }
 
 std::optional<Pfn>
@@ -187,7 +181,7 @@ BuddyAllocator::allocateColored(unsigned order, Vpn vpn,
     // smaller blocks must match exactly.
     for (unsigned o = order; o <= maxOrder_; ++o) {
         for (std::size_t i = 0; i < freeLists_[o].size(); ++i) {
-            const Pfn base = freeLists_[o].blocks[i];
+            const Pfn base = freeLists_[o][i];
             Pfn cand;
             if (o >= color_bits) {
                 cand = base | (color & ~mask(order));
@@ -198,31 +192,7 @@ BuddyAllocator::allocateColored(unsigned order, Vpn vpn,
                 }
                 cand = base;
             }
-            // Carve cand out of [base, base + 2^o).
-            freeLists_[o].popAt(i);
-            freeFrames_ -= std::uint64_t{1} << o;
-            Pfn lo = base;
-            while (lo < cand) {
-                unsigned fo = 0;
-                while (fo < maxOrder_ && (lo & mask(fo + 1)) == 0 &&
-                       lo + (std::uint64_t{1} << (fo + 1)) <= cand) {
-                    ++fo;
-                }
-                free(lo, fo);
-                lo += std::uint64_t{1} << fo;
-            }
-            Pfn hi = cand + (std::uint64_t{1} << order);
-            const Pfn end = base + (std::uint64_t{1} << o);
-            while (hi < end) {
-                unsigned fo = 0;
-                while (fo < maxOrder_ && (hi & mask(fo + 1)) == 0 &&
-                       hi + (std::uint64_t{1} << (fo + 1)) <= end) {
-                    ++fo;
-                }
-                free(hi, fo);
-                hi += std::uint64_t{1} << fo;
-            }
-            return cand;
+            return carve(o, i, cand, order);
         }
     }
     return std::nullopt;
@@ -236,18 +206,21 @@ BuddyAllocator::free(Pfn base, unsigned order)
                 "free of unaligned block");
     SIPT_ASSERT(base + (std::uint64_t{1} << order) <= totalFrames_,
                 "free beyond memory end");
+    // pushFree() alone misses a base that is free at another order
+    // when coalescing moves the pushed base below it.
+    SIPT_ASSERT(slot_[base] == 0, "double free of block ", base);
 
     freeFrames_ += std::uint64_t{1} << order;
     while (order < maxOrder_) {
         const Pfn buddy = buddyOf(base, order);
         if (buddy + (std::uint64_t{1} << order) > totalFrames_)
             break;
-        if (!freeLists_[order].erase(buddy))
+        if (!eraseFree(order, buddy))
             break;
         base &= ~(Pfn{1} << order);
         ++order;
     }
-    freeLists_[order].push(base);
+    pushFree(order, base);
 }
 
 bool

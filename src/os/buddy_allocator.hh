@@ -24,9 +24,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/mapped_array.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -110,20 +110,21 @@ class BuddyAllocator
     unsigned maxOrder() const { return maxOrder_; }
 
   private:
-    /** One order's free blocks with O(1) insert/erase/pick. */
-    struct FreeList
-    {
-        std::vector<Pfn> blocks;
-        std::unordered_map<Pfn, std::uint32_t> pos;
+    /**
+     * Free-block slot encoding: the low orderBits hold order + 1,
+     * the rest the block's position in freeLists_[order]; 0 means
+     * "not the base of a free block".
+     */
+    static constexpr unsigned orderBits = 5;
 
-        void push(Pfn base);
-        bool erase(Pfn base);
-        bool contains(Pfn base) const;
-        Pfn popBack();
-        Pfn popAt(std::size_t idx);
-        bool empty() const { return blocks.empty(); }
-        std::size_t size() const { return blocks.size(); }
-    };
+    /** Append @p base to @p order's free list. Panics with "double
+     *  free" when @p base already starts a free block. */
+    void pushFree(unsigned order, Pfn base);
+    /** Remove @p base from @p order's free list (swapping the last
+     *  block into its place); false when it is not listed there. */
+    bool eraseFree(unsigned order, Pfn base);
+    /** Remove and return the last block of @p order's list. */
+    Pfn popBack(unsigned order);
 
     /** Buddy of block @p base at @p order. */
     static Pfn
@@ -136,10 +137,22 @@ class BuddyAllocator
      *  upper halves; returns the retained base. */
     Pfn splitTo(Pfn base, unsigned from, unsigned to);
 
+    /** Free [@p lo, @p end) as maximal aligned blocks, lowest
+     *  first. */
+    void freeRange(Pfn lo, Pfn end);
+
+    /** Take block @p idx of @p o's list and free all of it except
+     *  the 2^@p order frames at @p keep; returns @p keep. */
+    Pfn carve(unsigned o, std::size_t idx, Pfn keep, unsigned order);
+
     std::uint64_t totalFrames_;
     unsigned maxOrder_;
     std::uint64_t freeFrames_ = 0;
-    std::vector<FreeList> freeLists_;
+    /** Free block bases per order; LIFO at the back. */
+    std::vector<std::vector<Pfn>> freeLists_;
+    /** Per frame: the free-block slot (see orderBits), so lookups
+     *  by base are O(1) for every order at 4 B/frame. */
+    MappedArray<std::uint32_t> slot_;
 };
 
 } // namespace sipt::os

@@ -72,10 +72,10 @@ class Mmu
 
     /**
      * Translate @p vaddr whose page-table entry @p entry has
-     * already been resolved (the pipeline reads it from a flat
-     * page-map snapshot and charges the TLB/walk accounting here,
-     * at the dispatch cycle @p now). translate() is exactly a
-     * page-table lookup followed by this.
+     * already been resolved (the pipeline's resolve stage reads it
+     * from the page table a batch ahead and charges the TLB/walk
+     * accounting here, at the dispatch cycle @p now). translate()
+     * is exactly a page-table lookup followed by this.
      */
     MmuResult translateEntry(Addr vaddr, const Translation &entry,
                              Cycles now = 0);

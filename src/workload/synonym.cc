@@ -220,9 +220,9 @@ SynonymWorkload::allocatePhase(const os::SharedSegment *shared)
                 static_cast<std::uint64_t>(spec_.skewPages) * i));
         }
         // Resolve copy-on-write for the clone pages the steady
-        // state will store through. This must complete here: both
-        // engines freeze the page table before the first measured
-        // reference (the batch pipeline snapshots it outright).
+        // state will store through. This must complete here: the
+        // page table is frozen before the first reference (the
+        // pipeline's resolve stage reads it a batch ahead).
         for (std::uint32_t i = 1; i < spec_.mappings; ++i) {
             for (std::uint64_t p = 0; p < bytes_ / pageSize;
                  p += 2) {

@@ -1,9 +1,11 @@
 #include "workload/trace_format.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "vm/page_table.hh"
 
 namespace sipt::workload
 {
@@ -125,6 +127,90 @@ readVarintFrom(std::istream &in, std::uint64_t &v)
     return false; // over-long varint
 }
 
+/** Smallest encoded sizes, for bounding counts by file size. */
+constexpr std::uint64_t regionBytes = 16;
+constexpr std::uint64_t minMappingBytes = 3;
+
+/** Mix @p v into the running fnv1a64 hash @p h. */
+std::uint64_t
+mixFixed64(std::uint64_t h, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i)
+        h = fnv1a64Step(h, static_cast<std::uint8_t>(v >> (8 * i)));
+    return h;
+}
+
+/** "" when @p regions and @p mappings form a layout a page table
+ *  can hold (see the file comment), else what is wrong. */
+std::string
+checkLayout(std::vector<TraceRegion> regions,
+            const std::vector<TraceMapping> &mappings)
+{
+    std::sort(regions.begin(), regions.end(),
+              [](const TraceRegion &a, const TraceRegion &b) {
+                  return a.base < b.base;
+              });
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+        const TraceRegion &r = regions[i];
+        if (r.bytes == 0 || pageOffset(r.base) != 0 ||
+            pageOffset(r.bytes) != 0 || r.base + r.bytes < r.base)
+            return "bad region (zero, unaligned or wrapping)";
+        if (i > 0 && r.base < regions[i - 1].base + regions[i - 1].bytes)
+            return "overlapping regions";
+    }
+    std::size_t region = 0;
+    for (std::size_t i = 0; i < mappings.size(); ++i) {
+        const TraceMapping &m = mappings[i];
+        const Addr end = m.vaddr + (m.huge ? hugePageSize : pageSize);
+        if (i > 0 && m.vaddr <= mappings[i - 1].vaddr)
+            return "mappings not sorted by VPN or duplicated";
+        if (m.huge && ((m.vaddr & mask(hugePageShift)) != 0 ||
+                       (m.pfn & mask(hugePageShift - pageShift)) != 0))
+            return "unaligned huge mapping";
+        if (!m.huge && i > 0 && mappings[i - 1].huge &&
+            hugePageNumber(m.vaddr) ==
+                hugePageNumber(mappings[i - 1].vaddr))
+            return "4 KiB mapping inside a huge mapping";
+        while (region < regions.size() &&
+               regions[region].base + regions[region].bytes <= m.vaddr)
+            ++region;
+        if (region == regions.size() || m.vaddr < regions[region].base ||
+            end > regions[region].base + regions[region].bytes)
+            return "mapping at va " + std::to_string(m.vaddr) +
+                   " outside every region";
+    }
+    // The chunk span bounds the 4 KiB span too (512 pages a chunk).
+    constexpr std::uint64_t chunk_cap =
+        vm::PageTable::maxSpanPages / pagesPerHugePage;
+    if (!mappings.empty() &&
+        hugePageNumber(mappings.back().vaddr) -
+                hugePageNumber(mappings.front().vaddr) >=
+            chunk_cap)
+        return "mappings span more than the page table's " +
+               std::to_string(vm::PageTable::maxSpanPages) +
+               "-page cap";
+    return "";
+}
+
+/** The header's layoutDigest: stable fnv1a64 over the decoded app
+ *  name, regions and mappings. */
+std::uint64_t
+layoutDigest(const std::string &app,
+             const std::vector<TraceRegion> &regions,
+             const std::vector<TraceMapping> &mappings)
+{
+    std::uint64_t h = fnv1a64(app);
+    h = mixFixed64(h, regions.size());
+    for (const TraceRegion &r : regions)
+        h = mixFixed64(mixFixed64(h, r.base), r.bytes);
+    h = mixFixed64(h, mappings.size());
+    for (const TraceMapping &m : mappings) {
+        h = mixFixed64(mixFixed64(h, m.vaddr), m.pfn);
+        h = fnv1a64Step(h, m.huge ? 1 : 0);
+    }
+    return h;
+}
+
 } // namespace
 
 TraceWriter::TraceWriter(const std::string &path,
@@ -145,6 +231,7 @@ TraceWriter::TraceWriter(const std::string &path,
     putFixed64(head, 0); // refCount, patched by finish()
     putFixed64(head, 0); // recordBytes, patched
     putFixed64(head, 0); // recordDigest, patched
+    putFixed64(head, layoutDigest(app, regions, mappings));
     putFixed32(head, static_cast<std::uint32_t>(app.size()));
     head.append(app);
 
@@ -261,9 +348,16 @@ TraceWriter::finish()
 std::string
 TraceReader::open(const std::string &path)
 {
-    in_.open(path, std::ios::binary);
+    in_.open(path, std::ios::binary | std::ios::ate);
     if (!in_)
         return "cannot open '" + path + "'";
+    const auto file_bytes = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
+    // Bytes after the read position: every count read from the file
+    // is bounded by it before a table is sized from that count.
+    auto left = [&] {
+        return file_bytes - static_cast<std::uint64_t>(in_.tellg());
+    };
 
     char magic[8];
     if (!readExact(in_, magic, sizeof(magic)))
@@ -285,8 +379,11 @@ TraceReader::open(const std::string &path)
         !readFixed64(in_, info_.refCount) ||
         !readFixed64(in_, info_.recordBytes) ||
         !readFixed64(in_, info_.recordDigest) ||
+        !readFixed64(in_, info_.layoutDigest) ||
         !readFixed32(in_, app_len))
         return "truncated header (counts)";
+    if (app_len > left())
+        return "truncated header (app name)";
     info_.app.resize(app_len);
     if (app_len &&
         !readExact(in_, info_.app.data(), app_len))
@@ -295,6 +392,11 @@ TraceReader::open(const std::string &path)
     std::uint32_t region_count = 0;
     if (!readFixed32(in_, region_count))
         return "truncated region table";
+    if (region_count > left() / regionBytes) {
+        return "truncated region table (" +
+               std::to_string(region_count) + " regions in " +
+               std::to_string(left()) + " bytes)";
+    }
     regions_.resize(region_count);
     for (auto &r : regions_) {
         if (!readFixed64(in_, r.base) ||
@@ -306,6 +408,11 @@ TraceReader::open(const std::string &path)
     std::uint64_t map_count = 0;
     if (!readFixed64(in_, map_count))
         return "truncated mapping table";
+    if (map_count > left() / minMappingBytes) {
+        return "truncated mapping table (" +
+               std::to_string(map_count) + " mappings in " +
+               std::to_string(left()) + " bytes)";
+    }
     mappings_.resize(map_count);
     Vpn vpn = 0;
     Pfn pfn = 0;
@@ -323,6 +430,13 @@ TraceReader::open(const std::string &path)
         m.huge = huge != 0;
     }
     info_.mapCount = map_count;
+
+    if (layoutDigest(info_.app, regions_, mappings_) !=
+        info_.layoutDigest)
+        return "layout digest mismatch (corrupt or edited trace)";
+    const std::string bad_layout = checkLayout(regions_, mappings_);
+    if (!bad_layout.empty())
+        return "bad layout: " + bad_layout;
 
     recordsOffset_ =
         static_cast<std::uint64_t>(in_.tellg());

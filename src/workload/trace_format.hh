@@ -23,6 +23,7 @@
  *   refCount     u64   records in the stream   (patched by finish)
  *   recordBytes  u64   record-stream bytes     (patched by finish)
  *   recordDigest u64   fnv1a64(record stream)  (patched by finish)
+ *   layoutDigest u64   fnv1a64(decoded app, regions, mappings)
  *   app          u32 length + bytes
  *   regions      u32 count; {u64 base, u64 bytes} each
  *   mappings     u64 count; {u8 huge, varint vpn delta,
@@ -33,6 +34,14 @@
  * Records are LEB128 varints of zigzag PC/VA deltas, so streams
  * with small strides cost a few bytes per reference. Readers
  * stream record-by-record; no stage loads the whole file.
+ *
+ * The two digests cover everything a replay depends on: the
+ * layout digest is checked when the file is opened, the record
+ * digest by verifyTrace(). A reader also checks that the layout is
+ * one a page table can hold: page-aligned, non-overlapping regions;
+ * mappings sorted by VPN without duplicates, each inside a region,
+ * huge ones 2 MiB-aligned with no 4 KiB mapping in their chunk;
+ * and spans within vm::PageTable::maxSpanPages.
  */
 
 #ifndef SIPT_WORKLOAD_TRACE_FORMAT_HH
@@ -51,7 +60,7 @@ namespace sipt::workload
 {
 
 /** Current trace file format version. */
-constexpr std::uint32_t traceFormatVersion = 1;
+constexpr std::uint32_t traceFormatVersion = 2;
 
 /** One recorded mmap region (guard pages not included). */
 struct TraceRegion
@@ -82,6 +91,8 @@ struct TraceInfo
     std::uint64_t recordBytes = 0;
     /** fnv1a64 over the encoded record stream. */
     std::uint64_t recordDigest = 0;
+    /** fnv1a64 over the decoded app name and layout tables. */
+    std::uint64_t layoutDigest = 0;
     std::uint64_t regionCount = 0;
     std::uint64_t mapCount = 0;
 };
@@ -144,7 +155,10 @@ class TraceReader
   public:
     TraceReader() = default;
 
-    /** Parse @p path up to the record stream.
+    /** Parse @p path up to the record stream and check the layout
+     *  (digest, then the rules in the file comment). Counts are
+     *  bounded by the bytes left in the file before any table is
+     *  sized from them.
      *  @return empty string on success, else a description
      *          ("bad magic", "unsupported trace version", ...) */
     std::string open(const std::string &path);

@@ -22,8 +22,6 @@
  */
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -31,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixture_table.hh"
 #include "sim/system.hh"
 
 namespace sipt::sim
@@ -98,43 +97,17 @@ checkedRow(const std::string &label, const std::string &app,
     return row(label, r);
 }
 
-/**
- * Write @p rows as the current test's actual table, then compare
- * them line by line with the committed fixture of the same name.
- */
+/** Compare @p rows with tests/fixtures/engine/<TestName>.txt. */
 void
 expectMatchesFixture(const std::vector<std::string> &rows)
 {
     const std::string name = testing::UnitTest::GetInstance()
                                  ->current_test_info()
                                  ->name();
-    const std::filesystem::path out_dir(SIPT_ENGINE_FIXTURE_OUT);
-    std::filesystem::create_directories(out_dir);
-    const auto out_path = out_dir / (name + ".txt");
-    {
-        std::ofstream out(out_path);
-        out << "# BatchEngine." << name
-            << ": one row per run (tests/test_batch.cpp)\n";
-        for (const std::string &r : rows)
-            out << r << '\n';
-    }
-
-    const auto fixture_path =
-        std::filesystem::path(SIPT_ENGINE_FIXTURE_DIR) /
-        (name + ".txt");
-    std::ifstream in(fixture_path);
-    ASSERT_TRUE(in) << "missing fixture " << fixture_path
-                    << "; actual table written to " << out_path;
-    std::vector<std::string> expected;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line[0] != '#')
-            expected.push_back(line);
-    }
-    ASSERT_EQ(expected.size(), rows.size())
-        << "row count differs; actual table in " << out_path;
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        EXPECT_EQ(expected[i], rows[i]) << "actual: " << out_path;
+    testfix::expectMatchesFixture(
+        rows, SIPT_ENGINE_FIXTURE_DIR, SIPT_ENGINE_FIXTURE_OUT,
+        "BatchEngine." + name +
+            ": one row per run (tests/test_batch.cpp)");
 }
 
 TEST(BatchEngine, BitIdenticalAcrossPoliciesAndSpecBits)

@@ -2,17 +2,35 @@
  * @file
  * Unit and property tests for the buddy allocator: alignment,
  * splitting, coalescing, coloring, the unusable-free-space index,
- * and a randomised invariant-checking stress test.
+ * a randomised invariant-checking stress test, and a committed
+ * allocation-sequence fixture.
+ *
+ * Buddy.AllocatorSequence pins the allocator's exact behaviour:
+ * every PFN a seeded op stream gets back, through aging,
+ * fragmentation and release, must match
+ * tests/fixtures/os/AllocatorSequence.txt. Each run writes its
+ * actual table to the build tree; after an intentional change to
+ * the allocation order, regenerate with:
+ *
+ *   ctest --test-dir build -R Buddy.AllocatorSequence
+ *   cp build/tests/os_fixtures/AllocatorSequence.txt \
+ *      tests/fixtures/os/
  */
 
+#include <iomanip>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bitops.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
+#include "fixture_table.hh"
 #include "os/buddy_allocator.hh"
+#include "os/fragmenter.hh"
 
 namespace sipt::os
 {
@@ -100,6 +118,31 @@ TEST(Buddy, DoubleFreePanics)
     ASSERT_TRUE(a0 && a1);
     b.free(*a0, 0);
     EXPECT_DEATH(b.free(*a0, 0), "double free");
+}
+
+TEST(Buddy, FreeOfBaseFreeAtAnotherOrderPanics)
+{
+    BuddyAllocator b(64);
+    // a stays free as an order-1 block because its order-1 buddy
+    // is held; freeing its base again as order 0 is a double free.
+    const auto a = b.allocate(1);
+    const auto held = b.allocate(1);
+    ASSERT_TRUE(a && held);
+    b.free(*a, 1);
+    EXPECT_DEATH(b.free(*a, 0), "double free");
+
+    // Frame 2 is free at order 0 and [0, 2) at order 1: freeing
+    // [2, 4) as order 1 would coalesce down to base 0 and hide
+    // the stale order-0 entry.
+    BuddyAllocator c(64);
+    for (int i = 0; i < 64; ++i)
+        ASSERT_EQ(c.allocate(0), Pfn(i));
+    c.free(0, 0);
+    c.free(1, 0);
+    c.free(2, 0);
+    ASSERT_EQ(c.freeBlocks(1), 1u);
+    ASSERT_EQ(c.freeBlocks(0), 1u);
+    EXPECT_DEATH(c.free(2, 1), "double free");
 }
 
 TEST(Buddy, NonPowerOfTwoTotalFrames)
@@ -231,6 +274,131 @@ TEST_P(BuddyStress, AccountingInvariants)
 
 INSTANTIATE_TEST_SUITE_P(Orders, BuddyStress,
                          ::testing::Values(0u, 1u, 4u, 10u));
+
+/** Running digest of every PFN the allocator hands out. */
+struct PfnDigest
+{
+    std::uint64_t hash = fnv1a64Init;
+    std::uint64_t count = 0;
+
+    void
+    add(std::optional<Pfn> pfn)
+    {
+        const std::uint64_t v = pfn ? *pfn : ~std::uint64_t{0};
+        for (int i = 0; i < 8; ++i)
+            hash = fnv1a64Step(hash,
+                               static_cast<std::uint8_t>(v >> (8 * i)));
+        ++count;
+    }
+};
+
+/** A held block of the op stream. */
+struct HeldBlock
+{
+    Pfn base;
+    unsigned order;
+};
+
+/**
+ * Run @p ops seeded operations mixing allocate, allocateRandom,
+ * allocateColored and free (of a random held block).
+ */
+void
+runOps(BuddyAllocator &b, Rng &rng, std::vector<HeldBlock> &held,
+       int ops, PfnDigest &digest)
+{
+    for (int i = 0; i < ops; ++i) {
+        const std::uint64_t kind = rng.below(100);
+        // Mostly single pages, with a tail up to max order.
+        const unsigned order =
+            rng.chance(0.7)
+                ? 0
+                : static_cast<unsigned>(rng.below(b.maxOrder() + 1));
+        std::optional<Pfn> pfn;
+        if (kind < 30) {
+            pfn = b.allocate(order);
+        } else if (kind < 45) {
+            pfn = b.allocateRandom(order, rng);
+        } else if (kind < 55) {
+            const Vpn vpn = rng.below(1u << 20);
+            const auto bits = static_cast<unsigned>(1 + rng.below(6));
+            pfn = b.allocateColored(order, vpn, bits);
+        } else {
+            if (held.empty())
+                continue;
+            const std::size_t idx = rng.below(held.size());
+            const HeldBlock blk = held[idx];
+            held[idx] = held.back();
+            held.pop_back();
+            b.free(blk.base, blk.order);
+            continue;
+        }
+        digest.add(pfn);
+        if (pfn)
+            held.push_back({*pfn, order});
+    }
+}
+
+/** One fixture row: @p label, the digest so far, and the free
+ *  block count of every order. */
+std::string
+allocatorRow(const std::string &label, const BuddyAllocator &b,
+             const PfnDigest &digest)
+{
+    std::ostringstream os;
+    os << label << " pfns=" << digest.count << " digest=" << std::hex
+       << std::setw(16) << std::setfill('0') << digest.hash
+       << std::dec << " freeFrames=" << b.freeFrames() << " blocks=";
+    for (unsigned o = 0; o <= b.maxOrder(); ++o)
+        os << (o ? "," : "") << b.freeBlocks(o);
+    return os.str();
+}
+
+TEST(Buddy, AllocatorSequence)
+{
+    // 4 GiB of 4 KiB frames, conditioned as runSingleCore does.
+    BuddyAllocator b(std::uint64_t{1} << 20);
+    Rng rng(2018);
+    PfnDigest digest;
+    std::vector<HeldBlock> held;
+    std::vector<std::string> rows;
+
+    for (int round = 0; round < 4; ++round) {
+        runOps(b, rng, held, 5'000, digest);
+        rows.push_back(allocatorRow("fresh" + std::to_string(round),
+                                    b, digest));
+    }
+    SystemAger ager(b);
+    ager.age(20'000, 0.22, rng);
+    rows.push_back(allocatorRow("aged", b, digest));
+    runOps(b, rng, held, 5'000, digest);
+    rows.push_back(allocatorRow("aged+ops", b, digest));
+
+    MemoryFragmenter fragmenter(b);
+    fragmenter.fragmentTo(0.95, 9, rng, 0.30);
+    rows.push_back(allocatorRow("fragmented", b, digest));
+    runOps(b, rng, held, 5'000, digest);
+    rows.push_back(allocatorRow("fragmented+ops", b, digest));
+
+    fragmenter.release();
+    rows.push_back(allocatorRow("fragmenter-released", b, digest));
+    runOps(b, rng, held, 5'000, digest);
+    rows.push_back(allocatorRow("released+ops", b, digest));
+    ager.release();
+    rows.push_back(allocatorRow("ager-released", b, digest));
+    runOps(b, rng, held, 5'000, digest);
+    rows.push_back(allocatorRow("ager-released+ops", b, digest));
+
+    for (const HeldBlock &blk : held)
+        b.free(blk.base, blk.order);
+    rows.push_back(allocatorRow("drained", b, digest));
+    EXPECT_EQ(b.freeFrames(), b.totalFrames());
+
+    testfix::expectMatchesFixture(
+        rows, SIPT_OS_FIXTURE_DIR, SIPT_OS_FIXTURE_OUT,
+        "Buddy.AllocatorSequence: one row per checkpoint "
+        "(tests/test_buddy_allocator.cpp)");
+}
 
 } // namespace
 } // namespace sipt::os

@@ -6,7 +6,9 @@
  * recorded trace replayed through the full pipeline is
  * digest-identical to the live run it was captured from, across
  * VIPT-feasible and speculative geometries and under the
- * multi-program driver.
+ * multi-program driver. The reader is an input boundary: counts
+ * beyond the file, bad layouts, every header prefix and seeded
+ * byte mutants are rejected with an error, never an abort.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +16,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "mutants.hh"
 #include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
 #include "sim/system.hh"
+#include "vm/page_table.hh"
 #include "workload/trace_format.hh"
 #include "workload/trace_replay.hh"
 
@@ -99,8 +104,10 @@ std::string
 writeSampleTrace(const std::string &name)
 {
     const std::string path = scratchFile(name);
+    // The region covers every mapping (the huge one included):
+    // the reader rejects mappings outside every region.
     const std::vector<TraceRegion> regions = {
-        {0x10'0000'0000ull, 1 << 20}};
+        {0x10'0000'0000ull, 4 << 20}};
     const std::vector<TraceMapping> mappings = {
         {0x10'0000'0000ull, 100, false},
         {0x10'0000'1000ull, 101, false},
@@ -318,6 +325,210 @@ TEST(TraceReplay, SourceLoopsAndResets)
     // recorded frames.
     const auto mapped = as.pageTable().translate(refs[0].vaddr);
     EXPECT_TRUE(mapped.has_value());
+}
+
+/** The whole of @p path as bytes. */
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Overwrite the little-endian @p width-byte field at @p offset. */
+void
+patchField(const std::string &path, std::size_t offset,
+           std::uint64_t value, unsigned width)
+{
+    std::string bytes = readBytes(path);
+    for (unsigned i = 0; i < width; ++i)
+        bytes[offset + i] = static_cast<char>(value >> (8 * i));
+    writeBytes(path, bytes);
+}
+
+/** Byte offsets in writeSampleTrace()'s file: the fixed header is
+ *  56 bytes, then the app name ("sample") and one region. */
+constexpr std::size_t sampleRegionCountAt = 56 + 4 + 6;
+constexpr std::size_t sampleMapCountAt = sampleRegionCountAt + 4 + 16;
+
+TEST(TraceFormat, RejectsCountsBeyondTheFile)
+{
+    const auto path = writeSampleTrace("counts.sipttrace");
+    TraceReader ok;
+    ASSERT_EQ(ok.open(path), "");
+    ASSERT_EQ(ok.info().mapCount, 3u);
+
+    // Counts a file of this size cannot hold are errors, not
+    // length_error or bad_alloc from sizing a table by them.
+    patchField(path, sampleMapCountAt, std::uint64_t{1} << 60, 8);
+    TraceReader maps;
+    EXPECT_NE(maps.open(path).find("truncated mapping table"),
+              std::string::npos);
+
+    const auto path2 = writeSampleTrace("counts2.sipttrace");
+    patchField(path2, sampleRegionCountAt, 0xffffffffu, 4);
+    TraceReader regions;
+    EXPECT_NE(regions.open(path2).find("truncated region table"),
+              std::string::npos);
+}
+
+TEST(TraceFormat, LayoutDigestCatchesMappingEdit)
+{
+    const auto path = writeSampleTrace("layout-edit.sipttrace");
+    // The first mapping's PFN delta byte (huge flag, vpn varint of
+    // five bytes, then the PFN varint).
+    std::string bytes = readBytes(path);
+    bytes[sampleMapCountAt + 8 + 1 + 5] ^= 0x02;
+    writeBytes(path, bytes);
+    TraceReader reader;
+    EXPECT_NE(reader.open(path).find("layout digest mismatch"),
+              std::string::npos);
+}
+
+/** open() error for a trace with @p regions and @p mappings. */
+std::string
+layoutError(const std::vector<TraceRegion> &regions,
+            const std::vector<TraceMapping> &mappings)
+{
+    const std::string path = scratchFile("layout.sipttrace");
+    {
+        TraceWriter writer(path, "layout", 1, regions, mappings);
+        writer.append(sampleRefs()[0]);
+    }
+    TraceReader reader;
+    return reader.open(path);
+}
+
+TEST(TraceFormat, RejectsLayoutsAPageTableCannotHold)
+{
+    const Addr base = Addr{1} << 36;
+    const std::vector<TraceRegion> one = {{base, 8 * hugePageSize}};
+    EXPECT_EQ(layoutError(one, {{base, 1, false},
+                                {base + hugePageSize, 512, true}}),
+              "");
+
+    auto expect = [](const std::string &error,
+                     const std::string &part) {
+        EXPECT_NE(error.find(part), std::string::npos)
+            << "error: '" << error << "', expected '" << part << "'";
+    };
+    // Outside every region: after it, before it, and a huge page
+    // hanging off its end.
+    expect(layoutError(one, {{base + 8 * hugePageSize, 1, false}}),
+           "outside every region");
+    expect(layoutError(one, {{base - pageSize, 1, false}}),
+           "outside every region");
+    expect(layoutError({{base, hugePageSize + pageSize}},
+                       {{base + hugePageSize, 512, true}}),
+           "outside every region");
+    // Spans beyond the page table's cap.
+    const Addr cap = vm::PageTable::maxSpanPages * pageSize;
+    expect(layoutError({{base, 2 * cap}},
+                       {{base, 1, false}, {base + cap, 2, false}}),
+           "16777216-page cap");
+    expect(layoutError({{base, 2 * cap}},
+                       {{base, 0, true}, {base + cap, 512, true}}),
+           "16777216-page cap");
+    // Mappings the page table would refuse.
+    expect(layoutError(one, {{base, 1, false}, {base, 2, false}}),
+           "duplicated");
+    expect(layoutError(one, {{base + pageSize, 512, true}}),
+           "unaligned huge");
+    expect(layoutError(one, {{base, 5, true}}), "unaligned huge");
+    expect(layoutError(one, {{base, 512, true},
+                             {base + pageSize, 3, false}}),
+           "inside a huge mapping");
+    // Regions AddressSpace::adoptRegion would refuse.
+    expect(layoutError({{base, 0}}, {}), "bad region");
+    expect(layoutError({{base + 1, pageSize}}, {}), "bad region");
+    expect(layoutError({{base, 2 * pageSize}, {base + pageSize,
+                                               pageSize}},
+                       {}),
+           "overlapping regions");
+}
+
+/** A small recorded trace and the digest of its replay. */
+struct RecordedTrace
+{
+    sim::SystemConfig config;
+    std::string bytes;
+    std::uint64_t digest = 0;
+};
+
+RecordedTrace
+recordSmallTrace(const std::string &path)
+{
+    RecordedTrace t;
+    t.config.physMemBytes = 256ull << 20;
+    t.config.footprintScale = 0.02;
+    t.config.warmupRefs = 300;
+    t.config.measureRefs = 700;
+    t.config.check = true;
+    sim::recordTrace("mcf", t.config, path);
+    t.bytes = readBytes(path);
+    const sim::RunResult r =
+        sim::runSingleCore("trace:" + path, t.config);
+    EXPECT_TRUE(r.checkFailure.empty()) << r.checkFailure;
+    t.digest = r.checkDigest;
+    return t;
+}
+
+TEST(TraceFuzz, EveryHeaderPrefixIsRejected)
+{
+    const std::string path = scratchFile("prefix-src.sipttrace");
+    const RecordedTrace t = recordSmallTrace(path);
+    TraceReader reader;
+    ASSERT_EQ(reader.open(path), "");
+    const std::size_t header = t.bytes.size() - reader.info().recordBytes;
+    ASSERT_GT(reader.info().mapCount, 10u);
+
+    const std::string cut = scratchFile("prefix.sipttrace");
+    for (std::size_t k = 0; k < header; ++k) {
+        writeBytes(cut, t.bytes.substr(0, k));
+        TraceReader r;
+        ASSERT_NE(r.open(cut), "") << "prefix " << k << " of "
+                                   << header << " opened";
+    }
+}
+
+TEST(TraceFuzz, SeededMutantsAreRejectedOrReplayExactly)
+{
+    const std::string path = scratchFile("mutant-src.sipttrace");
+    const RecordedTrace t = recordSmallTrace(path);
+    const std::string mutant_path = scratchFile("mutant.sipttrace");
+    constexpr std::uint64_t seed = 1;
+    constexpr std::uint64_t count = 2'000;
+    std::uint64_t rejected = 0;
+    std::uint64_t replayed = 0;
+    for (std::uint64_t index = 0; index < count; ++index) {
+        writeBytes(mutant_path, testfix::mutantAt(t.bytes, seed, index));
+        // The layout is checked at open(), the record stream by
+        // verifyTrace(); whatever passes both must replay exactly.
+        TraceReader reader;
+        std::string error;
+        if (!reader.open(mutant_path).empty() ||
+            !verifyTrace(mutant_path, error)) {
+            ++rejected;
+            continue;
+        }
+        const sim::RunResult r =
+            sim::runSingleCore("trace:" + mutant_path, t.config);
+        ASSERT_EQ(r.checkDigest, t.digest)
+            << "mutant seed=" << seed << " index=" << index
+            << " replayed to a different digest";
+        ++replayed;
+    }
+    EXPECT_EQ(rejected + replayed, count);
+    // Nearly every mutant damages a digest-covered byte.
+    EXPECT_GT(rejected, count * 9 / 10);
 }
 
 /** Record @p app once with @p config; returns the trace path. */

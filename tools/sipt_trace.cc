@@ -144,6 +144,7 @@ infoToJson(const std::string &path,
     j.set("refCount", info.refCount);
     j.set("recordBytes", info.recordBytes);
     j.set("recordDigest", info.recordDigest);
+    j.set("layoutDigest", info.layoutDigest);
     j.set("regionCount", info.regionCount);
     j.set("mapCount", info.mapCount);
     j.set("contentHash",
