@@ -1,7 +1,8 @@
 #include "common/json.hh"
 
-#include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -253,6 +254,58 @@ Json::dump() const
 namespace
 {
 
+/** Deepest container nesting parse() accepts. The deepest document
+ *  the repo writes nests about five levels; the cap keeps a hostile
+ *  frame from exhausting the stack through parseValue()'s
+ *  recursion. */
+constexpr unsigned maxDepth = 64;
+
+/** Value of hex digit @p c, or -1. */
+int
+hexDigit(char c)
+{
+    if (c >= '0' && c <= '9')
+        return c - '0';
+    if (c >= 'a' && c <= 'f')
+        return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F')
+        return c - 'A' + 10;
+    return -1;
+}
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/** Append code point @p cp as UTF-8. */
+void
+appendUtf8(std::string &out, std::uint32_t cp)
+{
+    if (cp < 0x80) {
+        out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+        out += static_cast<char>(0xc0 | (cp >> 6));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else if (cp < 0x10000) {
+        out += static_cast<char>(0xe0 | (cp >> 12));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else {
+        out += static_cast<char>(0xf0 | (cp >> 18));
+        out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    }
+}
+
+/**
+ * Strict RFC 8259 parser: anything outside the grammar — including
+ * integers that overflow 64 bits, non-hex \u escapes, raw control
+ * characters in strings, duplicate member names and nesting deeper
+ * than maxDepth — is a parse failure, never a guess.
+ */
 struct Parser
 {
     std::string_view text;
@@ -262,7 +315,8 @@ struct Parser
     skipWs()
     {
         while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
+               (text[pos] == ' ' || text[pos] == '\t' ||
+                text[pos] == '\n' || text[pos] == '\r'))
             ++pos;
     }
 
@@ -287,6 +341,22 @@ struct Parser
         return false;
     }
 
+    /** Four hex digits after a \u; nullopt when any is not hex. */
+    std::optional<std::uint32_t>
+    parseHex4()
+    {
+        if (pos + 4 > text.size())
+            return std::nullopt;
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i) {
+            const int d = hexDigit(text[pos++]);
+            if (d < 0)
+                return std::nullopt;
+            v = (v << 4) | static_cast<std::uint32_t>(d);
+        }
+        return v;
+    }
+
     std::optional<std::string>
     parseString()
     {
@@ -297,97 +367,130 @@ struct Parser
             const char c = text[pos++];
             if (c == '"')
                 return out;
-            if (c == '\\') {
-                if (pos >= text.size())
-                    return std::nullopt;
-                const char e = text[pos++];
-                switch (e) {
-                  case '"':
-                    out += '"';
-                    break;
-                  case '\\':
-                    out += '\\';
-                    break;
-                  case '/':
-                    out += '/';
-                    break;
-                  case 'n':
-                    out += '\n';
-                    break;
-                  case 't':
-                    out += '\t';
-                    break;
-                  case 'r':
-                    out += '\r';
-                    break;
-                  case 'u': {
-                    if (pos + 4 > text.size())
-                        return std::nullopt;
-                    const std::string hex(text.substr(pos, 4));
-                    pos += 4;
-                    out += static_cast<char>(
-                        std::strtoul(hex.c_str(), nullptr, 16));
-                    break;
-                  }
-                  default:
-                    return std::nullopt;
-                }
-            } else {
+            if (static_cast<unsigned char>(c) < 0x20)
+                return std::nullopt;
+            if (c != '\\') {
                 out += c;
+                continue;
+            }
+            if (pos >= text.size())
+                return std::nullopt;
+            switch (text[pos++]) {
+              case '"':
+                out += '"';
+                break;
+              case '\\':
+                out += '\\';
+                break;
+              case '/':
+                out += '/';
+                break;
+              case 'b':
+                out += '\b';
+                break;
+              case 'f':
+                out += '\f';
+                break;
+              case 'n':
+                out += '\n';
+                break;
+              case 't':
+                out += '\t';
+                break;
+              case 'r':
+                out += '\r';
+                break;
+              case 'u': {
+                auto cp = parseHex4();
+                if (!cp || (*cp >= 0xdc00 && *cp <= 0xdfff))
+                    return std::nullopt;
+                if (*cp >= 0xd800 && *cp <= 0xdbff) {
+                    // A high surrogate must pair with a low one.
+                    if (!literal("\\u"))
+                        return std::nullopt;
+                    const auto lo = parseHex4();
+                    if (!lo || *lo < 0xdc00 || *lo > 0xdfff)
+                        return std::nullopt;
+                    cp = 0x10000 + ((*cp - 0xd800) << 10) +
+                         (*lo - 0xdc00);
+                }
+                appendUtf8(out, *cp);
+                break;
+              }
+              default:
+                return std::nullopt;
             }
         }
         return std::nullopt;
     }
 
+    /** -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — a plain
+     *  non-negative integer is a Uint, anything else a Double. */
     std::optional<Json>
     parseNumber()
     {
         const std::size_t start = pos;
-        bool isDouble = false;
-        if (pos < text.size() && text[pos] == '-') {
-            isDouble = true;
+        auto digits = [&] {
+            const std::size_t from = pos;
+            while (pos < text.size() && isDigit(text[pos]))
+                ++pos;
+            return pos - from;
+        };
+        const bool negative = literal("-");
+        if (pos < text.size() && text[pos] == '0')
             ++pos;
-        }
-        while (pos < text.size()) {
-            const char c = text[pos];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos;
-            } else if (c == '.' || c == 'e' || c == 'E' ||
-                       c == '+' || c == '-') {
-                isDouble = true;
-                ++pos;
-            } else {
-                break;
-            }
-        }
-        if (pos == start)
+        else if (digits() == 0)
             return std::nullopt;
+        bool integral = !negative;
+        if (literal(".")) {
+            integral = false;
+            if (digits() == 0)
+                return std::nullopt;
+        }
+        if (pos < text.size() &&
+            (text[pos] == 'e' || text[pos] == 'E')) {
+            integral = false;
+            ++pos;
+            if (!literal("+"))
+                (void)literal("-");
+            if (digits() == 0)
+                return std::nullopt;
+        }
         const std::string num(text.substr(start, pos - start));
-        if (isDouble)
-            return Json(std::strtod(num.c_str(), nullptr));
-        return Json(static_cast<std::uint64_t>(
-            std::strtoull(num.c_str(), nullptr, 10)));
+        errno = 0;
+        if (integral) {
+            const unsigned long long v =
+                std::strtoull(num.c_str(), nullptr, 10);
+            if (errno == ERANGE)
+                return std::nullopt;
+            return Json(static_cast<std::uint64_t>(v));
+        }
+        const double v = std::strtod(num.c_str(), nullptr);
+        if (std::isinf(v))
+            return std::nullopt;
+        return Json(v);
     }
 
     std::optional<Json>
-    parseValue()
+    parseValue(unsigned depth)
     {
         skipWs();
         if (pos >= text.size())
             return std::nullopt;
         const char c = text[pos];
+        if ((c == '{' || c == '[') && depth >= maxDepth)
+            return std::nullopt;
         if (c == '{') {
             ++pos;
             Json obj = Json::object();
-            skipWs();
             if (consume('}'))
                 return obj;
             while (true) {
                 skipWs();
                 auto key = parseString();
-                if (!key || !consume(':'))
+                if (!key || obj.find(*key) || !consume(':'))
                     return std::nullopt;
-                auto val = parseValue();
+                auto val = parseValue(depth + 1);
                 if (!val)
                     return std::nullopt;
                 obj.set(*key, std::move(*val));
@@ -401,11 +504,10 @@ struct Parser
         if (c == '[') {
             ++pos;
             Json arr = Json::array();
-            skipWs();
             if (consume(']'))
                 return arr;
             while (true) {
-                auto val = parseValue();
+                auto val = parseValue(depth + 1);
                 if (!val)
                     return std::nullopt;
                 arr.push(std::move(*val));
@@ -438,7 +540,7 @@ std::optional<Json>
 Json::parse(std::string_view text)
 {
     Parser p{text};
-    auto v = p.parseValue();
+    auto v = p.parseValue(0);
     if (!v)
         return std::nullopt;
     p.skipWs();

@@ -9,8 +9,10 @@
  * value always serialises to the same bytes. Doubles round-trip
  * exactly (printed with 17 significant digits).
  *
- * The parser accepts what dump() emits plus ordinary JSON
- * whitespace; it is not meant to be a general-purpose validator.
+ * The parser is strict RFC 8259: it reads every sipt-serve wire
+ * frame and every cache entry, so it rejects what it cannot
+ * represent exactly (integer overflow, duplicate member names,
+ * nesting deeper than 64) instead of guessing.
  */
 
 #ifndef SIPT_COMMON_JSON_HH
@@ -101,7 +103,9 @@ class Json
     /** Serialise to a canonical single-line string. */
     std::string dump() const;
 
-    /** Parse @p text; std::nullopt on malformed input. */
+    /** Parse @p text; std::nullopt on malformed input, on an
+     *  integer beyond 2^64-1 or a number beyond double range, on a
+     *  duplicate member name, and on nesting deeper than 64. */
     static std::optional<Json> parse(std::string_view text);
 
     bool operator==(const Json &other) const;

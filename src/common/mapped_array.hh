@@ -15,9 +15,18 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
+
+#if defined(__SANITIZE_THREAD__)
+#define SIPT_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SIPT_TSAN 1
+#endif
+#endif
 
 namespace sipt
 {
@@ -57,12 +66,27 @@ class MappedArray
         if (n > capacity_) {
             // Bytes past size_ were never written: still zero.
             const std::size_t cap = std::max(n, 2 * capacity_);
+#ifdef SIPT_TSAN
+            // TSan intercepts mmap and munmap but not mremap: a
+            // remapped range keeps the shadow state of whatever
+            // another thread last mapped there, which it reports as
+            // races between jobs that share no memory. Grow by
+            // map + copy + unmap instead, which it does model.
+            void *p = ::mmap(nullptr, cap * sizeof(T),
+                             PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (p != MAP_FAILED && data_ != nullptr) {
+                std::memcpy(p, data_, size_ * sizeof(T));
+                ::munmap(data_, capacity_ * sizeof(T));
+            }
+#else
             void *p = data_ == nullptr
                           ? ::mmap(nullptr, cap * sizeof(T),
                                    PROT_READ | PROT_WRITE,
                                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
                           : ::mremap(data_, capacity_ * sizeof(T),
                                      cap * sizeof(T), MREMAP_MAYMOVE);
+#endif
             if (p == MAP_FAILED)
                 throw std::bad_alloc();
             data_ = static_cast<T *>(p);

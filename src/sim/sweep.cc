@@ -346,7 +346,7 @@ configFromJson(const Json &j, std::string &error)
         return std::nullopt;
     if (!needUint("condition",
                   static_cast<std::uint64_t>(
-                      MemCondition::Fragmented),
+                      MemCondition::NoContiguity),
                   u))
         return std::nullopt;
     c.condition = static_cast<MemCondition>(u);
@@ -466,35 +466,37 @@ multiResultFromJson(const Json &j, std::string &error)
     return r;
 }
 
-Json
-singleKeyJson(const std::string &app, const SystemConfig &config,
-              std::uint64_t trace_hash)
-{
-    Json j = Json::object();
-    j.set("kind", "single");
-    j.set("app", app);
-    j.set("traceHash", trace_hash);
-    j.set("config", configToJson(config));
-    return j;
-}
-
-Json
-multiKeyJson(const std::vector<std::string> &mix,
-             const SystemConfig &config,
-             const std::vector<std::uint64_t> &trace_hashes)
+/** The canonical multicore key: the mix, each entry's trace
+ *  content hash, and the full config. */
+std::string
+multiRunKeyJson(const std::vector<std::string> &mix,
+                const SystemConfig &config)
 {
     Json j = Json::object();
     j.set("kind", "multi");
     Json apps = Json::array();
-    for (const auto &app : mix)
-        apps.push(app);
-    j.set("mix", std::move(apps));
     Json hashes = Json::array();
-    for (const auto h : trace_hashes)
-        hashes.push(h);
+    for (const auto &app : mix) {
+        apps.push(app);
+        hashes.push(traceHashFor(app));
+    }
+    j.set("mix", std::move(apps));
     j.set("traceHashes", std::move(hashes));
     j.set("config", configToJson(config));
-    return j;
+    return j.dump();
+}
+
+/** Disk-cache/wire JSON of either result type. */
+Json
+resultToJson(const RunResult &r)
+{
+    return runResultToJson(r);
+}
+
+Json
+resultToJson(const MulticoreResult &r)
+{
+    return multiResultToJson(r);
 }
 
 /** Cache entry file name for @p key_json. */
@@ -514,7 +516,12 @@ entryName(const std::string &key_json, bool multicore)
 std::string
 runKeyJson(const std::string &app, const SystemConfig &config)
 {
-    return singleKeyJson(app, config, traceHashFor(app)).dump();
+    Json j = Json::object();
+    j.set("kind", "single");
+    j.set("app", app);
+    j.set("traceHash", traceHashFor(app));
+    j.set("config", configToJson(config));
+    return j.dump();
 }
 
 double
@@ -532,26 +539,6 @@ SweepStats::jobsPerSec() const
     return wallSeconds > 0.0
                ? static_cast<double>(submitted) / wallSeconds
                : 0.0;
-}
-
-std::size_t
-SweepRunner::SingleKeyHash::operator()(const SingleKey &k) const
-{
-    std::size_t h = hashValue(k.config);
-    hashCombine(h, k.app);
-    hashCombine(h, k.traceHash);
-    return h;
-}
-
-std::size_t
-SweepRunner::MultiKeyHash::operator()(const MultiKey &k) const
-{
-    std::size_t h = hashValue(k.config);
-    for (const auto &app : k.mix)
-        hashCombine(h, app);
-    for (const auto th : k.traceHashes)
-        hashCombine(h, th);
-    return h;
 }
 
 SweepRunner::SweepRunner(const SweepOptions &options)
@@ -768,21 +755,24 @@ SweepRunner::loadFromDisk(const std::string &key_json)
     return decoded;
 }
 
+template <typename Result>
 void
 SweepRunner::storeToDisk(const std::string &key_json,
-                         bool multicore, const Json &result)
+                         const Result &result)
 {
     if (cacheDir_.empty())
         return;
-    const std::string name = entryName(key_json, multicore);
+    const std::string name = entryName(
+        key_json, std::is_same_v<Result, MulticoreResult>);
     const std::filesystem::path path =
         std::filesystem::path(cacheDir_) / name;
 
+    const Json result_json = resultToJson(result);
     Json entry = Json::object();
     entry.set("version", cacheFormatVersion);
     entry.set("key", *Json::parse(key_json));
-    entry.set("result", result);
-    entry.set("sum", fnv1a64(result.dump()));
+    entry.set("result", result_json);
+    entry.set("sum", fnv1a64(result_json.dump()));
     const std::string bytes = entry.dump() + '\n';
 
     // Write-to-temp + fsync + rename so concurrent writers
@@ -817,19 +807,19 @@ SweepRunner::storeToDisk(const std::string &key_json,
     }
 }
 
-std::shared_future<RunResult>
-SweepRunner::enqueue(const std::string &app,
-                     const SystemConfig &config)
+template <typename Result>
+std::shared_future<Result>
+SweepRunner::submit(Memo<Result> &memo, const std::string &key_json,
+                    std::function<Result()> run,
+                    std::string span_name)
 {
     noteSubmitted();
-    const std::uint64_t trace_hash = traceHashFor(app);
-    const SingleKey key{app, config, trace_hash};
-    auto promise = std::make_shared<std::promise<RunResult>>();
-    std::shared_future<RunResult> future;
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::shared_future<Result> future;
     {
         std::lock_guard lock(cacheMu_);
-        auto it = single_.find(key);
-        if (it != single_.end()) {
+        auto it = memo.find(key_json);
+        if (it != memo.end()) {
             const bool ready =
                 it->second.wait_for(std::chrono::seconds(0)) ==
                 std::future_status::ready;
@@ -840,33 +830,27 @@ SweepRunner::enqueue(const std::string &app,
             return it->second;
         }
         future = promise->get_future().share();
-        single_.emplace(key, future);
+        memo.emplace(key_json, future);
     }
 
-    const std::string key_json =
-        singleKeyJson(app, config, trace_hash).dump();
-    if (auto cached = loadFromDisk<RunResult>(key_json)) {
+    if (auto cached = loadFromDisk<Result>(key_json)) {
         promise->set_value(std::move(*cached));
         return future;
     }
 
-    post([this, app, config, key_json, promise] {
+    post([this, key_json, run = std::move(run),
+          span_name = std::move(span_name), promise] {
         try {
             const auto t0 = std::chrono::steady_clock::now();
-            RunResult result = runSingleCore(app, config);
+            Result result = run();
             const auto t1 = std::chrono::steady_clock::now();
             const std::chrono::duration<double> dt = t1 - t0;
-            storeToDisk(key_json, false,
-                        runResultToJson(result));
+            storeToDisk(key_json, result);
             noteJobDone(dt.count());
             if (trace::Tracer *tracer =
                     trace::Tracer::globalIfEnabled()) {
-                tracer->span(
-                    "sweep",
-                    "run:" + app + ":" +
-                        policyName(config.policy),
-                    traceWorkerLane(), traceUs(t0),
-                    traceUs(t1) - traceUs(t0));
+                tracer->span("sweep", span_name, traceWorkerLane(),
+                             traceUs(t0), traceUs(t1) - traceUs(t0));
             }
             promise->set_value(std::move(result));
         } catch (...) {
@@ -877,16 +861,24 @@ SweepRunner::enqueue(const std::string &app,
 }
 
 std::shared_future<RunResult>
+SweepRunner::enqueue(const std::string &app,
+                     const SystemConfig &config)
+{
+    return submit<RunResult>(
+        single_, runKeyJson(app, config),
+        [app, config] { return runSingleCore(app, config); },
+        "run:" + app + ":" + policyName(config.policy));
+}
+
+std::shared_future<RunResult>
 SweepRunner::lookup(const std::string &app,
                     const SystemConfig &config)
 {
-    const std::uint64_t trace_hash = traceHashFor(app);
-    const SingleKey key{app, config, trace_hash};
-    const std::string key_json =
-        singleKeyJson(app, config, trace_hash).dump();
+    const std::string key_json = runKeyJson(app, config);
     {
         std::lock_guard lock(cacheMu_);
-        if (const auto it = single_.find(key); it != single_.end()) {
+        if (const auto it = single_.find(key_json);
+            it != single_.end()) {
             if (it->second.wait_for(std::chrono::seconds(0)) !=
                 std::future_status::ready)
                 return {};
@@ -907,7 +899,7 @@ SweepRunner::lookup(const std::string &app,
     std::lock_guard lock(cacheMu_);
     // A no-op when a concurrent enqueue() of the key got there
     // first; its result is the same.
-    single_.emplace(key, future);
+    single_.emplace(key_json, future);
     return future;
 }
 
@@ -915,63 +907,13 @@ std::shared_future<MulticoreResult>
 SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
                               const SystemConfig &config)
 {
-    noteSubmitted();
-    std::vector<std::uint64_t> trace_hashes;
-    trace_hashes.reserve(mix.size());
+    std::string span_name = "multi";
     for (const auto &app : mix)
-        trace_hashes.push_back(traceHashFor(app));
-    const MultiKey key{mix, config, trace_hashes};
-    auto promise =
-        std::make_shared<std::promise<MulticoreResult>>();
-    std::shared_future<MulticoreResult> future;
-    {
-        std::lock_guard lock(cacheMu_);
-        auto it = multi_.find(key);
-        if (it != multi_.end()) {
-            const bool ready =
-                it->second.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready;
-            if (ready)
-                ++stats_.memoHits;
-            else
-                ++stats_.inflightShares;
-            return it->second;
-        }
-        future = promise->get_future().share();
-        multi_.emplace(key, future);
-    }
-
-    const std::string key_json =
-        multiKeyJson(mix, config, trace_hashes).dump();
-    if (auto cached = loadFromDisk<MulticoreResult>(key_json)) {
-        promise->set_value(std::move(*cached));
-        return future;
-    }
-
-    post([this, mix, config, key_json, promise] {
-        try {
-            const auto t0 = std::chrono::steady_clock::now();
-            MulticoreResult result = runMulticore(mix, config);
-            const auto t1 = std::chrono::steady_clock::now();
-            const std::chrono::duration<double> dt = t1 - t0;
-            storeToDisk(key_json, true,
-                        multiResultToJson(result));
-            noteJobDone(dt.count());
-            if (trace::Tracer *tracer =
-                    trace::Tracer::globalIfEnabled()) {
-                std::string name = "multi";
-                for (const auto &app : mix)
-                    name += ":" + app;
-                tracer->span("sweep", name, traceWorkerLane(),
-                             traceUs(t0),
-                             traceUs(t1) - traceUs(t0));
-            }
-            promise->set_value(std::move(result));
-        } catch (...) {
-            promise->set_exception(std::current_exception());
-        }
-    });
-    return future;
+        span_name += ":" + app;
+    return submit<MulticoreResult>(
+        multi_, multiRunKeyJson(mix, config),
+        [mix, config] { return runMulticore(mix, config); },
+        std::move(span_name));
 }
 
 std::vector<RunResult>

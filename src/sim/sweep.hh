@@ -14,8 +14,11 @@
  * are bit-identical for any thread count and benches fetch futures
  * in submission order to keep their printed tables byte-identical.
  *
- * On top of the pool sits a memoizing run cache keyed on
- * (app, SystemConfig):
+ * On top of the pool sits a memoizing run cache keyed on one
+ * canonical string: runKeyJson() for single-core runs (app, trace
+ * content hash, configToJson()) and its multicore counterpart (the
+ * mix, per-app trace hashes, configToJson()). Both tiers use the
+ * same bytes:
  *
  *  - in-memory: repeated requests for the same key return the same
  *    shared_future, and concurrent requests for a key whose
@@ -130,17 +133,19 @@ struct SweepJob
  * results speaks one format.
  */
 
-/** The disk-cache key codec for a SystemConfig. Every keyed field
- *  participates (enforced by sipt-analyze's config-key pass). */
+/** The run-cache key codec for a SystemConfig, and the only
+ *  definition of which fields make an experiment: the memo, the
+ *  disk tier and sipt-serve's job ids all key on its bytes. Every
+ *  field participates (enforced by sipt-analyze's config-key
+ *  pass). */
 Json configToJson(const SystemConfig &config);
 
 /**
- * Strict inverse of configToJson(): every keyed field must be
- * present with the right type and in range, unknown members are
- * rejected, and `engine` stays at its (key-exempt) default. On
- * failure returns nullopt and sets @p error. Designed for wire
- * input: a malformed config must degrade to an error response,
- * never a default-filled run or a panic.
+ * Strict inverse of configToJson(): every field must be present
+ * with the right type and in range, and unknown members are
+ * rejected. On failure returns nullopt and sets @p error.
+ * Designed for wire input: a malformed config must degrade to an
+ * error response, never a default-filled run or a panic.
  */
 std::optional<SystemConfig>
 configFromJson(const Json &j, std::string &error);
@@ -161,10 +166,10 @@ std::optional<RunResult> runResultFromJson(const Json &j,
 std::uint64_t traceHashFor(const std::string &app);
 
 /**
- * The canonical single-run dedup key: the exact JSON string the
- * sweep engine keys its disk cache on (app + trace content hash +
- * full config). External stores that key on this string dedup
- * identically to the engine itself.
+ * The canonical single-run key: the exact JSON string the sweep
+ * engine keys its memo and disk cache on (app + trace content
+ * hash + configToJson()). External stores that key on this string
+ * dedup identically to the engine itself.
  */
 std::string runKeyJson(const std::string &app,
                        const SystemConfig &config);
@@ -251,34 +256,24 @@ class SweepRunner
     void printStats(std::ostream &os) const;
 
   private:
-    struct SingleKey
-    {
-        std::string app;
-        SystemConfig config;
-        /** Content hash of the trace file behind a
-         *  "trace:<path>" app (0 for synthetic apps). Editing a
-         *  trace in place must key differently even though the
-         *  path-visible config is unchanged. */
-        std::uint64_t traceHash = 0;
-        bool operator==(const SingleKey &) const = default;
-    };
-    struct SingleKeyHash
-    {
-        std::size_t operator()(const SingleKey &k) const;
-    };
-    struct MultiKey
-    {
-        std::vector<std::string> mix;
-        SystemConfig config;
-        /** Per-mix-entry trace content hashes (0 for synthetic
-         *  apps), aligned with @c mix. */
-        std::vector<std::uint64_t> traceHashes;
-        bool operator==(const MultiKey &) const = default;
-    };
-    struct MultiKeyHash
-    {
-        std::size_t operator()(const MultiKey &k) const;
-    };
+    /** In-memory memo: canonical key string -> (possibly still
+     *  running) result. */
+    template <typename Result>
+    using Memo =
+        std::unordered_map<std::string, std::shared_future<Result>>;
+
+    /**
+     * The one submit path behind enqueue() and enqueueMulticore():
+     * serve @p key_json from @p memo (a completed or in-flight
+     * entry) or the disk tier, else post @p run to the pool,
+     * publish its result to disk and emit a trace span named
+     * @p span_name around it.
+     */
+    template <typename Result>
+    std::shared_future<Result> submit(Memo<Result> &memo,
+                                      const std::string &key_json,
+                                      std::function<Result()> run,
+                                      std::string span_name);
 
     /** Run @p work now (threads==1) or on the pool. */
     void post(std::function<void()> work);
@@ -305,8 +300,9 @@ class SweepRunner
     template <typename Result>
     std::optional<Result> loadFromDisk(const std::string &key_json);
     /** Publish one entry, then evict to the budget. */
-    void storeToDisk(const std::string &key_json, bool multicore,
-                     const Json &result);
+    template <typename Result>
+    void storeToDisk(const std::string &key_json,
+                     const Result &result);
     /** Mark entry file @p name (of @p bytes) used now: set its
      *  mtime to a fresh stamp and index it. Caller holds
      *  cacheMu_. */
@@ -325,13 +321,8 @@ class SweepRunner
 
     // Memo cache + stats.
     mutable std::mutex cacheMu_;
-    std::unordered_map<SingleKey, std::shared_future<RunResult>,
-                       SingleKeyHash>
-        single_;
-    std::unordered_map<MultiKey,
-                       std::shared_future<MulticoreResult>,
-                       MultiKeyHash>
-        multi_;
+    Memo<RunResult> single_;
+    Memo<MulticoreResult> multi_;
     SweepStats stats_;
     // Disk-cache index (under cacheMu_): entry file name -> size
     // and recency.

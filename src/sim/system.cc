@@ -7,7 +7,6 @@
 
 #include "batch/pipeline.hh"
 #include "common/env.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "dram/dram.hh"
 #include "os/address_space.hh"
@@ -359,29 +358,6 @@ std::uint64_t
 defaultWarmupRefs()
 {
     return envU64("SIPT_WARMUP", 150'000, 1, maxRefs);
-}
-
-std::size_t
-hashValue(const SystemConfig &config)
-{
-    std::size_t h = 0;
-    hashCombine(h, config.outOfOrder);
-    hashCombine(h, static_cast<std::uint8_t>(config.l1Config));
-    hashCombine(h, config.l1SizeBytes);
-    hashCombine(h, config.l1Assoc);
-    hashCombine(h, config.l1HitLatency);
-    hashCombine(h, static_cast<std::uint8_t>(config.policy));
-    hashCombine(h, config.xlatPredEntries);
-    hashCombine(h, config.wayPrediction);
-    hashCombine(h, config.radixWalker);
-    hashCombine(h, static_cast<std::uint8_t>(config.condition));
-    hashCombine(h, config.physMemBytes);
-    hashCombine(h, config.warmupRefs);
-    hashCombine(h, config.measureRefs);
-    hashCombine(h, config.seed);
-    hashCombine(h, config.footprintScale);
-    hashCombine(h, config.check);
-    return h;
 }
 
 RunResult

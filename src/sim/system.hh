@@ -61,7 +61,12 @@ constexpr std::uint64_t maxRefs = std::uint64_t{1} << 40;
  */
 std::uint64_t defaultWarmupRefs();
 
-/** One experiment's system description. */
+/**
+ * One experiment's system description. Its run-cache key is
+ * sim::configToJson() (sim/sweep.hh): every field that influences
+ * simulation results MUST appear there, which sipt-analyze's
+ * config-key pass and tests/test_config_key.cpp enforce.
+ */
 struct SystemConfig
 {
     /** Core + hierarchy depth: true = OOO/3-level (Tab. II left),
@@ -107,37 +112,7 @@ struct SystemConfig
      * the run-cache key because it changes the result payload.
      */
     bool check = false;
-
-    /**
-     * Equality over every field; together with hashValue() this
-     * makes a config usable as a run-cache key, so every field
-     * that influences simulation results MUST participate here.
-     * tests/test_config_key.cpp walks the fields and asserts it.
-     */
-    bool
-    operator==(const SystemConfig &other) const
-    {
-        return outOfOrder == other.outOfOrder &&
-               l1Config == other.l1Config &&
-               l1SizeBytes == other.l1SizeBytes &&
-               l1Assoc == other.l1Assoc &&
-               l1HitLatency == other.l1HitLatency &&
-               policy == other.policy &&
-               xlatPredEntries == other.xlatPredEntries &&
-               wayPrediction == other.wayPrediction &&
-               radixWalker == other.radixWalker &&
-               condition == other.condition &&
-               physMemBytes == other.physMemBytes &&
-               warmupRefs == other.warmupRefs &&
-               measureRefs == other.measureRefs &&
-               seed == other.seed &&
-               footprintScale == other.footprintScale &&
-               check == other.check;
-    }
 };
-
-/** Hash over every SystemConfig field (the run-cache key). */
-std::size_t hashValue(const SystemConfig &config);
 
 /** Metrics from one application run. */
 struct RunResult

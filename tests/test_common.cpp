@@ -1,16 +1,21 @@
 /**
  * @file
- * Unit tests for the RNG, statistics helpers, and text tables.
+ * Unit tests for the RNG, statistics helpers, text tables, the
+ * strict environment/flag parsers and the strict JSON parser.
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -398,6 +403,130 @@ TEST(Env, FlagParserReadsValuesAndExitsOnBadOnes)
     i = 7;
     EXPECT_EXIT(flags.u64(8, argv, i, 1, 1u << 30),
                 testing::ExitedWithCode(7), "missing value");
+}
+
+
+/** @p n nested arrays: "[[...]]". */
+std::string
+nestedArrays(std::size_t n)
+{
+    return std::string(n, '[') + std::string(n, ']');
+}
+
+TEST(Json, RejectsGarbageInsteadOfGuessing)
+{
+    // Every wire frame and cache entry goes through Json::parse:
+    // each of these used to crash, or to decode to a value the
+    // text did not say.
+    struct Case
+    {
+        const char *what;
+        std::string text;
+    };
+    const Case cases[] = {
+        {"unbounded nesting", std::string(100'000, '[')},
+        {"65 levels", nestedArrays(65)},
+        {"uint64 overflow", "18446744073709551616"},
+        {"overflow in a member", "{\"seed\":99999999999999999999}"},
+        {"double overflow", "1e999"},
+        {"non-hex \\u", "\"\\uzzzz\""},
+        {"short \\u", "\"\\u00e\""},
+        {"lone low surrogate", "\"\\udc00\""},
+        {"unpaired high surrogate", "\"\\ud800x\""},
+        {"high + non-low surrogate", "\"\\ud800\\u0041\""},
+        {"unknown escape", "\"\\q\""},
+        {"raw control char", std::string("\"a\x01z\"")},
+        {"raw newline", "\"a\nz\""},
+        {"number then garbage", "1-2"},
+        {"leading zero", "01"},
+        {"bare minus", "-"},
+        {"double minus", "--1"},
+        {"plus sign", "+1"},
+        {"empty fraction", "1."},
+        {"missing integer part", ".5"},
+        {"empty exponent", "1e"},
+        {"signed empty exponent", "1e+"},
+        {"hex literal", "0x10"},
+        {"NaN", "NaN"},
+        {"Infinity", "Infinity"},
+        {"duplicate member", "{\"op\":\"poll\",\"op\":\"stats\"}"},
+        {"nested duplicate", "{\"a\":{\"b\":1,\"b\":1}}"},
+        {"trailing comma (array)", "[1,]"},
+        {"trailing comma (object)", "{\"a\":1,}"},
+        {"trailing garbage", "{} x"},
+        {"two documents", "1 2"},
+        {"empty", ""},
+        {"whitespace only", " \n\t"},
+        {"vertical tab", "\v1"},
+        {"truncated literal", "tru"},
+        {"unterminated string", "\"abc"},
+        {"unterminated object", "{\"a\":1"},
+        {"bare key", "{a:1}"},
+    };
+    for (const Case &c : cases) {
+        EXPECT_FALSE(Json::parse(c.text).has_value())
+            << c.what << ": '" << c.text.substr(0, 40) << "'";
+    }
+}
+
+TEST(Json, AcceptsTheRfc8259Grammar)
+{
+    struct Case
+    {
+        std::string text;
+        std::string dump;
+    };
+    const Case cases[] = {
+        {"0", "0"},
+        {"18446744073709551615", "18446744073709551615"},
+        {"-0", "-0.0"},
+        {"-12", "-12.0"},
+        {"1.5e3", "1500.0"},
+        {"2E-1", "0.20000000000000001"},
+        {"0.5", "0.5"},
+        {"4.9406564584124654e-324", "4.9406564584124654e-324"},
+        {"\"\\u0041\\u00e9\"", "\"A\xc3\xa9\""},
+        {"\"\\ud83d\\ude00\"", "\"\xf0\x9f\x98\x80\""},
+        {"\"\\b\\f\\/\"", "\"\\u0008\\u000c/\""},
+        {" { \"a\" : [ 1 , true , null ] }\r\n",
+         "{\"a\":[1,true,null]}"},
+        {"{\"a\":{\"a\":1}}", "{\"a\":{\"a\":1}}"},
+        {nestedArrays(64), nestedArrays(64)},
+    };
+    for (const Case &c : cases) {
+        const auto j = Json::parse(c.text);
+        ASSERT_TRUE(j.has_value()) << "'" << c.text << "'";
+        EXPECT_EQ(j->dump(), c.dump) << "'" << c.text << "'";
+    }
+}
+
+TEST(Json, EmittedDocumentsRoundTrip)
+{
+    // Everything dump() can emit parses back to the same value and
+    // the same bytes: every scalar kind at its extremes, escaped
+    // strings and nested containers.
+    Json doc = Json::object();
+    doc.set("max", std::numeric_limits<std::uint64_t>::max());
+    doc.set("zero", std::uint64_t{0});
+    doc.set("pi", 3.141592653589793);
+    doc.set("tiny", std::numeric_limits<double>::denorm_min());
+    doc.set("huge", std::numeric_limits<double>::max());
+    doc.set("negative", -2.5);
+    doc.set("whole", 4.0);
+    doc.set("text", std::string("q\"b\\s\n\t\r\x01\x1f\x7f\xc3\xa9"));
+    doc.set("flag", false);
+    doc.set("nothing", Json());
+    Json list = Json::array();
+    list.push(Json::object());
+    list.push(Json::array());
+    list.push(doc);
+    doc.set("list", std::move(list));
+
+    const std::string bytes = doc.dump();
+    const auto back = Json::parse(bytes);
+    ASSERT_TRUE(back.has_value()) << bytes;
+    EXPECT_TRUE(*back == doc);
+    EXPECT_EQ(back->dump(), bytes);
 }
 
 } // namespace

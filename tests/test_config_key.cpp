@@ -1,16 +1,17 @@
 /**
  * @file
- * SystemConfig as a run-cache key: field-wise equality and
- * hashValue() must react to every result-influencing field —
- * a field the key ignores would let the cache serve a stale
- * result for a different experiment.
+ * SystemConfig as a run-cache key: the canonical key (runKeyJson(),
+ * built on configToJson()) must react to every result-influencing
+ * field — a field the key ignores would let the cache serve a
+ * stale result for a different experiment — and configFromJson()
+ * must invert configToJson() field for field.
  */
 
 #include <array>
 
 #include <gtest/gtest.h>
 
-#include "sim/system.hh"
+#include "sim/sweep.hh"
 
 namespace sipt::sim
 {
@@ -26,7 +27,18 @@ namespace
  */
 constexpr std::array<const char *, 0> kKeyExemptFields = {};
 
-/** Mutate one field, expect inequality and a hash change. */
+/** configToJson() of @p c, decoded and re-encoded. */
+std::string
+roundTripped(const SystemConfig &c)
+{
+    std::string error;
+    const auto decoded = configFromJson(configToJson(c), error);
+    EXPECT_TRUE(decoded.has_value()) << error;
+    return decoded ? configToJson(*decoded).dump() : "";
+}
+
+/** Mutate one field, expect a different key that still
+ *  round-trips through the wire codec. */
 template <typename Mutate>
 void
 expectFieldMatters(const char *field, Mutate mutate)
@@ -34,27 +46,28 @@ expectFieldMatters(const char *field, Mutate mutate)
     const SystemConfig base;
     SystemConfig changed = base;
     mutate(changed);
-    EXPECT_FALSE(changed == base)
-        << field << " does not participate in operator==";
-    EXPECT_NE(hashValue(changed), hashValue(base))
-        << field << " does not participate in hashValue()";
+    EXPECT_NE(runKeyJson("mcf", changed), runKeyJson("mcf", base))
+        << field << " does not participate in the run key";
+    EXPECT_EQ(roundTripped(changed), configToJson(changed).dump())
+        << field << " does not round-trip through configFromJson()";
 }
 
-TEST(ConfigKey, EqualConfigsCompareAndHashEqual)
+TEST(ConfigKey, EqualConfigsKeyEqual)
 {
     const SystemConfig a;
     const SystemConfig b;
-    EXPECT_TRUE(a == b);
-    EXPECT_EQ(hashValue(a), hashValue(b));
+    EXPECT_EQ(runKeyJson("mcf", a), runKeyJson("mcf", b));
 
     SystemConfig c;
     c.policy = IndexingPolicy::SiptCombined;
     c.l1Config = L1Config::Sipt32K2;
     c.condition = MemCondition::Fragmented;
     c.footprintScale = 0.25;
-    SystemConfig d = c;
-    EXPECT_TRUE(c == d);
-    EXPECT_EQ(hashValue(c), hashValue(d));
+    const SystemConfig d = c;
+    EXPECT_EQ(runKeyJson("mcf", c), runKeyJson("mcf", d));
+    EXPECT_EQ(roundTripped(c), configToJson(c).dump());
+    // The app is part of the key too.
+    EXPECT_NE(runKeyJson("mcf", c), runKeyJson("gcc", c));
 }
 
 TEST(ConfigKey, EveryFieldParticipates)
@@ -112,9 +125,9 @@ TEST(ConfigKey, EveryFieldParticipates)
 TEST(ConfigKey, ExemptListFlipsLeaveTheKeyUnchanged)
 {
     // Every listed exemption must be proven outside the key by a
-    // mutation here (perturb the field, expect operator== and
-    // hashValue() unchanged). No field is exempt today, so a new
-    // entry fails until its mutation is added.
+    // mutation here (perturb the field, expect runKeyJson()
+    // unchanged). No field is exempt today, so a new entry fails
+    // until its mutation is added.
     for (const char *field : kKeyExemptFields) {
         FAIL() << "kKeyExemptFields names `" << field
                << "` but this test has no mutation for it";
@@ -133,10 +146,8 @@ TEST(ConfigKey, ConditionValuesAreDistinct)
             SystemConfig ca, cb;
             ca.condition = a;
             cb.condition = b;
-            EXPECT_EQ(ca == cb, a == b);
-            if (a != b) {
-                EXPECT_NE(hashValue(ca), hashValue(cb));
-            }
+            EXPECT_EQ(runKeyJson("mcf", ca) == runKeyJson("mcf", cb),
+                      a == b);
         }
     }
 }

@@ -72,6 +72,10 @@ TEST(Metrics, ToJsonNestsByDottedPath)
     EXPECT_DOUBLE_EQ(hmean.get("16K4w").asDouble(), 1.002);
     EXPECT_EQ(summary.get("apps").asUint(), 26u);
     EXPECT_DOUBLE_EQ(j.get("ipc").asDouble(), 1.5);
+    // The emitted document parses back byte for byte.
+    const auto back = Json::parse(j.dump());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->dump(), j.dump());
 }
 
 TEST(Metrics, SerialisationIsInsertionOrderedAndStable)

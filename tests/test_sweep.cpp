@@ -1,18 +1,22 @@
 /**
  * @file
  * The parallel sweep engine: submission-order results from
- * runBatch(), memo/disk cache hit accounting, in-flight
- * deduplication of identical concurrent jobs, generic async()
- * tasks, and bit-identical results across thread counts.
+ * runBatch(), memo/disk cache hit accounting for single-core and
+ * multicore jobs alike, in-flight deduplication of identical
+ * concurrent jobs, the committed canonical run-key bytes, generic
+ * async() tasks, and bit-identical results across thread counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
 
+#include "common/hash.hh"
+#include "fixture_table.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::sim
@@ -130,6 +134,59 @@ TEST(Sweep, InflightSubmissionsShareOneSimulation)
     EXPECT_EQ(s.submitted, 10u);
     EXPECT_EQ(s.executed, 1u);
     EXPECT_EQ(s.memoHits + s.inflightShares, 9u);
+}
+
+TEST(Sweep, MulticoreMemoHitsAndInflightShares)
+{
+    // enqueueMulticore() takes the same submit path as enqueue():
+    // six submissions of one mix from a 4-thread pool run it once.
+    SweepRunner runner(SweepOptions{4, "-"});
+    auto cfg = quick(IndexingPolicy::SiptCombined);
+    cfg.footprintScale = 0.5;
+    const std::vector<std::string> mix = {"mcf", "gcc", "lbm",
+                                          "mcf"};
+    std::vector<std::shared_future<MulticoreResult>> futures;
+    for (int i = 0; i < 6; ++i)
+        futures.push_back(runner.enqueueMulticore(mix, cfg));
+    for (auto &f : futures)
+        EXPECT_DOUBLE_EQ(f.get().sumIpc, futures.front().get().sumIpc);
+
+    const auto s = runner.stats();
+    EXPECT_EQ(s.submitted, 6u);
+    EXPECT_EQ(s.executed, 1u);
+    EXPECT_EQ(s.memoHits + s.inflightShares, 5u);
+}
+
+TEST(Sweep, SingleAndMulticoreKeysNeverShareAnEntry)
+{
+    // A one-app mix runs the same app under the same config, but
+    // its result is a MulticoreResult: the two must key apart in
+    // the memo and on disk, and lookup() sees only single runs.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "sipt_test_single_vs_multi";
+    std::filesystem::remove_all(dir);
+    const auto cfg = quick(IndexingPolicy::SiptCombined);
+    {
+        SweepRunner runner(SweepOptions{1, dir.string()});
+        (void)runner.enqueueMulticore({"mcf"}, cfg).get();
+        // lookup() after only the multicore run is a miss.
+        EXPECT_FALSE(runner.lookup("mcf", cfg).valid());
+        (void)runner.enqueue("mcf", cfg).get();
+        const auto s = runner.stats();
+        EXPECT_EQ(s.executed, 2u);
+        EXPECT_EQ(s.memoHits + s.inflightShares + s.diskHits, 0u);
+        EXPECT_EQ(s.diskEntries, 2u);
+    }
+    {
+        // A fresh runner over the same directory: each kind is a
+        // disk hit for its own entry point only.
+        SweepRunner runner(SweepOptions{1, dir.string()});
+        EXPECT_TRUE(runner.lookup("mcf", cfg).valid());
+        (void)runner.enqueueMulticore({"mcf"}, cfg).get();
+        EXPECT_EQ(runner.stats().diskHits, 2u);
+        EXPECT_EQ(runner.stats().executed, 0u);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, DiskCacheSurvivesRunnerRestart)
@@ -445,6 +502,111 @@ TEST(Sweep, EditedTraceInvalidatesMemoAndDiskCache)
     }
     std::filesystem::remove_all(dir);
     std::filesystem::remove(path);
+}
+
+/** Disk-cache entry file name of a single-core key. */
+std::string
+runEntryName(const std::string &key_json)
+{
+    char name[64];
+    std::snprintf(name, sizeof(name), "run-%016llx.json",
+                  static_cast<unsigned long long>(fnv1a64(key_json)));
+    return name;
+}
+
+TEST(Sweep, RunKeys)
+{
+    // The canonical key bytes name every disk-cache entry and
+    // every sipt-serve job id, so they must never drift without a
+    // cacheFormatVersion bump. One row per key: label, entry file
+    // name, key. Every field is set explicitly (warmupRefs would
+    // otherwise read SIPT_WARMUP). After an intentional key
+    // change, regenerate with:
+    //
+    //   ctest --test-dir build -R 'Sweep.RunKeys'
+    //   cp build/tests/sweep_fixtures/RunKeys.txt tests/fixtures/sweep/
+    std::vector<std::string> rows;
+    auto single = [&](const std::string &label,
+                      const std::string &app,
+                      const SystemConfig &config) {
+        const std::string key = runKeyJson(app, config);
+        rows.push_back(label + " " + runEntryName(key) + " " + key);
+    };
+
+    SystemConfig base;
+    base.warmupRefs = 150'000;
+    base.measureRefs = 400'000;
+    single("default-vipt", "mcf", base);
+
+    SystemConfig sipt = base;
+    sipt.l1Config = L1Config::Sipt32K2;
+    sipt.policy = IndexingPolicy::SiptCombined;
+    sipt.condition = MemCondition::Fragmented;
+    sipt.wayPrediction = true;
+    sipt.radixWalker = true;
+    single("sipt32k2-combined", "gcc", sipt);
+
+    // A fuzzer-style sample: overridden geometry, shrunken
+    // predictor tables, a small machine, a non-dyadic footprint
+    // scale (pins the double formatting) and a full-width seed.
+    SystemConfig fuzz = base;
+    fuzz.outOfOrder = false;
+    fuzz.l1SizeBytes = 16 * 1024;
+    fuzz.l1Assoc = 2;
+    fuzz.l1HitLatency = 3;
+    fuzz.policy = IndexingPolicy::SiptPcax;
+    fuzz.xlatPredEntries = 32;
+    fuzz.condition = MemCondition::ThpOff;
+    fuzz.physMemBytes = 256ull << 20;
+    fuzz.warmupRefs = 977;
+    fuzz.measureRefs = 2'345;
+    fuzz.seed = 0x9e3779b97f4a7c15ull;
+    fuzz.footprintScale = 0.0537;
+    fuzz.check = true;
+    single("fuzzer-geometry", "synonym:shared-a3-k5-huge", fuzz);
+
+    SystemConfig half = base;
+    half.l1Config = L1Config::Sipt64K4;
+    half.policy = IndexingPolicy::Ideal;
+    half.condition = MemCondition::NoContiguity;
+    half.footprintScale = 0.5;
+    single("footprint-half", "lbm", half);
+
+    // App names are escaped into the key, never spliced raw.
+    single("escaped-app", "odd \"name\"\\\t", base);
+
+    // The multicore key is internal to the engine; read it back
+    // from the entry the run publishes.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "sipt_test_run_keys";
+    std::filesystem::remove_all(dir);
+    SystemConfig quad = half;
+    quad.condition = MemCondition::Normal;
+    quad.warmupRefs = 500;
+    quad.measureRefs = 500;
+    {
+        SweepRunner runner(SweepOptions{1, dir.string()});
+        (void)runner
+            .enqueueMulticore({"mcf", "lbm", "gcc", "mcf"}, quad)
+            .get();
+    }
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path());
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        const auto parsed = Json::parse(bytes.str());
+        ASSERT_TRUE(parsed && parsed->find("key"));
+        rows.push_back("multi-quad " +
+                       entry.path().filename().string() + " " +
+                       parsed->find("key")->dump());
+    }
+    std::filesystem::remove_all(dir);
+
+    testfix::expectMatchesFixture(
+        rows, SIPT_SWEEP_FIXTURE_DIR, SIPT_SWEEP_FIXTURE_OUT,
+        "Sweep.RunKeys: label, entry file, canonical run key "
+        "(tests/test_sweep.cpp)");
 }
 
 TEST(Sweep, AsyncRunsGenericTasks)

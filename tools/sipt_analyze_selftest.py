@@ -84,14 +84,6 @@ def config_key_fixture(**edits):
             "    // sipt-analyze: key-exempt(serves both "
             "engines)\n"
             "    int engine = 0;\n"
-            "\n"
-            "    bool\n"
-            "    operator==(const SystemConfig &other) const\n"
-            "    {\n"
-            "        return outOfOrder == other.outOfOrder &&\n"
-            "               measureRefs == other.measureRefs &&\n"
-            "               warmupRefs == other.warmupRefs;\n"
-            "    }\n"
             "};\n"
             "\n"
             "struct RunResult {\n"
@@ -101,20 +93,6 @@ def config_key_fixture(**edits):
             "\n"
             "} // namespace sipt::sim\n"
             "#endif\n",
-        "src/sim/system.cc":
-            '#include "sim/system.hh"\n'
-            "namespace sipt::sim\n"
-            "{\n"
-            "std::size_t\n"
-            "hashValue(const SystemConfig &config)\n"
-            "{\n"
-            "    std::size_t h = 0;\n"
-            "    hashCombine(h, config.outOfOrder);\n"
-            "    hashCombine(h, config.measureRefs);\n"
-            "    hashCombine(h, config.warmupRefs);\n"
-            "    return h;\n"
-            "}\n"
-            "} // namespace sipt::sim\n",
         "src/sim/sweep.cc":
             '#include "sim/system.hh"\n'
             "namespace sipt::sim\n"
@@ -149,29 +127,10 @@ def config_key_fixture(**edits):
 class ConfigKey(AnalyzeCase):
     def test_clean_fixture_passes(self):
         # Also the parser regression case: the call-expression
-        # default, the digit separator, the in-struct operator==
-        # and the trailing RunResult struct must all parse.
+        # default, the digit separator and the trailing RunResult
+        # struct must all parse.
         self.assertEqual(
             self.run_pass("config-key", config_key_fixture()), [])
-
-    def test_field_missing_from_hash(self):
-        files = config_key_fixture()
-        files["src/sim/system.cc"] = files[
-            "src/sim/system.cc"].replace(
-            "    hashCombine(h, config.warmupRefs);\n", "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "missing from hashValue()")
-
-    def test_field_missing_from_equality(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
-            " &&\n               warmupRefs == "
-            "other.warmupRefs", "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "missing from operator==")
 
     def test_field_missing_from_sweep_cache_key(self):
         files = config_key_fixture()
@@ -180,7 +139,7 @@ class ConfigKey(AnalyzeCase):
             '    j.set("warmupRefs", c.warmupRefs);\n', "")
         diags = self.run_pass("config-key", files)
         self.assert_diag(diags, "src/sim/system.hh",
-                         "missing from the sweep cache key")
+                         "missing from the run key")
 
     def test_unkeyed_field_without_annotation(self):
         files = config_key_fixture()
@@ -189,17 +148,17 @@ class ConfigKey(AnalyzeCase):
             "    int engine = 0;\n",
             "    int engine = 0;\n    int undocumented = 0;\n")
         diags = self.run_pass("config-key", files)
-        # Missing from all three key surfaces.
+        # Missing from the one key encoding.
         self.assert_diag(diags, "src/sim/system.hh",
                          "SystemConfig::undocumented is missing",
-                         count=3)
+                         count=1)
 
     def test_stale_exemption_rejected(self):
         files = config_key_fixture()
-        files["src/sim/system.cc"] = files[
-            "src/sim/system.cc"].replace(
-            "    return h;\n",
-            "    hashCombine(h, config.engine);\n    return h;\n")
+        files["src/sim/sweep.cc"] = files[
+            "src/sim/sweep.cc"].replace(
+            "    return j;\n",
+            '    j.set("engine", c.engine);\n    return j;\n')
         diags = self.run_pass("config-key", files)
         self.assert_diag(diags, "src/sim/system.hh",
                          "stale exemption: `engine`")
