@@ -31,18 +31,16 @@ CacheGeometry::speculativeBits() const
     return floorLog2(way_bytes) - pageShift;
 }
 
-CacheArray::CacheArray(const CacheGeometry &geometry,
-                       std::uint64_t seed)
+CacheArray::CacheArray(const CacheGeometry &geometry)
     : geometry_(geometry), numSets_(geometry.numSets()),
       assoc_(geometry.assoc),
       lineShift_(floorLog2(geometry.lineBytes)),
-      rngState_(seed | 1),
       tags_(static_cast<std::size_t>(numSets_) * geometry.assoc,
             invalidTag),
       lastUse_(static_cast<std::size_t>(numSets_) * geometry.assoc,
                0),
       validMask_(numSets_, 0), dirtyMask_(numSets_, 0),
-      plruBits_(numSets_, 0), mru_(numSets_, 0)
+      mru_(numSets_, 0)
 {
     if (geometry.sizeBytes == 0 || geometry.assoc == 0 ||
         geometry.lineBytes == 0) {
@@ -140,73 +138,21 @@ CacheArray::validLines() const
 }
 
 std::uint32_t
-CacheArray::selectVictim(std::uint32_t set)
+CacheArray::selectVictim(std::uint32_t set) const
 {
-    // Lowest invalid way first, regardless of policy.
+    // Lowest invalid way first.
     const std::uint32_t invalid = ~validMask_[set] & fullMask();
     if (invalid)
         return static_cast<std::uint32_t>(
             std::countr_zero(invalid));
 
-    switch (geometry_.repl) {
-      case ReplPolicy::Lru: {
-        const std::uint64_t *use = &lastUse_[slot(set, 0)];
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 1; w < assoc_; ++w) {
-            if (use[w] < use[victim])
-                victim = w;
-        }
-        return victim;
-      }
-      case ReplPolicy::TreePlru: {
-        // Walk the tree toward the *not*-recently-used side.
-        std::uint32_t node = 0;
-        std::uint32_t lo = 0;
-        std::uint32_t hi = assoc_;
-        const std::uint32_t tree = plruBits_[set];
-        while (hi - lo > 1) {
-            const bool right = ((tree >> node) & 1u) == 0;
-            const std::uint32_t mid = (lo + hi) / 2;
-            node = 2 * node + (right ? 2 : 1);
-            if (right)
-                lo = mid;
-            else
-                hi = mid;
-        }
-        return lo;
-      }
-      case ReplPolicy::Random: {
-        rngState_ ^= rngState_ << 13;
-        rngState_ ^= rngState_ >> 7;
-        rngState_ ^= rngState_ << 17;
-        return static_cast<std::uint32_t>(rngState_ % assoc_);
-      }
+    const std::uint64_t *use = &lastUse_[slot(set, 0)];
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < assoc_; ++w) {
+        if (use[w] < use[victim])
+            victim = w;
     }
-    panic("unreachable replacement policy");
-}
-
-void
-CacheArray::touchPlru(std::uint32_t set, std::uint32_t way)
-{
-    // Flip internal nodes on the path to point away from way.
-    std::uint32_t node = 0;
-    std::uint32_t lo = 0;
-    std::uint32_t hi = assoc_;
-    std::uint32_t tree = plruBits_[set];
-    while (hi - lo > 1) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        const bool went_right = way >= mid;
-        if (went_right) {
-            tree |= (1u << node);
-            node = 2 * node + 2;
-            lo = mid;
-        } else {
-            tree &= ~(1u << node);
-            node = 2 * node + 1;
-            hi = mid;
-        }
-    }
-    plruBits_[set] = tree;
+    return victim;
 }
 
 } // namespace sipt::cache

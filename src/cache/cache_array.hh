@@ -1,6 +1,6 @@
 /**
  * @file
- * A set-associative cache tag/data array with pluggable replacement.
+ * A set-associative cache tag/data array with true-LRU replacement.
  *
  * The array is indexed explicitly by set number so that the SIPT L1
  * controller can probe it with a *speculative* index while lines are
@@ -24,21 +24,12 @@
 namespace sipt::cache
 {
 
-/** Replacement policy selector. */
-enum class ReplPolicy : std::uint8_t
-{
-    Lru,       ///< true LRU (per-line timestamps)
-    TreePlru,  ///< binary-tree pseudo-LRU
-    Random,    ///< xorshift-seeded random victim
-};
-
 /** Geometry of a cache array. */
 struct CacheGeometry
 {
     std::uint64_t sizeBytes = 32 * 1024;
     std::uint32_t assoc = 8;
     std::uint32_t lineBytes = 64;
-    ReplPolicy repl = ReplPolicy::Lru;
 
     /** Number of sets implied by the geometry. */
     std::uint32_t numSets() const;
@@ -65,8 +56,7 @@ struct Eviction
 class CacheArray
 {
   public:
-    explicit CacheArray(const CacheGeometry &geometry,
-                        std::uint64_t seed = 7);
+    explicit CacheArray(const CacheGeometry &geometry);
 
     /** The set a physical byte address maps to. */
     std::uint32_t
@@ -170,22 +160,18 @@ class CacheArray
         return static_cast<std::size_t>(set) * assoc_ + way;
     }
 
-    /** Choose a victim way in @p set per the replacement policy. */
-    std::uint32_t selectVictim(std::uint32_t set);
+    /** Choose a victim way in @p set: the lowest invalid way, else
+     *  the least recently used one. */
+    std::uint32_t selectVictim(std::uint32_t set) const;
 
     /** Update replacement metadata after touching (set, way). */
     void touchLine(std::uint32_t set, std::uint32_t way);
-
-    /** Tree-PLRU part of touchLine (out of line; the common LRU
-     *  case stays branch-light in the inlined touch path). */
-    void touchPlru(std::uint32_t set, std::uint32_t way);
 
     CacheGeometry geometry_;
     std::uint32_t numSets_;
     std::uint32_t assoc_;
     unsigned lineShift_;
     std::uint64_t useClock_ = 0;
-    std::uint64_t rngState_;
     /**
      * Struct-of-arrays line state. Tags are the probe-critical
      * stream: a 16-way set is two host cache lines of tags instead
@@ -197,8 +183,6 @@ class CacheArray
     std::vector<std::uint64_t> lastUse_;
     std::vector<std::uint32_t> validMask_;
     std::vector<std::uint32_t> dirtyMask_;
-    /** Tree-PLRU state: one bit vector per set (assoc-1 bits). */
-    std::vector<std::uint32_t> plruBits_;
     /** MRU way per set, maintained for way prediction. */
     std::vector<std::uint32_t> mru_;
 };
@@ -221,8 +205,6 @@ CacheArray::touchLine(std::uint32_t set, std::uint32_t way)
 {
     lastUse_[slot(set, way)] = ++useClock_;
     mru_[set] = way;
-    if (geometry_.repl == ReplPolicy::TreePlru)
-        touchPlru(set, way);
 }
 
 } // namespace sipt::cache

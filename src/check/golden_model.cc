@@ -36,9 +36,8 @@ msg(Args &&...args)
 } // namespace
 
 GoldenL1::GoldenL1(std::uint64_t size_bytes, std::uint32_t assoc,
-                   std::uint32_t line_bytes, bool strict_lru,
-                   Mutation mutation)
-    : assoc_(assoc), strictLru_(strict_lru), mutation_(mutation)
+                   std::uint32_t line_bytes, Mutation mutation)
+    : assoc_(assoc), mutation_(mutation)
 {
     if (size_bytes == 0 || assoc == 0 || line_bytes == 0 ||
         !isPowerOfTwo(line_bytes)) {
@@ -172,8 +171,7 @@ GoldenL1::access(const Observation &obs)
                        " which is not resident in golden set ",
                        set);
         }
-        if (strictLru_ &&
-            victim_it->lineAddr != resident.back().lineAddr) {
+        if (victim_it->lineAddr != resident.back().lineAddr) {
             return msg("LRU victim divergence in set ", set,
                        ": golden ", hexAddr(resident.back().lineAddr),
                        ", L1 ", hexAddr(obs.evictedLine));
@@ -215,11 +213,9 @@ GoldenL1::access(const Observation &obs)
 DifferentialChecker::DifferentialChecker(const Options &options,
                                          std::uint64_t size_bytes,
                                          std::uint32_t assoc,
-                                         std::uint32_t line_bytes,
-                                         bool strict_lru)
+                                         std::uint32_t line_bytes)
     : options_(options),
-      golden_(size_bytes, assoc, line_bytes, strict_lru,
-              options.mutation),
+      golden_(size_bytes, assoc, line_bytes, options.mutation),
       vivt_(size_bytes, assoc, line_bytes),
       digest_(fnv1a64({}))
 {

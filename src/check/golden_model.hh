@@ -91,11 +91,9 @@ struct Observation
 
 /**
  * The untimed reference L1: physical indexing only. Replacement is
- * true LRU (MRU-front lists); when the real array uses a different
- * policy the caller disables strict victim checking and the model
- * *adopts* the observed victim after verifying it was a resident
- * line with a matching dirty bit — set membership, tags, and dirty
- * state are still fully checked.
+ * true LRU (MRU-front lists), the array's only policy, so every
+ * observed victim must be a resident line, must be exactly the
+ * golden LRU choice, and must carry a matching dirty bit.
  */
 class GoldenL1
 {
@@ -104,12 +102,10 @@ class GoldenL1
      * @param size_bytes total capacity
      * @param assoc ways per set
      * @param line_bytes line size (power of two)
-     * @param strict_lru victims must equal golden LRU choice
      * @param mutation deliberate corruption for harness self-test
      */
     GoldenL1(std::uint64_t size_bytes, std::uint32_t assoc,
-             std::uint32_t line_bytes, bool strict_lru,
-             Mutation mutation);
+             std::uint32_t line_bytes, Mutation mutation);
 
     /**
      * Run one access through the reference model and diff it
@@ -149,7 +145,6 @@ class GoldenL1
     std::uint32_t numSets_;
     std::uint32_t assoc_;
     unsigned lineShift_;
-    bool strictLru_;
     Mutation mutation_;
     std::unordered_map<std::uint32_t, Set> sets_;
 };
@@ -170,12 +165,11 @@ class DifferentialChecker
      * @param size_bytes L1 capacity
      * @param assoc L1 associativity
      * @param line_bytes L1 line size
-     * @param strict_lru true when the array's replacement is LRU
      */
     DifferentialChecker(const Options &options,
                         std::uint64_t size_bytes,
                         std::uint32_t assoc,
-                        std::uint32_t line_bytes, bool strict_lru);
+                        std::uint32_t line_bytes);
 
     /**
      * Check one completed access. @p stats is the controller's

@@ -1,8 +1,7 @@
 /**
  * @file
  * Durable whole-file publishing, the one write primitive behind
- * the sweep engine's file-per-key disk cache (which is also the
- * serve daemon's result store).
+ * the sweep engine's file-per-key disk cache.
  *
  * The contract is write-then-publish: bytes are written to a
  * private temp file, fsync'd so they are on the platter, and only

@@ -9,10 +9,10 @@
  * value always serialises to the same bytes. Doubles round-trip
  * exactly (printed with 17 significant digits).
  *
- * The parser is strict RFC 8259: it reads every sipt-serve wire
- * frame and every cache entry, so it rejects what it cannot
- * represent exactly (integer overflow, duplicate member names,
- * nesting deeper than 64) instead of guessing.
+ * The parser is strict RFC 8259: it reads every run-cache entry,
+ * so it rejects what it cannot represent exactly (integer
+ * overflow, duplicate member names, nesting deeper than 64)
+ * instead of guessing.
  */
 
 #ifndef SIPT_COMMON_JSON_HH
@@ -91,7 +91,7 @@ class Json
     /**
      * Object member by insertion index (panics when out of range /
      * not an object). Together with size() this lets validators —
-     * e.g. the serve protocol's strict request parser — walk an
+     * e.g. the run cache's strict result decoder — walk an
      * object's members and reject unknown keys.
      */
     const std::pair<std::string, Json> &

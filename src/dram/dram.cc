@@ -78,12 +78,4 @@ Dram::access(Addr paddr, Cycles now, bool write)
     return (start - now) + service;
 }
 
-double
-Dram::rowHitRate() const
-{
-    return accesses_ ? static_cast<double>(rowHits_) /
-                           static_cast<double>(accesses_)
-                     : 0.0;
-}
-
 } // namespace sipt::dram

@@ -76,9 +76,6 @@ class Dram
     std::uint64_t rowMisses() const { return rowMisses_; }
     std::uint64_t rowConflicts() const { return rowConflicts_; }
 
-    /** Row-buffer hit rate over all accesses. */
-    double rowHitRate() const;
-
     /** Dynamic energy consumed so far, in nJ. */
     double
     dynamicEnergyNj() const

@@ -91,47 +91,6 @@ CombinedIndexPredictor::update(Addr pc, Vpn vpn, Pfn pfn)
     idb_.update(pc, vpn, pfn);
 }
 
-IndexPrediction
-CombinedIndexPredictor::resolveTraced(Addr pc, Vpn vpn, Pfn pfn)
-{
-    const int y = perceptron_.outputFor(pc);
-    perceptron_.notePrediction();
-
-    IndexPrediction pred;
-    const auto va_bits =
-        static_cast<std::uint32_t>(vpn & mask(specBits_));
-    if (y >= 0) {
-        pred.bits = va_bits;
-        pred.source = IndexSource::VaBits;
-    } else if (specBits_ == 1) {
-        // Reversed prediction: "will change" + one bit means the
-        // post-translation bit is the complement (paper, Sec. VI).
-        pred.bits = va_bits ^ 1u;
-        pred.source = IndexSource::Reversed;
-    } else {
-        pred.bits = idb_.predictBits(pc, vpn);
-        pred.source = IndexSource::Idb;
-    }
-    lastPred_ = pred;
-
-    const bool unchanged =
-        (vpn & mask(specBits_)) == (pfn & mask(specBits_));
-    const auto pa_bits =
-        static_cast<std::uint32_t>(pfn & mask(specBits_));
-    trace::PredictorEvent event;
-    event.predictor = "combined-index";
-    event.pc = pc;
-    event.seq = resolves_++;
-    event.decision = indexSourceName(lastPred_.source);
-    event.predicted = lastPred_.bits;
-    event.actual = pa_bits;
-    event.correct = lastPred_.bits == pa_bits;
-    trace_->predictor(traceLane_, event);
-    perceptron_.trainWithOutput(pc, unchanged, y);
-    idb_.update(pc, vpn, pfn);
-    return pred;
-}
-
 std::uint64_t
 CombinedIndexPredictor::storageBytes() const
 {

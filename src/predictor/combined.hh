@@ -78,9 +78,9 @@ class CombinedIndexPredictor
      * Fused predict + update for one access whose translation is
      * already known (the pipeline resolves the address before it
      * predicts). Computes the perceptron output once instead of
-     * twice; state, counter, and trace-event sequence are
-     * identical to predict() followed by update(). Defined inline
-     * below (the traced variant stays out of line).
+     * twice; state and counters are identical to predict()
+     * followed by update(), which is what it runs when a tracer
+     * is attached. Defined inline below.
      */
     IndexPrediction resolve(Addr pc, Vpn vpn, Pfn pfn);
 
@@ -98,11 +98,6 @@ class CombinedIndexPredictor
     std::uint64_t storageBytes() const;
 
   private:
-    /** resolve() when a tracer is attached: same state
-     *  transitions, plus the combined-index event between the
-     *  prediction and the perceptron/IDB training. */
-    IndexPrediction resolveTraced(Addr pc, Vpn vpn, Pfn pfn);
-
     std::uint32_t specBits_;
     PerceptronBypassPredictor perceptron_;
     IndexDeltaBuffer idb_;
@@ -118,8 +113,13 @@ class CombinedIndexPredictor
 inline IndexPrediction
 CombinedIndexPredictor::resolve(Addr pc, Vpn vpn, Pfn pfn)
 {
-    if (trace_)
-        return resolveTraced(pc, vpn, pfn);
+    if (trace_) {
+        // update() emits the combined-index event between the
+        // prediction and the perceptron/IDB training.
+        const IndexPrediction pred = predict(pc, vpn);
+        update(pc, vpn, pfn);
+        return pred;
+    }
 
     const int y = perceptron_.outputFor(pc);
     perceptron_.notePrediction();

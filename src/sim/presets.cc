@@ -96,7 +96,6 @@ l1Preset(L1Config config, IndexingPolicy policy,
     p.policy = policy;
     p.wayPrediction = way_prediction;
     p.geometry.lineBytes = 64;
-    p.geometry.repl = cache::ReplPolicy::Lru;
 
     // Latency / energy / static power are the paper's published
     // CACTI values (Tab. II). The 16 KiB point is not in Tab. II;

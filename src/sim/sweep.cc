@@ -6,14 +6,12 @@
 // (app, SystemConfig).
 // sipt-lint: allow-file(nondeterminism)
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <tuple>
 
 #include "common/env.hh"
 #include "common/fsio.hh"
@@ -200,8 +198,6 @@ l1StatsFromJson(const Json &j)
     return s;
 }
 
-} // namespace
-
 /**
  * Content hash of the trace file behind a "trace:<path>" app,
  * 0 for synthetic apps. Recomputed at every enqueue so an edited
@@ -215,6 +211,8 @@ traceHashFor(const std::string &app)
                ? workload::traceContentHash(traceAppPath(app))
                : 0;
 }
+
+} // namespace
 
 Json
 configToJson(const SystemConfig &c)
@@ -240,136 +238,6 @@ configToJson(const SystemConfig &c)
     j.set("footprintScale", c.footprintScale);
     j.set("check", c.check);
     return j;
-}
-
-std::optional<SystemConfig>
-configFromJson(const Json &j, std::string &error)
-{
-    if (!j.isObject()) {
-        error = "config must be a JSON object";
-        return std::nullopt;
-    }
-
-    // The exact member set configToJson() emits; anything else —
-    // missing, extra, or misspelt — is a hard error so that wire
-    // input can never silently run a default-filled config.
-    static constexpr const char *known[] = {
-        "outOfOrder",   "l1Config",     "l1SizeBytes",
-        "l1Assoc",      "l1HitLatency", "policy",
-        "xlatPredEntries", "wayPrediction", "radixWalker",
-        "condition",    "physMemBytes", "warmupRefs",
-        "measureRefs",  "seed",         "footprintScale",
-        "check",
-    };
-
-    const Json *fields[std::size(known)] = {};
-    for (std::size_t i = 0; i < j.size(); ++i) {
-        const auto &[name, value] = j.member(i);
-        bool matched = false;
-        for (std::size_t k = 0; k < std::size(known); ++k) {
-            if (name == known[k]) {
-                fields[k] = &value;
-                matched = true;
-                break;
-            }
-        }
-        if (!matched) {
-            error = "unknown config member \"" + name + "\"";
-            return std::nullopt;
-        }
-    }
-    for (std::size_t k = 0; k < std::size(known); ++k) {
-        if (fields[k] == nullptr) {
-            error = std::string("missing config member \"") +
-                    known[k] + "\"";
-            return std::nullopt;
-        }
-    }
-
-    auto field = [&](const char *name) -> const Json & {
-        for (std::size_t k = 0; k < std::size(known); ++k)
-            if (std::string_view(known[k]) == name)
-                return *fields[k];
-        SIPT_ASSERT(false, "configFromJson: bad field name");
-    };
-    auto needBool = [&](const char *name, bool &out) {
-        const Json &v = field(name);
-        if (!v.isBool()) {
-            error = std::string("config member \"") + name +
-                    "\" must be a bool";
-            return false;
-        }
-        out = v.asBool();
-        return true;
-    };
-    auto needUint = [&](const char *name, std::uint64_t max,
-                        std::uint64_t &out) {
-        const Json &v = field(name);
-        if (!v.isUint() || v.asUint() > max) {
-            error = std::string("config member \"") + name +
-                    "\" must be an integer in [0, " +
-                    std::to_string(max) + "]";
-            return false;
-        }
-        out = v.asUint();
-        return true;
-    };
-
-    SystemConfig c;
-    std::uint64_t u = 0;
-    if (!needBool("outOfOrder", c.outOfOrder))
-        return std::nullopt;
-    if (!needUint("l1Config",
-                  static_cast<std::uint64_t>(L1Config::Sipt128K4),
-                  u))
-        return std::nullopt;
-    c.l1Config = static_cast<L1Config>(u);
-    if (!needUint("l1SizeBytes", UINT64_MAX, c.l1SizeBytes))
-        return std::nullopt;
-    if (!needUint("l1Assoc", UINT32_MAX, u))
-        return std::nullopt;
-    c.l1Assoc = static_cast<std::uint32_t>(u);
-    if (!needUint("l1HitLatency", UINT64_MAX, c.l1HitLatency))
-        return std::nullopt;
-    if (!needUint("policy",
-                  static_cast<std::uint64_t>(
-                      IndexingPolicy::SiptPcax),
-                  u))
-        return std::nullopt;
-    c.policy = static_cast<IndexingPolicy>(u);
-    if (!needUint("xlatPredEntries", UINT32_MAX, u))
-        return std::nullopt;
-    c.xlatPredEntries = static_cast<std::uint32_t>(u);
-    if (!needBool("wayPrediction", c.wayPrediction))
-        return std::nullopt;
-    if (!needBool("radixWalker", c.radixWalker))
-        return std::nullopt;
-    if (!needUint("condition",
-                  static_cast<std::uint64_t>(
-                      MemCondition::NoContiguity),
-                  u))
-        return std::nullopt;
-    c.condition = static_cast<MemCondition>(u);
-    if (!needUint("physMemBytes", UINT64_MAX, c.physMemBytes))
-        return std::nullopt;
-    if (!needUint("warmupRefs", UINT64_MAX, c.warmupRefs))
-        return std::nullopt;
-    if (!needUint("measureRefs", UINT64_MAX, c.measureRefs))
-        return std::nullopt;
-    if (!needUint("seed", UINT64_MAX, c.seed))
-        return std::nullopt;
-    {
-        const Json &v = field("footprintScale");
-        if (!v.isNumber() || v.asDouble() <= 0.0) {
-            error = "config member \"footprintScale\" must be a "
-                    "positive number";
-            return std::nullopt;
-        }
-        c.footprintScale = v.asDouble();
-    }
-    if (!needBool("check", c.check))
-        return std::nullopt;
-    return c;
 }
 
 Json
@@ -486,7 +354,7 @@ multiRunKeyJson(const std::vector<std::string> &mix,
     return j.dump();
 }
 
-/** Disk-cache/wire JSON of either result type. */
+/** Disk-cache JSON of either result type. */
 Json
 resultToJson(const RunResult &r)
 {
@@ -547,7 +415,6 @@ SweepRunner::SweepRunner(const SweepOptions &options)
         options.threads ? options.threads : threadsFromEnv();
     cacheDir_ = options.cacheDir.empty() ? cacheDirFromEnv()
                                          : options.cacheDir;
-    cacheBudget_ = options.cacheBudget;
     if (cacheDir_ == "-")
         cacheDir_.clear();
     if (!cacheDir_.empty()) {
@@ -558,28 +425,6 @@ SweepRunner::SweepRunner(const SweepOptions &options)
                  "' (", ec.message(), "); disk cache disabled");
             cacheDir_.clear();
         }
-    }
-    // Index the entries already on disk. Only published entries
-    // count: never the serve daemon's socket or a `*.tmp.*` file.
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    for (fs::directory_iterator it(cacheDir_, ec);
-         !cacheDir_.empty() && !ec && it != fs::directory_iterator();
-         it.increment(ec)) {
-        const std::string name = it->path().filename().string();
-        std::error_code entry_ec;
-        if (!(name.starts_with("run-") ||
-              name.starts_with("multi-")) ||
-            !name.ends_with(".json") || !it->is_regular_file(entry_ec))
-            continue;
-        const std::uint64_t bytes = it->file_size(entry_ec);
-        const fs::file_time_type stamp =
-            it->last_write_time(entry_ec);
-        if (entry_ec)
-            continue;
-        disk_[name] = DiskEntry{bytes, stamp};
-        diskBytes_ += bytes;
-        lastStamp_ = std::max(lastStamp_, stamp);
     }
     stats_.threads = threads_;
     if (threads_ > 1) {
@@ -685,40 +530,22 @@ SweepRunner::noteJobDone(double seconds)
     lastComplete_ = std::chrono::steady_clock::now();
 }
 
-void
-SweepRunner::touchLocked(const std::string &name,
-                         std::uint64_t bytes)
-{
-    // Strictly increasing stamps keep the recency order total even
-    // when two touches land in one clock tick.
-    lastStamp_ = std::max(std::filesystem::file_time_type::clock::now(),
-                          lastStamp_ + std::chrono::nanoseconds(1));
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        std::filesystem::path(cacheDir_) / name, lastStamp_, ec);
-    DiskEntry &entry = disk_[name];
-    diskBytes_ = diskBytes_ - entry.bytes + bytes;
-    entry = DiskEntry{bytes, lastStamp_};
-}
-
 template <typename Result>
 std::optional<Result>
 SweepRunner::loadFromDisk(const std::string &key_json)
 {
     if (cacheDir_.empty())
         return std::nullopt;
-    const std::string name = entryName(
-        key_json, std::is_same_v<Result, MulticoreResult>);
     const std::filesystem::path path =
-        std::filesystem::path(cacheDir_) / name;
+        std::filesystem::path(cacheDir_) /
+        entryName(key_json, std::is_same_v<Result, MulticoreResult>);
     std::ifstream in(path);
     if (!in)
         return std::nullopt;
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string bytes = buf.str();
 
-    const auto entry = Json::parse(bytes);
+    const auto entry = Json::parse(buf.str());
     const Json *version = entry ? entry->find("version") : nullptr;
     const Json *key = entry ? entry->find("key") : nullptr;
     const Json *result = entry ? entry->find("result") : nullptr;
@@ -749,7 +576,6 @@ SweepRunner::loadFromDisk(const std::string &key_json)
         return std::nullopt;
     }
     std::lock_guard lock(cacheMu_);
-    touchLocked(name, bytes.size());
     ++stats_.diskHits;
     lastComplete_ = std::chrono::steady_clock::now();
     return decoded;
@@ -762,10 +588,9 @@ SweepRunner::storeToDisk(const std::string &key_json,
 {
     if (cacheDir_.empty())
         return;
-    const std::string name = entryName(
-        key_json, std::is_same_v<Result, MulticoreResult>);
     const std::filesystem::path path =
-        std::filesystem::path(cacheDir_) / name;
+        std::filesystem::path(cacheDir_) /
+        entryName(key_json, std::is_same_v<Result, MulticoreResult>);
 
     const Json result_json = resultToJson(result);
     Json entry = Json::object();
@@ -782,29 +607,8 @@ SweepRunner::storeToDisk(const std::string &key_json,
     const std::string tmp_suffix =
         ".tmp." + std::to_string(std::hash<std::thread::id>{}(
                       std::this_thread::get_id()));
-    if (!fsio::atomicPublish(path.string(), bytes, tmp_suffix)) {
+    if (!fsio::atomicPublish(path.string(), bytes, tmp_suffix))
         warn("sweep: cannot write cache entry ", path.string());
-        return;
-    }
-
-    std::lock_guard lock(cacheMu_);
-    touchLocked(name, bytes.size());
-    // Evict least recently used entries until the directory fits;
-    // the entry just published is the most recent.
-    while (cacheBudget_ != 0 && diskBytes_ > cacheBudget_) {
-        const auto victim = std::min_element(
-            disk_.begin(), disk_.end(),
-            [](const auto &a, const auto &b) {
-                return std::tie(a.second.stamp, a.first) <
-                       std::tie(b.second.stamp, b.first);
-            });
-        std::error_code ec;
-        std::filesystem::remove(
-            std::filesystem::path(cacheDir_) / victim->first, ec);
-        diskBytes_ -= victim->second.bytes;
-        disk_.erase(victim);
-        ++stats_.evictions;
-    }
 }
 
 template <typename Result>
@@ -870,39 +674,6 @@ SweepRunner::enqueue(const std::string &app,
         "run:" + app + ":" + policyName(config.policy));
 }
 
-std::shared_future<RunResult>
-SweepRunner::lookup(const std::string &app,
-                    const SystemConfig &config)
-{
-    const std::string key_json = runKeyJson(app, config);
-    {
-        std::lock_guard lock(cacheMu_);
-        if (const auto it = single_.find(key_json);
-            it != single_.end()) {
-            if (it->second.wait_for(std::chrono::seconds(0)) !=
-                std::future_status::ready)
-                return {};
-            const std::string name = entryName(key_json, false);
-            if (const auto d = disk_.find(name); d != disk_.end())
-                touchLocked(name, d->second.bytes);
-            return it->second;
-        }
-    }
-
-    auto cached = loadFromDisk<RunResult>(key_json);
-    if (!cached)
-        return {};
-    std::promise<RunResult> loaded;
-    loaded.set_value(std::move(*cached));
-    std::shared_future<RunResult> future =
-        loaded.get_future().share();
-    std::lock_guard lock(cacheMu_);
-    // A no-op when a concurrent enqueue() of the key got there
-    // first; its result is the same.
-    single_.emplace(key_json, future);
-    return future;
-}
-
 std::shared_future<MulticoreResult>
 SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
                               const SystemConfig &config)
@@ -935,8 +706,6 @@ SweepRunner::stats() const
 {
     std::lock_guard lock(cacheMu_);
     SweepStats s = stats_;
-    s.diskEntries = disk_.size();
-    s.diskBytes = diskBytes_;
     if (anySubmitted_) {
         const auto end = lastComplete_.time_since_epoch().count()
                              ? lastComplete_

@@ -33,13 +33,6 @@
  *    never a wrong result; an entry that fails to decode warns and
  *    is re-run and republished.
  *
- * The disk tier is also sipt-serve's durable result store. The
- * runner indexes the directory once when it opens it. With a byte
- * budget set, each publish deletes least-recently-used entries
- * until the directory fits. Recency is the file's mtime, which
- * every publish, disk hit and lookup() sets, so a restarted runner
- * evicts in the same order.
- *
  * Generic tasks (async()) run arbitrary work on the same pool for
  * the trace-analysis benches; they are not cached.
  */
@@ -51,7 +44,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <filesystem>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -80,9 +72,6 @@ struct SweepOptions
     /** On-disk cache directory; empty = SIPT_RUN_CACHE or off.
      *  "-" disables the disk cache even when the env var is set. */
     std::string cacheDir;
-    /** Disk-cache byte budget (sum of entry file sizes); 0 =
-     *  unlimited. */
-    std::uint64_t cacheBudget = 0;
 };
 
 /** Aggregate engine counters (printed in every bench footer). */
@@ -97,14 +86,8 @@ struct SweepStats
     std::uint64_t memoHits = 0;
     /** Attached to a still-running simulation of the same key. */
     std::uint64_t inflightShares = 0;
-    /** Served from the on-disk JSON cache (by enqueue() or
-     *  lookup()). */
+    /** Served from the on-disk JSON cache. */
     std::uint64_t diskHits = 0;
-    /** Entry files in the disk cache, and their summed size. */
-    std::uint64_t diskEntries = 0;
-    std::uint64_t diskBytes = 0;
-    /** Entries deleted to keep the disk cache within budget. */
-    std::uint64_t evictions = 0;
     /** Uncached generic async() tasks executed. */
     std::uint64_t genericTasks = 0;
     /** Wall-clock seconds from first submission to last
@@ -127,49 +110,30 @@ struct SweepJob
 };
 
 /**
- * Serialisation and dedup hooks for external callers (the serve
- * daemon, tooling). These are the sweep engine's own on-disk cache
- * codecs, exported so every layer that persists or transmits run
- * results speaks one format.
+ * The sweep engine's run-key and disk-cache codecs, exported for
+ * tests and tooling.
  */
 
 /** The run-cache key codec for a SystemConfig, and the only
- *  definition of which fields make an experiment: the memo, the
- *  disk tier and sipt-serve's job ids all key on its bytes. Every
- *  field participates (enforced by sipt-analyze's config-key
- *  pass). */
+ *  definition of which fields make an experiment: the memo and the
+ *  disk tier both key on its bytes. Every field participates
+ *  (enforced by sipt-analyze's config-key pass). */
 Json configToJson(const SystemConfig &config);
 
-/**
- * Strict inverse of configToJson(): every field must be present
- * with the right type and in range, and unknown members are
- * rejected. On failure returns nullopt and sets @p error.
- * Designed for wire input: a malformed config must degrade to an
- * error response, never a default-filled run or a panic.
- */
-std::optional<SystemConfig>
-configFromJson(const Json &j, std::string &error);
-
-/** RunResult -> disk-cache/wire JSON. */
+/** RunResult -> disk-cache JSON. */
 Json runResultToJson(const RunResult &result);
 
-/** Strict inverse of runResultToJson(), in the style of
- *  configFromJson(): every member must be present with the right
- *  type and unknown members are rejected. On failure returns
- *  nullopt and sets @p error, so a malformed cache entry is a
- *  miss, never a panic. */
+/** Strict inverse of runResultToJson(): every member must be
+ *  present with the right type and unknown members are rejected.
+ *  On failure returns nullopt and sets @p error, so a malformed
+ *  cache entry is a miss, never a panic. */
 std::optional<RunResult> runResultFromJson(const Json &j,
                                            std::string &error);
-
-/** Content hash of the trace file behind a "trace:<path>" app
- *  (0 for synthetic apps); part of every dedup key. */
-std::uint64_t traceHashFor(const std::string &app);
 
 /**
  * The canonical single-run key: the exact JSON string the sweep
  * engine keys its memo and disk cache on (app + trace content
- * hash + configToJson()). External stores that key on this string
- * dedup identically to the engine itself.
+ * hash + configToJson()).
  */
 std::string runKeyJson(const std::string &app,
                        const SystemConfig &config);
@@ -198,15 +162,6 @@ class SweepRunner
      */
     std::shared_future<RunResult>
     enqueue(const std::string &app, const SystemConfig &config);
-
-    /**
-     * Non-executing probe for one single-core run: the ready memo
-     * entry for the key, or — on a disk hit — the entry loaded into
-     * the memo. Refreshes the disk entry's recency. Returns an
-     * invalid future on a miss, including a run still in flight.
-     */
-    std::shared_future<RunResult>
-    lookup(const std::string &app, const SystemConfig &config);
 
     /** Submit one multiprogrammed runMulticore() job. */
     std::shared_future<MulticoreResult>
@@ -287,30 +242,18 @@ class SweepRunner
     void noteGenericDone();
     void noteJobDone(double seconds);
 
-    /** One indexed disk-cache entry file. */
-    struct DiskEntry
-    {
-        std::uint64_t bytes = 0;
-        std::filesystem::file_time_type stamp;
-    };
-
     /** Disk-cache probe: the decoded entry for @p key_json, or
      *  nullopt on a miss. A malformed entry warns and misses; a
-     *  hit counts in diskHits and refreshes recency. */
+     *  hit counts in diskHits. */
     template <typename Result>
     std::optional<Result> loadFromDisk(const std::string &key_json);
-    /** Publish one entry, then evict to the budget. */
+    /** Publish one entry (write-tmp + fsync + rename). */
     template <typename Result>
     void storeToDisk(const std::string &key_json,
                      const Result &result);
-    /** Mark entry file @p name (of @p bytes) used now: set its
-     *  mtime to a fresh stamp and index it. Caller holds
-     *  cacheMu_. */
-    void touchLocked(const std::string &name, std::uint64_t bytes);
 
     unsigned threads_ = 1;
     std::string cacheDir_;
-    std::uint64_t cacheBudget_ = 0;
 
     // Pool state.
     std::vector<std::thread> workers_;
@@ -324,13 +267,6 @@ class SweepRunner
     Memo<RunResult> single_;
     Memo<MulticoreResult> multi_;
     SweepStats stats_;
-    // Disk-cache index (under cacheMu_): entry file name -> size
-    // and recency.
-    std::unordered_map<std::string, DiskEntry> disk_;
-    std::uint64_t diskBytes_ = 0;
-    /** Latest stamp handed out; stamps strictly increase. */
-    std::filesystem::file_time_type lastStamp_ =
-        std::filesystem::file_time_type::min();
     std::chrono::steady_clock::time_point firstSubmit_;
     std::chrono::steady_clock::time_point lastComplete_;
     bool anySubmitted_ = false;

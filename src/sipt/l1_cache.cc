@@ -138,8 +138,7 @@ SiptL1Cache::SiptL1Cache(const L1Params &params,
     if (params.check.enabled) {
         checker_ = std::make_unique<check::DifferentialChecker>(
             params.check, params.geometry.sizeBytes,
-            params.geometry.assoc, params.geometry.lineBytes,
-            params.geometry.repl == cache::ReplPolicy::Lru);
+            params.geometry.assoc, params.geometry.lineBytes);
     }
     trace_ = trace::Tracer::globalIfEnabled();
     if (trace_)

@@ -89,8 +89,7 @@ const char *policyName(IndexingPolicy policy);
 struct L1Params
 {
     std::string name = "L1D";
-    cache::CacheGeometry geometry{32 * 1024, 8, 64,
-                                  cache::ReplPolicy::Lru};
+    cache::CacheGeometry geometry{32 * 1024, 8, 64};
     /** Array access latency in cycles (Tab. II). */
     Cycles hitLatency = 4;
     IndexingPolicy policy = IndexingPolicy::Vipt;

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the set-associative cache array: geometry math,
- * lookup/insert/invalidate, dirty tracking, replacement policies
- * (true LRU against a reference model, tree-PLRU sanity), and the
- * speculative-bits helper.
+ * lookup/insert/invalidate, dirty tracking, true-LRU replacement
+ * against a reference model, and the speculative-bits helper.
  */
 
 #include <list>
@@ -20,14 +19,12 @@ namespace
 {
 
 CacheGeometry
-geom(std::uint64_t size, std::uint32_t assoc,
-     ReplPolicy repl = ReplPolicy::Lru)
+geom(std::uint64_t size, std::uint32_t assoc)
 {
     CacheGeometry g;
     g.sizeBytes = size;
     g.assoc = assoc;
     g.lineBytes = 64;
-    g.repl = repl;
     return g;
 }
 
@@ -205,58 +202,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(32ull * 1024, 8u),
                       std::make_pair(16ull * 1024, 16u),
                       std::make_pair(2ull * 1024, 32u)));
-
-TEST(TreePlru, VictimIsNotRecentlyUsed)
-{
-    CacheArray a(geom(8 * 64 * 4, 4, ReplPolicy::TreePlru));
-    const auto set = a.setOf(0);
-    const Addr stride = 8 * 64 * 4 / 4;
-    // Fill the set.
-    for (int i = 0; i < 4; ++i)
-        a.insert(set, stride * i, false);
-    // Touch three lines. Tree-PLRU is an approximation, so the
-    // victim need not be the true LRU, but it must never be the
-    // most recently used line, and the tree must steer away
-    // from the whole recently-touched pair.
-    a.lookup(set, stride * 0);
-    a.lookup(set, stride * 1);
-    a.lookup(set, stride * 2);
-    const auto ev = a.insert(set, stride * 100, false);
-    ASSERT_TRUE(ev.has_value());
-    EXPECT_NE(ev->lineAddr, stride * 2); // MRU is protected
-    EXPECT_NE(ev->lineAddr, stride * 1); // its pair-partner too
-}
-
-TEST(TreePlru, NeverEvictsTheMru)
-{
-    CacheArray a(geom(16 * 1024, 8, ReplPolicy::TreePlru));
-    Rng rng(9);
-    for (int i = 0; i < 20000; ++i) {
-        const Addr paddr = rng.below(1u << 14) << lineShift;
-        const auto set = a.setOf(paddr);
-        const Addr mru_before = paddr;
-        if (a.lookup(set, paddr) < 0) {
-            const auto ev = a.insert(set, paddr, false);
-            if (ev) {
-                ASSERT_NE(ev->lineAddr >> lineShift,
-                          mru_before >> lineShift);
-            }
-        }
-    }
-}
-
-TEST(RandomRepl, FillsAllWaysBeforeEvicting)
-{
-    CacheArray a(geom(4 * 1024, 4, ReplPolicy::Random));
-    const auto set = a.setOf(0);
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_FALSE(
-            a.insert(set, Addr{4096u} * (i + 1), false)
-                .has_value());
-    }
-    EXPECT_TRUE(
-        a.insert(set, Addr{4096u} * 99, false).has_value());
-}
 
 TEST(CacheArray, BadGeometryIsFatal)
 {

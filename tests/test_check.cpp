@@ -332,10 +332,9 @@ TEST(Invariants, WayPredictionDiscountIsExact)
 // ---------------------------------------------------------------
 
 check::GoldenL1
-tinyGolden(bool strict_lru = true,
-           Mutation mutation = Mutation::None)
+tinyGolden(Mutation mutation = Mutation::None)
 {
-    return check::GoldenL1(256, 2, 64, strict_lru, mutation);
+    return check::GoldenL1(256, 2, 64, mutation);
 }
 
 Observation
@@ -409,21 +408,17 @@ TEST(GoldenL1, StrictLruVictimIsChecked)
     EXPECT_FALSE(g2.contains(0x80));
 }
 
-TEST(GoldenL1, AdoptedVictimMustStillBeResident)
+TEST(GoldenL1, NeverResidentVictimIsRejected)
 {
-    auto g = tinyGolden(/*strict_lru=*/false);
+    auto g = tinyGolden();
     g.access(obs(0x0, MemOp::Load, false));
     g.access(obs(0x80, MemOp::Load, false));
-    // Non-LRU replacement: either resident line is acceptable...
-    Observation any = obs(0x100, MemOp::Load, false);
-    any.evicted = true;
-    any.evictedLine = 0x0;
-    EXPECT_EQ(g.access(any), "");
-    // ...but a line that was never resident is not.
-    Observation bogus = obs(0x180, MemOp::Load, false);
+    // The fill must evict, but 0x200 was never resident.
+    Observation bogus = obs(0x100, MemOp::Load, false);
     bogus.evicted = true;
     bogus.evictedLine = 0x200;
-    EXPECT_NE(g.access(bogus), "");
+    const std::string diff = g.access(bogus);
+    EXPECT_NE(diff.find("not resident"), std::string::npos) << diff;
 }
 
 TEST(GoldenL1, WritebackExactlyWhenVictimDirty)
@@ -482,7 +477,7 @@ TEST(GoldenL1, SynonymsResolveToOnePhysicalLine)
 
 TEST(GoldenL1, MutationDropTagCheckFalseHits)
 {
-    auto g = tinyGolden(true, Mutation::DropTagCheck);
+    auto g = tinyGolden(Mutation::DropTagCheck);
     g.access(obs(0x0, MemOp::Load, false));
     // 0x80 maps to the same set: the mutated model "hits" on the
     // resident 0x0 line and must disagree with the real miss.
@@ -493,7 +488,7 @@ TEST(GoldenL1, MutationDropTagCheckFalseHits)
 
 TEST(GoldenL1, MutationDropDirtyDiverges)
 {
-    auto g = tinyGolden(true, Mutation::DropDirty);
+    auto g = tinyGolden(Mutation::DropDirty);
     const std::string diff =
         g.access(obs(0x0, MemOp::Store, false));
     EXPECT_NE(diff, "");
@@ -502,7 +497,7 @@ TEST(GoldenL1, MutationDropDirtyDiverges)
 
 TEST(GoldenL1, MutationDropWritebackDiverges)
 {
-    auto g = tinyGolden(true, Mutation::DropWriteback);
+    auto g = tinyGolden(Mutation::DropWriteback);
     g.access(obs(0x0, MemOp::Store, false));
     g.access(obs(0x80, MemOp::Load, false));
     Observation evict = obs(0x100, MemOp::Load, false);

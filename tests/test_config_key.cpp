@@ -3,8 +3,7 @@
  * SystemConfig as a run-cache key: the canonical key (runKeyJson(),
  * built on configToJson()) must react to every result-influencing
  * field — a field the key ignores would let the cache serve a
- * stale result for a different experiment — and configFromJson()
- * must invert configToJson() field for field.
+ * stale result for a different experiment.
  */
 
 #include <array>
@@ -27,18 +26,7 @@ namespace
  */
 constexpr std::array<const char *, 0> kKeyExemptFields = {};
 
-/** configToJson() of @p c, decoded and re-encoded. */
-std::string
-roundTripped(const SystemConfig &c)
-{
-    std::string error;
-    const auto decoded = configFromJson(configToJson(c), error);
-    EXPECT_TRUE(decoded.has_value()) << error;
-    return decoded ? configToJson(*decoded).dump() : "";
-}
-
-/** Mutate one field, expect a different key that still
- *  round-trips through the wire codec. */
+/** Mutate one field, expect a different key. */
 template <typename Mutate>
 void
 expectFieldMatters(const char *field, Mutate mutate)
@@ -48,8 +36,6 @@ expectFieldMatters(const char *field, Mutate mutate)
     mutate(changed);
     EXPECT_NE(runKeyJson("mcf", changed), runKeyJson("mcf", base))
         << field << " does not participate in the run key";
-    EXPECT_EQ(roundTripped(changed), configToJson(changed).dump())
-        << field << " does not round-trip through configFromJson()";
 }
 
 TEST(ConfigKey, EqualConfigsKeyEqual)
@@ -65,7 +51,6 @@ TEST(ConfigKey, EqualConfigsKeyEqual)
     c.footprintScale = 0.25;
     const SystemConfig d = c;
     EXPECT_EQ(runKeyJson("mcf", c), runKeyJson("mcf", d));
-    EXPECT_EQ(roundTripped(c), configToJson(c).dump());
     // The app is part of the key too.
     EXPECT_NE(runKeyJson("mcf", c), runKeyJson("gcc", c));
 }

@@ -4,7 +4,8 @@
  * runBatch(), memo/disk cache hit accounting for single-core and
  * multicore jobs alike, in-flight deduplication of identical
  * concurrent jobs, the committed canonical run-key bytes, generic
- * async() tasks, and bit-identical results across thread counts.
+ * async() tasks, bit-identical results across thread counts, and
+ * the disk tier's crash safety (torn and mutated entries).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "common/hash.hh"
 #include "fixture_table.hh"
+#include "mutants.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::sim
@@ -157,11 +159,24 @@ TEST(Sweep, MulticoreMemoHitsAndInflightShares)
     EXPECT_EQ(s.memoHits + s.inflightShares, 5u);
 }
 
+/** Published entry files in @p dir whose name starts with
+ *  @p prefix ("run-" or "multi-"); temp files never count. */
+std::size_t
+countEntries(const std::filesystem::path &dir, const std::string &prefix)
+{
+    std::size_t n = 0;
+    for (const auto &file : std::filesystem::directory_iterator(dir)) {
+        const std::string name = file.path().filename().string();
+        n += name.starts_with(prefix) && name.ends_with(".json");
+    }
+    return n;
+}
+
 TEST(Sweep, SingleAndMulticoreKeysNeverShareAnEntry)
 {
     // A one-app mix runs the same app under the same config, but
     // its result is a MulticoreResult: the two must key apart in
-    // the memo and on disk, and lookup() sees only single runs.
+    // the memo and on disk.
     const auto dir = std::filesystem::temp_directory_path() /
                      "sipt_test_single_vs_multi";
     std::filesystem::remove_all(dir);
@@ -169,19 +184,19 @@ TEST(Sweep, SingleAndMulticoreKeysNeverShareAnEntry)
     {
         SweepRunner runner(SweepOptions{1, dir.string()});
         (void)runner.enqueueMulticore({"mcf"}, cfg).get();
-        // lookup() after only the multicore run is a miss.
-        EXPECT_FALSE(runner.lookup("mcf", cfg).valid());
+        // The single run after only the multicore run is a miss.
         (void)runner.enqueue("mcf", cfg).get();
         const auto s = runner.stats();
         EXPECT_EQ(s.executed, 2u);
         EXPECT_EQ(s.memoHits + s.inflightShares + s.diskHits, 0u);
-        EXPECT_EQ(s.diskEntries, 2u);
+        EXPECT_EQ(countEntries(dir, "run-"), 1u);
+        EXPECT_EQ(countEntries(dir, "multi-"), 1u);
     }
     {
         // A fresh runner over the same directory: each kind is a
         // disk hit for its own entry point only.
         SweepRunner runner(SweepOptions{1, dir.string()});
-        EXPECT_TRUE(runner.lookup("mcf", cfg).valid());
+        (void)runner.enqueue("mcf", cfg).get();
         (void)runner.enqueueMulticore({"mcf"}, cfg).get();
         EXPECT_EQ(runner.stats().diskHits, 2u);
         EXPECT_EQ(runner.stats().executed, 0u);
@@ -516,9 +531,8 @@ runEntryName(const std::string &key_json)
 
 TEST(Sweep, RunKeys)
 {
-    // The canonical key bytes name every disk-cache entry and
-    // every sipt-serve job id, so they must never drift without a
-    // cacheFormatVersion bump. One row per key: label, entry file
+    // The canonical key bytes name every disk-cache entry, so
+    // they must never drift without a cacheFormatVersion bump. One row per key: label, entry file
     // name, key. Every field is set explicitly (warmupRefs would
     // otherwise read SIPT_WARMUP). After an intentional key
     // change, regenerate with:
@@ -633,6 +647,149 @@ TEST(Sweep, StatsRates)
     s.memoHits = 1;
     s.diskHits = 1;
     EXPECT_DOUBLE_EQ(s.hitRate(), 0.5);
+}
+
+// ---------------------------------------------------------------
+// Crash safety of the SIPT_RUN_CACHE disk tier. An entry is
+// published by write-tmp + fsync + rename, so a crash leaves at
+// worst a stray `*.tmp.*` file, and disk corruption leaves a
+// damaged published file. For every byte prefix of a real entry in
+// both places, and for a seeded set of byte mutants, enqueue() on a
+// fresh runner must return the exact original result — as a disk
+// hit or by re-running — never a wrong result, never an abort, and
+// a re-run must republish the original bytes.
+// ---------------------------------------------------------------
+
+/** A cheap job: small machine, few references. */
+SystemConfig
+tiny()
+{
+    SystemConfig cfg;
+    cfg.l1Config = L1Config::Sipt32K2;
+    cfg.policy = IndexingPolicy::SiptCombined;
+    cfg.physMemBytes = 64ull << 20;
+    cfg.footprintScale = 0.0625;
+    cfg.warmupRefs = 200;
+    cfg.measureRefs = 400;
+    cfg.seed = 9;
+    return cfg;
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+void
+writeFile(const std::filesystem::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/** A fresh cache directory holding one real published entry. */
+struct PublishedEntry
+{
+    std::filesystem::path dir;
+    std::filesystem::path path;
+    std::string bytes;
+    /** runResultToJson() of the entry's result. */
+    std::string result;
+
+    explicit PublishedEntry(const std::string &name)
+        : dir(std::filesystem::temp_directory_path() /
+              ("sipt_test_run_cache_" + name))
+    {
+        std::filesystem::remove_all(dir);
+        SweepRunner runner(SweepOptions{1, dir.string()});
+        result = runResultToJson(runner.enqueue("mcf", tiny()).get())
+                     .dump();
+        path = dir / runEntryName(runKeyJson("mcf", tiny()));
+        bytes = readFile(path);
+    }
+    ~PublishedEntry() { std::filesystem::remove_all(dir); }
+};
+
+/** enqueue() of the entry's job on a fresh runner over its
+ *  directory. Expects the original result and, when the job ran,
+ *  the original entry bytes republished. @return true on a disk
+ *  hit, false when the job re-ran. */
+bool
+freshEnqueue(const PublishedEntry &entry, const std::string &what)
+{
+    SweepRunner runner(SweepOptions{1, entry.dir.string()});
+    const RunResult r = runner.enqueue("mcf", tiny()).get();
+    const SweepStats s = runner.stats();
+    EXPECT_EQ(runResultToJson(r).dump(), entry.result)
+        << what << " served a wrong result";
+    EXPECT_EQ(s.executed + s.diskHits, 1u) << what;
+    if (s.executed == 1) {
+        EXPECT_EQ(readFile(entry.path), entry.bytes)
+            << what << " was not republished byte-identically";
+    }
+    return s.diskHits == 1;
+}
+
+TEST(RunCache, EveryBytePrefixIsAMissOrTheOriginal)
+{
+    const PublishedEntry entry("prefix");
+    const std::filesystem::path stray =
+        entry.path.string() + ".tmp.12345";
+
+    std::size_t hits = 0;
+    for (std::size_t k = 0; k <= entry.bytes.size(); ++k) {
+        const std::string prefix = entry.bytes.substr(0, k);
+        const std::string what = "prefix " + std::to_string(k);
+
+        // A crash before the rename: the good entry plus a torn
+        // temp file, which is never read.
+        writeFile(entry.path, entry.bytes);
+        writeFile(stray, prefix);
+        EXPECT_TRUE(freshEnqueue(entry, what + " (stray temp file)"));
+        std::filesystem::remove(stray);
+
+        // Disk corruption: the published file itself is torn.
+        writeFile(entry.path, prefix);
+        hits += freshEnqueue(entry, what);
+    }
+    // Only the whole entry, with or without its trailing newline,
+    // decodes.
+    EXPECT_EQ(hits, 2u);
+}
+
+TEST(RunCache, SeededMutantsNeverYieldAWrongResult)
+{
+    const PublishedEntry entry("mutants");
+    constexpr std::uint64_t seed = 1;
+    constexpr std::uint64_t count = 2'000;
+
+    std::size_t misses = 0;
+    for (std::uint64_t index = 0; index < count; ++index) {
+        writeFile(entry.path,
+                  testfix::mutantAt(entry.bytes, seed, index));
+        misses += !freshEnqueue(
+            entry, "mutant seed=" + std::to_string(seed) +
+                       " index=" + std::to_string(index));
+    }
+    // Nearly every mutant damages the entry; the few that survive
+    // (an edit to the trailing newline) decode to the original.
+    EXPECT_GT(misses, count * 9 / 10);
+}
+
+TEST(RunCache, ReRunHealsACorruptEntryByteIdentically)
+{
+    const PublishedEntry entry("heal");
+    for (const std::size_t k :
+         {std::size_t{0}, std::size_t{1}, entry.bytes.size() / 2,
+          entry.bytes.size() - 2}) {
+        writeFile(entry.path, entry.bytes.substr(0, k));
+        EXPECT_FALSE(freshEnqueue(entry, "prefix " + std::to_string(k)));
+        EXPECT_EQ(readFile(entry.path), entry.bytes) << k;
+    }
 }
 
 } // namespace

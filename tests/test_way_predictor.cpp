@@ -23,7 +23,6 @@ geom(std::uint64_t size, std::uint32_t assoc)
     g.sizeBytes = size;
     g.assoc = assoc;
     g.lineBytes = 64;
-    g.repl = ReplPolicy::Lru;
     return g;
 }
 
