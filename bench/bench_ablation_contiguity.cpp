@@ -13,7 +13,11 @@
 #include "bench/bench_util.hh"
 #include "common/bitops.hh"
 #include "common/table.hh"
+#include "os/address_space.hh"
+#include "os/buddy_allocator.hh"
+#include "os/fragmenter.hh"
 #include "predictor/combined.hh"
+#include "workload/synthetic.hh"
 
 namespace
 {

@@ -18,6 +18,7 @@
 #include "cache/hierarchy.hh"
 #include "common/bitops.hh"
 #include "common/table.hh"
+#include "os/address_space.hh"
 #include "predictor/combined.hh"
 #include "sipt/l1_cache.hh"
 #include "vm/mmu.hh"
@@ -57,13 +58,12 @@ main()
         row_page_indexed.push_back(page_indexed);
         rows.push_back(bench::sweep().async(
             [page_indexed, profile, refs] {
-            os::BuddyAllocator buddy((4ull << 30) / pageSize);
-            Rng rng(21);
-            os::SystemAger ager(buddy);
-            ager.age(20'000, 0.22, rng);
+            sim::SystemConfig config;
+            config.seed = 21;
+            sim::ConditionedMemory memory(config);
             os::PagingPolicy pol;
             pol.thpChance = profile.thpAffinity;
-            os::AddressSpace as(buddy, pol, 22);
+            os::AddressSpace as(memory.buddy, pol, 22);
             workload::InstructionStream fetch(profile, as, 23);
 
             vm::Mmu mmu;

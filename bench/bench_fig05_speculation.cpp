@@ -44,7 +44,7 @@ main()
             std::uint64_t huge_refs = 0;
             MemRef ref;
             for (std::uint64_t i = 0; i < refs; ++i) {
-                lab.workload.next(ref);
+                lab.next(ref);
                 const Vpn vpn = ref.vaddr >> pageShift;
                 const Pfn pfn = lab.pfnOf(ref.vaddr);
                 for (unsigned k = 1; k <= 3; ++k) {

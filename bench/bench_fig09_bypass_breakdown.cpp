@@ -46,7 +46,7 @@ main()
                               extra = 0;
                 MemRef ref;
                 for (std::uint64_t i = 0; i < refs; ++i) {
-                    lab.workload.next(ref);
+                    lab.next(ref);
                     const Vpn vpn = ref.vaddr >> pageShift;
                     const Pfn pfn = lab.pfnOf(ref.vaddr);
                     const bool unchanged =

@@ -43,7 +43,7 @@ main()
                 std::uint64_t c_spec = 0, idb_hit = 0, slow = 0;
                 MemRef ref;
                 for (std::uint64_t i = 0; i < refs; ++i) {
-                    lab.workload.next(ref);
+                    lab.next(ref);
                     const Vpn vpn = ref.vaddr >> pageShift;
                     const Pfn pfn = lab.pfnOf(ref.vaddr);
                     const auto pa_bits =

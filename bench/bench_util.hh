@@ -19,17 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "os/address_space.hh"
-#include "os/buddy_allocator.hh"
-#include "os/fragmenter.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
 #include "workload/profile.hh"
-#include "workload/synthetic.hh"
 
 namespace sipt::bench
 {
@@ -50,13 +47,13 @@ measureRefs()
 
 /**
  * Apps used for the (very wide) sensitivity sweeps; a documented
- * subset spanning the three behaviour classes so the bench
+ * 10-app subset spanning the three behaviour classes so the bench
  * finishes in minutes. SIPT_ALL_APPS=1 runs every app.
  */
 inline std::vector<std::string>
 sensitivityApps()
 {
-    if (std::getenv("SIPT_ALL_APPS") != nullptr)
+    if (envU64("SIPT_ALL_APPS", 0, 0, 1) == 1)
         return apps();
     return {"mcf",      "h264ref",  "gcc",     "libquantum",
             "calculix", "GemsFDTD", "gromacs", "graph500",
@@ -71,48 +68,30 @@ sensitivityApps()
  */
 struct TraceLab
 {
-    /** Physical memory conditioned before any app allocation. */
-    struct ConditionedMemory
-    {
-        os::BuddyAllocator buddy;
-        Rng rng;
-        os::SystemAger ager;
-        os::MemoryFragmenter fragmenter;
+    /** A default system: 4 GiB, Normal condition, seed 42. */
+    sim::SystemConfig config;
+    /** Its conditioned memory, before any app allocation. */
+    sim::ConditionedMemory mem{config};
+    /** The app's address space (seed 43) and reference source
+     *  (seed 44). */
+    sim::Workload workload;
 
-        ConditionedMemory(sim::MemCondition condition,
-                          std::uint64_t seed)
-            : buddy((4ull << 30) / pageSize), rng(seed),
-              ager(buddy), fragmenter(buddy)
-        {
-            ager.age(20'000, 0.22, rng);
-            if (condition == sim::MemCondition::Fragmented)
-                fragmenter.fragmentTo(0.95, 9, rng, 0.30);
-        }
-    };
-
-    ConditionedMemory mem;
-    os::AddressSpace as;
-    workload::SyntheticWorkload workload;
-
-    /**
-     * @param app profile name
-     * @param condition physical-memory condition
-     * @param seed experiment seed
-     */
-    TraceLab(const std::string &app,
-             sim::MemCondition condition = sim::MemCondition::Normal,
-             std::uint64_t seed = 42)
-        : mem(condition, seed),
-          as(mem.buddy, pagingPolicy(app, condition), seed + 1),
-          workload(workload::appProfile(app), as, seed + 2)
+    /** @param app profile name */
+    explicit TraceLab(const std::string &app)
+        : workload(sim::buildWorkload(config, app, mem.buddy,
+                                      config.seed, nullptr))
     {
     }
+
+    /** Produce the app's next reference. */
+    void next(MemRef &ref) { workload.source->next(ref); }
 
     /** Translate a VA via the (already populated) page table. */
     Pfn
     pfnOf(Addr vaddr) const
     {
-        const auto xlat = as.pageTable().translate(vaddr);
+        const auto xlat =
+            workload.as->pageTable().translate(vaddr);
         return xlat ? (xlat->paddr >> pageShift) : invalidPfn;
     }
 
@@ -120,31 +99,7 @@ struct TraceLab
     bool
     isHuge(Addr vaddr) const
     {
-        return as.pageTable().isHugeMapped(vaddr);
-    }
-
-  private:
-    static os::PagingPolicy
-    pagingPolicy(const std::string &app,
-                 sim::MemCondition condition)
-    {
-        os::PagingPolicy pol;
-        const auto &profile = workload::appProfile(app);
-        switch (condition) {
-          case sim::MemCondition::Normal:
-          case sim::MemCondition::Fragmented:
-            pol.thpEnabled = true;
-            pol.thpChance = profile.thpAffinity;
-            break;
-          case sim::MemCondition::ThpOff:
-            pol.thpEnabled = false;
-            break;
-          case sim::MemCondition::NoContiguity:
-            pol.thpEnabled = false;
-            pol.randomPlacement = true;
-            break;
-        }
-        return pol;
+        return workload.as->pageTable().isHugeMapped(vaddr);
     }
 };
 

@@ -6,21 +6,28 @@
  * (optionally as CSV for scripting).
  *
  * Usage:
- *   sipt_explorer [--app NAME] [--l1 base|16k4|32k2|32k4|64k4|128k4]
+ *   sipt_explorer [--app NAME]
+ *                 [--l1 baseline32k8|small16k4|sipt32k2|sipt32k4|
+ *                       sipt64k4|sipt128k4]
  *                 [--policy vipt|ideal|naive|bypass|combined|
  *                           vespa|revelator|pcax]
  *                 [--inorder] [--waypred] [--radix-walker]
- *                 [--condition normal|frag|thpoff|nocontig]
+ *                 [--condition normal|fragmented|thp-off|no-contig]
  *                 [--refs N] [--seed N] [--csv]
+ *
+ * The L1, policy and condition names are sim's vocabulary
+ * (sim::l1ConfigFromName, policyFromName, conditionFromName); the
+ * L1 and condition names are the ones sipt-trace accepts.
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/env.hh"
 #include "common/table.hh"
+#include "sim/presets.hh"
 #include "sim/report.hh"
 #include "sim/system.hh"
 #include "workload/profile.hh"
@@ -46,58 +53,18 @@ usage()
 /** Strict numeric flag values; a bad one exits with usage. */
 const FlagParser flags{"sipt_explorer", []() -> int { usage(); }};
 
-sim::L1Config
-parseL1(const std::string &s)
+/** The value a sim name parser returned, or exit with usage. */
+template <typename T>
+T
+parseName(std::optional<T> parsed, const std::string &flag,
+          const std::string &name)
 {
-    if (s == "base")
-        return sim::L1Config::Baseline32K8;
-    if (s == "16k4")
-        return sim::L1Config::Small16K4;
-    if (s == "32k2")
-        return sim::L1Config::Sipt32K2;
-    if (s == "32k4")
-        return sim::L1Config::Sipt32K4;
-    if (s == "64k4")
-        return sim::L1Config::Sipt64K4;
-    if (s == "128k4")
-        return sim::L1Config::Sipt128K4;
-    usage();
-}
-
-IndexingPolicy
-parsePolicy(const std::string &s)
-{
-    if (s == "vipt")
-        return IndexingPolicy::Vipt;
-    if (s == "ideal")
-        return IndexingPolicy::Ideal;
-    if (s == "naive")
-        return IndexingPolicy::SiptNaive;
-    if (s == "bypass")
-        return IndexingPolicy::SiptBypass;
-    if (s == "combined")
-        return IndexingPolicy::SiptCombined;
-    if (s == "vespa")
-        return IndexingPolicy::SiptVespa;
-    if (s == "revelator")
-        return IndexingPolicy::SiptRevelator;
-    if (s == "pcax")
-        return IndexingPolicy::SiptPcax;
-    usage();
-}
-
-sim::MemCondition
-parseCondition(const std::string &s)
-{
-    if (s == "normal")
-        return sim::MemCondition::Normal;
-    if (s == "frag")
-        return sim::MemCondition::Fragmented;
-    if (s == "thpoff")
-        return sim::MemCondition::ThpOff;
-    if (s == "nocontig")
-        return sim::MemCondition::NoContiguity;
-    usage();
+    if (!parsed) {
+        std::cerr << "sipt_explorer: unknown " << flag << " '"
+                  << name << "'\n";
+        usage();
+    }
+    return *parsed;
 }
 
 } // namespace
@@ -122,11 +89,17 @@ main(int argc, char **argv)
         if (arg == "--app") {
             app = value();
         } else if (arg == "--l1") {
-            cfg.l1Config = parseL1(value());
+            const std::string name = value();
+            cfg.l1Config =
+                parseName(sim::l1ConfigFromName(name), arg, name);
         } else if (arg == "--policy") {
-            cfg.policy = parsePolicy(value());
+            const std::string name = value();
+            cfg.policy =
+                parseName(sim::policyFromName(name), arg, name);
         } else if (arg == "--condition") {
-            cfg.condition = parseCondition(value());
+            const std::string name = value();
+            cfg.condition =
+                parseName(sim::conditionFromName(name), arg, name);
         } else if (arg == "--inorder") {
             cfg.outOfOrder = false;
         } else if (arg == "--waypred") {

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace sipt::check
@@ -41,27 +42,14 @@ mutationFromString(const char *name)
           "' (expected tag, dirty, or writeback)");
 }
 
-namespace
-{
-
-/** True when @p name is set to a non-empty, non-"0" value. */
-bool
-envFlag(const char *name)
-{
-    const char *value = std::getenv(name);
-    return value != nullptr && *value != '\0' &&
-           std::strcmp(value, "0") != 0;
-}
-
-} // namespace
-
 Options
 Options::fromEnv()
 {
     Options options;
-    options.enabled = envFlag("SIPT_CHECK");
-    options.abortOnDivergence = envFlag("SIPT_CHECK_ABORT");
-    options.recordEvents = envFlag("SIPT_CHECK_RECORD");
+    options.enabled = envU64("SIPT_CHECK", 0, 0, 1) == 1;
+    options.abortOnDivergence =
+        envU64("SIPT_CHECK_ABORT", 0, 0, 1) == 1;
+    options.recordEvents = envU64("SIPT_CHECK_RECORD", 0, 0, 1) == 1;
     options.mutation =
         mutationFromString(std::getenv("SIPT_CHECK_MUTATE"));
     return options;

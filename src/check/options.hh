@@ -56,7 +56,9 @@ struct Options
     /** Harness self-test corruption (SIPT_CHECK_MUTATE=...). */
     Mutation mutation = Mutation::None;
 
-    /** Read the SIPT_CHECK* environment variables. */
+    /** Read the SIPT_CHECK* environment variables. The three
+     *  switches accept only 0 or 1; any other value warns and
+     *  reads as 0. */
     static Options fromEnv();
 };
 

@@ -92,13 +92,6 @@ MetricsRegistry::upsert(const std::string &path)
     return entries_.back();
 }
 
-const MetricsRegistry::Entry *
-MetricsRegistry::lookup(const std::string &path) const
-{
-    const auto it = index_.find(path);
-    return it == index_.end() ? nullptr : &entries_[it->second];
-}
-
 void
 MetricsRegistry::setCounter(const std::string &path,
                             std::uint64_t value)
@@ -109,55 +102,11 @@ MetricsRegistry::setCounter(const std::string &path,
 }
 
 void
-MetricsRegistry::addCounter(const std::string &path,
-                            std::uint64_t delta)
-{
-    Entry &e = upsert(path);
-    if (!e.isCounter)
-        panic("metrics: addCounter on value metric '", path, "'");
-    e.count += delta;
-}
-
-void
 MetricsRegistry::setValue(const std::string &path, double value)
 {
     Entry &e = upsert(path);
     e.isCounter = false;
     e.value = value;
-}
-
-bool
-MetricsRegistry::has(const std::string &path) const
-{
-    return lookup(path) != nullptr;
-}
-
-std::uint64_t
-MetricsRegistry::counter(const std::string &path) const
-{
-    const Entry *e = lookup(path);
-    if (!e)
-        panic("metrics: no metric '", path, "'");
-    if (!e->isCounter)
-        panic("metrics: '", path, "' is not a counter");
-    return e->count;
-}
-
-double
-MetricsRegistry::value(const std::string &path) const
-{
-    const Entry *e = lookup(path);
-    if (!e)
-        panic("metrics: no metric '", path, "'");
-    return e->isCounter ? static_cast<double>(e->count)
-                        : e->value;
-}
-
-void
-MetricsRegistry::reset()
-{
-    entries_.clear();
-    index_.clear();
 }
 
 Json

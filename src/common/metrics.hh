@@ -36,28 +36,8 @@ class MetricsRegistry
     /** Set (or overwrite) an integer counter. */
     void setCounter(const std::string &path, std::uint64_t value);
 
-    /** Add @p delta to a counter, creating it at zero. Panics when
-     *  @p path already names a double value. */
-    void addCounter(const std::string &path,
-                    std::uint64_t delta = 1);
-
     /** Set (or overwrite) a floating-point value. */
     void setValue(const std::string &path, double value);
-
-    bool has(const std::string &path) const;
-
-    /** Read a counter; panics when absent or not a counter. */
-    std::uint64_t counter(const std::string &path) const;
-
-    /** Read a metric as a double (counters widen); panics when
-     *  absent. */
-    double value(const std::string &path) const;
-
-    /** Number of registered metrics. */
-    std::size_t size() const { return entries_.size(); }
-
-    /** Drop every metric. */
-    void reset();
 
     /**
      * Serialise as nested objects: "a.b.c" becomes {"a":{"b":
@@ -77,7 +57,6 @@ class MetricsRegistry
     };
 
     Entry &upsert(const std::string &path);
-    const Entry *lookup(const std::string &path) const;
 
     std::vector<Entry> entries_;
     std::unordered_map<std::string, std::size_t> index_;

@@ -1,19 +1,7 @@
 #include "common/stats.hh"
 
-#include <cmath>
-#include <ostream>
-
 namespace sipt
 {
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &b : counters_)
-        os << name_ << '.' << b.name << ' ' << *b.value << '\n';
-    for (const auto &b : scalars_)
-        os << name_ << '.' << b.name << ' ' << *b.value << '\n';
-}
 
 double
 harmonicMean(const std::vector<double> &values)
@@ -38,20 +26,6 @@ arithmeticMean(const std::vector<double> &values)
     for (double v : values)
         sum += v;
     return sum / static_cast<double>(values.size());
-}
-
-double
-geometricMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values) {
-        if (v <= 0.0)
-            return 0.0;
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 } // namespace sipt

@@ -1,137 +1,22 @@
 /**
  * @file
- * Minimal statistics package: named scalar counters, distributions,
- * and group dumping. Modelled loosely on gem5's stats but kept to
- * what the SIPT evaluation needs.
+ * The means the figures summarise with: harmonic for speedups,
+ * arithmetic for energies.
  */
 
 #ifndef SIPT_COMMON_STATS_HH
 #define SIPT_COMMON_STATS_HH
 
-#include <cmath>
-#include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 namespace sipt
 {
-
-/**
- * A running distribution: count, sum, min, max, and mean of samples.
- */
-class Distribution
-{
-  public:
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        if (count_ == 0 || v < min_)
-            min_ = v;
-        if (count_ == 0 || v > max_)
-            max_ = v;
-        sum_ += v;
-        sumSq_ += v * v;
-        ++count_;
-    }
-
-    /** Reset to the empty distribution. */
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = sumSq_ = min_ = max_ = 0.0;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    /** Arithmetic mean; 0 when empty. */
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    /** Population variance; 0 when empty. Clamped at 0: the
-     *  sum-of-squares formula can go fractionally negative from
-     *  rounding when all samples are (nearly) equal, which would
-     *  make stddev() a NaN. */
-    double
-    variance() const
-    {
-        if (count_ == 0)
-            return 0.0;
-        const double m = mean();
-        const double v =
-            sumSq_ / static_cast<double>(count_) - m * m;
-        return v > 0.0 ? v : 0.0;
-    }
-
-    /** Population standard deviation; 0 when empty. */
-    double stddev() const { return std::sqrt(variance()); }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
- * A named group of scalar statistics that can be registered by the
- * owning model and dumped for debugging. Values live in the owner;
- * the group stores name -> pointer bindings.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Bind a counter under @p stat_name. */
-    void
-    addStat(const std::string &stat_name, const std::uint64_t *value)
-    {
-        counters_.push_back({stat_name, value});
-    }
-
-    /** Bind a floating-point value under @p stat_name. */
-    void
-    addStat(const std::string &stat_name, const double *value)
-    {
-        scalars_.push_back({stat_name, value});
-    }
-
-    /** Write "group.stat value" lines to @p os. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    template <typename T>
-    struct Binding
-    {
-        std::string name;
-        const T *value;
-    };
-
-    std::string name_;
-    std::vector<Binding<std::uint64_t>> counters_;
-    std::vector<Binding<double>> scalars_;
-};
 
 /** Harmonic mean of @p values; 0 if empty or any value is <= 0. */
 double harmonicMean(const std::vector<double> &values);
 
 /** Arithmetic mean of @p values; 0 if empty. */
 double arithmeticMean(const std::vector<double> &values);
-
-/** Geometric mean of @p values; 0 if empty or any value is <= 0. */
-double geometricMean(const std::vector<double> &values);
 
 } // namespace sipt
 

@@ -38,8 +38,7 @@ class TraceSource
      * the stream next() would: the generators override this with a
      * loop around their internal generation step so the access
      * pipeline pays one virtual call per batch, and this default
-     * adapter keeps single-ref-only sources (and wrappers like
-     * TeeSource) correct.
+     * adapter keeps single-ref-only sources correct.
      *
      * @return batch.size; less than @p max_refs only on exhaustion
      */
@@ -57,50 +56,6 @@ class TraceSource
 
     /** Restart the stream from the beginning, when supported. */
     virtual void reset() {}
-};
-
-/**
- * Consumer side of trace recording: receives every reference a
- * TeeSource forwards. Implementations persist the stream (the
- * workload-layer file recorder) or accumulate statistics.
- */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-
-    /** Observe one reference that the wrapped source produced. */
-    virtual void record(const MemRef &ref) = 0;
-};
-
-/**
- * Recording hook: forwards an inner source unchanged while
- * mirroring every produced reference into a sink. Wrapping any
- * TraceSource (synthetic, instruction-stream, even a replayer) in
- * a TeeSource captures exactly the stream the core consumed.
- */
-class TeeSource : public TraceSource
-{
-  public:
-    TeeSource(TraceSource &inner, TraceSink &sink)
-        : inner_(inner), sink_(sink)
-    {
-    }
-
-    bool
-    next(MemRef &ref) override
-    {
-        if (!inner_.next(ref))
-            return false;
-        sink_.record(ref);
-        return true;
-    }
-
-    void reset() override { inner_.reset(); }
-
-  private:
-    TraceSource &inner_;
-    TraceSink &sink_;
 };
 
 } // namespace sipt::cpu

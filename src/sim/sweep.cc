@@ -687,20 +687,6 @@ SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
         std::move(span_name));
 }
 
-std::vector<RunResult>
-SweepRunner::runBatch(const std::vector<SweepJob> &jobs)
-{
-    std::vector<std::shared_future<RunResult>> futures;
-    futures.reserve(jobs.size());
-    for (const auto &job : jobs)
-        futures.push_back(enqueue(job.app, job.config));
-    std::vector<RunResult> results;
-    results.reserve(jobs.size());
-    for (auto &future : futures)
-        results.push_back(future.get());
-    return results;
-}
-
 SweepStats
 SweepRunner::stats() const
 {

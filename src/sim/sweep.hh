@@ -102,13 +102,6 @@ struct SweepStats
     double jobsPerSec() const;
 };
 
-/** One single-core sweep job. */
-struct SweepJob
-{
-    std::string app;
-    SystemConfig config;
-};
-
 /**
  * The sweep engine's run-key and disk-cache codecs, exported for
  * tests and tooling.
@@ -167,13 +160,6 @@ class SweepRunner
     std::shared_future<MulticoreResult>
     enqueueMulticore(const std::vector<std::string> &mix,
                      const SystemConfig &config);
-
-    /**
-     * Convenience batch API: enqueue everything, then return the
-     * results in submission order.
-     */
-    std::vector<RunResult>
-    runBatch(const std::vector<SweepJob> &jobs);
 
     /**
      * Run an arbitrary task on the pool (uncached). The trace

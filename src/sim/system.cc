@@ -48,37 +48,6 @@ class WalkThroughCaches : public vm::WalkPort
     cache::BelowL1 &below_;
 };
 
-/**
- * Physical memory conditioned before any application starts
- * (Sec. VII-B): weeks-of-uptime allocator churn, then, for the
- * Fragmented condition, fragmentation to Fu(9) > 0.95. The pinned
- * frames stand for other resident processes, so this must outlive
- * every address space allocated from its buddy allocator.
- */
-struct ConditionedMemory
-{
-    os::BuddyAllocator buddy;
-    os::SystemAger ager;
-    os::MemoryFragmenter fragmenter;
-
-    explicit ConditionedMemory(const SystemConfig &config)
-        : buddy(config.physMemBytes / pageSize), ager(buddy),
-          fragmenter(buddy)
-    {
-        Rng rng(config.seed);
-        ager.age(agingChurnOps, agingResidentFraction, rng);
-        if (config.condition == MemCondition::Fragmented)
-            fragmenter.fragmentTo(0.95, 9, rng, 0.30);
-    }
-};
-
-/** An application's address space and reference source. */
-struct Workload
-{
-    std::unique_ptr<os::AddressSpace> as;
-    std::unique_ptr<cpu::TraceSource> source;
-};
-
 /** Everything one core owns. */
 struct CoreInstance
 {
@@ -112,48 +81,6 @@ policyFor(const SystemConfig &config, double thp_affinity)
         break;
     }
     return pol;
-}
-
-/**
- * Build @p app's address space and reference source: the
- * allocation phase demand-faults every page in from @p buddy.
- * Seeds derive from @p seed (+1 address space, +2 workload).
- */
-Workload
-buildWorkload(const SystemConfig &config, const std::string &app,
-              os::BuddyAllocator &buddy, std::uint64_t seed,
-              const os::SharedSegment *shared)
-{
-    Workload w;
-    if (isTraceApp(app)) {
-        // Replay: the trace supplies the layout and mapping, so
-        // the paging policy and footprint scale are moot (no
-        // demand fault ever fires).
-        w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        w.source = std::make_unique<workload::TraceReplaySource>(
-            traceAppPath(app), *w.as, /*loop=*/true);
-    } else if (workload::isSynonymApp(app)) {
-        // Multi-mapping scenarios: mmapAlias/mmapCow need
-        // small-mapped sources, so THP stays off for these
-        // regardless of condition. Footprints are fixed (no
-        // scaling): a few hundred KiB against gigabytes.
-        w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        w.source = std::make_unique<workload::SynonymWorkload>(
-            workload::synonymSpec(app), *w.as, seed + 2, shared);
-    } else {
-        workload::AppProfile profile = workload::appProfile(app);
-        profile.footprintBytes = static_cast<std::uint64_t>(
-            static_cast<double>(profile.footprintBytes) *
-            config.footprintScale);
-        w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, profile.thpAffinity),
-            seed + 1);
-        w.source = std::make_unique<workload::SyntheticWorkload>(
-            profile, *w.as, seed + 2);
-    }
-    return w;
 }
 
 CoreInstance
@@ -269,6 +196,53 @@ collect(const std::string &app, const SystemConfig &config,
 
 } // namespace
 
+ConditionedMemory::ConditionedMemory(const SystemConfig &config)
+    : buddy(config.physMemBytes / pageSize), ager(buddy),
+      fragmenter(buddy)
+{
+    Rng rng(config.seed);
+    ager.age(agingChurnOps, agingResidentFraction, rng);
+    if (config.condition == MemCondition::Fragmented)
+        fragmenter.fragmentTo(0.95, 9, rng, 0.30);
+}
+
+Workload
+buildWorkload(const SystemConfig &config, const std::string &app,
+              os::BuddyAllocator &buddy, std::uint64_t seed,
+              const os::SharedSegment *shared)
+{
+    Workload w;
+    if (isTraceApp(app)) {
+        // Replay: the trace supplies the layout and mapping, so
+        // the paging policy and footprint scale are moot (no
+        // demand fault ever fires).
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(config, 0.0), seed + 1);
+        w.source = std::make_unique<workload::TraceReplaySource>(
+            traceAppPath(app), *w.as, /*loop=*/true);
+    } else if (workload::isSynonymApp(app)) {
+        // Multi-mapping scenarios: mmapAlias/mmapCow need
+        // small-mapped sources, so THP stays off for these
+        // regardless of condition. Footprints are fixed (no
+        // scaling): a few hundred KiB against gigabytes.
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(config, 0.0), seed + 1);
+        w.source = std::make_unique<workload::SynonymWorkload>(
+            workload::synonymSpec(app), *w.as, seed + 2, shared);
+    } else {
+        workload::AppProfile profile = workload::appProfile(app);
+        profile.footprintBytes = static_cast<std::uint64_t>(
+            static_cast<double>(profile.footprintBytes) *
+            config.footprintScale);
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(config, profile.thpAffinity),
+            seed + 1);
+        w.source = std::make_unique<workload::SyntheticWorkload>(
+            profile, *w.as, seed + 2);
+    }
+    return w;
+}
+
 const char *
 conditionName(MemCondition condition)
 {
@@ -332,16 +306,16 @@ recordTrace(const std::string &app, const SystemConfig &config,
                                      config.seed + 10, nullptr);
 
     // Allocation phase done: snapshot the layout (for synonym
-    // apps that layout is many-to-one), then tee the stream a
+    // apps that layout is many-to-one), then record the stream a
     // core would consume into the file.
     workload::TraceRecorder recorder(path, app, config.seed, *w.as);
-    cpu::TeeSource tee(*w.source, recorder);
     const std::uint64_t total =
         config.warmupRefs + config.measureRefs;
     MemRef ref;
     for (std::uint64_t i = 0; i < total; ++i) {
-        if (!tee.next(ref))
+        if (!w.source->next(ref))
             break;
+        recorder.record(ref);
     }
     recorder.finish();
 }

@@ -17,13 +17,19 @@
 #define SIPT_SIM_SYSTEM_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cpu/core.hh"
+#include "cpu/trace_source.hh"
 #include "energy/accounting.hh"
+#include "os/address_space.hh"
+#include "os/buddy_allocator.hh"
+#include "os/fragmenter.hh"
+#include "os/shared_segment.hh"
 #include "sim/presets.hh"
 #include "sipt/l1_cache.hh"
 #include "vm/mmu.hh"
@@ -113,6 +119,42 @@ struct SystemConfig
      */
     bool check = false;
 };
+
+/**
+ * Physical memory conditioned before any application starts
+ * (Sec. VII-B): weeks-of-uptime allocator churn seeded by
+ * config.seed, then, for the Fragmented condition, fragmentation
+ * to Fu(9) > 0.95. The pinned frames stand for other resident
+ * processes, so this must outlive every address space allocated
+ * from its buddy allocator.
+ */
+struct ConditionedMemory
+{
+    os::BuddyAllocator buddy;
+    os::SystemAger ager;
+    os::MemoryFragmenter fragmenter;
+
+    explicit ConditionedMemory(const SystemConfig &config);
+};
+
+/** An application's address space and reference source. */
+struct Workload
+{
+    std::unique_ptr<os::AddressSpace> as;
+    std::unique_ptr<cpu::TraceSource> source;
+};
+
+/**
+ * Build @p app's address space and reference source under
+ * config's condition and footprint scale: the allocation phase
+ * demand-faults every page in from @p buddy. Seeds derive from
+ * @p seed (+1 address space, +2 workload). @p shared is the
+ * physical segment a shared-mode synonym app attaches (else null).
+ */
+Workload buildWorkload(const SystemConfig &config,
+                       const std::string &app,
+                       os::BuddyAllocator &buddy, std::uint64_t seed,
+                       const os::SharedSegment *shared);
 
 /** Metrics from one application run. */
 struct RunResult

@@ -125,20 +125,4 @@ InstructionStream::next(MemRef &ref)
     return true;
 }
 
-std::size_t
-InstructionStream::nextBatch(cpu::RefBatch &batch,
-                             std::size_t max_refs)
-{
-    if (max_refs > cpu::RefBatch::capacity)
-        max_refs = cpu::RefBatch::capacity;
-    batch.clear();
-    MemRef ref;
-    while (batch.size < max_refs) {
-        if (!InstructionStream::next(ref))
-            break;
-        batch.push(ref);
-    }
-    return batch.size;
-}
-
 } // namespace sipt::workload

@@ -81,10 +81,6 @@ class InstructionStream : public cpu::TraceSource
     /** Produce the next fetch chunk (never ends). */
     bool next(MemRef &ref) override;
 
-    /** Generate a whole batch of fetch chunks. */
-    std::size_t nextBatch(cpu::RefBatch &batch,
-                          std::size_t max_refs) override;
-
     const CodeProfile &profile() const { return profile_; }
 
     /** Base VA of the text region. */

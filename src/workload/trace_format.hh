@@ -124,9 +124,6 @@ class TraceWriter
     /** Flush and patch the header; idempotent. */
     void finish();
 
-    /** References appended so far. */
-    std::uint64_t refCount() const { return refCount_; }
-
   private:
     void putByte(std::uint8_t b);
     void putVarint(std::uint64_t v);

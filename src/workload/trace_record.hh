@@ -1,15 +1,14 @@
 /**
  * @file
- * Trace capture: a cpu::TraceSink that persists a reference
- * stream, together with the address-space layout it ran over, as
- * one trace file.
+ * Trace capture: a recorder that persists a reference stream,
+ * together with the address-space layout it ran over, as one
+ * trace file.
  *
  * Usage mirrors the paper's trace collection: build the workload
  * (its constructor runs the allocation phase, fixing the VA->PA
  * mapping), construct a TraceRecorder over the now-complete
- * address space, wrap the workload in a cpu::TeeSource pointed at
- * the recorder, and drive the tee exactly as a core would. Every
- * reference the core consumes lands in the file; replaying it
+ * address space, and record every reference the workload produces
+ * in the order a core would consume them. Replaying the file
  * reproduces the run bit-for-bit (see trace_replay.hh).
  */
 
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "cpu/trace_source.hh"
 #include "os/address_space.hh"
 #include "workload/trace_format.hh"
 
@@ -42,7 +40,7 @@ captureMappings(const os::AddressSpace &as);
  * phase must already have run (mapping fixed before streaming —
  * the same order the paper's SimPoint traces impose).
  */
-class TraceRecorder : public cpu::TraceSink
+class TraceRecorder
 {
   public:
     /**
@@ -55,14 +53,11 @@ class TraceRecorder : public cpu::TraceSink
                   std::uint64_t seed, const os::AddressSpace &as);
 
     /** Append one reference to the file. */
-    void record(const MemRef &ref) override;
+    void record(const MemRef &ref);
 
     /** Flush and seal the file; idempotent (the destructor also
      *  seals). */
     void finish();
-
-    /** References recorded so far. */
-    std::uint64_t refCount() const { return writer_.refCount(); }
 
   private:
     TraceWriter writer_;

@@ -4,10 +4,14 @@
  * closures, the untimed GoldenL1 reference, the lockstep
  * DifferentialChecker embedded in SiptL1Cache, mutation self-tests
  * (a corrupted oracle must be detected, proving a corrupted cache
- * would be), and the below-L1 FillTracker.
+ * would be), the below-L1 FillTracker, and the 0-or-1 parsing of
+ * the SIPT_CHECK switches.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "cache/hierarchy.hh"
 #include "cache/timing_cache.hh"
@@ -765,6 +769,30 @@ TEST(FillTracker, MisalignedWritebackFails)
     // 0x1048 is inside the filled line but not its base: the L1
     // must write back line addresses only.
     EXPECT_NE(t.onWriteback(0x1048), "");
+}
+
+// ---------------------------------------------------------------
+// Environment switches accept only 0 or 1.
+// ---------------------------------------------------------------
+
+TEST(CheckOptions, SwitchesAcceptOnlyZeroOrOne)
+{
+    const char *saved = std::getenv("SIPT_CHECK");
+    const std::string restore = saved ? saved : "";
+    const auto enabled = [](const char *value) {
+        setenv("SIPT_CHECK", value, 1);
+        return check::Options::fromEnv().enabled;
+    };
+    // Anything but 0 or 1 warns and reads as 0: "false" must not
+    // arm the checker, and "yes" is not a way to arm it either.
+    EXPECT_FALSE(enabled("false"));
+    EXPECT_FALSE(enabled("yes"));
+    EXPECT_FALSE(enabled("0"));
+    EXPECT_TRUE(enabled("1"));
+    if (saved)
+        setenv("SIPT_CHECK", restore.c_str(), 1);
+    else
+        unsetenv("SIPT_CHECK");
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "run_jobs.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
 
@@ -77,7 +78,7 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_DOUBLE_EQ(a.l1Mpki, b.l1Mpki);
 }
 
-std::vector<SweepJob>
+std::vector<testfix::Job>
 probeJobs()
 {
     return {
@@ -104,13 +105,13 @@ TEST(Determinism, FreshRunnersAgreeAcrossThreadCounts)
     const auto jobs = probeJobs();
     // Reference: a fresh sequential runner with no disk cache.
     SweepRunner reference(SweepOptions{1, "-"});
-    const auto expected = reference.runBatch(jobs);
+    const auto expected = testfix::runJobs(reference, jobs);
 
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
         // Fresh runner per thread count: nothing memoized, every
         // job actually re-simulates.
         SweepRunner runner(SweepOptions{threads, "-"});
-        const auto got = runner.runBatch(jobs);
+        const auto got = testfix::runJobs(runner, jobs);
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
             SCOPED_TRACE(jobs[i].app);

@@ -1,7 +1,7 @@
 /**
  * @file
  * The parallel sweep engine: submission-order results from
- * runBatch(), memo/disk cache hit accounting for single-core and
+ * enqueued futures, memo/disk cache hit accounting for single-core and
  * multicore jobs alike, in-flight deduplication of identical
  * concurrent jobs, the committed canonical run-key bytes, generic
  * async() tasks, bit-identical results across thread counts, and
@@ -19,6 +19,7 @@
 #include "common/hash.hh"
 #include "fixture_table.hh"
 #include "mutants.hh"
+#include "run_jobs.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::sim
@@ -57,7 +58,7 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.pageWalks, b.pageWalks);
 }
 
-std::vector<SweepJob>
+std::vector<testfix::Job>
 mixedBatch()
 {
     return {
@@ -73,7 +74,7 @@ TEST(Sweep, RunBatchPreservesSubmissionOrder)
 {
     SweepRunner runner(SweepOptions{4, "-"});
     const auto jobs = mixedBatch();
-    const auto results = runner.runBatch(jobs);
+    const auto results = testfix::runJobs(runner, jobs);
 
     ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -90,8 +91,8 @@ TEST(Sweep, ThreadCountDoesNotChangeResults)
     SweepRunner sequential(SweepOptions{1, "-"});
     SweepRunner parallel(SweepOptions{4, "-"});
     const auto jobs = mixedBatch();
-    const auto seq = sequential.runBatch(jobs);
-    const auto par = parallel.runBatch(jobs);
+    const auto seq = testfix::runJobs(sequential, jobs);
+    const auto par = testfix::runJobs(parallel, jobs);
 
     ASSERT_EQ(seq.size(), par.size());
     for (std::size_t i = 0; i < seq.size(); ++i)

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "run_jobs.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::sim
@@ -47,7 +48,7 @@ tiny(IndexingPolicy policy, std::uint64_t seed)
 }
 
 /** The shared key set: producers collide on these. */
-std::vector<SweepJob>
+std::vector<testfix::Job>
 collidingJobs()
 {
     return {
@@ -89,7 +90,8 @@ TEST(SweepRace, ManyProducersCollidingAndDistinctKeys)
         t.join();
 
     // Every future for the same key must carry the same result.
-    const auto reference = runner.runBatch(collidingJobs());
+    const auto reference =
+        testfix::runJobs(runner, collidingJobs());
     for (unsigned p = 0; p < producers; ++p) {
         ASSERT_EQ(perProducer[p].size(),
                   rounds * shared.size());
@@ -138,8 +140,8 @@ TEST(SweepRace, ConcurrentDiskCacheLoadAndPersist)
         std::atomic<bool> mismatch{false};
         for (SweepRunner *r : {&a, &b}) {
             threads.emplace_back([&, r] {
-                const auto ref = r->runBatch(jobs);
-                const auto again = r->runBatch(jobs);
+                const auto ref = testfix::runJobs(*r, jobs);
+                const auto again = testfix::runJobs(*r, jobs);
                 for (std::size_t i = 0; i < jobs.size(); ++i) {
                     if (ref[i].instructions !=
                         again[i].instructions)
@@ -156,14 +158,15 @@ TEST(SweepRace, ConcurrentDiskCacheLoadAndPersist)
     // threads at once — concurrent loadFromDisk() of the same
     // files — and must agree with a cache-less reference.
     SweepRunner reference(SweepOptions{1, "-"});
-    const auto expected = reference.runBatch(jobs);
+    const auto expected = testfix::runJobs(reference, jobs);
     {
         SweepRunner warm(SweepOptions{4, dir.string()});
         std::vector<std::thread> threads;
         std::vector<std::vector<RunResult>> got(4);
         for (unsigned p = 0; p < 4; ++p) {
-            threads.emplace_back(
-                [&, p] { got[p] = warm.runBatch(jobs); });
+            threads.emplace_back([&, p] {
+                got[p] = testfix::runJobs(warm, jobs);
+            });
         }
         for (auto &t : threads)
             t.join();

@@ -423,7 +423,7 @@ class StageOwnership(AnalyzeCase):
 
 ENV_REGISTRY = """\
 {
-  "readers": ["getenv", "envFlag"],
+  "readers": ["getenv", "envU64"],
   "variables": [
     {"name": "SIPT_REFS", "default": "400000",
      "altersResults": true, "doc": "README.md",
@@ -474,7 +474,7 @@ class EnvRegistry(AnalyzeCase):
         files = env_fixture()
         files["src/sim/sweep.cc"] += (
             "bool extra()\n{\n"
-            '    return envFlag("SIPT_HIDDEN");\n'
+            '    return envU64("SIPT_HIDDEN", 0, 0, 1) == 1;\n'
             "}\n")
         diags = self.run_pass("env-registry", files)
         self.assert_diag(
