@@ -16,12 +16,6 @@ CacheGeometry::numSets() const
 }
 
 unsigned
-CacheGeometry::setBits() const
-{
-    return floorLog2(numSets());
-}
-
-unsigned
 CacheGeometry::speculativeBits() const
 {
     const std::uint64_t way_bytes =

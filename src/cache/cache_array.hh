@@ -33,8 +33,6 @@ struct CacheGeometry
 
     /** Number of sets implied by the geometry. */
     std::uint32_t numSets() const;
-    /** log2(numSets). */
-    unsigned setBits() const;
     /**
      * Number of set-index bits that lie above the 4 KiB page offset
      * (the bits SIPT must speculate on). 0 means VIPT-feasible.

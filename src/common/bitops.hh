@@ -4,8 +4,8 @@
  * models. All helpers are constexpr and operate on 64-bit values.
  *
  * The address-arithmetic helpers (pageNumber, blockNumber, ...) are
- * the *only* sanctioned way to shift an address: sipt-lint's
- * addr-shift rule flags raw `<<`/`>>` on address-typed operands so
+ * the *only* sanctioned way to shift an address: sipt-analyze's
+ * addr-shift pass flags raw `<<`/`>>` on address-typed operands so
  * that every index computation the paper's claims rest on lives
  * here, where it is tested and UBSan-audited once.
  */

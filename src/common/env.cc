@@ -23,10 +23,9 @@ reject(const char **why, const char *reason)
 }
 
 /** Shared reject-and-fall-back reporting. */
-template <typename T>
-T
+std::uint64_t
 rejected(const char *name, const char *value, const char *why,
-         T fallback)
+         std::uint64_t fallback)
 {
     warn("ignoring ", name, "='", value, "' (", why,
          "); using default ", fallback);
@@ -132,19 +131,6 @@ envU64(const char *name, std::uint64_t fallback, std::uint64_t min,
         return fallback;
     const char *why = nullptr;
     if (const auto v = parseU64(value, min, max, &why))
-        return *v;
-    return rejected(name, value, why, fallback);
-}
-
-double
-envDouble(const char *name, double fallback, double min,
-          double max)
-{
-    const char *value = std::getenv(name);
-    if (!value)
-        return fallback;
-    const char *why = nullptr;
-    if (const auto v = parseDouble(value, min, max, &why))
         return *v;
     return rejected(name, value, why, fallback);
 }

@@ -15,8 +15,8 @@
  *
  * Call sites must pass the variable name as a string literal
  * ("SIPT_FOO"): tools/sipt-analyze's env-registry pass matches the
- * literal against tools/env_registry.json (envU64/envDouble are
- * registered reader functions).
+ * literal against tools/env_registry.json (envU64 is a registered
+ * reader function).
  */
 
 #ifndef SIPT_COMMON_ENV_HH
@@ -88,10 +88,6 @@ struct FlagParser
  */
 std::uint64_t envU64(const char *name, std::uint64_t fallback,
                      std::uint64_t min, std::uint64_t max);
-
-/** Floating-point counterpart of envU64(). */
-double envDouble(const char *name, double fallback, double min,
-                 double max);
 
 } // namespace sipt
 

@@ -64,7 +64,7 @@ Tracer::global()
     // synchronised; like SweepRunner::global() this is sanctioned
     // process-global mutable state (it only sinks diagnostics, no
     // simulation state ever reads it back).
-    // sipt-lint: allow(mutable-static)
+    // sipt-analyze: allow(mutable-static)
     static Tracer tracer(tracePathFromEnv());
     return tracer;
 }

@@ -46,9 +46,9 @@ FuzzSample sampleAt(std::uint64_t master_seed,
                     std::uint64_t index);
 
 /**
- * The indexing policies runnable on @p config: all five when the
- * geometry is VIPT-feasible, otherwise all but VIPT (whose
- * constructor rejects speculative bits by design).
+ * The indexing policies runnable on @p config: all eight when the
+ * geometry is VIPT-feasible, otherwise the seven besides VIPT
+ * (whose constructor rejects speculative bits by design).
  */
 std::vector<IndexingPolicy>
 policiesFor(const sim::SystemConfig &config);

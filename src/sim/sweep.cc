@@ -4,7 +4,7 @@
 // and per-job seconds in the bench footer); no clock value ever
 // reaches simulation state, so results stay a pure function of
 // (app, SystemConfig).
-// sipt-lint: allow-file(nondeterminism)
+// sipt-analyze: allow-file(nondeterminism)
 
 #include <cstdio>
 #include <cstdlib>
@@ -467,7 +467,7 @@ SweepRunner::global()
     // Magic-static init is thread-safe and SweepRunner is
     // internally synchronised; this is the one sanctioned piece of
     // process-global mutable state.
-    // sipt-lint: allow(mutable-static)
+    // sipt-analyze: allow(mutable-static)
     static SweepRunner runner;
     return runner;
 }

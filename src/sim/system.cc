@@ -142,9 +142,9 @@ resetCoreStats(CoreInstance &inst)
 }
 
 RunResult
-collect(const std::string &app, const SystemConfig &config,
-        const CoreInstance &inst, double llc_dyn_share,
-        double llc_static_share_mw, double seconds)
+collect(const std::string &app, const CoreInstance &inst,
+        double llc_dyn_share, double llc_static_share_mw,
+        double seconds)
 {
     RunResult r;
     r.app = app;
@@ -190,7 +190,6 @@ collect(const std::string &app, const SystemConfig &config,
         r.vivtInvalidations = vivt.synonymInvalidations;
         r.vivtDirtyForwards = vivt.dirtyForwards;
     }
-    (void)config;
     return r;
 }
 
@@ -352,7 +351,7 @@ runSingleCore(const std::string &app, const SystemConfig &config)
     inst.measured = inst.pipeline->run(config.measureRefs);
 
     const double seconds = inst.measured.seconds(3.0);
-    return collect(app, config, inst, llc.dynamicEnergyNj(),
+    return collect(app, inst, llc.dynamicEnergyNj(),
                    llc.params().staticPowerMw, seconds);
 }
 
@@ -454,7 +453,7 @@ runMulticore(const std::vector<std::string> &mix,
             c == 0 ? llc.dynamicEnergyNj() : 0.0;
         const double llc_static =
             c == 0 ? llc.params().staticPowerMw : 0.0;
-        RunResult r = collect(mix[c], config, insts[c], llc_dyn,
+        RunResult r = collect(mix[c], insts[c], llc_dyn,
                               llc_static, max_seconds);
         result.sumIpc += r.ipc;
         result.energy += r.energy;

@@ -32,7 +32,6 @@ TEST(CacheGeometry, DerivedQuantities)
 {
     const auto g = geom(32 * 1024, 8);
     EXPECT_EQ(g.numSets(), 64u);
-    EXPECT_EQ(g.setBits(), 6u);
     EXPECT_EQ(g.speculativeBits(), 0u); // 4 KiB way = VIPT OK
 
     EXPECT_EQ(geom(32 * 1024, 2).speculativeBits(), 2u);

@@ -220,34 +220,6 @@ TEST(Env, U64EnforcesAcceptedRange)
     }
 }
 
-TEST(Env, DoubleParsesAndFallsBack)
-{
-    {
-        const ScopedEnv e("ENVTEST_DBL", "0.35");
-        EXPECT_DOUBLE_EQ(
-            envDouble("ENVTEST_DBL", 0.2, 0.0, 1.0), 0.35);
-    }
-    {
-        const ScopedEnv e("ENVTEST_DBL", "0.35%");
-        EXPECT_DOUBLE_EQ(
-            envDouble("ENVTEST_DBL", 0.2, 0.0, 1.0), 0.2);
-    }
-    {
-        const ScopedEnv e("ENVTEST_DBL", "nan");
-        EXPECT_DOUBLE_EQ(
-            envDouble("ENVTEST_DBL", 0.2, 0.0, 1.0), 0.2)
-            << "NaN fails the range check by comparison";
-    }
-    {
-        const ScopedEnv e("ENVTEST_DBL", "2.5");
-        EXPECT_DOUBLE_EQ(
-            envDouble("ENVTEST_DBL", 0.2, 0.0, 1.0), 0.2);
-    }
-    unsetenv("ENVTEST_DBL");
-    EXPECT_DOUBLE_EQ(envDouble("ENVTEST_DBL", 0.2, 0.0, 1.0),
-                     0.2);
-}
-
 TEST(Env, ParseU64Table)
 {
     // The command-line front doors reject everything a bare

@@ -10,7 +10,7 @@
  *
  * Raw std::thread is deliberate here — the producers must be
  * *outside* the runner's own pool to create cross-thread
- * submission races (sipt-lint scopes its raw-thread rule to src/,
+ * submission races (sipt-analyze scopes its raw-thread pass to src/,
  * so tests may do this).
  */
 

@@ -3,9 +3,9 @@
 
 Builds minimal scratch repos per pass — a clean fixture, seeded
 violations of every diagnostic the pass can emit, and the
-annotated-exempt variants — and asserts the analyzer catches
-exactly what it should. Runs as the `sipt_analyze_selftest` ctest;
-exits nonzero on the first failure.
+annotated-exempt or escape-hatched variants — and asserts the
+analyzer catches exactly what it should. Runs as the
+`sipt_analyze_selftest` ctest; exits nonzero on the first failure.
 """
 
 import importlib.util
@@ -30,10 +30,15 @@ def load_analyzer():
 ANALYZE = load_analyzer()
 
 
+# Every source pass but self-contained, which needs a compiler.
+LEXICAL_PASSES = [p for p in ANALYZE.SOURCE_PASSES
+                  if p != "self-contained"]
+
+
 class AnalyzeCase(unittest.TestCase):
-    def run_pass(self, pass_name, files, write_table=False):
-        """Write a scratch repo, run one pass, return diagnostics
-        as (path, substring-checkable message) pairs."""
+    def analyze(self, files, passes, **kwargs):
+        """Write a scratch repo, run the passes, return the
+        diagnostics."""
         with tempfile.TemporaryDirectory() as root:
             for rel, body in files.items():
                 path = os.path.join(root, rel)
@@ -41,16 +46,32 @@ class AnalyzeCase(unittest.TestCase):
                 with open(path, "w", encoding="utf-8") as f:
                     f.write(body)
             diags = []
-            if pass_name == "env-registry":
-                ANALYZE.check_env_registry(
-                    root, diags, write_table=write_table)
-                if write_table:
-                    with open(os.path.join(root, "README.md"),
-                              encoding="utf-8") as f:
-                        self.rewritten_readme = f.read()
-            else:
-                ANALYZE.PASS_FUNCS[pass_name](root, diags)
-            return [(d.path, d.message) for d in diags]
+            ANALYZE.run_passes(root, passes, diags, **kwargs)
+            if kwargs.get("write_table"):
+                with open(os.path.join(root, "README.md"),
+                          encoding="utf-8") as f:
+                    self.rewritten_readme = f.read()
+            return diags
+
+    def run_pass(self, pass_name, files, write_table=False):
+        """Run one pass; return diagnostics as (path,
+        substring-checkable message) pairs."""
+        return [(d.path, d.message) for d in self.analyze(
+            files, [pass_name], write_table=write_table)]
+
+    def scan(self, relpath, text, extra=None):
+        """Run every lexical source pass over one file (plus extra
+        files); return diagnostics as (pass, line) pairs."""
+        files = {relpath: text}
+        files.update(extra or {})
+        return [(d.rule, d.line)
+                for d in self.analyze(files, LEXICAL_PASSES)]
+
+    def assert_rule(self, diags, rule, count=1):
+        hits = [d for d in diags if d[0] == rule]
+        self.assertEqual(
+            len(hits), count,
+            f"expected {count} x {rule}, got {diags}")
 
     def assert_diag(self, diags, path, needle, count=1):
         hits = [d for d in diags
@@ -553,21 +574,296 @@ class EnvRegistry(AnalyzeCase):
 
 
 # --------------------------------------------------------------
-# whole-tree contract
+# source passes
 # --------------------------------------------------------------
 
-class WholeTreeContract(AnalyzeCase):
-    def test_repo_is_clean(self):
-        """The acceptance criterion: sipt-analyze on the real
-        tree reports zero violations across all four passes."""
-        root = os.path.dirname(TOOLS_DIR)
-        rc = ANALYZE.main(["--root", root])
-        self.assertEqual(rc, 0)
+class Lexer(AnalyzeCase):
+    def test_code_after_digit_separators_is_checked(self):
+        # A `'` inside 20'000 is a digit separator, not the start
+        # of a char literal that would blank everything up to the
+        # next `'` (here, inside 5'000).
+        diags = self.scan(
+            "src/x/a.cc",
+            "constexpr unsigned long kRefs = 20'000;\n"
+            "int f() { return rand(); }\n"
+            "static int counter = 0;\n"
+            "constexpr unsigned long kWarmup = 5'000;\n")
+        self.assertEqual(
+            sorted(diags),
+            [("mutable-static", 3), ("nondeterminism", 2)])
 
-    def test_list_passes_names_all_four(self):
+
+class Nondeterminism(AnalyzeCase):
+    def test_rand_and_srand_flagged(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "int f() { srand(42); return rand(); }\n")
+        self.assert_rule(diags, "nondeterminism", 2)
+
+    def test_random_device_and_engine_flagged(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "#include <random>\n"
+            "std::mt19937 g{std::random_device{}()};\n")
+        self.assert_rule(diags, "nondeterminism", 2)
+
+    def test_time_and_clocks_flagged(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "long f() { return time(nullptr); }\n"
+            "long g() { return clock(); }\n"
+            "auto h() { return "
+            "std::chrono::steady_clock::now(); }\n")
+        self.assert_rule(diags, "nondeterminism", 3)
+
+    def test_rng_hh_and_member_time_ok(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            '#include "common/rng.hh"\n'
+            "double f(sipt::Rng &rng) { return rng.uniform(); }\n"
+            "struct S { long time(int); };\n"
+            "long g(S &s) { return s.time(3); }\n"
+            "int runtime(int x) { return x; }\n")
+        self.assertEqual(diags, [])
+
+    def test_mention_in_comment_or_string_ok(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "// rand() would poison the memo cache\n"
+            'const char *s = "do not call rand()";\n')
+        self.assertEqual(diags, [])
+
+    def test_not_checked_outside_src(self):
+        diags = self.scan(
+            "bench/a.cc", "int f() { return rand(); }\n")
+        self.assertEqual(diags, [])
+
+
+class MutableStatic(AnalyzeCase):
+    def test_mutable_static_flagged(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "int f() {\n"
+            "    static int calls = 0;\n"
+            "    return ++calls;\n"
+            "}\n"
+            "static bool g_ready;\n")
+        self.assert_rule(diags, "mutable-static", 2)
+
+    def test_const_once_init_table_ok(self):
+        # The profile.cc idiom: thread-safe once-init const table.
+        diags = self.scan(
+            "src/x/a.cc",
+            "#include <vector>\n"
+            "std::vector<int> build();\n"
+            "const std::vector<int> &table() {\n"
+            "    static const std::vector<int> t = build();\n"
+            "    return t;\n"
+            "}\n"
+            "static constexpr double kPi = 3.14;\n")
+        self.assertEqual(diags, [])
+
+    def test_static_member_function_decl_ok(self):
+        diags = self.scan(
+            "src/x/a.hh",
+            "#ifndef SIPT_X_A_HH\n#define SIPT_X_A_HH\n"
+            "struct S {\n"
+            "    static double latencyRaw(int config);\n"
+            "    static S\n"
+            "    make(int a, int b);\n"
+            "};\n"
+            "static int helper() { return 3; }\n"
+            "#endif\n")
+        self.assertEqual(diags, [])
+
+
+class RawThread(AnalyzeCase):
+    def test_thread_async_new_array_flagged(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "#include <thread>\n"
+            "void f() { std::thread t([]{}); t.join(); }\n"
+            "auto g() { return std::async([]{ return 1; }); }\n"
+            "int *h(int n) { return new int[n]; }\n")
+        self.assert_rule(diags, "raw-thread", 3)
+
+    def test_sweep_cc_is_exempt(self):
+        diags = self.scan(
+            "src/sim/sweep.cc",
+            "#include <thread>\n"
+            "void f() { std::thread t([]{}); t.join(); }\n")
+        self.assertEqual(diags, [])
+
+
+class AddrShift(AnalyzeCase):
+    def test_raw_shift_on_addr_flagged(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "unsigned long f(unsigned long vaddr) "
+            "{ return vaddr >> 12; }\n"
+            "unsigned long g(unsigned long paddr, unsigned s) "
+            "{ return paddr >> s; }\n"
+            "unsigned long h(unsigned long x) "
+            "{ return x << 12; }\n")
+        self.assert_rule(diags, "addr-shift", 2)
+
+    def test_member_access_and_lineaddr_flagged(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "unsigned long f(const R &r) "
+            "{ return r.vaddr >> 12; }\n"
+            "unsigned long g(const L &l, unsigned s) "
+            "{ return l.lineAddr << s; }\n")
+        self.assert_rule(diags, "addr-shift", 2)
+
+    def test_helpers_and_streaming_ok(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            '#include "common/bitops.hh"\n'
+            "auto f(sipt::Addr vaddr) "
+            "{ return sipt::pageNumber(vaddr); }\n"
+            "void g(std::ostream &os, sipt::Addr addr) "
+            '{ os << "va=" << addr << 1; }\n')
+        self.assertEqual(diags, [])
+
+    def test_bitops_itself_exempt(self):
+        diags = self.scan(
+            "src/common/bitops.hh",
+            "#ifndef SIPT_COMMON_BITOPS_HH\n"
+            "#define SIPT_COMMON_BITOPS_HH\n"
+            "constexpr unsigned long pageNumber(unsigned long "
+            "addr) { return addr >> 12; }\n"
+            "#endif\n")
+        self.assertEqual(diags, [])
+
+
+class HeaderGuard(AnalyzeCase):
+    def test_missing_guard_flagged(self):
+        diags = self.scan(
+            "src/x/a.hh", "struct A {};\n")
+        self.assert_rule(diags, "header-guard")
+
+    def test_wrong_guard_name_flagged(self):
+        diags = self.scan(
+            "src/x/a.hh",
+            "#ifndef WRONG_GUARD\n#define WRONG_GUARD\n"
+            "struct A {};\n#endif\n")
+        self.assert_rule(diags, "header-guard")
+
+    def test_canonical_guard_and_pragma_once_ok(self):
+        diags = self.scan(
+            "src/x/a.hh",
+            "#ifndef SIPT_X_A_HH\n#define SIPT_X_A_HH\n"
+            "struct A {};\n#endif\n",
+            extra={"src/x/b.hh": "#pragma once\nstruct B {};\n"})
+        self.assertEqual(diags, [])
+
+    def test_bench_headers_checked_too(self):
+        diags = self.scan("bench/bench_util.hh", "int x;\n")
+        self.assert_rule(diags, "header-guard")
+
+    def test_trace_header_guard_must_include_directory(self):
+        # A guard that drops the workload/ path component is the
+        # plausible typo for the trace_* headers; it must not pass.
+        diags = self.scan(
+            "src/workload/trace_format.hh",
+            "#ifndef SIPT_TRACE_FORMAT_HH\n"
+            "#define SIPT_TRACE_FORMAT_HH\n"
+            "struct T {};\n#endif\n")
+        self.assert_rule(diags, "header-guard")
+
+    def test_real_trace_headers_are_clean(self):
+        """The shipped trace record/replay headers pass every
+        lexical source pass (guards, determinism, addr-shift)."""
+        root = os.path.dirname(TOOLS_DIR)
+        files = {}
+        for rel in ("src/workload/trace_format.hh",
+                    "src/workload/trace_record.hh",
+                    "src/workload/trace_replay.hh"):
+            with open(os.path.join(root, rel),
+                      encoding="utf-8") as f:
+                files[rel] = f.read()
+        diags = self.analyze(files, LEXICAL_PASSES)
+        self.assertEqual(
+            [(d.path, d.rule, d.line) for d in diags], [])
+
+
+class SelfContained(AnalyzeCase):
+    def test_broken_header_fails_compile_check(self):
+        files = {
+            # Uses std::vector without including <vector>.
+            "src/x/a.hh":
+                "#ifndef SIPT_X_A_HH\n"
+                "#define SIPT_X_A_HH\n"
+                "inline std::vector<int> v() "
+                "{ return {}; }\n#endif\n",
+            "src/x/b.hh":
+                "#ifndef SIPT_X_B_HH\n"
+                "#define SIPT_X_B_HH\n"
+                "#include <vector>\n"
+                "inline std::vector<int> v2() "
+                "{ return {}; }\n#endif\n",
+        }
+        diags = self.analyze(
+            files, ["self-contained"],
+            compiler=os.environ.get("CXX", "c++"))
+        self.assertEqual([(d.rule, d.path) for d in diags],
+                         [("self-contained", "src/x/a.hh")])
+
+
+class EscapeHatch(AnalyzeCase):
+    def test_allow_on_own_line_and_line_above(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "int f() { return rand(); } "
+            "// sipt-analyze: allow(nondeterminism)\n"
+            "// sipt-analyze: allow(nondeterminism)\n"
+            "int g() { return rand(); }\n")
+        self.assertEqual(diags, [])
+
+    def test_allow_file_suppresses_everywhere(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "// sipt-analyze: allow-file(nondeterminism)\n"
+            "int f() { return rand(); }\n"
+            "int g() { return rand(); }\n")
+        self.assertEqual(diags, [])
+
+    def test_allow_without_rule_name_rejected(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "int f() { return rand(); } // sipt-analyze: allow\n")
+        self.assert_rule(diags, "bad-allow")
+        self.assert_rule(diags, "nondeterminism")
+
+    def test_allow_with_unknown_rule_rejected(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "int f() { return rand(); } "
+            "// sipt-analyze: allow(everything)\n")
+        self.assert_rule(diags, "bad-allow")
+        self.assert_rule(diags, "nondeterminism")
+
+    def test_allow_does_not_leak_past_next_line(self):
+        diags = self.scan(
+            "src/x/a.cc",
+            "// sipt-analyze: allow(nondeterminism)\n"
+            "int f() { return 0; }\n"
+            "int g() { return rand(); }\n")
+        self.assert_rule(diags, "nondeterminism")
+
+
+# --------------------------------------------------------------
+# command line
+# --------------------------------------------------------------
+
+class PassTable(AnalyzeCase):
+    def test_list_passes_names_all_ten(self):
         self.assertEqual(
             sorted(ANALYZE.PASSES),
-            ["config-key", "env-registry", "layering",
+            ["addr-shift", "config-key", "env-registry",
+             "header-guard", "layering", "mutable-static",
+             "nondeterminism", "raw-thread", "self-contained",
              "stage-ownership"])
 
 
