@@ -52,10 +52,9 @@ run(const std::string &app, unsigned max_order,
         const Pfn pfn = xlat->paddr >> pageShift;
         if ((vpn & mask(2)) == (pfn & mask(2)))
             ++unchanged;
-        const auto pred = combined.predict(ref.pc, vpn);
+        const auto pred = combined.resolve(ref.pc, vpn, pfn);
         if (pred.bits == (pfn & mask(2)))
             ++fast;
-        combined.update(ref.pc, vpn, pfn);
     }
     return {static_cast<double>(unchanged) /
                 static_cast<double>(refs),

@@ -83,11 +83,11 @@ main()
                     (vpn & mask(specBits)) ==
                     (pfn & mask(specBits));
 
-                const bool c = counter.predictSpeculate(ref.pc);
+                const bool c = counter.resolve(ref.pc, unchanged);
                 const bool s =
-                    small_perc.predictSpeculate(ref.pc);
+                    small_perc.resolve(ref.pc, unchanged);
                 const bool l =
-                    large_perc.predictSpeculate(ref.pc);
+                    large_perc.resolve(ref.pc, unchanged);
                 a_counter.correct += (c == unchanged);
                 a_small.correct += (s == unchanged);
                 a_large.correct += (l == unchanged);
@@ -98,14 +98,9 @@ main()
                 // speculation.
                 bypass_fast += (s && unchanged);
 
-                const auto pred = combined.predict(ref.pc, vpn);
+                const auto pred = combined.resolve(ref.pc, vpn, pfn);
                 combined_fast += (pred.bits ==
                                   (pfn & mask(specBits)));
-
-                counter.train(ref.pc, unchanged);
-                small_perc.train(ref.pc, unchanged);
-                large_perc.train(ref.pc, unchanged);
-                combined.update(ref.pc, vpn, pfn);
             }
             const auto frac = [&](std::uint64_t n) {
                 return static_cast<double>(n) /

@@ -52,7 +52,7 @@ main()
                     const bool unchanged =
                         (vpn & mask(k)) == (pfn & mask(k));
                     const bool spec =
-                        perceptron.predictSpeculate(ref.pc);
+                        perceptron.resolve(ref.pc, unchanged);
                     if (spec && unchanged)
                         ++c_spec;
                     else if (spec && !unchanged)
@@ -61,7 +61,6 @@ main()
                         ++opp;
                     else
                         ++c_byp;
-                    perceptron.train(ref.pc, unchanged);
                 }
                 const auto frac = [&](std::uint64_t n) {
                     return static_cast<double>(n) /

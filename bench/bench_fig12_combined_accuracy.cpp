@@ -50,7 +50,7 @@ main()
                         static_cast<std::uint32_t>(pfn &
                                                    mask(k));
                     const auto pred =
-                        combined.predict(ref.pc, vpn);
+                        combined.resolve(ref.pc, vpn, pfn);
                     if (pred.bits == pa_bits) {
                         if (pred.source ==
                             predictor::IndexSource::VaBits) {
@@ -61,7 +61,6 @@ main()
                     } else {
                         ++slow;
                     }
-                    combined.update(ref.pc, vpn, pfn);
                 }
                 const auto frac = [&](std::uint64_t n) {
                     return static_cast<double>(n) /

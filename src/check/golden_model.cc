@@ -222,8 +222,10 @@ DifferentialChecker::DifferentialChecker(const Options &options,
 }
 
 bool
-DifferentialChecker::fail(const std::string &message)
+DifferentialChecker::failAccess(const std::string &violation)
 {
+    const std::string message =
+        msg("access #", eventCount_ - 1, ": ", violation);
     if (options_.abortOnDivergence)
         panic("SIPT_CHECK divergence: ", message);
     if (failure_.empty())
@@ -264,8 +266,7 @@ DifferentialChecker::foldEvent(const FunctionalEvent &event)
 }
 
 bool
-DifferentialChecker::onAccess(const Observation &obs,
-                              const StatsView &stats)
+DifferentialChecker::onAccess(const Observation &obs)
 {
     FunctionalEvent event;
     event.index = eventCount_;
@@ -284,30 +285,7 @@ DifferentialChecker::onAccess(const Observation &obs,
     vivt_.access(obs.vaddr, obs.paddr, obs.op);
 
     const std::string diff = golden_.access(obs);
-    if (!diff.empty()) {
-        return fail(msg("access #", event.index, ": ", diff));
-    }
-
-    // Per-access decision legality: on a huge page the speculative
-    // index bits sit below the 2 MiB offset, so some decisions are
-    // contradictions (see checkHugePageDecision).
-    if (obs.hugePage) {
-        const std::string huge =
-            checkHugePageDecision(stats.policy, obs.spec);
-        if (!huge.empty()) {
-            return fail(
-                msg("access #", event.index, ": ", huge));
-        }
-    }
-
-    std::string closure = checkStatsClosure(stats);
-    if (closure.empty())
-        closure = checkEnergyClosure(stats);
-    if (!closure.empty()) {
-        return fail(msg("access #", event.index,
-                        ": invariant violated: ", closure));
-    }
-    return true;
+    return diff.empty() || failAccess(diff);
 }
 
 void

@@ -34,7 +34,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "check/invariants.hh"
 #include "check/options.hh"
 #include "check/vivt_model.hh"
 #include "common/types.hh"
@@ -70,12 +69,6 @@ struct Observation
     Addr vaddr = 0;
     Addr paddr = 0;
     MemOp op = MemOp::Load;
-    /** True when the translation came from a 2 MiB page; arms the
-     *  huge-page decision-legality check. */
-    bool hugePage = false;
-    /** The policy's speculation decision for this access (timing
-     *  only — never part of the functional digest). */
-    SpecClass spec = SpecClass::Direct;
     bool hit = false;
     /** Dirty bit of the accessed line after the access completed
      *  (hit way or freshly inserted line). */
@@ -151,11 +144,11 @@ class GoldenL1
 
 /**
  * Lockstep differential checker owned by one SiptL1Cache. Verifies
- * each access against the golden model, runs the closure/energy
- * invariants on the controller's counters, and accumulates the
- * functional event digest. The first failure is sticky and
- * reported through failure(); with Options::abortOnDivergence the
- * caller panics instead.
+ * each access against the golden model and accumulates the
+ * functional event digest; the controller reports its own counter
+ * invariant violations through failAccess(). The first failure is
+ * sticky and reported through failure(); with
+ * Options::abortOnDivergence the caller panics instead.
  */
 class DifferentialChecker
 {
@@ -172,12 +165,20 @@ class DifferentialChecker
                         std::uint32_t line_bytes);
 
     /**
-     * Check one completed access. @p stats is the controller's
-     * counter snapshot *after* the access.
+     * Check one completed access against the golden model.
      *
      * @return false when this access diverged (failure() set)
      */
-    bool onAccess(const Observation &obs, const StatsView &stats);
+    bool onAccess(const Observation &obs);
+
+    /**
+     * Record @p violation, found in the access last passed to
+     * onAccess(), as "access #N: violation": the sticky first
+     * failure, or a panic under Options::abortOnDivergence.
+     *
+     * @return false, for chaining
+     */
+    bool failAccess(const std::string &violation);
 
     /**
      * Warmup boundary: restart the event stream (digest, count,
@@ -213,10 +214,6 @@ class DifferentialChecker
     const VivtSynonymModel &vivt() const { return vivt_; }
 
   private:
-    /** Record @p message as the sticky first failure (or panic
-     *  under abortOnDivergence). @return false for chaining. */
-    bool fail(const std::string &message);
-
     /** Fold one functional event into the stream digest. */
     void foldEvent(const FunctionalEvent &event);
 

@@ -39,24 +39,6 @@ completeEvent(const char *name, const char *category,
 
 } // namespace
 
-const char *
-outcomeName(AccessOutcome outcome)
-{
-    switch (outcome) {
-      case AccessOutcome::Direct:
-        return "direct";
-      case AccessOutcome::Speculate:
-        return "speculate";
-      case AccessOutcome::Bypass:
-        return "bypass";
-      case AccessOutcome::Replay:
-        return "replay";
-      case AccessOutcome::DeltaHit:
-        return "delta-hit";
-    }
-    return "?";
-}
-
 Tracer &
 Tracer::global()
 {
@@ -110,7 +92,7 @@ Tracer::access(std::uint64_t lane, const AccessEvent &event)
                            static_cast<double>(event.l1Latency));
     Json args = Json::object();
     args.set("policy", event.policy);
-    args.set("outcome", outcomeName(event.outcome));
+    args.set("outcome", event.outcome);
     args.set("pc", event.pc);
     args.set("vaddr", event.vaddr);
     args.set("tlbLatency", event.tlbLatency);

@@ -37,32 +37,13 @@
 namespace sipt::trace
 {
 
-/** Taxonomy of one L1 access's speculative-indexing outcome,
- *  mirroring SpeculationStats (plus Direct for VIPT/Ideal, which
- *  never speculate on index bits). */
-enum class AccessOutcome : std::uint8_t
-{
-    /** No speculation involved (VIPT geometry or oracle index). */
-    Direct,
-    /** Speculated with predicted bits and they were correct. */
-    Speculate,
-    /** Waited for the TLB instead of speculating. */
-    Bypass,
-    /** Speculated, index was wrong: replayed with the PA index. */
-    Replay,
-    /** Bypass-predicted access saved by the IDB / reversal. */
-    DeltaHit,
-};
-
-/** Printable name of an outcome (the trace "args.outcome" value). */
-const char *outcomeName(AccessOutcome outcome);
-
 /** One L1 access event; ts is the dispatch cycle. */
 struct AccessEvent
 {
     /** Indexing policy name (policyName()). */
     const char *policy = "";
-    AccessOutcome outcome = AccessOutcome::Direct;
+    /** Speculation outcome name (specDecisionName()). */
+    const char *outcome = "";
     Addr pc = 0;
     Addr vaddr = 0;
     /** Dispatch cycle of the access (event timestamp). */

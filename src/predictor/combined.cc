@@ -47,48 +47,20 @@ CombinedIndexPredictor::CombinedIndexPredictor(
         traceLane_ = trace_->newLane();
 }
 
-IndexPrediction
-CombinedIndexPredictor::predict(Addr pc, Vpn vpn)
-{
-    IndexPrediction pred;
-    const auto va_bits =
-        static_cast<std::uint32_t>(vpn & mask(specBits_));
-    if (perceptron_.predictSpeculate(pc)) {
-        pred.bits = va_bits;
-        pred.source = IndexSource::VaBits;
-    } else if (specBits_ == 1) {
-        // Reversed prediction: "will change" + one bit means the
-        // post-translation bit is the complement (paper, Sec. VI).
-        pred.bits = va_bits ^ 1u;
-        pred.source = IndexSource::Reversed;
-    } else {
-        pred.bits = idb_.predictBits(pc, vpn);
-        pred.source = IndexSource::Idb;
-    }
-    lastPred_ = pred;
-    return pred;
-}
-
 void
-CombinedIndexPredictor::update(Addr pc, Vpn vpn, Pfn pfn)
+CombinedIndexPredictor::traceResolve(Addr pc,
+                                     const IndexPrediction &pred,
+                                     std::uint32_t pa_bits)
 {
-    const bool unchanged =
-        (vpn & mask(specBits_)) == (pfn & mask(specBits_));
-    if (trace_) {
-        const auto pa_bits =
-            static_cast<std::uint32_t>(pfn & mask(specBits_));
-        trace::PredictorEvent event;
-        event.predictor = "combined-index";
-        event.pc = pc;
-        event.seq = resolves_++;
-        event.decision = indexSourceName(lastPred_.source);
-        event.predicted = lastPred_.bits;
-        event.actual = pa_bits;
-        event.correct = lastPred_.bits == pa_bits;
-        trace_->predictor(traceLane_, event);
-    }
-    perceptron_.train(pc, unchanged);
-    idb_.update(pc, vpn, pfn);
+    trace::PredictorEvent event;
+    event.predictor = "combined-index";
+    event.pc = pc;
+    event.seq = resolves_++;
+    event.decision = indexSourceName(pred.source);
+    event.predicted = pred.bits;
+    event.actual = pa_bits;
+    event.correct = pred.bits == pa_bits;
+    trace_->predictor(traceLane_, event);
 }
 
 std::uint64_t

@@ -65,22 +65,14 @@ class CombinedIndexPredictor
             PerceptronParams{},
         const IdbParams &idb_params = IdbParams{});
 
-    /** Predict the speculative index bits for an access. */
-    IndexPrediction predict(Addr pc, Vpn vpn);
-
     /**
-     * Resolve the access: train the perceptron with whether the VA
-     * bits were unchanged, and refresh the IDB delta.
-     */
-    void update(Addr pc, Vpn vpn, Pfn pfn);
-
-    /**
-     * Fused predict + update for one access whose translation is
-     * already known (the pipeline resolves the address before it
-     * predicts). Computes the perceptron output once instead of
-     * twice; state and counters are identical to predict()
-     * followed by update(), which is what it runs when a tracer
-     * is attached. Defined inline below.
+     * Predict the speculative index bits for one access whose
+     * translation is already known (the pipeline resolves the
+     * address before it predicts), then train: the perceptron
+     * learns whether the VA bits survived translation and the IDB
+     * refreshes its delta. Defined inline below.
+     *
+     * @return the prediction made before training
      */
     IndexPrediction resolve(Addr pc, Vpn vpn, Pfn pfn);
 
@@ -98,13 +90,15 @@ class CombinedIndexPredictor
     std::uint64_t storageBytes() const;
 
   private:
+    /** Out-of-line emission of the combined-index event for one
+     *  resolved access (keeps resolve() free of event-formatting
+     *  code). */
+    void traceResolve(Addr pc, const IndexPrediction &pred,
+                      std::uint32_t pa_bits);
+
     std::uint32_t specBits_;
     PerceptronBypassPredictor perceptron_;
     IndexDeltaBuffer idb_;
-    /** Last prediction, kept so update() can emit a trace event
-     *  correlating prediction and resolution (the usage protocol
-     *  is strictly predict-then-update per access). */
-    IndexPrediction lastPred_;
     trace::Tracer *trace_ = nullptr;
     std::uint64_t traceLane_ = 0;
     std::uint64_t resolves_ = 0;
@@ -113,21 +107,12 @@ class CombinedIndexPredictor
 inline IndexPrediction
 CombinedIndexPredictor::resolve(Addr pc, Vpn vpn, Pfn pfn)
 {
-    if (trace_) {
-        // update() emits the combined-index event between the
-        // prediction and the perceptron/IDB training.
-        const IndexPrediction pred = predict(pc, vpn);
-        update(pc, vpn, pfn);
-        return pred;
-    }
-
-    const int y = perceptron_.outputFor(pc);
-    perceptron_.notePrediction();
-
-    IndexPrediction pred;
     const auto va_bits =
         static_cast<std::uint32_t>(vpn & mask(specBits_));
-    if (y >= 0) {
+    const auto pa_bits =
+        static_cast<std::uint32_t>(pfn & mask(specBits_));
+    IndexPrediction pred;
+    if (perceptron_.resolve(pc, va_bits == pa_bits)) {
         pred.bits = va_bits;
         pred.source = IndexSource::VaBits;
     } else if (specBits_ == 1) {
@@ -139,11 +124,8 @@ CombinedIndexPredictor::resolve(Addr pc, Vpn vpn, Pfn pfn)
         pred.bits = idb_.predictBits(pc, vpn);
         pred.source = IndexSource::Idb;
     }
-    lastPred_ = pred;
-
-    const bool unchanged =
-        (vpn & mask(specBits_)) == (pfn & mask(specBits_));
-    perceptron_.trainWithOutput(pc, unchanged, y);
+    if (trace_)
+        traceResolve(pc, pred, pa_bits);
     idb_.update(pc, vpn, pfn);
     return pred;
 }

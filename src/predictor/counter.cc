@@ -27,21 +27,17 @@ CounterBypassPredictor::indexOf(Addr pc) const
 }
 
 bool
-CounterBypassPredictor::predictSpeculate(Addr pc) const
-{
-    return counters_[indexOf(pc)] >= threshold_;
-}
-
-void
-CounterBypassPredictor::train(Addr pc, bool unchanged)
+CounterBypassPredictor::resolve(Addr pc, bool unchanged)
 {
     std::uint32_t &c = counters_[indexOf(pc)];
+    const bool speculate = c >= threshold_;
     if (unchanged) {
         if (c < maxValue_)
             ++c;
     } else if (c > 0) {
         --c;
     }
+    return speculate;
 }
 
 } // namespace sipt::predictor

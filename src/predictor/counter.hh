@@ -40,11 +40,13 @@ class CounterBypassPredictor
     explicit CounterBypassPredictor(
         const CounterParams &params = CounterParams{});
 
-    /** @return true to speculate. */
-    bool predictSpeculate(Addr pc) const;
-
-    /** Train with the resolved outcome. */
-    void train(Addr pc, bool unchanged);
+    /**
+     * Predict, then train with the resolved outcome.
+     * @param unchanged true when the speculative bits were in fact
+     *        unchanged by translation
+     * @return the prediction (true = speculate)
+     */
+    bool resolve(Addr pc, bool unchanged);
 
     const CounterParams &params() const { return params_; }
 

@@ -26,12 +26,9 @@ HashedXlatPredictor::indexOf(Vpn vpn) const
 Pfn
 HashedXlatPredictor::predictPfn(Vpn vpn) const
 {
-    ++lookups_;
     const Entry &e = table_[indexOf(vpn)];
-    if (e.valid && e.vpn == vpn) {
-        ++tagHits_;
+    if (e.valid && e.vpn == vpn)
         return e.pfn;
-    }
     // Cold or aliased entry: predict identity, which reduces to
     // the base policies' "speculate with VA bits" default.
     return vpn;
@@ -44,16 +41,6 @@ HashedXlatPredictor::update(Vpn vpn, Pfn pfn)
     e.valid = true;
     e.vpn = vpn;
     e.pfn = pfn;
-}
-
-std::uint64_t
-HashedXlatPredictor::storageBytes() const
-{
-    // valid bit + a 36-bit VPN tag + a 36-bit PFN per entry
-    // (48-bit virtual / physical spaces, 4 KiB pages).
-    const std::uint64_t bits =
-        static_cast<std::uint64_t>(entries_) * (1 + 36 + 36);
-    return (bits + 7) / 8;
 }
 
 PcXlatPredictor::PcXlatPredictor(const PcXlatParams &params)
@@ -86,15 +73,6 @@ PcXlatPredictor::update(Addr pc, Vpn vpn, Pfn pfn)
     e.valid = true;
     e.delta = static_cast<std::int64_t>(pfn) -
               static_cast<std::int64_t>(vpn);
-}
-
-std::uint64_t
-PcXlatPredictor::storageBytes() const
-{
-    // valid bit + a signed 37-bit frame delta per entry.
-    const std::uint64_t bits =
-        static_cast<std::uint64_t>(entries_) * (1 + 37);
-    return (bits + 7) / 8;
 }
 
 } // namespace sipt::predictor

@@ -75,15 +75,6 @@ class HashedXlatPredictor
         return predicted;
     }
 
-    /** Lookups that hit a matching tag (predictor accuracy aid). */
-    std::uint64_t tagHits() const { return tagHits_; }
-
-    /** Total lookups. */
-    std::uint64_t lookups() const { return lookups_; }
-
-    /** Hardware cost of the table in bytes. */
-    std::uint64_t storageBytes() const;
-
   private:
     struct Entry
     {
@@ -96,8 +87,6 @@ class HashedXlatPredictor
 
     std::uint32_t entries_;
     std::vector<Entry> table_;
-    mutable std::uint64_t lookups_ = 0;
-    mutable std::uint64_t tagHits_ = 0;
 };
 
 /** PcXlatPredictor configuration. */
@@ -124,9 +113,6 @@ class PcXlatPredictor
 
     /** Record the verified translation @p vpn -> @p pfn at @p pc. */
     void update(Addr pc, Vpn vpn, Pfn pfn);
-
-    /** Hardware cost of the table in bytes. */
-    std::uint64_t storageBytes() const;
 
   private:
     struct Entry

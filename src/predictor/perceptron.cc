@@ -43,19 +43,6 @@ PerceptronBypassPredictor::PerceptronBypassPredictor(
         traceLane_ = trace_->newLane();
 }
 
-bool
-PerceptronBypassPredictor::predictSpeculate(Addr pc)
-{
-    ++predictions_;
-    return output(pc) >= 0;
-}
-
-void
-PerceptronBypassPredictor::train(Addr pc, bool unchanged)
-{
-    trainWithOutput(pc, unchanged, output(pc));
-}
-
 void
 PerceptronBypassPredictor::traceResolve(Addr pc, bool unchanged,
                                         int y)

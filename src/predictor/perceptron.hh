@@ -50,10 +50,6 @@ struct PerceptronParams
 /**
  * Global-history perceptron predictor for the speculate/bypass
  * decision.
- *
- * Usage protocol: call predictSpeculate(), resolve the access, then
- * call train() with the actual outcome *before* the next
- * prediction, so training sees the history the prediction used.
  */
 class PerceptronBypassPredictor
 {
@@ -62,50 +58,26 @@ class PerceptronBypassPredictor
         const PerceptronParams &params = PerceptronParams{});
 
     /**
+     * Predict and train for one access whose outcome is already
+     * known (the pipeline resolves the address before it
+     * predicts): the prediction uses the history as it stood
+     * before this access, then the outcome trains the entry and
+     * joins the history.
+     *
      * @param pc the memory instruction's program counter
-     * @return true to speculate (predict index bits unchanged)
-     */
-    bool predictSpeculate(Addr pc);
-
-    /**
-     * Train with the resolved outcome for @p pc.
      * @param unchanged true when the speculative bits were in fact
      *        unchanged by translation
-     */
-    void train(Addr pc, bool unchanged);
-
-    /**
-     * Fused predict + train for one access whose outcome is
-     * already known (the pipeline resolves the address before it
-     * predicts, so @p unchanged is available up front). Computes
-     * the perceptron output once instead of twice; state, counter,
-     * and trace-event sequence are identical to
-     * predictSpeculate() followed by train().
-     *
-     * @return the prediction (true = speculate)
+     * @return the prediction (true = speculate, i.e. predict the
+     *         index bits unchanged)
      */
     bool
     resolve(Addr pc, bool unchanged)
     {
         ++predictions_;
-        const int y = outputFor(pc);
-        trainWithOutput(pc, unchanged, y);
+        const int y = output(pc);
+        train(pc, unchanged, y);
         return y >= 0;
     }
-
-    /** The raw perceptron output for @p pc under the current
-     *  history (>= 0 means speculate). */
-    int outputFor(Addr pc) const { return output(pc); }
-
-    /** Count one prediction derived externally from outputFor()
-     *  (the combined predictor's fused path). */
-    void notePrediction() { ++predictions_; }
-
-    /** train() with a pre-computed output value (fused paths pass
-     *  back what outputFor() returned for this access). Defined
-     *  inline below: this is every policy's per-access training
-     *  step and the batched decide stage inlines it. */
-    void trainWithOutput(Addr pc, bool unchanged, int y);
 
     /** Storage cost in bytes (for the overhead claims). */
     std::uint64_t storageBytes() const;
@@ -118,10 +90,20 @@ class PerceptronBypassPredictor
     using Weight = std::int16_t;
 
     std::uint32_t indexOf(Addr pc) const;
+
+    /** The raw perceptron output for @p pc under the current
+     *  history (>= 0 means speculate). */
     int output(Addr pc) const;
 
-    /** Out-of-line tracer emission for trainWithOutput (keeps the
-     *  inlined training step free of event-formatting code). */
+    /** Train @p pc's entry with the resolved outcome, given the
+     *  output @p y its prediction used, and shift the outcome into
+     *  the history. Defined inline below: this is every policy's
+     *  per-access training step and the batched decide stage
+     *  inlines it. */
+    void train(Addr pc, bool unchanged, int y);
+
+    /** Out-of-line tracer emission for train() (keeps the inlined
+     *  training step free of event-formatting code). */
     void traceResolve(Addr pc, bool unchanged, int y);
 
     PerceptronParams params_;
@@ -169,8 +151,7 @@ PerceptronBypassPredictor::output(Addr pc) const
 }
 
 inline void
-PerceptronBypassPredictor::trainWithOutput(Addr pc, bool unchanged,
-                                           int y)
+PerceptronBypassPredictor::train(Addr pc, bool unchanged, int y)
 {
     const int t = unchanged ? 1 : -1;
     const bool mispredicted = (y >= 0) != unchanged;

@@ -549,21 +549,20 @@ SweepRunner::loadFromDisk(const std::string &key_json)
     const Json *version = entry ? entry->find("version") : nullptr;
     const Json *key = entry ? entry->find("key") : nullptr;
     const Json *result = entry ? entry->find("result") : nullptr;
-    // "sum" guards the result bytes; entries written before it
-    // existed (same format version, three members) still load.
+    // "sum" guards the result bytes.
     const Json *sum = entry ? entry->find("sum") : nullptr;
     std::string error;
     std::optional<Result> decoded;
-    if (!version || !key || !result ||
-        entry->size() != (sum ? 4u : 3u) || !version->isUint()) {
+    if (!version || !key || !result || !sum || entry->size() != 4 ||
+        !version->isUint()) {
         error = "not a cache entry";
     } else if (version->asUint() != cacheFormatVersion ||
                key->dump() != key_json) {
         // Another format version, or a 64-bit file-name collision:
         // a clean miss, never someone else's result.
         return std::nullopt;
-    } else if (sum && (!sum->isUint() ||
-                       sum->asUint() != fnv1a64(result->dump()))) {
+    } else if (!sum->isUint() ||
+               sum->asUint() != fnv1a64(result->dump())) {
         error = "result checksum mismatch";
     } else if constexpr (std::is_same_v<Result, MulticoreResult>) {
         decoded = multiResultFromJson(*result, error);

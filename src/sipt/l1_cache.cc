@@ -4,6 +4,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "sipt/invariants.hh"
 
 namespace sipt
 {
@@ -32,6 +33,25 @@ policyName(IndexingPolicy policy)
     return "?";
 }
 
+const char *
+specDecisionName(SpecDecision decision)
+{
+    switch (decision) {
+      case SpecDecision::Direct:
+        return "direct";
+      case SpecDecision::Speculate:
+        return "speculate";
+      case SpecDecision::DeltaHit:
+        return "delta-hit";
+      case SpecDecision::Replay:
+        return "replay";
+      case SpecDecision::BypassCorrect:
+      case SpecDecision::BypassLoss:
+        return "bypass";
+    }
+    return "?";
+}
+
 namespace
 {
 
@@ -48,49 +68,6 @@ constexpr double bypassPredictorEnergyFraction = 0.007;
 constexpr double combinedPredictorEnergyFraction = 0.012;
 constexpr double revelatorPredictorEnergyFraction = 0.010;
 constexpr double pcaxPredictorEnergyFraction = 0.013;
-
-/** Explicit SpecDecision -> check::SpecClass map (no enum-value
- *  punning between the layers). */
-check::SpecClass
-specClassOf(SpecDecision decision)
-{
-    switch (decision) {
-      case SpecDecision::Direct:
-        return check::SpecClass::Direct;
-      case SpecDecision::Speculate:
-        return check::SpecClass::Speculate;
-      case SpecDecision::DeltaHit:
-        return check::SpecClass::DeltaHit;
-      case SpecDecision::Replay:
-        return check::SpecClass::Replay;
-      case SpecDecision::BypassCorrect:
-        return check::SpecClass::BypassCorrect;
-      case SpecDecision::BypassLoss:
-        return check::SpecClass::BypassLoss;
-    }
-    return check::SpecClass::Direct;
-}
-
-/** The tracer's view of a decision: both bypass flavours are one
- *  outcome there. */
-trace::AccessOutcome
-traceOutcomeOf(SpecDecision decision)
-{
-    switch (decision) {
-      case SpecDecision::Direct:
-        return trace::AccessOutcome::Direct;
-      case SpecDecision::Speculate:
-        return trace::AccessOutcome::Speculate;
-      case SpecDecision::DeltaHit:
-        return trace::AccessOutcome::DeltaHit;
-      case SpecDecision::Replay:
-        return trace::AccessOutcome::Replay;
-      case SpecDecision::BypassCorrect:
-      case SpecDecision::BypassLoss:
-        return trace::AccessOutcome::Bypass;
-    }
-    return trace::AccessOutcome::Direct;
-}
 
 } // namespace
 
@@ -207,16 +184,11 @@ SiptL1Cache::decideOne(Addr pc, Addr vaddr, Addr paddr,
         // Same two-stage shape as Combined: the perceptron decides
         // between the VA bits and the stage-2 value, which here is
         // the PC-indexed full-frame prediction.
-        const int y = bypass_->outputFor(pc);
-        bypass_->notePrediction();
-        std::uint32_t pred_bits = va_bits;
-        bool from_va = true;
-        if (y < 0) {
-            pred_bits = static_cast<std::uint32_t>(
-                pcax_->predictPfn(pc, vpn) & specMask_);
-            from_va = false;
-        }
-        bypass_->trainWithOutput(pc, unchanged, y);
+        const bool from_va = bypass_->resolve(pc, unchanged);
+        const auto pred_bits =
+            from_va ? va_bits
+                    : static_cast<std::uint32_t>(
+                          pcax_->predictPfn(pc, vpn) & specMask_);
         pcax_->update(pc, vpn, pfn);
         return pred_bits == pa_bits
                    ? (from_va ? SpecDecision::Speculate
@@ -333,8 +305,6 @@ SiptL1Cache::observeAccess(const MemRef &ref,
         obs.vaddr = ref.vaddr;
         obs.paddr = xlat.paddr;
         obs.op = ref.op;
-        obs.hugePage = xlat.hugePage;
-        obs.spec = specClassOf(decision);
         obs.hit = res.hit;
         if (res.hit) {
             obs.dirtyAfter =
@@ -348,12 +318,34 @@ SiptL1Cache::observeAccess(const MemRef &ref,
                 obs.writeback = evicted->dirty;
             }
         }
-        checker_->onAccess(obs, statsView());
+        if (checker_->onAccess(obs)) {
+            // Huge-page legality first: on a 2 MiB page the
+            // speculative index bits sit below the page offset, so
+            // some decisions are contradictions.
+            std::string violation =
+                xlat.hugePage ? checkHugePageDecision(params_.policy,
+                                                      specBits_,
+                                                      decision)
+                              : std::string{};
+            if (violation.empty()) {
+                std::string closure = checkStatsClosure(
+                    stats_, params_.policy, specBits_);
+                if (closure.empty()) {
+                    closure = checkEnergyClosure(
+                        stats_, array_.assoc(),
+                        wayPredictor_ ? wayPredictor_->correct() : 0);
+                }
+                if (!closure.empty())
+                    violation = "invariant violated: " + closure;
+            }
+            if (!violation.empty())
+                checker_->failAccess(violation);
+        }
     }
     if (trace_) {
         trace::AccessEvent event;
         event.policy = policyName(params_.policy);
-        event.outcome = traceOutcomeOf(decision);
+        event.outcome = specDecisionName(decision);
         event.pc = ref.pc;
         event.vaddr = ref.vaddr;
         event.cycle = now;
@@ -394,64 +386,6 @@ SiptL1Cache::missFill(const MemRef &ref, Addr paddr,
     res.fast = fast;
     res.latency = (ready - now) + fill_latency;
     return res;
-}
-
-check::StatsView
-SiptL1Cache::statsView() const
-{
-    check::StatsView view;
-    switch (params_.policy) {
-      case IndexingPolicy::Vipt:
-      case IndexingPolicy::Ideal:
-        view.policy = check::PolicyClass::Direct;
-        break;
-      case IndexingPolicy::SiptNaive:
-        view.policy = specBits_ ? check::PolicyClass::Naive
-                                : check::PolicyClass::Direct;
-        break;
-      case IndexingPolicy::SiptBypass:
-        view.policy = specBits_ ? check::PolicyClass::Bypass
-                                : check::PolicyClass::Direct;
-        break;
-      case IndexingPolicy::SiptCombined:
-        view.policy = specBits_ ? check::PolicyClass::Combined
-                                : check::PolicyClass::Direct;
-        break;
-      case IndexingPolicy::SiptVespa:
-        view.policy = specBits_ ? check::PolicyClass::Vespa
-                                : check::PolicyClass::Direct;
-        break;
-      case IndexingPolicy::SiptRevelator:
-        view.policy = specBits_ ? check::PolicyClass::Revelator
-                                : check::PolicyClass::Direct;
-        break;
-      case IndexingPolicy::SiptPcax:
-        view.policy = specBits_ ? check::PolicyClass::Pcax
-                                : check::PolicyClass::Direct;
-        break;
-    }
-    view.assoc = array_.assoc();
-    view.accesses = stats_.accesses;
-    view.loads = stats_.loads;
-    view.stores = stats_.stores;
-    view.hits = stats_.hits;
-    view.misses = stats_.misses;
-    view.fastAccesses = stats_.fastAccesses;
-    view.slowAccesses = stats_.slowAccesses;
-    view.extraArrayAccesses = stats_.extraArrayAccesses;
-    view.arrayAccesses = stats_.arrayAccesses;
-    view.weightedArrayAccesses = stats_.weightedArrayAccesses;
-    view.correctSpeculation = stats_.spec.correctSpeculation;
-    view.correctBypass = stats_.spec.correctBypass;
-    view.opportunityLoss = stats_.spec.opportunityLoss;
-    view.extraAccess = stats_.spec.extraAccess;
-    view.idbHit = stats_.spec.idbHit;
-    view.wayPredCorrect =
-        wayPredictor_ ? wayPredictor_->correct() : 0;
-    view.hugeAccesses = stats_.hugeAccesses;
-    view.hugeReplays = stats_.hugeReplays;
-    view.hugeBypassLosses = stats_.hugeBypassLosses;
-    return view;
 }
 
 std::uint64_t

@@ -191,6 +191,11 @@ enum class SpecDecision : std::uint8_t
     BypassLoss,
 };
 
+/** Printable name of a decision: the trace's "args.outcome" value
+ *  ("direct", "speculate", "delta-hit", "replay", and "bypass" for
+ *  both bypass decisions). */
+const char *specDecisionName(SpecDecision decision);
+
 /** Per-access result returned to the core model. */
 struct L1AccessResult
 {
@@ -332,9 +337,8 @@ class SiptL1Cache
      * speculation outcome of one access is computed, instantiated
      * per policy. Both decide() (per-call dispatch) and
      * decideBatch() (dispatch hoisted out of the loop) call it, so
-     * a policy's semantics exist exactly once. Uses the fused
-     * predictor resolve paths, which are state-identical to the
-     * split predict/train protocol.
+     * a policy's semantics exist exactly once. Each predictor is
+     * queried and trained in one resolve() call per access.
      */
     template <IndexingPolicy Policy>
     SpecDecision decideOne(Addr pc, Addr vaddr, Addr paddr,
@@ -360,8 +364,9 @@ class SiptL1Cache
 
     /**
      * Post-access observers, called only when the checker or the
-     * tracer is on: feeds the golden model the access (with the
-     * counters as they stand after it) and emits the trace event.
+     * tracer is on: feeds the golden model the access, checks the
+     * counter invariants (sipt/invariants.hh) as they stand after
+     * it, and emits the trace event.
      * @p way is the resident way on a hit, -1 on a miss.
      */
     void observeAccess(const MemRef &ref, const vm::MmuResult &xlat,
@@ -375,9 +380,6 @@ class SiptL1Cache
      *  way the line was found in, or -1. @return way-mispredict
      *  latency penalty. */
     Cycles chargeArrayAccess(std::uint32_t set, int resident_way);
-
-    /** Snapshot the counters for the invariant checkers. */
-    check::StatsView statsView() const;
 
     L1Params params_;
     cache::BelowL1 &below_;

@@ -16,10 +16,10 @@
 #include "cache/hierarchy.hh"
 #include "cache/timing_cache.hh"
 #include "check/golden_model.hh"
-#include "check/invariants.hh"
 #include "check/options.hh"
 #include "common/types.hh"
 #include "dram/dram.hh"
+#include "sipt/invariants.hh"
 #include "sipt/l1_cache.hh"
 
 namespace sipt
@@ -29,20 +29,16 @@ namespace
 
 using check::Mutation;
 using check::Observation;
-using check::PolicyClass;
-using check::StatsView;
 
 // ---------------------------------------------------------------
-// Invariant closures on hand-built counter snapshots.
+// Invariant closures on hand-built L1 counters.
 // ---------------------------------------------------------------
 
-/** A consistent Direct-policy snapshot the closures accept. */
-StatsView
+/** Counters the closures accept under a direct policy. */
+L1Stats
 cleanDirectView()
 {
-    StatsView v;
-    v.policy = PolicyClass::Direct;
-    v.assoc = 2;
+    L1Stats v;
     v.accesses = 10;
     v.loads = 6;
     v.stores = 4;
@@ -56,125 +52,163 @@ cleanDirectView()
     return v;
 }
 
+/** The stats closure under @p policy on a geometry with one
+ *  speculative bit, where every SIPT policy speculates. */
+std::string
+closure(const L1Stats &v, IndexingPolicy policy = IndexingPolicy::Vipt)
+{
+    return checkStatsClosure(v, policy, 1);
+}
+
+/** The energy closure at associativity @p assoc with
+ *  @p way_pred_correct correctly way-predicted hits. */
+std::string
+energy(const L1Stats &v, std::uint32_t assoc = 2,
+       std::uint64_t way_pred_correct = 0)
+{
+    return checkEnergyClosure(v, assoc, way_pred_correct);
+}
+
+/** The huge-page legality check at one speculative bit. */
+std::string
+huge(IndexingPolicy policy, SpecDecision decision)
+{
+    return checkHugePageDecision(policy, 1, decision);
+}
+
 TEST(Invariants, CleanViewPasses)
 {
-    const StatsView v = cleanDirectView();
-    EXPECT_EQ(check::checkStatsClosure(v), "");
-    EXPECT_EQ(check::checkEnergyClosure(v), "");
+    const L1Stats v = cleanDirectView();
+    EXPECT_EQ(closure(v), "");
+    EXPECT_EQ(energy(v), "");
 }
 
 TEST(Invariants, HitsAndMissesMustPartitionAccesses)
 {
-    StatsView v = cleanDirectView();
+    L1Stats v = cleanDirectView();
     v.hits = 8; // 8 + 3 != 10
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v), "");
+}
+
+TEST(Invariants, WritebacksBoundedByMisses)
+{
+    // Only a miss fill's dirty victim is written back.
+    L1Stats v = cleanDirectView();
+    v.writebacks = 3;
+    EXPECT_EQ(closure(v), "");
+    v.writebacks = 4; // > 3 misses
+    const std::string msg = closure(v);
+    EXPECT_NE(msg.find("writebacks"), std::string::npos) << msg;
 }
 
 TEST(Invariants, FastAndSlowMustPartitionAccesses)
 {
-    StatsView v = cleanDirectView();
+    L1Stats v = cleanDirectView();
     v.fastAccesses = 9;
     v.slowAccesses = 0;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v), "");
 }
 
 TEST(Invariants, ArrayAccessesMustAccountExtras)
 {
-    StatsView v = cleanDirectView();
+    L1Stats v = cleanDirectView();
     v.extraArrayAccesses = 2; // accesses + extra != array
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v), "");
 }
 
 TEST(Invariants, DirectPolicyForbidsSpecCounters)
 {
-    StatsView v = cleanDirectView();
-    v.correctSpeculation = 1;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    L1Stats v = cleanDirectView();
+    v.spec.correctSpeculation = 1;
+    EXPECT_NE(closure(v), "");
+    EXPECT_NE(closure(v, IndexingPolicy::Ideal), "");
+    // A SIPT policy on a geometry with no speculative bits never
+    // speculates, so it is held to the direct partition too.
+    EXPECT_NE(checkStatsClosure(v, IndexingPolicy::SiptCombined, 0),
+              "");
+    EXPECT_EQ(checkStatsClosure(cleanDirectView(),
+                                IndexingPolicy::SiptCombined, 0),
+              "");
 }
 
 TEST(Invariants, NaiveSpeculationPartition)
 {
-    StatsView v = cleanDirectView();
-    v.policy = PolicyClass::Naive;
-    v.correctSpeculation = 7;
-    v.extraAccess = 3;
+    L1Stats v = cleanDirectView();
+    v.spec.correctSpeculation = 7;
+    v.spec.extraAccess = 3;
     v.extraArrayAccesses = 3;
     v.arrayAccesses = 13;
     v.weightedArrayAccesses = 13.0;
     v.fastAccesses = 7;
     v.slowAccesses = 3;
-    EXPECT_EQ(check::checkStatsClosure(v), "");
-    v.correctSpeculation = 6; // 6 + 3 != 10
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_EQ(closure(v, IndexingPolicy::SiptNaive), "");
+    v.spec.correctSpeculation = 6; // 6 + 3 != 10
+    EXPECT_NE(closure(v, IndexingPolicy::SiptNaive), "");
 }
 
 TEST(Invariants, BypassSpeculationPartition)
 {
-    StatsView v = cleanDirectView();
-    v.policy = PolicyClass::Bypass;
-    v.correctSpeculation = 4;
-    v.extraAccess = 2;
-    v.correctBypass = 3;
-    v.opportunityLoss = 1;
+    L1Stats v = cleanDirectView();
+    v.spec.correctSpeculation = 4;
+    v.spec.extraAccess = 2;
+    v.spec.correctBypass = 3;
+    v.spec.opportunityLoss = 1;
     v.extraArrayAccesses = 2;
     v.arrayAccesses = 12;
     v.weightedArrayAccesses = 12.0;
     v.fastAccesses = 4;
     v.slowAccesses = 6;
-    EXPECT_EQ(check::checkStatsClosure(v), "");
-    v.opportunityLoss = 2;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_EQ(closure(v, IndexingPolicy::SiptBypass), "");
+    v.spec.opportunityLoss = 2;
+    EXPECT_NE(closure(v, IndexingPolicy::SiptBypass), "");
 }
 
 TEST(Invariants, CombinedSpeculationPartition)
 {
-    StatsView v = cleanDirectView();
-    v.policy = PolicyClass::Combined;
-    v.correctSpeculation = 5;
-    v.idbHit = 3;
-    v.extraAccess = 2;
+    L1Stats v = cleanDirectView();
+    v.spec.correctSpeculation = 5;
+    v.spec.idbHit = 3;
+    v.spec.extraAccess = 2;
     v.extraArrayAccesses = 2;
     v.arrayAccesses = 12;
     v.weightedArrayAccesses = 12.0;
     v.fastAccesses = 8;
     v.slowAccesses = 2;
-    EXPECT_EQ(check::checkStatsClosure(v), "");
-    v.idbHit = 4;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_EQ(closure(v, IndexingPolicy::SiptCombined), "");
+    v.spec.idbHit = 4;
+    EXPECT_NE(closure(v, IndexingPolicy::SiptCombined), "");
 }
 
 TEST(Invariants, VespaSpeculationPartitionAndHugeBounds)
 {
-    StatsView v = cleanDirectView();
-    v.policy = PolicyClass::Vespa;
-    v.correctSpeculation = 5;
-    v.idbHit = 3;
-    v.extraAccess = 2;
+    L1Stats v = cleanDirectView();
+    v.spec.correctSpeculation = 5;
+    v.spec.idbHit = 3;
+    v.spec.extraAccess = 2;
     v.extraArrayAccesses = 2;
     v.arrayAccesses = 12;
     v.weightedArrayAccesses = 12.0;
     v.fastAccesses = 8;
     v.slowAccesses = 2;
     v.hugeAccesses = 4;
-    EXPECT_EQ(check::checkStatsClosure(v), "");
+    EXPECT_EQ(closure(v, IndexingPolicy::SiptVespa), "");
     // The gate makes a huge replay structurally impossible.
     v.hugeReplays = 1;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v, IndexingPolicy::SiptVespa), "");
     v.hugeReplays = 0;
     // Predicting policies never bypass, so no huge bypass loss.
     v.hugeBypassLosses = 1;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v, IndexingPolicy::SiptVespa), "");
 }
 
 TEST(Invariants, RevelatorAndPcaxShareThePredictingPartition)
 {
-    for (const PolicyClass policy :
-         {PolicyClass::Revelator, PolicyClass::Pcax}) {
-        StatsView v = cleanDirectView();
-        v.policy = policy;
-        v.correctSpeculation = 4;
-        v.idbHit = 4;
-        v.extraAccess = 2;
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::SiptRevelator, IndexingPolicy::SiptPcax}) {
+        L1Stats v = cleanDirectView();
+        v.spec.correctSpeculation = 4;
+        v.spec.idbHit = 4;
+        v.spec.extraAccess = 2;
         v.extraArrayAccesses = 2;
         v.arrayAccesses = 12;
         v.weightedArrayAccesses = 12.0;
@@ -184,48 +218,46 @@ TEST(Invariants, RevelatorAndPcaxShareThePredictingPartition)
         // *value* prediction), bounded by the replay total.
         v.hugeAccesses = 3;
         v.hugeReplays = 2;
-        EXPECT_EQ(check::checkStatsClosure(v), "");
-        v.correctBypass = 1;
-        v.correctSpeculation = 3;
-        EXPECT_NE(check::checkStatsClosure(v), "")
+        EXPECT_EQ(closure(v, policy), "");
+        v.spec.correctBypass = 1;
+        v.spec.correctSpeculation = 3;
+        EXPECT_NE(closure(v, policy), "")
             << "predicting policies never bypass outright";
     }
 }
 
 TEST(Invariants, HugeCountersAreBounded)
 {
-    StatsView v = cleanDirectView();
-    v.policy = PolicyClass::Naive;
-    v.correctSpeculation = 7;
-    v.extraAccess = 3;
+    L1Stats v = cleanDirectView();
+    v.spec.correctSpeculation = 7;
+    v.spec.extraAccess = 3;
     v.extraArrayAccesses = 3;
     v.arrayAccesses = 13;
     v.weightedArrayAccesses = 13.0;
     v.fastAccesses = 7;
     v.slowAccesses = 3;
-    EXPECT_EQ(check::checkStatsClosure(v), "");
+    EXPECT_EQ(closure(v, IndexingPolicy::SiptNaive), "");
     // More huge accesses than accesses.
     v.hugeAccesses = 11;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v, IndexingPolicy::SiptNaive), "");
     v.hugeAccesses = 2;
     // Naive can only replay when the bits changed, which cannot
     // happen on a huge page.
     v.hugeReplays = 1;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v, IndexingPolicy::SiptNaive), "");
     v.hugeReplays = 0;
     // Outcome counters above the huge-access total.
     v.hugeBypassLosses = 3;
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v, IndexingPolicy::SiptNaive), "");
 }
 
 TEST(Invariants, BypassMayLoseHugeAccessesBoundedly)
 {
-    StatsView v = cleanDirectView();
-    v.policy = PolicyClass::Bypass;
-    v.correctSpeculation = 4;
-    v.extraAccess = 2;
-    v.correctBypass = 3;
-    v.opportunityLoss = 1;
+    L1Stats v = cleanDirectView();
+    v.spec.correctSpeculation = 4;
+    v.spec.extraAccess = 2;
+    v.spec.correctBypass = 3;
+    v.spec.opportunityLoss = 1;
     v.extraArrayAccesses = 2;
     v.arrayAccesses = 12;
     v.weightedArrayAccesses = 12.0;
@@ -235,98 +267,78 @@ TEST(Invariants, BypassMayLoseHugeAccessesBoundedly)
     // A huge BypassLoss is legal for Bypass (predictor waste the
     // counter exists to expose), bounded by opportunityLoss.
     v.hugeBypassLosses = 1;
-    EXPECT_EQ(check::checkStatsClosure(v), "");
+    EXPECT_EQ(closure(v, IndexingPolicy::SiptBypass), "");
     v.hugeBypassLosses = 2; // > opportunityLoss
-    EXPECT_NE(check::checkStatsClosure(v), "");
+    EXPECT_NE(closure(v, IndexingPolicy::SiptBypass), "");
 }
 
 TEST(Invariants, HugePageDecisionLegality)
 {
-    using check::SpecClass;
-    using check::checkHugePageDecision;
     // BypassCorrect contradicts the superpage offset argument
     // under every policy.
-    for (const PolicyClass policy :
-         {PolicyClass::Direct, PolicyClass::Naive,
-          PolicyClass::Bypass, PolicyClass::Combined,
-          PolicyClass::Vespa, PolicyClass::Revelator,
-          PolicyClass::Pcax}) {
-        EXPECT_NE(checkHugePageDecision(
-                      policy, SpecClass::BypassCorrect),
-                  "")
-            << policyClassName(policy);
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::Vipt, IndexingPolicy::SiptNaive,
+          IndexingPolicy::SiptBypass, IndexingPolicy::SiptCombined,
+          IndexingPolicy::SiptVespa, IndexingPolicy::SiptRevelator,
+          IndexingPolicy::SiptPcax}) {
+        EXPECT_NE(huge(policy, SpecDecision::BypassCorrect), "")
+            << policyName(policy);
     }
     // Replay and DeltaHit need a stage-2 value predictor that
     // survived the gate: legal only for Combined/Revelator/Pcax.
-    for (const SpecClass spec :
-         {SpecClass::Replay, SpecClass::DeltaHit}) {
-        EXPECT_EQ(checkHugePageDecision(PolicyClass::Combined,
-                                        spec),
-                  "");
-        EXPECT_EQ(checkHugePageDecision(PolicyClass::Revelator,
-                                        spec),
-                  "");
-        EXPECT_EQ(
-            checkHugePageDecision(PolicyClass::Pcax, spec), "");
-        EXPECT_NE(
-            checkHugePageDecision(PolicyClass::Vespa, spec), "")
+    for (const SpecDecision spec :
+         {SpecDecision::Replay, SpecDecision::DeltaHit}) {
+        EXPECT_EQ(huge(IndexingPolicy::SiptCombined, spec), "");
+        EXPECT_EQ(huge(IndexingPolicy::SiptRevelator, spec), "");
+        EXPECT_EQ(huge(IndexingPolicy::SiptPcax, spec), "");
+        EXPECT_NE(huge(IndexingPolicy::SiptVespa, spec), "")
             << "vespa stage 2 must be gated off on huge pages";
-        EXPECT_NE(
-            checkHugePageDecision(PolicyClass::Naive, spec), "");
-        EXPECT_NE(checkHugePageDecision(PolicyClass::Bypass,
-                                        spec),
-                  "")
-            << check::specClassName(spec);
+        EXPECT_NE(huge(IndexingPolicy::SiptNaive, spec), "");
+        EXPECT_NE(huge(IndexingPolicy::SiptBypass, spec), "")
+            << specDecisionName(spec);
     }
     // Speculate is the huge-page happy path for every policy that
     // speculates at all; Direct is only for direct policies.
-    EXPECT_EQ(checkHugePageDecision(PolicyClass::Vespa,
-                                    SpecClass::Speculate),
+    EXPECT_EQ(huge(IndexingPolicy::SiptVespa, SpecDecision::Speculate),
               "");
-    EXPECT_NE(checkHugePageDecision(PolicyClass::Direct,
-                                    SpecClass::Speculate),
+    EXPECT_NE(huge(IndexingPolicy::Vipt, SpecDecision::Speculate),
               "");
-    EXPECT_EQ(checkHugePageDecision(PolicyClass::Direct,
-                                    SpecClass::Direct),
-              "");
-    EXPECT_NE(checkHugePageDecision(PolicyClass::Vespa,
-                                    SpecClass::Direct),
+    EXPECT_EQ(huge(IndexingPolicy::Vipt, SpecDecision::Direct), "");
+    EXPECT_NE(huge(IndexingPolicy::SiptVespa, SpecDecision::Direct),
               "");
     // BypassLoss is Bypass-only.
-    EXPECT_EQ(checkHugePageDecision(PolicyClass::Bypass,
-                                    SpecClass::BypassLoss),
+    EXPECT_EQ(huge(IndexingPolicy::SiptBypass,
+                   SpecDecision::BypassLoss),
               "");
-    EXPECT_NE(checkHugePageDecision(PolicyClass::Combined,
-                                    SpecClass::BypassLoss),
+    EXPECT_NE(huge(IndexingPolicy::SiptCombined,
+                   SpecDecision::BypassLoss),
               "");
     // Failures carry the decision and policy names.
-    const std::string msg = checkHugePageDecision(
-        PolicyClass::Vespa, SpecClass::Replay);
-    EXPECT_NE(msg.find("Replay"), std::string::npos) << msg;
+    const std::string msg =
+        huge(IndexingPolicy::SiptVespa, SpecDecision::Replay);
+    EXPECT_NE(msg.find("replay"), std::string::npos) << msg;
     EXPECT_NE(msg.find("vespa"), std::string::npos) << msg;
 }
 
 TEST(Invariants, WeightedEnergyNeverExceedsRaw)
 {
-    StatsView v = cleanDirectView();
+    L1Stats v = cleanDirectView();
     v.weightedArrayAccesses = 10.5;
-    EXPECT_NE(check::checkEnergyClosure(v), "");
+    EXPECT_NE(energy(v), "");
 }
 
 TEST(Invariants, WayPredictionDiscountIsExact)
 {
-    StatsView v = cleanDirectView();
-    v.assoc = 4;
-    v.wayPredCorrect = 4;
+    L1Stats v = cleanDirectView();
     // 10 probes, 4 correctly way-predicted at 1/4 cost each.
     v.weightedArrayAccesses = 10.0 - 4.0 * (1.0 - 0.25);
-    EXPECT_EQ(check::checkEnergyClosure(v), "");
+    EXPECT_EQ(energy(v, 4, 4), "");
 
     // The historical replay bug: a wasted wrong-set probe charged
     // at 1/assoc instead of full cost. The closure must reject the
     // resulting under-count.
     v.weightedArrayAccesses -= 0.75;
-    EXPECT_NE(check::checkEnergyClosure(v), "");
+    EXPECT_NE(energy(v, 4, 4), "");
 }
 
 // ---------------------------------------------------------------
@@ -588,18 +600,49 @@ driveMixed(Harness &h)
     }
 }
 
+/** Every speculating policy. */
+constexpr IndexingPolicy siptPolicies[] = {
+    IndexingPolicy::SiptNaive,     IndexingPolicy::SiptBypass,
+    IndexingPolicy::SiptCombined,  IndexingPolicy::SiptVespa,
+    IndexingPolicy::SiptRevelator, IndexingPolicy::SiptPcax,
+};
+
+/** 8 KiB 2-way: 4 KiB ways, so no speculative index bits. */
+constexpr std::uint64_t noSpecBitsSize = 8 * 1024;
+
+/** Run driveMixed() under @p policy on a 2-way L1 of @p size
+ *  bytes and expect the checker to stay clean. @return the run's
+ *  speculation counters. */
+SpeculationStats
+expectCleanRun(IndexingPolicy policy, std::uint64_t size)
+{
+    Harness h(checkedParams(policy, 2, size));
+    driveMixed(h);
+    EXPECT_NE(h.l1.checker(), nullptr);
+    EXPECT_EQ(h.l1.checkFailure(), "")
+        << "policy " << policyName(policy) << " at " << size
+        << " B";
+    EXPECT_EQ(h.l1.checkEventCount(), 40u);
+    return h.l1.stats().spec;
+}
+
 TEST(Differential, CleanUnderEveryPolicy)
 {
-    const IndexingPolicy policies[] = {
-        IndexingPolicy::Ideal, IndexingPolicy::SiptNaive,
-        IndexingPolicy::SiptBypass, IndexingPolicy::SiptCombined};
-    for (const IndexingPolicy policy : policies) {
-        Harness h(checkedParams(policy));
-        driveMixed(h);
-        ASSERT_NE(h.l1.checker(), nullptr);
-        EXPECT_EQ(h.l1.checkFailure(), "")
+    (void)expectCleanRun(IndexingPolicy::Ideal, 32 * 1024);
+    for (const IndexingPolicy policy : siptPolicies)
+        (void)expectCleanRun(policy, 32 * 1024);
+
+    // With no speculative bits every policy is direct: clean, and
+    // every speculation counter stays zero.
+    (void)expectCleanRun(IndexingPolicy::Vipt, noSpecBitsSize);
+    for (const IndexingPolicy policy : siptPolicies) {
+        const SpeculationStats spec =
+            expectCleanRun(policy, noSpecBitsSize);
+        EXPECT_EQ(spec.correctSpeculation + spec.correctBypass +
+                      spec.opportunityLoss + spec.extraAccess +
+                      spec.idbHit,
+                  0u)
             << "policy " << policyName(policy);
-        EXPECT_EQ(h.l1.checkEventCount(), 40u);
     }
 }
 
@@ -607,21 +650,25 @@ TEST(Differential, DigestIsPolicyInvariant)
 {
     // The paper's core claim in executable form: the functional
     // event stream must not depend on the indexing policy.
-    Harness ref(checkedParams(IndexingPolicy::Ideal));
-    driveMixed(ref);
-    const std::uint64_t want = ref.l1.checkDigest();
-    ASSERT_NE(want, 0u);
+    for (const std::uint64_t size :
+         {std::uint64_t{32 * 1024}, noSpecBitsSize}) {
+        Harness ref(checkedParams(size == noSpecBitsSize
+                                      ? IndexingPolicy::Vipt
+                                      : IndexingPolicy::Ideal,
+                                  2, size));
+        driveMixed(ref);
+        const std::uint64_t want = ref.l1.checkDigest();
+        ASSERT_NE(want, 0u);
 
-    const IndexingPolicy rest[] = {IndexingPolicy::SiptNaive,
-                                   IndexingPolicy::SiptBypass,
-                                   IndexingPolicy::SiptCombined};
-    for (const IndexingPolicy policy : rest) {
-        Harness h(checkedParams(policy));
-        driveMixed(h);
-        EXPECT_EQ(h.l1.checkDigest(), want)
-            << "policy " << policyName(policy);
-        EXPECT_EQ(h.l1.checkEventCount(),
-                  ref.l1.checkEventCount());
+        for (const IndexingPolicy policy : siptPolicies) {
+            Harness h(checkedParams(policy, 2, size));
+            driveMixed(h);
+            EXPECT_EQ(h.l1.checkDigest(), want)
+                << "policy " << policyName(policy) << " at "
+                << size << " B";
+            EXPECT_EQ(h.l1.checkEventCount(),
+                      ref.l1.checkEventCount());
+        }
     }
 }
 

@@ -29,7 +29,7 @@ TEST(Perceptron, StorageMatchesPaperEstimate)
 TEST(Perceptron, DefaultsToSpeculating)
 {
     PerceptronBypassPredictor p;
-    EXPECT_TRUE(p.predictSpeculate(0x400000));
+    EXPECT_TRUE(p.resolve(0x400000, true));
 }
 
 TEST(Perceptron, LearnsAlwaysChangedPc)
@@ -37,8 +37,8 @@ TEST(Perceptron, LearnsAlwaysChangedPc)
     PerceptronBypassPredictor p;
     const Addr pc = 0x400100;
     for (int i = 0; i < 64; ++i)
-        p.train(pc, false);
-    EXPECT_FALSE(p.predictSpeculate(pc));
+        p.resolve(pc, false);
+    EXPECT_FALSE(p.resolve(pc, false));
 }
 
 TEST(Perceptron, LearnsPerPcPattern)
@@ -51,10 +51,8 @@ TEST(Perceptron, LearnsPerPcPattern)
     const Addr bad = 0x400004;
     int good_ok = 0, bad_ok = 0;
     for (int i = 0; i < 200; ++i) {
-        const bool pg = p.predictSpeculate(good);
-        p.train(good, true);
-        const bool pb = p.predictSpeculate(bad);
-        p.train(bad, false);
+        const bool pg = p.resolve(good, true);
+        const bool pb = p.resolve(bad, false);
         if (i >= 100) {
             good_ok += pg;
             bad_ok += !pb;
@@ -73,8 +71,7 @@ TEST(Perceptron, AccuracyOnBiasedStream)
     for (int i = 0; i < n; ++i) {
         const Addr pc = 0x400000 + 4 * rng.below(32);
         const bool unchanged = rng.chance(0.9);
-        correct += (p.predictSpeculate(pc) == unchanged);
-        p.train(pc, unchanged);
+        correct += (p.resolve(pc, unchanged) == unchanged);
     }
     // Must learn the bias (>= ~88% on a 90/10 stream).
     EXPECT_GT(correct, n * 85 / 100);
@@ -85,11 +82,11 @@ TEST(Perceptron, AdaptsToPhaseChange)
     PerceptronBypassPredictor p;
     const Addr pc = 0x400040;
     for (int i = 0; i < 100; ++i)
-        p.train(pc, true);
-    EXPECT_TRUE(p.predictSpeculate(pc));
+        p.resolve(pc, true);
+    EXPECT_TRUE(p.resolve(pc, true));
     for (int i = 0; i < 100; ++i)
-        p.train(pc, false);
-    EXPECT_FALSE(p.predictSpeculate(pc));
+        p.resolve(pc, false);
+    EXPECT_FALSE(p.resolve(pc, false));
 }
 
 TEST(Perceptron, BadParamsAreFatal)
@@ -168,8 +165,8 @@ TEST(Combined, SpeculatesRawBitsWhenPerceptronAgrees)
     const Addr pc = 0x400000;
     // Train "unchanged": perceptron should speculate with VA.
     for (int i = 0; i < 50; ++i)
-        c.update(pc, 100 + i, 100 + i);
-    const auto pred = c.predict(pc, 77);
+        c.resolve(pc, 100 + i, 100 + i);
+    const auto pred = c.resolve(pc, 77, 77);
     EXPECT_EQ(pred.source, IndexSource::VaBits);
     EXPECT_EQ(pred.bits, 77u & 3u);
 }
@@ -181,8 +178,8 @@ TEST(Combined, UsesIdbWhenBypassPredicted)
     // Constant nonzero delta: perceptron learns "changed", IDB
     // learns the delta.
     for (Vpn v = 0; v < 100; ++v)
-        c.update(pc, v, v + 3);
-    const auto pred = c.predict(pc, 200);
+        c.resolve(pc, v, v + 3);
+    const auto pred = c.resolve(pc, 200, 203);
     EXPECT_EQ(pred.source, IndexSource::Idb);
     EXPECT_EQ(pred.bits, (200 + 3) & 7u);
 }
@@ -192,8 +189,8 @@ TEST(Combined, SingleBitUsesReversal)
     CombinedIndexPredictor c(1);
     const Addr pc = 0x400000;
     for (Vpn v = 0; v < 100; ++v)
-        c.update(pc, v, v + 1); // bit always flips
-    const auto pred = c.predict(pc, 40);
+        c.resolve(pc, v, v + 1); // bit always flips
+    const auto pred = c.resolve(pc, 40, 41);
     EXPECT_EQ(pred.source, IndexSource::Reversed);
     EXPECT_EQ(pred.bits, (40u & 1u) ^ 1u);
 }
@@ -203,10 +200,10 @@ TEST(Combined, TracksDeltaChanges)
     CombinedIndexPredictor c(3);
     const Addr pc = 0x400000;
     for (Vpn v = 0; v < 100; ++v)
-        c.update(pc, v, v + 2);
+        c.resolve(pc, v, v + 2);
     for (Vpn v = 100; v < 200; ++v)
-        c.update(pc, v, v + 6);
-    const auto pred = c.predict(pc, 300);
+        c.resolve(pc, v, v + 6);
+    const auto pred = c.resolve(pc, 300, 306);
     EXPECT_EQ(pred.bits, (300 + 6) & 7u);
 }
 
@@ -229,11 +226,11 @@ TEST(Counter, LearnsBias)
     CounterBypassPredictor c;
     const Addr pc = 0x400000;
     for (int i = 0; i < 4; ++i)
-        c.train(pc, false);
-    EXPECT_FALSE(c.predictSpeculate(pc));
+        c.resolve(pc, false);
+    EXPECT_FALSE(c.resolve(pc, true));
     for (int i = 0; i < 4; ++i)
-        c.train(pc, true);
-    EXPECT_TRUE(c.predictSpeculate(pc));
+        c.resolve(pc, true);
+    EXPECT_TRUE(c.resolve(pc, true));
 }
 
 TEST(Counter, SaturatesAtBounds)
@@ -241,10 +238,10 @@ TEST(Counter, SaturatesAtBounds)
     CounterBypassPredictor c(CounterParams{64, 2});
     const Addr pc = 0x400000;
     for (int i = 0; i < 100; ++i)
-        c.train(pc, true);
+        c.resolve(pc, true);
     // One bad outcome must not flip a saturated counter.
-    c.train(pc, false);
-    EXPECT_TRUE(c.predictSpeculate(pc));
+    c.resolve(pc, false);
+    EXPECT_TRUE(c.resolve(pc, true));
 }
 
 TEST(Counter, IsWorseThanPerceptronOnAlternation)
@@ -257,12 +254,9 @@ TEST(Counter, IsWorseThanPerceptronOnAlternation)
     bool unchanged = false;
     for (int i = 0; i < 4000; ++i) {
         unchanged = !unchanged;
-        counter_ok +=
-            (counter.predictSpeculate(pc) == unchanged);
+        counter_ok += (counter.resolve(pc, unchanged) == unchanged);
         perceptron_ok +=
-            (perceptron.predictSpeculate(pc) == unchanged);
-        counter.train(pc, unchanged);
-        perceptron.train(pc, unchanged);
+            (perceptron.resolve(pc, unchanged) == unchanged);
     }
     EXPECT_GT(perceptron_ok, 3500);
     EXPECT_LT(counter_ok, 2800);

@@ -296,6 +296,28 @@ without(const Json &obj, const std::string &name)
     return out;
 }
 
+/** The path of the one entry file in the disk cache at @p dir. */
+std::filesystem::path
+onlyEntry(const std::filesystem::path &dir)
+{
+    std::filesystem::path entry;
+    for (const auto &file : std::filesystem::directory_iterator(dir))
+        entry = file.path();
+    return entry;
+}
+
+/** The parsed contents of @p entry (an empty Json when it does not
+ *  parse, which fails the calling test). */
+Json
+readEntry(const std::filesystem::path &entry)
+{
+    std::ostringstream bytes;
+    bytes << std::ifstream(entry).rdbuf();
+    const auto parsed = Json::parse(bytes.str());
+    EXPECT_TRUE(parsed.has_value());
+    return parsed.value_or(Json());
+}
+
 /** Run @p cfg once into a fresh disk cache at @p dir, then rewrite
  *  its one entry file as @p edit of the parsed entry. Returns the
  *  run's result. */
@@ -310,16 +332,21 @@ publishThenEdit(const std::filesystem::path &dir,
         SweepRunner runner(SweepOptions{1, dir.string()});
         cold = runner.enqueue("mcf", cfg).get();
     }
-    std::filesystem::path entry;
-    for (const auto &file : std::filesystem::directory_iterator(dir))
-        entry = file.path();
-    std::ostringstream bytes;
-    bytes << std::ifstream(entry).rdbuf();
-    const auto parsed = Json::parse(bytes.str());
-    EXPECT_TRUE(parsed.has_value());
-    std::ofstream(entry, std::ios::trunc)
-        << edit(parsed.value_or(Json())).dump() << '\n';
+    const std::filesystem::path entry = onlyEntry(dir);
+    const Json edited = edit(readEntry(entry));
+    std::ofstream(entry, std::ios::trunc) << edited.dump() << '\n';
     return cold;
+}
+
+/** @p entry with its result replaced by @p result and its "sum"
+ *  recomputed over it, so only the result decoder can reject it. */
+Json
+withResult(const Json &entry, const Json &result)
+{
+    Json e = entry;
+    e.set("result", result);
+    e.set("sum", fnv1a64(result.dump()));
+    return e;
 }
 
 TEST(Sweep, MalformedDiskEntryIsAMissNotAnAbort)
@@ -328,32 +355,36 @@ TEST(Sweep, MalformedDiskEntryIsAMissNotAnAbort)
                      "sipt_test_malformed_cache";
     const auto cfg = quick(IndexingPolicy::SiptCombined);
 
-    // Each edit keeps the file name and the stored key valid, so
-    // only the result decoder or the version check can catch it.
-    // Dropping "sum" selects the checksum-free entry layout, which
-    // older builds wrote and which still loads.
+    // Each edit keeps the file name and the stored key valid. The
+    // first four recompute "sum" over the edited result, so only
+    // the result decoder or the version check can catch them; the
+    // last keeps the old "sum" over a result that still decodes,
+    // so only the checksum can.
     const std::vector<std::function<Json(const Json &)>> edits = {
         [](const Json &entry) {
-            Json e = without(entry, "sum");
-            e.set("result", without(entry.get("result"), "app"));
-            return e;
+            return withResult(entry,
+                              without(entry.get("result"), "app"));
         },
         [](const Json &entry) {
-            Json e = without(entry, "sum");
+            Json e = withResult(entry, entry.get("result"));
             e.set("version", "5");
             return e;
         },
         [](const Json &entry) {
-            Json e = without(entry, "sum");
             Json result = entry.get("result");
             result.set("l1", std::uint64_t{7});
-            e.set("result", result);
-            return e;
+            return withResult(entry, result);
         },
         [](const Json &entry) {
-            Json e = without(entry, "sum");
             Json result = entry.get("result");
             result.set("extra", std::uint64_t{1});
+            return withResult(entry, result);
+        },
+        [](const Json &entry) {
+            Json e = entry;
+            Json result = entry.get("result");
+            result.set("pageWalks",
+                       result.get("pageWalks").asUint() + 1);
             e.set("result", result);
             return e;
         },
@@ -374,22 +405,31 @@ TEST(Sweep, MalformedDiskEntryIsAMissNotAnAbort)
     std::filesystem::remove_all(dir);
 }
 
-TEST(Sweep, ChecksumFreeEntriesStillLoad)
+TEST(Sweep, ChecksumFreeEntryIsAMiss)
 {
     const auto dir = std::filesystem::temp_directory_path() /
                      "sipt_test_legacy_cache";
     const auto cfg = quick(IndexingPolicy::SiptCombined);
-    // The layout earlier builds wrote: version, key, result.
+    // The layout builds before the checksum wrote: version, key,
+    // result. It warns, re-runs, and is republished with "sum".
     const RunResult cold =
         publishThenEdit(dir, cfg, [](const Json &entry) {
             EXPECT_NE(entry.find("sum"), nullptr);
             return without(entry, "sum");
         });
+    {
+        SweepRunner runner(SweepOptions{1, dir.string()});
+        expectSameResult(cold, runner.enqueue("mcf", cfg).get());
+        EXPECT_EQ(runner.stats().diskHits, 0u);
+        EXPECT_EQ(runner.stats().executed, 1u);
+    }
+    const Json republished = readEntry(onlyEntry(dir));
+    EXPECT_EQ(republished.size(), 4u);
+    EXPECT_NE(republished.find("sum"), nullptr);
 
     SweepRunner runner(SweepOptions{1, dir.string()});
-    expectSameResult(cold, runner.enqueue("mcf", cfg).get());
+    (void)runner.enqueue("mcf", cfg).get();
     EXPECT_EQ(runner.stats().diskHits, 1u);
-    EXPECT_EQ(runner.stats().executed, 0u);
     std::filesystem::remove_all(dir);
 }
 

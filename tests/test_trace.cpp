@@ -14,6 +14,7 @@
 
 #include "common/json.hh"
 #include "common/trace.hh"
+#include "sipt/l1_cache.hh"
 
 using namespace sipt;
 using namespace sipt::trace;
@@ -64,12 +65,17 @@ class TraceFile
 
 TEST(Trace, OutcomeNames)
 {
-    EXPECT_STREQ(outcomeName(AccessOutcome::Direct), "direct");
-    EXPECT_STREQ(outcomeName(AccessOutcome::Speculate),
+    // The trace's "args.outcome" vocabulary is the L1's decision
+    // names; both bypass decisions are one outcome there.
+    EXPECT_STREQ(specDecisionName(SpecDecision::Direct), "direct");
+    EXPECT_STREQ(specDecisionName(SpecDecision::Speculate),
                  "speculate");
-    EXPECT_STREQ(outcomeName(AccessOutcome::Bypass), "bypass");
-    EXPECT_STREQ(outcomeName(AccessOutcome::Replay), "replay");
-    EXPECT_STREQ(outcomeName(AccessOutcome::DeltaHit),
+    EXPECT_STREQ(specDecisionName(SpecDecision::BypassCorrect),
+                 "bypass");
+    EXPECT_STREQ(specDecisionName(SpecDecision::BypassLoss),
+                 "bypass");
+    EXPECT_STREQ(specDecisionName(SpecDecision::Replay), "replay");
+    EXPECT_STREQ(specDecisionName(SpecDecision::DeltaHit),
                  "delta-hit");
 }
 
@@ -103,7 +109,7 @@ TEST(Trace, AccessEventRoundTrips)
     TraceFile f;
     AccessEvent e;
     e.policy = "sipt-combined";
-    e.outcome = AccessOutcome::Replay;
+    e.outcome = "replay";
     e.pc = 0x400100;
     e.vaddr = 0x7fff0040;
     e.cycle = 123;

@@ -4,7 +4,8 @@
 Feeds synthetic metrics JSON through the checker and asserts that
 in-envelope values pass, out-of-envelope values fail with the claim
 named, difference claims subtract, and the trace validator rejects
-malformed JSONL with the offending line number. Runs as the
+malformed JSONL and unknown l1-access outcomes with the offending
+line number. Runs as the
 `sipt_claims_selftest` ctest; exits nonzero on the first failure.
 """
 
@@ -147,7 +148,8 @@ class TraceValidationCase(unittest.TestCase):
 
     GOOD_EVENT = json.dumps({
         "name": "l1-access", "cat": "sipt", "ph": "X", "pid": 1,
-        "tid": 1, "ts": 0.0, "dur": 1.0, "args": {"hit": True}})
+        "tid": 1, "ts": 0.0, "dur": 1.0,
+        "args": {"outcome": "speculate", "hit": True}})
 
     def test_good_trace_passes(self):
         with tempfile.TemporaryDirectory() as d:
@@ -171,6 +173,20 @@ class TraceValidationCase(unittest.TestCase):
         self.assertEqual(rc, 1)
         self.assertIn("missing keys", out)
         self.assertIn("ph", out)
+
+    def test_unknown_access_outcome_named(self):
+        bad = json.loads(self.GOOD_EVENT)
+        bad["args"]["outcome"] = "Replay"
+        missing = json.loads(self.GOOD_EVENT)
+        del missing["args"]
+        for event in (bad, missing):
+            with tempfile.TemporaryDirectory() as d:
+                path = self.trace_file(
+                    d, [self.GOOD_EVENT, json.dumps(event)])
+                rc, out = run_main(["--validate-trace", path])
+            self.assertEqual(rc, 1, out)
+            self.assertIn(":2:", out)
+            self.assertIn("outcome", out)
 
     def test_empty_trace_fails(self):
         with tempfile.TemporaryDirectory() as d:
