@@ -60,7 +60,7 @@ main()
             [page_indexed, profile, refs] {
             sim::SystemConfig config;
             config.seed = 21;
-            sim::ConditionedMemory memory(config);
+            sim::ConditionedMemory memory(sim::streamSpec(config));
             os::PagingPolicy pol;
             pol.thpChance = profile.thpAffinity;
             os::AddressSpace as(memory.buddy, pol, 22);

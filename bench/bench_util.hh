@@ -71,15 +71,16 @@ struct TraceLab
     /** A default system: 4 GiB, Normal condition, seed 42. */
     sim::SystemConfig config;
     /** Its conditioned memory, before any app allocation. */
-    sim::ConditionedMemory mem{config};
+    sim::ConditionedMemory mem{sim::streamSpec(config)};
     /** The app's address space (seed 43) and reference source
      *  (seed 44). */
     sim::Workload workload;
 
     /** @param app profile name */
     explicit TraceLab(const std::string &app)
-        : workload(sim::buildWorkload(config, app, mem.buddy,
-                                      config.seed, nullptr))
+        : workload(sim::buildWorkload(sim::streamSpec(config), app,
+                                      mem.buddy, config.seed,
+                                      nullptr))
     {
     }
 

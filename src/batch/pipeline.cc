@@ -25,7 +25,7 @@ constexpr std::size_t resolvePrefetchDist = 8;
 constexpr std::size_t accountPrefetchDist = 4;
 
 /** The probe corruption SIPT_BATCH_MUTATE selects for @p policy
- *  (see BatchPipeline::probeFlip_). */
+ *  (see MachineStages::probeFlip_). */
 Addr
 probeFlipFromEnv(IndexingPolicy policy)
 {
@@ -42,44 +42,33 @@ probeFlipFromEnv(IndexingPolicy policy)
 
 } // namespace
 
-BatchPipeline::BatchPipeline(cpu::TraceSource &source,
-                             vm::Mmu &mmu,
-                             const vm::PageTable &page_table,
-                             SiptL1Cache &l1, cpu::TraceCore &core)
-    : source_(source), mmu_(mmu), pageTable_(page_table), l1_(l1),
-      core_(core), check_(l1.params().check),
-      probeFlip_(probeFlipFromEnv(l1.params().policy))
+StreamStages::StreamStages(cpu::TraceSource &source,
+                           const vm::PageTable &page_table)
+    : source_(source), pageTable_(page_table)
 {
 }
 
-cpu::CoreResult
-BatchPipeline::run(std::uint64_t max_refs)
+const cpu::RefBatch &
+StreamStages::next(std::size_t want)
 {
-    const cpu::TraceCore::RunCursor cursor = core_.beginRun();
-    std::uint64_t remaining = max_refs;
-    while (remaining > 0) {
-        const auto want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining,
-                                    cpu::RefBatch::capacity));
-        const std::size_t got = source_.nextBatch(batch_, want);
-        if (got == 0)
-            break;
-        resolveBatch(batch_);
-        predictBatch(batch_);
-        accountBatch(batch_);
-        remaining -= got;
-        if (got < want)
-            break; // source exhausted mid-batch
-    }
-    return core_.endRun(cursor);
+    generate(want);
+    resolve();
+    return batch_;
 }
 
 void
-BatchPipeline::resolveBatch(cpu::RefBatch &batch)
+StreamStages::generate(std::size_t want)
+{
+    source_.nextBatch(batch_, want);
+}
+
+void
+StreamStages::resolve()
 {
     // Stateless: the page table is the pure VA->PA function (no
     // page is mapped or unmapped once references flow). The TLB
     // hierarchy sees every reference later, in the account stage.
+    cpu::RefBatch &batch = batch_;
     for (std::size_t i = 0; i < batch.size; ++i) {
         if (i + resolvePrefetchDist < batch.size)
             pageTable_.prefetch(batch.vaddr[i + resolvePrefetchDist]);
@@ -92,8 +81,42 @@ BatchPipeline::resolveBatch(cpu::RefBatch &batch)
     }
 }
 
+MachineStages::MachineStages(vm::Mmu &mmu,
+                             const vm::PageTable &page_table,
+                             SiptL1Cache &l1, cpu::TraceCore &core)
+    : mmu_(mmu), pageTable_(page_table), l1_(l1), core_(core),
+      check_(l1.params().check),
+      probeFlip_(probeFlipFromEnv(l1.params().policy))
+{
+}
+
 void
-BatchPipeline::predictBatch(cpu::RefBatch &batch)
+MachineStages::beginPhase()
+{
+    cursor_ = core_.beginRun();
+}
+
+void
+MachineStages::step(const cpu::RefBatch &batch)
+{
+    if (error_)
+        return;
+    try {
+        predict(batch);
+        account(batch);
+    } catch (...) {
+        error_ = std::current_exception();
+    }
+}
+
+cpu::CoreResult
+MachineStages::endPhase()
+{
+    return core_.endRun(cursor_);
+}
+
+void
+MachineStages::predict(const cpu::RefBatch &batch)
 {
     // Predict stage: sole owner of the predictor tables (IDB,
     // perceptron, translation tables, counters). They advance once
@@ -101,12 +124,11 @@ BatchPipeline::predictBatch(cpu::RefBatch &batch)
     // them. The huge-page lane feeds the superpage-aware policies.
     l1_.decideBatch(batch.size, batch.pc.data(),
                     batch.vaddr.data(), batch.paddr.data(),
-                    batch.hugePage.data(),
-                    batch.decision.data());
+                    batch.hugePage.data(), decision_.data());
 }
 
 void
-BatchPipeline::accountBatch(cpu::RefBatch &batch)
+MachineStages::account(const cpu::RefBatch &batch)
 {
     const bool check = check_.enabled;
     for (std::size_t i = 0; i < batch.size; ++i) {
@@ -127,14 +149,13 @@ BatchPipeline::accountBatch(cpu::RefBatch &batch)
             checkTranslation(ref.vaddr, xlat.paddr);
         xlat.paddr ^= probeFlip_;
         const L1AccessResult res = l1_.accessDecided(
-            ref, xlat, now,
-            static_cast<SpecDecision>(batch.decision[i]));
+            ref, xlat, now, static_cast<SpecDecision>(decision_[i]));
         core_.completeRef(ref, disp, res.latency, !res.hit);
     }
 }
 
 void
-BatchPipeline::checkTranslation(Addr vaddr, Addr paddr)
+MachineStages::checkTranslation(Addr vaddr, Addr paddr)
 {
     // The golden walk reads the same table as the resolve stage, so
     // this checks the TLB hierarchy (and the probe-address path),
@@ -156,6 +177,52 @@ BatchPipeline::checkTranslation(Addr vaddr, Addr paddr)
         panic("SIPT_CHECK: ", error);
     if (failure_.empty())
         failure_ = error;
+}
+
+std::vector<cpu::CoreResult>
+runPhase(StreamStages &stream, std::span<MachineStages *const> machines,
+         std::uint64_t max_refs)
+{
+    for (MachineStages *machine : machines)
+        machine->beginPhase();
+    std::uint64_t remaining = max_refs;
+    while (remaining > 0) {
+        const auto want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(remaining,
+                                    cpu::RefBatch::capacity));
+        const cpu::RefBatch &batch = stream.next(want);
+        if (batch.size == 0)
+            break;
+        for (MachineStages *machine : machines)
+            machine->step(batch);
+        remaining -= batch.size;
+        if (batch.size < want)
+            break; // source exhausted mid-batch
+    }
+    std::vector<cpu::CoreResult> results;
+    results.reserve(machines.size());
+    for (MachineStages *machine : machines)
+        results.push_back(machine->endPhase());
+    return results;
+}
+
+BatchPipeline::BatchPipeline(cpu::TraceSource &source,
+                             vm::Mmu &mmu,
+                             const vm::PageTable &page_table,
+                             SiptL1Cache &l1, cpu::TraceCore &core)
+    : stream_(source, page_table), machine_(mmu, page_table, l1, core)
+{
+}
+
+cpu::CoreResult
+BatchPipeline::run(std::uint64_t max_refs)
+{
+    MachineStages *const machine = &machine_;
+    const cpu::CoreResult result =
+        runPhase(stream_, {&machine, 1}, max_refs)[0];
+    if (machine_.error())
+        std::rethrow_exception(machine_.error());
+    return result;
 }
 
 } // namespace sipt::batch

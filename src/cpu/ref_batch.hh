@@ -1,16 +1,17 @@
 /**
  * @file
- * The struct-of-arrays reference batch that the pipeline moves
- * through its generate/resolve/predict/account stages.
+ * The struct-of-arrays reference batch that the pipeline's stream
+ * stages (generate, resolve) produce and its machine stages
+ * (predict, account) consume.
  *
  * Each lane is a flat fixed-capacity array; lane i across all
  * arrays describes the i-th reference of the batch. The layout
  * keeps every stage a tight loop over contiguous same-typed data:
  * the generator fills the MemRef lanes, the resolve stage fills
- * the paddr/hugePage lanes, the predict stage fills the decision
- * lane, and the account stage consumes all of them in order. No
- * stage allocates; a pipeline owns exactly one RefBatch and
- * recycles it.
+ * the paddr/hugePage lanes, and every machine sharing the stream
+ * reads them in order (each keeps its own predict-stage decision
+ * lane). No stage allocates; a stream owns exactly one RefBatch
+ * and recycles it.
  */
 
 #ifndef SIPT_CPU_REF_BATCH_HH
@@ -52,10 +53,6 @@ struct RefBatch
     std::array<Addr, capacity> paddr;
     /** 1 when the page is a 2 MiB mapping, else 0. */
     std::array<std::uint8_t, capacity> hugePage;
-
-    // --- Predict-stage lane -------------------------------------
-    /** Speculation outcome codes (sipt::SpecDecision values). */
-    std::array<std::uint8_t, capacity> decision;
 
     /** Discard all lanes. */
     void clear() { size = 0; }

@@ -54,6 +54,19 @@ traceWorkerLane()
            0xffff;
 }
 
+/** Emit a pid-0 span named @p name over [@p t0, @p t1] on the
+ *  calling worker's lane, when SIPT_TRACE is set. */
+void
+traceJobSpan(const std::string &name,
+             std::chrono::steady_clock::time_point t0,
+             std::chrono::steady_clock::time_point t1)
+{
+    if (trace::Tracer *tracer = trace::Tracer::globalIfEnabled()) {
+        tracer->span("sweep", name, traceWorkerLane(), traceUs(t0),
+                     traceUs(t1) - traceUs(t0));
+    }
+}
+
 /** Bump when the serialised key/result layout changes; stale
  *  cache files then simply miss instead of mis-parsing.
  *  v3: trace-app content hashes joined the key.
@@ -381,15 +394,56 @@ entryName(const std::string &key_json, bool multicore)
 
 } // namespace
 
+namespace
+{
+
+/** runKeyJson() with the trace content hash already computed. */
 std::string
-runKeyJson(const std::string &app, const SystemConfig &config)
+runKeyJsonWithHash(const std::string &app, std::uint64_t trace_hash,
+                   const SystemConfig &config)
 {
     Json j = Json::object();
     j.set("kind", "single");
     j.set("app", app);
-    j.set("traceHash", traceHashFor(app));
+    j.set("traceHash", trace_hash);
     j.set("config", configToJson(config));
     return j.dump();
+}
+
+/** streamKeyJson() with the trace content hash already computed. */
+std::string
+streamKeyJsonWithHash(const std::string &app, std::uint64_t trace_hash,
+                      const SystemConfig &config)
+{
+    const StreamSpec spec = streamSpec(config);
+    Json stream = Json::object();
+    stream.set("condition", std::uint64_t{static_cast<std::uint8_t>(
+                                spec.condition)});
+    stream.set("physMemBytes", spec.physMemBytes);
+    stream.set("warmupRefs", spec.warmupRefs);
+    stream.set("measureRefs", spec.measureRefs);
+    stream.set("seed", spec.seed);
+    stream.set("footprintScale", spec.footprintScale);
+    Json j = Json::object();
+    j.set("kind", "stream");
+    j.set("app", app);
+    j.set("traceHash", trace_hash);
+    j.set("stream", std::move(stream));
+    return j.dump();
+}
+
+} // namespace
+
+std::string
+runKeyJson(const std::string &app, const SystemConfig &config)
+{
+    return runKeyJsonWithHash(app, traceHashFor(app), config);
+}
+
+std::string
+streamKeyJson(const std::string &app, const SystemConfig &config)
+{
+    return streamKeyJsonWithHash(app, traceHashFor(app), config);
 }
 
 double
@@ -522,10 +576,12 @@ SweepRunner::noteGenericDone()
 }
 
 void
-SweepRunner::noteJobDone(double seconds)
+SweepRunner::noteJobsDone(std::uint64_t jobs, std::uint64_t grouped,
+                          double seconds)
 {
     std::lock_guard lock(cacheMu_);
-    ++stats_.executed;
+    stats_.executed += jobs;
+    stats_.grouped += grouped;
     stats_.simSeconds += seconds;
     lastComplete_ = std::chrono::steady_clock::now();
 }
@@ -612,9 +668,9 @@ SweepRunner::storeToDisk(const std::string &key_json,
 
 template <typename Result>
 std::shared_future<Result>
-SweepRunner::submit(Memo<Result> &memo, const std::string &key_json,
-                    std::function<Result()> run,
-                    std::string span_name)
+SweepRunner::submit(
+    Memo<Result> &memo, const std::string &key_json,
+    const std::function<void(PromisePtr<Result>)> &schedule)
 {
     noteSubmitted();
     auto promise = std::make_shared<std::promise<Result>>();
@@ -640,37 +696,111 @@ SweepRunner::submit(Memo<Result> &memo, const std::string &key_json,
         promise->set_value(std::move(*cached));
         return future;
     }
-
-    post([this, key_json, run = std::move(run),
-          span_name = std::move(span_name), promise] {
-        try {
-            const auto t0 = std::chrono::steady_clock::now();
-            Result result = run();
-            const auto t1 = std::chrono::steady_clock::now();
-            const std::chrono::duration<double> dt = t1 - t0;
-            storeToDisk(key_json, result);
-            noteJobDone(dt.count());
-            if (trace::Tracer *tracer =
-                    trace::Tracer::globalIfEnabled()) {
-                tracer->span("sweep", span_name, traceWorkerLane(),
-                             traceUs(t0), traceUs(t1) - traceUs(t0));
-            }
-            promise->set_value(std::move(result));
-        } catch (...) {
-            promise->set_exception(std::current_exception());
-        }
-    });
+    schedule(std::move(promise));
     return future;
+}
+
+/** A group's members, in attach order. Only attachOrPost()
+ *  appends, and only while the group is in openGroups_ (under
+ *  cacheMu_); runGroup() removes it there before reading the
+ *  members. */
+struct SweepRunner::Group
+{
+    std::string app;
+    std::vector<SystemConfig> configs;
+    std::vector<std::string> keys;
+    std::vector<PromisePtr<RunResult>> promises;
+};
+
+void
+SweepRunner::attachOrPost(const std::string &app,
+                          const SystemConfig &config,
+                          const std::string &key_json,
+                          const std::string &stream_key,
+                          PromisePtr<RunResult> promise)
+{
+    std::shared_ptr<Group> group;
+    {
+        std::lock_guard lock(cacheMu_);
+        std::shared_ptr<Group> &open = openGroups_[stream_key];
+        if (!open) {
+            open = std::make_shared<Group>();
+            open->app = app;
+            group = open;
+        }
+        open->configs.push_back(config);
+        open->keys.push_back(key_json);
+        open->promises.push_back(std::move(promise));
+    }
+    if (group) {
+        post([this, group, stream_key] {
+            runGroup(group, stream_key);
+        });
+    }
+}
+
+void
+SweepRunner::runGroup(const std::shared_ptr<Group> &group,
+                      const std::string &stream_key)
+{
+    {
+        // Close the group: a job with this stream key that arrives
+        // from now on posts a new one.
+        std::lock_guard lock(cacheMu_);
+        openGroups_.erase(stream_key);
+    }
+    const std::size_t k = group->configs.size();
+    std::vector<std::exception_ptr> errors;
+    std::vector<RunResult> results;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        results = runSameStream(group->app, group->configs, &errors);
+    } catch (...) {
+        // The stream itself failed: every member gets its error.
+        for (const auto &promise : group->promises)
+            promise->set_exception(std::current_exception());
+        return;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const std::chrono::duration<double> dt = t1 - t0;
+
+    std::uint64_t done = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+        if (!errors[i]) {
+            storeToDisk(group->keys[i], results[i]);
+            ++done;
+        }
+    }
+    noteJobsDone(done, k - 1,
+                 dt.count() * static_cast<double>(done) /
+                     static_cast<double>(k));
+    traceJobSpan(k == 1 ? "run:" + group->app + ":" +
+                              policyName(group->configs[0].policy)
+                        : "group:" + group->app + ":" +
+                              std::to_string(k),
+                 t0, t1);
+    for (std::size_t i = 0; i < k; ++i) {
+        if (errors[i])
+            group->promises[i]->set_exception(errors[i]);
+        else
+            group->promises[i]->set_value(std::move(results[i]));
+    }
 }
 
 std::shared_future<RunResult>
 SweepRunner::enqueue(const std::string &app,
                      const SystemConfig &config)
 {
+    const std::uint64_t trace_hash = traceHashFor(app);
+    const std::string key_json =
+        runKeyJsonWithHash(app, trace_hash, config);
     return submit<RunResult>(
-        single_, runKeyJson(app, config),
-        [app, config] { return runSingleCore(app, config); },
-        "run:" + app + ":" + policyName(config.policy));
+        single_, key_json,
+        [&](PromisePtr<RunResult> promise) {
+            attachOrPost(app, config, key_json,
+                         streamKeyJsonWithHash(app, trace_hash, config),
+                         std::move(promise));
+        });
 }
 
 std::shared_future<MulticoreResult>
@@ -680,10 +810,25 @@ SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
     std::string span_name = "multi";
     for (const auto &app : mix)
         span_name += ":" + app;
+    const std::string key_json = multiRunKeyJson(mix, config);
     return submit<MulticoreResult>(
-        multi_, multiRunKeyJson(mix, config),
-        [mix, config] { return runMulticore(mix, config); },
-        std::move(span_name));
+        multi_, key_json,
+        [&](PromisePtr<MulticoreResult> promise) {
+            post([this, key_json, mix, config, span_name, promise] {
+                try {
+                    const auto t0 = std::chrono::steady_clock::now();
+                    MulticoreResult result = runMulticore(mix, config);
+                    const auto t1 = std::chrono::steady_clock::now();
+                    const std::chrono::duration<double> dt = t1 - t0;
+                    storeToDisk(key_json, result);
+                    noteJobsDone(1, 0, dt.count());
+                    traceJobSpan(span_name, t0, t1);
+                    promise->set_value(std::move(result));
+                } catch (...) {
+                    promise->set_exception(std::current_exception());
+                }
+            });
+        });
 }
 
 SweepStats
@@ -709,13 +854,14 @@ SweepRunner::printStats(std::ostream &os) const
     char line[256];
     std::snprintf(
         line, sizeof(line),
-        "[sweep] threads=%u jobs=%llu executed=%llu "
+        "[sweep] threads=%u jobs=%llu executed=%llu grouped=%llu "
         "memo-hits=%llu disk-hits=%llu inflight-shares=%llu "
         "generic-tasks=%llu hit-rate=%.1f%% wall=%.2fs "
         "sim=%.2fs jobs/s=%.1f",
         s.threads,
         static_cast<unsigned long long>(s.submitted),
         static_cast<unsigned long long>(s.executed),
+        static_cast<unsigned long long>(s.grouped),
         static_cast<unsigned long long>(s.memoHits),
         static_cast<unsigned long long>(s.diskHits),
         static_cast<unsigned long long>(s.inflightShares),

@@ -5,14 +5,26 @@
  * A SweepRunner executes (app, SystemConfig) simulation jobs on a
  * std::thread pool sized by SIPT_THREADS (default:
  * hardware_concurrency(); 1 = run jobs inline, exactly the old
- * sequential behaviour). Each job is deterministic in isolation —
- * runSingleCore()/runMulticore() build every stateful component
- * (allocator, address space, RNG streams, predictors) locally from
- * SystemConfig::seed and the app name, and the simulator has no
- * mutable globals (audited: the only namespace-level statics are
- * const lookup tables with thread-safe initialisation) — so results
- * are bit-identical for any thread count and benches fetch futures
- * in submission order to keep their printed tables byte-identical.
+ * sequential behaviour). Each job's result is a pure function of
+ * its key — the allocator, address space, RNG streams and
+ * predictors all derive from SystemConfig::seed and the app name,
+ * and the simulator has no mutable globals (audited: the only
+ * namespace-level statics are const lookup tables with thread-safe
+ * initialisation) — so results are bit-identical for any thread
+ * count and benches fetch futures in submission order to keep their
+ * printed tables byte-identical.
+ *
+ * Single-core jobs that share a stream key (streamKeyJson(): the
+ * app, its trace hash and the StreamSpec fields) run as one group:
+ * one runSameStream() call conditions memory and generates and
+ * resolves the stream once for all of them. A job whose memo and
+ * disk tiers both miss attaches to a posted group with its stream
+ * key that no worker has started yet, or else posts a new group; a
+ * started group is closed. Grouping is only a scheduling choice:
+ * every member's result, run key, memo and disk entry is exactly
+ * what a solo run would produce. Inline mode (threads == 1) runs
+ * each job at enqueue, so it never groups. Multicore mixes always
+ * run alone.
  *
  * On top of the pool sits a memoizing run cache keyed on one
  * canonical string: runKeyJson() for single-core runs (app, trace
@@ -80,8 +92,11 @@ struct SweepStats
     unsigned threads = 0;
     /** Cached sim jobs submitted (single + multicore). */
     std::uint64_t submitted = 0;
-    /** Simulations actually executed. */
+    /** Simulations actually executed (jobs, not groups). */
     std::uint64_t executed = 0;
+    /** Executed jobs that ran as a non-first member of a
+     *  same-stream group. */
+    std::uint64_t grouped = 0;
     /** Served from a completed in-memory entry. */
     std::uint64_t memoHits = 0;
     /** Attached to a still-running simulation of the same key. */
@@ -93,12 +108,14 @@ struct SweepStats
     /** Wall-clock seconds from first submission to last
      *  completion. */
     double wallSeconds = 0.0;
-    /** Summed single-job simulation seconds (CPU-side view). */
+    /** Summed simulation host seconds (CPU-side view); a group's
+     *  seconds are credited to its members in equal shares. */
     double simSeconds = 0.0;
 
     /** Fraction of sim submissions served without a new run. */
     double hitRate() const;
-    /** Completed sim jobs per wall-clock second. */
+    /** Submitted sim jobs (executed or served from a cache) per
+     *  wall-clock second. */
     double jobsPerSec() const;
 };
 
@@ -131,6 +148,16 @@ std::optional<RunResult> runResultFromJson(const Json &j,
 std::string runKeyJson(const std::string &app,
                        const SystemConfig &config);
 
+/**
+ * The stream key: app, trace content hash and the StreamSpec of
+ * @p config. Single-core jobs with equal stream keys run as one
+ * runSameStream() group. Machine fields (outOfOrder, check, the L1,
+ * policy and walker fields) stay outside it, because the Stream
+ * reads none of them.
+ */
+std::string streamKeyJson(const std::string &app,
+                          const SystemConfig &config);
+
 class SweepRunner
 {
   public:
@@ -152,6 +179,8 @@ class SweepRunner
      * Submit one single-core run. Returns immediately; the result
      * is memoized, deduplicated against identical in-flight
      * submissions, and served from the disk cache when possible.
+     * On a miss the job joins an unstarted group with its stream
+     * key, or posts a new one.
      */
     std::shared_future<RunResult>
     enqueue(const std::string &app, const SystemConfig &config);
@@ -203,18 +232,35 @@ class SweepRunner
     using Memo =
         std::unordered_map<std::string, std::shared_future<Result>>;
 
+    template <typename Result>
+    using PromisePtr = std::shared_ptr<std::promise<Result>>;
+
+    /** Single-core jobs run by one runSameStream() call. */
+    struct Group;
+
     /**
      * The one submit path behind enqueue() and enqueueMulticore():
      * serve @p key_json from @p memo (a completed or in-flight
-     * entry) or the disk tier, else post @p run to the pool,
-     * publish its result to disk and emit a trace span named
-     * @p span_name around it.
+     * entry) or the disk tier, else hand a fresh promise to
+     * @p schedule, which must eventually fulfil it.
      */
     template <typename Result>
-    std::shared_future<Result> submit(Memo<Result> &memo,
-                                      const std::string &key_json,
-                                      std::function<Result()> run,
-                                      std::string span_name);
+    std::shared_future<Result>
+    submit(Memo<Result> &memo, const std::string &key_json,
+           const std::function<void(PromisePtr<Result>)> &schedule);
+
+    /** Add one single-core job to the open group of
+     *  @p stream_key, or post a new group. */
+    void attachOrPost(const std::string &app,
+                      const SystemConfig &config,
+                      const std::string &key_json,
+                      const std::string &stream_key,
+                      PromisePtr<RunResult> promise);
+
+    /** Worker side of a group: close it, run its members on one
+     *  stream, then publish each member's result. */
+    void runGroup(const std::shared_ptr<Group> &group,
+                  const std::string &stream_key);
 
     /** Run @p work now (threads==1) or on the pool. */
     void post(std::function<void()> work);
@@ -226,7 +272,10 @@ class SweepRunner
 
     void noteSubmitted();
     void noteGenericDone();
-    void noteJobDone(double seconds);
+    /** @p jobs finished in @p seconds of host time; @p grouped of
+     *  them ran as non-first group members. */
+    void noteJobsDone(std::uint64_t jobs, std::uint64_t grouped,
+                      double seconds);
 
     /** Disk-cache probe: the decoded entry for @p key_json, or
      *  nullopt on a miss. A malformed entry warns and misses; a
@@ -252,6 +301,9 @@ class SweepRunner
     mutable std::mutex cacheMu_;
     Memo<RunResult> single_;
     Memo<MulticoreResult> multi_;
+    /** Posted groups no worker has started, by stream key. */
+    std::unordered_map<std::string, std::shared_ptr<Group>>
+        openGroups_;
     SweepStats stats_;
     std::chrono::steady_clock::time_point firstSubmit_;
     std::chrono::steady_clock::time_point lastComplete_;

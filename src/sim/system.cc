@@ -29,6 +29,10 @@ namespace
 constexpr std::uint64_t agingChurnOps = 20'000;
 constexpr double agingResidentFraction = 0.22;
 
+/** A single-core run's workload seed base (address space +1,
+ *  workload +2, core model +3). */
+constexpr std::uint64_t singleCoreSeedOffset = 10;
+
 /** PTE reads of the radix walker go through the hierarchy. */
 class WalkThroughCaches : public vm::WalkPort
 {
@@ -48,25 +52,11 @@ class WalkThroughCaches : public vm::WalkPort
     cache::BelowL1 &below_;
 };
 
-/** Everything one core owns. */
-struct CoreInstance
-{
-    Workload workload;
-    std::unique_ptr<vm::Mmu> mmu;
-    std::unique_ptr<cache::BelowL1> below;
-    std::unique_ptr<SiptL1Cache> l1;
-    std::unique_ptr<cpu::TraceCore> core;
-    std::unique_ptr<WalkThroughCaches> walkPort;
-    std::unique_ptr<vm::PageWalker> walker;
-    std::unique_ptr<batch::BatchPipeline> pipeline;
-    cpu::CoreResult measured;
-};
-
 os::PagingPolicy
-policyFor(const SystemConfig &config, double thp_affinity)
+policyFor(const StreamSpec &spec, double thp_affinity)
 {
     os::PagingPolicy pol;
-    switch (config.condition) {
+    switch (spec.condition) {
       case MemCondition::Normal:
       case MemCondition::Fragmented:
         pol.thpEnabled = true;
@@ -83,19 +73,9 @@ policyFor(const SystemConfig &config, double thp_affinity)
     return pol;
 }
 
-CoreInstance
-buildCore(const SystemConfig &config, const std::string &app,
-          os::BuddyAllocator &buddy, cache::TimingCache &llc,
-          dram::Dram &dram, std::uint64_t seed,
-          const os::SharedSegment *shared = nullptr)
+L1Params
+l1ParamsFor(const SystemConfig &config)
 {
-    CoreInstance inst;
-    inst.workload = buildWorkload(config, app, buddy, seed, shared);
-    inst.mmu = std::make_unique<vm::Mmu>(mmuPreset());
-
-    const cache::TimingCacheParams l2 = l2Preset();
-    inst.below = std::make_unique<cache::BelowL1>(
-        config.outOfOrder ? &l2 : nullptr, llc, dram);
     L1Params l1_params = l1Preset(config.l1Config, config.policy,
                                   config.wayPrediction);
     // Fuzzer geometry overrides (0 = keep the preset value).
@@ -111,57 +91,155 @@ buildCore(const SystemConfig &config, const std::string &app,
     }
     if (config.check)
         l1_params.check.enabled = true;
-    inst.l1 = std::make_unique<SiptL1Cache>(l1_params,
-                                            *inst.below);
-    inst.core = std::make_unique<cpu::TraceCore>([&] {
-        cpu::CoreParams p = config.outOfOrder
-                                ? cpu::outOfOrderCoreParams()
-                                : cpu::inOrderCoreParams();
-        p.seed = seed + 3;
-        return p;
-    }());
-    if (config.radixWalker) {
-        inst.walkPort =
-            std::make_unique<WalkThroughCaches>(*inst.below);
-        inst.walker = std::make_unique<vm::PageWalker>(
-            vm::WalkerParams{}, *inst.walkPort);
-        inst.mmu->setWalker(inst.walker.get());
-    }
-    inst.pipeline = std::make_unique<batch::BatchPipeline>(
-        *inst.workload.source, *inst.mmu,
-        inst.workload.as->pageTable(), *inst.l1, *inst.core);
-    return inst;
+    return l1_params;
 }
 
-void
-resetCoreStats(CoreInstance &inst)
+/** The LLC and DRAM behind one machine, or shared by the cores of
+ *  a multicore mix. */
+struct Uncore
 {
-    inst.l1->resetStats();
-    inst.below->resetStats();
-    inst.mmu->resetStats();
-}
+    dram::Dram dram;
+    cache::TimingCache llc;
+
+    Uncore(bool out_of_order, std::uint32_t cores)
+        : llc(llcPreset(out_of_order, cores))
+    {
+    }
+
+    void
+    resetStats()
+    {
+        llc.resetStats();
+        dram.resetStats();
+    }
+};
+
+/**
+ * One simulated machine: everything a SystemConfig adds to a
+ * Stream — MMU and walker, L1, below-L1 hierarchy, LLC and DRAM
+ * (its own, or a mix's shared ones) and the core. Its
+ * batch::MachineStages run predict + account over the stream's
+ * resolved batches.
+ */
+class Machine
+{
+  public:
+    /** A single-core machine with its own LLC and DRAM. */
+    Machine(const SystemConfig &config, const Stream &stream)
+        : Machine(config, stream,
+                  std::make_unique<Uncore>(config.outOfOrder, 1),
+                  nullptr, config.seed + singleCoreSeedOffset)
+    {
+    }
+
+    /** One core of a mix over the shared @p uncore. */
+    Machine(const SystemConfig &config, const Stream &stream,
+            Uncore &uncore, std::uint64_t seed)
+        : Machine(config, stream, nullptr, &uncore, seed)
+    {
+    }
+
+    Machine(const Machine &) = delete;
+    Machine &operator=(const Machine &) = delete;
+
+    batch::MachineStages &stages() { return stages_; }
+
+    /** End of warmup: zero every counter this machine owns
+     *  (a shared uncore is reset by its owner). */
+    void
+    resetStats()
+    {
+        l1_.resetStats();
+        below_.resetStats();
+        mmu_.resetStats();
+        if (ownUncore_)
+            ownUncore_->resetStats();
+    }
+
+    /** The run's metrics, over the measured episode @p measured,
+     *  with @p llc_dyn_share / @p llc_static_share_mw of the LLC's
+     *  energy and a run of @p seconds. */
+    RunResult collect(const std::string &app, const Stream &stream,
+                      const cpu::CoreResult &measured,
+                      double llc_dyn_share,
+                      double llc_static_share_mw,
+                      double seconds) const;
+
+    /** collect() for a single-core machine: all of its own LLC,
+     *  over the measured episode's duration. */
+    RunResult
+    collect(const std::string &app, const Stream &stream,
+            const cpu::CoreResult &measured) const
+    {
+        return collect(app, stream, measured,
+                       uncore_.llc.dynamicEnergyNj(),
+                       uncore_.llc.params().staticPowerMw,
+                       measured.seconds(3.0));
+    }
+
+  private:
+    Machine(const SystemConfig &config, const Stream &stream,
+            std::unique_ptr<Uncore> own, Uncore *shared,
+            std::uint64_t seed)
+        : ownUncore_(std::move(own)),
+          uncore_(ownUncore_ ? *ownUncore_ : *shared),
+          mmu_(mmuPreset()),
+          below_([&] {
+              const cache::TimingCacheParams l2 = l2Preset();
+              return cache::BelowL1(config.outOfOrder ? &l2 : nullptr,
+                                    uncore_.llc, uncore_.dram);
+          }()),
+          l1_(l1ParamsFor(config), below_),
+          core_([&] {
+              cpu::CoreParams p = config.outOfOrder
+                                      ? cpu::outOfOrderCoreParams()
+                                      : cpu::inOrderCoreParams();
+              p.seed = seed + 3;
+              return p;
+          }()),
+          stages_(mmu_, stream.addressSpace().pageTable(), l1_,
+                  core_)
+    {
+        if (config.radixWalker) {
+            walkPort_ = std::make_unique<WalkThroughCaches>(below_);
+            walker_ = std::make_unique<vm::PageWalker>(
+                vm::WalkerParams{}, *walkPort_);
+            mmu_.setWalker(walker_.get());
+        }
+    }
+
+    std::unique_ptr<Uncore> ownUncore_;
+    Uncore &uncore_;
+    vm::Mmu mmu_;
+    cache::BelowL1 below_;
+    SiptL1Cache l1_;
+    cpu::TraceCore core_;
+    std::unique_ptr<WalkThroughCaches> walkPort_;
+    std::unique_ptr<vm::PageWalker> walker_;
+    batch::MachineStages stages_;
+};
 
 RunResult
-collect(const std::string &app, const CoreInstance &inst,
-        double llc_dyn_share, double llc_static_share_mw,
-        double seconds)
+Machine::collect(const std::string &app, const Stream &stream,
+                 const cpu::CoreResult &measured,
+                 double llc_dyn_share, double llc_static_share_mw,
+                 double seconds) const
 {
     RunResult r;
     r.app = app;
-    r.cycles = inst.measured.cycles;
-    r.instructions = inst.measured.instructions;
-    r.ipc = inst.measured.ipc();
-    r.l1 = inst.l1->stats();
-    r.l1HitRate = inst.l1->hitRate();
-    r.fastFraction = inst.l1->fastFraction();
-    r.hugeCoverage = inst.workload.as->hugeCoverage();
-    r.energy = energy::computeEnergy(
-        *inst.l1, *inst.below, llc_dyn_share,
-        llc_static_share_mw, seconds);
-    if (const auto *wp = inst.l1->wayPredictor())
+    r.cycles = measured.cycles;
+    r.instructions = measured.instructions;
+    r.ipc = measured.ipc();
+    r.l1 = l1_.stats();
+    r.l1HitRate = l1_.hitRate();
+    r.fastFraction = l1_.fastFraction();
+    r.hugeCoverage = stream.addressSpace().hugeCoverage();
+    r.energy = energy::computeEnergy(l1_, below_, llc_dyn_share,
+                                     llc_static_share_mw, seconds);
+    if (const auto *wp = l1_.wayPredictor())
         r.wayPredAccuracy = wp->accuracy();
-    const auto &small = inst.mmu->l1Small();
-    const auto &huge = inst.mmu->l1Huge();
+    const auto &small = mmu_.l1Small();
+    const auto &huge = mmu_.l1Huge();
     const std::uint64_t tlb_lookups = small.hits() +
                                       small.misses() +
                                       huge.hits() + huge.misses();
@@ -170,21 +248,21 @@ collect(const std::string &app, const CoreInstance &inst,
                                           huge.hits()) /
                           static_cast<double>(tlb_lookups)
                     : 0.0;
-    r.pageWalks = inst.mmu->walks();
+    r.pageWalks = mmu_.walks();
     r.l1Mpki = r.instructions
                    ? 1000.0 *
                          static_cast<double>(r.l1.misses) /
                          static_cast<double>(r.instructions)
                    : 0.0;
-    r.checkDigest = inst.l1->checkDigest();
-    r.checkEvents = inst.l1->checkEventCount();
+    r.checkDigest = l1_.checkDigest();
+    r.checkEvents = l1_.checkEventCount();
     // The first failure wins, whichever layer saw it.
-    r.checkFailure = inst.l1->checkFailure();
-    if (r.checkFailure.empty() && inst.below->fillTracker())
-        r.checkFailure = inst.below->fillTracker()->failure();
+    r.checkFailure = l1_.checkFailure();
+    if (r.checkFailure.empty() && below_.fillTracker())
+        r.checkFailure = below_.fillTracker()->failure();
     if (r.checkFailure.empty())
-        r.checkFailure = inst.pipeline->checkFailure();
-    if (const auto *checker = inst.l1->checker()) {
+        r.checkFailure = stages_.checkFailure();
+    if (const auto *checker = l1_.checker()) {
         const auto &vivt = checker->vivt().stats();
         r.vivtReverseProbes = vivt.reverseMapProbes;
         r.vivtInvalidations = vivt.synonymInvalidations;
@@ -195,18 +273,31 @@ collect(const std::string &app, const CoreInstance &inst,
 
 } // namespace
 
-ConditionedMemory::ConditionedMemory(const SystemConfig &config)
-    : buddy(config.physMemBytes / pageSize), ager(buddy),
+StreamSpec
+streamSpec(const SystemConfig &config)
+{
+    StreamSpec spec;
+    spec.condition = config.condition;
+    spec.physMemBytes = config.physMemBytes;
+    spec.warmupRefs = config.warmupRefs;
+    spec.measureRefs = config.measureRefs;
+    spec.seed = config.seed;
+    spec.footprintScale = config.footprintScale;
+    return spec;
+}
+
+ConditionedMemory::ConditionedMemory(const StreamSpec &spec)
+    : buddy(spec.physMemBytes / pageSize), ager(buddy),
       fragmenter(buddy)
 {
-    Rng rng(config.seed);
+    Rng rng(spec.seed);
     ager.age(agingChurnOps, agingResidentFraction, rng);
-    if (config.condition == MemCondition::Fragmented)
+    if (spec.condition == MemCondition::Fragmented)
         fragmenter.fragmentTo(0.95, 9, rng, 0.30);
 }
 
 Workload
-buildWorkload(const SystemConfig &config, const std::string &app,
+buildWorkload(const StreamSpec &spec, const std::string &app,
               os::BuddyAllocator &buddy, std::uint64_t seed,
               const os::SharedSegment *shared)
 {
@@ -216,7 +307,7 @@ buildWorkload(const SystemConfig &config, const std::string &app,
         // the paging policy and footprint scale are moot (no
         // demand fault ever fires).
         w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
+            buddy, policyFor(spec, 0.0), seed + 1);
         w.source = std::make_unique<workload::TraceReplaySource>(
             traceAppPath(app), *w.as, /*loop=*/true);
     } else if (workload::isSynonymApp(app)) {
@@ -225,21 +316,38 @@ buildWorkload(const SystemConfig &config, const std::string &app,
         // regardless of condition. Footprints are fixed (no
         // scaling): a few hundred KiB against gigabytes.
         w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
+            buddy, policyFor(spec, 0.0), seed + 1);
         w.source = std::make_unique<workload::SynonymWorkload>(
             workload::synonymSpec(app), *w.as, seed + 2, shared);
     } else {
         workload::AppProfile profile = workload::appProfile(app);
         profile.footprintBytes = static_cast<std::uint64_t>(
             static_cast<double>(profile.footprintBytes) *
-            config.footprintScale);
+            spec.footprintScale);
         w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, profile.thpAffinity),
+            buddy, policyFor(spec, profile.thpAffinity),
             seed + 1);
         w.source = std::make_unique<workload::SyntheticWorkload>(
             profile, *w.as, seed + 2);
     }
     return w;
+}
+
+Stream::Stream(const std::string &app, const StreamSpec &spec)
+    : memory_(std::make_unique<ConditionedMemory>(spec)),
+      workload_(buildWorkload(spec, app, memory_->buddy,
+                              spec.seed + singleCoreSeedOffset,
+                              nullptr)),
+      stages_(*workload_.source, workload_.as->pageTable())
+{
+}
+
+Stream::Stream(const std::string &app, const StreamSpec &spec,
+               os::BuddyAllocator &buddy, std::uint64_t seed,
+               const os::SharedSegment *shared)
+    : workload_(buildWorkload(spec, app, buddy, seed, shared)),
+      stages_(*workload_.source, workload_.as->pageTable())
+{
 }
 
 const char *
@@ -297,22 +405,20 @@ recordTrace(const std::string &app, const SystemConfig &config,
         fatal("recordTrace: cannot re-record a trace app (", app,
               ")");
 
-    // Same conditioning, seed derivation and workload build as
-    // runSingleCore(): the recorded stream and layout are exactly
-    // what the live run would have seen.
-    ConditionedMemory memory(config);
-    const Workload w = buildWorkload(config, app, memory.buddy,
-                                     config.seed + 10, nullptr);
-
-    // Allocation phase done: snapshot the layout (for synonym
-    // apps that layout is many-to-one), then record the stream a
-    // core would consume into the file.
-    workload::TraceRecorder recorder(path, app, config.seed, *w.as);
+    // The Stream runSingleCore() would build: the recorded layout
+    // and references are exactly what the live run sees. Snapshot
+    // the layout after the allocation phase (for synonym apps it is
+    // many-to-one), then record the stream a core would consume.
+    // The recording needs no resolved addresses, so it reads the
+    // source directly.
+    Stream stream(app, streamSpec(config));
+    workload::TraceRecorder recorder(path, app, config.seed,
+                                     stream.addressSpace());
     const std::uint64_t total =
         config.warmupRefs + config.measureRefs;
     MemRef ref;
     for (std::uint64_t i = 0; i < total; ++i) {
-        if (!w.source->next(ref))
+        if (!stream.source().next(ref))
             break;
         recorder.record(ref);
     }
@@ -336,23 +442,64 @@ defaultWarmupRefs()
 RunResult
 runSingleCore(const std::string &app, const SystemConfig &config)
 {
-    ConditionedMemory memory(config);
-    dram::Dram dram;
-    cache::TimingCache llc(llcPreset(config.outOfOrder, 1));
+    return runSameStream(app, {config})[0];
+}
 
-    CoreInstance inst = buildCore(config, app, memory.buddy, llc,
-                                  dram, config.seed + 10);
+std::vector<RunResult>
+runSameStream(const std::string &app,
+              const std::vector<SystemConfig> &configs,
+              std::vector<std::exception_ptr> *errors)
+{
+    SIPT_ASSERT(!configs.empty(), "runSameStream: no configs");
+    const StreamSpec spec = streamSpec(configs.front());
+    for (const SystemConfig &config : configs) {
+        if (streamSpec(config) != spec)
+            panic("runSameStream: the configs for ", app,
+                  " do not share one stream key");
+    }
+    Stream stream(app, spec);
 
-    inst.pipeline->run(config.warmupRefs);
-    resetCoreStats(inst);
-    llc.resetStats();
-    dram.resetStats();
+    const std::size_t k = configs.size();
+    std::vector<std::exception_ptr> failed(k);
+    std::vector<std::unique_ptr<Machine>> machines(k);
+    std::vector<batch::MachineStages *> stages;
+    for (std::size_t i = 0; i < k; ++i) {
+        try {
+            machines[i] = std::make_unique<Machine>(configs[i], stream);
+            stages.push_back(&machines[i]->stages());
+        } catch (...) {
+            failed[i] = std::current_exception();
+        }
+    }
 
-    inst.measured = inst.pipeline->run(config.measureRefs);
+    batch::runPhase(stream.stages(), stages, spec.warmupRefs);
+    for (const auto &machine : machines) {
+        if (machine)
+            machine->resetStats();
+    }
+    const std::vector<cpu::CoreResult> measured =
+        batch::runPhase(stream.stages(), stages, spec.measureRefs);
 
-    const double seconds = inst.measured.seconds(3.0);
-    return collect(app, inst, llc.dynamicEnergyNj(),
-                   llc.params().staticPowerMw, seconds);
+    std::vector<RunResult> results(k);
+    std::size_t phase = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+        if (!machines[i])
+            continue;
+        const cpu::CoreResult &episode = measured[phase++];
+        if (machines[i]->stages().error())
+            failed[i] = machines[i]->stages().error();
+        else
+            results[i] = machines[i]->collect(app, stream, episode);
+    }
+    if (errors) {
+        *errors = std::move(failed);
+    } else {
+        for (const std::exception_ptr &error : failed) {
+            if (error)
+                std::rethrow_exception(error);
+        }
+    }
+    return results;
 }
 
 MulticoreResult
@@ -363,9 +510,9 @@ runMulticore(const std::vector<std::string> &mix,
         fatal("runMulticore: empty mix");
     const auto cores = static_cast<std::uint32_t>(mix.size());
 
-    ConditionedMemory memory(config);
-    dram::Dram dram;
-    cache::TimingCache llc(llcPreset(config.outOfOrder, cores));
+    const StreamSpec spec = streamSpec(config);
+    ConditionedMemory memory(spec);
+    Uncore uncore(config.outOfOrder, cores);
 
     // Shared-mode synonym apps naming the same profile attach the
     // same physical segment from every core — cross-core synonyms
@@ -377,23 +524,25 @@ runMulticore(const std::vector<std::string> &mix,
     for (const std::string &app : mix) {
         if (!workload::isSynonymApp(app))
             continue;
-        const workload::SynonymSpec spec =
+        const workload::SynonymSpec synonym =
             workload::synonymSpec(app);
-        if (spec.mode != workload::SynonymSpec::Mode::Shared)
+        if (synonym.mode != workload::SynonymSpec::Mode::Shared)
             continue;
-        const std::string key = workload::synonymAppName(spec);
+        const std::string key = workload::synonymAppName(synonym);
         if (segments.count(key) == 0) {
             segments.emplace(
                 key,
                 std::make_unique<os::SharedSegment>(
                     memory.buddy,
-                    workload::synonymMappingBytes(spec),
-                    spec.hugePages));
+                    workload::synonymMappingBytes(synonym),
+                    synonym.hugePages));
         }
     }
 
-    std::vector<CoreInstance> insts;
-    insts.reserve(cores);
+    // Each core is one Stream and one Machine; the streams draw
+    // from the shared memory in core order.
+    std::vector<std::unique_ptr<Stream>> streams;
+    std::vector<std::unique_ptr<Machine>> machines;
     for (std::uint32_t c = 0; c < cores; ++c) {
         const os::SharedSegment *shared = nullptr;
         if (workload::isSynonymApp(mix[c])) {
@@ -402,14 +551,16 @@ runMulticore(const std::vector<std::string> &mix,
             if (it != segments.end())
                 shared = it->second.get();
         }
-        insts.push_back(buildCore(config, mix[c], memory.buddy,
-                                  llc, dram,
-                                  config.seed + 100 * (c + 1),
-                                  shared));
+        const std::uint64_t seed = config.seed + 100 * (c + 1);
+        streams.push_back(std::make_unique<Stream>(
+            mix[c], spec, memory.buddy, seed, shared));
+        machines.push_back(std::make_unique<Machine>(
+            config, *streams.back(), uncore, seed));
     }
 
     // Interleave cores in slices so LLC/DRAM contention mixes.
     constexpr std::uint64_t slice = 5'000;
+    std::vector<cpu::CoreResult> measured(cores);
     auto run_phase = [&](std::uint64_t refs_per_core) {
         std::vector<std::uint64_t> done(cores, 0);
         bool progress = true;
@@ -420,11 +571,15 @@ runMulticore(const std::vector<std::string> &mix,
                     continue;
                 const std::uint64_t n = std::min(
                     slice, refs_per_core - done[c]);
-                const auto res = insts[c].pipeline->run(n);
-                insts[c].measured.cycles += res.cycles;
-                insts[c].measured.instructions +=
-                    res.instructions;
-                insts[c].measured.memRefs += res.memRefs;
+                batch::MachineStages *const core =
+                    &machines[c]->stages();
+                const cpu::CoreResult res = batch::runPhase(
+                    streams[c]->stages(), {&core, 1}, n)[0];
+                if (core->error())
+                    std::rethrow_exception(core->error());
+                measured[c].cycles += res.cycles;
+                measured[c].instructions += res.instructions;
+                measured[c].memRefs += res.memRefs;
                 done[c] += n;
                 progress = true;
             }
@@ -432,29 +587,27 @@ runMulticore(const std::vector<std::string> &mix,
     };
 
     run_phase(config.warmupRefs);
-    for (auto &inst : insts) {
-        resetCoreStats(inst);
-        inst.measured = cpu::CoreResult{};
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        machines[c]->resetStats();
+        measured[c] = cpu::CoreResult{};
     }
-    llc.resetStats();
-    dram.resetStats();
+    uncore.resetStats();
     run_phase(config.measureRefs);
 
     MulticoreResult result;
     double max_seconds = 0.0;
-    for (const auto &inst : insts) {
-        max_seconds =
-            std::max(max_seconds, inst.measured.seconds(3.0));
-    }
+    for (const cpu::CoreResult &core : measured)
+        max_seconds = std::max(max_seconds, core.seconds(3.0));
     // LLC dynamic energy is shared; attribute it wholly to the
     // run (core share = 0 except the first, which carries it).
     for (std::uint32_t c = 0; c < cores; ++c) {
         const double llc_dyn =
-            c == 0 ? llc.dynamicEnergyNj() : 0.0;
+            c == 0 ? uncore.llc.dynamicEnergyNj() : 0.0;
         const double llc_static =
-            c == 0 ? llc.params().staticPowerMw : 0.0;
-        RunResult r = collect(mix[c], insts[c], llc_dyn,
-                              llc_static, max_seconds);
+            c == 0 ? uncore.llc.params().staticPowerMw : 0.0;
+        RunResult r = machines[c]->collect(mix[c], *streams[c],
+                                           measured[c], llc_dyn,
+                                           llc_static, max_seconds);
         result.sumIpc += r.ipc;
         result.energy += r.energy;
         result.perCore.push_back(std::move(r));

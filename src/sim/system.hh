@@ -2,12 +2,20 @@
  * @file
  * Full-system assembly and experiment drivers.
  *
- * runSingleCore() builds one complete simulated machine — physical
+ * runSingleCore() builds one complete simulated system — physical
  * memory with a conditioned buddy allocator, an address space under
  * the requested paging policy, TLBs, the L1 under a chosen indexing
  * policy, the lower hierarchy, DRAM, and a core model — runs one
  * named application on it, and returns the metrics every figure of
  * the paper is built from.
+ *
+ * The system splits in two along what each part depends on. A
+ * Stream (conditioned memory, address space, workload; generate +
+ * resolve) depends only on StreamSpec. A machine (MMU and walker,
+ * L1, below-L1, LLC, DRAM, core; predict + account) depends on the
+ * rest of SystemConfig. runSameStream() runs one Stream under
+ * several machines at once, which is how the sweep engine runs
+ * configs that share a stream.
  *
  * runMulticore() instantiates four such cores over a shared LLC,
  * DRAM, and physical allocator (Tab. III mixes, Fig. 15).
@@ -17,12 +25,14 @@
 #define SIPT_SIM_SYSTEM_HH
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "batch/pipeline.hh"
 #include "cpu/core.hh"
 #include "cpu/trace_source.hh"
 #include "energy/accounting.hh"
@@ -121,9 +131,34 @@ struct SystemConfig
 };
 
 /**
+ * The SystemConfig fields a reference stream depends on: the
+ * conditioned physical layout, the workload instance and the phase
+ * lengths. Together with the app name (and a trace app's content
+ * hash) they form the stream key, streamKeyJson() in sim/sweep.hh.
+ * Everything else in SystemConfig describes the machine the stream
+ * runs on, and the stream-side code (ConditionedMemory,
+ * buildWorkload, Stream) takes only this struct, so it cannot read
+ * a machine field.
+ */
+struct StreamSpec
+{
+    MemCondition condition = MemCondition::Normal;
+    std::uint64_t physMemBytes = 0;
+    std::uint64_t warmupRefs = 0;
+    std::uint64_t measureRefs = 0;
+    std::uint64_t seed = 0;
+    double footprintScale = 1.0;
+
+    bool operator==(const StreamSpec &) const = default;
+};
+
+/** The stream half of @p config. */
+StreamSpec streamSpec(const SystemConfig &config);
+
+/**
  * Physical memory conditioned before any application starts
  * (Sec. VII-B): weeks-of-uptime allocator churn seeded by
- * config.seed, then, for the Fragmented condition, fragmentation
+ * spec.seed, then, for the Fragmented condition, fragmentation
  * to Fu(9) > 0.95. The pinned frames stand for other resident
  * processes, so this must outlive every address space allocated
  * from its buddy allocator.
@@ -134,7 +169,7 @@ struct ConditionedMemory
     os::SystemAger ager;
     os::MemoryFragmenter fragmenter;
 
-    explicit ConditionedMemory(const SystemConfig &config);
+    explicit ConditionedMemory(const StreamSpec &spec);
 };
 
 /** An application's address space and reference source. */
@@ -146,15 +181,61 @@ struct Workload
 
 /**
  * Build @p app's address space and reference source under
- * config's condition and footprint scale: the allocation phase
+ * spec's condition and footprint scale: the allocation phase
  * demand-faults every page in from @p buddy. Seeds derive from
  * @p seed (+1 address space, +2 workload). @p shared is the
  * physical segment a shared-mode synonym app attaches (else null).
  */
-Workload buildWorkload(const SystemConfig &config,
-                       const std::string &app,
+Workload buildWorkload(const StreamSpec &spec, const std::string &app,
                        os::BuddyAllocator &buddy, std::uint64_t seed,
                        const os::SharedSegment *shared);
+
+/**
+ * One application's reference stream: its workload over
+ * conditioned memory, and the generate + resolve stages that turn
+ * it into resolved batches. Any number of machines can consume one
+ * Stream (runSameStream()); nothing in it depends on the machine.
+ */
+class Stream
+{
+  public:
+    /**
+     * A single-core stream: conditions its own memory and builds
+     * @p app's workload with seed spec.seed + 10.
+     */
+    Stream(const std::string &app, const StreamSpec &spec);
+
+    /**
+     * One core of a multicore mix: builds @p app's workload with
+     * @p seed from memory the caller conditioned and shares.
+     */
+    Stream(const std::string &app, const StreamSpec &spec,
+           os::BuddyAllocator &buddy, std::uint64_t seed,
+           const os::SharedSegment *shared);
+
+    Stream(const Stream &) = delete;
+    Stream &operator=(const Stream &) = delete;
+
+    /** The generate + resolve stages over this stream. */
+    batch::StreamStages &stages() { return stages_; }
+
+    /** The unresolved reference source (trace recording reads it
+     *  directly; a run goes through stages()). */
+    cpu::TraceSource &source() { return *workload_.source; }
+
+    const os::AddressSpace &
+    addressSpace() const
+    {
+        return *workload_.as;
+    }
+
+  private:
+    /** Null when the memory is shared (multicore). Declared first
+     *  so it outlives the address space. */
+    std::unique_ptr<ConditionedMemory> memory_;
+    Workload workload_;
+    batch::StreamStages stages_;
+};
 
 /** Metrics from one application run. */
 struct RunResult
@@ -207,9 +288,29 @@ struct RunResult
  */
 std::uint64_t defaultMeasureRefs();
 
-/** Run one application on one system. */
+/** Run one application on one system: runSameStream(app,
+ *  {config})[0]. */
 RunResult runSingleCore(const std::string &app,
                         const SystemConfig &config);
+
+/**
+ * Run @p app on every system of @p configs, which must share one
+ * stream (equal streamSpec(); panics otherwise): one Stream
+ * conditions memory, generates and resolves each batch once, and
+ * every config's machine steps that batch in turn. Each phase
+ * (warmup, measure) is one episode per machine, so every result is
+ * bit-identical to running that config alone.
+ *
+ * An exception from one machine does not stop the others. With
+ * @p errors null the first one is rethrown after the run; else
+ * (*errors)[i] holds config i's exception, or null, and result i is
+ * meaningful only when it is null. An exception from the stream
+ * itself propagates.
+ */
+std::vector<RunResult>
+runSameStream(const std::string &app,
+              const std::vector<SystemConfig> &configs,
+              std::vector<std::exception_ptr> *errors = nullptr);
 
 /**
  * True when @p app names a recorded trace instead of a synthetic
@@ -225,11 +326,10 @@ std::string traceAppPath(const std::string &app);
 
 /**
  * Record @p app's reference stream to a trace file at @p path:
- * condition memory and build the workload exactly as
- * runSingleCore() would (same seeds, same allocation phase), then
- * capture warmupRefs+measureRefs references plus the VA->PA
- * layout. Replaying the file under the same SystemConfig is
- * digest-identical to the live run. Fatal when @p app is itself a
+ * the VA->PA layout after the allocation phase, then the
+ * warmupRefs+measureRefs references of the same Stream
+ * runSingleCore() would build. Replaying the file under the same
+ * SystemConfig is digest-identical to the live run. Fatal when @p app is itself a
  * trace app or the file cannot be written.
  */
 void recordTrace(const std::string &app,

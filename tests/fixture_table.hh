@@ -19,6 +19,21 @@
 namespace sipt::testfix
 {
 
+/** The rows of the fixture table at @p path: every line but blank
+ *  and '#' comment lines. Empty when the file is missing. */
+inline std::vector<std::string>
+readFixture(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> rows;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] != '#')
+            rows.push_back(line);
+    }
+    return rows;
+}
+
 /**
  * Write @p rows to @p out_dir/<TestName>.txt under the comment
  * line @p header, then compare them with @p fixture_dir/
@@ -43,15 +58,10 @@ expectMatchesFixture(const std::vector<std::string> &rows,
     }
 
     const auto fixture_path = fixture_dir / (name + ".txt");
-    std::ifstream in(fixture_path);
-    ASSERT_TRUE(in) << "missing fixture " << fixture_path
-                    << "; actual table written to " << out_path;
-    std::vector<std::string> expected;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line[0] != '#')
-            expected.push_back(line);
-    }
+    ASSERT_TRUE(std::filesystem::exists(fixture_path))
+        << "missing fixture " << fixture_path
+        << "; actual table written to " << out_path;
+    const std::vector<std::string> expected = readFixture(fixture_path);
     ASSERT_EQ(expected.size(), rows.size())
         << "row count differs; actual table in " << out_path;
     for (std::size_t i = 0; i < rows.size(); ++i)

@@ -19,10 +19,16 @@
  *
  * Warmup and measure sizes are set explicitly, so SIPT_REFS and
  * SIPT_WARMUP do not change the rows.
+ *
+ * GroupedRunsMatchFixtures runs the same single-core configs again,
+ * grouped by stream key (runSameStream() and a 4-thread
+ * SweepRunner), and checks that grouping changes no row.
  */
 
 #include <cstdint>
+#include <filesystem>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +36,8 @@
 #include <gtest/gtest.h>
 
 #include "fixture_table.hh"
+#include "run_jobs.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace sipt::sim
@@ -83,18 +91,35 @@ row(const std::string &label, const RunResult &r)
     return os.str();
 }
 
-/** Run @p app under @p config (which must set check), assert the
- *  run stayed golden, and return its fixture row. */
-std::string
-checkedRow(const std::string &label, const std::string &app,
-           const SystemConfig &config, RunResult *out = nullptr)
+/** One single-core fixture run: its row label, app and system. */
+struct Case
 {
-    const RunResult r = runSingleCore(app, config);
+    std::string label;
+    std::string app;
+    SystemConfig config;
+};
+
+/** Run @p c (whose config must set check), assert the run stayed
+ *  golden, and return its fixture row. */
+std::string
+checkedRow(const Case &c, RunResult *out = nullptr)
+{
+    const RunResult r = runSingleCore(c.app, c.config);
     EXPECT_TRUE(r.checkFailure.empty())
-        << label << ": " << r.checkFailure;
+        << c.label << ": " << r.checkFailure;
     if (out)
         *out = r;
-    return row(label, r);
+    return row(c.label, r);
+}
+
+/** checkedRow() of every case, in order. */
+std::vector<std::string>
+checkedRows(const std::vector<Case> &cases)
+{
+    std::vector<std::string> rows;
+    for (const Case &c : cases)
+        rows.push_back(checkedRow(c));
+    return rows;
 }
 
 /** Compare @p rows with tests/fixtures/engine/<TestName>.txt. */
@@ -110,13 +135,16 @@ expectMatchesFixture(const std::vector<std::string> &rows)
             ": one row per run (tests/test_batch.cpp)");
 }
 
-TEST(BatchEngine, BitIdenticalAcrossPoliciesAndSpecBits)
+// One case table per single-core fixture, shared by its own test
+// and by GroupedRunsMatchFixtures.
+
+/** L1 geometries spanning 0..3 speculative index bits at 2-way
+ *  (32 KiB / 2-way = 2 bits above the 4 KiB page offset, etc.). */
+std::vector<Case>
+policiesAndSpecBitsCases()
 {
-    // L1 geometries spanning 0..3 speculative index bits at 2-way
-    // (32 KiB / 2-way = 2 bits above the 4 KiB page offset, etc.).
-    const std::uint64_t sizes_kib[] = {8, 16, 32, 64};
-    std::vector<std::string> rows;
-    for (const std::uint64_t kib : sizes_kib) {
+    std::vector<Case> cases;
+    for (const std::uint64_t kib : {8, 16, 32, 64}) {
         std::vector<IndexingPolicy> policies;
         if (kib == 8) {
             // VIPT-feasible geometry: no bits to speculate on.
@@ -131,22 +159,132 @@ TEST(BatchEngine, BitIdenticalAcrossPoliciesAndSpecBits)
                         IndexingPolicy::SiptRevelator,
                         IndexingPolicy::SiptPcax};
         }
-        std::uint64_t digest = 0;
         for (const IndexingPolicy policy : policies) {
             SystemConfig config = smallConfig();
             config.l1SizeBytes = kib * 1024;
             config.l1Assoc = 2;
             config.policy = policy;
-            RunResult r;
-            rows.push_back(checkedRow(
-                "gcc/" + std::to_string(kib) + "K-2way/" +
-                    policyName(policy),
-                "gcc", config, &r));
-            // The functional stream is policy-invariant.
-            if (digest == 0)
-                digest = r.checkDigest;
-            EXPECT_EQ(digest, r.checkDigest)
-                << policyName(policy) << " at " << kib << " KiB";
+            cases.push_back({"gcc/" + std::to_string(kib) +
+                                 "K-2way/" + policyName(policy),
+                             "gcc", config});
+        }
+    }
+    return cases;
+}
+
+std::vector<Case>
+wayPredictionAndInOrderCases()
+{
+    SystemConfig config = smallConfig();
+    config.wayPrediction = true;
+    SystemConfig inorder = smallConfig();
+    inorder.outOfOrder = false;
+    inorder.policy = IndexingPolicy::SiptBypass;
+    return {{"hmmer/way-prediction", "hmmer", config},
+            {"mcf/in-order", "mcf", inorder}};
+}
+
+/** The conditions change the page-table shape (small-page heavy,
+ *  scattered frames), exercising both the small-page table and
+ *  its huge-page lane. */
+std::vector<Case>
+memoryConditionCases()
+{
+    std::vector<Case> cases;
+    for (const MemCondition condition :
+         {MemCondition::Normal, MemCondition::Fragmented,
+          MemCondition::ThpOff, MemCondition::NoContiguity}) {
+        SystemConfig config = smallConfig();
+        config.condition = condition;
+        cases.push_back({std::string("astar/") +
+                             conditionName(condition),
+                         "astar", config});
+    }
+    return cases;
+}
+
+/** A 2 MiB-backed shared-synonym stream drives the pipeline's
+ *  huge-page lane: the VESPA gate fires on every reference, and the
+ *  translation predictors see huge frames. */
+std::vector<Case>
+hugePageSynonymCases()
+{
+    std::vector<Case> cases;
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::SiptCombined, IndexingPolicy::SiptVespa,
+          IndexingPolicy::SiptRevelator,
+          IndexingPolicy::SiptPcax}) {
+        SystemConfig config = smallConfig();
+        config.policy = policy;
+        cases.push_back({std::string("shared-huge/") +
+                             policyName(policy),
+                         "synonym:shared-huge", config});
+    }
+    return cases;
+}
+
+/** Batch capacity is 256: a run smaller than one batch, a
+ *  prime-size run, and a multiple-plus-tail run. */
+std::vector<Case>
+partialBatchCases()
+{
+    std::vector<Case> cases;
+    for (const std::uint64_t measure : {100ull, 257ull, 1000ull}) {
+        SystemConfig config = smallConfig();
+        config.warmupRefs = 100;
+        config.measureRefs = measure;
+        cases.push_back({"libquantum/measure=" +
+                             std::to_string(measure),
+                         "libquantum", config});
+    }
+    return cases;
+}
+
+/** Walk latency depends on the dispatch cycle, and PTE reads share
+ *  the below-L1 hierarchy with L1 fills. */
+std::vector<Case>
+radixWalkerCases()
+{
+    std::vector<Case> cases;
+    for (const char *app : {"gcc", "mcf"}) {
+        SystemConfig config = smallConfig();
+        config.radixWalker = true;
+        cases.push_back({std::string(app) + "/radix", app, config});
+    }
+    return cases;
+}
+
+/** Record milc's stream to @p path; the replay case reads it. */
+Case
+traceReplayCase(const std::string &path)
+{
+    const SystemConfig config = smallConfig();
+    recordTrace("milc", config, path);
+    return {"milc/replay", "trace:" + path, config};
+}
+
+/** A scratch trace file path under the temp directory. */
+std::string
+tracePath(const std::string &name)
+{
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "sipt_test_batch";
+    std::filesystem::create_directories(dir);
+    return (dir / name).string();
+}
+
+TEST(BatchEngine, BitIdenticalAcrossPoliciesAndSpecBits)
+{
+    std::vector<std::string> rows;
+    std::map<std::uint64_t, std::uint64_t> digest_by_size;
+    for (const Case &c : policiesAndSpecBitsCases()) {
+        RunResult r;
+        rows.push_back(checkedRow(c, &r));
+        // The functional stream is policy-invariant.
+        const auto [it, first] = digest_by_size.emplace(
+            c.config.l1SizeBytes, r.checkDigest);
+        if (!first) {
+            EXPECT_EQ(it->second, r.checkDigest) << c.label;
         }
     }
     expectMatchesFixture(rows);
@@ -154,84 +292,33 @@ TEST(BatchEngine, BitIdenticalAcrossPoliciesAndSpecBits)
 
 TEST(BatchEngine, BitIdenticalWithWayPredictionAndInOrder)
 {
-    SystemConfig config = smallConfig();
-    config.wayPrediction = true;
-    SystemConfig inorder = smallConfig();
-    inorder.outOfOrder = false;
-    inorder.policy = IndexingPolicy::SiptBypass;
-    expectMatchesFixture({
-        checkedRow("hmmer/way-prediction", "hmmer", config),
-        checkedRow("mcf/in-order", "mcf", inorder),
-    });
+    expectMatchesFixture(checkedRows(wayPredictionAndInOrderCases()));
 }
 
 TEST(BatchEngine, BitIdenticalUnderMemoryConditions)
 {
-    // The conditions change the page-table shape (small-page
-    // heavy, scattered frames), exercising both the flat page-map
-    // snapshot and its huge-page lane.
-    std::vector<std::string> rows;
-    for (const MemCondition condition :
-         {MemCondition::Normal, MemCondition::Fragmented,
-          MemCondition::ThpOff, MemCondition::NoContiguity}) {
-        SystemConfig config = smallConfig();
-        config.condition = condition;
-        rows.push_back(checkedRow(
-            std::string("astar/") + conditionName(condition),
-            "astar", config));
-    }
-    expectMatchesFixture(rows);
+    expectMatchesFixture(checkedRows(memoryConditionCases()));
 }
 
 TEST(BatchEngine, BitIdenticalOnHugePageSynonyms)
 {
-    // A 2 MiB-backed shared-synonym stream drives the pipeline's
-    // huge-page lane: the VESPA gate fires on every reference, and
-    // the translation predictors see huge frames.
-    std::vector<std::string> rows;
-    for (const IndexingPolicy policy :
-         {IndexingPolicy::SiptCombined, IndexingPolicy::SiptVespa,
-          IndexingPolicy::SiptRevelator,
-          IndexingPolicy::SiptPcax}) {
-        SystemConfig config = smallConfig();
-        config.policy = policy;
-        rows.push_back(checkedRow(
-            std::string("shared-huge/") + policyName(policy),
-            "synonym:shared-huge", config));
-    }
-    expectMatchesFixture(rows);
+    expectMatchesFixture(checkedRows(hugePageSynonymCases()));
 }
 
 TEST(BatchEngine, PartialFinalBatchSizes)
 {
-    // Batch capacity is 256: cover a run smaller than one batch, a
-    // prime-size run, and a multiple-plus-tail run.
-    std::vector<std::string> rows;
-    for (const std::uint64_t measure : {100ull, 257ull, 1000ull}) {
-        SystemConfig config = smallConfig();
-        config.warmupRefs = 100;
-        config.measureRefs = measure;
-        rows.push_back(checkedRow(
-            "libquantum/measure=" + std::to_string(measure),
-            "libquantum", config));
-    }
-    expectMatchesFixture(rows);
+    expectMatchesFixture(checkedRows(partialBatchCases()));
 }
 
 TEST(BatchEngine, TraceReplayRoundTripBitIdentical)
 {
-    const SystemConfig config = smallConfig();
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "sipt_test_batch";
-    std::filesystem::create_directories(dir);
-    const std::string path = (dir / "replay.sipttrace").string();
-    recordTrace("milc", config, path);
+    const std::string path = tracePath("replay.sipttrace");
+    const Case replay_case = traceReplayCase(path);
 
     RunResult live;
     RunResult replay;
-    checkedRow("milc/live", "milc", config, &live);
-    const std::string replay_row =
-        checkedRow("milc/replay", "trace:" + path, config, &replay);
+    checkedRow({"milc/live", "milc", replay_case.config}, &live);
+    const std::string replay_row = checkedRow(replay_case, &replay);
     EXPECT_EQ(live.checkDigest, replay.checkDigest);
     EXPECT_EQ(live.ipc, replay.ipc);
     expectMatchesFixture({replay_row});
@@ -240,16 +327,7 @@ TEST(BatchEngine, TraceReplayRoundTripBitIdentical)
 
 TEST(BatchEngine, RadixWalkerConfigs)
 {
-    // Walk latency depends on the dispatch cycle, and PTE reads
-    // share the below-L1 hierarchy with L1 fills.
-    std::vector<std::string> rows;
-    for (const char *app : {"gcc", "mcf"}) {
-        SystemConfig config = smallConfig();
-        config.radixWalker = true;
-        rows.push_back(
-            checkedRow(std::string(app) + "/radix", app, config));
-    }
-    expectMatchesFixture(rows);
+    expectMatchesFixture(checkedRows(radixWalkerCases()));
 }
 
 TEST(BatchEngine, MulticoreBitIdentical)
@@ -269,6 +347,91 @@ TEST(BatchEngine, MulticoreBitIdentical)
             row("quad/core" + std::to_string(i) + "/" + mix[i], r));
     }
     expectMatchesFixture(rows);
+}
+
+TEST(BatchEngine, GroupedRunsMatchFixtures)
+{
+    // Every single-core fixture config, plus every runnable
+    // RunKeys.txt config, with the row each must produce.
+    const std::string path = tracePath("grouped.sipttrace");
+    const std::pair<const char *, std::vector<Case>> fixtures[] = {
+        {"BitIdenticalAcrossPoliciesAndSpecBits",
+         policiesAndSpecBitsCases()},
+        {"BitIdenticalWithWayPredictionAndInOrder",
+         wayPredictionAndInOrderCases()},
+        {"BitIdenticalUnderMemoryConditions", memoryConditionCases()},
+        {"BitIdenticalOnHugePageSynonyms", hugePageSynonymCases()},
+        {"PartialFinalBatchSizes", partialBatchCases()},
+        {"TraceReplayRoundTripBitIdentical", {traceReplayCase(path)}},
+        {"RadixWalkerConfigs", radixWalkerCases()},
+    };
+    std::vector<Case> cases;
+    std::vector<std::string> expected;
+    for (const auto &[name, fixture_cases] : fixtures) {
+        const std::vector<std::string> rows = testfix::readFixture(
+            std::filesystem::path(SIPT_ENGINE_FIXTURE_DIR) /
+            (std::string(name) + ".txt"));
+        ASSERT_EQ(rows.size(), fixture_cases.size()) << name;
+        cases.insert(cases.end(), fixture_cases.begin(),
+                     fixture_cases.end());
+        expected.insert(expected.end(), rows.begin(), rows.end());
+    }
+    // RunKeys.txt pins these configs' keys, not their results: the
+    // expected row is the solo run's.
+    const std::vector<std::string> key_rows = testfix::readFixture(
+        std::filesystem::path(SIPT_SWEEP_FIXTURE_DIR) / "RunKeys.txt");
+    for (const auto &[label, job] : testfix::runKeyJobs()) {
+        if (label == "escaped-app")
+            continue; // pins key escaping; not a runnable app
+        const std::string key = runKeyJson(job.app, job.config);
+        bool pinned = false;
+        for (const std::string &r : key_rows) {
+            pinned = pinned || (r.rfind(label + " ", 0) == 0 &&
+                                r.size() >= key.size() &&
+                                r.compare(r.size() - key.size(),
+                                          key.size(), key) == 0);
+        }
+        EXPECT_TRUE(pinned) << label << " is not in RunKeys.txt";
+        cases.push_back({label, job.app, job.config});
+        expected.push_back(checkedRow(cases.back()));
+    }
+
+    // Through runSameStream(), one call per stream key.
+    std::map<std::string, std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        groups[streamKeyJson(cases[i].app, cases[i].config)]
+            .push_back(i);
+    }
+    EXPECT_LT(groups.size(), cases.size()) << "nothing shares a stream";
+    std::vector<std::string> grouped(cases.size());
+    for (const auto &[key, members] : groups) {
+        std::vector<SystemConfig> configs;
+        for (const std::size_t i : members)
+            configs.push_back(cases[i].config);
+        const std::vector<RunResult> results =
+            runSameStream(cases[members[0]].app, configs);
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            const Case &c = cases[members[m]];
+            EXPECT_TRUE(results[m].checkFailure.empty())
+                << c.label << ": " << results[m].checkFailure;
+            grouped[members[m]] = row(c.label, results[m]);
+        }
+    }
+
+    // Through a 4-thread runner, which groups whatever it finds
+    // queued.
+    SweepRunner runner(SweepOptions{4, "-"});
+    std::vector<testfix::Job> jobs;
+    for (const Case &c : cases)
+        jobs.push_back({c.app, c.config});
+    const std::vector<RunResult> pooled = testfix::runJobs(runner, jobs);
+
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(grouped[i], expected[i]) << "runSameStream";
+        EXPECT_EQ(row(cases[i].label, pooled[i]), expected[i])
+            << "SweepRunner";
+    }
+    std::filesystem::remove(path);
 }
 
 } // namespace

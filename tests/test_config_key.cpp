@@ -3,13 +3,18 @@
  * SystemConfig as a run-cache key: the canonical key (runKeyJson(),
  * built on configToJson()) must react to every result-influencing
  * field — a field the key ignores would let the cache serve a
- * stale result for a different experiment.
+ * stale result for a different experiment. The stream key
+ * (streamKeyJson()) must react to every StreamSpec field and to
+ * nothing else, and the machine fields must leave the stream
+ * itself unchanged.
  */
 
+#include <algorithm>
 #include <array>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::sim
@@ -177,6 +182,111 @@ TEST(ConfigKey, ConditionNamesRoundTrip)
     EXPECT_EQ(conditionFromName("Fragmented"),
               MemCondition::Fragmented);
     EXPECT_EQ(conditionFromName("swapped"), std::nullopt);
+}
+
+/** Flip one StreamSpec field, expect a different stream key. */
+template <typename Mutate>
+void
+expectStreamFieldMatters(const char *field, Mutate mutate)
+{
+    const SystemConfig base;
+    SystemConfig changed = base;
+    mutate(changed);
+    EXPECT_NE(streamKeyJson("mcf", changed),
+              streamKeyJson("mcf", base))
+        << field << " does not participate in the stream key";
+}
+
+/** FNV digest of the first @p refs resolved references of
+ *  @p app's Stream under @p config: vaddr, paddr, hugePage, pc, op
+ *  and the non-memory gap before each. */
+std::uint64_t
+streamDigest(const std::string &app, const SystemConfig &config,
+             std::uint64_t refs)
+{
+    Stream stream(app, streamSpec(config));
+    std::uint64_t h = fnv1a64Init;
+    auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b)
+            h = fnv1a64Step(h, static_cast<std::uint8_t>(v >> (8 * b)));
+    };
+    while (refs > 0) {
+        const auto want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(refs, cpu::RefBatch::capacity));
+        const cpu::RefBatch &batch = stream.stages().next(want);
+        for (std::size_t i = 0; i < batch.size; ++i) {
+            mix(batch.vaddr[i]);
+            mix(batch.paddr[i]);
+            mix(batch.hugePage[i]);
+            mix(batch.pc[i]);
+            mix(static_cast<std::uint64_t>(batch.op[i]));
+            mix(batch.nonMemBefore[i]);
+        }
+        refs -= batch.size;
+        if (batch.size < want)
+            break;
+    }
+    return h;
+}
+
+TEST(StreamKey, EveryStreamFieldParticipates)
+{
+    expectStreamFieldMatters("condition", [](SystemConfig &c) {
+        c.condition = MemCondition::ThpOff;
+    });
+    expectStreamFieldMatters("physMemBytes", [](SystemConfig &c) {
+        c.physMemBytes *= 2;
+    });
+    expectStreamFieldMatters("warmupRefs", [](SystemConfig &c) {
+        c.warmupRefs += 1;
+    });
+    expectStreamFieldMatters("measureRefs", [](SystemConfig &c) {
+        c.measureRefs += 1;
+    });
+    expectStreamFieldMatters("seed", [](SystemConfig &c) {
+        c.seed += 1;
+    });
+    expectStreamFieldMatters("footprintScale", [](SystemConfig &c) {
+        c.footprintScale = 0.5;
+    });
+    // The app is part of the key too.
+    const SystemConfig c;
+    EXPECT_NE(streamKeyJson("mcf", c), streamKeyJson("gcc", c));
+}
+
+TEST(StreamKey, MachineFieldsLeaveTheStreamUnchanged)
+{
+    // Every SystemConfig field outside StreamSpec, flipped: the
+    // stream key and the resolved reference stream both stay put.
+    const std::pair<const char *, void (*)(SystemConfig &)> flips[] = {
+        {"outOfOrder", [](SystemConfig &c) { c.outOfOrder = false; }},
+        {"l1Config",
+         [](SystemConfig &c) { c.l1Config = L1Config::Sipt64K4; }},
+        {"l1SizeBytes",
+         [](SystemConfig &c) { c.l1SizeBytes = 8 * 1024; }},
+        {"l1Assoc", [](SystemConfig &c) { c.l1Assoc = 2; }},
+        {"l1HitLatency", [](SystemConfig &c) { c.l1HitLatency = 3; }},
+        {"policy",
+         [](SystemConfig &c) { c.policy = IndexingPolicy::SiptPcax; }},
+        {"xlatPredEntries",
+         [](SystemConfig &c) { c.xlatPredEntries = 64; }},
+        {"wayPrediction",
+         [](SystemConfig &c) { c.wayPrediction = true; }},
+        {"radixWalker", [](SystemConfig &c) { c.radixWalker = true; }},
+        {"check", [](SystemConfig &c) { c.check = true; }},
+    };
+    constexpr std::uint64_t refs = 10'000;
+    const SystemConfig base;
+    const std::string key = streamKeyJson("mcf", base);
+    const std::uint64_t digest = streamDigest("mcf", base, refs);
+    for (const auto &[field, flip] : flips) {
+        SystemConfig changed = base;
+        flip(changed);
+        EXPECT_NE(runKeyJson("mcf", changed), runKeyJson("mcf", base))
+            << field << " is not a machine field";
+        EXPECT_EQ(streamKeyJson("mcf", changed), key) << field;
+        EXPECT_EQ(streamDigest("mcf", changed, refs), digest) << field;
+    }
 }
 
 } // namespace

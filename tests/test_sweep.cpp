@@ -3,7 +3,8 @@
  * The parallel sweep engine: submission-order results from
  * enqueued futures, memo/disk cache hit accounting for single-core and
  * multicore jobs alike, in-flight deduplication of identical
- * concurrent jobs, the committed canonical run-key bytes, generic
+ * concurrent jobs, same-stream grouping, the committed canonical
+ * run-key bytes, generic
  * async() tasks, bit-identical results across thread counts, and
  * the disk tier's crash safety (torn and mutated entries).
  */
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <sstream>
 
 #include "common/hash.hh"
@@ -70,7 +72,7 @@ mixedBatch()
     };
 }
 
-TEST(Sweep, RunBatchPreservesSubmissionOrder)
+TEST(Sweep, EnqueuePreservesSubmissionOrder)
 {
     SweepRunner runner(SweepOptions{4, "-"});
     const auto jobs = mixedBatch();
@@ -84,6 +86,46 @@ TEST(Sweep, RunBatchPreservesSubmissionOrder)
                          runSingleCore(jobs[i].app,
                                        jobs[i].config));
     }
+}
+
+TEST(Sweep, SameStreamJobsRunAsOneGroup)
+{
+    // Both workers wait on `release`, so every job below is queued
+    // before any group can start: the three configs of one stream
+    // attach to one group, and the other stream's job forms its
+    // own.
+    SweepRunner runner(SweepOptions{2, "-"});
+    std::promise<void> release;
+    const std::shared_future<void> gate = release.get_future().share();
+    std::vector<std::shared_future<void>> blockers;
+    for (int w = 0; w < 2; ++w)
+        blockers.push_back(runner.async([gate] { gate.wait(); }));
+
+    SystemConfig ideal = quick(IndexingPolicy::Ideal);
+    ideal.wayPrediction = true;
+    SystemConfig inorder = quick(IndexingPolicy::SiptBypass);
+    inorder.outOfOrder = false;
+    const std::vector<testfix::Job> jobs = {
+        {"mcf", quick(IndexingPolicy::Vipt)},
+        {"mcf", ideal},
+        {"gcc", quick(IndexingPolicy::SiptCombined)},
+        {"mcf", inorder},
+    };
+    std::vector<std::shared_future<RunResult>> futures;
+    for (const auto &job : jobs)
+        futures.push_back(runner.enqueue(job.app, job.config));
+    release.set_value();
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        expectSameResult(futures[i].get(),
+                         runSingleCore(jobs[i].app, jobs[i].config));
+    }
+    for (const auto &blocker : blockers)
+        blocker.get();
+    const SweepStats s = runner.stats();
+    EXPECT_EQ(s.executed, 4u);
+    EXPECT_EQ(s.grouped, 2u);
+    EXPECT_EQ(s.submitted, 4u);
 }
 
 TEST(Sweep, ThreadCountDoesNotChangeResults)
@@ -573,62 +615,20 @@ runEntryName(const std::string &key_json)
 TEST(Sweep, RunKeys)
 {
     // The canonical key bytes name every disk-cache entry, so
-    // they must never drift without a cacheFormatVersion bump. One row per key: label, entry file
-    // name, key. Every field is set explicitly (warmupRefs would
-    // otherwise read SIPT_WARMUP). After an intentional key
+    // they must never drift without a cacheFormatVersion bump. One
+    // row per key: label, entry file name, key. The single-core
+    // jobs come from testfix::runKeyJobs(). After an intentional key
     // change, regenerate with:
     //
     //   ctest --test-dir build -R 'Sweep.RunKeys'
     //   cp build/tests/sweep_fixtures/RunKeys.txt tests/fixtures/sweep/
     std::vector<std::string> rows;
-    auto single = [&](const std::string &label,
-                      const std::string &app,
-                      const SystemConfig &config) {
-        const std::string key = runKeyJson(app, config);
+    for (const auto &[label, job] : testfix::runKeyJobs()) {
+        const std::string key = runKeyJson(job.app, job.config);
         rows.push_back(label + " " + runEntryName(key) + " " + key);
-    };
-
-    SystemConfig base;
-    base.warmupRefs = 150'000;
-    base.measureRefs = 400'000;
-    single("default-vipt", "mcf", base);
-
-    SystemConfig sipt = base;
-    sipt.l1Config = L1Config::Sipt32K2;
-    sipt.policy = IndexingPolicy::SiptCombined;
-    sipt.condition = MemCondition::Fragmented;
-    sipt.wayPrediction = true;
-    sipt.radixWalker = true;
-    single("sipt32k2-combined", "gcc", sipt);
-
-    // A fuzzer-style sample: overridden geometry, shrunken
-    // predictor tables, a small machine, a non-dyadic footprint
-    // scale (pins the double formatting) and a full-width seed.
-    SystemConfig fuzz = base;
-    fuzz.outOfOrder = false;
-    fuzz.l1SizeBytes = 16 * 1024;
-    fuzz.l1Assoc = 2;
-    fuzz.l1HitLatency = 3;
-    fuzz.policy = IndexingPolicy::SiptPcax;
-    fuzz.xlatPredEntries = 32;
-    fuzz.condition = MemCondition::ThpOff;
-    fuzz.physMemBytes = 256ull << 20;
-    fuzz.warmupRefs = 977;
-    fuzz.measureRefs = 2'345;
-    fuzz.seed = 0x9e3779b97f4a7c15ull;
-    fuzz.footprintScale = 0.0537;
-    fuzz.check = true;
-    single("fuzzer-geometry", "synonym:shared-a3-k5-huge", fuzz);
-
-    SystemConfig half = base;
-    half.l1Config = L1Config::Sipt64K4;
-    half.policy = IndexingPolicy::Ideal;
-    half.condition = MemCondition::NoContiguity;
-    half.footprintScale = 0.5;
-    single("footprint-half", "lbm", half);
-
-    // App names are escaped into the key, never spliced raw.
-    single("escaped-app", "odd \"name\"\\\t", base);
+    }
+    // The quad-core key below reuses footprint-half's config.
+    const SystemConfig half = testfix::runKeyJobs()[3].second.config;
 
     // The multicore key is internal to the engine; read it back
     // from the entry the run publishes.
@@ -688,6 +688,14 @@ TEST(Sweep, StatsRates)
     s.memoHits = 1;
     s.diskHits = 1;
     EXPECT_DOUBLE_EQ(s.hitRate(), 0.5);
+    // No wall time yet: no rate.
+    EXPECT_DOUBLE_EQ(s.jobsPerSec(), 0.0);
+
+    // The rate counts every submission, executed or served from a
+    // cache.
+    s.executed = 2;
+    s.wallSeconds = 2.0;
+    EXPECT_DOUBLE_EQ(s.jobsPerSec(), 2.0);
 }
 
 // ---------------------------------------------------------------

@@ -6,7 +6,8 @@
  * the tests assert value consistency and exact dedup accounting;
  * under -DSIPT_SANITIZE=thread they are the designated surface for
  * TSan to observe every lock in the engine under real contention
- * (pool queue, memo map, stats, in-flight futures, cache files).
+ * (pool queue, memo map, stats, in-flight futures, open groups,
+ * cache files).
  *
  * Raw std::thread is deliberate here — the producers must be
  * *outside* the runner's own pool to create cross-thread
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -214,6 +216,73 @@ TEST(SweepRace, GenericTasksRaceWithCachedJobs)
     EXPECT_EQ(sum.load(), 4 * 120 + 16 * 6);
     EXPECT_EQ(runner.stats().genericTasks, 64u);
     EXPECT_EQ(runner.stats().executed, jobs.size());
+}
+
+TEST(SweepRace, GroupAttachRacesWorkerStart)
+{
+    // Producers submit the machines of several streams while the
+    // workers start groups, so attaches race group closes.
+    // Whichever group a job lands in, it runs exactly once and its
+    // result equals the solo run. Machine-major order spreads each
+    // stream's submissions over the whole run, so its group is
+    // often already started when the next one arrives.
+    constexpr std::uint64_t streams = 6;
+    std::vector<testfix::Job> jobs;
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::Vipt, IndexingPolicy::Ideal,
+          IndexingPolicy::SiptNaive, IndexingPolicy::SiptCombined}) {
+        for (const bool ooo : {true, false}) {
+            for (std::uint64_t seed = 5; seed < 5 + streams; ++seed) {
+                SystemConfig cfg = tiny(policy, seed);
+                cfg.physMemBytes = 1ull << 30;
+                cfg.outOfOrder = ooo;
+                jobs.push_back({"astar", cfg});
+            }
+        }
+    }
+
+    SweepRunner runner(SweepOptions{4, "-"});
+    constexpr unsigned producers = 4;
+    std::vector<std::vector<std::shared_future<RunResult>>> got(
+        producers);
+    std::vector<std::thread> threads;
+    for (unsigned p = 0; p < producers; ++p) {
+        threads.emplace_back([&, p] {
+            // Each producer walks the jobs from a different offset,
+            // so a key's first submission comes from any of them.
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                const auto &job =
+                    jobs[(i + p * jobs.size() / producers) %
+                         jobs.size()];
+                got[p].push_back(runner.enqueue(job.app, job.config));
+                // Pauses let idle workers start the posted groups
+                // between attaches.
+                if (i % 4 == 3)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(200));
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    SweepRunner solo(SweepOptions{1, "-"});
+    const auto expected = testfix::runJobs(solo, jobs);
+    for (unsigned p = 0; p < producers; ++p) {
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const std::size_t j =
+                (i + p * jobs.size() / producers) % jobs.size();
+            const RunResult &r = got[p][i].get();
+            EXPECT_EQ(r.instructions, expected[j].instructions);
+            EXPECT_DOUBLE_EQ(r.cycles, expected[j].cycles);
+            EXPECT_EQ(r.l1.hits, expected[j].l1.hits);
+        }
+    }
+    const SweepStats s = runner.stats();
+    EXPECT_EQ(s.executed, jobs.size());
+    EXPECT_LE(s.grouped, jobs.size() - streams);
+    EXPECT_EQ(s.memoHits + s.inflightShares,
+              s.submitted - s.executed);
 }
 
 } // namespace

@@ -325,15 +325,21 @@ class Layering(AnalyzeCase):
 OWNERSHIP_MANIFEST = """\
 {
   "file": "src/batch/pipeline.cc",
-  "class": "BatchPipeline",
+  "classes": ["StreamStages", "MachineStages"],
   "components": [
+    {"name": "source", "member": "source_",
+     "mutators": ["nextBatch"], "stage": "StreamStages::generate"},
     {"name": "mmu", "member": "mmu_",
-     "mutators": ["translateEntry"], "stage": "translateBatch"},
+     "mutators": ["translateEntry"],
+     "stage": "MachineStages::translateBatch"},
     {"name": "l1", "member": "l1_",
-     "mutators": ["access"], "stage": "accountBatch"}
+     "mutators": ["access"], "stage": "MachineStages::accountBatch"}
   ],
   "readonly": [
-    {"member": "pageTable_", "reads": ["translate"]}
+    {"class": "StreamStages", "member": "pageTable_",
+     "reads": ["translate"]},
+    {"class": "MachineStages", "member": "pageTable_",
+     "reads": ["translate"]}
   ]
 }
 """
@@ -342,21 +348,28 @@ PIPELINE_CC = """\
 #include "batch/pipeline.hh"
 
 void
-BatchPipeline::run()
+StreamStages::generate()
+{
+    source_.nextBatch(batch_, 256);
+    pageTable_.translate(0);
+}
+
+void
+MachineStages::step()
 {
     translateBatch();
     accountBatch();
 }
 
 void
-BatchPipeline::translateBatch()
+MachineStages::translateBatch()
 {
     mmu_.translateEntry(0);
     pageTable_.translate(0);
 }
 
 void
-BatchPipeline::accountBatch()
+MachineStages::accountBatch()
 {
     l1_.access(1);
 }
@@ -387,7 +400,24 @@ class StageOwnership(AnalyzeCase):
         self.assert_diag(
             diags, "src/batch/pipeline.cc",
             "`l1_.access()` mutates l1 state owned by stage "
-            "`accountBatch` but is called from `translateBatch`")
+            "`MachineStages::accountBatch` but is called from "
+            "`MachineStages::translateBatch`")
+
+    def test_machine_stage_generating_rejected(self):
+        # A machine stage that pulls references itself would
+        # advance the stream once per machine instead of once per
+        # batch.
+        pipeline = PIPELINE_CC.replace(
+            "    l1_.access(1);\n",
+            "    l1_.access(1);\n    source_.nextBatch(batch_, 1);\n")
+        diags = self.run_pass(
+            "stage-ownership", ownership_fixture(
+                pipeline=pipeline))
+        self.assert_diag(
+            diags, "src/batch/pipeline.cc",
+            "`source_.nextBatch()` mutates source state owned by "
+            "stage `StreamStages::generate` but is called from "
+            "`MachineStages::accountBatch`")
 
     def test_readonly_member_mutation_rejected(self):
         pipeline = PIPELINE_CC.replace(
@@ -399,7 +429,8 @@ class StageOwnership(AnalyzeCase):
                 pipeline=pipeline))
         self.assert_diag(
             diags, "src/batch/pipeline.cc",
-            "`pageTable_` is declared read-only but `install()`")
+            "`pageTable_` is declared read-only in MachineStages "
+            "but `install()`")
 
     def test_stale_manifest_entry_rejected(self):
         pipeline = PIPELINE_CC.replace("    l1_.access(1);\n", "")
@@ -412,7 +443,8 @@ class StageOwnership(AnalyzeCase):
 
     def test_unknown_stage_name_rejected(self):
         manifest = OWNERSHIP_MANIFEST.replace(
-            '"stage": "accountBatch"', '"stage": "retireBatch"')
+            '"stage": "MachineStages::accountBatch"',
+            '"stage": "MachineStages::retireBatch"')
         pipeline = PIPELINE_CC.replace("    l1_.access(1);\n", "")
         diags = self.run_pass(
             "stage-ownership",
@@ -420,15 +452,15 @@ class StageOwnership(AnalyzeCase):
                               pipeline=pipeline))
         self.assert_diag(
             diags, "tools/stage_ownership.json",
-            "names stage `retireBatch`, which is not a member "
-            "function")
+            "names stage `MachineStages::retireBatch`, which is not "
+            "a member function")
 
     def test_double_ownership_rejected(self):
         manifest = OWNERSHIP_MANIFEST.replace(
             '    {"name": "l1",',
             '    {"name": "l1b", "member": "l1_",\n'
             '     "mutators": ["access"], '
-            '"stage": "translateBatch"},\n'
+            '"stage": "MachineStages::translateBatch"},\n'
             '    {"name": "l1",')
         diags = self.run_pass(
             "stage-ownership",
