@@ -2,9 +2,9 @@
  * @file
  * A hierarchical metrics registry: named counters and values keyed
  * by dotted paths ("summary.hmean.32K2w"), serialisable as nested
- * JSON. This is the machine-readable counterpart of the bench
- * tables — sim/report fills one registry per figure and writes it
- * next to the printed table, and tools/sipt-claims asserts the
+ * JSON. This is the machine-readable counterpart of the figure
+ * tables — each figure fills one registry from its table and
+ * sim/report writes it as JSON, and tools/sipt-claims asserts the
  * paper's claim envelopes against the result.
  *
  * The registry preserves insertion order at every level, so a

@@ -1,8 +1,8 @@
 /**
  * @file
- * Plain-text table formatting for benchmark harness output. Every
- * bench binary prints the rows/series of the figure or table it
- * regenerates through this helper so output stays uniform.
+ * Plain-text table formatting for figure output. Every figure of
+ * sipt-figures prints the rows/series of the table it regenerates
+ * through this helper so output stays uniform.
  */
 
 #ifndef SIPT_COMMON_TABLE_HH

@@ -43,9 +43,9 @@ Tracer &
 Tracer::global()
 {
     // Magic-static init is thread-safe and the tracer is internally
-    // synchronised; like SweepRunner::global() this is sanctioned
-    // process-global mutable state (it only sinks diagnostics, no
-    // simulation state ever reads it back).
+    // synchronised; this is sanctioned process-global mutable
+    // state (it only sinks diagnostics, no simulation state ever
+    // reads it back).
     // sipt-analyze: allow(mutable-static)
     static Tracer tracer(tracePathFromEnv());
     return tracer;

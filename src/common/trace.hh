@@ -14,7 +14,7 @@
  *    (speculate / bypass / replay / delta-hit with TLB and L1
  *    latencies) are stamped with the core cycle; predictor
  *    decision events are stamped with a per-predictor sequence
- *    number (the trace-analysis benches have no core clock).
+ *    number (the trace-analysis figures have no core clock).
  *  - pid 0: wall-clock time. Sweep-worker spans (one per executed
  *    simulation job or generic task) in microseconds.
  *
@@ -58,7 +58,7 @@ struct AccessEvent
 };
 
 /** One predictor decision event; ts is a per-predictor sequence
- *  number so traces from the cache-less analysis benches still
+ *  number so traces from the cache-less analysis figures still
  *  order correctly. */
 struct PredictorEvent
 {

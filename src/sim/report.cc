@@ -55,62 +55,6 @@ writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
 }
 
 void
-fillRunMetrics(MetricsRegistry &metrics,
-               const std::string &prefix, const RunResult &result)
-{
-    const auto p = [&](const char *field) {
-        return prefix + "." + field;
-    };
-    metrics.setValue(p("ipc"), result.ipc);
-    metrics.setValue(p("cycles"), result.cycles);
-    metrics.setCounter(p("instructions"), result.instructions);
-    metrics.setCounter(p("l1.accesses"), result.l1.accesses);
-    metrics.setCounter(p("l1.hits"), result.l1.hits);
-    metrics.setCounter(p("l1.misses"), result.l1.misses);
-    metrics.setCounter(p("l1.writebacks"), result.l1.writebacks);
-    metrics.setCounter(p("l1.fastAccesses"),
-                       result.l1.fastAccesses);
-    metrics.setCounter(p("l1.slowAccesses"),
-                       result.l1.slowAccesses);
-    metrics.setCounter(p("l1.extraArrayAccesses"),
-                       result.l1.extraArrayAccesses);
-    metrics.setCounter(p("l1.arrayAccesses"),
-                       result.l1.arrayAccesses);
-    metrics.setCounter(p("spec.correctSpeculation"),
-                       result.l1.spec.correctSpeculation);
-    metrics.setCounter(p("spec.correctBypass"),
-                       result.l1.spec.correctBypass);
-    metrics.setCounter(p("spec.opportunityLoss"),
-                       result.l1.spec.opportunityLoss);
-    metrics.setCounter(p("spec.extraAccess"),
-                       result.l1.spec.extraAccess);
-    metrics.setCounter(p("spec.idbHit"), result.l1.spec.idbHit);
-    metrics.setCounter(p("l1.hugeAccesses"),
-                       result.l1.hugeAccesses);
-    metrics.setCounter(p("l1.hugeReplays"),
-                       result.l1.hugeReplays);
-    metrics.setCounter(p("l1.hugeBypassLosses"),
-                       result.l1.hugeBypassLosses);
-    metrics.setValue(p("l1HitRate"), result.l1HitRate);
-    metrics.setValue(p("fastFraction"), result.fastFraction);
-    metrics.setValue(p("l1Mpki"), result.l1Mpki);
-    metrics.setValue(p("energy.totalNj"), result.energy.total());
-    metrics.setValue(p("energy.dynamicNj"),
-                     result.energy.dynamicTotal());
-    metrics.setValue(p("hugeCoverage"), result.hugeCoverage);
-    metrics.setValue(p("wayPredAccuracy"),
-                     result.wayPredAccuracy);
-    metrics.setValue(p("dtlbHitRate"), result.dtlbHitRate);
-    metrics.setCounter(p("pageWalks"), result.pageWalks);
-    metrics.setCounter(p("vivt.reverseProbes"),
-                       result.vivtReverseProbes);
-    metrics.setCounter(p("vivt.invalidations"),
-                       result.vivtInvalidations);
-    metrics.setCounter(p("vivt.dirtyForwards"),
-                       result.vivtDirtyForwards);
-}
-
-void
 writeMetricsJson(const std::string &path,
                  const std::string &figure, std::uint64_t refs,
                  const MetricsRegistry &metrics)

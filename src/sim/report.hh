@@ -2,9 +2,9 @@
  * @file
  * Machine-readable result export: flattens RunResult records into
  * CSV so experiment sweeps can be post-processed (plotted against
- * the paper's figures) without scraping the bench tables, and
- * fills/serialises MetricsRegistry snapshots — the per-figure JSON
- * files that tools/sipt-claims checks against the paper's claim
+ * the paper's figures) without scraping the figure tables, and
+ * serialises MetricsRegistry snapshots — the per-figure JSON files
+ * that tools/sipt-claims checks against the paper's claim
  * envelopes.
  */
 
@@ -39,16 +39,6 @@ void writeCsvRow(std::ostream &os, const ResultRow &row);
 /** Header + all rows. */
 void writeCsv(std::ostream &os,
               const std::vector<ResultRow> &rows);
-
-/**
- * Register every interesting field of @p result under
- * "<prefix>.<field>" in @p metrics (IPC, L1 counters, the
- * speculation-outcome taxonomy, energy, TLB behaviour).
- * @p prefix must be a valid dotted path, e.g. "apps.mcf.vipt".
- */
-void fillRunMetrics(MetricsRegistry &metrics,
-                    const std::string &prefix,
-                    const RunResult &result);
 
 /**
  * Serialise @p metrics to @p path as pretty-stable JSON:

@@ -1,7 +1,7 @@
 #include "sim/sweep.hh"
 
 // The steady_clock reads below time the engine itself (wall-clock
-// and per-job seconds in the bench footer); no clock value ever
+// and per-job seconds in the footer); no clock value ever
 // reaches simulation state, so results stay a pure function of
 // (app, SystemConfig).
 // sipt-analyze: allow-file(nondeterminism)
@@ -515,17 +515,6 @@ SweepRunner::~SweepRunner()
         worker.join();
 }
 
-SweepRunner &
-SweepRunner::global()
-{
-    // Magic-static init is thread-safe and SweepRunner is
-    // internally synchronised; this is the one sanctioned piece of
-    // process-global mutable state.
-    // sipt-analyze: allow(mutable-static)
-    static SweepRunner runner;
-    return runner;
-}
-
 void
 SweepRunner::post(std::function<void()> work)
 {
@@ -556,23 +545,33 @@ SweepRunner::runGenericTraced(const std::function<void()> &work)
                  traceUs(t1) - traceUs(t0));
 }
 
+std::chrono::steady_clock::time_point
+SweepRunner::hostNow()
+{
+    return std::chrono::steady_clock::now();
+}
+
 void
-SweepRunner::noteSubmitted()
+SweepRunner::noteSubmitted(bool sim_job)
 {
     std::lock_guard lock(cacheMu_);
     if (!anySubmitted_) {
         anySubmitted_ = true;
-        firstSubmit_ = std::chrono::steady_clock::now();
+        firstSubmit_ = hostNow();
     }
-    ++stats_.submitted;
+    if (sim_job)
+        ++stats_.submitted;
 }
 
 void
-SweepRunner::noteGenericDone()
+SweepRunner::noteGenericDone(std::chrono::steady_clock::time_point start)
 {
+    const auto end = hostNow();
     std::lock_guard lock(cacheMu_);
     ++stats_.genericTasks;
-    lastComplete_ = std::chrono::steady_clock::now();
+    stats_.simSeconds +=
+        std::chrono::duration<double>(end - start).count();
+    lastComplete_ = end;
 }
 
 void
@@ -656,7 +655,7 @@ SweepRunner::storeToDisk(const std::string &key_json,
     const std::string bytes = entry.dump() + '\n';
 
     // Write-to-temp + fsync + rename so concurrent writers
-    // (several bench processes sharing one cache dir) never expose
+    // (several processes sharing one cache dir) never expose
     // a torn file — and a crash between write and rename leaves
     // only a temp file, never a truncated published entry.
     const std::string tmp_suffix =
@@ -672,7 +671,7 @@ SweepRunner::submit(
     Memo<Result> &memo, const std::string &key_json,
     const std::function<void(PromisePtr<Result>)> &schedule)
 {
-    noteSubmitted();
+    noteSubmitted(true);
     auto promise = std::make_shared<std::promise<Result>>();
     std::shared_future<Result> future;
     {

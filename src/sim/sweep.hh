@@ -1,6 +1,6 @@
 /**
  * @file
- * The parallel sweep engine behind every figure bench.
+ * The parallel sweep engine behind every figure of sipt-figures.
  *
  * A SweepRunner executes (app, SystemConfig) simulation jobs on a
  * std::thread pool sized by SIPT_THREADS (default:
@@ -11,7 +11,7 @@
  * and the simulator has no mutable globals (audited: the only
  * namespace-level statics are const lookup tables with thread-safe
  * initialisation) — so results are bit-identical for any thread
- * count and benches fetch futures in submission order to keep their
+ * count and figures fetch futures in submission order to keep their
  * printed tables byte-identical.
  *
  * Single-core jobs that share a stream key (streamKeyJson(): the
@@ -38,15 +38,16 @@
  *    re-simulating;
  *  - on disk (optional): SIPT_RUN_CACHE=<dir> persists every result
  *    as one small JSON file per key, published by write-tmp +
- *    fsync + rename (common/fsio.hh), so re-running a bench — or
- *    another bench that needs the same baseline runs — is
+ *    fsync + rename (common/fsio.hh), so re-running a figure — or
+ *    another figure that needs the same baseline runs — is
  *    near-instant. Entries store the full key and are verified on
  *    load, so a file-name hash collision degrades to a cache miss,
  *    never a wrong result; an entry that fails to decode warns and
  *    is re-run and republished.
  *
  * Generic tasks (async()) run arbitrary work on the same pool for
- * the trace-analysis benches; they are not cached.
+ * the trace-analysis figures; they are not cached, but their host
+ * time counts toward the wall and sim seconds like any job's.
  */
 
 #ifndef SIPT_SIM_SWEEP_HH
@@ -86,7 +87,7 @@ struct SweepOptions
     std::string cacheDir;
 };
 
-/** Aggregate engine counters (printed in every bench footer). */
+/** Aggregate engine counters (printed in the sipt-figures footer). */
 struct SweepStats
 {
     unsigned threads = 0;
@@ -170,9 +171,6 @@ class SweepRunner
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
 
-    /** Process-wide runner shared by the bench binaries. */
-    static SweepRunner &global();
-
     unsigned threads() const { return threads_; }
 
     /**
@@ -192,7 +190,7 @@ class SweepRunner
 
     /**
      * Run an arbitrary task on the pool (uncached). The trace
-     * benches use this to analyse per-app address streams in
+     * figures use this to analyse per-app address streams in
      * parallel; tasks must be self-contained and deterministic.
      */
     template <typename F>
@@ -200,17 +198,19 @@ class SweepRunner
     async(F fn) -> std::shared_future<std::invoke_result_t<F>>
     {
         using T = std::invoke_result_t<F>;
-        // The task is counted before its future becomes ready, so
-        // a caller holding every result also sees every task in
-        // stats().
+        // The task is counted (with its host seconds) before its
+        // future becomes ready, so a caller holding every result
+        // also sees every task in stats().
+        noteSubmitted(false);
         auto task = std::make_shared<std::packaged_task<T()>>(
             [this, fn = std::move(fn)]() mutable -> T {
+                const auto start = hostNow();
                 if constexpr (std::is_void_v<T>) {
                     fn();
-                    noteGenericDone();
+                    noteGenericDone(start);
                 } else {
                     T result = fn();
-                    noteGenericDone();
+                    noteGenericDone(start);
                     return result;
                 }
             });
@@ -222,7 +222,7 @@ class SweepRunner
     /** Snapshot of the counters. */
     SweepStats stats() const;
 
-    /** One-line bench-footer summary (jobs/sec, hit rate). */
+    /** One-line footer summary (jobs/sec, hit rate). */
     void printStats(std::ostream &os) const;
 
   private:
@@ -270,8 +270,16 @@ class SweepRunner
      *  sweep.cc, which owns the nondeterminism allowance). */
     void runGenericTraced(const std::function<void()> &work);
 
-    void noteSubmitted();
-    void noteGenericDone();
+    /** The host clock behind every stats time (read in sweep.cc,
+     *  which owns the nondeterminism allowance). */
+    static std::chrono::steady_clock::time_point hostNow();
+
+    /** Start the wall clock at the first submission of any kind;
+     *  a @p sim_job (not a generic task) counts in submitted. */
+    void noteSubmitted(bool sim_job);
+    /** One generic task that started at @p start finished: its
+     *  host seconds count toward simSeconds. */
+    void noteGenericDone(std::chrono::steady_clock::time_point start);
     /** @p jobs finished in @p seconds of host time; @p grouped of
      *  them ran as non-first group members. */
     void noteJobsDone(std::uint64_t jobs, std::uint64_t grouped,

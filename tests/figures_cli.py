@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""The sipt-figures command line, end to end.
+
+  figures_cli.py PATH/TO/sipt-figures
+
+Checks that a bad command line exits 2 and names the valid figure
+ids; that planning several figures in one process changes none of
+their stdout (the combined run equals the concatenated solo runs, at
+SIPT_THREADS=1 and =4) while their shared jobs run once; and that
+SIPT_METRICS makes every requested figure write its JSON. Run it
+with small SIPT_REFS/SIPT_WARMUP. Standard library only.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+FIGURES = ["fig06", "fig07", "fig13", "fig14"]
+
+
+def run(binary, args, threads=1, metrics=None):
+    env = dict(os.environ)
+    for var in ("SIPT_METRICS", "SIPT_RUN_CACHE", "SIPT_TRACE"):
+        env.pop(var, None)
+    env["SIPT_THREADS"] = str(threads)
+    if metrics:
+        env["SIPT_METRICS"] = metrics
+    return subprocess.run([binary] + args, env=env,
+                          capture_output=True, text=True, check=False)
+
+
+def footer(stderr):
+    """The [sweep] footer's counters as a dict."""
+    lines = [l for l in stderr.splitlines() if l.startswith("[sweep]")]
+    if len(lines) != 1:
+        raise AssertionError("expected one [sweep] footer, got %r"
+                             % stderr)
+    return {k: float(v)
+            for k, v in re.findall(r"([a-z-]+)=([0-9.]+)", lines[0])}
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__)
+        return 2
+    binary = argv[0]
+    failures = []
+
+    def check(ok, what):
+        print("%s %s" % ("PASS" if ok else "FAIL", what))
+        if not ok:
+            failures.append(what)
+
+    for args in ([], ["fig99"], ["fig13", "--all"]):
+        r = run(binary, args)
+        check(r.returncode == 2 and "fig13" in r.stderr and
+              "trace13" in r.stderr and r.stdout == "",
+              "sipt-figures %s exits 2 naming the figure ids"
+              % " ".join(args))
+
+    for threads in (1, 4):
+        solo = ""
+        for fig in FIGURES:
+            r = run(binary, [fig], threads)
+            check(r.returncode == 0, "solo %s exits 0" % fig)
+            solo += r.stdout
+        r = run(binary, FIGURES, threads)
+        check(r.returncode == 0 and r.stdout == solo,
+              "combined stdout equals the solo runs at "
+              "SIPT_THREADS=%d" % threads)
+        stats = footer(r.stderr)
+        # The figure pairs enqueue identical jobs: at one thread the
+        # repeats are memo hits; at four they may still be running
+        # when repeated, which counts as an in-flight share.
+        check(stats["executed"] < stats["jobs"],
+              "combined run executes each shared job once")
+        if threads == 1:
+            check(stats["memo-hits"] > 0,
+                  "combined footer shows memo-hits > 0")
+
+    with tempfile.TemporaryDirectory() as metrics:
+        r = run(binary, FIGURES, 4, metrics)
+        check(r.returncode == 0, "combined run with SIPT_METRICS exits 0")
+        check(sorted(os.listdir(metrics)) ==
+              sorted(f + ".json" for f in FIGURES),
+              "SIPT_METRICS holds one JSON per figure")
+        for fig in FIGURES:
+            path = os.path.join(metrics, fig + ".json")
+            try:
+                with open(path, encoding="utf-8") as f:
+                    doc = json.load(f)
+            except (OSError, ValueError) as e:
+                check(False, "%s is readable JSON (%s)" % (path, e))
+                continue
+            check(doc.get("figure") == fig and
+                  isinstance(doc.get("metrics"), dict) and
+                  len(doc["metrics"]) > 0,
+                  "%s.json has a non-empty metrics object" % fig)
+
+    if failures:
+        print("\n%d check(s) failed" % len(failures))
+        return 1
+    print("\nAll checks passed.")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

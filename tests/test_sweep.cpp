@@ -17,6 +17,7 @@
 #include <functional>
 #include <future>
 #include <sstream>
+#include <thread>
 
 #include "common/hash.hh"
 #include "fixture_table.hh"
@@ -666,16 +667,27 @@ TEST(Sweep, RunKeys)
 
 TEST(Sweep, AsyncRunsGenericTasks)
 {
-    SweepRunner runner(SweepOptions{4, "-"});
-    std::vector<std::shared_future<int>> futures;
-    for (int i = 0; i < 8; ++i)
-        futures.push_back(runner.async([i] { return i * i; }));
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(futures[i].get(), i * i);
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        SweepRunner runner(SweepOptions{threads, "-"});
+        std::vector<std::shared_future<int>> futures;
+        for (int i = 0; i < 8; ++i)
+            futures.push_back(runner.async([i] { return i * i; }));
+        // A task that does measurable work: its host time must reach
+        // the footer's wall and sim seconds like a sim job's does.
+        auto slow = runner.async([] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        });
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(futures[i].get(), i * i);
+        slow.get();
 
-    const auto s = runner.stats();
-    EXPECT_EQ(s.genericTasks, 8u);
-    EXPECT_EQ(s.submitted, 0u);
+        const auto s = runner.stats();
+        EXPECT_EQ(s.genericTasks, 9u);
+        EXPECT_EQ(s.submitted, 0u);
+        EXPECT_GT(s.wallSeconds, 0.0);
+        EXPECT_GT(s.simSeconds, 0.0);
+    }
 }
 
 TEST(Sweep, StatsRates)

@@ -791,7 +791,7 @@ class HeaderGuard(AnalyzeCase):
         self.assertEqual(diags, [])
 
     def test_bench_headers_checked_too(self):
-        diags = self.scan("bench/bench_util.hh", "int x;\n")
+        diags = self.scan("bench/figures.hh", "int x;\n")
         self.assert_rule(diags, "header-guard")
 
     def test_trace_header_guard_must_include_directory(self):
