@@ -51,6 +51,17 @@ measureRefs()
 }
 
 /**
+ * Half of measureRefs(), rounded up so that no run measures zero
+ * references: the quad-core mixes, Fig. 18 and the ablations use
+ * it to keep their wide sweeps short.
+ */
+inline std::uint64_t
+halfRefs()
+{
+    return (measureRefs() + 1) / 2;
+}
+
+/**
  * Apps used for the (very wide) sensitivity sweeps; a documented
  * 10-app subset spanning the three behaviour classes so the figure
  * finishes in minutes. SIPT_ALL_APPS=1 runs every app.
@@ -64,50 +75,6 @@ sensitivityApps()
             "calculix", "GemsFDTD", "gromacs", "graph500",
             "ycsb",     "leela_17"};
 }
-
-/**
- * Trace-level speculation statistics for one application: runs the
- * allocation phase and a reference stream, comparing VA and PA
- * index bits without any cache model (Figs. 5, 9, 12 are purely
- * properties of the address stream and predictors).
- */
-struct TraceLab
-{
-    /** A default system: 4 GiB, Normal condition, seed 42. */
-    sim::SystemConfig config;
-    /** Its conditioned memory, before any app allocation. */
-    sim::ConditionedMemory mem{sim::streamSpec(config)};
-    /** The app's address space (seed 43) and reference source
-     *  (seed 44). */
-    sim::Workload workload;
-
-    /** @param app profile name */
-    explicit TraceLab(const std::string &app)
-        : workload(sim::buildWorkload(sim::streamSpec(config), app,
-                                      mem.buddy, config.seed,
-                                      nullptr))
-    {
-    }
-
-    /** Produce the app's next reference. */
-    void next(MemRef &ref) { workload.source->next(ref); }
-
-    /** Translate a VA via the (already populated) page table. */
-    Pfn
-    pfnOf(Addr vaddr) const
-    {
-        const auto xlat =
-            workload.as->pageTable().translate(vaddr);
-        return xlat ? (xlat->paddr >> pageShift) : invalidPfn;
-    }
-
-    /** True when vaddr lies in a huge-page mapping. */
-    bool
-    isHuge(Addr vaddr) const
-    {
-        return workload.as->pageTable().isHugeMapped(vaddr);
-    }
-};
 
 /** Shorthand for a future single-core result. */
 using RunFuture = std::shared_future<sim::RunResult>;

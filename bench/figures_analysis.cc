@@ -1,11 +1,11 @@
 /**
  * @file
- * Figures computed by self-contained analysis tasks on the sweep
- * engine's pool rather than by system runs: Fig. 1 (CACTI latency),
- * Figs. 5/9/12 (properties of the address stream and predictors)
- * and the predictor and allocation-substrate ablations. Each task
- * owns its address stream and predictor state, so tasks never
- * share state across configurations.
+ * The analysis figures: Fig. 1 (CACTI latency), the speculation
+ * breakdowns of Figs. 5/9/12, and the predictor and
+ * allocation-substrate ablations. Figs. 5/9/12 are sweep-engine
+ * runs read through L1Stats; Fig. 1 and the ablations run as
+ * self-contained tasks on the engine's pool, each owning its
+ * address stream and predictor state.
  */
 
 #include <algorithm>
@@ -46,6 +46,36 @@ double
 frac(std::uint64_t n, std::uint64_t refs)
 {
     return static_cast<double>(n) / static_cast<double>(refs);
+}
+
+/** The SIPT geometries with 1, 2 and 3 speculative index bits. */
+constexpr std::array<sim::L1Config, 3> specBitConfigs = {
+    sim::L1Config::Sipt32K4, sim::L1Config::Sipt32K2,
+    sim::L1Config::Sipt128K4};
+
+/**
+ * Per figure app, @p policy's runs at 1, 2 and 3 speculative bits
+ * (Figs. 5/9/12). Like the paper, the predictors are not warmed
+ * up: with no warmup phase every misprediction counts. An app's
+ * Bypass and Combined runs share one stream, so they run as one
+ * group.
+ */
+std::vector<std::array<RunFuture, 3>>
+planSpecBits(sim::SweepRunner &sweep, IndexingPolicy policy)
+{
+    std::vector<std::array<RunFuture, 3>> runs;
+    for (const auto &app : apps()) {
+        std::array<RunFuture, 3> &row = runs.emplace_back();
+        for (std::size_t k = 0; k < specBitConfigs.size(); ++k) {
+            sim::SystemConfig cfg;
+            cfg.l1Config = specBitConfigs[k];
+            cfg.policy = policy;
+            cfg.warmupRefs = 0;
+            cfg.measureRefs = measureRefs();
+            row[k] = sweep.enqueue(app, cfg);
+        }
+    }
+    return runs;
 }
 
 } // namespace
@@ -134,39 +164,13 @@ fig01(sim::SweepRunner &sweep)
  * Fig. 5: fraction of accesses whose speculative index bits are
  * unchanged by translation (1-3 bits), plus the fraction of
  * accesses to transparently mapped huge pages ("hugepage (9-bit)"
- * in the paper). A property of the address stream and the OS
- * mapping alone; no cache model is involved.
+ * in the paper). Read from Fig. 9's bypass runs: an unchanged
+ * access is either a correct speculation or an opportunity loss.
  */
 Report
 fig05(sim::SweepRunner &sweep)
 {
-    using Row = std::array<double, 4>;
-    std::vector<std::shared_future<Row>> rows;
-    for (const auto &app : apps()) {
-        rows.push_back(sweep.async([app, refs = measureRefs()] {
-            TraceLab lab(app);
-            std::uint64_t unchanged[3] = {0, 0, 0};
-            std::uint64_t huge_refs = 0;
-            MemRef ref;
-            for (std::uint64_t i = 0; i < refs; ++i) {
-                lab.next(ref);
-                const Vpn vpn = ref.vaddr >> pageShift;
-                const Pfn pfn = lab.pfnOf(ref.vaddr);
-                for (unsigned k = 1; k <= 3; ++k) {
-                    if ((vpn & mask(k)) == (pfn & mask(k)))
-                        ++unchanged[k - 1];
-                }
-                if (lab.isHuge(ref.vaddr))
-                    ++huge_refs;
-            }
-            return Row{frac(unchanged[0], refs),
-                       frac(unchanged[1], refs),
-                       frac(unchanged[2], refs),
-                       frac(huge_refs, refs)};
-        }));
-    }
-
-    return [rows] {
+    return [runs = planSpecBits(sweep, IndexingPolicy::SiptBypass)] {
         const std::vector<std::string> keys = {
             "unchanged1", "unchanged2", "unchanged3", "huge"};
         FigureTable t("Fig. 5: correct (unchanged-bit) speculation "
@@ -177,8 +181,16 @@ fig05(sim::SweepRunner &sweep)
                        {"3-bit", keys[2]},
                        {"hugepage(9b)", keys[3]}});
         for (std::size_t a = 0; a < apps().size(); ++a) {
-            const Row &row = rows[a].get();
-            t.row(apps()[a], {row[0], row[1], row[2], row[3]});
+            std::vector<Cell> cells;
+            for (const RunFuture &run : runs[a]) {
+                const L1Stats &l1 = run.get().l1;
+                cells.emplace_back(frac(l1.spec.correctSpeculation +
+                                            l1.spec.opportunityLoss,
+                                        l1.accesses));
+            }
+            const L1Stats &l1 = runs[a][0].get().l1;
+            cells.emplace_back(frac(l1.hugeAccesses, l1.accesses));
+            t.row(apps()[a], cells);
         }
         std::vector<Cell> avg;
         for (const auto &key : keys)
@@ -198,38 +210,12 @@ fig05(sim::SweepRunner &sweep)
 /**
  * Fig. 9: outcomes of the perceptron speculation-bypass predictor —
  * correct speculation, correct bypass, opportunity loss, extra
- * access — for 1, 2 and 3 speculative index bits. Like the paper,
- * the predictor is not warmed up; all mispredictions count.
+ * access — for 1, 2 and 3 speculative index bits.
  */
 Report
 fig09(sim::SweepRunner &sweep)
 {
-    using Row = std::array<std::uint64_t, 4>;
-    std::vector<std::shared_future<Row>> rows;
-    for (const auto &app : apps()) {
-        for (unsigned k = 1; k <= 3; ++k) {
-            rows.push_back(sweep.async([app, k, refs = measureRefs()] {
-                TraceLab lab(app);
-                predictor::PerceptronBypassPredictor perceptron;
-                Row n{};  // cSpec, cByp, oppLoss, extra
-                MemRef ref;
-                for (std::uint64_t i = 0; i < refs; ++i) {
-                    lab.next(ref);
-                    const Vpn vpn = ref.vaddr >> pageShift;
-                    const Pfn pfn = lab.pfnOf(ref.vaddr);
-                    const bool unchanged =
-                        (vpn & mask(k)) == (pfn & mask(k));
-                    const bool spec =
-                        perceptron.resolve(ref.pc, unchanged);
-                    ++n[spec ? (unchanged ? 0 : 3)
-                             : (unchanged ? 2 : 1)];
-                }
-                return n;
-            }));
-        }
-    }
-
-    return [rows, refs = measureRefs()] {
+    return [runs = planSpecBits(sweep, IndexingPolicy::SiptBypass)] {
         FigureTable t("Fig. 9: bypass-perceptron outcome breakdown per "
                       "speculative bit count "
                       "(cSpec/cByp/oppLoss/extra)",
@@ -240,15 +226,18 @@ fig09(sim::SweepRunner &sweep)
                        {"oppLoss", "oppLoss"},
                        {"extraAccess", "extraAccess"},
                        {"accuracy", "accuracy"}});
-        std::size_t i = 0;
-        for (const auto &app : apps()) {
-            for (unsigned k = 1; k <= 3; ++k) {
-                const Row &n = rows[i++].get();
-                t.row(app,
-                      {std::uint64_t{k}, frac(n[0], refs),
-                       frac(n[1], refs), frac(n[2], refs),
-                       frac(n[3], refs), frac(n[0] + n[1], refs)},
-                      app + ".bits" + std::to_string(k));
+        for (std::size_t a = 0; a < apps().size(); ++a) {
+            for (std::uint64_t k = 1; k <= 3; ++k) {
+                const L1Stats &l1 = runs[a][k - 1].get().l1;
+                const SpeculationStats &n = l1.spec;
+                t.row(apps()[a],
+                      {k, frac(n.correctSpeculation, l1.accesses),
+                       frac(n.correctBypass, l1.accesses),
+                       frac(n.opportunityLoss, l1.accesses),
+                       frac(n.extraAccess, l1.accesses),
+                       frac(n.correctSpeculation + n.correctBypass,
+                            l1.accesses)},
+                      apps()[a] + ".bits" + std::to_string(k));
             }
         }
         t.notes() << "\nAverage accuracy: 1-bit "
@@ -277,35 +266,7 @@ fig09(sim::SweepRunner &sweep)
 Report
 fig12(sim::SweepRunner &sweep)
 {
-    using Row = std::array<std::uint64_t, 3>;
-    std::vector<std::shared_future<Row>> rows;
-    for (const auto &app : apps()) {
-        for (unsigned k = 1; k <= 3; ++k) {
-            rows.push_back(sweep.async([app, k, refs = measureRefs()] {
-                TraceLab lab(app);
-                predictor::CombinedIndexPredictor combined(k);
-                Row n{};  // cSpec, idbHit, slow
-                MemRef ref;
-                for (std::uint64_t i = 0; i < refs; ++i) {
-                    lab.next(ref);
-                    const Vpn vpn = ref.vaddr >> pageShift;
-                    const Pfn pfn = lab.pfnOf(ref.vaddr);
-                    const auto pred = combined.resolve(ref.pc, vpn, pfn);
-                    if (pred.bits != static_cast<std::uint32_t>(
-                                         pfn & mask(k)))
-                        ++n[2];
-                    else if (pred.source ==
-                             predictor::IndexSource::VaBits)
-                        ++n[0];
-                    else
-                        ++n[1];
-                }
-                return n;
-            }));
-        }
-    }
-
-    return [rows, refs = measureRefs()] {
+    return [runs = planSpecBits(sweep, IndexingPolicy::SiptCombined)] {
         FigureTable t("Fig. 12: combined predictor accuracy per "
                       "speculative bit count",
                       "app",
@@ -314,15 +275,17 @@ fig12(sim::SweepRunner &sweep)
                        {"idbHit", "idbHit"},
                        {"slow", "slow"},
                        {"fastTotal", "fast"}});
-        std::size_t i = 0;
-        for (const auto &app : apps()) {
-            for (unsigned k = 1; k <= 3; ++k) {
-                const Row &n = rows[i++].get();
-                t.row(app,
-                      {std::uint64_t{k}, frac(n[0], refs),
-                       frac(n[1], refs), frac(n[2], refs),
-                       frac(n[0] + n[1], refs)},
-                      app + ".bits" + std::to_string(k));
+        for (std::size_t a = 0; a < apps().size(); ++a) {
+            for (std::uint64_t k = 1; k <= 3; ++k) {
+                const L1Stats &l1 = runs[a][k - 1].get().l1;
+                const SpeculationStats &n = l1.spec;
+                t.row(apps()[a],
+                      {k, frac(n.correctSpeculation, l1.accesses),
+                       frac(n.idbHit, l1.accesses),
+                       frac(n.extraAccess, l1.accesses),
+                       frac(n.correctSpeculation + n.idbHit,
+                            l1.accesses)},
+                      apps()[a] + ".bits" + std::to_string(k));
             }
         }
         t.notes() << "\nAverage fast fraction: 1-bit "
@@ -357,36 +320,49 @@ ablationPredictors(sim::SweepRunner &sweep)
     const auto app_list = sensitivityApps();
     std::vector<std::shared_future<Row>> rows;
     for (const auto &app : app_list) {
-        rows.push_back(sweep.async([app, refs = measureRefs() / 2] {
-            TraceLab lab(app);
+        rows.push_back(sweep.async([app, refs = halfRefs()] {
+            // The stream a default-config engine run of the app
+            // would consume.
+            sim::SystemConfig config;
+            config.warmupRefs = 0;
+            config.measureRefs = refs;
+            sim::Stream stream(app, sim::streamSpec(config));
             predictor::CounterBypassPredictor counter;
             predictor::PerceptronBypassPredictor small_perc;
             predictor::PerceptronBypassPredictor large_perc(
                 predictor::PerceptronParams{256, 24, 6, -1});
             predictor::CombinedIndexPredictor combined(specBits);
             Row n{};
-            MemRef ref;
-            for (std::uint64_t i = 0; i < refs; ++i) {
-                lab.next(ref);
-                const Vpn vpn = ref.vaddr >> pageShift;
-                const Pfn pfn = lab.pfnOf(ref.vaddr);
-                const bool unchanged =
-                    (vpn & mask(specBits)) == (pfn & mask(specBits));
-                const bool s = small_perc.resolve(ref.pc, unchanged);
-                n[0] += counter.resolve(ref.pc, unchanged) == unchanged;
-                n[1] += s == unchanged;
-                n[2] += large_perc.resolve(ref.pc, unchanged) ==
-                        unchanged;
-                // Bypass-only is fast only on correct speculation.
-                n[3] += s && unchanged;
-                n[4] += combined.resolve(ref.pc, vpn, pfn).bits ==
-                        (pfn & mask(specBits));
+            for (std::uint64_t done = 0; done < refs;) {
+                const cpu::RefBatch &batch = stream.stages().next(
+                    std::min<std::uint64_t>(refs - done,
+                                            cpu::RefBatch::capacity));
+                if (batch.size == 0)
+                    break;
+                for (std::size_t i = 0; i < batch.size; ++i) {
+                    const Addr pc = batch.pc[i];
+                    const Vpn vpn = pageNumber(batch.vaddr[i]);
+                    const Pfn pfn = pageNumber(batch.paddr[i]);
+                    const bool unchanged = (vpn & mask(specBits)) ==
+                                           (pfn & mask(specBits));
+                    const bool s = small_perc.resolve(pc, unchanged);
+                    n[0] += counter.resolve(pc, unchanged) == unchanged;
+                    n[1] += s == unchanged;
+                    n[2] += large_perc.resolve(pc, unchanged) ==
+                            unchanged;
+                    // Bypass-only is fast only on correct
+                    // speculation.
+                    n[3] += s && unchanged;
+                    n[4] += combined.resolve(pc, vpn, pfn).bits ==
+                            (pfn & mask(specBits));
+                }
+                done += batch.size;
             }
             return n;
         }));
     }
 
-    return [app_list, rows, refs = measureRefs() / 2] {
+    return [app_list, rows, refs = halfRefs()] {
         const std::vector<std::string> keys = {
             "counter", "perceptron", "perceptronLarge", "bypassFast",
             "combinedFast"};
@@ -454,7 +430,7 @@ ablationContiguity(sim::SweepRunner &sweep)
     using Row = std::array<double, 2>;
     std::vector<std::shared_future<Row>> rows;
     for (const auto &v : variants) {
-        rows.push_back(sweep.async([v, refs = measureRefs() / 2] {
+        rows.push_back(sweep.async([v, refs = halfRefs()] {
             os::BuddyAllocator buddy((4ull << 30) / pageSize,
                                      v.maxOrder);
             Rng rng(7);

@@ -21,7 +21,7 @@ quadCoreBase()
 {
     sim::SystemConfig base;
     base.outOfOrder = true;
-    base.measureRefs = measureRefs() / 2;
+    base.measureRefs = halfRefs();
     base.footprintScale = 0.5;
     return base;
 }

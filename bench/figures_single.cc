@@ -397,7 +397,7 @@ fig18(sim::SweepRunner &sweep)
             sim::SystemConfig base;
             base.outOfOrder = ooo;
             base.condition = cond;
-            base.measureRefs = measureRefs() / 2;
+            base.measureRefs = halfRefs();
             for (const auto &app : app_list)
                 base_f.push_back(sweep.enqueue(app, base));
             for (const auto cfg_id : sim::siptConfigs()) {

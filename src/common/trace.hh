@@ -14,7 +14,8 @@
  *    (speculate / bypass / replay / delta-hit with TLB and L1
  *    latencies) are stamped with the core cycle; predictor
  *    decision events are stamped with a per-predictor sequence
- *    number (the trace-analysis figures have no core clock).
+ *    number (the predict stage runs a batch ahead of the core
+ *    clock, so a prediction has no cycle of its own).
  *  - pid 0: wall-clock time. Sweep-worker spans (one per executed
  *    simulation job or generic task) in microseconds.
  *
@@ -58,8 +59,8 @@ struct AccessEvent
 };
 
 /** One predictor decision event; ts is a per-predictor sequence
- *  number so traces from the cache-less analysis figures still
- *  order correctly. */
+ *  number, because the predict stage runs ahead of the core clock
+ *  and a prediction has no cycle of its own. */
 struct PredictorEvent
 {
     /** Predictor kind: "bypass-perceptron" / "combined-index". */

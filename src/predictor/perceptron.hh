@@ -121,8 +121,8 @@ class PerceptronBypassPredictor
     std::uint64_t historyBits_ = 0;
     std::uint64_t predictions_ = 0;
     /** Tracing hook (nullptr unless SIPT_TRACE is set): train()
-     *  emits one decision event per resolved access, which covers
-     *  the cache-less trace-analysis benches too. */
+     *  emits one decision event per resolved access, whether an L1
+     *  or a bare predictor loop (the predictor ablation) calls it. */
     trace::Tracer *trace_ = nullptr;
     std::uint64_t traceLane_ = 0;
     std::uint64_t resolves_ = 0;

@@ -481,26 +481,24 @@ SweepRunner::SweepRunner(const SweepOptions &options)
         }
     }
     stats_.threads = threads_;
-    if (threads_ > 1) {
-        workers_.reserve(threads_);
-        for (unsigned t = 0; t < threads_; ++t) {
-            workers_.emplace_back([this] {
-                for (;;) {
-                    std::function<void()> work;
-                    {
-                        std::unique_lock lock(poolMu_);
-                        poolCv_.wait(lock, [this] {
-                            return stop_ || !queue_.empty();
-                        });
-                        if (stop_ && queue_.empty())
-                            return;
-                        work = std::move(queue_.front());
-                        queue_.pop_front();
-                    }
-                    work();
+    workers_.reserve(threads_);
+    for (unsigned t = 0; t < threads_; ++t) {
+        workers_.emplace_back([this] {
+            for (;;) {
+                std::function<void()> work;
+                {
+                    std::unique_lock lock(poolMu_);
+                    poolCv_.wait(lock, [this] {
+                        return stop_ || !queue_.empty();
+                    });
+                    if (stop_ && queue_.empty())
+                        return;
+                    work = std::move(queue_.front());
+                    queue_.pop_front();
                 }
-            });
-        }
+                work();
+            }
+        });
     }
 }
 
@@ -518,11 +516,6 @@ SweepRunner::~SweepRunner()
 void
 SweepRunner::post(std::function<void()> work)
 {
-    if (threads_ <= 1) {
-        // Sequential mode: the old behaviour, job runs right here.
-        work();
-        return;
-    }
     {
         std::lock_guard lock(poolMu_);
         queue_.push_back(std::move(work));

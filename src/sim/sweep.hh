@@ -4,9 +4,10 @@
  *
  * A SweepRunner executes (app, SystemConfig) simulation jobs on a
  * std::thread pool sized by SIPT_THREADS (default:
- * hardware_concurrency(); 1 = run jobs inline, exactly the old
- * sequential behaviour). Each job's result is a pure function of
- * its key — the allocator, address space, RNG streams and
+ * hardware_concurrency(); 1 = one worker). Every job runs on a
+ * worker, never on the submitting thread, so there is one execution
+ * path at every thread count. Each job's result is a pure function
+ * of its key — the allocator, address space, RNG streams and
  * predictors all derive from SystemConfig::seed and the app name,
  * and the simulator has no mutable globals (audited: the only
  * namespace-level statics are const lookup tables with thread-safe
@@ -22,9 +23,9 @@
  * key that no worker has started yet, or else posts a new group; a
  * started group is closed. Grouping is only a scheduling choice:
  * every member's result, run key, memo and disk entry is exactly
- * what a solo run would produce. Inline mode (threads == 1) runs
- * each job at enqueue, so it never groups. Multicore mixes always
- * run alone.
+ * what a solo run would produce. Jobs group at every thread count;
+ * with one worker, every job queued behind a running one can still
+ * attach. Multicore mixes always run alone.
  *
  * On top of the pool sits a memoizing run cache keyed on one
  * canonical string: runKeyJson() for single-core runs (app, trace
@@ -46,8 +47,10 @@
  *    is re-run and republished.
  *
  * Generic tasks (async()) run arbitrary work on the same pool for
- * the trace-analysis figures; they are not cached, but their host
- * time counts toward the wall and sim seconds like any job's.
+ * the figures whose rows are not system runs (CACTI latency, the
+ * predictor and allocation ablations, trace recording); they are
+ * not cached, but their host time counts toward the wall and sim
+ * seconds like any job's.
  */
 
 #ifndef SIPT_SIM_SWEEP_HH
@@ -80,7 +83,7 @@ namespace sipt::sim
 struct SweepOptions
 {
     /** Worker count; 0 = SIPT_THREADS or hardware_concurrency().
-     *  1 runs every job inline at enqueue time. */
+     *  1 is a one-worker pool. */
     unsigned threads = 0;
     /** On-disk cache directory; empty = SIPT_RUN_CACHE or off.
      *  "-" disables the disk cache even when the env var is set. */
@@ -189,9 +192,9 @@ class SweepRunner
                      const SystemConfig &config);
 
     /**
-     * Run an arbitrary task on the pool (uncached). The trace
-     * figures use this to analyse per-app address streams in
-     * parallel; tasks must be self-contained and deterministic.
+     * Run an arbitrary task on the pool (uncached). Figures whose
+     * rows are not system runs use this; tasks must be
+     * self-contained and deterministic.
      */
     template <typename F>
     auto
@@ -262,7 +265,7 @@ class SweepRunner
     void runGroup(const std::shared_ptr<Group> &group,
                   const std::string &stream_key);
 
-    /** Run @p work now (threads==1) or on the pool. */
+    /** Queue @p work for the pool's workers. */
     void post(std::function<void()> work);
 
     /** Run one generic task, emitting a wall-clock trace span

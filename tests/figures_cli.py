@@ -6,9 +6,11 @@
 Checks that a bad command line exits 2 and names the valid figure
 ids; that planning several figures in one process changes none of
 their stdout (the combined run equals the concatenated solo runs, at
-SIPT_THREADS=1 and =4) while their shared jobs run once; and that
-SIPT_METRICS makes every requested figure write its JSON. Run it
-with small SIPT_REFS/SIPT_WARMUP. Standard library only.
+SIPT_THREADS=1 and =4) while their shared jobs run once and, even on
+one worker, run grouped; that SIPT_METRICS makes every requested
+figure write its JSON; and that the half-length and speculation
+figures print no nan/inf cell at SIPT_REFS=1. Run it with small
+SIPT_REFS/SIPT_WARMUP. Standard library only.
 """
 
 import json
@@ -20,14 +22,20 @@ import tempfile
 
 FIGURES = ["fig06", "fig07", "fig13", "fig14"]
 
+# Figures whose runs measure half of SIPT_REFS, and the speculation
+# figures, which divide by the measured accesses.
+ONE_REF_FIGURES = ["ablation_contiguity", "ablation_predictors",
+                   "fig15", "fig05", "fig09", "fig12"]
 
-def run(binary, args, threads=1, metrics=None):
+
+def run(binary, args, threads=1, metrics=None, extra_env=None):
     env = dict(os.environ)
     for var in ("SIPT_METRICS", "SIPT_RUN_CACHE", "SIPT_TRACE"):
         env.pop(var, None)
     env["SIPT_THREADS"] = str(threads)
     if metrics:
         env["SIPT_METRICS"] = metrics
+    env.update(extra_env or {})
     return subprocess.run([binary] + args, env=env,
                           capture_output=True, text=True, check=False)
 
@@ -72,14 +80,18 @@ def main(argv):
               "combined stdout equals the solo runs at "
               "SIPT_THREADS=%d" % threads)
         stats = footer(r.stderr)
-        # The figure pairs enqueue identical jobs: at one thread the
-        # repeats are memo hits; at four they may still be running
-        # when repeated, which counts as an in-flight share.
+        # The figure pairs enqueue identical jobs; a repeat is a
+        # memo hit, or an in-flight share while the first is still
+        # queued or running.
         check(stats["executed"] < stats["jobs"],
               "combined run executes each shared job once")
+        check(stats["memo-hits"] + stats["inflight-shares"] +
+              stats["disk-hits"] == stats["jobs"] - stats["executed"],
+              "every job not executed is served by a cache tier at "
+              "SIPT_THREADS=%d" % threads)
         if threads == 1:
-            check(stats["memo-hits"] > 0,
-                  "combined footer shows memo-hits > 0")
+            check(stats["grouped"] > 0,
+                  "one worker still runs same-stream jobs grouped")
 
     with tempfile.TemporaryDirectory() as metrics:
         r = run(binary, FIGURES, 4, metrics)
@@ -99,6 +111,13 @@ def main(argv):
                   isinstance(doc.get("metrics"), dict) and
                   len(doc["metrics"]) > 0,
                   "%s.json has a non-empty metrics object" % fig)
+
+    r = run(binary, ONE_REF_FIGURES, 4,
+            extra_env={"SIPT_REFS": "1", "SIPT_WARMUP": "1"})
+    bad = re.findall(r"-?\b(?:nan|inf)\b", r.stdout)
+    check(r.returncode == 0 and r.stdout and not bad,
+          "%s print no nan/inf cell at SIPT_REFS=1 (found %d)"
+          % (" ".join(ONE_REF_FIGURES), len(bad)))
 
     if failures:
         print("\n%d check(s) failed" % len(failures))

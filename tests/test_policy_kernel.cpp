@@ -9,17 +9,26 @@
  * unconditionally and leave the predictors untouched), Revelator's
  * hashed translation table (learns a stable VPN→PFN mapping after
  * one miss), and PCAX's PC-indexed delta predictor (converges on a
- * constant per-PC frame delta).
+ * constant per-PC frame delta). Finally, the engine's speculation
+ * counters, which Figs. 5/9/12 read, equal direct predictor loops
+ * over the same stream.
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
 #include "cache/timing_cache.hh"
+#include "common/bitops.hh"
 #include "dram/dram.hh"
+#include "predictor/combined.hh"
+#include "predictor/perceptron.hh"
+#include "sim/system.hh"
 #include "sipt/l1_cache.hh"
 
 namespace sipt
@@ -430,6 +439,97 @@ TEST(PolicyKernel, VespaEliminatesHugePageReplays)
     EXPECT_GT(combined.l1.stats().hugeReplays, 0u);
     EXPECT_GT(vespa.l1.stats().fastAccesses,
               combined.l1.stats().fastAccesses);
+}
+
+void
+expectSameSpec(const SpeculationStats &engine,
+               const SpeculationStats &oracle)
+{
+    EXPECT_EQ(engine.correctSpeculation, oracle.correctSpeculation);
+    EXPECT_EQ(engine.correctBypass, oracle.correctBypass);
+    EXPECT_EQ(engine.opportunityLoss, oracle.opportunityLoss);
+    EXPECT_EQ(engine.extraAccess, oracle.extraAccess);
+    EXPECT_EQ(engine.idbHit, oracle.idbHit);
+}
+
+TEST(PolicyKernel, EngineSpecCountersMatchDirectPredictorLoops)
+{
+    // Figs. 5/9/12 read the engine's SpeculationStats of Bypass and
+    // Combined runs at 1/2/3 speculative bits with no warmup. The
+    // oracle is a bare predictor loop over a second Stream with the
+    // same spec: the per-access outcome taxonomy written out by
+    // hand, plus Fig. 5's unchanged-bit and huge-page counts.
+    const std::string app = "gcc";
+    constexpr std::uint64_t refs = 3'000;
+    const std::array<sim::L1Config, 3> geometries = {
+        sim::L1Config::Sipt32K4, sim::L1Config::Sipt32K2,
+        sim::L1Config::Sipt128K4};
+    std::vector<sim::SystemConfig> configs;
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::SiptBypass, IndexingPolicy::SiptCombined}) {
+        for (const sim::L1Config l1 : geometries) {
+            sim::SystemConfig cfg;
+            cfg.l1Config = l1;
+            cfg.policy = policy;
+            cfg.warmupRefs = 0;
+            cfg.measureRefs = refs;
+            configs.push_back(cfg);
+        }
+    }
+    const auto results = sim::runSameStream(app, configs);
+
+    for (unsigned k = 1; k <= 3; ++k) {
+        SCOPED_TRACE(k);
+        predictor::PerceptronBypassPredictor perceptron;
+        predictor::CombinedIndexPredictor combined(k);
+        SpeculationStats bypass, comb;
+        std::uint64_t unchanged = 0, huge = 0;
+        sim::Stream stream(app, sim::streamSpec(configs.front()));
+        for (std::uint64_t done = 0; done < refs;) {
+            const cpu::RefBatch &batch = stream.stages().next(
+                std::min<std::uint64_t>(refs - done,
+                                        cpu::RefBatch::capacity));
+            ASSERT_GT(batch.size, 0u);
+            for (std::size_t i = 0; i < batch.size; ++i) {
+                const Vpn vpn = pageNumber(batch.vaddr[i]);
+                const Pfn pfn = pageNumber(batch.paddr[i]);
+                const bool same = (vpn & mask(k)) == (pfn & mask(k));
+                unchanged += same;
+                huge += batch.hugePage[i];
+                if (perceptron.resolve(batch.pc[i], same))
+                    ++(same ? bypass.correctSpeculation
+                            : bypass.extraAccess);
+                else
+                    ++(same ? bypass.opportunityLoss
+                            : bypass.correctBypass);
+                const auto pred =
+                    combined.resolve(batch.pc[i], vpn, pfn);
+                if (pred.bits != (pfn & mask(k)))
+                    ++comb.extraAccess;
+                else if (pred.source == predictor::IndexSource::VaBits)
+                    ++comb.correctSpeculation;
+                else
+                    ++comb.idbHit;
+            }
+            done += batch.size;
+        }
+        // The stream must exercise every count compared below.
+        ASSERT_GT(unchanged, 0u);
+        ASSERT_LT(unchanged, refs);
+        ASSERT_GT(huge, 0u);
+
+        const L1Stats &b = results[k - 1].l1;
+        const L1Stats &c = results[3 + k - 1].l1;
+        EXPECT_EQ(b.accesses, refs);
+        EXPECT_EQ(c.accesses, refs);
+        expectSameSpec(b.spec, bypass);
+        expectSameSpec(c.spec, comb);
+        // Fig. 5's derivation from the bypass run.
+        EXPECT_EQ(b.spec.correctSpeculation + b.spec.opportunityLoss,
+                  unchanged);
+        EXPECT_EQ(b.hugeAccesses, huge);
+        EXPECT_EQ(c.hugeAccesses, huge);
+    }
 }
 
 } // namespace

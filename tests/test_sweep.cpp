@@ -89,17 +89,17 @@ TEST(Sweep, EnqueuePreservesSubmissionOrder)
     }
 }
 
-TEST(Sweep, SameStreamJobsRunAsOneGroup)
+/** Every worker waits on `release`, so every job below is queued
+ *  before any group can start: the three configs of one stream
+ *  attach to one group, and the other stream's job forms its own. */
+void
+expectSameStreamJobsGroup(unsigned workers)
 {
-    // Both workers wait on `release`, so every job below is queued
-    // before any group can start: the three configs of one stream
-    // attach to one group, and the other stream's job forms its
-    // own.
-    SweepRunner runner(SweepOptions{2, "-"});
+    SweepRunner runner(SweepOptions{workers, "-"});
     std::promise<void> release;
     const std::shared_future<void> gate = release.get_future().share();
     std::vector<std::shared_future<void>> blockers;
-    for (int w = 0; w < 2; ++w)
+    for (unsigned w = 0; w < workers; ++w)
         blockers.push_back(runner.async([gate] { gate.wait(); }));
 
     SystemConfig ideal = quick(IndexingPolicy::Ideal);
@@ -129,6 +129,14 @@ TEST(Sweep, SameStreamJobsRunAsOneGroup)
     EXPECT_EQ(s.submitted, 4u);
 }
 
+TEST(Sweep, SameStreamJobsRunAsOneGroup)
+{
+    for (const unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE(workers);
+        expectSameStreamJobsGroup(workers);
+    }
+}
+
 TEST(Sweep, ThreadCountDoesNotChangeResults)
 {
     SweepRunner sequential(SweepOptions{1, "-"});
@@ -147,7 +155,10 @@ TEST(Sweep, MemoHitsServeRepeatedKeys)
     SweepRunner runner(SweepOptions{1, "-"});
     const auto cfg = quick(IndexingPolicy::SiptCombined);
 
+    // The repeat is enqueued after the first run completes, so it
+    // is a memo hit rather than an in-flight share.
     auto first = runner.enqueue("mcf", cfg);
+    first.wait();
     auto again = runner.enqueue("mcf", cfg);
     auto other = runner.enqueue("gcc", cfg);
 
@@ -543,6 +554,7 @@ TEST(Sweep, TraceRunsReplayThroughTheCache)
 
     SweepRunner runner(SweepOptions{1, "-"});
     auto first = runner.enqueue(app, cfg);
+    first.wait();
     auto again = runner.enqueue(app, cfg);
     expectSameResult(first.get(), again.get());
     expectSameResult(first.get(), runSingleCore(app, cfg));
