@@ -435,7 +435,8 @@ ablationContiguity(sim::SweepRunner &sweep)
                                      v.maxOrder);
             Rng rng(7);
             os::SystemAger ager(buddy);
-            ager.age(20'000, 0.22, rng);
+            ager.age(os::SystemAger::uptimeChurnOps,
+                     os::SystemAger::uptimeResidentFraction, rng);
             os::AddressSpace as(buddy, v.pol, 8);
             workload::SyntheticWorkload wl(workload::appProfile("gcc"),
                                            as, 9);

@@ -135,6 +135,27 @@ BuddyAllocator::allocate(unsigned order)
     return base;
 }
 
+void
+BuddyAllocator::allocateAll(std::vector<Pfn> &out)
+{
+    // allocate(0) pops the lowest non-empty list's back block and
+    // pushes its upper halves onto the (empty) lower lists, so the
+    // next calls return that block's frames in ascending order
+    // before the list's next block is popped.
+    out.reserve(out.size() + freeFrames_);
+    for (unsigned o = 0; o <= maxOrder_; ++o) {
+        std::vector<Pfn> &list = freeLists_[o];
+        for (auto it = list.rbegin(); it != list.rend(); ++it) {
+            slot_[*it] = 0;
+            const Pfn end = *it + (Pfn{1} << o);
+            for (Pfn pfn = *it; pfn < end; ++pfn)
+                out.push_back(pfn);
+        }
+        list.clear();
+    }
+    freeFrames_ = 0;
+}
+
 std::optional<Pfn>
 BuddyAllocator::allocateRandom(unsigned order, Rng &rng)
 {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/mapped_array.hh"
+#include "common/prefetch.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -60,6 +61,17 @@ class BuddyAllocator
     std::optional<Pfn> allocate(unsigned order);
 
     /**
+     * Allocate every free frame as a single page, appending them to
+     * @p out in exactly the order repeated allocate(0) calls would
+     * return them: each order's list from the back, lowest order
+     * first, and each block's frames in ascending order. Leaves
+     * every free list empty and every slot zero, as that loop
+     * would, in one pass over the lists instead of a split per
+     * frame.
+     */
+    void allocateAll(std::vector<Pfn> &out);
+
+    /**
      * Allocate like allocate(), but pick a uniformly random free
      * block (splitting a random larger block when necessary). Used
      * to model fully scattered placement.
@@ -84,6 +96,10 @@ class BuddyAllocator
      *      are detected and panic.
      */
     void free(Pfn base, unsigned order);
+
+    /** Host-prefetch what a free(@p base, 0) touches first (the
+     *  slots of @p base and its buddy); no simulated effect. */
+    void prefetchFree(Pfn base) const { prefetchWrite(&slot_[base]); }
 
     /** True iff an allocate(order) would currently succeed. */
     bool canAllocate(unsigned order) const;

@@ -1,11 +1,56 @@
 #include "os/fragmenter.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
-#include "common/logging.hh"
+#include "common/bitops.hh"
+#include "common/prefetch.hh"
 
 namespace sipt::os
 {
+
+namespace
+{
+
+/** Frames per bitmap word in the run scan. */
+constexpr std::uint64_t wordBits = 64;
+
+/**
+ * Host-prefetch lookahead of the shuffle and the phase-2 frees, in
+ * frames: both touch one random spot of a multi-megabyte array per
+ * step, which a loop that learns each address only as it gets
+ * there cannot hide.
+ */
+constexpr std::size_t prefetchDist = 16;
+
+/**
+ * Fisher-Yates shuffle of @p frames, drawing rng.below(i) for
+ * i = n .. 2 exactly as the plain loop does; the draws run
+ * prefetchDist swaps ahead so each swap's random slot is already
+ * on its way into the host cache.
+ */
+void
+shuffle(std::vector<Pfn> &frames, Rng &rng)
+{
+    const std::size_t n = frames.size();
+    std::array<std::size_t, prefetchDist> ahead{};
+    const auto draw = [&](std::size_t i) {
+        const auto pick = static_cast<std::size_t>(rng.below(i));
+        prefetchWrite(&frames[pick]);
+        ahead[i % prefetchDist] = pick;
+    };
+    for (std::size_t i = n; i > 1 && i + prefetchDist > n; --i)
+        draw(i);
+    for (std::size_t i = n; i > 1; --i) {
+        const std::size_t pick = ahead[i % prefetchDist];
+        if (i > prefetchDist + 1)
+            draw(i - prefetchDist);
+        std::swap(frames[i - 1], frames[pick]);
+    }
+}
+
+} // namespace
 
 MemoryFragmenter::MemoryFragmenter(BuddyAllocator &allocator)
     : allocator_(allocator)
@@ -25,64 +70,104 @@ MemoryFragmenter::fragmentTo(double target_fu, unsigned j, Rng &rng,
     const auto min_free = static_cast<std::uint64_t>(
         min_free_fraction * static_cast<double>(total));
 
-    // Phase 1: grab nearly all free memory as order-0 pages.
+    // Phase 1: grab all free memory as order-0 pages.
     std::vector<Pfn> grabbed;
-    grabbed.reserve(allocator_.freeFrames());
-    while (allocator_.freeFrames() > 0) {
-        auto pfn = allocator_.allocate(0);
-        if (!pfn)
-            break;
-        grabbed.push_back(*pfn);
-    }
+    allocator_.allocateAll(grabbed);
 
     // Phase 2: release a scattered subset (every k-th page of a
     // shuffled order) until the free floor is restored. Released
-    // singles have pinned buddies, so they cannot coalesce.
-    for (std::size_t i = grabbed.size(); i > 1; --i) {
-        std::swap(grabbed[i - 1],
-                  grabbed[rng.below(i)]);
-    }
+    // singles have pinned buddies, so they cannot coalesce. The
+    // frees keep their order; like the shuffle's draws, they only
+    // look prefetchDist frames ahead.
+    shuffle(grabbed, rng);
     std::size_t idx = 0;
     while (allocator_.freeFrames() < min_free &&
            idx < grabbed.size()) {
+        if (idx + prefetchDist < grabbed.size())
+            allocator_.prefetchFree(grabbed[idx + prefetchDist]);
         allocator_.free(grabbed[idx], 0);
         ++idx;
     }
 
     // Phase 3: if we overshot the target (memory too fragmented is
     // the norm here; Fu typically ~1), release whole aligned 2^j
-    // runs to create usable blocks until Fu drops to the target.
-    // We scan the still-pinned tail for runs that form a full
-    // naturally aligned block.
+    // runs of pinned frames, lowest first, to create usable blocks
+    // until Fu drops to the target.
     pinned_.assign(grabbed.begin() + static_cast<long>(idx),
                    grabbed.end());
-    if (allocator_.unusableFreeSpaceIndex(j) > target_fu) {
-        // Sort pinned frames so aligned runs are easy to find.
-        std::sort(pinned_.begin(), pinned_.end());
-        std::vector<Pfn> keep;
-        keep.reserve(pinned_.size());
-        const std::uint64_t run = std::uint64_t{1} << j;
-        std::size_t i = 0;
-        while (i < pinned_.size() &&
-               allocator_.unusableFreeSpaceIndex(j) > target_fu) {
-            // Find a full aligned run starting at pinned_[i].
-            if ((pinned_[i] & (run - 1)) == 0 &&
-                i + run <= pinned_.size() &&
-                pinned_[i + run - 1] == pinned_[i] + run - 1) {
-                for (std::uint64_t k = 0; k < run; ++k)
-                    allocator_.free(pinned_[i + k], 0);
-                i += run;
-            } else {
-                keep.push_back(pinned_[i]);
-                ++i;
+    if (allocator_.unusableFreeSpaceIndex(j) > target_fu)
+        releaseRuns(target_fu, j);
+    return allocator_.unusableFreeSpaceIndex(j);
+}
+
+void
+MemoryFragmenter::releaseRuns(double target_fu, unsigned j)
+{
+    // A frame bitmap of the pinned set replaces sorting it: runs
+    // are found in ascending order with word masks, and pinned_ is
+    // re-emitted in ascending order, which is the sorted order
+    // because PFNs are distinct. Fu only changes when a run is
+    // freed, so checking it once per candidate run stops exactly
+    // where a per-frame check would.
+    std::vector<std::uint64_t> bits(
+        (allocator_.totalFrames() + wordBits - 1) / wordBits);
+    for (Pfn pfn : pinned_)
+        bits[pfn / wordBits] |= std::uint64_t{1} << (pfn % wordBits);
+
+    const std::uint64_t run = std::uint64_t{1} << j;
+    // Frees the run at @p base frame by frame, ascending; false
+    // (and nothing freed) once Fu has reached the target.
+    const auto freeRun = [&](Pfn base) {
+        if (allocator_.unusableFreeSpaceIndex(j) <= target_fu)
+            return false;
+        for (Pfn pfn = base; pfn < base + run; ++pfn)
+            allocator_.free(pfn, 0);
+        return true;
+    };
+    if (run < wordBits) {
+        // Bit k of starts: frames k .. k + run - 1 all pinned, k
+        // a multiple of run.
+        const std::uint64_t runMask =
+            mask(static_cast<unsigned>(run));
+        const std::uint64_t aligned = ~std::uint64_t{0} / runMask;
+        bool more = true;
+        for (std::size_t w = 0; more && w < bits.size(); ++w) {
+            std::uint64_t starts = bits[w];
+            for (std::uint64_t s = 1; s < run; s <<= 1)
+                starts &= starts >> s;
+            starts &= aligned;
+            for (; starts != 0; starts &= starts - 1) {
+                const auto k = static_cast<unsigned>(
+                    std::countr_zero(starts));
+                more = freeRun(w * wordBits + k);
+                if (!more)
+                    break;
+                bits[w] &= ~(runMask << k);
             }
         }
-        keep.insert(keep.end(),
-                    pinned_.begin() + static_cast<long>(i),
-                    pinned_.end());
-        pinned_.swap(keep);
+    } else {
+        const std::uint64_t words = run / wordBits;
+        for (std::size_t w = 0; w + words <= bits.size(); w += words) {
+            const auto first = bits.begin() + static_cast<long>(w);
+            const auto last = first + static_cast<long>(words);
+            if (!std::all_of(first, last, [](std::uint64_t b) {
+                    return b == ~std::uint64_t{0};
+                })) {
+                continue;
+            }
+            if (!freeRun(w * wordBits))
+                break;
+            std::fill(first, last, 0);
+        }
     }
-    return allocator_.unusableFreeSpaceIndex(j);
+
+    pinned_.clear();
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+        for (std::uint64_t b = bits[w]; b != 0; b &= b - 1)
+            pinned_.push_back(w * wordBits +
+                              static_cast<unsigned>(
+                                  std::countr_zero(b)));
+    }
 }
 
 void

@@ -43,10 +43,12 @@ class MemoryFragmenter
      * Fragment until Fu(@p j) >= @p target_fu while keeping at
      * least @p min_free_fraction of memory free.
      *
-     * Strategy (as in anti-fragmentation studies): allocate nearly
-     * all free memory as single pages, then release a scattered
+     * Strategy (as in anti-fragmentation studies): allocate all
+     * free memory as single pages, then release a scattered
      * subset; the released pages have no free buddies, so free
-     * memory consists almost entirely of order-0 blocks.
+     * memory consists almost entirely of order-0 blocks. If Fu is
+     * still above the target, release whole aligned 2^@p j runs of
+     * pinned frames, lowest first, until it is not.
      *
      * @return the achieved Fu(j)
      */
@@ -60,6 +62,14 @@ class MemoryFragmenter
     std::uint64_t pinnedFrames() const { return pinned_.size(); }
 
   private:
+    /**
+     * Phase 3 of fragmentTo(): free every fully pinned, naturally
+     * aligned run of 2^@p j frames in ascending order, each frame
+     * by frame, until Fu(@p j) <= @p target_fu; pinned_ ends up
+     * sorted ascending.
+     */
+    void releaseRuns(double target_fu, unsigned j);
+
     BuddyAllocator &allocator_;
     std::vector<Pfn> pinned_;
 };
@@ -71,6 +81,14 @@ class MemoryFragmenter
 class SystemAger
 {
   public:
+    /**
+     * The "weeks of uptime" recipe every aged machine uses (the
+     * memory conditions' baseline and the contiguity ablation):
+     * age(uptimeChurnOps, uptimeResidentFraction, rng).
+     */
+    static constexpr std::uint64_t uptimeChurnOps = 20'000;
+    static constexpr double uptimeResidentFraction = 0.22;
+
     explicit SystemAger(BuddyAllocator &allocator);
 
     ~SystemAger();

@@ -480,6 +480,10 @@ SweepRunner::SweepRunner(const SweepOptions &options)
             cacheDir_.clear();
         }
     }
+    // Open (and truncate) any SIPT_TRACE file now: a run whose jobs
+    // are all cache hits traces nothing, and must still not leave
+    // the previous run's trace in place.
+    trace::Tracer::global();
     stats_.threads = threads_;
     workers_.reserve(threads_);
     for (unsigned t = 0; t < threads_; ++t) {

@@ -25,10 +25,6 @@ namespace sipt::sim
 namespace
 {
 
-/** Allocator churn applied for the "weeks of uptime" baseline. */
-constexpr std::uint64_t agingChurnOps = 20'000;
-constexpr double agingResidentFraction = 0.22;
-
 /** A single-core run's workload seed base (address space +1,
  *  workload +2, core model +3). */
 constexpr std::uint64_t singleCoreSeedOffset = 10;
@@ -291,7 +287,8 @@ ConditionedMemory::ConditionedMemory(const StreamSpec &spec)
       fragmenter(buddy)
 {
     Rng rng(spec.seed);
-    ager.age(agingChurnOps, agingResidentFraction, rng);
+    ager.age(os::SystemAger::uptimeChurnOps,
+             os::SystemAger::uptimeResidentFraction, rng);
     if (spec.condition == MemCondition::Fragmented)
         fragmenter.fragmentTo(0.95, 9, rng, 0.30);
 }

@@ -8,9 +8,11 @@ ids; that planning several figures in one process changes none of
 their stdout (the combined run equals the concatenated solo runs, at
 SIPT_THREADS=1 and =4) while their shared jobs run once and, even on
 one worker, run grouped; that SIPT_METRICS makes every requested
-figure write its JSON; and that the half-length and speculation
-figures print no nan/inf cell at SIPT_REFS=1. Run it with small
-SIPT_REFS/SIPT_WARMUP. Standard library only.
+figure write its JSON; that a warm run-cache run, which executes
+no job, still truncates the SIPT_TRACE file; and that the
+half-length and speculation figures print no nan/inf cell at
+SIPT_REFS=1. Run it with small SIPT_REFS/SIPT_WARMUP. Standard
+library only.
 """
 
 import json
@@ -111,6 +113,23 @@ def main(argv):
                   isinstance(doc.get("metrics"), dict) and
                   len(doc["metrics"]) > 0,
                   "%s.json has a non-empty metrics object" % fig)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache")
+        trace = os.path.join(tmp, "trace.jsonl")
+        traced = {"SIPT_RUN_CACHE": cache, "SIPT_TRACE": trace}
+        r = run(binary, ["fig06"], 1, extra_env=traced)
+        check(r.returncode == 0, "cold cached traced fig06 exits 0")
+        with open(trace, "w", encoding="utf-8") as f:
+            f.write("junk from an earlier run\n")
+        r = run(binary, ["fig06"], 1, extra_env=traced)
+        stats = footer(r.stderr)
+        with open(trace, encoding="utf-8") as f:
+            left = f.read()
+        check(r.returncode == 0 and stats["executed"] == 0 and
+              "junk" not in left,
+              "a warm run of disk hits still truncates SIPT_TRACE "
+              "(executed=%d)" % stats["executed"])
 
     r = run(binary, ONE_REF_FIGURES, 4,
             extra_env={"SIPT_REFS": "1", "SIPT_WARMUP": "1"})

@@ -369,7 +369,8 @@ TEST(Buddy, AllocatorSequence)
                                     b, digest));
     }
     SystemAger ager(b);
-    ager.age(20'000, 0.22, rng);
+    ager.age(SystemAger::uptimeChurnOps,
+             SystemAger::uptimeResidentFraction, rng);
     rows.push_back(allocatorRow("aged", b, digest));
     runOps(b, rng, held, 5'000, digest);
     rows.push_back(allocatorRow("aged+ops", b, digest));
