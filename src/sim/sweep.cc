@@ -95,19 +95,6 @@ cacheDirFromEnv()
     return "";
 }
 
-Json
-energyToJson(const energy::EnergyBreakdown &e)
-{
-    Json j = Json::object();
-    j.set("l1Dynamic", e.l1Dynamic);
-    j.set("l2Dynamic", e.l2Dynamic);
-    j.set("llcDynamic", e.llcDynamic);
-    j.set("l1Static", e.l1Static);
-    j.set("l2Static", e.l2Static);
-    j.set("llcStatic", e.llcStatic);
-    return j;
-}
-
 /**
  * True when @p j has exactly @p shape's members (in any order),
  * each with a compatible type — an integer also stands for a
@@ -144,71 +131,170 @@ sameShape(const Json &j, const Json &shape, std::string &where)
     return shape.isBool() && j.isBool();
 }
 
+/**
+ * The result coders reach each struct's members through one
+ * visitor per struct, which binds every member by position and
+ * names it in the JSON member order the disk cache was written in.
+ * The encoder and the strict decoder share that one list, so they
+ * cannot disagree, and a member added to the struct fails to
+ * compile here until it is named.
+ */
+template <typename Energy, typename Visit>
+void
+visitEnergy(Energy &e, Visit &&visit)
+{
+    auto &[l1Dynamic, l2Dynamic, llcDynamic, l1Static, l2Static,
+           llcStatic] = e;
+    visit("l1Dynamic", l1Dynamic);
+    visit("l2Dynamic", l2Dynamic);
+    visit("llcDynamic", llcDynamic);
+    visit("l1Static", l1Static);
+    visit("l2Static", l2Static);
+    visit("llcStatic", llcStatic);
+}
+
+template <typename Stats, typename Visit>
+void
+visitL1Stats(Stats &s, Visit &&visit)
+{
+    auto &[accesses, loads, stores, hits, misses, writebacks,
+           fastAccesses, slowAccesses, extraArrayAccesses,
+           arrayAccesses, weightedArrayAccesses, hugeAccesses,
+           hugeReplays, hugeBypassLosses, spec] = s;
+    visit("accesses", accesses);
+    visit("loads", loads);
+    visit("stores", stores);
+    visit("hits", hits);
+    visit("misses", misses);
+    visit("writebacks", writebacks);
+    visit("fastAccesses", fastAccesses);
+    visit("slowAccesses", slowAccesses);
+    visit("extraArrayAccesses", extraArrayAccesses);
+    visit("arrayAccesses", arrayAccesses);
+    visit("weightedArrayAccesses", weightedArrayAccesses);
+    visit("hugeAccesses", hugeAccesses);
+    visit("hugeReplays", hugeReplays);
+    visit("hugeBypassLosses", hugeBypassLosses);
+    // The speculation outcomes sit flat in the L1 object.
+    auto &[correctSpeculation, correctBypass, opportunityLoss,
+           extraAccess, idbHit] = spec;
+    visit("correctSpeculation", correctSpeculation);
+    visit("correctBypass", correctBypass);
+    visit("opportunityLoss", opportunityLoss);
+    visit("extraAccess", extraAccess);
+    visit("idbHit", idbHit);
+}
+
+template <typename Result, typename Visit>
+void
+visitRunResult(Result &r, Visit &&visit)
+{
+    auto &[app, ipc, cycles, instructions, l1, l1HitRate, fastFraction,
+           energy, hugeCoverage, wayPredAccuracy, dtlbHitRate,
+           pageWalks, l1Mpki, checkDigest, checkEvents, checkFailure,
+           vivtReverseProbes, vivtInvalidations, vivtDirtyForwards] = r;
+    visit("app", app);
+    visit("ipc", ipc);
+    visit("cycles", cycles);
+    visit("instructions", instructions);
+    visit("l1", l1);
+    visit("l1HitRate", l1HitRate);
+    visit("fastFraction", fastFraction);
+    visit("energy", energy);
+    visit("hugeCoverage", hugeCoverage);
+    visit("wayPredAccuracy", wayPredAccuracy);
+    visit("dtlbHitRate", dtlbHitRate);
+    visit("pageWalks", pageWalks);
+    visit("l1Mpki", l1Mpki);
+    visit("checkDigest", checkDigest);
+    visit("checkEvents", checkEvents);
+    visit("checkFailure", checkFailure);
+    visit("vivtReverseProbes", vivtReverseProbes);
+    visit("vivtInvalidations", vivtInvalidations);
+    visit("vivtDirtyForwards", vivtDirtyForwards);
+}
+
+/** Visitor that sets each member on one JSON object; nested
+ *  structs become nested objects. */
+struct Encoder
+{
+    Json j = Json::object();
+
+    template <typename T>
+    void
+    operator()(const char *name, const T &v)
+    {
+        j.set(name, v);
+    }
+
+    void
+    operator()(const char *name, const L1Stats &s)
+    {
+        Encoder nested;
+        visitL1Stats(s, nested);
+        j.set(name, std::move(nested.j));
+    }
+
+    void
+    operator()(const char *name, const energy::EnergyBreakdown &e)
+    {
+        Encoder nested;
+        visitEnergy(e, nested);
+        j.set(name, std::move(nested.j));
+    }
+};
+
+/** Visitor that reads each member back from @p j, which sameShape()
+ *  has already checked against the encoder's output. */
+struct Decoder
+{
+    const Json &j;
+
+    void
+    operator()(const char *name, std::uint64_t &v) const
+    {
+        v = j.get(name).asUint();
+    }
+
+    void
+    operator()(const char *name, double &v) const
+    {
+        v = j.get(name).asDouble();
+    }
+
+    void
+    operator()(const char *name, std::string &v) const
+    {
+        v = j.get(name).asString();
+    }
+
+    void
+    operator()(const char *name, L1Stats &s) const
+    {
+        visitL1Stats(s, Decoder{j.get(name)});
+    }
+
+    void
+    operator()(const char *name, energy::EnergyBreakdown &e) const
+    {
+        visitEnergy(e, Decoder{j.get(name)});
+    }
+};
+
+Json
+energyToJson(const energy::EnergyBreakdown &e)
+{
+    Encoder out;
+    visitEnergy(e, out);
+    return std::move(out.j);
+}
+
 energy::EnergyBreakdown
 energyFromJson(const Json &j)
 {
     energy::EnergyBreakdown e;
-    e.l1Dynamic = j.get("l1Dynamic").asDouble();
-    e.l2Dynamic = j.get("l2Dynamic").asDouble();
-    e.llcDynamic = j.get("llcDynamic").asDouble();
-    e.l1Static = j.get("l1Static").asDouble();
-    e.l2Static = j.get("l2Static").asDouble();
-    e.llcStatic = j.get("llcStatic").asDouble();
+    visitEnergy(e, Decoder{j});
     return e;
-}
-
-Json
-l1StatsToJson(const L1Stats &s)
-{
-    Json j = Json::object();
-    j.set("accesses", s.accesses);
-    j.set("loads", s.loads);
-    j.set("stores", s.stores);
-    j.set("hits", s.hits);
-    j.set("misses", s.misses);
-    j.set("writebacks", s.writebacks);
-    j.set("fastAccesses", s.fastAccesses);
-    j.set("slowAccesses", s.slowAccesses);
-    j.set("extraArrayAccesses", s.extraArrayAccesses);
-    j.set("arrayAccesses", s.arrayAccesses);
-    j.set("weightedArrayAccesses", s.weightedArrayAccesses);
-    j.set("hugeAccesses", s.hugeAccesses);
-    j.set("hugeReplays", s.hugeReplays);
-    j.set("hugeBypassLosses", s.hugeBypassLosses);
-    j.set("correctSpeculation", s.spec.correctSpeculation);
-    j.set("correctBypass", s.spec.correctBypass);
-    j.set("opportunityLoss", s.spec.opportunityLoss);
-    j.set("extraAccess", s.spec.extraAccess);
-    j.set("idbHit", s.spec.idbHit);
-    return j;
-}
-
-L1Stats
-l1StatsFromJson(const Json &j)
-{
-    L1Stats s;
-    s.accesses = j.get("accesses").asUint();
-    s.loads = j.get("loads").asUint();
-    s.stores = j.get("stores").asUint();
-    s.hits = j.get("hits").asUint();
-    s.misses = j.get("misses").asUint();
-    s.writebacks = j.get("writebacks").asUint();
-    s.fastAccesses = j.get("fastAccesses").asUint();
-    s.slowAccesses = j.get("slowAccesses").asUint();
-    s.extraArrayAccesses = j.get("extraArrayAccesses").asUint();
-    s.arrayAccesses = j.get("arrayAccesses").asUint();
-    s.weightedArrayAccesses =
-        j.get("weightedArrayAccesses").asDouble();
-    s.hugeAccesses = j.get("hugeAccesses").asUint();
-    s.hugeReplays = j.get("hugeReplays").asUint();
-    s.hugeBypassLosses = j.get("hugeBypassLosses").asUint();
-    s.spec.correctSpeculation =
-        j.get("correctSpeculation").asUint();
-    s.spec.correctBypass = j.get("correctBypass").asUint();
-    s.spec.opportunityLoss = j.get("opportunityLoss").asUint();
-    s.spec.extraAccess = j.get("extraAccess").asUint();
-    s.spec.idbHit = j.get("idbHit").asUint();
-    return s;
 }
 
 /**
@@ -228,55 +314,42 @@ traceHashFor(const std::string &app)
 } // namespace
 
 Json
-configToJson(const SystemConfig &c)
+configToJson(const SystemConfig &config)
 {
+    // One binding per field: a new SystemConfig field fails to
+    // compile here until it is keyed.
+    const auto &[outOfOrder, l1Config, l1SizeBytes, l1Assoc,
+                 l1HitLatency, policy, xlatPredEntries, wayPrediction,
+                 radixWalker, condition, physMemBytes, warmupRefs,
+                 measureRefs, seed, footprintScale, check] = config;
     Json j = Json::object();
-    j.set("outOfOrder", c.outOfOrder);
+    j.set("outOfOrder", outOfOrder);
     j.set("l1Config",
-          std::uint64_t{static_cast<std::uint8_t>(c.l1Config)});
-    j.set("l1SizeBytes", c.l1SizeBytes);
-    j.set("l1Assoc", std::uint64_t{c.l1Assoc});
-    j.set("l1HitLatency", c.l1HitLatency);
-    j.set("policy",
-          std::uint64_t{static_cast<std::uint8_t>(c.policy)});
-    j.set("xlatPredEntries", std::uint64_t{c.xlatPredEntries});
-    j.set("wayPrediction", c.wayPrediction);
-    j.set("radixWalker", c.radixWalker);
+          std::uint64_t{static_cast<std::uint8_t>(l1Config)});
+    j.set("l1SizeBytes", l1SizeBytes);
+    j.set("l1Assoc", std::uint64_t{l1Assoc});
+    j.set("l1HitLatency", l1HitLatency);
+    j.set("policy", std::uint64_t{static_cast<std::uint8_t>(policy)});
+    j.set("xlatPredEntries", std::uint64_t{xlatPredEntries});
+    j.set("wayPrediction", wayPrediction);
+    j.set("radixWalker", radixWalker);
     j.set("condition",
-          std::uint64_t{static_cast<std::uint8_t>(c.condition)});
-    j.set("physMemBytes", c.physMemBytes);
-    j.set("warmupRefs", c.warmupRefs);
-    j.set("measureRefs", c.measureRefs);
-    j.set("seed", c.seed);
-    j.set("footprintScale", c.footprintScale);
-    j.set("check", c.check);
+          std::uint64_t{static_cast<std::uint8_t>(condition)});
+    j.set("physMemBytes", physMemBytes);
+    j.set("warmupRefs", warmupRefs);
+    j.set("measureRefs", measureRefs);
+    j.set("seed", seed);
+    j.set("footprintScale", footprintScale);
+    j.set("check", check);
     return j;
 }
 
 Json
 runResultToJson(const RunResult &r)
 {
-    Json j = Json::object();
-    j.set("app", r.app);
-    j.set("ipc", r.ipc);
-    j.set("cycles", r.cycles);
-    j.set("instructions", r.instructions);
-    j.set("l1", l1StatsToJson(r.l1));
-    j.set("l1HitRate", r.l1HitRate);
-    j.set("fastFraction", r.fastFraction);
-    j.set("energy", energyToJson(r.energy));
-    j.set("hugeCoverage", r.hugeCoverage);
-    j.set("wayPredAccuracy", r.wayPredAccuracy);
-    j.set("dtlbHitRate", r.dtlbHitRate);
-    j.set("pageWalks", r.pageWalks);
-    j.set("l1Mpki", r.l1Mpki);
-    j.set("checkDigest", r.checkDigest);
-    j.set("checkEvents", r.checkEvents);
-    j.set("checkFailure", r.checkFailure);
-    j.set("vivtReverseProbes", r.vivtReverseProbes);
-    j.set("vivtInvalidations", r.vivtInvalidations);
-    j.set("vivtDirtyForwards", r.vivtDirtyForwards);
-    return j;
+    Encoder out;
+    visitRunResult(r, out);
+    return std::move(out.j);
 }
 
 std::optional<RunResult>
@@ -288,25 +361,7 @@ runResultFromJson(const Json &j, std::string &error)
         return std::nullopt;
     }
     RunResult r;
-    r.app = j.get("app").asString();
-    r.ipc = j.get("ipc").asDouble();
-    r.cycles = j.get("cycles").asDouble();
-    r.instructions = j.get("instructions").asUint();
-    r.l1 = l1StatsFromJson(j.get("l1"));
-    r.l1HitRate = j.get("l1HitRate").asDouble();
-    r.fastFraction = j.get("fastFraction").asDouble();
-    r.energy = energyFromJson(j.get("energy"));
-    r.hugeCoverage = j.get("hugeCoverage").asDouble();
-    r.wayPredAccuracy = j.get("wayPredAccuracy").asDouble();
-    r.dtlbHitRate = j.get("dtlbHitRate").asDouble();
-    r.pageWalks = j.get("pageWalks").asUint();
-    r.l1Mpki = j.get("l1Mpki").asDouble();
-    r.checkDigest = j.get("checkDigest").asUint();
-    r.checkEvents = j.get("checkEvents").asUint();
-    r.checkFailure = j.get("checkFailure").asString();
-    r.vivtReverseProbes = j.get("vivtReverseProbes").asUint();
-    r.vivtInvalidations = j.get("vivtInvalidations").asUint();
-    r.vivtDirtyForwards = j.get("vivtDirtyForwards").asUint();
+    visitRunResult(r, Decoder{j});
     return r;
 }
 
@@ -316,13 +371,16 @@ namespace
 Json
 multiResultToJson(const MulticoreResult &r)
 {
+    // Bound, not visited: a per-core entry can fail to decode, and
+    // the decoder below reports that rather than panicking.
+    const auto &[perCore, sumIpc, energy] = r;
     Json j = Json::object();
     Json per = Json::array();
-    for (const auto &core : r.perCore)
+    for (const auto &core : perCore)
         per.push(runResultToJson(core));
     j.set("perCore", std::move(per));
-    j.set("sumIpc", r.sumIpc);
-    j.set("energy", energyToJson(r.energy));
+    j.set("sumIpc", sumIpc);
+    j.set("energy", energyToJson(energy));
     return j;
 }
 
@@ -335,15 +393,16 @@ multiResultFromJson(const Json &j, std::string &error)
         return std::nullopt;
     }
     MulticoreResult r;
+    auto &[perCore, sumIpc, energy] = r;
     const Json &per = j.get("perCore");
     for (std::size_t i = 0; i < per.size(); ++i) {
         auto core = runResultFromJson(per.at(i), error);
         if (!core)
             return std::nullopt;
-        r.perCore.push_back(std::move(*core));
+        perCore.push_back(std::move(*core));
     }
-    r.sumIpc = j.get("sumIpc").asDouble();
-    r.energy = energyFromJson(j.get("energy"));
+    sumIpc = j.get("sumIpc").asDouble();
+    energy = energyFromJson(j.get("energy"));
     return r;
 }
 
@@ -415,15 +474,18 @@ std::string
 streamKeyJsonWithHash(const std::string &app, std::uint64_t trace_hash,
                       const SystemConfig &config)
 {
-    const StreamSpec spec = streamSpec(config);
+    // One binding per field: a new StreamSpec field fails to
+    // compile here until it is keyed.
+    const auto [condition, physMemBytes, warmupRefs, measureRefs, seed,
+                footprintScale] = streamSpec(config);
     Json stream = Json::object();
-    stream.set("condition", std::uint64_t{static_cast<std::uint8_t>(
-                                spec.condition)});
-    stream.set("physMemBytes", spec.physMemBytes);
-    stream.set("warmupRefs", spec.warmupRefs);
-    stream.set("measureRefs", spec.measureRefs);
-    stream.set("seed", spec.seed);
-    stream.set("footprintScale", spec.footprintScale);
+    stream.set("condition",
+               std::uint64_t{static_cast<std::uint8_t>(condition)});
+    stream.set("physMemBytes", physMemBytes);
+    stream.set("warmupRefs", warmupRefs);
+    stream.set("measureRefs", measureRefs);
+    stream.set("seed", seed);
+    stream.set("footprintScale", footprintScale);
     Json j = Json::object();
     j.set("kind", "stream");
     j.set("app", app);

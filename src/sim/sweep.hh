@@ -130,8 +130,9 @@ struct SweepStats
 
 /** The run-cache key codec for a SystemConfig, and the only
  *  definition of which fields make an experiment: the memo and the
- *  disk tier both key on its bytes. Every field participates
- *  (enforced by sipt-analyze's config-key pass). */
+ *  disk tier both key on its bytes. Every field participates: it
+ *  destructures SystemConfig, so a new field fails to compile
+ *  until it is keyed. */
 Json configToJson(const SystemConfig &config);
 
 /** RunResult -> disk-cache JSON. */

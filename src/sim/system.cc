@@ -272,14 +272,19 @@ Machine::collect(const std::string &app, const Stream &stream,
 StreamSpec
 streamSpec(const SystemConfig &config)
 {
-    StreamSpec spec;
-    spec.condition = config.condition;
-    spec.physMemBytes = config.physMemBytes;
-    spec.warmupRefs = config.warmupRefs;
-    spec.measureRefs = config.measureRefs;
-    spec.seed = config.seed;
-    spec.footprintScale = config.footprintScale;
-    return spec;
+    // One binding per field: a new SystemConfig field fails to
+    // compile here until it goes to the stream below or is left,
+    // like the others, to the machine.
+    const auto &[outOfOrder, l1Config, l1SizeBytes, l1Assoc,
+                 l1HitLatency, policy, xlatPredEntries, wayPrediction,
+                 radixWalker, condition, physMemBytes, warmupRefs,
+                 measureRefs, seed, footprintScale, check] = config;
+    return {.condition = condition,
+            .physMemBytes = physMemBytes,
+            .warmupRefs = warmupRefs,
+            .measureRefs = measureRefs,
+            .seed = seed,
+            .footprintScale = footprintScale};
 }
 
 ConditionedMemory::ConditionedMemory(const StreamSpec &spec)

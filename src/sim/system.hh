@@ -80,8 +80,11 @@ std::uint64_t defaultWarmupRefs();
 /**
  * One experiment's system description. Its run-cache key is
  * sim::configToJson() (sim/sweep.hh): every field that influences
- * simulation results MUST appear there, which sipt-analyze's
- * config-key pass and tests/test_config_key.cpp enforce.
+ * simulation results MUST appear there. configToJson(),
+ * streamSpec() and tests/test_config_key.cpp each destructure this
+ * struct with one structured binding, so a new field fails to
+ * compile until it is keyed, sent to the stream or left to the
+ * machine, and given a run-key mutation.
  */
 struct SystemConfig
 {

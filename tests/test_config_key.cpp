@@ -6,11 +6,14 @@
  * stale result for a different experiment. The stream key
  * (streamKeyJson()) must react to every StreamSpec field and to
  * nothing else, and the machine fields must leave the stream
- * itself unchanged.
+ * itself unchanged. Both keys' bytes are pinned for one config
+ * whose fields all differ, so a positional slip in an encoder's
+ * structured binding shows.
  */
 
 #include <algorithm>
-#include <array>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -21,27 +24,6 @@ namespace sipt::sim
 {
 namespace
 {
-
-/**
- * The SystemConfig fields deliberately excluded from the run-cache
- * key. This list must match, name for name, the fields annotated
- * `// sipt-analyze: key-exempt(...)` in sim/system.hh — the
- * sipt-analyze config-key pass diffs the two, so the annotation
- * and this test cannot drift apart silently.
- */
-constexpr std::array<const char *, 0> kKeyExemptFields = {};
-
-/** Mutate one field, expect a different key. */
-template <typename Mutate>
-void
-expectFieldMatters(const char *field, Mutate mutate)
-{
-    const SystemConfig base;
-    SystemConfig changed = base;
-    mutate(changed);
-    EXPECT_NE(runKeyJson("mcf", changed), runKeyJson("mcf", base))
-        << field << " does not participate in the run key";
-}
 
 TEST(ConfigKey, EqualConfigsKeyEqual)
 {
@@ -62,65 +44,109 @@ TEST(ConfigKey, EqualConfigsKeyEqual)
 
 TEST(ConfigKey, EveryFieldParticipates)
 {
-    expectFieldMatters("outOfOrder", [](SystemConfig &c) {
-        c.outOfOrder = !c.outOfOrder;
-    });
-    expectFieldMatters("l1Config", [](SystemConfig &c) {
-        c.l1Config = L1Config::Sipt64K4;
-    });
-    expectFieldMatters("policy", [](SystemConfig &c) {
-        c.policy = IndexingPolicy::Ideal;
-    });
-    expectFieldMatters("xlatPredEntries", [](SystemConfig &c) {
-        c.xlatPredEntries = 64;
-    });
-    expectFieldMatters("wayPrediction", [](SystemConfig &c) {
-        c.wayPrediction = !c.wayPrediction;
-    });
-    expectFieldMatters("radixWalker", [](SystemConfig &c) {
-        c.radixWalker = !c.radixWalker;
-    });
-    expectFieldMatters("condition", [](SystemConfig &c) {
-        c.condition = MemCondition::NoContiguity;
-    });
-    expectFieldMatters("physMemBytes", [](SystemConfig &c) {
-        c.physMemBytes *= 2;
-    });
-    expectFieldMatters("warmupRefs", [](SystemConfig &c) {
-        c.warmupRefs += 1;
-    });
-    expectFieldMatters("measureRefs", [](SystemConfig &c) {
-        c.measureRefs += 1;
-    });
-    expectFieldMatters("seed", [](SystemConfig &c) {
-        c.seed += 1;
-    });
-    expectFieldMatters("footprintScale", [](SystemConfig &c) {
-        c.footprintScale = 0.5;
-    });
-    expectFieldMatters("l1SizeBytes", [](SystemConfig &c) {
-        c.l1SizeBytes = 8 * 1024;
-    });
-    expectFieldMatters("l1Assoc", [](SystemConfig &c) {
-        c.l1Assoc = 2;
-    });
-    expectFieldMatters("l1HitLatency", [](SystemConfig &c) {
-        c.l1HitLatency = 3;
-    });
-    expectFieldMatters("check", [](SystemConfig &c) {
-        c.check = !c.check;
-    });
+    const SystemConfig base;
+    const std::string base_key = runKeyJson("mcf", base);
+    SystemConfig c = base;
+    // One binding per field: a new SystemConfig field fails to
+    // compile here until it gets a mutation below.
+    auto &[outOfOrder, l1Config, l1SizeBytes, l1Assoc, l1HitLatency,
+           policy, xlatPredEntries, wayPrediction, radixWalker,
+           condition, physMemBytes, warmupRefs, measureRefs, seed,
+           footprintScale, check] = c;
+    // The key of the mutated c must differ; then c is reset.
+    const auto matters = [&](const char *field) {
+        EXPECT_NE(runKeyJson("mcf", c), base_key)
+            << field << " does not participate in the run key";
+        c = base;
+    };
+    outOfOrder = !outOfOrder;
+    matters("outOfOrder");
+    l1Config = L1Config::Sipt64K4;
+    matters("l1Config");
+    l1SizeBytes = 8 * 1024;
+    matters("l1SizeBytes");
+    l1Assoc = 2;
+    matters("l1Assoc");
+    l1HitLatency = 3;
+    matters("l1HitLatency");
+    policy = IndexingPolicy::Ideal;
+    matters("policy");
+    xlatPredEntries = 64;
+    matters("xlatPredEntries");
+    wayPrediction = !wayPrediction;
+    matters("wayPrediction");
+    radixWalker = !radixWalker;
+    matters("radixWalker");
+    condition = MemCondition::NoContiguity;
+    matters("condition");
+    physMemBytes *= 2;
+    matters("physMemBytes");
+    warmupRefs += 1;
+    matters("warmupRefs");
+    measureRefs += 1;
+    matters("measureRefs");
+    seed += 1;
+    matters("seed");
+    footprintScale = 0.5;
+    matters("footprintScale");
+    check = !check;
+    matters("check");
 }
 
-TEST(ConfigKey, ExemptListFlipsLeaveTheKeyUnchanged)
+TEST(ConfigKey, KeyBytesArePinned)
 {
-    // Every listed exemption must be proven outside the key by a
-    // mutation here (perturb the field, expect runKeyJson()
-    // unchanged). No field is exempt today, so a new entry fails
-    // until its mutation is added.
-    for (const char *field : kKeyExemptFields) {
-        FAIL() << "kKeyExemptFields names `" << field
-               << "` but this test has no mutation for it";
+    // Every field at a non-default value no other field shares: the
+    // encoders bind fields by position, so two same-typed bindings
+    // listed in the wrong order would move a value under another
+    // member's name and change these bytes.
+    SystemConfig c;
+    c.outOfOrder = false;
+    c.l1Config = L1Config::Sipt128K4;
+    c.l1SizeBytes = 16 * 1024;
+    c.l1Assoc = 2;
+    c.l1HitLatency = 9;
+    c.policy = IndexingPolicy::SiptRevelator;
+    c.xlatPredEntries = 64;
+    c.wayPrediction = true;
+    c.radixWalker = true;
+    c.condition = MemCondition::NoContiguity;
+    c.physMemBytes = 2ull << 30;
+    c.warmupRefs = 1111;
+    c.measureRefs = 2222;
+    c.seed = 7;
+    c.footprintScale = 0.625;
+    c.check = true;
+    EXPECT_EQ(runKeyJson("mcf", c),
+              R"({"kind":"single","app":"mcf","traceHash":0,"config":)"
+              R"({"outOfOrder":false,"l1Config":5,"l1SizeBytes":16384,)"
+              R"("l1Assoc":2,"l1HitLatency":9,"policy":6,)"
+              R"("xlatPredEntries":64,"wayPrediction":true,)"
+              R"("radixWalker":true,"condition":3,)"
+              R"("physMemBytes":2147483648,"warmupRefs":1111,)"
+              R"("measureRefs":2222,"seed":7,"footprintScale":0.625,)"
+              R"("check":true}})");
+    EXPECT_EQ(streamKeyJson("mcf", c),
+              R"({"kind":"stream","app":"mcf","traceHash":0,"stream":)"
+              R"({"condition":3,"physMemBytes":2147483648,)"
+              R"("warmupRefs":1111,"measureRefs":2222,"seed":7,)"
+              R"("footprintScale":0.625}})");
+
+    // A bool has only two values, so the config above cannot tell
+    // three set bools apart: set each alone and find it under its
+    // own name.
+    const std::pair<const char *, bool SystemConfig::*> bools[] = {
+        {"outOfOrder", &SystemConfig::outOfOrder},
+        {"wayPrediction", &SystemConfig::wayPrediction},
+        {"radixWalker", &SystemConfig::radixWalker},
+        {"check", &SystemConfig::check},
+    };
+    for (const auto &[name, field] : bools) {
+        SystemConfig one;
+        one.*field = !(one.*field);
+        const std::string member = std::string("\"") + name + "\":" +
+                                   (one.*field ? "true" : "false");
+        EXPECT_NE(runKeyJson("mcf", one).find(member), std::string::npos)
+            << name;
     }
 }
 

@@ -514,6 +514,80 @@ TEST(Sweep, ResultDecoderIsStrict)
     EXPECT_FALSE(runResultFromJson(extra, error).has_value());
 }
 
+TEST(Sweep, ResultCodecBytesArePinned)
+{
+    // Every field at a value no other field shares: the coders bind
+    // fields by position, so two same-typed bindings listed in the
+    // wrong order would move a value under another member's name.
+    RunResult r;
+    r.app = "lbm";
+    r.ipc = 1.5;
+    r.cycles = 12345.5;
+    r.instructions = 6789;
+    r.l1.accesses = 101;
+    r.l1.loads = 102;
+    r.l1.stores = 103;
+    r.l1.hits = 104;
+    r.l1.misses = 105;
+    r.l1.writebacks = 106;
+    r.l1.fastAccesses = 107;
+    r.l1.slowAccesses = 108;
+    r.l1.extraArrayAccesses = 109;
+    r.l1.arrayAccesses = 110;
+    r.l1.weightedArrayAccesses = 111.5;
+    r.l1.hugeAccesses = 112;
+    r.l1.hugeReplays = 113;
+    r.l1.hugeBypassLosses = 114;
+    r.l1.spec.correctSpeculation = 115;
+    r.l1.spec.correctBypass = 116;
+    r.l1.spec.opportunityLoss = 117;
+    r.l1.spec.extraAccess = 118;
+    r.l1.spec.idbHit = 119;
+    r.l1HitRate = 0.875;
+    r.fastFraction = 0.75;
+    r.energy.l1Dynamic = 0.5;
+    r.energy.l2Dynamic = 0.25;
+    r.energy.llcDynamic = 0.125;
+    r.energy.l1Static = 1.5;
+    r.energy.l2Static = 2.5;
+    r.energy.llcStatic = 3.5;
+    r.hugeCoverage = 0.0625;
+    r.wayPredAccuracy = 0.9375;
+    r.dtlbHitRate = 0.96875;
+    r.pageWalks = 201;
+    r.l1Mpki = 12.25;
+    r.checkDigest = 202;
+    r.checkEvents = 203;
+    r.checkFailure = "divergence";
+    r.vivtReverseProbes = 204;
+    r.vivtInvalidations = 205;
+    r.vivtDirtyForwards = 206;
+
+    const std::string pinned =
+        R"({"app":"lbm","ipc":1.5,"cycles":12345.5,"instructions":6789,)"
+        R"("l1":{"accesses":101,"loads":102,"stores":103,"hits":104,)"
+        R"("misses":105,"writebacks":106,"fastAccesses":107,)"
+        R"("slowAccesses":108,"extraArrayAccesses":109,)"
+        R"("arrayAccesses":110,"weightedArrayAccesses":111.5,)"
+        R"("hugeAccesses":112,"hugeReplays":113,"hugeBypassLosses":114,)"
+        R"("correctSpeculation":115,"correctBypass":116,)"
+        R"("opportunityLoss":117,"extraAccess":118,"idbHit":119},)"
+        R"("l1HitRate":0.875,"fastFraction":0.75,)"
+        R"("energy":{"l1Dynamic":0.5,"l2Dynamic":0.25,"llcDynamic":0.125,)"
+        R"("l1Static":1.5,"l2Static":2.5,"llcStatic":3.5},)"
+        R"("hugeCoverage":0.0625,"wayPredAccuracy":0.9375,)"
+        R"("dtlbHitRate":0.96875,"pageWalks":201,"l1Mpki":12.25,)"
+        R"("checkDigest":202,"checkEvents":203,)"
+        R"("checkFailure":"divergence","vivtReverseProbes":204,)"
+        R"("vivtInvalidations":205,"vivtDirtyForwards":206})";
+    const Json encoded = runResultToJson(r);
+    EXPECT_EQ(encoded.dump(), pinned);
+    std::string error;
+    const auto decoded = runResultFromJson(encoded, error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    EXPECT_EQ(runResultToJson(*decoded).dump(), pinned);
+}
+
 TEST(Sweep, DiskCacheRoundTripsMulticore)
 {
     const auto dir = std::filesystem::temp_directory_path() /

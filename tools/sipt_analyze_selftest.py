@@ -3,9 +3,9 @@
 
 Builds minimal scratch repos per pass — a clean fixture, seeded
 violations of every diagnostic the pass can emit, and the
-annotated-exempt or escape-hatched variants — and asserts the
-analyzer catches exactly what it should. Runs as the
-`sipt_analyze_selftest` ctest; exits nonzero on the first failure.
+escape-hatched variants — and asserts the analyzer catches exactly
+what it should. Runs as the `sipt_analyze_selftest` ctest; exits
+nonzero on the first failure.
 """
 
 import importlib.util
@@ -28,11 +28,6 @@ def load_analyzer():
 
 
 ANALYZE = load_analyzer()
-
-
-# Every source pass but self-contained, which needs a compiler.
-LEXICAL_PASSES = [p for p in ANALYZE.SOURCE_PASSES
-                  if p != "self-contained"]
 
 
 class AnalyzeCase(unittest.TestCase):
@@ -60,12 +55,12 @@ class AnalyzeCase(unittest.TestCase):
             files, [pass_name], write_table=write_table)]
 
     def scan(self, relpath, text, extra=None):
-        """Run every lexical source pass over one file (plus extra
-        files); return diagnostics as (pass, line) pairs."""
+        """Run every source pass over one file (plus extra files);
+        return diagnostics as (pass, line) pairs."""
         files = {relpath: text}
         files.update(extra or {})
         return [(d.rule, d.line)
-                for d in self.analyze(files, LEXICAL_PASSES)]
+                for d in self.analyze(files, ANALYZE.SOURCE_PASSES)]
 
     def assert_rule(self, diags, rule, count=1):
         hits = [d for d in diags if d[0] == rule]
@@ -80,161 +75,6 @@ class AnalyzeCase(unittest.TestCase):
             len(hits), count,
             f"expected {count} diag(s) at {path} containing "
             f"{needle!r}, got {diags}")
-
-
-# --------------------------------------------------------------
-# config-key fixtures
-# --------------------------------------------------------------
-
-def config_key_fixture(**edits):
-    """A three-field SystemConfig whose warmupRefs default is a
-    call and whose measureRefs default uses a digit separator —
-    both shapes the real header has and the parser must survive."""
-    files = {
-        "src/sim/system.hh":
-            "#ifndef SIPT_SIM_SYSTEM_HH\n"
-            "#define SIPT_SIM_SYSTEM_HH\n"
-            "namespace sipt::sim\n"
-            "{\n"
-            "\n"
-            "struct SystemConfig {\n"
-            "    bool outOfOrder = true;\n"
-            "    std::uint64_t measureRefs = 400'000;\n"
-            "    std::uint64_t warmupRefs = "
-            "defaultWarmupRefs();\n"
-            "    // sipt-analyze: key-exempt(serves both "
-            "engines)\n"
-            "    int engine = 0;\n"
-            "};\n"
-            "\n"
-            "struct RunResult {\n"
-            "    double ipc = 0.0;\n"
-            "    double energy = 0.0;\n"
-            "};\n"
-            "\n"
-            "} // namespace sipt::sim\n"
-            "#endif\n",
-        "src/sim/sweep.cc":
-            '#include "sim/system.hh"\n'
-            "namespace sipt::sim\n"
-            "{\n"
-            "Json\n"
-            "configToJson(const SystemConfig &c)\n"
-            "{\n"
-            "    Json j;\n"
-            '    j.set("outOfOrder", c.outOfOrder);\n'
-            '    j.set("measureRefs", c.measureRefs);\n'
-            '    j.set("warmupRefs", c.warmupRefs);\n'
-            "    return j;\n"
-            "}\n"
-            "} // namespace sipt::sim\n",
-        "tests/test_config_key.cpp":
-            "const char *const kKeyExemptFields[] = "
-            '{"engine"};\n'
-            "void cover()\n"
-            "{\n"
-            '    expectFieldMatters("outOfOrder", [](auto &c) '
-            "{ c.outOfOrder = false; });\n"
-            '    expectFieldMatters("measureRefs", [](auto &c) '
-            "{ c.measureRefs += 1; });\n"
-            '    expectFieldMatters("warmupRefs", [](auto &c) '
-            "{ c.warmupRefs += 1; });\n"
-            "}\n",
-    }
-    files.update(edits)
-    return files
-
-
-class ConfigKey(AnalyzeCase):
-    def test_clean_fixture_passes(self):
-        # Also the parser regression case: the call-expression
-        # default, the digit separator and the trailing RunResult
-        # struct must all parse.
-        self.assertEqual(
-            self.run_pass("config-key", config_key_fixture()), [])
-
-    def test_field_missing_from_sweep_cache_key(self):
-        files = config_key_fixture()
-        files["src/sim/sweep.cc"] = files[
-            "src/sim/sweep.cc"].replace(
-            '    j.set("warmupRefs", c.warmupRefs);\n', "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "missing from the run key")
-
-    def test_unkeyed_field_without_annotation(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
-            "    int engine = 0;\n",
-            "    int engine = 0;\n    int undocumented = 0;\n")
-        diags = self.run_pass("config-key", files)
-        # Missing from the one key encoding.
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "SystemConfig::undocumented is missing",
-                         count=1)
-
-    def test_stale_exemption_rejected(self):
-        files = config_key_fixture()
-        files["src/sim/sweep.cc"] = files[
-            "src/sim/sweep.cc"].replace(
-            "    return j;\n",
-            '    j.set("engine", c.engine);\n    return j;\n')
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "stale exemption: `engine`")
-
-    def test_empty_exemption_reason_rejected(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
-            "key-exempt(serves both engines)", "key-exempt()")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "non-empty reason")
-
-    def test_same_line_annotation_accepted(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
-            "    // sipt-analyze: key-exempt(serves both "
-            "engines)\n"
-            "    int engine = 0;\n",
-            "    int engine = 0; "
-            "// sipt-analyze: key-exempt(serves both engines)\n")
-        self.assertEqual(self.run_pass("config-key", files), [])
-
-    def test_annotation_without_test_listing(self):
-        files = config_key_fixture()
-        files["tests/test_config_key.cpp"] = files[
-            "tests/test_config_key.cpp"].replace(
-            '{"engine"}', "{}")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(
-            diags, "tests/test_config_key.cpp",
-            "`engine` is annotated key-exempt in "
-            "src/sim/system.hh but missing from kKeyExemptFields")
-
-    def test_test_listing_without_annotation(self):
-        files = config_key_fixture()
-        files["tests/test_config_key.cpp"] = files[
-            "tests/test_config_key.cpp"].replace(
-            '{"engine"}', '{"engine", "seed"}')
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(
-            diags, "tests/test_config_key.cpp",
-            "kKeyExemptFields lists `seed`")
-
-    def test_keyed_field_without_matters_coverage(self):
-        files = config_key_fixture()
-        files["tests/test_config_key.cpp"] = files[
-            "tests/test_config_key.cpp"].replace(
-            '    expectFieldMatters("warmupRefs", [](auto &c) '
-            "{ c.warmupRefs += 1; });\n", "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(
-            diags, "tests/test_config_key.cpp",
-            "keyed field `warmupRefs` has no expectFieldMatters")
 
 
 # --------------------------------------------------------------
@@ -806,7 +646,7 @@ class HeaderGuard(AnalyzeCase):
 
     def test_real_trace_headers_are_clean(self):
         """The shipped trace record/replay headers pass every
-        lexical source pass (guards, determinism, addr-shift)."""
+        source pass (guards, determinism, addr-shift)."""
         root = os.path.dirname(TOOLS_DIR)
         files = {}
         for rel in ("src/workload/trace_format.hh",
@@ -815,32 +655,9 @@ class HeaderGuard(AnalyzeCase):
             with open(os.path.join(root, rel),
                       encoding="utf-8") as f:
                 files[rel] = f.read()
-        diags = self.analyze(files, LEXICAL_PASSES)
+        diags = self.analyze(files, ANALYZE.SOURCE_PASSES)
         self.assertEqual(
             [(d.path, d.rule, d.line) for d in diags], [])
-
-
-class SelfContained(AnalyzeCase):
-    def test_broken_header_fails_compile_check(self):
-        files = {
-            # Uses std::vector without including <vector>.
-            "src/x/a.hh":
-                "#ifndef SIPT_X_A_HH\n"
-                "#define SIPT_X_A_HH\n"
-                "inline std::vector<int> v() "
-                "{ return {}; }\n#endif\n",
-            "src/x/b.hh":
-                "#ifndef SIPT_X_B_HH\n"
-                "#define SIPT_X_B_HH\n"
-                "#include <vector>\n"
-                "inline std::vector<int> v2() "
-                "{ return {}; }\n#endif\n",
-        }
-        diags = self.analyze(
-            files, ["self-contained"],
-            compiler=os.environ.get("CXX", "c++"))
-        self.assertEqual([(d.rule, d.path) for d in diags],
-                         [("self-contained", "src/x/a.hh")])
 
 
 class EscapeHatch(AnalyzeCase):
@@ -890,13 +707,12 @@ class EscapeHatch(AnalyzeCase):
 # --------------------------------------------------------------
 
 class PassTable(AnalyzeCase):
-    def test_list_passes_names_all_ten(self):
+    def test_list_passes_names_all_eight(self):
         self.assertEqual(
             sorted(ANALYZE.PASSES),
-            ["addr-shift", "config-key", "env-registry",
-             "header-guard", "layering", "mutable-static",
-             "nondeterminism", "raw-thread", "self-contained",
-             "stage-ownership"])
+            ["addr-shift", "env-registry", "header-guard",
+             "layering", "mutable-static", "nondeterminism",
+             "raw-thread", "stage-ownership"])
 
 
 if __name__ == "__main__":
