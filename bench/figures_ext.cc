@@ -12,6 +12,7 @@
 
 #include "bench/figures.hh"
 #include "cache/hierarchy.hh"
+#include "check/options.hh"
 #include "common/bitops.hh"
 #include "os/address_space.hh"
 #include "sim/presets.hh"
@@ -366,10 +367,13 @@ extIcache(sim::SweepRunner &sweep)
                 dram::Dram dram;
                 cache::TimingCache llc(sim::llcPreset(true, 1));
                 const auto l2 = sim::l2Preset();
-                cache::BelowL1 below(&l2, llc, dram);
+                const auto checking =
+                    check::Options::fromEnv(config.check);
+                cache::BelowL1 below(&l2, llc, dram, checking);
                 L1Params p = sim::l1Preset(sim::L1Config::Sipt32K2,
                                            IndexingPolicy::SiptCombined);
                 p.name = "L1I";
+                p.check = checking;
                 SiptL1Cache l1i(p, below);
 
                 std::uint64_t unchanged2 = 0;

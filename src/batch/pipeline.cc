@@ -1,8 +1,6 @@
 #include "batch/pipeline.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -23,22 +21,6 @@ namespace
  */
 constexpr std::size_t resolvePrefetchDist = 8;
 constexpr std::size_t accountPrefetchDist = 4;
-
-/** The probe corruption SIPT_BATCH_MUTATE selects for @p policy
- *  (see MachineStages::probeFlip_). */
-Addr
-probeFlipFromEnv(IndexingPolicy policy)
-{
-    const char *env = std::getenv("SIPT_BATCH_MUTATE");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    if (std::string_view(env) != "probe")
-        fatal("SIPT_BATCH_MUTATE: unknown mutation '", env,
-              "' (expected \"probe\")");
-    // Restricted to one policy so the cross-policy digest
-    // comparison must diverge.
-    return policy == IndexingPolicy::SiptNaive ? pageBase(1) : 0;
-}
 
 } // namespace
 
@@ -86,7 +68,10 @@ MachineStages::MachineStages(vm::Mmu &mmu,
                              SiptL1Cache &l1, cpu::TraceCore &core)
     : mmu_(mmu), pageTable_(page_table), l1_(l1), core_(core),
       check_(l1.params().check),
-      probeFlip_(probeFlipFromEnv(l1.params().policy))
+      probeFlip_(check_.mutation == check::Mutation::CorruptProbe &&
+                         l1.params().policy == IndexingPolicy::SiptNaive
+                     ? pageBase(1)
+                     : 0)
 {
 }
 
@@ -150,6 +135,14 @@ MachineStages::account(const cpu::RefBatch &batch)
         xlat.paddr ^= probeFlip_;
         const L1AccessResult res = l1_.accessDecided(
             ref, xlat, now, static_cast<SpecDecision>(decision_[i]));
+        // Every access takes at least one cycle, and nothing in the
+        // modelled hierarchy (DRAM queueing included) takes ~10M:
+        // such a latency is an underflow or a runaway queue.
+        if (check && (res.latency == 0 || res.latency > 10'000'000)) {
+            fail(detail::formatMessage(
+                "implausible latency of ", res.latency,
+                " cycles at va 0x", std::hex, ref.vaddr));
+        }
         core_.completeRef(ref, disp, res.latency, !res.hit);
     }
 }
@@ -171,8 +164,13 @@ MachineStages::checkTranslation(Addr vaddr, Addr paddr)
             ": MMU pa 0x", paddr, ", page table pa 0x",
             golden->paddr);
     }
-    if (error.empty())
-        return;
+    if (!error.empty())
+        fail(error);
+}
+
+void
+MachineStages::fail(const std::string &error)
+{
     if (check_.abortOnDivergence)
         panic("SIPT_CHECK: ", error);
     if (failure_.empty())

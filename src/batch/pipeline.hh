@@ -140,7 +140,7 @@ class MachineStages
     /** The exception a step threw, or null. */
     const std::exception_ptr &error() const { return error_; }
 
-    /** First golden-TLB mismatch, or empty (sticky). */
+    /** First golden-TLB or latency failure, or empty (sticky). */
     const std::string &checkFailure() const { return failure_; }
 
   private:
@@ -154,14 +154,18 @@ class MachineStages
      */
     void checkTranslation(Addr vaddr, Addr paddr);
 
+    /** Record @p error as the sticky first failure, or panic under
+     *  Options::abortOnDivergence. */
+    void fail(const std::string &error);
+
     vm::Mmu &mmu_;
     const vm::PageTable &pageTable_;
     SiptL1Cache &l1_;
     cpu::TraceCore &core_;
     check::Options check_;
     /**
-     * Harness self-test corruption (SIPT_BATCH_MUTATE=probe): a
-     * physical-address bit XORed into what the L1 probes, after
+     * Harness self-test corruption (check::Mutation::CorruptProbe):
+     * a physical-address bit XORed into what the L1 probes, after
      * the golden-TLB check, and only under the SIPT-naive policy,
      * so the corruption surfaces as a functional-digest divergence
      * between policies that the policy-invariance fuzzer must

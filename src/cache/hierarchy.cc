@@ -6,12 +6,12 @@ namespace sipt::cache
 {
 
 BelowL1::BelowL1(const TimingCacheParams *l2_params,
-                 TimingCache &llc, dram::Dram &dram)
+                 TimingCache &llc, dram::Dram &dram,
+                 const check::Options &check)
     : llc_(llc), dram_(dram)
 {
     if (l2_params != nullptr)
         l2_ = std::make_unique<TimingCache>(*l2_params);
-    const check::Options check = check::Options::fromEnv();
     if (check.enabled) {
         fillTracker_ = std::make_unique<check::FillTracker>(
             static_cast<std::uint32_t>(lineSize));

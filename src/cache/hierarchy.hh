@@ -37,9 +37,10 @@ class BelowL1
      *        two-level hierarchy
      * @param llc shared last-level cache
      * @param dram shared main memory
+     * @param check arms the writeback-legitimacy shim when enabled
      */
     BelowL1(const TimingCacheParams *l2_params, TimingCache &llc,
-            dram::Dram &dram);
+            dram::Dram &dram, const check::Options &check = {});
 
     /**
      * Service an L1 miss for the line containing @p paddr.
@@ -87,7 +88,7 @@ class BelowL1
     std::uint64_t dramReads() const { return dramReads_; }
     std::uint64_t dramWrites() const { return dramWrites_; }
 
-    /** Writeback-legitimacy shim, or nullptr when SIPT_CHECK is
+    /** Writeback-legitimacy shim, or nullptr when checking is
      *  off. Sticky first failure is in fillTracker()->failure(). */
     const check::FillTracker *
     fillTracker() const
@@ -114,9 +115,9 @@ class BelowL1
     dram::Dram &dram_;
     std::uint64_t dramReads_ = 0;
     std::uint64_t dramWrites_ = 0;
-    /** Fill/writeback legitimacy checker (SIPT_CHECK). */
+    /** Fill/writeback legitimacy checker. */
     std::unique_ptr<check::FillTracker> fillTracker_;
-    /** panic() instead of recording (SIPT_CHECK_ABORT). */
+    /** panic() instead of recording. */
     bool checkAbort_ = false;
     /** Tracing hook; nullptr unless SIPT_TRACE is set. */
     trace::Tracer *trace_ = nullptr;

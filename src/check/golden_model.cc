@@ -254,22 +254,15 @@ DifferentialChecker::foldEvent(const FunctionalEvent &event)
         bytes[n++] = static_cast<char>(
             bits(event.writebackLine, 8 * byte + 7, 8 * byte));
     }
-    std::uint64_t h = digest_;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<std::uint8_t>(bytes[i]);
-        h *= 0x100000001b3ull;
-    }
-    digest_ = h;
+    for (const char byte : bytes)
+        digest_ = fnv1a64Step(digest_, static_cast<std::uint8_t>(byte));
     ++eventCount_;
-    if (options_.recordEvents)
-        events_.push_back(event);
 }
 
 bool
 DifferentialChecker::onAccess(const Observation &obs)
 {
     FunctionalEvent event;
-    event.index = eventCount_;
     event.op = obs.op;
     event.lineAddr =
         blockBase(blockNumber(obs.paddr, golden_.lineShift()),
@@ -293,7 +286,6 @@ DifferentialChecker::resetStream()
 {
     digest_ = fnv1a64({});
     eventCount_ = 0;
-    events_.clear();
     vivt_.resetStats();
 }
 

@@ -47,8 +47,6 @@ namespace sipt::check
  */
 struct FunctionalEvent
 {
-    /** Zero-based access index since the last stream reset. */
-    std::uint64_t index = 0;
     MemOp op = MemOp::Load;
     /** Physical line base address of the access. */
     Addr lineAddr = 0;
@@ -181,8 +179,8 @@ class DifferentialChecker
     bool failAccess(const std::string &violation);
 
     /**
-     * Warmup boundary: restart the event stream (digest, count,
-     * recorded events) while keeping golden cache contents, mirror
+     * Warmup boundary: restart the event stream (digest and
+     * count) while keeping golden cache contents, mirror
      * of SiptL1Cache::resetStats(). Sticky failures survive.
      */
     void resetStream();
@@ -195,13 +193,6 @@ class DifferentialChecker
 
     /** First divergence/invariant failure, or empty. */
     const std::string &failure() const { return failure_; }
-
-    /** Recorded events (empty unless Options::recordEvents). */
-    const std::vector<FunctionalEvent> &
-    events() const
-    {
-        return events_;
-    }
 
     const GoldenL1 &golden() const { return golden_; }
 
@@ -223,7 +214,6 @@ class DifferentialChecker
     std::uint64_t digest_;
     std::uint64_t eventCount_ = 0;
     std::string failure_;
-    std::vector<FunctionalEvent> events_;
 };
 
 /**

@@ -21,6 +21,8 @@ mutationName(Mutation mutation)
         return "dirty";
       case Mutation::DropWriteback:
         return "writeback";
+      case Mutation::CorruptProbe:
+        return "probe";
     }
     return "?";
 }
@@ -38,18 +40,19 @@ mutationFromString(const char *name)
         return Mutation::DropDirty;
     if (std::strcmp(name, "writeback") == 0)
         return Mutation::DropWriteback;
+    if (std::strcmp(name, "probe") == 0)
+        return Mutation::CorruptProbe;
     fatal("SIPT_CHECK_MUTATE: unknown mutation '", name,
-          "' (expected tag, dirty, or writeback)");
+          "' (expected tag, dirty, writeback, or probe)");
 }
 
 Options
-Options::fromEnv()
+Options::fromEnv(bool enabled)
 {
     Options options;
-    options.enabled = envU64("SIPT_CHECK", 0, 0, 1) == 1;
+    options.enabled = enabled;
     options.abortOnDivergence =
         envU64("SIPT_CHECK_ABORT", 0, 0, 1) == 1;
-    options.recordEvents = envU64("SIPT_CHECK_RECORD", 0, 0, 1) == 1;
     options.mutation =
         mutationFromString(std::getenv("SIPT_CHECK_MUTATE"));
     return options;

@@ -2,10 +2,10 @@
  * @file
  * Configuration of the differential golden-model checker.
  *
- * Checking is off by default and enabled per process with
- * `SIPT_CHECK=1`; the knobs below exist so the fuzzer and the unit
- * tests can also enable (and deliberately sabotage) the checker
- * programmatically, without mutable global state.
+ * Checking is off by default. The simulation layer arms it per run
+ * from `SystemConfig::check` (whose default reads `SIPT_CHECK`) and
+ * hands these options down to every checking layer; no layer below
+ * it reads the environment. Tests build them directly.
  */
 
 #ifndef SIPT_CHECK_OPTIONS_HH
@@ -17,10 +17,10 @@ namespace sipt::check
 {
 
 /**
- * Deliberate golden-model corruptions used to prove the harness
- * *would* catch a broken cache. Perturbing the reference model is
- * detection-equivalent to perturbing the real controller (the
- * divergence is symmetric) and keeps product code unmodified.
+ * Deliberate corruptions used to prove the harness *would* catch a
+ * broken cache. The golden-model ones perturb the reference model,
+ * which is detection-equivalent to perturbing the real controller
+ * (the divergence is symmetric) and keeps product code unmodified.
  */
 enum class Mutation : std::uint8_t
 {
@@ -32,34 +32,33 @@ enum class Mutation : std::uint8_t
     DropDirty,
     /** The golden model never expects a writeback. */
     DropWriteback,
+    /** The pipeline corrupts the SIPT-naive L1's probe address
+     *  (batch::MachineStages). */
+    CorruptProbe,
 };
 
 /** Printable mutation name. */
 const char *mutationName(Mutation mutation);
 
-/** Parse a `SIPT_CHECK_MUTATE` value ("tag", "dirty",
- *  "writeback"); unknown strings are a fatal config error. */
+/** Parse a `SIPT_CHECK_MUTATE` value (tag, dirty, writeback,
+ *  probe); unknown strings are a fatal config error. */
 Mutation mutationFromString(const char *name);
 
-/** Checker switches, normally environment-derived. */
+/** Checker switches of one run. */
 struct Options
 {
-    /** Master switch (SIPT_CHECK=1). */
+    /** Master switch. */
     bool enabled = false;
-    /** panic() on the first divergence instead of recording it
-     *  (SIPT_CHECK_ABORT=1); what CI sanitizer jobs want. */
+    /** panic() on the first divergence instead of recording it;
+     *  what CI sanitizer jobs want. */
     bool abortOnDivergence = false;
-    /** Keep the full functional event log in memory so a repro
-     *  run can print the first differing event
-     *  (SIPT_CHECK_RECORD=1). */
-    bool recordEvents = false;
-    /** Harness self-test corruption (SIPT_CHECK_MUTATE=...). */
+    /** Harness self-test corruption. */
     Mutation mutation = Mutation::None;
 
-    /** Read the SIPT_CHECK* environment variables. The three
-     *  switches accept only 0 or 1; any other value warns and
-     *  reads as 0. */
-    static Options fromEnv();
+    /** Options armed when @p enabled, with the process-wide
+     *  SIPT_CHECK_ABORT (0 or 1; any other value warns and reads
+     *  as 0) and SIPT_CHECK_MUTATE. */
+    static Options fromEnv(bool enabled);
 };
 
 } // namespace sipt::check

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "check/options.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
 
@@ -50,7 +49,6 @@ TraceCore::TraceCore(const CoreParams &params)
     chainComp_.assign(numChains, 0.0);
     slot_ = 1.0 / std::min(static_cast<double>(params.width),
                            params.effectiveIlp);
-    checkLatencies_ = check::Options::fromEnv().enabled;
     trace_ = trace::Tracer::globalIfEnabled();
     if (trace_)
         traceLane_ = trace_->newLane();

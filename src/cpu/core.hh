@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "cpu/trace_source.hh"
@@ -201,18 +200,6 @@ class TraceCore
     completeRef(const MemRef &ref, double disp, Cycles latency,
                 bool miss)
     {
-        if (checkLatencies_) {
-            // Every access takes at least one cycle, and nothing in
-            // the modelled hierarchy (DRAM queueing included) can
-            // legitimately exceed ~10M cycles: a larger value means
-            // an underflowed subtraction or a runaway queue.
-            if (latency == 0 || latency > 10'000'000) {
-                panic("SIPT_CHECK: memory port returned an "
-                      "implausible latency of ", latency,
-                      " cycles for ref va 0x", std::hex,
-                      ref.vaddr, std::dec, " (miss=", miss, ")");
-            }
-        }
         double comp = disp + static_cast<double>(latency);
 
         // MSHR constraint: with all miss registers busy, the miss
@@ -286,9 +273,6 @@ class TraceCore
     std::size_t mshrIdx_ = 0;
     /** In-order retire envelope (monotone completion front). */
     double retireEnvelope_ = 0.0;
-    /** SIPT_CHECK shim: sanity-check every latency the memory
-     *  port reports (see run()). */
-    bool checkLatencies_ = false;
     /** Tracing hook (nullptr unless SIPT_TRACE is set): one
      *  simulated-time span per run() call. */
     trace::Tracer *trace_ = nullptr;

@@ -13,6 +13,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "check/options.hh"
 #include "common/env.hh"
 #include "common/fsio.hh"
 #include "common/hash.hh"
@@ -533,6 +534,15 @@ SweepRunner::SweepRunner(const SweepOptions &options)
                                          : options.cacheDir;
     if (cacheDir_ == "-")
         cacheDir_.clear();
+    // A mutated run's results are wrong on purpose: they must
+    // neither reach the clean keys' entries nor be masked by them.
+    const bool mutated = check::Options::fromEnv(false).mutation !=
+                         check::Mutation::None;
+    if (mutated && !cacheDir_.empty()) {
+        warn("sweep: SIPT_CHECK_MUTATE is set; run cache '", cacheDir_,
+             "' neither read nor written");
+        cacheDir_.clear();
+    }
     if (!cacheDir_.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(cacheDir_, ec);

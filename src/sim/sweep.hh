@@ -86,7 +86,8 @@ struct SweepOptions
      *  1 is a one-worker pool. */
     unsigned threads = 0;
     /** On-disk cache directory; empty = SIPT_RUN_CACHE or off.
-     *  "-" disables the disk cache even when the env var is set. */
+     *  "-" disables the disk cache even when the env var is set,
+     *  and so does an armed SIPT_CHECK_MUTATE. */
     std::string cacheDir;
 };
 

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "batch/pipeline.hh"
+#include "check/options.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "dram/dram.hh"
@@ -70,7 +71,7 @@ policyFor(const StreamSpec &spec, double thp_affinity)
 }
 
 L1Params
-l1ParamsFor(const SystemConfig &config)
+l1ParamsFor(const SystemConfig &config, const check::Options &check)
 {
     L1Params l1_params = l1Preset(config.l1Config, config.policy,
                                   config.wayPrediction);
@@ -85,8 +86,7 @@ l1ParamsFor(const SystemConfig &config)
         l1_params.hashedXlat.entries = config.xlatPredEntries;
         l1_params.pcXlat.entries = config.xlatPredEntries;
     }
-    if (config.check)
-        l1_params.check.enabled = true;
+    l1_params.check = check;
     return l1_params;
 }
 
@@ -179,13 +179,14 @@ class Machine
             std::uint64_t seed)
         : ownUncore_(std::move(own)),
           uncore_(ownUncore_ ? *ownUncore_ : *shared),
+          check_(check::Options::fromEnv(config.check)),
           mmu_(mmuPreset()),
           below_([&] {
               const cache::TimingCacheParams l2 = l2Preset();
               return cache::BelowL1(config.outOfOrder ? &l2 : nullptr,
-                                    uncore_.llc, uncore_.dram);
+                                    uncore_.llc, uncore_.dram, check_);
           }()),
-          l1_(l1ParamsFor(config), below_),
+          l1_(l1ParamsFor(config, check_), below_),
           core_([&] {
               cpu::CoreParams p = config.outOfOrder
                                       ? cpu::outOfOrderCoreParams()
@@ -206,6 +207,8 @@ class Machine
 
     std::unique_ptr<Uncore> ownUncore_;
     Uncore &uncore_;
+    /** The checker switches every layer is armed with. */
+    check::Options check_;
     vm::Mmu mmu_;
     cache::BelowL1 below_;
     SiptL1Cache l1_;
@@ -439,6 +442,12 @@ std::uint64_t
 defaultWarmupRefs()
 {
     return envU64("SIPT_WARMUP", 150'000, 1, maxRefs);
+}
+
+bool
+defaultCheck()
+{
+    return envU64("SIPT_CHECK", 0, 0, 1) == 1;
 }
 
 RunResult

@@ -77,6 +77,10 @@ constexpr std::uint64_t maxRefs = std::uint64_t{1} << 40;
  */
 std::uint64_t defaultWarmupRefs();
 
+/** Default of SystemConfig::check: the SIPT_CHECK environment
+ *  variable (0 or 1; any other value warns and reads as 0). */
+bool defaultCheck();
+
 /**
  * One experiment's system description. Its run-cache key is
  * sim::configToJson() (sim/sweep.hh): every field that influences
@@ -125,12 +129,13 @@ struct SystemConfig
      *  the multicore driver to co-fit four apps). */
     double footprintScale = 1.0;
     /**
-     * Force differential golden-model checking for this run, in
-     * addition to the SIPT_CHECK environment gate (the fuzzer sets
-     * this so RunResult::checkDigest is always populated). Part of
-     * the run-cache key because it changes the result payload.
+     * Arm every checking layer for this run: the L1's golden model
+     * and counter invariants, the below-L1 writeback shim, and the
+     * pipeline's golden-TLB and latency checks. Part of the
+     * run-cache key because it changes the result payload
+     * (RunResult::checkDigest and the VIVT counters).
      */
-    bool check = false;
+    bool check = defaultCheck();
 };
 
 /**
@@ -262,17 +267,18 @@ struct RunResult
     /** L1 misses per kilo-instruction. */
     double l1Mpki = 0.0;
     /** Stable digest of the measured-phase functional event
-     *  stream (0 unless SIPT_CHECK was on). Policy-invariant:
+     *  stream (0 unless the run was checked). Policy-invariant:
      *  every indexing policy must produce the same digest for the
      *  same (app, geometry, workload). */
     std::uint64_t checkDigest = 0;
-    /** Events behind checkDigest (0 unless SIPT_CHECK). */
+    /** Events behind checkDigest (0 unless checked). */
     std::uint64_t checkEvents = 0;
     /** First golden-model divergence, invariant violation, TLB
-     *  mismatch, or writeback-shim failure; empty when clean. */
+     *  mismatch, implausible latency, or writeback-shim failure;
+     *  empty when clean. */
     std::string checkFailure;
     /** VIVT strawman bookkeeping over the measured phase (all 0
-     *  unless SIPT_CHECK was on): reverse-map probes a virtually
+     *  unless the run was checked): reverse-map probes a virtually
      *  tagged L1 would have issued on virtual-tag misses... */
     std::uint64_t vivtReverseProbes = 0;
     /** ...the synonym invalidations those probes triggered (same

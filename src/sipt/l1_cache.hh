@@ -107,9 +107,9 @@ struct L1Params
     predictor::HashedXlatParams hashedXlat{};
     /** PC-indexed translation predictor (Pcax stage 2). */
     predictor::PcXlatParams pcXlat{};
-    /** Differential golden-model checking (SIPT_CHECK=1, or set
-     *  programmatically by tests/fuzzers). */
-    check::Options check = check::Options::fromEnv();
+    /** Differential golden-model checking; off unless the
+     *  simulation layer arms it from SystemConfig::check. */
+    check::Options check{};
 };
 
 /**

@@ -9,7 +9,10 @@ their stdout (the combined run equals the concatenated solo runs, at
 SIPT_THREADS=1 and =4) while their shared jobs run once and, even on
 one worker, run grouped; that SIPT_METRICS makes every requested
 figure write its JSON; that a warm run-cache run, which executes
-no job, still truncates the SIPT_TRACE file; and that the
+no job, still truncates the SIPT_TRACE file; that checked and
+unchecked runs never share a run-cache entry; that a run with a
+SIPT_CHECK_MUTATE self-test armed neither reads nor writes the run
+cache, so a clean run after it still passes; and that the
 half-length and speculation figures print no nan/inf cell at
 SIPT_REFS=1. Run it with small SIPT_REFS/SIPT_WARMUP. Standard
 library only.
@@ -130,6 +133,42 @@ def main(argv):
               "junk" not in left,
               "a warm run of disk hits still truncates SIPT_TRACE "
               "(executed=%d)" % stats["executed"])
+
+    # SIPT_CHECK is SystemConfig::check's default and so part of
+    # the run key: a warm cache written under one setting is all
+    # misses under the other, in either order.
+    for first, second in (("0", "1"), ("1", "0")):
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = os.path.join(tmp, "cache")
+            run(binary, ["fig06"], 4, extra_env={
+                "SIPT_RUN_CACHE": cache, "SIPT_CHECK": first})
+            r = run(binary, ["fig06"], 4, extra_env={
+                "SIPT_RUN_CACHE": cache, "SIPT_CHECK": second})
+            stats = footer(r.stderr)
+            check(r.returncode == 0 and stats["disk-hits"] == 0 and
+                  stats["executed"] == stats["jobs"],
+                  "fig06 at SIPT_CHECK=%s misses a cache written at "
+                  "SIPT_CHECK=%s (disk-hits=%d executed=%d jobs=%d)"
+                  % (second, first, stats["disk-hits"],
+                     stats["executed"], stats["jobs"]))
+
+    # A mutated golden model fails fig15syn's checked runs on
+    # purpose; those results must not be published under the clean
+    # keys, where a later clean run would read them and fail.
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache")
+        r = run(binary, ["fig15syn"], 4, extra_env={
+            "SIPT_RUN_CACHE": cache, "SIPT_CHECK_MUTATE": "tag",
+            "SIPT_CHECK_ABORT": "0"})
+        check("SIPT_CHECK_MUTATE" in r.stderr,
+              "a mutated run warns that it bypasses the run cache")
+        env = {"SIPT_RUN_CACHE": cache, "SIPT_CHECK_MUTATE": ""}
+        r = run(binary, ["fig15syn"], 4, extra_env=env)
+        stats = footer(r.stderr)
+        check(r.returncode == 0 and stats["disk-hits"] == 0,
+              "a clean fig15syn after a mutated one reads no entry "
+              "and passes (disk-hits=%d, exit %d)"
+              % (stats["disk-hits"], r.returncode))
 
     r = run(binary, ONE_REF_FIGURES, 4,
             extra_env={"SIPT_REFS": "1", "SIPT_WARMUP": "1"})

@@ -45,8 +45,9 @@ runJobs(sim::SweepRunner &runner, const std::vector<Job> &jobs)
 
 /**
  * The single-core jobs of tests/fixtures/sweep/RunKeys.txt, in row
- * order, each under its row label. Every field is set explicitly
- * (warmupRefs would otherwise read SIPT_WARMUP). The last,
+ * order, each under its row label. Every field the environment
+ * defaults is set explicitly (warmupRefs would otherwise read
+ * SIPT_WARMUP, check SIPT_CHECK). The last,
  * "escaped-app", names no runnable app: it pins the key's string
  * escaping.
  */
@@ -60,6 +61,7 @@ runKeyJobs()
     sim::SystemConfig base;
     base.warmupRefs = 150'000;
     base.measureRefs = 400'000;
+    base.check = false;
     jobs.push_back({"default-vipt", {"mcf", base}});
 
     sim::SystemConfig sipt = base;

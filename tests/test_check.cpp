@@ -4,8 +4,8 @@
  * closures, the untimed GoldenL1 reference, the lockstep
  * DifferentialChecker embedded in SiptL1Cache, mutation self-tests
  * (a corrupted oracle must be detected, proving a corrupted cache
- * would be), the below-L1 FillTracker, and the 0-or-1 parsing of
- * the SIPT_CHECK switches.
+ * would be), the below-L1 FillTracker, the pipeline's latency
+ * check, and the 0-or-1 parsing of SIPT_CHECK.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +13,21 @@
 #include <cstdlib>
 #include <string>
 
+#include "batch/pipeline.hh"
 #include "cache/hierarchy.hh"
 #include "cache/timing_cache.hh"
 #include "check/golden_model.hh"
 #include "check/options.hh"
+#include "common/hash.hh"
 #include "common/types.hh"
+#include "cpu/core.hh"
+#include "cpu/trace_source.hh"
 #include "dram/dram.hh"
+#include "sim/system.hh"
 #include "sipt/invariants.hh"
 #include "sipt/l1_cache.hh"
+#include "vm/mmu.hh"
+#include "vm/page_table.hh"
 
 namespace sipt
 {
@@ -581,7 +588,6 @@ checkedParams(IndexingPolicy policy, std::uint32_t assoc = 2,
     p.accessEnergyNj = 0.10;
     p.check.enabled = true;
     p.check.abortOnDivergence = false;
-    p.check.recordEvents = true;
     p.check.mutation = mutation;
     return p;
 }
@@ -681,20 +687,23 @@ TEST(Differential, DigestReactsToTheWorkload)
     EXPECT_NE(a.l1.checkDigest(), b.l1.checkDigest());
 }
 
-TEST(Differential, RecordedEventsMatchTheStream)
+TEST(Differential, DigestCoversOpHitAndDirtyAfter)
 {
     Harness h(checkedParams(IndexingPolicy::Ideal));
     h.access(0x1000, 0x1000, MemOp::Store); // miss, inserts dirty
     h.access(0x1000, 0x1000, MemOp::Load);  // hit, stays dirty
-    const auto &events = h.l1.checker()->events();
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].index, 0u);
-    EXPECT_EQ(events[0].op, MemOp::Store);
-    EXPECT_FALSE(events[0].hit);
-    EXPECT_TRUE(events[0].dirtyAfter);
-    EXPECT_EQ(events[1].index, 1u);
-    EXPECT_TRUE(events[1].hit);
-    EXPECT_TRUE(events[1].dirtyAfter);
+    // Each event folds 18 bytes into one FNV-1a stream: the op
+    // (1 = store), the flags (hit | dirtyAfter << 1 |
+    // writeback << 2), then the line and the written-back line as
+    // little-endian 64-bit values.
+    const auto event = [](char op, char flags) {
+        std::string bytes{op, flags, 0x00, 0x10};
+        bytes.append(6 + 8, '\0');
+        return bytes;
+    };
+    EXPECT_EQ(h.l1.checkEventCount(), 2u);
+    EXPECT_EQ(h.l1.checkDigest(),
+              fnv1a64(event(1, 0b10) + event(0, 0b11)));
 }
 
 TEST(Differential, ResetStreamKeepsGoldenContents)
@@ -819,7 +828,64 @@ TEST(FillTracker, MisalignedWritebackFails)
 }
 
 // ---------------------------------------------------------------
-// Environment switches accept only 0 or 1.
+// The pipeline's latency plausibility check.
+// ---------------------------------------------------------------
+
+/** Loads sweeping the lines of one virtual page. */
+class OnePageSource : public cpu::TraceSource
+{
+  public:
+    bool
+    next(MemRef &ref) override
+    {
+        ref = MemRef{};
+        ref.vaddr = 0x1000 + 64 * (count_++ % 64);
+        return true;
+    }
+
+  private:
+    std::uint64_t count_ = 0;
+};
+
+/** The failure a checked pipeline records over 100 loads from a
+ *  VIPT L1 whose hit latency is @p hit_latency. */
+std::string
+pipelineFailure(Cycles hit_latency, bool abort_on_divergence)
+{
+    vm::PageTable table;
+    table.mapPage(0x1000, 7);
+    OnePageSource source;
+    batch::StreamStages stream(source, table);
+    vm::Mmu mmu;
+    dram::Dram dram;
+    cache::TimingCache llc(Harness::llcParams());
+    cache::BelowL1 below(nullptr, llc, dram);
+    L1Params p = checkedParams(IndexingPolicy::Vipt, 8);
+    p.hitLatency = hit_latency;
+    p.check.abortOnDivergence = abort_on_divergence;
+    SiptL1Cache l1(p, below);
+    cpu::TraceCore core(cpu::outOfOrderCoreParams());
+    batch::MachineStages machine(mmu, table, l1, core);
+    batch::MachineStages *const machines[] = {&machine};
+    batch::runPhase(stream, machines, 100);
+    EXPECT_FALSE(machine.error());
+    return machine.checkFailure();
+}
+
+TEST(MachineStages, ImplausibleLatencyIsRecordedOrAborts)
+{
+    EXPECT_EQ(pipelineFailure(2, false), "");
+    // Above the 10M-cycle bound: recorded, and the run goes on...
+    const std::string failure = pipelineFailure(20'000'000, false);
+    EXPECT_NE(failure.find("implausible latency"), std::string::npos)
+        << failure;
+    // ...or, under abortOnDivergence, fatal.
+    EXPECT_DEATH(pipelineFailure(20'000'000, true),
+                 "implausible latency");
+}
+
+// ---------------------------------------------------------------
+// SIPT_CHECK accepts only 0 or 1.
 // ---------------------------------------------------------------
 
 TEST(CheckOptions, SwitchesAcceptOnlyZeroOrOne)
@@ -828,7 +894,7 @@ TEST(CheckOptions, SwitchesAcceptOnlyZeroOrOne)
     const std::string restore = saved ? saved : "";
     const auto enabled = [](const char *value) {
         setenv("SIPT_CHECK", value, 1);
-        return check::Options::fromEnv().enabled;
+        return sim::defaultCheck();
     };
     // Anything but 0 or 1 warns and reads as 0: "false" must not
     // arm the checker, and "yes" is not a way to arm it either.

@@ -299,7 +299,7 @@ TEST(StreamKey, MachineFieldsLeaveTheStreamUnchanged)
         {"wayPrediction",
          [](SystemConfig &c) { c.wayPrediction = true; }},
         {"radixWalker", [](SystemConfig &c) { c.radixWalker = true; }},
-        {"check", [](SystemConfig &c) { c.check = true; }},
+        {"check", [](SystemConfig &c) { c.check = !c.check; }},
     };
     constexpr std::uint64_t refs = 10'000;
     const SystemConfig base;

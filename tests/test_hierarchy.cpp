@@ -172,31 +172,12 @@ TEST(BelowL1, ThreeLevelFillLatency)
     EXPECT_EQ(below.l2()->hits(), 1u);
 }
 
-/**
- * Construct a BelowL1 with the SIPT_CHECK fill/writeback shim
- * forced off for tests that drive synthetic writebacks of lines
- * that were never filled (legitimate for exercising the plumbing
- * in isolation, but exactly what the shim exists to reject).
- */
-BelowL1
-uncheckedBelow(const TimingCacheParams *l2, TimingCache &llc,
-               dram::Dram &dram)
-{
-    const char *check = getenv("SIPT_CHECK");
-    const std::string saved = check ? check : "";
-    unsetenv("SIPT_CHECK");
-    BelowL1 below(l2, llc, dram);
-    if (check)
-        setenv("SIPT_CHECK", saved.c_str(), 1);
-    return below;
-}
-
 TEST(BelowL1, WritebackReachesLowerLevels)
 {
     dram::Dram d;
     TimingCache llc(smallCache(1 << 20, 25));
     const auto l2 = smallCache(256 * 1024, 12);
-    BelowL1 below = uncheckedBelow(&l2, llc, d);
+    BelowL1 below(&l2, llc, d);
     below.writeback(0x300000, 0);
     EXPECT_EQ(below.l2()->accesses(), 1u);
     // A writeback carries the full line, so the L2 allocates it
@@ -207,6 +188,25 @@ TEST(BelowL1, WritebackReachesLowerLevels)
     for (Addr a = 0; a < (1u << 19); a += 64)
         below.writeback(0x600000 + a, 0);
     EXPECT_GE(llc.accesses(), 1u);
+}
+
+TEST(BelowL1, CheckOptionArmsTheWritebackShim)
+{
+    dram::Dram d;
+    TimingCache llc(smallCache(1 << 20, 25));
+    // Off by default: the synthetic writebacks above are legal.
+    EXPECT_EQ(BelowL1(nullptr, llc, d).fillTracker(), nullptr);
+
+    check::Options checking;
+    checking.enabled = true;
+    BelowL1 below(nullptr, llc, d, checking);
+    ASSERT_NE(below.fillTracker(), nullptr);
+    below.fill(0x1000, 0);
+    below.writeback(0x1000, 0);
+    EXPECT_EQ(below.fillTracker()->failure(), "");
+    // A line the hierarchy never filled is a fabricated writeback.
+    below.writeback(0x2000, 0);
+    EXPECT_NE(below.fillTracker()->failure(), "");
 }
 
 TEST(BelowL1, PrefetchWarmsTheL2)

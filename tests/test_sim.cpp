@@ -111,6 +111,25 @@ TEST(SingleCore, DeterministicForSameSeed)
     EXPECT_DOUBLE_EQ(a.energy.total(), b.energy.total());
 }
 
+TEST(SingleCore, CheckFieldIsTheOnlySwitch)
+{
+    // SystemConfig::check alone decides whether a run is checked,
+    // whatever SIPT_CHECK says, so the run key always tells checked
+    // and unchecked results apart. Checking never changes timing.
+    auto cfg = quick(IndexingPolicy::SiptCombined);
+    cfg.check = false;
+    const auto off = runSingleCore("gobmk", cfg);
+    EXPECT_EQ(off.checkDigest, 0u);
+    EXPECT_EQ(off.checkEvents, 0u);
+    cfg.check = true;
+    const auto on = runSingleCore("gobmk", cfg);
+    EXPECT_NE(on.checkDigest, 0u);
+    EXPECT_EQ(on.checkEvents, cfg.measureRefs);
+    EXPECT_EQ(on.checkFailure, "");
+    EXPECT_DOUBLE_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.l1.hits, off.l1.hits);
+}
+
 TEST(SingleCore, SeedChangesRun)
 {
     auto cfg = quick(IndexingPolicy::SiptCombined);

@@ -21,12 +21,11 @@
  *   sipt-fuzz --repro '<repro line>'
  *
  * SIPT_CHECK_MUTATE=tag|dirty|writeback corrupts the golden model
- * deliberately (harness self-test); combined with --expect-fail
- * the exit code proves the oracle would catch a broken cache.
+ * deliberately, and =probe the index the pipeline probes the L1
+ * with (harness self-tests); combined with --expect-fail the exit
+ * code proves the oracle would catch a broken cache.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -115,15 +114,9 @@ main(int argc, char **argv)
         }
     }
 
-    // Enable the full checking surface (L1 checker, hierarchy
-    // writeback shim, core latency shim) before any worker thread
-    // exists. Does not override an explicit setting.
-    setenv("SIPT_CHECK", "1", 0);
-
     // Fuzz runs are tiny and parameter-diverse: the on-disk run
-    // cache would only collect clutter (and could serve results
-    // recorded with different check settings), so keep this
-    // process memo-only.
+    // cache would only collect clutter, so keep this process
+    // memo-only.
     sipt::sim::SweepOptions options;
     options.cacheDir = "-";
     sipt::sim::SweepRunner runner(options);
@@ -139,7 +132,7 @@ main(int argc, char **argv)
     }
 
     const auto mutation =
-        sipt::check::Options::fromEnv().mutation;
+        sipt::check::Options::fromEnv(false).mutation;
     std::cout << "sipt-fuzz: " << count << " samples, seed "
               << seed << ", mutation "
               << sipt::check::mutationName(mutation) << "\n";
