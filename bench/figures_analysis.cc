@@ -326,7 +326,11 @@ ablationPredictors(sim::SweepRunner &sweep)
             sim::SystemConfig config;
             config.warmupRefs = 0;
             config.measureRefs = refs;
-            sim::Stream stream(app, sim::streamSpec(config));
+            const sim::StreamSpec spec = sim::streamSpec(config);
+            sim::ConditionedMemory memory(spec);
+            sim::Stream stream(
+                app, spec, memory.buddy,
+                sim::coreSeed(sim::JobKind::Single, spec.seed, 0));
             predictor::CounterBypassPredictor counter;
             predictor::PerceptronBypassPredictor small_perc;
             predictor::PerceptronBypassPredictor large_perc(

@@ -14,6 +14,7 @@
 #include "cache/hierarchy.hh"
 #include "check/options.hh"
 #include "common/bitops.hh"
+#include "common/logging.hh"
 #include "os/address_space.hh"
 #include "sim/presets.hh"
 #include "sipt/l1_cache.hh"
@@ -342,8 +343,13 @@ trace13(sim::SweepRunner &sweep)
 Report
 extIcache(sim::SweepRunner &sweep)
 {
-    // ITLB hit, unchanged 2 bits, fast, I$ hit, extra accesses.
-    using Row = std::array<double, 5>;
+    // ITLB hit, unchanged 2 bits, fast, I$ hit, extra accesses;
+    // and the first failure either checker recorded, or empty.
+    struct Row
+    {
+        std::array<double, 5> values;
+        std::string checkFailure;
+    };
     std::vector<std::string> labels, keys, indexing;
     std::vector<std::shared_future<Row>> rows;
     for (const bool page_indexed : {false, true}) {
@@ -398,13 +404,17 @@ extIcache(sim::SweepRunner &sweep)
                     static_cast<double>(small.hits() + huge.hits()) /
                     static_cast<double>(small.hits() + small.misses() +
                                         huge.hits() + huge.misses());
-                return Row{itlb_hit,
-                           static_cast<double>(unchanged2) /
-                               static_cast<double>(refs),
-                           l1i.fastFraction(), l1i.hitRate(),
-                           static_cast<double>(
-                               l1i.stats().extraArrayAccesses) /
-                               static_cast<double>(refs)};
+                std::string failure = l1i.checkFailure();
+                if (failure.empty() && below.fillTracker())
+                    failure = below.fillTracker()->failure();
+                return Row{{itlb_hit,
+                            static_cast<double>(unchanged2) /
+                                static_cast<double>(refs),
+                            l1i.fastFraction(), l1i.hitRate(),
+                            static_cast<double>(
+                                l1i.stats().extraArrayAccesses) /
+                                static_cast<double>(refs)},
+                           failure};
             }));
         }
     }
@@ -420,10 +430,16 @@ extIcache(sim::SweepRunner &sweep)
                        {"I$ hit", "hit"},
                        {"extraAcc", "extraAccess", 4}});
         for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Row &row = rows[i].get();
+            const auto &[row, failure] = rows[i].get();
             t.row(labels[i],
                   {indexing[i], row[0], row[1], row[2], row[3], row[4]},
                   keys[i]);
+            // Checked runs (SIPT_CHECK=1) fail the figure on any
+            // recorded golden-model or writeback failure.
+            if (!failure.empty()) {
+                warn("ext_icache: ", keys[i], ": ", failure);
+                t.fail();
+            }
         }
         t.notes() << "\nHypothesis check: fast fractions should be "
                      "at or above the D-side Fig. 12 average "

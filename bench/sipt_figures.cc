@@ -11,8 +11,8 @@
  * any SIPT_THREADS; the engine's footer goes to stderr. With
  * SIPT_METRICS=<dir> each figure also writes <dir>/<id>.json. The
  * exit status is 2 on a bad command line, 1 when a figure's own
- * check fails (fig15syn's golden-model check, trace13's replay
- * digests), else 0.
+ * check fails (fig15syn's, ext_icache's, trace13's replay digests)
+ * or any run the engine served recorded a check failure, else 0.
  */
 
 #include <algorithm>
@@ -113,5 +113,7 @@ main(int argc, char **argv)
     }
     std::cout.flush();
     sweep.printStats(std::cerr);
+    if (sweep.stats().checkFailures != 0)
+        status = 1;
     return status;
 }

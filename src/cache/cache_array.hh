@@ -38,6 +38,8 @@ struct CacheGeometry
      * (the bits SIPT must speculate on). 0 means VIPT-feasible.
      */
     unsigned speculativeBits() const;
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 /** A line evicted by an insertion. */

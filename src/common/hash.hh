@@ -3,32 +3,19 @@
  * Hashing helpers shared by the sweep engine's run cache and any
  * structure that needs a stable content hash.
  *
- * hashCombine() composes per-field std::hash values into one
- * process-local hash (boost idiom). fnv1a64() is a *stable* 64-bit
- * FNV-1a over bytes: unlike std::hash it is guaranteed identical
- * across processes and library versions, so it is safe to use in
- * on-disk cache file names.
+ * fnv1a64() is a *stable* 64-bit FNV-1a over bytes: unlike
+ * std::hash it is guaranteed identical across processes and library
+ * versions, so it is safe to use in on-disk cache file names.
  */
 
 #ifndef SIPT_COMMON_HASH_HH
 #define SIPT_COMMON_HASH_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string_view>
 
 namespace sipt
 {
-
-/** Mix @p value's std::hash into @p seed. */
-template <typename T>
-inline void
-hashCombine(std::size_t &seed, const T &value)
-{
-    seed ^= std::hash<T>{}(value) + 0x9e3779b97f4a7c15ull +
-            (seed << 6) + (seed >> 2);
-}
 
 /** FNV-1a offset basis: the running-hash seed (and the hash of
  *  the empty string). */

@@ -28,11 +28,5 @@ warnImpl(const std::string &msg)
     std::cerr << "warn: " << msg << std::endl;
 }
 
-void
-informImpl(const std::string &msg)
-{
-    std::cerr << "info: " << msg << std::endl;
-}
-
 } // namespace detail
 } // namespace sipt

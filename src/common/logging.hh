@@ -35,7 +35,6 @@ formatMessage(Args &&...args)
 [[noreturn]] void panicImpl(const std::string &msg, const char *file,
                             int line);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -71,15 +70,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(
-        detail::formatMessage(std::forward<Args>(args)...));
-}
-
-/** Report a normal status message to stderr. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(
         detail::formatMessage(std::forward<Args>(args)...));
 }
 

@@ -6,12 +6,14 @@
 // (app, SystemConfig).
 // sipt-analyze: allow-file(nondeterminism)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <variant>
 
 #include "check/options.hh"
 #include "common/env.hh"
@@ -282,22 +284,6 @@ struct Decoder
     }
 };
 
-Json
-energyToJson(const energy::EnergyBreakdown &e)
-{
-    Encoder out;
-    visitEnergy(e, out);
-    return std::move(out.j);
-}
-
-energy::EnergyBreakdown
-energyFromJson(const Json &j)
-{
-    energy::EnergyBreakdown e;
-    visitEnergy(e, Decoder{j});
-    return e;
-}
-
 /**
  * Content hash of the trace file behind a "trace:<path>" app,
  * 0 for synthetic apps. Recomputed at every enqueue so an edited
@@ -369,27 +355,34 @@ runResultFromJson(const Json &j, std::string &error)
 namespace
 {
 
+/** Disk-cache JSON of either result type. */
 Json
-multiResultToJson(const MulticoreResult &r)
+resultToJson(const RunResult &r)
+{
+    return runResultToJson(r);
+}
+
+Json
+resultToJson(const MulticoreResult &r)
 {
     // Bound, not visited: a per-core entry can fail to decode, and
     // the decoder below reports that rather than panicking.
     const auto &[perCore, sumIpc, energy] = r;
-    Json j = Json::object();
+    Encoder out;
     Json per = Json::array();
     for (const auto &core : perCore)
         per.push(runResultToJson(core));
-    j.set("perCore", std::move(per));
-    j.set("sumIpc", sumIpc);
-    j.set("energy", energyToJson(energy));
-    return j;
+    out.j.set("perCore", std::move(per));
+    out("sumIpc", sumIpc);
+    out("energy", energy);
+    return std::move(out.j);
 }
 
 std::optional<MulticoreResult>
 multiResultFromJson(const Json &j, std::string &error)
 {
     std::string where;
-    if (!sameShape(j, multiResultToJson(MulticoreResult{}), where)) {
+    if (!sameShape(j, resultToJson(MulticoreResult{}), where)) {
         error = "malformed multicore result at \"" + where + "\"";
         return std::nullopt;
     }
@@ -402,42 +395,10 @@ multiResultFromJson(const Json &j, std::string &error)
             return std::nullopt;
         perCore.push_back(std::move(*core));
     }
-    sumIpc = j.get("sumIpc").asDouble();
-    energy = energyFromJson(j.get("energy"));
+    const Decoder in{j};
+    in("sumIpc", sumIpc);
+    in("energy", energy);
     return r;
-}
-
-/** The canonical multicore key: the mix, each entry's trace
- *  content hash, and the full config. */
-std::string
-multiRunKeyJson(const std::vector<std::string> &mix,
-                const SystemConfig &config)
-{
-    Json j = Json::object();
-    j.set("kind", "multi");
-    Json apps = Json::array();
-    Json hashes = Json::array();
-    for (const auto &app : mix) {
-        apps.push(app);
-        hashes.push(traceHashFor(app));
-    }
-    j.set("mix", std::move(apps));
-    j.set("traceHashes", std::move(hashes));
-    j.set("config", configToJson(config));
-    return j.dump();
-}
-
-/** Disk-cache JSON of either result type. */
-Json
-resultToJson(const RunResult &r)
-{
-    return runResultToJson(r);
-}
-
-Json
-resultToJson(const MulticoreResult &r)
-{
-    return multiResultToJson(r);
 }
 
 /** Cache entry file name for @p key_json. */
@@ -452,28 +413,9 @@ entryName(const std::string &key_json, bool multicore)
     return name;
 }
 
-} // namespace
-
-namespace
-{
-
-/** runKeyJson() with the trace content hash already computed. */
-std::string
-runKeyJsonWithHash(const std::string &app, std::uint64_t trace_hash,
-                   const SystemConfig &config)
-{
-    Json j = Json::object();
-    j.set("kind", "single");
-    j.set("app", app);
-    j.set("traceHash", trace_hash);
-    j.set("config", configToJson(config));
-    return j.dump();
-}
-
-/** streamKeyJson() with the trace content hash already computed. */
-std::string
-streamKeyJsonWithHash(const std::string &app, std::uint64_t trace_hash,
-                      const SystemConfig &config)
+/** The StreamSpec half of @p config, as the stream keys hold it. */
+Json
+streamSpecJson(const SystemConfig &config)
 {
     // One binding per field: a new StreamSpec field fails to
     // compile here until it is keyed.
@@ -487,12 +429,75 @@ streamKeyJsonWithHash(const std::string &app, std::uint64_t trace_hash,
     stream.set("measureRefs", measureRefs);
     stream.set("seed", seed);
     stream.set("footprintScale", footprintScale);
+    return stream;
+}
+
+/** A single job's key: @p kind ("single" for the run key, "stream"
+ *  for the stream key), the app, its trace content hash, and
+ *  @p body under @p member. */
+std::string
+singleKeyJson(const char *kind, const std::string &app,
+              std::uint64_t trace_hash, const char *member, Json body)
+{
     Json j = Json::object();
-    j.set("kind", "stream");
+    j.set("kind", kind);
     j.set("app", app);
     j.set("traceHash", trace_hash);
-    j.set("stream", std::move(stream));
+    j.set(member, std::move(body));
     return j.dump();
+}
+
+/** A mix's key, run key and stream key alike: the kind, the mix,
+ *  each app's trace content hash, and @p body under @p member. */
+std::string
+mixKeyJson(const std::vector<std::string> &mix,
+           const std::vector<std::uint64_t> &trace_hashes,
+           const char *member, Json body)
+{
+    Json j = Json::object();
+    j.set("kind", "multi");
+    Json apps = Json::array();
+    Json hashes = Json::array();
+    for (std::size_t c = 0; c < mix.size(); ++c) {
+        apps.push(mix[c]);
+        hashes.push(trace_hashes[c]);
+    }
+    j.set("mix", std::move(apps));
+    j.set("traceHashes", std::move(hashes));
+    j.set(member, std::move(body));
+    return j.dump();
+}
+
+/** The cores of @p result with a recorded check failure. */
+std::uint64_t
+checkFailuresIn(const RunResult &result)
+{
+    return !result.checkFailure.empty();
+}
+
+std::uint64_t
+checkFailuresIn(const MulticoreResult &result)
+{
+    std::uint64_t n = 0;
+    for (const RunResult &core : result.perCore)
+        n += checkFailuresIn(core);
+    return n;
+}
+
+/** The part of a group's result that member promise @p promise
+ *  expects: a single job's one core, or the whole mix. */
+RunResult &
+memberResult(const std::shared_ptr<std::promise<RunResult>> &,
+             MulticoreResult &job)
+{
+    return job.perCore.front();
+}
+
+MulticoreResult &
+memberResult(const std::shared_ptr<std::promise<MulticoreResult>> &,
+             MulticoreResult &job)
+{
+    return job;
 }
 
 } // namespace
@@ -500,13 +505,15 @@ streamKeyJsonWithHash(const std::string &app, std::uint64_t trace_hash,
 std::string
 runKeyJson(const std::string &app, const SystemConfig &config)
 {
-    return runKeyJsonWithHash(app, traceHashFor(app), config);
+    return singleKeyJson("single", app, traceHashFor(app), "config",
+                         configToJson(config));
 }
 
 std::string
 streamKeyJson(const std::string &app, const SystemConfig &config)
 {
-    return streamKeyJsonWithHash(app, traceHashFor(app), config);
+    return singleKeyJson("stream", app, traceHashFor(app), "stream",
+                         streamSpecJson(config));
 }
 
 double
@@ -644,6 +651,18 @@ SweepRunner::noteGenericDone(std::chrono::steady_clock::time_point start)
 }
 
 void
+SweepRunner::noteCheckFailures(const std::string &key_json,
+                               std::uint64_t failures)
+{
+    if (failures == 0)
+        return;
+    std::lock_guard lock(cacheMu_);
+    if (stats_.checkFailures == 0)
+        stats_.firstCheckFailure = key_json;
+    stats_.checkFailures += failures;
+}
+
+void
 SweepRunner::noteJobsDone(std::uint64_t jobs, std::uint64_t grouped,
                           double seconds)
 {
@@ -698,6 +717,7 @@ SweepRunner::loadFromDisk(const std::string &key_json)
              error, ")");
         return std::nullopt;
     }
+    noteCheckFailures(key_json, checkFailuresIn(*decoded));
     std::lock_guard lock(cacheMu_);
     ++stats_.diskHits;
     lastComplete_ = std::chrono::steady_clock::now();
@@ -734,11 +754,27 @@ SweepRunner::storeToDisk(const std::string &key_json,
         warn("sweep: cannot write cache entry ", path.string());
 }
 
+/** A group's members, in attach order. Only submit() appends, and
+ *  only while the group is in openGroups_ (under cacheMu_);
+ *  execute() removes it there before reading the members. */
+struct SweepRunner::Group
+{
+    JobKind kind = JobKind::Single;
+    std::vector<std::string> apps;
+    std::vector<SystemConfig> configs;
+    std::vector<std::string> keys;
+    std::vector<std::variant<PromisePtr<RunResult>,
+                             PromisePtr<MulticoreResult>>>
+        promises;
+};
+
 template <typename Result>
 std::shared_future<Result>
-SweepRunner::submit(
-    Memo<Result> &memo, const std::string &key_json,
-    const std::function<void(PromisePtr<Result>)> &schedule)
+SweepRunner::submit(Memo<Result> &memo, JobKind kind,
+                    const std::vector<std::string> &apps,
+                    const SystemConfig &config,
+                    const std::string &key_json,
+                    const std::string &stream_key)
 {
     noteSubmitted(true);
     auto promise = std::make_shared<std::promise<Result>>();
@@ -764,52 +800,28 @@ SweepRunner::submit(
         promise->set_value(std::move(*cached));
         return future;
     }
-    schedule(std::move(promise));
-    return future;
-}
-
-/** A group's members, in attach order. Only attachOrPost()
- *  appends, and only while the group is in openGroups_ (under
- *  cacheMu_); runGroup() removes it there before reading the
- *  members. */
-struct SweepRunner::Group
-{
-    std::string app;
-    std::vector<SystemConfig> configs;
-    std::vector<std::string> keys;
-    std::vector<PromisePtr<RunResult>> promises;
-};
-
-void
-SweepRunner::attachOrPost(const std::string &app,
-                          const SystemConfig &config,
-                          const std::string &key_json,
-                          const std::string &stream_key,
-                          PromisePtr<RunResult> promise)
-{
-    std::shared_ptr<Group> group;
+    std::shared_ptr<Group> posted;
     {
         std::lock_guard lock(cacheMu_);
         std::shared_ptr<Group> &open = openGroups_[stream_key];
         if (!open) {
             open = std::make_shared<Group>();
-            open->app = app;
-            group = open;
+            open->kind = kind;
+            open->apps = apps;
+            posted = open;
         }
         open->configs.push_back(config);
         open->keys.push_back(key_json);
         open->promises.push_back(std::move(promise));
     }
-    if (group) {
-        post([this, group, stream_key] {
-            runGroup(group, stream_key);
-        });
-    }
+    if (posted)
+        post([this, posted, stream_key] { execute(posted, stream_key); });
+    return future;
 }
 
 void
-SweepRunner::runGroup(const std::shared_ptr<Group> &group,
-                      const std::string &stream_key)
+SweepRunner::execute(const std::shared_ptr<Group> &group,
+                     const std::string &stream_key)
 {
     {
         // Close the group: a job with this stream key that arrives
@@ -819,39 +831,46 @@ SweepRunner::runGroup(const std::shared_ptr<Group> &group,
     }
     const std::size_t k = group->configs.size();
     std::vector<std::exception_ptr> errors;
-    std::vector<RunResult> results;
+    std::vector<MulticoreResult> results(k);
     const auto t0 = std::chrono::steady_clock::now();
     try {
-        results = runSameStream(group->app, group->configs, &errors);
+        results = sim::runGroup(group->kind, group->apps,
+                                group->configs, &errors);
     } catch (...) {
-        // The stream itself failed: every member gets its error.
-        for (const auto &promise : group->promises)
-            promise->set_exception(std::current_exception());
-        return;
+        // A stream failed: every member gets its error.
+        errors.assign(k, std::current_exception());
     }
     const auto t1 = std::chrono::steady_clock::now();
     const std::chrono::duration<double> dt = t1 - t0;
 
-    std::uint64_t done = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-        if (!errors[i]) {
-            storeToDisk(group->keys[i], results[i]);
-            ++done;
-        }
-    }
-    noteJobsDone(done, k - 1,
+    const auto done = static_cast<std::uint64_t>(
+        std::count(errors.begin(), errors.end(), nullptr));
+    noteJobsDone(done, done ? k - 1 : 0,
                  dt.count() * static_cast<double>(done) /
                      static_cast<double>(k));
-    traceJobSpan(k == 1 ? "run:" + group->app + ":" +
-                              policyName(group->configs[0].policy)
-                        : "group:" + group->app + ":" +
-                              std::to_string(k),
+    std::string job = group->kind == JobKind::Mix ? "multi" : "";
+    for (const std::string &app : group->apps)
+        job += (job.empty() ? "" : ":") + app;
+    traceJobSpan(k > 1 ? "group:" + job + ":" + std::to_string(k)
+                       : "run:" + job + ":" +
+                             policyName(group->configs[0].policy),
                  t0, t1);
+    // Each member's result is published and screened before its
+    // future becomes ready.
     for (std::size_t i = 0; i < k; ++i) {
-        if (errors[i])
-            group->promises[i]->set_exception(errors[i]);
-        else
-            group->promises[i]->set_value(std::move(results[i]));
+        std::visit(
+            [&](const auto &promise) {
+                if (errors[i]) {
+                    promise->set_exception(errors[i]);
+                    return;
+                }
+                auto &result = memberResult(promise, results[i]);
+                storeToDisk(group->keys[i], result);
+                noteCheckFailures(group->keys[i],
+                                  checkFailuresIn(result));
+                promise->set_value(std::move(result));
+            },
+            group->promises[i]);
     }
 }
 
@@ -860,43 +879,25 @@ SweepRunner::enqueue(const std::string &app,
                      const SystemConfig &config)
 {
     const std::uint64_t trace_hash = traceHashFor(app);
-    const std::string key_json =
-        runKeyJsonWithHash(app, trace_hash, config);
-    return submit<RunResult>(
-        single_, key_json,
-        [&](PromisePtr<RunResult> promise) {
-            attachOrPost(app, config, key_json,
-                         streamKeyJsonWithHash(app, trace_hash, config),
-                         std::move(promise));
-        });
+    return submit(single_, JobKind::Single, {app}, config,
+                  singleKeyJson("single", app, trace_hash, "config",
+                                configToJson(config)),
+                  singleKeyJson("stream", app, trace_hash, "stream",
+                                streamSpecJson(config)));
 }
 
 std::shared_future<MulticoreResult>
 SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
                               const SystemConfig &config)
 {
-    std::string span_name = "multi";
-    for (const auto &app : mix)
-        span_name += ":" + app;
-    const std::string key_json = multiRunKeyJson(mix, config);
-    return submit<MulticoreResult>(
-        multi_, key_json,
-        [&](PromisePtr<MulticoreResult> promise) {
-            post([this, key_json, mix, config, span_name, promise] {
-                try {
-                    const auto t0 = std::chrono::steady_clock::now();
-                    MulticoreResult result = runMulticore(mix, config);
-                    const auto t1 = std::chrono::steady_clock::now();
-                    const std::chrono::duration<double> dt = t1 - t0;
-                    storeToDisk(key_json, result);
-                    noteJobsDone(1, 0, dt.count());
-                    traceJobSpan(span_name, t0, t1);
-                    promise->set_value(std::move(result));
-                } catch (...) {
-                    promise->set_exception(std::current_exception());
-                }
-            });
-        });
+    std::vector<std::uint64_t> trace_hashes;
+    for (const std::string &app : mix)
+        trace_hashes.push_back(traceHashFor(app));
+    return submit(multi_, JobKind::Mix, mix, config,
+                  mixKeyJson(mix, trace_hashes, "config",
+                             configToJson(config)),
+                  mixKeyJson(mix, trace_hashes, "stream",
+                             streamSpecJson(config)));
 }
 
 SweepStats
@@ -936,7 +937,12 @@ SweepRunner::printStats(std::ostream &os) const
         static_cast<unsigned long long>(s.genericTasks),
         100.0 * s.hitRate(), s.wallSeconds, s.simSeconds,
         s.jobsPerSec());
-    os << line << std::endl;
+    os << line;
+    if (s.checkFailures != 0) {
+        os << " check-failures=" << s.checkFailures
+           << " first=" << s.firstCheckFailure;
+    }
+    os << std::endl;
 }
 
 } // namespace sipt::sim

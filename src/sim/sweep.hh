@@ -15,17 +15,18 @@
  * count and figures fetch futures in submission order to keep their
  * printed tables byte-identical.
  *
- * Single-core jobs that share a stream key (streamKeyJson(): the
- * app, its trace hash and the StreamSpec fields) run as one group:
- * one runSameStream() call conditions memory and generates and
- * resolves the stream once for all of them. A job whose memo and
- * disk tiers both miss attaches to a posted group with its stream
- * key that no worker has started yet, or else posts a new group; a
- * started group is closed. Grouping is only a scheduling choice:
- * every member's result, run key, memo and disk entry is exactly
- * what a solo run would produce. Jobs group at every thread count;
- * with one worker, every job queued behind a running one can still
- * attach. Multicore mixes always run alone.
+ * Jobs that share a stream key (the app or mix, trace hashes and
+ * StreamSpec, under the job's kind) run as one group: one
+ * runGroup() call conditions memory and generates and resolves the
+ * streams once for all of them. A job whose memo and disk tiers
+ * both miss attaches to a posted group with its stream key that no
+ * worker has started yet, or else posts a new group; a started
+ * group is closed. Grouping is only a scheduling choice: every
+ * member's result, run key, memo and disk entry is exactly what a
+ * solo run would produce. Jobs group at every thread count; with
+ * one worker, every job queued behind a running one can still
+ * attach. Every result served from a run or from disk is screened
+ * for recorded check failures (SweepStats::checkFailures).
  *
  * On top of the pool sits a memoizing run cache keyed on one
  * canonical string: runKeyJson() for single-core runs (app, trace
@@ -110,6 +111,11 @@ struct SweepStats
     std::uint64_t diskHits = 0;
     /** Uncached generic async() tasks executed. */
     std::uint64_t genericTasks = 0;
+    /** Cores, over executed runs and disk hits, with a recorded
+     *  check failure (RunResult::checkFailure). */
+    std::uint64_t checkFailures = 0;
+    /** The run key of the first of them, or empty. */
+    std::string firstCheckFailure;
     /** Wall-clock seconds from first submission to last
      *  completion. */
     double wallSeconds = 0.0;
@@ -155,11 +161,11 @@ std::string runKeyJson(const std::string &app,
                        const SystemConfig &config);
 
 /**
- * The stream key: app, trace content hash and the StreamSpec of
- * @p config. Single-core jobs with equal stream keys run as one
- * runSameStream() group. Machine fields (outOfOrder, check, the L1,
- * policy and walker fields) stay outside it, because the Stream
- * reads none of them.
+ * The single-core stream key: app, trace content hash and the
+ * StreamSpec of @p config. Single-core jobs with equal stream keys
+ * run as one runGroup() call. Machine fields (outOfOrder, check,
+ * the L1, policy and walker fields) stay outside it, because the
+ * Stream reads none of them.
  */
 std::string streamKeyJson(const std::string &app,
                           const SystemConfig &config);
@@ -188,7 +194,8 @@ class SweepRunner
     std::shared_future<RunResult>
     enqueue(const std::string &app, const SystemConfig &config);
 
-    /** Submit one multiprogrammed runMulticore() job. */
+    /** Submit one multiprogrammed runMulticore() job: cached and
+     *  grouped like enqueue(), by the mix's stream key. */
     std::shared_future<MulticoreResult>
     enqueueMulticore(const std::vector<std::string> &mix,
                      const SystemConfig &config);
@@ -227,7 +234,8 @@ class SweepRunner
     /** Snapshot of the counters. */
     SweepStats stats() const;
 
-    /** One-line footer summary (jobs/sec, hit rate). */
+    /** One-line footer summary (jobs/sec, hit rate, and any check
+     *  failures). */
     void printStats(std::ostream &os) const;
 
   private:
@@ -240,32 +248,26 @@ class SweepRunner
     template <typename Result>
     using PromisePtr = std::shared_ptr<std::promise<Result>>;
 
-    /** Single-core jobs run by one runSameStream() call. */
+    /** Jobs run by one runGroup() call. */
     struct Group;
 
     /**
      * The one submit path behind enqueue() and enqueueMulticore():
      * serve @p key_json from @p memo (a completed or in-flight
-     * entry) or the disk tier, else hand a fresh promise to
-     * @p schedule, which must eventually fulfil it.
+     * entry) or the disk tier, else add the job to the open group
+     * of @p stream_key, or post a new group.
      */
     template <typename Result>
     std::shared_future<Result>
-    submit(Memo<Result> &memo, const std::string &key_json,
-           const std::function<void(PromisePtr<Result>)> &schedule);
-
-    /** Add one single-core job to the open group of
-     *  @p stream_key, or post a new group. */
-    void attachOrPost(const std::string &app,
-                      const SystemConfig &config,
-                      const std::string &key_json,
-                      const std::string &stream_key,
-                      PromisePtr<RunResult> promise);
+    submit(Memo<Result> &memo, JobKind kind,
+           const std::vector<std::string> &apps,
+           const SystemConfig &config, const std::string &key_json,
+           const std::string &stream_key);
 
     /** Worker side of a group: close it, run its members on one
-     *  stream, then publish each member's result. */
-    void runGroup(const std::shared_ptr<Group> &group,
-                  const std::string &stream_key);
+     *  set of streams, then publish each member's result. */
+    void execute(const std::shared_ptr<Group> &group,
+                 const std::string &stream_key);
 
     /** Queue @p work for the pool's workers. */
     void post(std::function<void()> work);
@@ -285,6 +287,10 @@ class SweepRunner
     /** One generic task that started at @p start finished: its
      *  host seconds count toward simSeconds. */
     void noteGenericDone(std::chrono::steady_clock::time_point start);
+    /** The result served under @p key_json has @p failures cores
+     *  with a recorded check failure. */
+    void noteCheckFailures(const std::string &key_json,
+                           std::uint64_t failures);
     /** @p jobs finished in @p seconds of host time; @p grouped of
      *  them ran as non-first group members. */
     void noteJobsDone(std::uint64_t jobs, std::uint64_t grouped,

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string_view>
 
 #include "batch/pipeline.hh"
@@ -26,9 +27,9 @@ namespace sipt::sim
 namespace
 {
 
-/** A single-core run's workload seed base (address space +1,
- *  workload +2, core model +3). */
-constexpr std::uint64_t singleCoreSeedOffset = 10;
+/** A mix's episode length: its cores take turns in slices of this
+ *  many references. */
+constexpr std::uint64_t mixSlice = 5'000;
 
 /** PTE reads of the radix walker go through the hierarchy. */
 class WalkThroughCaches : public vm::WalkPort
@@ -70,6 +71,50 @@ policyFor(const StreamSpec &spec, double thp_affinity)
     return pol;
 }
 
+/**
+ * Build @p app's address space and reference source under spec's
+ * condition and footprint scale: the allocation phase demand-faults
+ * every page in from @p buddy. Seeds derive from @p seed (+1 address
+ * space, +2 workload). @p shared is the segment a shared-mode
+ * synonym app attaches (else null).
+ */
+Workload
+buildWorkload(const StreamSpec &spec, const std::string &app,
+              os::BuddyAllocator &buddy, std::uint64_t seed,
+              const os::SharedSegment *shared)
+{
+    Workload w;
+    if (isTraceApp(app)) {
+        // Replay: the trace supplies the layout and mapping, so
+        // the paging policy and footprint scale are moot (no
+        // demand fault ever fires).
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(spec, 0.0), seed + 1);
+        w.source = std::make_unique<workload::TraceReplaySource>(
+            traceAppPath(app), *w.as, /*loop=*/true);
+    } else if (workload::isSynonymApp(app)) {
+        // Multi-mapping scenarios: mmapAlias/mmapCow need
+        // small-mapped sources, so THP stays off for these
+        // regardless of condition. Footprints are fixed (no
+        // scaling): a few hundred KiB against gigabytes.
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(spec, 0.0), seed + 1);
+        w.source = std::make_unique<workload::SynonymWorkload>(
+            workload::synonymSpec(app), *w.as, seed + 2, shared);
+    } else {
+        workload::AppProfile profile = workload::appProfile(app);
+        profile.footprintBytes = static_cast<std::uint64_t>(
+            static_cast<double>(profile.footprintBytes) *
+            spec.footprintScale);
+        w.as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(spec, profile.thpAffinity),
+            seed + 1);
+        w.source = std::make_unique<workload::SyntheticWorkload>(
+            profile, *w.as, seed + 2);
+    }
+    return w;
+}
+
 L1Params
 l1ParamsFor(const SystemConfig &config, const check::Options &check)
 {
@@ -90,8 +135,7 @@ l1ParamsFor(const SystemConfig &config, const check::Options &check)
     return l1_params;
 }
 
-/** The LLC and DRAM behind one machine, or shared by the cores of
- *  a multicore mix. */
+/** The LLC and DRAM of one config, shared by its cores. */
 struct Uncore
 {
     dram::Dram dram;
@@ -101,90 +145,28 @@ struct Uncore
         : llc(llcPreset(out_of_order, cores))
     {
     }
-
-    void
-    resetStats()
-    {
-        llc.resetStats();
-        dram.resetStats();
-    }
 };
 
 /**
- * One simulated machine: everything a SystemConfig adds to a
- * Stream — MMU and walker, L1, below-L1 hierarchy, LLC and DRAM
- * (its own, or a mix's shared ones) and the core. Its
+ * One simulated core: everything a SystemConfig adds to a Stream
+ * — MMU and walker, L1, below-L1 hierarchy and the core model —
+ * over its config's LLC and DRAM. Its
  * batch::MachineStages run predict + account over the stream's
  * resolved batches.
  */
 class Machine
 {
   public:
-    /** A single-core machine with its own LLC and DRAM. */
-    Machine(const SystemConfig &config, const Stream &stream)
-        : Machine(config, stream,
-                  std::make_unique<Uncore>(config.outOfOrder, 1),
-                  nullptr, config.seed + singleCoreSeedOffset)
-    {
-    }
-
-    /** One core of a mix over the shared @p uncore. */
+    /** The core that runs @p stream with @p seed (coreSeed()),
+     *  over its config's @p uncore. */
     Machine(const SystemConfig &config, const Stream &stream,
             Uncore &uncore, std::uint64_t seed)
-        : Machine(config, stream, nullptr, &uncore, seed)
-    {
-    }
-
-    Machine(const Machine &) = delete;
-    Machine &operator=(const Machine &) = delete;
-
-    batch::MachineStages &stages() { return stages_; }
-
-    /** End of warmup: zero every counter this machine owns
-     *  (a shared uncore is reset by its owner). */
-    void
-    resetStats()
-    {
-        l1_.resetStats();
-        below_.resetStats();
-        mmu_.resetStats();
-        if (ownUncore_)
-            ownUncore_->resetStats();
-    }
-
-    /** The run's metrics, over the measured episode @p measured,
-     *  with @p llc_dyn_share / @p llc_static_share_mw of the LLC's
-     *  energy and a run of @p seconds. */
-    RunResult collect(const std::string &app, const Stream &stream,
-                      const cpu::CoreResult &measured,
-                      double llc_dyn_share,
-                      double llc_static_share_mw,
-                      double seconds) const;
-
-    /** collect() for a single-core machine: all of its own LLC,
-     *  over the measured episode's duration. */
-    RunResult
-    collect(const std::string &app, const Stream &stream,
-            const cpu::CoreResult &measured) const
-    {
-        return collect(app, stream, measured,
-                       uncore_.llc.dynamicEnergyNj(),
-                       uncore_.llc.params().staticPowerMw,
-                       measured.seconds(3.0));
-    }
-
-  private:
-    Machine(const SystemConfig &config, const Stream &stream,
-            std::unique_ptr<Uncore> own, Uncore *shared,
-            std::uint64_t seed)
-        : ownUncore_(std::move(own)),
-          uncore_(ownUncore_ ? *ownUncore_ : *shared),
-          check_(check::Options::fromEnv(config.check)),
+        : check_(check::Options::fromEnv(config.check)),
           mmu_(mmuPreset()),
           below_([&] {
               const cache::TimingCacheParams l2 = l2Preset();
               return cache::BelowL1(config.outOfOrder ? &l2 : nullptr,
-                                    uncore_.llc, uncore_.dram, check_);
+                                    uncore.llc, uncore.dram, check_);
           }()),
           l1_(l1ParamsFor(config, check_), below_),
           core_([&] {
@@ -205,8 +187,31 @@ class Machine
         }
     }
 
-    std::unique_ptr<Uncore> ownUncore_;
-    Uncore &uncore_;
+    Machine(const Machine &) = delete;
+    Machine &operator=(const Machine &) = delete;
+
+    batch::MachineStages &stages() { return stages_; }
+
+    /** End of warmup: zero every counter this machine owns (the
+     *  uncore is reset by the group). */
+    void
+    resetStats()
+    {
+        l1_.resetStats();
+        below_.resetStats();
+        mmu_.resetStats();
+    }
+
+    /** The run's metrics, over the measured episodes' sum
+     *  @p measured, with @p llc_dyn_share / @p llc_static_share_mw
+     *  of the LLC's energy and a run of @p seconds. */
+    RunResult collect(const std::string &app, const Stream &stream,
+                      const cpu::CoreResult &measured,
+                      double llc_dyn_share,
+                      double llc_static_share_mw,
+                      double seconds) const;
+
+  private:
     /** The checker switches every layer is armed with. */
     check::Options check_;
     vm::Mmu mmu_;
@@ -270,6 +275,88 @@ Machine::collect(const std::string &app, const Stream &stream,
     return r;
 }
 
+
+/**
+ * A mix's shared-mode synonym segments, allocated in mix order into
+ * @p owned: one per profile, attached by every core naming it, so
+ * its synonyms cross cores over the shared LLC. Returns each core's
+ * segment, or null.
+ */
+std::vector<const os::SharedSegment *>
+sharedSegments(
+    const std::vector<std::string> &mix, os::BuddyAllocator &buddy,
+    std::map<std::string, std::unique_ptr<os::SharedSegment>> &owned)
+{
+    std::vector<const os::SharedSegment *> per_core(mix.size());
+    for (std::size_t c = 0; c < mix.size(); ++c) {
+        if (!workload::isSynonymApp(mix[c]))
+            continue;
+        const workload::SynonymSpec synonym =
+            workload::synonymSpec(mix[c]);
+        if (synonym.mode != workload::SynonymSpec::Mode::Shared)
+            continue;
+        auto &segment = owned[workload::synonymAppName(synonym)];
+        if (!segment) {
+            segment = std::make_unique<os::SharedSegment>(
+                buddy, workload::synonymMappingBytes(synonym),
+                synonym.hugePages);
+        }
+        per_core[c] = segment.get();
+    }
+    return per_core;
+}
+
+/** One config of a group: its uncore, one machine per stream, and
+ *  each machine's episodes summed over the current phase. */
+struct GroupMember
+{
+    std::unique_ptr<Uncore> uncore;
+    std::vector<std::unique_ptr<Machine>> machines;
+    std::vector<cpu::CoreResult> measured;
+};
+
+/**
+ * The in-group digest oracle. Checked configs with equal L1
+ * geometry saw the same functional events on each core, whatever
+ * their policy, so their digests must agree. A mismatch becomes a
+ * checkFailure, unless one is already recorded, on both configs.
+ * A failed config has no cores to compare.
+ */
+void
+crossCheckDigests(const std::vector<SystemConfig> &configs,
+                  std::vector<MulticoreResult> &results)
+{
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        for (std::size_t j = i + 1; j < configs.size(); ++j) {
+            if (!configs[i].check || !configs[j].check ||
+                l1ParamsFor(configs[i], {}).geometry !=
+                    l1ParamsFor(configs[j], {}).geometry) {
+                continue;
+            }
+            const std::size_t cores = std::min(
+                results[i].perCore.size(), results[j].perCore.size());
+            for (std::size_t c = 0; c < cores; ++c) {
+                RunResult &a = results[i].perCore[c];
+                RunResult &b = results[j].perCore[c];
+                if (a.checkDigest == b.checkDigest &&
+                    a.checkEvents == b.checkEvents) {
+                    continue;
+                }
+                std::ostringstream what;
+                what << "functional digest mismatch at one L1 geometry: "
+                     << policyName(configs[i].policy) << " "
+                     << a.checkDigest << " (" << a.checkEvents
+                     << " events) vs " << policyName(configs[j].policy)
+                     << " " << b.checkDigest << " (" << b.checkEvents
+                     << " events)";
+                for (RunResult *r : {&a, &b}) {
+                    if (r->checkFailure.empty())
+                        r->checkFailure = what.str();
+                }
+            }
+        }
+    }
+}
 } // namespace
 
 StreamSpec
@@ -301,50 +388,10 @@ ConditionedMemory::ConditionedMemory(const StreamSpec &spec)
         fragmenter.fragmentTo(0.95, 9, rng, 0.30);
 }
 
-Workload
-buildWorkload(const StreamSpec &spec, const std::string &app,
-              os::BuddyAllocator &buddy, std::uint64_t seed,
-              const os::SharedSegment *shared)
+std::uint64_t
+coreSeed(JobKind kind, std::uint64_t seed, std::size_t core)
 {
-    Workload w;
-    if (isTraceApp(app)) {
-        // Replay: the trace supplies the layout and mapping, so
-        // the paging policy and footprint scale are moot (no
-        // demand fault ever fires).
-        w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(spec, 0.0), seed + 1);
-        w.source = std::make_unique<workload::TraceReplaySource>(
-            traceAppPath(app), *w.as, /*loop=*/true);
-    } else if (workload::isSynonymApp(app)) {
-        // Multi-mapping scenarios: mmapAlias/mmapCow need
-        // small-mapped sources, so THP stays off for these
-        // regardless of condition. Footprints are fixed (no
-        // scaling): a few hundred KiB against gigabytes.
-        w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(spec, 0.0), seed + 1);
-        w.source = std::make_unique<workload::SynonymWorkload>(
-            workload::synonymSpec(app), *w.as, seed + 2, shared);
-    } else {
-        workload::AppProfile profile = workload::appProfile(app);
-        profile.footprintBytes = static_cast<std::uint64_t>(
-            static_cast<double>(profile.footprintBytes) *
-            spec.footprintScale);
-        w.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(spec, profile.thpAffinity),
-            seed + 1);
-        w.source = std::make_unique<workload::SyntheticWorkload>(
-            profile, *w.as, seed + 2);
-    }
-    return w;
-}
-
-Stream::Stream(const std::string &app, const StreamSpec &spec)
-    : memory_(std::make_unique<ConditionedMemory>(spec)),
-      workload_(buildWorkload(spec, app, memory_->buddy,
-                              spec.seed + singleCoreSeedOffset,
-                              nullptr)),
-      stages_(*workload_.source, workload_.as->pageTable())
-{
+    return kind == JobKind::Single ? seed + 10 : seed + 100 * (core + 1);
 }
 
 Stream::Stream(const std::string &app, const StreamSpec &spec,
@@ -410,20 +457,23 @@ recordTrace(const std::string &app, const SystemConfig &config,
         fatal("recordTrace: cannot re-record a trace app (", app,
               ")");
 
-    // The Stream runSingleCore() would build: the recorded layout
-    // and references are exactly what the live run sees. Snapshot
-    // the layout after the allocation phase (for synonym apps it is
-    // many-to-one), then record the stream a core would consume.
-    // The recording needs no resolved addresses, so it reads the
-    // source directly.
-    Stream stream(app, streamSpec(config));
-    workload::TraceRecorder recorder(path, app, config.seed,
-                                     stream.addressSpace());
+    // The workload a single job's Stream would build: the recorded
+    // layout and references are exactly what the live run sees.
+    // Snapshot the layout after the allocation phase (for synonym
+    // apps it is many-to-one), then record the references a core
+    // would consume. The recording needs no resolved addresses, so
+    // it reads the source directly.
+    const StreamSpec spec = streamSpec(config);
+    ConditionedMemory memory(spec);
+    const Workload w =
+        buildWorkload(spec, app, memory.buddy,
+                      coreSeed(JobKind::Single, spec.seed, 0), nullptr);
+    workload::TraceRecorder recorder(path, app, config.seed, *w.as);
     const std::uint64_t total =
         config.warmupRefs + config.measureRefs;
     MemRef ref;
     for (std::uint64_t i = 0; i < total; ++i) {
-        if (!stream.source().next(ref))
+        if (!w.source->next(ref))
             break;
         recorder.record(ref);
     }
@@ -450,58 +500,127 @@ defaultCheck()
     return envU64("SIPT_CHECK", 0, 0, 1) == 1;
 }
 
-RunResult
-runSingleCore(const std::string &app, const SystemConfig &config)
+std::vector<MulticoreResult>
+runGroup(JobKind kind, const std::vector<std::string> &apps,
+         const std::vector<SystemConfig> &configs,
+         std::vector<std::exception_ptr> *errors)
 {
-    return runSameStream(app, {config})[0];
-}
-
-std::vector<RunResult>
-runSameStream(const std::string &app,
-              const std::vector<SystemConfig> &configs,
-              std::vector<std::exception_ptr> *errors)
-{
-    SIPT_ASSERT(!configs.empty(), "runSameStream: no configs");
+    if (apps.empty())
+        fatal("runGroup: no apps");
+    SIPT_ASSERT(kind == JobKind::Mix || apps.size() == 1,
+                "runGroup: a single job runs one app");
+    SIPT_ASSERT(!configs.empty(), "runGroup: no configs");
     const StreamSpec spec = streamSpec(configs.front());
     for (const SystemConfig &config : configs) {
         if (streamSpec(config) != spec)
-            panic("runSameStream: the configs for ", app,
+            panic("runGroup: the configs for ", apps.front(),
                   " do not share one stream key");
     }
-    Stream stream(app, spec);
-
+    const std::size_t n = apps.size();
     const std::size_t k = configs.size();
+
+    // The stream side, declared first so that it outlives every
+    // machine: the memory, a mix's shared segments, one Stream per
+    // app drawing from the memory in app order.
+    ConditionedMemory memory(spec);
+    std::map<std::string, std::unique_ptr<os::SharedSegment>> owned;
+    const std::vector<const os::SharedSegment *> shared =
+        kind == JobKind::Mix
+            ? sharedSegments(apps, memory.buddy, owned)
+            : std::vector<const os::SharedSegment *>(n);
+    std::vector<std::unique_ptr<Stream>> streams;
+    for (std::size_t c = 0; c < n; ++c) {
+        streams.push_back(std::make_unique<Stream>(
+            apps[c], spec, memory.buddy, coreSeed(kind, spec.seed, c),
+            shared[c]));
+    }
+
+    // The machine side: per config, its uncore and one machine per
+    // stream. A config that fails to build drops out of the run;
+    // stepping[c] holds every live config's machine for stream c.
     std::vector<std::exception_ptr> failed(k);
-    std::vector<std::unique_ptr<Machine>> machines(k);
-    std::vector<batch::MachineStages *> stages;
+    std::vector<GroupMember> members(k);
+    std::vector<std::size_t> live;
+    std::vector<std::vector<batch::MachineStages *>> stepping(n);
     for (std::size_t i = 0; i < k; ++i) {
+        GroupMember &member = members[i];
         try {
-            machines[i] = std::make_unique<Machine>(configs[i], stream);
-            stages.push_back(&machines[i]->stages());
+            member.uncore = std::make_unique<Uncore>(
+                configs[i].outOfOrder, static_cast<std::uint32_t>(n));
+            for (std::size_t c = 0; c < n; ++c) {
+                member.machines.push_back(std::make_unique<Machine>(
+                    configs[i], *streams[c], *member.uncore,
+                    coreSeed(kind, spec.seed, c)));
+            }
         } catch (...) {
             failed[i] = std::current_exception();
+            continue;
+        }
+        live.push_back(i);
+        for (std::size_t c = 0; c < n; ++c)
+            stepping[c].push_back(&member.machines[c]->stages());
+    }
+
+    auto run_phase = [&](std::uint64_t refs) {
+        const std::uint64_t episode =
+            kind == JobKind::Single ? refs : mixSlice;
+        std::uint64_t done = 0;
+        do {
+            const std::uint64_t len = std::min(episode, refs - done);
+            for (std::size_t c = 0; c < n; ++c) {
+                const std::vector<cpu::CoreResult> ran =
+                    batch::runPhase(streams[c]->stages(), stepping[c],
+                                    len);
+                for (std::size_t j = 0; j < live.size(); ++j) {
+                    cpu::CoreResult &sum = members[live[j]].measured[c];
+                    sum.cycles += ran[j].cycles;
+                    sum.instructions += ran[j].instructions;
+                    sum.memRefs += ran[j].memRefs;
+                }
+            }
+            done += len;
+        } while (done < refs);
+    };
+
+    for (const std::size_t i : live)
+        members[i].measured.resize(n);
+    run_phase(spec.warmupRefs);
+    for (const std::size_t i : live) {
+        for (const auto &machine : members[i].machines)
+            machine->resetStats();
+        members[i].uncore->llc.resetStats();
+        members[i].uncore->dram.resetStats();
+        members[i].measured.assign(n, cpu::CoreResult{});
+    }
+    run_phase(spec.measureRefs);
+
+    std::vector<MulticoreResult> results(k);
+    for (const std::size_t i : live) {
+        const GroupMember &member = members[i];
+        for (const auto &machine : member.machines) {
+            if (machine->stages().error() && !failed[i])
+                failed[i] = machine->stages().error();
+        }
+        if (failed[i])
+            continue;
+        double max_seconds = 0.0;
+        for (const cpu::CoreResult &core : member.measured)
+            max_seconds = std::max(max_seconds, core.seconds(3.0));
+        // The LLC is shared: core 0 carries all of its energy.
+        const cache::TimingCache &llc = member.uncore->llc;
+        for (std::size_t c = 0; c < n; ++c) {
+            RunResult r = member.machines[c]->collect(
+                apps[c], *streams[c], member.measured[c],
+                c == 0 ? llc.dynamicEnergyNj() : 0.0,
+                c == 0 ? llc.params().staticPowerMw : 0.0,
+                max_seconds);
+            results[i].sumIpc += r.ipc;
+            results[i].energy += r.energy;
+            results[i].perCore.push_back(std::move(r));
         }
     }
+    crossCheckDigests(configs, results);
 
-    batch::runPhase(stream.stages(), stages, spec.warmupRefs);
-    for (const auto &machine : machines) {
-        if (machine)
-            machine->resetStats();
-    }
-    const std::vector<cpu::CoreResult> measured =
-        batch::runPhase(stream.stages(), stages, spec.measureRefs);
-
-    std::vector<RunResult> results(k);
-    std::size_t phase = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-        if (!machines[i])
-            continue;
-        const cpu::CoreResult &episode = measured[phase++];
-        if (machines[i]->stages().error())
-            failed[i] = machines[i]->stages().error();
-        else
-            results[i] = machines[i]->collect(app, stream, episode);
-    }
     if (errors) {
         *errors = std::move(failed);
     } else {
@@ -513,117 +632,17 @@ runSameStream(const std::string &app,
     return results;
 }
 
+RunResult
+runSingleCore(const std::string &app, const SystemConfig &config)
+{
+    return runGroup(JobKind::Single, {app}, {config})[0].perCore[0];
+}
+
 MulticoreResult
 runMulticore(const std::vector<std::string> &mix,
              const SystemConfig &config)
 {
-    if (mix.empty())
-        fatal("runMulticore: empty mix");
-    const auto cores = static_cast<std::uint32_t>(mix.size());
-
-    const StreamSpec spec = streamSpec(config);
-    ConditionedMemory memory(spec);
-    Uncore uncore(config.outOfOrder, cores);
-
-    // Shared-mode synonym apps naming the same profile attach the
-    // same physical segment from every core — cross-core synonyms
-    // over the shared LLC, not per-core private copies. Declared
-    // before the cores so the frames outlive every address space
-    // mapping them.
-    std::map<std::string, std::unique_ptr<os::SharedSegment>>
-        segments;
-    for (const std::string &app : mix) {
-        if (!workload::isSynonymApp(app))
-            continue;
-        const workload::SynonymSpec synonym =
-            workload::synonymSpec(app);
-        if (synonym.mode != workload::SynonymSpec::Mode::Shared)
-            continue;
-        const std::string key = workload::synonymAppName(synonym);
-        if (segments.count(key) == 0) {
-            segments.emplace(
-                key,
-                std::make_unique<os::SharedSegment>(
-                    memory.buddy,
-                    workload::synonymMappingBytes(synonym),
-                    synonym.hugePages));
-        }
-    }
-
-    // Each core is one Stream and one Machine; the streams draw
-    // from the shared memory in core order.
-    std::vector<std::unique_ptr<Stream>> streams;
-    std::vector<std::unique_ptr<Machine>> machines;
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        const os::SharedSegment *shared = nullptr;
-        if (workload::isSynonymApp(mix[c])) {
-            const auto it = segments.find(workload::synonymAppName(
-                workload::synonymSpec(mix[c])));
-            if (it != segments.end())
-                shared = it->second.get();
-        }
-        const std::uint64_t seed = config.seed + 100 * (c + 1);
-        streams.push_back(std::make_unique<Stream>(
-            mix[c], spec, memory.buddy, seed, shared));
-        machines.push_back(std::make_unique<Machine>(
-            config, *streams.back(), uncore, seed));
-    }
-
-    // Interleave cores in slices so LLC/DRAM contention mixes.
-    constexpr std::uint64_t slice = 5'000;
-    std::vector<cpu::CoreResult> measured(cores);
-    auto run_phase = [&](std::uint64_t refs_per_core) {
-        std::vector<std::uint64_t> done(cores, 0);
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (std::uint32_t c = 0; c < cores; ++c) {
-                if (done[c] >= refs_per_core)
-                    continue;
-                const std::uint64_t n = std::min(
-                    slice, refs_per_core - done[c]);
-                batch::MachineStages *const core =
-                    &machines[c]->stages();
-                const cpu::CoreResult res = batch::runPhase(
-                    streams[c]->stages(), {&core, 1}, n)[0];
-                if (core->error())
-                    std::rethrow_exception(core->error());
-                measured[c].cycles += res.cycles;
-                measured[c].instructions += res.instructions;
-                measured[c].memRefs += res.memRefs;
-                done[c] += n;
-                progress = true;
-            }
-        }
-    };
-
-    run_phase(config.warmupRefs);
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        machines[c]->resetStats();
-        measured[c] = cpu::CoreResult{};
-    }
-    uncore.resetStats();
-    run_phase(config.measureRefs);
-
-    MulticoreResult result;
-    double max_seconds = 0.0;
-    for (const cpu::CoreResult &core : measured)
-        max_seconds = std::max(max_seconds, core.seconds(3.0));
-    // LLC dynamic energy is shared; attribute it wholly to the
-    // run (core share = 0 except the first, which carries it).
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        const double llc_dyn =
-            c == 0 ? uncore.llc.dynamicEnergyNj() : 0.0;
-        const double llc_static =
-            c == 0 ? uncore.llc.params().staticPowerMw : 0.0;
-        RunResult r = machines[c]->collect(mix[c], *streams[c],
-                                           measured[c], llc_dyn,
-                                           llc_static, max_seconds);
-        result.sumIpc += r.ipc;
-        result.energy += r.energy;
-        result.perCore.push_back(std::move(r));
-    }
-    return result;
+    return runGroup(JobKind::Mix, mix, {config})[0];
 }
 
 } // namespace sipt::sim

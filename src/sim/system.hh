@@ -1,24 +1,21 @@
 /**
  * @file
- * Full-system assembly and experiment drivers.
- *
- * runSingleCore() builds one complete simulated system — physical
- * memory with a conditioned buddy allocator, an address space under
- * the requested paging policy, TLBs, the L1 under a chosen indexing
- * policy, the lower hierarchy, DRAM, and a core model — runs one
- * named application on it, and returns the metrics every figure of
- * the paper is built from.
+ * Full-system assembly and the one run function.
  *
  * The system splits in two along what each part depends on. A
- * Stream (conditioned memory, address space, workload; generate +
- * resolve) depends only on StreamSpec. A machine (MMU and walker,
- * L1, below-L1, LLC, DRAM, core; predict + account) depends on the
- * rest of SystemConfig. runSameStream() runs one Stream under
- * several machines at once, which is how the sweep engine runs
- * configs that share a stream.
+ * Stream (an application's address space and workload over
+ * conditioned memory; generate + resolve) depends only on
+ * StreamSpec. A machine (MMU and walker, L1, below-L1, core;
+ * predict + account) depends on the rest of SystemConfig; the LLC
+ * and DRAM behind it belong to its config and are shared by that
+ * config's cores.
  *
- * runMulticore() instantiates four such cores over a shared LLC,
- * DRAM, and physical allocator (Tab. III mixes, Fig. 15).
+ * runGroup() runs several configs that share one stream over one
+ * conditioned memory: one app alone (a single job) or a
+ * multiprogrammed mix (Tab. III mixes, Fig. 15), one Stream per
+ * app and, per config, one machine per Stream. runSingleCore() and
+ * runMulticore() are its one-config cases, and the sweep engine
+ * runs every job through it.
  */
 
 #ifndef SIPT_SIM_SYSTEM_HH
@@ -188,48 +185,48 @@ struct Workload
 };
 
 /**
- * Build @p app's address space and reference source under
- * spec's condition and footprint scale: the allocation phase
- * demand-faults every page in from @p buddy. Seeds derive from
- * @p seed (+1 address space, +2 workload). @p shared is the
- * physical segment a shared-mode synonym app attaches (else null).
+ * The two job shapes of the run key ("single" and "multi"). The
+ * kind, not the number of apps, fixes a run's seeds (coreSeed()),
+ * whether shared synonym segments are allocated up front (a mix)
+ * or by the workload (a single job), and its episodes: one per
+ * phase for a single job, one per 5,000-reference slice per core
+ * for a mix, so that LLC and DRAM contention interleaves.
  */
-Workload buildWorkload(const StreamSpec &spec, const std::string &app,
-                       os::BuddyAllocator &buddy, std::uint64_t seed,
-                       const os::SharedSegment *shared);
+enum class JobKind : std::uint8_t
+{
+    Single,
+    Mix,
+};
+
+/** The seed of core @p core of a @p kind job with config seed
+ *  @p seed: seed + 10 for a single job, seed + 100 * (core + 1) for
+ *  a mix (address space +1, workload +2, core model +3). */
+std::uint64_t coreSeed(JobKind kind, std::uint64_t seed,
+                       std::size_t core);
 
 /**
  * One application's reference stream: its workload over
  * conditioned memory, and the generate + resolve stages that turn
  * it into resolved batches. Any number of machines can consume one
- * Stream (runSameStream()); nothing in it depends on the machine.
+ * Stream (runGroup()); nothing in it depends on the machine.
  */
 class Stream
 {
   public:
     /**
-     * A single-core stream: conditions its own memory and builds
-     * @p app's workload with seed spec.seed + 10.
-     */
-    Stream(const std::string &app, const StreamSpec &spec);
-
-    /**
-     * One core of a multicore mix: builds @p app's workload with
-     * @p seed from memory the caller conditioned and shares.
+     * Build @p app's workload with @p seed (coreSeed()) from
+     * memory the caller conditioned and keeps alive. @p shared is
+     * the segment a shared-mode synonym app attaches, or null.
      */
     Stream(const std::string &app, const StreamSpec &spec,
            os::BuddyAllocator &buddy, std::uint64_t seed,
-           const os::SharedSegment *shared);
+           const os::SharedSegment *shared = nullptr);
 
     Stream(const Stream &) = delete;
     Stream &operator=(const Stream &) = delete;
 
     /** The generate + resolve stages over this stream. */
     batch::StreamStages &stages() { return stages_; }
-
-    /** The unresolved reference source (trace recording reads it
-     *  directly; a run goes through stages()). */
-    cpu::TraceSource &source() { return *workload_.source; }
 
     const os::AddressSpace &
     addressSpace() const
@@ -238,9 +235,6 @@ class Stream
     }
 
   private:
-    /** Null when the memory is shared (multicore). Declared first
-     *  so it outlives the address space. */
-    std::unique_ptr<ConditionedMemory> memory_;
     Workload workload_;
     batch::StreamStages stages_;
 };
@@ -297,29 +291,45 @@ struct RunResult
  */
 std::uint64_t defaultMeasureRefs();
 
-/** Run one application on one system: runSameStream(app,
- *  {config})[0]. */
+/** The result of one job: one RunResult per core, in app order
+ *  (one for a single job). */
+struct MulticoreResult
+{
+    std::vector<RunResult> perCore;
+    /** Sum of per-core IPCs (the paper's throughput metric). */
+    double sumIpc = 0.0;
+    /** Total cache-hierarchy energy across all cores + LLC. */
+    energy::EnergyBreakdown energy;
+};
+
+/**
+ * Run @p apps as one @p kind job under every config of @p configs,
+ * which must share one stream (equal streamSpec(); panics
+ * otherwise). One ConditionedMemory and one Stream per app serve
+ * every config: each batch is generated and resolved once, and each
+ * config's machine for that app steps it. Each config has its own
+ * LLC and DRAM, so every result is bit-identical to a solo run.
+ * Checked configs with equal L1 geometry must report equal
+ * digests on each core; a mismatch is a checkFailure on both.
+ *
+ * One config's exception does not stop the others. With @p errors
+ * null the first is rethrown after the run; else (*errors)[i] holds
+ * config i's exception or null, and result i is meaningful only
+ * when it is null. A stream's exception propagates.
+ */
+std::vector<MulticoreResult>
+runGroup(JobKind kind, const std::vector<std::string> &apps,
+         const std::vector<SystemConfig> &configs,
+         std::vector<std::exception_ptr> *errors = nullptr);
+
+/** Run one application on one system: a one-config single job. */
 RunResult runSingleCore(const std::string &app,
                         const SystemConfig &config);
 
-/**
- * Run @p app on every system of @p configs, which must share one
- * stream (equal streamSpec(); panics otherwise): one Stream
- * conditions memory, generates and resolves each batch once, and
- * every config's machine steps that batch in turn. Each phase
- * (warmup, measure) is one episode per machine, so every result is
- * bit-identical to running that config alone.
- *
- * An exception from one machine does not stop the others. With
- * @p errors null the first one is rethrown after the run; else
- * (*errors)[i] holds config i's exception, or null, and result i is
- * meaningful only when it is null. An exception from the stream
- * itself propagates.
- */
-std::vector<RunResult>
-runSameStream(const std::string &app,
-              const std::vector<SystemConfig> &configs,
-              std::vector<std::exception_ptr> *errors = nullptr);
+/** Run a multiprogrammed mix, one application per core, over a
+ *  shared LLC, DRAM and physical memory: a one-config mix. */
+MulticoreResult runMulticore(const std::vector<std::string> &mix,
+                             const SystemConfig &config);
 
 /**
  * True when @p app names a recorded trace instead of a synthetic
@@ -336,32 +346,14 @@ std::string traceAppPath(const std::string &app);
 /**
  * Record @p app's reference stream to a trace file at @p path:
  * the VA->PA layout after the allocation phase, then the
- * warmupRefs+measureRefs references of the same Stream
- * runSingleCore() would build. Replaying the file under the same
- * SystemConfig is digest-identical to the live run. Fatal when @p app is itself a
- * trace app or the file cannot be written.
+ * warmupRefs+measureRefs references of the workload
+ * runSingleCore()'s Stream would build. Replaying the file under
+ * the same SystemConfig is digest-identical to the live run. Fatal
+ * when @p app is itself a trace app or the file cannot be written.
  */
 void recordTrace(const std::string &app,
                  const SystemConfig &config,
                  const std::string &path);
-
-/** Result of a quad-core multiprogrammed run. */
-struct MulticoreResult
-{
-    std::vector<RunResult> perCore;
-    /** Sum of per-core IPCs (the paper's throughput metric). */
-    double sumIpc = 0.0;
-    /** Total cache-hierarchy energy across all cores + LLC. */
-    energy::EnergyBreakdown energy;
-};
-
-/**
- * Run a multiprogrammed mix, one application per core, over a
- * shared LLC/DRAM/physical memory. Cores advance in small
- * time-slices so shared-resource contention is interleaved.
- */
-MulticoreResult runMulticore(const std::vector<std::string> &mix,
-                             const SystemConfig &config);
 
 } // namespace sipt::sim
 

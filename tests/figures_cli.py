@@ -12,7 +12,9 @@ figure write its JSON; that a warm run-cache run, which executes
 no job, still truncates the SIPT_TRACE file; that checked and
 unchecked runs never share a run-cache entry; that a run with a
 SIPT_CHECK_MUTATE self-test armed neither reads nor writes the run
-cache, so a clean run after it still passes; and that the
+cache, so a clean run after it still passes; that a recorded check
+failure exits 1 (fig06 through the engine's count, ext_icache
+through its own checkers); and that the
 half-length and speculation figures print no nan/inf cell at
 SIPT_REFS=1. Run it with small SIPT_REFS/SIPT_WARMUP. Standard
 library only.
@@ -169,6 +171,26 @@ def main(argv):
               "a clean fig15syn after a mutated one reads no entry "
               "and passes (disk-hits=%d, exit %d)"
               % (stats["disk-hits"], r.returncode))
+
+    # A recorded check failure fails the figure: an engine figure
+    # through the sweep's count (footer and exit status), and
+    # ext_icache, whose hand-built L1 is outside the engine, through
+    # its own checkers.
+    mutated = {"SIPT_CHECK": "1", "SIPT_CHECK_MUTATE": "tag",
+               "SIPT_CHECK_ABORT": "0"}
+    for fig in ("fig06", "ext_icache"):
+        r = run(binary, [fig], 4, extra_env=mutated)
+        check(r.returncode == 1,
+              "%s with a recorded tag mutation exits 1 (exit %d)"
+              % (fig, r.returncode))
+    r = run(binary, ["fig06"], 4, extra_env=mutated)
+    check(footer(r.stderr).get("check-failures", 0) > 0 and
+          " first={" in r.stderr,
+          "the footer counts fig06's check failures and names the "
+          "first key")
+    r = run(binary, ["fig06"], 4)
+    check(r.returncode == 0 and "check-failures" not in r.stderr,
+          "a clean fig06's footer has no check-failures")
 
     r = run(binary, ONE_REF_FIGURES, 4,
             extra_env={"SIPT_REFS": "1", "SIPT_WARMUP": "1"})

@@ -21,7 +21,7 @@
  * SIPT_WARMUP do not change the rows.
  *
  * GroupedRunsMatchFixtures runs the same single-core configs again,
- * grouped by stream key (runSameStream() and a 4-thread
+ * grouped by stream key (runGroup() and a 4-thread
  * SweepRunner), and checks that grouping changes no row.
  */
 
@@ -396,7 +396,7 @@ TEST(BatchEngine, GroupedRunsMatchFixtures)
         expected.push_back(checkedRow(cases.back()));
     }
 
-    // Through runSameStream(), one call per stream key.
+    // Through runGroup(), one call per stream key.
     std::map<std::string, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < cases.size(); ++i) {
         groups[streamKeyJson(cases[i].app, cases[i].config)]
@@ -408,13 +408,14 @@ TEST(BatchEngine, GroupedRunsMatchFixtures)
         std::vector<SystemConfig> configs;
         for (const std::size_t i : members)
             configs.push_back(cases[i].config);
-        const std::vector<RunResult> results =
-            runSameStream(cases[members[0]].app, configs);
+        const std::vector<MulticoreResult> results = runGroup(
+            JobKind::Single, {cases[members[0]].app}, configs);
         for (std::size_t m = 0; m < members.size(); ++m) {
             const Case &c = cases[members[m]];
-            EXPECT_TRUE(results[m].checkFailure.empty())
-                << c.label << ": " << results[m].checkFailure;
-            grouped[members[m]] = row(c.label, results[m]);
+            const RunResult &r = results[m].perCore[0];
+            EXPECT_TRUE(r.checkFailure.empty())
+                << c.label << ": " << r.checkFailure;
+            grouped[members[m]] = row(c.label, r);
         }
     }
 
@@ -427,7 +428,7 @@ TEST(BatchEngine, GroupedRunsMatchFixtures)
     const std::vector<RunResult> pooled = testfix::runJobs(runner, jobs);
 
     for (std::size_t i = 0; i < cases.size(); ++i) {
-        EXPECT_EQ(grouped[i], expected[i]) << "runSameStream";
+        EXPECT_EQ(grouped[i], expected[i]) << "runGroup";
         EXPECT_EQ(row(cases[i].label, pooled[i]), expected[i])
             << "SweepRunner";
     }

@@ -230,7 +230,10 @@ std::uint64_t
 streamDigest(const std::string &app, const SystemConfig &config,
              std::uint64_t refs)
 {
-    Stream stream(app, streamSpec(config));
+    const StreamSpec spec = streamSpec(config);
+    ConditionedMemory memory(spec);
+    Stream stream(app, spec, memory.buddy,
+                  coreSeed(JobKind::Single, spec.seed, 0));
     std::uint64_t h = fnv1a64Init;
     auto mix = [&h](std::uint64_t v) {
         for (int b = 0; b < 8; ++b)

@@ -476,7 +476,10 @@ TEST(PolicyKernel, EngineSpecCountersMatchDirectPredictorLoops)
             configs.push_back(cfg);
         }
     }
-    const auto results = sim::runSameStream(app, configs);
+    std::vector<sim::RunResult> results;
+    for (sim::MulticoreResult &job :
+         sim::runGroup(sim::JobKind::Single, {app}, configs))
+        results.push_back(std::move(job.perCore[0]));
 
     for (unsigned k = 1; k <= 3; ++k) {
         SCOPED_TRACE(k);
@@ -484,7 +487,11 @@ TEST(PolicyKernel, EngineSpecCountersMatchDirectPredictorLoops)
         predictor::CombinedIndexPredictor combined(k);
         SpeculationStats bypass, comb;
         std::uint64_t unchanged = 0, huge = 0;
-        sim::Stream stream(app, sim::streamSpec(configs.front()));
+        const sim::StreamSpec spec = sim::streamSpec(configs.front());
+        sim::ConditionedMemory memory(spec);
+        sim::Stream stream(
+            app, spec, memory.buddy,
+            sim::coreSeed(sim::JobKind::Single, spec.seed, 0));
         for (std::uint64_t done = 0; done < refs;) {
             const cpu::RefBatch &batch = stream.stages().next(
                 std::min<std::uint64_t>(refs - done,

@@ -11,11 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -89,18 +95,39 @@ TEST(Sweep, EnqueuePreservesSubmissionOrder)
     }
 }
 
-/** Every worker waits on `release`, so every job below is queued
- *  before any group can start: the three configs of one stream
- *  attach to one group, and the other stream's job forms its own. */
+/** Holds every worker of a runner until release(), so that every
+ *  job enqueued meanwhile is queued before any group starts. */
+class WorkerGate
+{
+  public:
+    WorkerGate(SweepRunner &runner, unsigned workers)
+    {
+        const std::shared_future<void> gate =
+            release_.get_future().share();
+        for (unsigned w = 0; w < workers; ++w)
+            blockers_.push_back(runner.async([gate] { gate.wait(); }));
+    }
+
+    void
+    release()
+    {
+        release_.set_value();
+        for (const auto &blocker : blockers_)
+            blocker.get();
+    }
+
+  private:
+    std::promise<void> release_;
+    std::vector<std::shared_future<void>> blockers_;
+};
+
+/** The three configs of one stream attach to one group, and the
+ *  other stream's job forms its own. */
 void
 expectSameStreamJobsGroup(unsigned workers)
 {
     SweepRunner runner(SweepOptions{workers, "-"});
-    std::promise<void> release;
-    const std::shared_future<void> gate = release.get_future().share();
-    std::vector<std::shared_future<void>> blockers;
-    for (unsigned w = 0; w < workers; ++w)
-        blockers.push_back(runner.async([gate] { gate.wait(); }));
+    WorkerGate gate(runner, workers);
 
     SystemConfig ideal = quick(IndexingPolicy::Ideal);
     ideal.wayPrediction = true;
@@ -115,14 +142,12 @@ expectSameStreamJobsGroup(unsigned workers)
     std::vector<std::shared_future<RunResult>> futures;
     for (const auto &job : jobs)
         futures.push_back(runner.enqueue(job.app, job.config));
-    release.set_value();
+    gate.release();
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         expectSameResult(futures[i].get(),
                          runSingleCore(jobs[i].app, jobs[i].config));
     }
-    for (const auto &blocker : blockers)
-        blocker.get();
     const SweepStats s = runner.stats();
     EXPECT_EQ(s.executed, 4u);
     EXPECT_EQ(s.grouped, 2u);
@@ -135,6 +160,192 @@ TEST(Sweep, SameStreamJobsRunAsOneGroup)
         SCOPED_TRACE(workers);
         expectSameStreamJobsGroup(workers);
     }
+}
+
+/** A quick mix config, at Fig. 15's half footprints. */
+SystemConfig
+quickMix(IndexingPolicy policy)
+{
+    SystemConfig cfg = quick(policy);
+    cfg.footprintScale = 0.5;
+    return cfg;
+}
+
+void
+expectSameMix(const MulticoreResult &a, const MulticoreResult &b)
+{
+    ASSERT_EQ(a.perCore.size(), b.perCore.size());
+    for (std::size_t c = 0; c < a.perCore.size(); ++c)
+        expectSameResult(a.perCore[c], b.perCore[c]);
+    EXPECT_DOUBLE_EQ(a.sumIpc, b.sumIpc);
+    EXPECT_DOUBLE_EQ(a.energy.total(), b.energy.total());
+}
+
+const std::vector<std::string> kMix = {"mcf", "gcc", "lbm", "mcf"};
+
+TEST(Sweep, MixConfigsRunAsOneGroup)
+{
+    // Two configs of one mix share its stream key, so queued
+    // together they run as one group; a single-core job of the
+    // mix's first app never joins it.
+    SweepRunner runner(SweepOptions{1, "-"});
+    WorkerGate gate(runner, 1);
+    const std::vector<SystemConfig> configs = {
+        quickMix(IndexingPolicy::Vipt),
+        quickMix(IndexingPolicy::SiptCombined)};
+    std::vector<std::shared_future<MulticoreResult>> futures;
+    for (const SystemConfig &cfg : configs)
+        futures.push_back(runner.enqueueMulticore(kMix, cfg));
+    auto single = runner.enqueue(kMix[0], configs[0]);
+    gate.release();
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectSameMix(futures[i].get(), runMulticore(kMix, configs[i]));
+    }
+    expectSameResult(single.get(), runSingleCore(kMix[0], configs[0]));
+    const SweepStats s = runner.stats();
+    EXPECT_EQ(s.executed, 3u);
+    EXPECT_EQ(s.grouped, 1u);
+}
+
+/** Virtual memory this process has mapped, in bytes. */
+std::uint64_t
+mappedBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/**
+ * Caps this process's address space for the scope, so that an
+ * allocation far beyond the cap fails at once with std::bad_alloc
+ * instead of being overcommitted.
+ */
+class AddressSpaceCap
+{
+  public:
+    explicit AddressSpaceCap(rlim_t bytes)
+    {
+        getrlimit(RLIMIT_AS, &saved_);
+        rlimit cap = saved_;
+        cap.rlim_cur = std::min(bytes, saved_.rlim_max);
+        setrlimit(RLIMIT_AS, &cap);
+    }
+
+    ~AddressSpaceCap() { setrlimit(RLIMIT_AS, &saved_); }
+
+    AddressSpaceCap(const AddressSpaceCap &) = delete;
+    AddressSpaceCap &operator=(const AddressSpaceCap &) = delete;
+
+  private:
+    rlimit saved_{};
+};
+
+TEST(Sweep, ThrowingConfigFailsOnlyItsOwnMixFuture)
+{
+    constexpr rlim_t cap_bytes = rlim_t{256} << 30;
+    if (mappedBytes() > cap_bytes / 4) {
+        // Sanitizer runtimes reserve terabytes of shadow memory up
+        // front; under a cap their own mappings would fail.
+        GTEST_SKIP() << "address space already above the cap";
+    }
+    // The middle config's L1 needs a 512 GiB tag array (2^31 sets
+    // x 32 ways), which the cap refuses: its machines throw
+    // std::bad_alloc while the group builds them.
+    SystemConfig huge = quickMix(IndexingPolicy::Ideal);
+    huge.l1SizeBytes = std::uint64_t{1} << 42;
+    huge.l1Assoc = 32;
+    const std::vector<SystemConfig> configs = {
+        quickMix(IndexingPolicy::Vipt), huge,
+        quickMix(IndexingPolicy::SiptCombined)};
+    std::vector<std::shared_future<MulticoreResult>> futures;
+    SweepStats s;
+    {
+        const AddressSpaceCap cap(cap_bytes);
+        SweepRunner runner(SweepOptions{1, "-"});
+        WorkerGate gate(runner, 1);
+        for (const SystemConfig &cfg : configs)
+            futures.push_back(runner.enqueueMulticore(kMix, cfg));
+        gate.release();
+        for (const auto &future : futures)
+            future.wait();
+        s = runner.stats();
+    }
+
+    EXPECT_THROW(futures[1].get(), std::bad_alloc);
+    for (const std::size_t i : {0u, 2u}) {
+        SCOPED_TRACE(i);
+        expectSameMix(futures[i].get(), runMulticore(kMix, configs[i]));
+    }
+    EXPECT_EQ(s.executed, 2u);
+    EXPECT_EQ(s.grouped, 2u);
+}
+
+/** Sets an environment variable for the scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        const char *old = std::getenv(name);
+        if (old)
+            saved_ = old;
+        setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (saved_)
+            setenv(name_, saved_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> saved_;
+};
+
+TEST(Sweep, GroupDigestOracleCatchesAProbeMutation)
+{
+    // The probe mutation corrupts the address a SiptNaive L1
+    // probes. Only another policy at the same L1 geometry, on the
+    // same stream, can tell: the group compares their digests, and
+    // both configs record the mismatch. Recorded, not aborted, even
+    // where the environment sets SIPT_CHECK_ABORT.
+    const ScopedEnv mutate("SIPT_CHECK_MUTATE", "probe");
+    const ScopedEnv record("SIPT_CHECK_ABORT", "0");
+    SystemConfig naive = quick(IndexingPolicy::SiptNaive);
+    naive.check = true;
+    SystemConfig ideal = quick(IndexingPolicy::Ideal);
+    ideal.check = true;
+
+    SweepRunner runner(SweepOptions{1, "-"});
+    WorkerGate gate(runner, 1);
+    auto naive_run = runner.enqueue("mcf", naive);
+    auto ideal_run = runner.enqueue("mcf", ideal);
+    gate.release();
+
+    for (const RunResult &r : {naive_run.get(), ideal_run.get()}) {
+        EXPECT_NE(r.checkFailure.find("digest mismatch"),
+                  std::string::npos)
+            << r.checkFailure;
+    }
+    const SweepStats s = runner.stats();
+    EXPECT_EQ(s.grouped, 1u);
+    EXPECT_EQ(s.checkFailures, 2u);
+    EXPECT_EQ(s.firstCheckFailure, runKeyJson("mcf", naive));
+    std::ostringstream footer;
+    runner.printStats(footer);
+    EXPECT_NE(footer.str().find(" check-failures=2 first="),
+              std::string::npos)
+        << footer.str();
 }
 
 TEST(Sweep, ThreadCountDoesNotChangeResults)
