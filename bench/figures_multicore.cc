@@ -131,8 +131,8 @@ fig15(sim::SweepRunner &sweep)
  *    machinery in SIPT;
  *  - check failures: cores with a recorded failure in any of the
  *    three runs — golden-model divergences, and the engine's
- *    per-core digest mismatches between SiptCombined and Ideal,
- *    which share one L1 geometry and, queued together, one group.
+ *    functional-oracle mismatches between SiptCombined and Ideal,
+ *    which share one stream and one L1 geometry.
  *    Must be zero — synonyms are free *and* correct; any failure
  *    fails the figure.
  */

@@ -1,12 +1,11 @@
 #include "sim/fuzz.hh"
 
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
-#include "common/bitops.hh"
-#include "common/json.hh"
-#include "common/logging.hh"
+#include "common/env.hh"
 #include "common/rng.hh"
 #include "workload/profile.hh"
 #include "workload/synonym.hh"
@@ -26,134 +25,67 @@ sampleSeed(std::uint64_t master_seed, std::uint64_t index)
            (index * 0x9e3779b97f4a7c15ull + 0x243f6a8885a308d3ull);
 }
 
-/** Single-line JSON of the config fields the fuzzer samples. */
-Json
-sampleConfigJson(const FuzzSample &sample)
-{
-    const sim::SystemConfig &c = sample.config;
-    Json j = Json::object();
-    j.set("app", sample.app);
-    j.set("outOfOrder", c.outOfOrder);
-    j.set("l1SizeBytes", c.l1SizeBytes);
-    j.set("l1Assoc", std::uint64_t{c.l1Assoc});
-    j.set("l1HitLatency", c.l1HitLatency);
-    j.set("xlatPredEntries", std::uint64_t{c.xlatPredEntries});
-    j.set("wayPrediction", c.wayPrediction);
-    j.set("radixWalker", c.radixWalker);
-    j.set("condition",
-          std::uint64_t{static_cast<std::uint8_t>(c.condition)});
-    j.set("physMemBytes", c.physMemBytes);
-    j.set("warmupRefs", c.warmupRefs);
-    j.set("measureRefs", c.measureRefs);
-    j.set("seed", c.seed);
-    j.set("footprintScale", c.footprintScale);
-    return j;
-}
+/** Each feasible policy's run of one sample, in policiesFor()
+ *  order. */
+using SampleFutures = std::vector<
+    std::pair<IndexingPolicy, std::shared_future<sim::RunResult>>>;
 
-/** Speculative index bits of a (size, assoc) L1 geometry. */
-unsigned
-specBitsOf(std::uint64_t size_bytes, std::uint32_t assoc)
+SampleFutures
+enqueueSample(const FuzzSample &sample, sim::SweepRunner &runner)
 {
-    const std::uint64_t way_bytes = size_bytes / assoc;
-    if (way_bytes <= pageSize)
-        return 0;
-    return floorLog2(way_bytes) - pageShift;
-}
-
-/** Functional counters that must be policy-invariant. */
-struct FunctionalCounters
-{
-    std::uint64_t hits;
-    std::uint64_t misses;
-    std::uint64_t writebacks;
-    std::uint64_t loads;
-    std::uint64_t stores;
-
-    bool operator==(const FunctionalCounters &) const = default;
-};
-
-FunctionalCounters
-countersOf(const sim::RunResult &r)
-{
-    return {r.l1.hits, r.l1.misses, r.l1.writebacks, r.l1.loads,
-            r.l1.stores};
+    SampleFutures futures;
+    for (const IndexingPolicy policy : policiesFor(sample.config)) {
+        sim::SystemConfig config = sample.config;
+        config.policy = policy;
+        futures.emplace_back(policy, runner.enqueue(sample.app, config));
+    }
+    return futures;
 }
 
 /**
- * Diff one sample's per-policy results; empty when invariant.
- * @p expect_synonyms is true for multi-mapping workloads, where
- * the VIVT strawman must have needed synonym invalidations while
- * SIPT's digest stayed identical to golden.
+ * The first failure among one sample's @p runs, or empty. Whether
+ * the policies agree is the sweep's functional oracle's to decide
+ * (sim/sweep.hh): it screens every result, so a policy that
+ * diverges carries a checkFailure. Besides those, two sample-level
+ * sanity checks: the checker recorded events, and on a
+ * multi-mapping workload (@p expect_synonyms) the VIVT strawman
+ * needed synonym invalidations.
  */
 std::string
-diffPolicies(
-    const std::vector<std::pair<IndexingPolicy, sim::RunResult>>
-        &runs,
+firstFailure(
+    const std::vector<std::pair<IndexingPolicy, sim::RunResult>> &runs,
     bool expect_synonyms)
 {
     if (runs.empty())
         return "no runnable policy";
     for (const auto &[policy, result] : runs) {
-        if (!result.checkFailure.empty()) {
-            std::ostringstream os;
-            os << policyName(policy) << ": "
-               << result.checkFailure;
-            return os.str();
-        }
+        const std::string name = policyName(policy);
+        if (!result.checkFailure.empty())
+            return name + ": " + result.checkFailure;
         if (result.checkEvents == 0)
             return "checker recorded no events (checking off?)";
         if (expect_synonyms && result.vivtInvalidations == 0) {
-            std::ostringstream os;
-            os << policyName(policy)
-               << ": synonym workload, but the VIVT strawman saw "
-                  "no synonym invalidations";
-            return os.str();
-        }
-    }
-    const auto &[ref_policy, ref] = runs.front();
-    for (const auto &[policy, result] : runs) {
-        if (result.checkDigest != ref.checkDigest ||
-            result.checkEvents != ref.checkEvents) {
-            std::ostringstream os;
-            os << "functional stream divergence: "
-               << policyName(ref_policy) << " digest "
-               << ref.checkDigest << " (" << ref.checkEvents
-               << " events) vs " << policyName(policy)
-               << " digest " << result.checkDigest << " ("
-               << result.checkEvents << " events)";
-            return os.str();
-        }
-        if (countersOf(result) != countersOf(ref)) {
-            std::ostringstream os;
-            os << "counter divergence vs "
-               << policyName(ref_policy) << ": "
-               << policyName(policy) << " hits/misses/wb "
-               << result.l1.hits << "/" << result.l1.misses << "/"
-               << result.l1.writebacks << " vs " << ref.l1.hits
-               << "/" << ref.l1.misses << "/"
-               << ref.l1.writebacks;
-            return os.str();
-        }
-        // Strawman bookkeeping is fed from the same observation
-        // stream, so it must be exactly as policy-invariant as
-        // the digest.
-        if (result.vivtReverseProbes != ref.vivtReverseProbes ||
-            result.vivtInvalidations != ref.vivtInvalidations ||
-            result.vivtDirtyForwards != ref.vivtDirtyForwards) {
-            std::ostringstream os;
-            os << "VIVT bookkeeping divergence vs "
-               << policyName(ref_policy) << ": "
-               << policyName(policy) << " probes/inval/fwd "
-               << result.vivtReverseProbes << "/"
-               << result.vivtInvalidations << "/"
-               << result.vivtDirtyForwards << " vs "
-               << ref.vivtReverseProbes << "/"
-               << ref.vivtInvalidations << "/"
-               << ref.vivtDirtyForwards;
-            return os.str();
+            return name + ": synonym workload, but the VIVT strawman "
+                          "saw no synonym invalidations";
         }
     }
     return {};
+}
+
+/** The one verdict on a sample, over its enqueued @p futures. */
+SampleResult
+judge(const FuzzSample &sample, const SampleFutures &futures)
+{
+    SampleResult verdict;
+    for (const auto &[policy, future] : futures)
+        verdict.runs.emplace_back(policy, future.get());
+    verdict.failure =
+        firstFailure(verdict.runs, workload::isSynonymApp(sample.app));
+    if (!verdict.failure.empty()) {
+        verdict.passed = false;
+        verdict.repro = reproLine(sample);
+    }
+    return verdict;
 }
 
 } // namespace
@@ -174,7 +106,7 @@ sampleAt(std::uint64_t master_seed, std::uint64_t index)
     // direct-mapped) is resampled away.
     c.l1SizeBytes = Addr{8 * 1024} << rng.below(4);
     c.l1Assoc = std::uint32_t{1} << rng.below(4);
-    while (specBitsOf(c.l1SizeBytes, c.l1Assoc) > 3)
+    while (l1Geometry(c).speculativeBits() > 3)
         c.l1Assoc = std::uint32_t{2} << rng.below(3);
     c.l1HitLatency = 2 + rng.below(3);
 
@@ -233,11 +165,7 @@ std::vector<IndexingPolicy>
 policiesFor(const sim::SystemConfig &config)
 {
     std::vector<IndexingPolicy> policies;
-    const unsigned spec_bits =
-        config.l1SizeBytes && config.l1Assoc
-            ? specBitsOf(config.l1SizeBytes, config.l1Assoc)
-            : 0;
-    if (spec_bits == 0)
+    if (l1Geometry(config).speculativeBits() == 0)
         policies.push_back(IndexingPolicy::Vipt);
     policies.push_back(IndexingPolicy::Ideal);
     policies.push_back(IndexingPolicy::SiptNaive);
@@ -254,8 +182,8 @@ reproLine(const FuzzSample &sample)
 {
     std::ostringstream os;
     os << "SIPT-FUZZ-REPRO seed=" << sample.masterSeed
-       << " index=" << sample.index
-       << " config=" << sampleConfigJson(sample).dump();
+       << " index=" << sample.index << " app=" << sample.app
+       << " config=" << configToJson(sample.config).dump();
     return os.str();
 }
 
@@ -263,49 +191,44 @@ bool
 parseRepro(const std::string &line, std::uint64_t &seed_out,
            std::uint64_t &index_out)
 {
-    const auto seed_pos = line.find("seed=");
-    const auto index_pos = line.find("index=");
-    if (seed_pos == std::string::npos ||
-        index_pos == std::string::npos) {
-        return false;
+    // Space-delimited tokens: the optional leading marker, then
+    // seed= and index= once each with a whole decimal value. app=
+    // and config= only describe the sample; config= ends the line.
+    std::optional<std::uint64_t> seed;
+    std::optional<std::uint64_t> index;
+    std::istringstream in(line);
+    std::string token;
+    for (bool first = true; in >> token; first = false) {
+        std::optional<std::uint64_t> *field = nullptr;
+        if (token.starts_with("seed="))
+            field = &seed;
+        else if (token.starts_with("index="))
+            field = &index;
+        else if (token.starts_with("config="))
+            break;
+        else if (token.starts_with("app=") ||
+                 (first && token == "SIPT-FUZZ-REPRO"))
+            continue;
+        else
+            return false;
+        if (field->has_value())
+            return false;
+        *field = parseU64(token.c_str() + token.find('=') + 1, 0,
+                          ~std::uint64_t{0});
+        if (!field->has_value())
+            return false;
     }
-    try {
-        seed_out = std::stoull(line.substr(seed_pos + 5));
-        index_out = std::stoull(line.substr(index_pos + 6));
-    } catch (...) {
+    if (!seed || !index)
         return false;
-    }
+    seed_out = *seed;
+    index_out = *index;
     return true;
 }
 
 SampleResult
 runSample(const FuzzSample &sample, sim::SweepRunner &runner)
 {
-    std::vector<std::pair<IndexingPolicy,
-                          std::shared_future<sim::RunResult>>>
-        futures;
-    for (const IndexingPolicy policy :
-         policiesFor(sample.config)) {
-        sim::SystemConfig config = sample.config;
-        config.policy = policy;
-        futures.emplace_back(policy,
-                             runner.enqueue(sample.app, config));
-    }
-
-    std::vector<std::pair<IndexingPolicy, sim::RunResult>> runs;
-    runs.reserve(futures.size());
-    for (auto &[policy, future] : futures)
-        runs.emplace_back(policy, future.get());
-
-    SampleResult result;
-    const std::string diff = diffPolicies(
-        runs, workload::isSynonymApp(sample.app));
-    if (!diff.empty()) {
-        result.passed = false;
-        result.failure = diff;
-        result.repro = reproLine(sample);
-    }
-    return result;
+    return judge(sample, enqueueSample(sample, runner));
 }
 
 std::uint64_t
@@ -315,36 +238,22 @@ runCampaign(std::uint64_t master_seed, std::uint64_t count,
     // Enqueue every (sample, policy) job up front so the pool
     // stays saturated, then judge samples in order.
     std::vector<FuzzSample> samples;
-    std::vector<std::vector<
-        std::pair<IndexingPolicy,
-                  std::shared_future<sim::RunResult>>>>
-        futures(count);
+    std::vector<SampleFutures> futures;
     samples.reserve(count);
+    futures.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         samples.push_back(sampleAt(master_seed, i));
-        for (const IndexingPolicy policy :
-             policiesFor(samples[i].config)) {
-            sim::SystemConfig config = samples[i].config;
-            config.policy = policy;
-            futures[i].emplace_back(
-                policy, runner.enqueue(samples[i].app, config));
-        }
+        futures.push_back(enqueueSample(samples[i], runner));
     }
 
     std::uint64_t failures = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        std::vector<std::pair<IndexingPolicy, sim::RunResult>>
-            runs;
-        runs.reserve(futures[i].size());
-        for (auto &[policy, future] : futures[i])
-            runs.emplace_back(policy, future.get());
-        const std::string diff = diffPolicies(
-            runs, workload::isSynonymApp(samples[i].app));
-        if (!diff.empty()) {
+        const SampleResult verdict = judge(samples[i], futures[i]);
+        if (!verdict.passed) {
             ++failures;
-            out << "FAIL sample " << i << " (app "
-                << samples[i].app << "): " << diff << "\n"
-                << reproLine(samples[i]) << "\n";
+            out << "FAIL sample " << i << " (app " << samples[i].app
+                << "): " << verdict.failure << "\n"
+                << verdict.repro << "\n";
         }
     }
     return failures;

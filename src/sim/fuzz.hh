@@ -7,10 +7,11 @@
  * 0-3 speculative bits), a fragmentation/THP memory condition, and
  * a synthetic workload, then runs it under every feasible indexing
  * policy through the sweep engine with golden-model checking on.
- * All policies must report a clean checker and byte-identical
- * functional event digests; any disagreement prints a one-line
- * repro (master seed + sample index + config JSON) that
- * `sipt-fuzz --repro` replays exactly.
+ * The sweep's functional oracle (sim/sweep.hh) compares the
+ * policies with each other, so every policy must report a clean
+ * checker; any failure prints a one-line repro (master seed,
+ * sample index, app and configToJson()) that `sipt-fuzz --repro`
+ * replays exactly.
  */
 
 #ifndef SIPT_SIM_FUZZ_HH
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -57,14 +59,18 @@ policiesFor(const sim::SystemConfig &config);
 struct SampleResult
 {
     bool passed = true;
-    /** Description of the first divergence (empty when passed). */
+    /** Description of the first failure (empty when passed). */
     std::string failure;
     /** Machine-parseable repro line (empty when passed). */
     std::string repro;
+    /** Each feasible policy's result, in policiesFor() order. */
+    std::vector<std::pair<IndexingPolicy, sim::RunResult>> runs;
 };
 
-/** Run @p sample under every feasible policy and diff the
- *  functional digests; jobs execute on @p runner's pool. */
+/** Run @p sample under every feasible policy on @p runner's pool
+ *  and judge it: every policy's checkFailure (the sweep's
+ *  functional oracle included), events recorded, and VIVT
+ *  invalidations on a multi-mapping workload. */
 SampleResult runSample(const FuzzSample &sample,
                        sim::SweepRunner &runner);
 
@@ -81,7 +87,9 @@ std::uint64_t runCampaign(std::uint64_t master_seed,
 
 /**
  * Extract (seed, index) from a repro line as printed by
- * runCampaign()/reproLine().
+ * runCampaign()/reproLine(). Each space-delimited token must be
+ * the leading "SIPT-FUZZ-REPRO" marker, seed=<N> or index=<N>
+ * (a whole decimal, once each), or app=; config= ends the line.
  *
  * @return false when @p line is not a repro line
  */

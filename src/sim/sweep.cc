@@ -468,20 +468,41 @@ mixKeyJson(const std::vector<std::string> &mix,
     return j.dump();
 }
 
-/** The cores of @p result with a recorded check failure. */
-std::uint64_t
-checkFailuresIn(const RunResult &result)
+/** The cores of @p result: a single job's one, or a mix's. */
+std::span<RunResult>
+coresOf(RunResult &result)
 {
-    return !result.checkFailure.empty();
+    return {&result, 1};
 }
 
-std::uint64_t
-checkFailuresIn(const MulticoreResult &result)
+std::span<RunResult>
+coresOf(MulticoreResult &result)
 {
-    std::uint64_t n = 0;
-    for (const RunResult &core : result.perCore)
-        n += checkFailuresIn(core);
-    return n;
+    return result.perCore;
+}
+
+/** The functional fingerprint's members, in fingerprintOf()'s
+ *  order. */
+constexpr std::array<const char *, 10> fingerprintNames = {
+    "digest", "events", "hits", "misses", "writebacks", "loads",
+    "stores", "vivtReverseProbes", "vivtInvalidations",
+    "vivtDirtyForwards"};
+
+/**
+ * What one core did functionally in its measured phase: the
+ * checker's event digest and count, the L1's hit, miss, writeback,
+ * load and store counts, and the VIVT strawman's bookkeeping, which
+ * the checker feeds from the same events. Physical tags make all of
+ * it independent of the indexing policy at one stream and L1
+ * geometry.
+ */
+std::array<std::uint64_t, 10>
+fingerprintOf(const RunResult &r)
+{
+    return {r.checkDigest, r.checkEvents, r.l1.hits, r.l1.misses,
+            r.l1.writebacks, r.l1.loads, r.l1.stores,
+            r.vivtReverseProbes, r.vivtInvalidations,
+            r.vivtDirtyForwards};
 }
 
 /** The part of a group's result that member promise @p promise
@@ -651,12 +672,63 @@ SweepRunner::noteGenericDone(std::chrono::steady_clock::time_point start)
 }
 
 void
-SweepRunner::noteCheckFailures(const std::string &key_json,
-                               std::uint64_t failures)
+SweepRunner::screen(const std::string &key_json,
+                    const std::string &stream_key,
+                    const SystemConfig &config,
+                    std::span<RunResult> cores)
 {
+    // config.check arms every checking layer: an unchecked result
+    // has no fingerprint and no recorded failure.
+    if (!config.check)
+        return;
+    const cache::CacheGeometry g = l1Geometry(config);
+    const std::string at = stream_key + " l1=" +
+                           std::to_string(g.sizeBytes) + "/" +
+                           std::to_string(g.assoc) + "/" +
+                           std::to_string(g.lineBytes);
+    const auto failed = [](const RunResult &r) {
+        return !r.checkFailure.empty();
+    };
+    auto failures = static_cast<std::uint64_t>(
+        std::count_if(cores.begin(), cores.end(), failed));
+    std::lock_guard lock(cacheMu_);
+    const auto ref = references_.find(at);
+    if (ref == references_.end()) {
+        if (failures == 0) {
+            Reference &first = references_[at];
+            first.runKey = key_json;
+            first.policy = config.policy;
+            for (const RunResult &core : cores)
+                first.cores.push_back(fingerprintOf(core));
+        }
+    } else {
+        // A mix has the same cores under one stream key, unless a
+        // hand-edited disk entry says otherwise.
+        const Reference &want = ref->second;
+        const std::size_t n = std::min(cores.size(), want.cores.size());
+        for (std::size_t c = 0; c < n; ++c) {
+            const auto got = fingerprintOf(cores[c]);
+            if (failed(cores[c]) || got == want.cores[c])
+                continue;
+            const auto f = static_cast<std::size_t>(
+                std::mismatch(got.begin(), got.end(),
+                              want.cores[c].begin())
+                    .first -
+                got.begin());
+            std::ostringstream what;
+            what << "functional mismatch at one stream and L1 "
+                    "geometry: core "
+                 << c << " " << fingerprintNames[f] << " "
+                 << policyName(config.policy) << " " << got[f]
+                 << " vs " << policyName(want.policy) << " "
+                 << want.cores[c][f] << " (reference " << want.runKey
+                 << ")";
+            cores[c].checkFailure = what.str();
+            ++failures;
+        }
+    }
     if (failures == 0)
         return;
-    std::lock_guard lock(cacheMu_);
     if (stats_.checkFailures == 0)
         stats_.firstCheckFailure = key_json;
     stats_.checkFailures += failures;
@@ -717,7 +789,6 @@ SweepRunner::loadFromDisk(const std::string &key_json)
              error, ")");
         return std::nullopt;
     }
-    noteCheckFailures(key_json, checkFailuresIn(*decoded));
     std::lock_guard lock(cacheMu_);
     ++stats_.diskHits;
     lastComplete_ = std::chrono::steady_clock::now();
@@ -797,6 +868,7 @@ SweepRunner::submit(Memo<Result> &memo, JobKind kind,
     }
 
     if (auto cached = loadFromDisk<Result>(key_json)) {
+        screen(key_json, stream_key, config, coresOf(*cached));
         promise->set_value(std::move(*cached));
         return future;
     }
@@ -855,7 +927,7 @@ SweepRunner::execute(const std::shared_ptr<Group> &group,
                        : "run:" + job + ":" +
                              policyName(group->configs[0].policy),
                  t0, t1);
-    // Each member's result is published and screened before its
+    // Each member's result is screened, then stored, before its
     // future becomes ready.
     for (std::size_t i = 0; i < k; ++i) {
         std::visit(
@@ -865,9 +937,9 @@ SweepRunner::execute(const std::shared_ptr<Group> &group,
                     return;
                 }
                 auto &result = memberResult(promise, results[i]);
+                screen(group->keys[i], stream_key, group->configs[i],
+                       coresOf(result));
                 storeToDisk(group->keys[i], result);
-                noteCheckFailures(group->keys[i],
-                                  checkFailuresIn(result));
                 promise->set_value(std::move(result));
             },
             group->promises[i]);

@@ -25,8 +25,14 @@
  * member's result, run key, memo and disk entry is exactly what a
  * solo run would produce. Jobs group at every thread count; with
  * one worker, every job queued behind a running one can still
- * attach. Every result served from a run or from disk is screened
- * for recorded check failures (SweepStats::checkFailures).
+ * attach.
+ *
+ * Every result the sweep serves, executed or read from disk, passes
+ * the functional oracle (screen()) before it is stored or published.
+ * Speculation may change when an access completes, never what the
+ * L1 does, so at one stream and one L1 geometry every indexing
+ * policy must produce the same functional events, however the jobs
+ * grouped and whichever tier served them.
  *
  * On top of the pool sits a memoizing run cache keyed on one
  * canonical string: runKeyJson() for single-core runs (app, trace
@@ -57,6 +63,7 @@
 #ifndef SIPT_SIM_SWEEP_HH
 #define SIPT_SIM_SWEEP_HH
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -67,6 +74,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -112,7 +120,8 @@ struct SweepStats
     /** Uncached generic async() tasks executed. */
     std::uint64_t genericTasks = 0;
     /** Cores, over executed runs and disk hits, with a recorded
-     *  check failure (RunResult::checkFailure). */
+     *  check failure (RunResult::checkFailure), the functional
+     *  oracle's included. */
     std::uint64_t checkFailures = 0;
     /** The run key of the first of them, or empty. */
     std::string firstCheckFailure;
@@ -251,6 +260,16 @@ class SweepRunner
     /** Jobs run by one runGroup() call. */
     struct Group;
 
+    /** The functional oracle's reference at one stream and L1
+     *  geometry: the first clean checked result served there, with
+     *  each core's fingerprintOf() (sweep.cc). */
+    struct Reference
+    {
+        std::string runKey;
+        IndexingPolicy policy = IndexingPolicy::Vipt;
+        std::vector<std::array<std::uint64_t, 10>> cores;
+    };
+
     /**
      * The one submit path behind enqueue() and enqueueMulticore():
      * serve @p key_json from @p memo (a completed or in-flight
@@ -287,10 +306,19 @@ class SweepRunner
     /** One generic task that started at @p start finished: its
      *  host seconds count toward simSeconds. */
     void noteGenericDone(std::chrono::steady_clock::time_point start);
-    /** The result served under @p key_json has @p failures cores
-     *  with a recorded check failure. */
-    void noteCheckFailures(const std::string &key_json,
-                           std::uint64_t failures);
+    /**
+     * The functional oracle: the one place that decides what must
+     * be policy-invariant. @p cores, served under @p key_json, ran
+     * @p config on the streams of @p stream_key. The first checked
+     * result without a recorded failure at (stream key,
+     * l1Geometry()) becomes its reference; a later clean core that
+     * differs records a checkFailure naming both policies and the
+     * reference's run key. Recorded failures count in
+     * SweepStats::checkFailures.
+     */
+    void screen(const std::string &key_json,
+                const std::string &stream_key,
+                const SystemConfig &config, std::span<RunResult> cores);
     /** @p jobs finished in @p seconds of host time; @p grouped of
      *  them ran as non-first group members. */
     void noteJobsDone(std::uint64_t jobs, std::uint64_t grouped,
@@ -323,6 +351,9 @@ class SweepRunner
     /** Posted groups no worker has started, by stream key. */
     std::unordered_map<std::string, std::shared_ptr<Group>>
         openGroups_;
+    /** The functional oracle's references, by stream key and L1
+     *  geometry. */
+    std::unordered_map<std::string, Reference> references_;
     SweepStats stats_;
     std::chrono::steady_clock::time_point firstSubmit_;
     std::chrono::steady_clock::time_point lastComplete_;

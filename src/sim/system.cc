@@ -3,7 +3,6 @@
 #include <cctype>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string_view>
 
 #include "batch/pipeline.hh"
@@ -315,48 +314,6 @@ struct GroupMember
     std::vector<cpu::CoreResult> measured;
 };
 
-/**
- * The in-group digest oracle. Checked configs with equal L1
- * geometry saw the same functional events on each core, whatever
- * their policy, so their digests must agree. A mismatch becomes a
- * checkFailure, unless one is already recorded, on both configs.
- * A failed config has no cores to compare.
- */
-void
-crossCheckDigests(const std::vector<SystemConfig> &configs,
-                  std::vector<MulticoreResult> &results)
-{
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        for (std::size_t j = i + 1; j < configs.size(); ++j) {
-            if (!configs[i].check || !configs[j].check ||
-                l1ParamsFor(configs[i], {}).geometry !=
-                    l1ParamsFor(configs[j], {}).geometry) {
-                continue;
-            }
-            const std::size_t cores = std::min(
-                results[i].perCore.size(), results[j].perCore.size());
-            for (std::size_t c = 0; c < cores; ++c) {
-                RunResult &a = results[i].perCore[c];
-                RunResult &b = results[j].perCore[c];
-                if (a.checkDigest == b.checkDigest &&
-                    a.checkEvents == b.checkEvents) {
-                    continue;
-                }
-                std::ostringstream what;
-                what << "functional digest mismatch at one L1 geometry: "
-                     << policyName(configs[i].policy) << " "
-                     << a.checkDigest << " (" << a.checkEvents
-                     << " events) vs " << policyName(configs[j].policy)
-                     << " " << b.checkDigest << " (" << b.checkEvents
-                     << " events)";
-                for (RunResult *r : {&a, &b}) {
-                    if (r->checkFailure.empty())
-                        r->checkFailure = what.str();
-                }
-            }
-        }
-    }
-}
 } // namespace
 
 StreamSpec
@@ -375,6 +332,12 @@ streamSpec(const SystemConfig &config)
             .measureRefs = measureRefs,
             .seed = seed,
             .footprintScale = footprintScale};
+}
+
+cache::CacheGeometry
+l1Geometry(const SystemConfig &config)
+{
+    return l1ParamsFor(config, {}).geometry;
 }
 
 ConditionedMemory::ConditionedMemory(const StreamSpec &spec)
@@ -619,7 +582,6 @@ runGroup(JobKind kind, const std::vector<std::string> &apps,
             results[i].perCore.push_back(std::move(r));
         }
     }
-    crossCheckDigests(configs, results);
 
     if (errors) {
         *errors = std::move(failed);

@@ -160,6 +160,10 @@ struct StreamSpec
 /** The stream half of @p config. */
 StreamSpec streamSpec(const SystemConfig &config);
 
+/** The L1 geometry @p config runs: its preset's, with the
+ *  l1SizeBytes and l1Assoc overrides applied. */
+cache::CacheGeometry l1Geometry(const SystemConfig &config);
+
 /**
  * Physical memory conditioned before any application starts
  * (Sec. VII-B): weeks-of-uptime allocator churn seeded by
@@ -309,8 +313,9 @@ struct MulticoreResult
  * every config: each batch is generated and resolved once, and each
  * config's machine for that app steps it. Each config has its own
  * LLC and DRAM, so every result is bit-identical to a solo run.
- * Checked configs with equal L1 geometry must report equal
- * digests on each core; a mismatch is a checkFailure on both.
+ * Results are not compared with each other here: the sweep
+ * engine's functional oracle (sim/sweep.hh) screens every checked
+ * result, grouped or not.
  *
  * One config's exception does not stop the others. With @p errors
  * null the first is rethrown after the run; else (*errors)[i] holds

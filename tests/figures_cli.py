@@ -10,7 +10,9 @@ SIPT_THREADS=1 and =4) while their shared jobs run once and, even on
 one worker, run grouped; that SIPT_METRICS makes every requested
 figure write its JSON; that a warm run-cache run, which executes
 no job, still truncates the SIPT_TRACE file; that checked and
-unchecked runs never share a run-cache entry; that a run with a
+unchecked runs never share a run-cache entry; that a warm checked
+run, all disk hits, passes the functional oracle and prints what the
+cold run printed; that a run with a
 SIPT_CHECK_MUTATE self-test armed neither reads nor writes the run
 cache, so a clean run after it still passes; that a recorded check
 failure exits 1 (fig06 through the engine's count, ext_icache
@@ -153,6 +155,25 @@ def main(argv):
                   "SIPT_CHECK=%s (disk-hits=%d executed=%d jobs=%d)"
                   % (second, first, stats["disk-hits"],
                      stats["executed"], stats["jobs"]))
+
+    # The sweep's functional oracle screens disk hits as well as
+    # executed runs: a warm checked run, served wholly from the
+    # cache, must raise no false alarm.
+    with tempfile.TemporaryDirectory() as tmp:
+        checked = {"SIPT_RUN_CACHE": os.path.join(tmp, "cache"),
+                   "SIPT_CHECK": "1"}
+        cold = run(binary, ["fig06"], 4, extra_env=checked)
+        warm = run(binary, ["fig06"], 4, extra_env=checked)
+        stats = footer(warm.stderr)
+        check(cold.returncode == 0 and warm.returncode == 0 and
+              warm.stdout == cold.stdout and stats["executed"] == 0 and
+              stats["disk-hits"] > 0 and
+              "check-failures" not in cold.stderr + warm.stderr,
+              "a warm checked fig06 is all disk hits, passes the "
+              "functional oracle and prints the cold stdout "
+              "(executed=%d disk-hits=%d, exit %d/%d)"
+              % (stats["executed"], stats["disk-hits"],
+                 cold.returncode, warm.returncode))
 
     # A mutated golden model fails fig15syn's checked runs on
     # purpose; those results must not be published under the clean

@@ -22,16 +22,6 @@ namespace sipt::sim
 namespace
 {
 
-/** Speculative bits implied by a sampled geometry. */
-unsigned
-specBitsOf(const sim::SystemConfig &c)
-{
-    const std::uint64_t way = c.l1SizeBytes / c.l1Assoc;
-    if (way <= pageSize)
-        return 0;
-    return floorLog2(way) - pageShift;
-}
-
 /** Memo-only runner (no disk cache) for in-process campaigns. */
 sim::SweepOptions
 memoOnly()
@@ -62,7 +52,7 @@ TEST(Fuzz, SamplesStayInsideTheSpecifiedSpace)
         EXPECT_GE(c.l1Assoc, 1u);
         EXPECT_LE(c.l1Assoc, 8u);
         EXPECT_TRUE(isPowerOfTwo(c.l1Assoc));
-        EXPECT_LE(specBitsOf(c), 3u) << "sample " << i;
+        EXPECT_LE(l1Geometry(c).speculativeBits(), 3u) << "sample " << i;
         EXPECT_TRUE(c.check)
             << "fuzz samples must force checking on";
         EXPECT_FALSE(s.app.empty());
@@ -79,7 +69,7 @@ TEST(Fuzz, SamplesActuallyVary)
         const FuzzSample s = sampleAt(1, i);
         sizes.insert(s.config.l1SizeBytes);
         apps.insert(s.app);
-        spec_bits.insert(specBitsOf(s.config));
+        spec_bits.insert(l1Geometry(s.config).speculativeBits());
     }
     EXPECT_GE(sizes.size(), 3u);
     EXPECT_GE(apps.size(), 3u);
@@ -132,6 +122,13 @@ TEST(Fuzz, ParseReproRejectsGarbage)
     EXPECT_FALSE(parseRepro("unrelated log line", seed, index));
     EXPECT_FALSE(parseRepro("seed=5 but no index", seed, index));
     EXPECT_FALSE(parseRepro("index=5 but no seed", seed, index));
+    // Each seed=/index= token is a whole decimal, or the line is
+    // refused: no wrapped negative, trailing junk, sign, blank or
+    // look-alike key.
+    EXPECT_FALSE(parseRepro("seed=-1 index=3", seed, index));
+    EXPECT_FALSE(parseRepro("seed=1 index=3x", seed, index));
+    EXPECT_FALSE(parseRepro("seed= 7 index=+2", seed, index));
+    EXPECT_FALSE(parseRepro("xseed=5 yindex=6", seed, index));
 }
 
 TEST(Fuzz, SmallCampaignIsCleanOnHealthyCode)

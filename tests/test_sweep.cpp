@@ -312,19 +312,28 @@ class ScopedEnv
     std::optional<std::string> saved_;
 };
 
+/** A checked quick() config. */
+SystemConfig
+checked(IndexingPolicy policy)
+{
+    SystemConfig cfg = quick(policy);
+    cfg.check = true;
+    return cfg;
+}
+
 TEST(Sweep, GroupDigestOracleCatchesAProbeMutation)
 {
     // The probe mutation corrupts the address a SiptNaive L1
     // probes. Only another policy at the same L1 geometry, on the
-    // same stream, can tell: the group compares their digests, and
-    // both configs record the mismatch. Recorded, not aborted, even
-    // where the environment sets SIPT_CHECK_ABORT.
+    // same stream, can tell: the sweep's functional oracle takes
+    // the first clean result served (SiptNaive's, published first
+    // in the group) as the reference, and Ideal, served after it,
+    // records the mismatch. Recorded, not aborted, even where the
+    // environment sets SIPT_CHECK_ABORT.
     const ScopedEnv mutate("SIPT_CHECK_MUTATE", "probe");
     const ScopedEnv record("SIPT_CHECK_ABORT", "0");
-    SystemConfig naive = quick(IndexingPolicy::SiptNaive);
-    naive.check = true;
-    SystemConfig ideal = quick(IndexingPolicy::Ideal);
-    ideal.check = true;
+    const SystemConfig naive = checked(IndexingPolicy::SiptNaive);
+    const SystemConfig ideal = checked(IndexingPolicy::Ideal);
 
     SweepRunner runner(SweepOptions{1, "-"});
     WorkerGate gate(runner, 1);
@@ -332,20 +341,48 @@ TEST(Sweep, GroupDigestOracleCatchesAProbeMutation)
     auto ideal_run = runner.enqueue("mcf", ideal);
     gate.release();
 
-    for (const RunResult &r : {naive_run.get(), ideal_run.get()}) {
-        EXPECT_NE(r.checkFailure.find("digest mismatch"),
-                  std::string::npos)
-            << r.checkFailure;
+    EXPECT_EQ(naive_run.get().checkFailure, "");
+    const std::string &failure = ideal_run.get().checkFailure;
+    for (const std::string &part :
+         {std::string("functional mismatch"),
+          std::string(policyName(IndexingPolicy::Ideal)),
+          std::string(policyName(IndexingPolicy::SiptNaive)),
+          runKeyJson("mcf", naive)}) {
+        EXPECT_NE(failure.find(part), std::string::npos)
+            << part << " in " << failure;
     }
     const SweepStats s = runner.stats();
     EXPECT_EQ(s.grouped, 1u);
-    EXPECT_EQ(s.checkFailures, 2u);
-    EXPECT_EQ(s.firstCheckFailure, runKeyJson("mcf", naive));
+    EXPECT_EQ(s.checkFailures, 1u);
+    EXPECT_EQ(s.firstCheckFailure, runKeyJson("mcf", ideal));
     std::ostringstream footer;
     runner.printStats(footer);
-    EXPECT_NE(footer.str().find(" check-failures=2 first="),
+    EXPECT_NE(footer.str().find(" check-failures=1 first="),
               std::string::npos)
         << footer.str();
+}
+
+TEST(Sweep, OracleComparesPairsSplitAcrossGroups)
+{
+    // The SiptNaive run finishes before Ideal is enqueued, so the
+    // two run in separate groups; the oracle still compares them.
+    const ScopedEnv mutate("SIPT_CHECK_MUTATE", "probe");
+    const ScopedEnv record("SIPT_CHECK_ABORT", "0");
+    SweepRunner runner(SweepOptions{1, "-"});
+    EXPECT_EQ(
+        runner.enqueue("mcf", checked(IndexingPolicy::SiptNaive))
+            .get()
+            .checkFailure,
+        "");
+    const RunResult ideal =
+        runner.enqueue("mcf", checked(IndexingPolicy::Ideal)).get();
+
+    EXPECT_NE(ideal.checkFailure.find("functional mismatch"),
+              std::string::npos)
+        << ideal.checkFailure;
+    const SweepStats s = runner.stats();
+    EXPECT_EQ(s.grouped, 0u);
+    EXPECT_EQ(s.checkFailures, 1u);
 }
 
 TEST(Sweep, ThreadCountDoesNotChangeResults)
@@ -612,6 +649,36 @@ withResult(const Json &entry, const Json &result)
     e.set("result", result);
     e.set("sum", fnv1a64(result.dump()));
     return e;
+}
+
+TEST(Sweep, OracleComparesDiskHits)
+{
+    // A clean Ideal entry whose digest is then edited (with "sum"
+    // recomputed, so it still loads) is the reference a later
+    // SiptCombined run at the same geometry is compared with.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "sipt_test_oracle_disk";
+    const SystemConfig ideal = checked(IndexingPolicy::Ideal);
+    const SystemConfig combined = checked(IndexingPolicy::SiptCombined);
+    ASSERT_EQ(l1Geometry(ideal), l1Geometry(combined));
+    publishThenEdit(dir, ideal, [](const Json &entry) {
+        Json result = entry.get("result");
+        result.set("checkDigest",
+                   result.get("checkDigest").asUint() + 1);
+        return withResult(entry, result);
+    });
+
+    SweepRunner runner(SweepOptions{1, dir.string()});
+    EXPECT_EQ(runner.enqueue("mcf", ideal).get().checkFailure, "");
+    const RunResult served = runner.enqueue("mcf", combined).get();
+    EXPECT_NE(served.checkFailure.find("digest"), std::string::npos)
+        << served.checkFailure;
+    const SweepStats s = runner.stats();
+    EXPECT_EQ(s.diskHits, 1u);
+    EXPECT_EQ(s.executed, 1u);
+    EXPECT_EQ(s.checkFailures, 1u);
+    EXPECT_EQ(s.firstCheckFailure, runKeyJson("mcf", combined));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, MalformedDiskEntryIsAMissNotAnAbort)

@@ -6,13 +6,14 @@
  * a quarter of them multi-mapping synonym scenarios (alias count,
  * index-bit skew, huge-page mix over alias / COW / shared-segment
  * modes) — runs each under every feasible indexing policy with
- * the differential golden-model checker enabled, and requires all
- * policies to produce byte-identical functional event digests.
- * Synonym samples additionally require the VIVT strawman to have
- * counted reverse-map invalidations (the bookkeeping SIPT avoids).
- * A divergence prints a one-line repro:
+ * the differential golden-model checker enabled, and requires every
+ * policy's checker to stay clean; the sweep's functional oracle
+ * records a failure on any policy whose functional events differ
+ * from another's. Synonym samples additionally require the VIVT
+ * strawman to have counted reverse-map invalidations (the
+ * bookkeeping SIPT avoids). A failure prints a one-line repro:
  *
- *   SIPT-FUZZ-REPRO seed=<N> index=<M> config={...}
+ *   SIPT-FUZZ-REPRO seed=<N> index=<M> app=<app> config={...}
  *
  * which `sipt-fuzz --repro '<line>'` replays exactly.
  *
@@ -62,12 +63,8 @@ replay(std::uint64_t seed, std::uint64_t index,
     const sim::FuzzSample sample = sim::sampleAt(seed, index);
     std::cout << "replaying " << sim::reproLine(sample) << "\n";
 
-    for (const IndexingPolicy policy :
-         sim::policiesFor(sample.config)) {
-        sim::SystemConfig config = sample.config;
-        config.policy = policy;
-        const sim::RunResult r =
-            runner.enqueue(sample.app, config).get();
+    const sim::SampleResult verdict = sim::runSample(sample, runner);
+    for (const auto &[policy, r] : verdict.runs) {
         std::cout << "  " << policyName(policy) << ": digest "
                   << r.checkDigest << ", " << r.checkEvents
                   << " events"
@@ -76,9 +73,6 @@ replay(std::uint64_t seed, std::uint64_t index,
                           : ", FAIL: " + r.checkFailure)
                   << "\n";
     }
-
-    const sim::SampleResult verdict =
-        sim::runSample(sample, runner);
     if (verdict.passed) {
         std::cout << "sample is policy-invariant and clean\n";
         return 0;
