@@ -50,7 +50,7 @@ usage()
     std::exit(2);
 }
 
-/** Strict numeric flag values; a bad one exits with usage. */
+/** Strict flag values; a missing or bad one exits with usage. */
 const FlagParser flags{"sipt_explorer", []() -> int { usage(); }};
 
 /** The value a sim name parser returned, or exit with usage. */
@@ -81,23 +81,18 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
         if (arg == "--app") {
-            app = value();
+            app = flags.value(argc, argv, i);
         } else if (arg == "--l1") {
-            const std::string name = value();
+            const std::string name = flags.value(argc, argv, i);
             cfg.l1Config =
                 parseName(sim::l1ConfigFromName(name), arg, name);
         } else if (arg == "--policy") {
-            const std::string name = value();
+            const std::string name = flags.value(argc, argv, i);
             cfg.policy =
                 parseName(sim::policyFromName(name), arg, name);
         } else if (arg == "--condition") {
-            const std::string name = value();
+            const std::string name = flags.value(argc, argv, i);
             cfg.condition =
                 parseName(sim::conditionFromName(name), arg, name);
         } else if (arg == "--inorder") {

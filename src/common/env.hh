@@ -48,13 +48,13 @@ std::optional<double> parseDouble(const char *text, double min,
                                   const char **why = nullptr);
 
 /**
- * Strict numeric command-line flags, shared by every tool. u64()
- * and number() parse the value after the flag at argv[i] with
- * parseU64()/parseDouble() and advance @p i past it. A missing or
- * rejected value prints "<tool>: <flag> '<value>': <why>" to
- * stderr and exits with the status usage() returns, so
- * "--refs 4e6" or "--workers -1" is a usage error, never a
- * silently truncated or wrapped run.
+ * Strict command-line flag values, shared by every tool. value()
+ * returns the argument after the flag at argv[i]; u64() and
+ * number() parse it with parseU64()/parseDouble(). Each advances
+ * @p i past the value. A missing or rejected value prints
+ * "<tool>: <flag> '<value>': <why>" to stderr and exits with the
+ * status usage() returns, so "--refs 4e6" or "--workers -1" is a
+ * usage error, never a silently truncated or wrapped run.
  */
 struct FlagParser
 {
@@ -63,14 +63,13 @@ struct FlagParser
     /** Prints the tool's usage; returns its exit status. */
     int (*usage)();
 
+    const char *value(int argc, char **argv, int &i) const;
     std::uint64_t u64(int argc, char **argv, int &i,
                       std::uint64_t min, std::uint64_t max) const;
     double number(int argc, char **argv, int &i, double min,
                   double max) const;
 
   private:
-    /** The value after argv[i] (advancing @p i), or exit. */
-    const char *value(int argc, char **argv, int &i) const;
     [[noreturn]] void reject(const char *flag, const char *value,
                              const char *why) const;
 };

@@ -24,12 +24,6 @@ AddressSpace::AddressSpace(BuddyAllocator &allocator,
         fatal("coloringBits > ", hugeOrder, " unsupported");
 }
 
-AddressSpace::~AddressSpace()
-{
-    for (const auto &a : allocations_)
-        allocator_.free(a.base, a.order);
-}
-
 Addr
 AddressSpace::mmap(std::uint64_t length, unsigned align_log2,
                    std::uint64_t skew_pages)
@@ -71,8 +65,6 @@ AddressSpace::mmapAlias(Addr existing_va, std::uint64_t length,
             fatal("mmapAlias: source va ", src,
                   " is huge-page mapped");
         pageTable_.mapPage(base + off, pageNumber(xlat->paddr));
-        // No allocation record: the frames belong to the original
-        // mapping and are freed through it.
     }
     return base;
 }
@@ -106,8 +98,6 @@ AddressSpace::mmapShared(const SharedSegment &segment,
                                segment.pagePfn(p));
         }
     }
-    // No allocation record: the frames belong to the segment and
-    // outlive any one attachment.
     return base;
 }
 
@@ -201,8 +191,6 @@ AddressSpace::installMapping(Addr vaddr, Pfn pfn, bool huge)
         pageTable_.mapPage(vaddr, pfn);
         ++smallFaults_;
     }
-    // No allocation record: replayed frames belong to the
-    // recording run's allocator, not this address space.
 }
 
 const AddressSpace::Region *
@@ -254,7 +242,6 @@ AddressSpace::fault(Addr vaddr)
              rng_.chance(policy_.thpChance))) {
             if (auto pfn = allocator_.allocate(hugeOrder)) {
                 pageTable_.mapHugePage(vaddr, *pfn);
-                allocations_.push_back({*pfn, hugeOrder});
                 ++hugeFaults_;
                 return;
             }
@@ -280,7 +267,6 @@ AddressSpace::mapSmall(Addr vaddr)
     if (!pfn)
         fatal("out of physical memory");
     pageTable_.mapPage(vaddr, *pfn);
-    allocations_.push_back({*pfn, 0});
     ++smallFaults_;
 }
 

@@ -51,6 +51,8 @@ struct PagingPolicy
 
 /**
  * One simulated process: VA layout, page table, and fault handling.
+ * Frames a fault or a COW break allocates are never freed, not
+ * even at destruction: they live as long as the allocator.
  */
 class AddressSpace
 {
@@ -64,8 +66,6 @@ class AddressSpace
     AddressSpace(BuddyAllocator &allocator, PagingPolicy policy,
                  std::uint64_t seed = 1,
                  Addr va_base = Addr{0x10} << 30);
-
-    ~AddressSpace();
 
     AddressSpace(const AddressSpace &) = delete;
     AddressSpace &operator=(const AddressSpace &) = delete;
@@ -154,11 +154,9 @@ class AddressSpace
     /**
      * Discard the 4 KiB mapping containing @p vaddr (partial
      * munmap / MADV_DONTNEED). The region stays reserved, so a
-     * later touch demand-faults a fresh frame. Frames owned by
-     * this address space are returned at destruction as usual;
-     * alias/COW-shared frames stay with their owner. Fatal on
-     * huge-page mappings (partial unmap of a huge page is not
-     * modelled).
+     * later touch demand-faults a fresh frame. The discarded
+     * frame is not freed. Fatal on huge-page mappings (partial
+     * unmap of a huge page is not modelled).
      */
     void unmapPage(Addr vaddr);
 
@@ -182,9 +180,8 @@ class AddressSpace
      * Install a recorded VA->PA mapping directly, bypassing
      * demand paging. For @p huge mappings @p vaddr must be 2 MiB
      * aligned and @p pfn is the first 4 KiB frame of the block.
-     * The frames are *not* owned by this address space (they were
-     * chosen by the recording run's allocator), so they are never
-     * returned to the buddy allocator on destruction.
+     * The frames were chosen by the recording run's allocator;
+     * nothing is taken from this one.
      */
     void installMapping(Addr vaddr, Pfn pfn, bool huge);
 
@@ -226,12 +223,6 @@ class AddressSpace
         Addr sourceVa;
     };
 
-    struct Allocation
-    {
-        Pfn base;
-        unsigned order;
-    };
-
     /** Find the region containing @p vaddr, or nullptr. */
     const Region *findRegion(Addr vaddr) const;
 
@@ -247,7 +238,6 @@ class AddressSpace
     Addr nextVa_;
     vm::PageTable pageTable_;
     std::vector<Region> regions_;
-    std::vector<Allocation> allocations_;
     /** Still-shared COW clone pages, keyed by clone VPN. */
     std::unordered_map<Vpn, CowShare> cowShares_;
     std::uint64_t hugeFaults_ = 0;

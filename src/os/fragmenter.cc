@@ -57,11 +57,6 @@ MemoryFragmenter::MemoryFragmenter(BuddyAllocator &allocator)
 {
 }
 
-MemoryFragmenter::~MemoryFragmenter()
-{
-    release();
-}
-
 double
 MemoryFragmenter::fragmentTo(double target_fu, unsigned j, Rng &rng,
                              double min_free_fraction)
@@ -181,11 +176,6 @@ MemoryFragmenter::release()
 SystemAger::SystemAger(BuddyAllocator &allocator)
     : allocator_(allocator)
 {
-}
-
-SystemAger::~SystemAger()
-{
-    release();
 }
 
 void

@@ -34,8 +34,6 @@ class MemoryFragmenter
     /** @param allocator the allocator to condition */
     explicit MemoryFragmenter(BuddyAllocator &allocator);
 
-    ~MemoryFragmenter();
-
     MemoryFragmenter(const MemoryFragmenter &) = delete;
     MemoryFragmenter &operator=(const MemoryFragmenter &) = delete;
 
@@ -55,7 +53,9 @@ class MemoryFragmenter
     double fragmentTo(double target_fu, unsigned j, Rng &rng,
                       double min_free_fraction = 0.25);
 
-    /** Release every pinned frame. */
+    /** Release every pinned frame. Destruction does not: frames
+     *  still pinned then stay allocated for the allocator's
+     *  lifetime. */
     void release();
 
     /** Number of frames currently pinned. */
@@ -91,8 +91,6 @@ class SystemAger
 
     explicit SystemAger(BuddyAllocator &allocator);
 
-    ~SystemAger();
-
     SystemAger(const SystemAger &) = delete;
     SystemAger &operator=(const SystemAger &) = delete;
 
@@ -104,7 +102,9 @@ class SystemAger
     void age(std::uint64_t churn_ops, double resident_fraction,
              Rng &rng);
 
-    /** Release every residual allocation. */
+    /** Release every residual allocation. Destruction does not:
+     *  residual blocks stay allocated for the allocator's
+     *  lifetime. */
     void release();
 
     std::uint64_t residentFrames() const { return residentFrames_; }

@@ -14,7 +14,7 @@ constexpr unsigned hugeOrder = hugePageShift - pageShift;
 
 SharedSegment::SharedSegment(BuddyAllocator &allocator,
                              std::uint64_t length, bool huge_pages)
-    : allocator_(allocator), hugePages_(huge_pages)
+    : hugePages_(huge_pages)
 {
     if (length == 0)
         fatal("SharedSegment of zero length");
@@ -24,7 +24,7 @@ SharedSegment::SharedSegment(BuddyAllocator &allocator,
     frames_.reserve(units);
     const unsigned order = huge_pages ? hugeOrder : 0;
     for (std::uint64_t i = 0; i < units; ++i) {
-        const auto pfn = allocator_.allocate(order);
+        const auto pfn = allocator.allocate(order);
         if (!pfn) {
             fatal("SharedSegment: out of ",
                   huge_pages ? "2MiB blocks" : "frames", " after ",
@@ -32,13 +32,6 @@ SharedSegment::SharedSegment(BuddyAllocator &allocator,
         }
         frames_.push_back(*pfn);
     }
-}
-
-SharedSegment::~SharedSegment()
-{
-    const unsigned order = hugePages_ ? hugeOrder : 0;
-    for (const Pfn pfn : frames_)
-        allocator_.free(pfn, order);
 }
 
 Pfn

@@ -30,7 +30,8 @@ namespace sipt::os
 /**
  * Physical frames for a shared mapping, allocated eagerly (shmget
  * semantics: the segment exists before any process attaches) and
- * returned to the allocator on destruction.
+ * never freed, not even at destruction: they live as long as the
+ * allocator.
  */
 class SharedSegment
 {
@@ -46,8 +47,6 @@ class SharedSegment
      */
     SharedSegment(BuddyAllocator &allocator, std::uint64_t length,
                   bool huge_pages);
-
-    ~SharedSegment();
 
     SharedSegment(const SharedSegment &) = delete;
     SharedSegment &operator=(const SharedSegment &) = delete;
@@ -73,7 +72,6 @@ class SharedSegment
     Pfn chunkPfn(std::uint64_t chunk_index) const;
 
   private:
-    BuddyAllocator &allocator_;
     std::uint64_t length_;
     bool hugePages_;
     /** Base PFN per allocation unit (page, or 2 MiB chunk). */

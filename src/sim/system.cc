@@ -431,16 +431,18 @@ recordTrace(const std::string &app, const SystemConfig &config,
     const Workload w =
         buildWorkload(spec, app, memory.buddy,
                       coreSeed(JobKind::Single, spec.seed, 0), nullptr);
-    workload::TraceRecorder recorder(path, app, config.seed, *w.as);
+    workload::TraceWriter writer(path, app, config.seed,
+                                 workload::captureRegions(*w.as),
+                                 workload::captureMappings(*w.as));
     const std::uint64_t total =
         config.warmupRefs + config.measureRefs;
     MemRef ref;
     for (std::uint64_t i = 0; i < total; ++i) {
         if (!w.source->next(ref))
             break;
-        recorder.record(ref);
+        writer.append(ref);
     }
-    recorder.finish();
+    writer.finish();
 }
 
 std::uint64_t

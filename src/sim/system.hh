@@ -169,8 +169,15 @@ cache::CacheGeometry l1Geometry(const SystemConfig &config);
  * (Sec. VII-B): weeks-of-uptime allocator churn seeded by
  * spec.seed, then, for the Fragmented condition, fragmentation
  * to Fu(9) > 0.95. The pinned frames stand for other resident
- * processes, so this must outlive every address space allocated
- * from its buddy allocator.
+ * processes.
+ *
+ * This is the one owner of frame lifetime. No teardown frees a
+ * frame: the address spaces, shared segments, ager and
+ * fragmenter drawing from `buddy` leave their frames allocated
+ * when destroyed, and all of them die together with it at the
+ * end of a job, so nothing could reuse a frame given back. It
+ * must still outlive every one of them, because faults and COW
+ * breaks allocate while the job runs.
  */
 struct ConditionedMemory
 {

@@ -7,9 +7,6 @@
 namespace sipt::workload
 {
 
-namespace
-{
-
 std::vector<TraceRegion>
 captureRegions(const os::AddressSpace &as)
 {
@@ -18,8 +15,6 @@ captureRegions(const os::AddressSpace &as)
         regions.push_back({base, length});
     return regions;
 }
-
-} // namespace
 
 std::vector<TraceMapping>
 captureMappings(const os::AddressSpace &as)
@@ -49,27 +44,6 @@ captureMappings(const os::AddressSpace &as)
                   return a.vaddr < b.vaddr;
               });
     return mappings;
-}
-
-TraceRecorder::TraceRecorder(const std::string &path,
-                             const std::string &app,
-                             std::uint64_t seed,
-                             const os::AddressSpace &as)
-    : writer_(path, app, seed, captureRegions(as),
-              captureMappings(as))
-{
-}
-
-void
-TraceRecorder::record(const MemRef &ref)
-{
-    writer_.append(ref);
-}
-
-void
-TraceRecorder::finish()
-{
-    writer_.finish();
 }
 
 } // namespace sipt::workload

@@ -41,22 +41,6 @@ TraceReplaySource::next(MemRef &ref)
     return true;
 }
 
-std::size_t
-TraceReplaySource::nextBatch(cpu::RefBatch &batch,
-                             std::size_t max_refs)
-{
-    if (max_refs > cpu::RefBatch::capacity)
-        max_refs = cpu::RefBatch::capacity;
-    batch.clear();
-    MemRef ref;
-    while (batch.size < max_refs) {
-        if (!TraceReplaySource::next(ref))
-            break;
-        batch.push(ref);
-    }
-    return batch.size;
-}
-
 void
 TraceReplaySource::reset()
 {

@@ -46,10 +46,6 @@ class TraceReplaySource : public cpu::TraceSource
     /** Decode the next reference, wrapping around if looping. */
     bool next(MemRef &ref) override;
 
-    /** Decode a whole batch of records. */
-    std::size_t nextBatch(cpu::RefBatch &batch,
-                          std::size_t max_refs) override;
-
     /** Restart from the first record. */
     void reset() override;
 

@@ -170,21 +170,6 @@ TEST(AddressSpace, SegfaultOnUnmappedRegion)
                 ::testing::ExitedWithCode(1), "segfault");
 }
 
-TEST(AddressSpace, DestructorReturnsFrames)
-{
-    BuddyAllocator buddy(frames);
-    {
-        AddressSpace as(buddy, PagingPolicy{});
-        const Addr base = as.mmap(8 * hugePageSize);
-        for (Addr off = 0; off < 8 * hugePageSize;
-             off += pageSize) {
-            as.touch(base + off);
-        }
-        EXPECT_LT(buddy.freeFrames(), frames);
-    }
-    EXPECT_EQ(buddy.freeFrames(), frames);
-}
-
 TEST(Fragmenter, ReachesTargetIndex)
 {
     BuddyAllocator buddy(frames);

@@ -4,7 +4,7 @@
  * scenarios stand on: shared segments, mmap aliasing, fork-style
  * copy-on-write, and page unmapping. Each test states an invariant
  * of the VA->PA structure (who shares a frame with whom, when the
- * sharing breaks, where the frames go on teardown) and checks it
+ * sharing breaks, that teardown frees no frame) and checks it
  * either directly or against a seeded random interleaving driven
  * off a simple alias-set model.
  */
@@ -19,6 +19,7 @@
 #include "common/types.hh"
 #include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
+#include "os/fragmenter.hh"
 #include "os/shared_segment.hh"
 
 namespace sipt
@@ -50,42 +51,34 @@ TEST(SharedSegmentProps, SmallSegmentFramesDistinct)
 {
     os::BuddyAllocator buddy(totalFrames);
     const std::uint64_t before = buddy.freeFrames();
-    {
-        os::SharedSegment seg(buddy, 48 * pageSize, false);
-        EXPECT_EQ(seg.pages(), 48u);
-        EXPECT_FALSE(seg.hugePages());
-        std::unordered_map<std::uint64_t, bool> seen;
-        for (std::uint64_t i = 0; i < seg.pages(); ++i) {
-            const Pfn pfn = seg.pagePfn(i);
-            EXPECT_LT(pfn, totalFrames);
-            EXPECT_FALSE(seen[pfn]) << "duplicate frame " << pfn;
-            seen[pfn] = true;
-        }
-        EXPECT_EQ(buddy.freeFrames(), before - seg.pages());
+    os::SharedSegment seg(buddy, 48 * pageSize, false);
+    EXPECT_EQ(seg.pages(), 48u);
+    EXPECT_FALSE(seg.hugePages());
+    std::unordered_map<std::uint64_t, bool> seen;
+    for (std::uint64_t i = 0; i < seg.pages(); ++i) {
+        const Pfn pfn = seg.pagePfn(i);
+        EXPECT_LT(pfn, totalFrames);
+        EXPECT_FALSE(seen[pfn]) << "duplicate frame " << pfn;
+        seen[pfn] = true;
     }
-    // shmctl(IPC_RMID): destruction returns every frame.
-    EXPECT_EQ(buddy.freeFrames(), before);
+    EXPECT_EQ(buddy.freeFrames(), before - seg.pages());
 }
 
 TEST(SharedSegmentProps, HugeSegmentChunksContiguous)
 {
     os::BuddyAllocator buddy(totalFrames);
-    const std::uint64_t before = buddy.freeFrames();
-    {
-        // 5 MiB rounds up to three 2 MiB chunks.
-        os::SharedSegment seg(buddy, 5ull << 20, true);
-        EXPECT_TRUE(seg.hugePages());
-        EXPECT_EQ(seg.length(), 6ull << 20);
-        for (std::uint64_t i = 0; i < seg.pages(); ++i) {
-            EXPECT_EQ(seg.pagePfn(i),
-                      seg.chunkPfn(i / pagesPerHugePage) +
-                          i % pagesPerHugePage);
-        }
-        // Each chunk base is 2 MiB aligned in frame space.
-        for (std::uint64_t c = 0; c < 3; ++c)
-            EXPECT_EQ(seg.chunkPfn(c) % pagesPerHugePage, 0u);
+    // 5 MiB rounds up to three 2 MiB chunks.
+    os::SharedSegment seg(buddy, 5ull << 20, true);
+    EXPECT_TRUE(seg.hugePages());
+    EXPECT_EQ(seg.length(), 6ull << 20);
+    for (std::uint64_t i = 0; i < seg.pages(); ++i) {
+        EXPECT_EQ(seg.pagePfn(i),
+                  seg.chunkPfn(i / pagesPerHugePage) +
+                      i % pagesPerHugePage);
     }
-    EXPECT_EQ(buddy.freeFrames(), before);
+    // Each chunk base is 2 MiB aligned in frame space.
+    for (std::uint64_t c = 0; c < 3; ++c)
+        EXPECT_EQ(seg.chunkPfn(c) % pagesPerHugePage, 0u);
 }
 
 TEST(SharedSegmentProps, AttachTranslatesToSegmentFrames)
@@ -304,28 +297,57 @@ TEST(AddressSpaceProps, RandomInterleavingMatchesAliasSetModel)
     }
 }
 
-TEST(AddressSpaceProps, DestructionReturnsOwnedFramesOnly)
+// ---------------------------------------------------------------
+// Frame lifetime.
+// ---------------------------------------------------------------
+
+TEST(FrameLifetime, DestructorsFreeNothingReleaseStaysExact)
 {
+    // A job's frames die with its allocator, so destroying what
+    // draws from it (address space, segment, ager, fragmenter)
+    // frees nothing; an explicit release() still frees exactly
+    // what it pinned.
     os::BuddyAllocator buddy(totalFrames);
-    const std::uint64_t before = buddy.freeFrames();
-    os::SharedSegment seg(buddy, 8 * pageSize, false);
-    const std::uint64_t after_seg = buddy.freeFrames();
+    std::uint64_t held = 0;
     {
+        Rng rng(3);
+        os::SystemAger ager(buddy);
+        ager.age(2'000, os::SystemAger::uptimeResidentFraction, rng);
+        os::MemoryFragmenter frag(buddy);
+        frag.fragmentTo(0.95, 9, rng, 0.30);
+        ASSERT_GT(frag.pinnedFrames(), 0u);
+        os::SharedSegment seg(buddy, 8 * pageSize, false);
         os::AddressSpace as(buddy, smallPages(), 5);
-        const Addr src = as.mmap(8 * pageSize, pageShift);
-        for (std::uint64_t i = 0; i < 8; ++i)
+        const Addr src = as.mmap(16 * pageSize, pageShift);
+        for (std::uint64_t i = 0; i < 16; ++i)
             as.touch(src + i * pageSize);
-        as.mmapAlias(src, 8 * pageSize, pageShift);
         as.mmapShared(seg);
-        const Addr clone =
-            as.mmapCow(src, 8 * pageSize, pageShift);
-        as.storeTouch(clone); // one private COW frame
-        EXPECT_LT(buddy.freeFrames(), after_seg);
+        const Addr clone = as.mmapCow(src, 8 * pageSize, pageShift);
+        ASSERT_TRUE(as.storeTouch(clone)); // a COW break allocates
+        held = buddy.freeFrames();
     }
-    // The address space returns its private frames (including the
-    // COW break) but not the segment's — those outlive it.
-    EXPECT_EQ(buddy.freeFrames(), after_seg);
-    EXPECT_EQ(after_seg, before - 8);
+    EXPECT_EQ(buddy.freeFrames(), held);
+
+    // The same conditioning, released by hand before destruction:
+    // every frame comes back and the buddies re-coalesce.
+    os::BuddyAllocator fresh(totalFrames);
+    {
+        Rng rng(3);
+        os::SystemAger ager(fresh);
+        ager.age(2'000, os::SystemAger::uptimeResidentFraction, rng);
+        os::MemoryFragmenter frag(fresh);
+        frag.fragmentTo(0.95, 9, rng, 0.30);
+        const std::uint64_t pinned = frag.pinnedFrames();
+        const std::uint64_t conditioned = fresh.freeFrames();
+        frag.release();
+        EXPECT_EQ(fresh.freeFrames(), conditioned + pinned);
+        EXPECT_EQ(frag.pinnedFrames(), 0u);
+        ager.release();
+        EXPECT_EQ(fresh.freeFrames(), totalFrames);
+    }
+    EXPECT_EQ(fresh.freeFrames(), totalFrames);
+    EXPECT_EQ(fresh.largestFreeOrder(),
+              static_cast<int>(fresh.maxOrder()));
 }
 
 } // namespace

@@ -295,6 +295,9 @@ TEST(Env, FlagParserReadsValuesAndExitsOnBadOnes)
          bad[] = "4e6", scale[] = "--scale", half[] = "0.5";
     char *argv[] = {prog, refs, good, scale, half, refs, bad, refs};
     int i = 1;
+    EXPECT_STREQ(flags.value(8, argv, i), "4000000");
+    EXPECT_EQ(i, 2);
+    i = 1;
     EXPECT_EQ(flags.u64(8, argv, i, 1, 1u << 30), 4'000'000u);
     EXPECT_EQ(i, 2);
     i = 3;
@@ -306,6 +309,8 @@ TEST(Env, FlagParserReadsValuesAndExitsOnBadOnes)
     i = 7;
     EXPECT_EXIT(flags.u64(8, argv, i, 1, 1u << 30),
                 testing::ExitedWithCode(7), "missing value");
+    EXPECT_EXIT(flags.value(8, argv, i), testing::ExitedWithCode(7),
+                "tool: --refs '': missing value");
 }
 
 

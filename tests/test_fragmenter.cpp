@@ -205,18 +205,6 @@ TEST(MemoryFragmenter, ReleaseRestoresAllFrames)
               static_cast<int>(b.maxOrder()));
 }
 
-TEST(MemoryFragmenter, DestructorReleasesPins)
-{
-    BuddyAllocator b(kFrames);
-    Rng rng(13);
-    {
-        MemoryFragmenter frag(b);
-        frag.fragmentTo(0.7, 2, rng);
-        ASSERT_LT(b.freeFrames(), kFrames);
-    }
-    EXPECT_EQ(b.freeFrames(), kFrames);
-}
-
 TEST(MemoryFragmenter, FragmentationDefeatsLargeAllocations)
 {
     // The conditioned allocator is the paper's Section VII-B

@@ -61,26 +61,6 @@ TEST(MultiProcess, FramesAreDisjoint)
         ASSERT_EQ(pfns_b.count(pfn), 0u) << "shared frame";
 }
 
-TEST(MultiProcess, ReleaseIsIndependent)
-{
-    BuddyAllocator buddy(frames);
-    auto a = std::make_unique<AddressSpace>(
-        buddy, PagingPolicy{}, 1);
-    AddressSpace b(buddy, PagingPolicy{}, 2);
-    const Addr base_a = a->mmap(8 * hugePageSize);
-    const Addr base_b = b.mmap(8 * hugePageSize);
-    for (Addr off = 0; off < 8 * hugePageSize; off += pageSize) {
-        a->touch(base_a + off);
-        b.touch(base_b + off);
-    }
-    const auto free_before = buddy.freeFrames();
-    a.reset(); // process A exits
-    EXPECT_EQ(buddy.freeFrames(),
-              free_before + 8 * pagesPerHugePage);
-    // B's mappings still translate.
-    EXPECT_TRUE(b.pageTable().translate(base_b).has_value());
-}
-
 TEST(MultiProcess, InterleavedFaultsStillGiveUsableDeltas)
 {
     // Two co-running workloads interleave their bursts; each

@@ -51,7 +51,7 @@ usage()
     return 2;
 }
 
-/** Strict numeric flag values; a bad one exits with usage. */
+/** Strict flag values; a missing or bad one exits with usage. */
 const sipt::FlagParser flags{"sipt-fuzz", usage};
 
 /** Replay one sample and report every policy's verdict. */
@@ -94,13 +94,12 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
         if (arg == "--seed") {
             seed = flags.u64(argc, argv, i, 0, ~std::uint64_t{0});
         } else if (arg == "--count") {
             count = flags.u64(argc, argv, i, 1, maxCount);
-        } else if (arg == "--repro" && has_value) {
-            repro = argv[++i];
+        } else if (arg == "--repro") {
+            repro = flags.value(argc, argv, i);
         } else if (arg == "--expect-fail") {
             expect_fail = true;
         } else {

@@ -27,7 +27,6 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -54,19 +53,7 @@ usage()
     return 1;
 }
 
-/** The next argv value after a flag, or exit with usage. */
-const char *
-argValue(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::cerr << "sipt-trace: " << argv[i]
-                  << " needs a value\n";
-        std::exit(usage());
-    }
-    return argv[++i];
-}
-
-/** Strict numeric flag values; a bad one exits with usage. */
+/** Strict flag values; a missing or bad one exits with usage. */
 const sipt::FlagParser flags{"sipt-trace", usage};
 
 int
@@ -79,9 +66,9 @@ cmdRecord(int argc, char **argv)
 
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--app") == 0) {
-            app = argValue(argc, argv, i);
+            app = flags.value(argc, argv, i);
         } else if (std::strcmp(argv[i], "--out") == 0) {
-            out = argValue(argc, argv, i);
+            out = flags.value(argc, argv, i);
         } else if (std::strcmp(argv[i], "--seed") == 0) {
             config.seed =
                 flags.u64(argc, argv, i, 0, ~std::uint64_t{0});
@@ -92,7 +79,7 @@ cmdRecord(int argc, char **argv)
             config.warmupRefs =
                 flags.u64(argc, argv, i, 0, sipt::sim::maxRefs);
         } else if (std::strcmp(argv[i], "--condition") == 0) {
-            const char *name = argValue(argc, argv, i);
+            const char *name = flags.value(argc, argv, i);
             const auto cond = sipt::sim::conditionFromName(name);
             if (!cond) {
                 std::cerr << "sipt-trace: unknown condition '"
@@ -177,7 +164,7 @@ cmdVerify(int argc, char **argv)
     std::string run_preset;
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--run") == 0) {
-            run_preset = argValue(argc, argv, i);
+            run_preset = flags.value(argc, argv, i);
         } else if (path.empty()) {
             path = argv[i];
         } else {
