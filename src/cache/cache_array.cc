@@ -25,30 +25,45 @@ CacheGeometry::speculativeBits() const
     return floorLog2(way_bytes) - pageShift;
 }
 
-CacheArray::CacheArray(const CacheGeometry &geometry)
-    : geometry_(geometry), numSets_(geometry.numSets()),
-      assoc_(geometry.assoc),
-      lineShift_(floorLog2(geometry.lineBytes)),
-      tags_(static_cast<std::size_t>(numSets_) * geometry.assoc,
-            invalidTag),
-      lastUse_(static_cast<std::size_t>(numSets_) * geometry.assoc,
-               0),
-      validMask_(numSets_, 0), dirtyMask_(numSets_, 0),
-      mru_(numSets_, 0)
+namespace
+{
+
+/**
+ * @p geometry, once checked to be one a CacheArray can hold. Runs
+ * first in the constructor's initializer list: nothing may divide
+ * by or size storage from a geometry before it is checked.
+ */
+const CacheGeometry &
+validated(const CacheGeometry &geometry)
 {
     if (geometry.sizeBytes == 0 || geometry.assoc == 0 ||
         geometry.lineBytes == 0) {
         fatal("CacheArray: zero geometry parameter");
     }
-    if (!isPowerOfTwo(numSets_))
+    if (geometry.assoc > CacheArray::maxAssoc) {
+        fatal("CacheArray: associativity ", geometry.assoc, " > ",
+              CacheArray::maxAssoc, " unsupported");
+    }
+    if (!isPowerOfTwo(geometry.numSets()))
         fatal("CacheArray: number of sets must be a power of two");
     if (!isPowerOfTwo(geometry.lineBytes))
         fatal("CacheArray: line size must be a power of two");
     if (geometry.lineBytes != lineSize)
         warn("CacheArray: line size ", geometry.lineBytes,
              " differs from the system line size");
-    if (assoc_ > 32)
-        fatal("CacheArray: associativity > 32 unsupported");
+    return geometry;
+}
+
+} // namespace
+
+CacheArray::CacheArray(const CacheGeometry &geometry)
+    : geometry_(validated(geometry)), numSets_(geometry.numSets()),
+      assoc_(geometry.assoc),
+      lineShift_(floorLog2(geometry.lineBytes)),
+      tags_(static_cast<std::size_t>(numSets_) * geometry.assoc,
+            invalidTag),
+      sets_(numSets_)
+{
 }
 
 int
@@ -56,7 +71,7 @@ CacheArray::lookup(std::uint32_t set, Addr paddr)
 {
     const int way = probe(set, paddr);
     if (way >= 0)
-        touchLine(set, static_cast<std::uint32_t>(way));
+        touch(set, static_cast<std::uint32_t>(way));
     return way;
 }
 
@@ -64,18 +79,18 @@ void
 CacheArray::setDirty(std::uint32_t set, std::uint32_t way)
 {
     SIPT_ASSERT(set < numSets_ && way < assoc_, "index range");
-    SIPT_ASSERT((validMask_[set] >> way) & 1u,
+    SIPT_ASSERT((sets_[set].valid >> way) & 1u,
                 "setDirty on invalid line");
-    dirtyMask_[set] |= std::uint32_t{1} << way;
+    sets_[set].dirty |= std::uint32_t{1} << way;
 }
 
 bool
 CacheArray::dirtyAt(std::uint32_t set, std::uint32_t way) const
 {
     SIPT_ASSERT(set < numSets_ && way < assoc_, "index range");
-    SIPT_ASSERT((validMask_[set] >> way) & 1u,
+    SIPT_ASSERT((sets_[set].valid >> way) & 1u,
                 "dirtyAt on invalid line");
-    return ((dirtyMask_[set] >> way) & 1u) != 0;
+    return ((sets_[set].dirty >> way) & 1u) != 0;
 }
 
 std::optional<Eviction>
@@ -88,18 +103,19 @@ CacheArray::insert(std::uint32_t set, Addr paddr, bool dirty)
     const std::uint32_t victim = selectVictim(set);
     const std::size_t idx = slot(set, victim);
     const std::uint32_t bit = std::uint32_t{1} << victim;
+    SetState &state = sets_[set];
     std::optional<Eviction> evicted;
-    if (validMask_[set] & bit) {
+    if (state.valid & bit) {
         evicted = Eviction{blockBase(tags_[idx], lineShift_),
-                           (dirtyMask_[set] & bit) != 0};
+                           (state.dirty & bit) != 0};
     }
-    validMask_[set] |= bit;
+    state.valid |= bit;
     if (dirty)
-        dirtyMask_[set] |= bit;
+        state.dirty |= bit;
     else
-        dirtyMask_[set] &= ~bit;
+        state.dirty &= ~bit;
     tags_[idx] = blockNumber(paddr, lineShift_);
-    touchLine(set, victim);
+    touch(set, victim);
     return evicted;
 }
 
@@ -110,43 +126,32 @@ CacheArray::invalidate(std::uint32_t set, Addr paddr)
     if (way < 0)
         return false;
     tags_[slot(set, static_cast<std::uint32_t>(way))] = invalidTag;
-    validMask_[set] &=
+    sets_[set].valid &=
         ~(std::uint32_t{1} << static_cast<std::uint32_t>(way));
     return true;
-}
-
-std::uint32_t
-CacheArray::mruWay(std::uint32_t set) const
-{
-    SIPT_ASSERT(set < numSets_, "set out of range");
-    return mru_[set];
 }
 
 std::uint64_t
 CacheArray::validLines() const
 {
     std::uint64_t n = 0;
-    for (const std::uint32_t mask : validMask_)
-        n += std::popcount(mask);
+    for (const SetState &state : sets_)
+        n += std::popcount(state.valid);
     return n;
 }
 
 std::uint32_t
 CacheArray::selectVictim(std::uint32_t set) const
 {
-    // Lowest invalid way first.
-    const std::uint32_t invalid = ~validMask_[set] & fullMask();
+    // Lowest invalid way first, else the LRU nibble.
+    const SetState &state = sets_[set];
+    const std::uint32_t invalid =
+        ~state.valid & ((std::uint32_t{1} << assoc_) - 1);
     if (invalid)
         return static_cast<std::uint32_t>(
             std::countr_zero(invalid));
-
-    const std::uint64_t *use = &lastUse_[slot(set, 0)];
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < assoc_; ++w) {
-        if (use[w] < use[victim])
-            victim = w;
-    }
-    return victim;
+    return static_cast<std::uint32_t>(
+        (state.order >> (4 * (assoc_ - 1))) & 0xf);
 }
 
 } // namespace sipt::cache

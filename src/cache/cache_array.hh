@@ -2,6 +2,13 @@
  * @file
  * A set-associative cache tag/data array with true-LRU replacement.
  *
+ * Replacement state is one 16-byte record per set: the ways'
+ * recency order packed one nibble per position in a 64-bit word,
+ * plus the valid and dirty bitmasks. Touching a way is a handful of
+ * ALU operations and choosing a victim reads one nibble, with no
+ * per-line stamps to store or scan; the packing caps associativity
+ * at 16 ways.
+ *
  * The array is indexed explicitly by set number so that the SIPT L1
  * controller can probe it with a *speculative* index while lines are
  * always stored under their physical index. Tags store the full line
@@ -12,6 +19,7 @@
 #ifndef SIPT_CACHE_CACHE_ARRAY_HH
 #define SIPT_CACHE_CACHE_ARRAY_HH
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -84,29 +92,40 @@ class CacheArray
 
     /**
      * Update replacement state for a line already located by
-     * probe(). Equivalent to the touch a lookup() hit performs,
-     * without rescanning the set — the L1's access path probes
-     * once and touches by way.
+     * probe(): make @p way the set's MRU way. Equivalent to the
+     * touch a lookup() hit performs, without rescanning the set —
+     * the L1's access path probes once and touches by way.
      */
     void
     touch(std::uint32_t set, std::uint32_t way)
     {
-        touchLine(set, way);
+        std::uint64_t &order = sets_[set].order;
+        if ((order & 0xf) == way)
+            return;
+        // The way's nibble is the only zero nibble of x, and the
+        // lowest one flagged (a borrow only flags above it).
+        constexpr std::uint64_t ones = 0x1111111111111111;
+        const std::uint64_t x = order ^ (ones * way);
+        const unsigned shift = static_cast<unsigned>(
+            std::countr_zero((x - ones) & ~x & (ones << 3)) - 3);
+        // The positions below it each age by one; the way is MRU.
+        const std::uint64_t low = (std::uint64_t{1} << shift) - 1;
+        order = (order & ~((low << 4) | 0xf)) |
+                ((order & low) << 4) | way;
     }
 
     /**
-     * Host-prefetch the tag storage of @p set. The access pipeline
-     * issues this a few references ahead of the probe/insert that
-     * will scan the set; it has no effect on simulated state.
+     * Host-prefetch the tag storage and replacement record of
+     * @p set. The access pipeline issues this a few references
+     * ahead of the probe/insert that will scan the set; it has no
+     * effect on simulated state.
      */
     void
     prefetchSet(std::uint32_t set) const
     {
-        const std::size_t base =
-            static_cast<std::size_t>(set) * assoc_;
-        prefetchWriteRange(&tags_[base], sizeof(Addr) * assoc_);
-        prefetchWriteRange(&lastUse_[base],
-                           sizeof(std::uint64_t) * assoc_);
+        prefetchWriteRange(&tags_[slot(set, 0)],
+                           sizeof(Addr) * assoc_);
+        prefetchWrite(&sets_[set]);
     }
 
     /** Mark the line at (@p set, @p way) dirty. */
@@ -126,8 +145,16 @@ class CacheArray
      *  @p set. @return true when a line was invalidated. */
     bool invalidate(std::uint32_t set, Addr paddr);
 
-    /** The MRU way of @p set (for way prediction); 0 if empty. */
-    std::uint32_t mruWay(std::uint32_t set) const;
+    /**
+     * The MRU way of @p set (for way prediction): the way touched
+     * last, even if since invalidated; 0 if none was ever touched.
+     */
+    std::uint32_t
+    mruWay(std::uint32_t set) const
+    {
+        SIPT_ASSERT(set < numSets_, "set out of range");
+        return static_cast<std::uint32_t>(sets_[set].order & 0xf);
+    }
 
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t assoc() const { return assoc_; }
@@ -137,7 +164,29 @@ class CacheArray
     /** Count of currently valid lines (test/inspection aid). */
     std::uint64_t validLines() const;
 
+    /** Most ways a set can have: one recency nibble per way. */
+    static constexpr std::uint32_t maxAssoc = 16;
+
   private:
+    /**
+     * Replacement and status state of one set. `order` lists the
+     * ways from most to least recently used, one nibble each, the
+     * MRU way in the low nibble; it starts as the identity order
+     * 0xfedcba9876543210. Ways never touched keep their initial
+     * positions, so with fewer than 16 ways the nibbles at and
+     * above position assoc are constant and the LRU way is always
+     * the nibble at position assoc - 1. `valid` and `dirty` hold
+     * one bit per way.
+     */
+    struct SetState
+    {
+        std::uint64_t order = 0xfedcba9876543210;
+        std::uint32_t valid = 0;
+        std::uint32_t dirty = 0;
+    };
+    static_assert(sizeof(SetState) == 16,
+                  "a set's replacement record is 16 bytes");
+
     /**
      * Tag slot value of an invalid way. Physical line addresses are
      * bounded by physical memory, so no real line can collide with
@@ -145,14 +194,6 @@ class CacheArray
      * single compare per way, no validity test.
      */
     static constexpr Addr invalidTag = ~Addr{0};
-
-    /** Bitmask with one bit per way of this array. */
-    std::uint32_t
-    fullMask() const
-    {
-        return assoc_ == 32 ? ~std::uint32_t{0}
-                            : (std::uint32_t{1} << assoc_) - 1;
-    }
 
     std::size_t
     slot(std::uint32_t set, std::uint32_t way) const
@@ -164,27 +205,17 @@ class CacheArray
      *  the least recently used one. */
     std::uint32_t selectVictim(std::uint32_t set) const;
 
-    /** Update replacement metadata after touching (set, way). */
-    void touchLine(std::uint32_t set, std::uint32_t way);
-
     CacheGeometry geometry_;
     std::uint32_t numSets_;
     std::uint32_t assoc_;
     unsigned lineShift_;
-    std::uint64_t useClock_ = 0;
     /**
-     * Struct-of-arrays line state. Tags are the probe-critical
-     * stream: a 16-way set is two host cache lines of tags instead
-     * of six lines of padded line records. Valid and dirty bits
-     * live in per-set bitmasks (assoc <= 32), which also makes
-     * victim selection a count-trailing-zeros instead of a scan.
+     * Tags are the probe-critical stream, dense per set: a 16-way
+     * set is two host cache lines of tags. Everything else about a
+     * set lives in its SetState, a quarter of a host line.
      */
     std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint32_t> validMask_;
-    std::vector<std::uint32_t> dirtyMask_;
-    /** MRU way per set, maintained for way prediction. */
-    std::vector<std::uint32_t> mru_;
+    std::vector<SetState> sets_;
 };
 
 inline int
@@ -198,13 +229,6 @@ CacheArray::probe(std::uint32_t set, Addr paddr) const
             return static_cast<int>(w);
     }
     return -1;
-}
-
-inline void
-CacheArray::touchLine(std::uint32_t set, std::uint32_t way)
-{
-    lastUse_[slot(set, way)] = ++useClock_;
-    mru_[set] = way;
 }
 
 } // namespace sipt::cache

@@ -5,8 +5,11 @@
  * against a reference model, and the speculative-bits helper.
  */
 
+#include <algorithm>
 #include <list>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -148,7 +151,10 @@ TEST(CacheArray, InsertResidentLinePanics)
 
 /**
  * True-LRU cross-check against an exact reference model, swept
- * over geometries.
+ * over geometries (a direct-mapped one, and a 12-way one whose
+ * unused high recency nibbles must stay out of the way). Lookups,
+ * inserts, invalidations and re-inserts interleave; after every
+ * operation the array's MRU way must be the model's front.
  */
 class LruReference
     : public ::testing::TestWithParam<std::pair<std::uint64_t,
@@ -160,37 +166,78 @@ TEST_P(LruReference, MatchesListModel)
 {
     const auto [size, assoc] = GetParam();
     CacheArray a(geom(size, assoc));
-    // Reference: per-set list of line addresses, MRU at front.
-    std::map<std::uint32_t, std::list<Addr>> ref;
+    // Reference: per set, every way in recency order (MRU at
+    // front, untouched ways in way order) and the line each valid
+    // way holds. An invalidation frees a way without reordering.
+    struct RefSet
+    {
+        std::list<std::uint32_t> order;
+        std::vector<std::optional<Addr>> lines;
+    };
+    std::map<std::uint32_t, RefSet> ref;
     Rng rng(size + assoc);
+    // Twice the capacity in distinct lines: hits and evictions mix.
+    const std::uint64_t lines = 2ull * a.numSets() * assoc;
 
     for (int i = 0; i < 50000; ++i) {
-        const Addr paddr = rng.below(1u << 16) << lineShift;
+        const Addr paddr = rng.below(lines) << lineShift;
         const auto set = a.setOf(paddr);
-        auto &lst = ref[set];
+        auto [it, fresh] = ref.try_emplace(set);
+        RefSet &model = it->second;
+        if (fresh) {
+            for (std::uint32_t w = 0; w < assoc; ++w)
+                model.order.push_back(w);
+            model.lines.resize(assoc);
+        }
         const Addr line = paddr >> lineShift;
-        const auto it =
-            std::find(lst.begin(), lst.end(), line);
-        if (it != lst.end()) {
-            ASSERT_GE(a.lookup(set, paddr), 0)
-                << "model hit, array miss";
-            lst.erase(it);
-            lst.push_front(line);
+        const auto held =
+            std::find(model.lines.begin(), model.lines.end(), line);
+        const int want =
+            held == model.lines.end()
+                ? -1
+                : static_cast<int>(held - model.lines.begin());
+        const auto toFront = [&model](std::uint32_t way) {
+            model.order.remove(way);
+            model.order.push_front(way);
+        };
+
+        if (rng.below(8) == 0) {
+            ASSERT_EQ(a.invalidate(set, paddr), want >= 0)
+                << "invalidate disagrees with the model";
+            if (want >= 0)
+                model.lines[static_cast<std::size_t>(want)].reset();
+        } else if (want >= 0) {
+            ASSERT_EQ(a.lookup(set, paddr), want)
+                << "model hit, array miss or wrong way";
+            toFront(static_cast<std::uint32_t>(want));
         } else {
             ASSERT_EQ(a.lookup(set, paddr), -1)
                 << "model miss, array hit";
+            const auto hole = std::find(model.lines.begin(),
+                                        model.lines.end(),
+                                        std::nullopt);
+            const std::uint32_t victim =
+                hole != model.lines.end()
+                    ? static_cast<std::uint32_t>(
+                          hole - model.lines.begin())
+                    : model.order.back();
             const auto ev = a.insert(set, paddr, false);
-            if (lst.size() == assoc) {
+            if (model.lines[victim]) {
                 ASSERT_TRUE(ev.has_value());
                 ASSERT_EQ(ev->lineAddr >> lineShift,
-                          lst.back())
+                          *model.lines[victim])
                     << "wrong LRU victim";
-                lst.pop_back();
             } else {
                 ASSERT_FALSE(ev.has_value());
             }
-            lst.push_front(line);
+            ASSERT_EQ(a.probe(set, paddr),
+                      static_cast<int>(victim))
+                << "fill not in the lowest free or LRU way";
+            model.lines[victim] = line;
+            toFront(victim);
         }
+        ASSERT_EQ(a.mruWay(set), model.order.front())
+            << "MRU way differs from the model";
     }
 }
 
@@ -200,12 +247,19 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(8ull * 1024, 4u),
                       std::make_pair(32ull * 1024, 8u),
                       std::make_pair(16ull * 1024, 16u),
-                      std::make_pair(2ull * 1024, 32u)));
+                      std::make_pair(1ull * 1024, 1u),
+                      std::make_pair(12ull * 1024, 12u)));
 
 TEST(CacheArray, BadGeometryIsFatal)
 {
     EXPECT_EXIT(CacheArray a(geom(0, 2)),
                 ::testing::ExitedWithCode(1), "zero");
+    EXPECT_EXIT(CacheArray a(CacheGeometry{4096, 0, 64}),
+                ::testing::ExitedWithCode(1), "zero");
+    EXPECT_EXIT(CacheArray a(CacheGeometry{4096, 2, 0}),
+                ::testing::ExitedWithCode(1), "zero");
+    EXPECT_EXIT(CacheArray a(geom(4096, 32)),
+                ::testing::ExitedWithCode(1), "associativity");
     EXPECT_EXIT(CacheArray a(geom(4096, 64)),
                 ::testing::ExitedWithCode(1), "associativity");
 }

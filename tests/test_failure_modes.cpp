@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache_array.hh"
 #include "cpu/core.hh"
 #include "dram/dram.hh"
 #include "os/address_space.hh"
@@ -93,10 +94,21 @@ TEST(FailureModes, TlbBadGeometry)
 {
     EXPECT_EXIT(vm::Tlb t(vm::TlbParams{0, 4}),
                 ::testing::ExitedWithCode(1), "zero");
+    EXPECT_EXIT(vm::Tlb t(vm::TlbParams{64, 0}),
+                ::testing::ExitedWithCode(1), "zero");
     EXPECT_EXIT(vm::Tlb t(vm::TlbParams{65, 4}),
                 ::testing::ExitedWithCode(1), "multiple");
     EXPECT_EXIT(vm::Tlb t(vm::TlbParams{24, 4}),
                 ::testing::ExitedWithCode(1), "power of two");
+}
+
+TEST(FailureModes, CacheZeroGeometry)
+{
+    // Checked before the set count divides by either parameter.
+    EXPECT_EXIT(cache::CacheArray a(cache::CacheGeometry{4096, 0, 64}),
+                ::testing::ExitedWithCode(1), "zero");
+    EXPECT_EXIT(cache::CacheArray a(cache::CacheGeometry{4096, 2, 0}),
+                ::testing::ExitedWithCode(1), "zero");
 }
 
 TEST(FailureModes, DramBadTopology)

@@ -252,12 +252,13 @@ TEST(Sweep, ThrowingConfigFailsOnlyItsOwnMixFuture)
         // front; under a cap their own mappings would fail.
         GTEST_SKIP() << "address space already above the cap";
     }
-    // The middle config's L1 needs a 512 GiB tag array (2^31 sets
-    // x 32 ways), which the cap refuses: its machines throw
-    // std::bad_alloc while the group builds them.
+    // The middle config's L1 is a valid geometry whose tag array
+    // needs 256 GiB (2^31 sets x 16 ways x 8 B), which the cap
+    // refuses: its machines throw std::bad_alloc while the group
+    // builds them.
     SystemConfig huge = quickMix(IndexingPolicy::Ideal);
-    huge.l1SizeBytes = std::uint64_t{1} << 42;
-    huge.l1Assoc = 32;
+    huge.l1SizeBytes = std::uint64_t{1} << 41;
+    huge.l1Assoc = 16;
     const std::vector<SystemConfig> configs = {
         quickMix(IndexingPolicy::Vipt), huge,
         quickMix(IndexingPolicy::SiptCombined)};
