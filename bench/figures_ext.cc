@@ -398,12 +398,7 @@ extIcache(sim::SweepRunner &sweep)
                     now += 2;
                 }
 
-                const auto &small = mmu.l1Small();
-                const auto &huge = mmu.l1Huge();
-                const double itlb_hit =
-                    static_cast<double>(small.hits() + huge.hits()) /
-                    static_cast<double>(small.hits() + small.misses() +
-                                        huge.hits() + huge.misses());
+                const double itlb_hit = mmu.l1HitRate();
                 std::string failure = l1i.checkFailure();
                 if (failure.empty() && below.fillTracker())
                     failure = below.fillTracker()->failure();

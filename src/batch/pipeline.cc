@@ -25,8 +25,9 @@ constexpr std::size_t accountPrefetchDist = 4;
 } // namespace
 
 StreamStages::StreamStages(cpu::TraceSource &source,
-                           const vm::PageTable &page_table)
-    : source_(source), pageTable_(page_table)
+                           const vm::PageTable &page_table,
+                           vm::Mmu &tlbs)
+    : source_(source), pageTable_(page_table), tlbs_(tlbs)
 {
 }
 
@@ -47,9 +48,9 @@ StreamStages::generate(std::size_t want)
 void
 StreamStages::resolve()
 {
-    // Stateless: the page table is the pure VA->PA function (no
-    // page is mapped or unmapped once references flow). The TLB
-    // hierarchy sees every reference later, in the account stage.
+    // The page table is the pure VA->PA function (no page is mapped
+    // or unmapped once references flow). The TLB hierarchy sees
+    // every reference here, in order, once for all machines.
     cpu::RefBatch &batch = batch_;
     for (std::size_t i = 0; i < batch.size; ++i) {
         if (i + resolvePrefetchDist < batch.size)
@@ -60,13 +61,15 @@ StreamStages::resolve()
             panic("MMU translate of unmapped va ", va);
         batch.paddr[i] = entry->paddr;
         batch.hugePage[i] = entry->hugePage ? 1 : 0;
+        batch.tlbLevel[i] = static_cast<std::uint8_t>(
+            tlbs_.lookup(va, entry->hugePage));
     }
 }
 
-MachineStages::MachineStages(vm::Mmu &mmu,
+MachineStages::MachineStages(vm::MmuTiming &timing,
                              const vm::PageTable &page_table,
                              SiptL1Cache &l1, cpu::TraceCore &core)
-    : mmu_(mmu), pageTable_(page_table), l1_(l1), core_(core),
+    : timing_(timing), pageTable_(page_table), l1_(l1), core_(core),
       check_(l1.params().check),
       probeFlip_(check_.mutation == check::Mutation::CorruptProbe &&
                          l1.params().policy == IndexingPolicy::SiptNaive
@@ -122,14 +125,14 @@ MachineStages::account(const cpu::RefBatch &batch)
         const MemRef ref = batch.refAt(i);
         const double disp = core_.dispatchRef(ref);
         const auto now = static_cast<Cycles>(disp);
-        // TLB accounting at the dispatch cycle: a radix walk's PTE
-        // reads reach the below-L1 hierarchy at the cycle the core
-        // issued the reference, interleaved in reference order with
-        // the L1 fills.
-        vm::MmuResult xlat = mmu_.translateEntry(
+        // Translation latency at the dispatch cycle: a radix walk's
+        // PTE reads reach the below-L1 hierarchy at the cycle the
+        // core issued the reference, interleaved in reference order
+        // with the L1 fills.
+        vm::MmuResult xlat = timing_.complete(
             ref.vaddr,
             vm::Translation{batch.paddr[i], batch.hugePage[i] != 0},
-            now);
+            static_cast<vm::TlbLevel>(batch.tlbLevel[i]), now);
         if (check)
             checkTranslation(ref.vaddr, xlat.paddr);
         xlat.paddr ^= probeFlip_;
@@ -150,9 +153,8 @@ MachineStages::account(const cpu::RefBatch &batch)
 void
 MachineStages::checkTranslation(Addr vaddr, Addr paddr)
 {
-    // The golden walk reads the same table as the resolve stage, so
-    // this checks the TLB hierarchy (and the probe-address path),
-    // not the table itself.
+    // The resolve stage read the same table a batch earlier, and
+    // nothing may map or unmap a page while references flow.
     const auto golden = pageTable_.translate(vaddr);
     std::string error;
     if (!golden) {
@@ -160,8 +162,8 @@ MachineStages::checkTranslation(Addr vaddr, Addr paddr)
             "MMU translated unmapped va 0x", std::hex, vaddr);
     } else if (golden->paddr != paddr) {
         error = detail::formatMessage(
-            "TLB divergence at va 0x", std::hex, vaddr,
-            ": MMU pa 0x", paddr, ", page table pa 0x",
+            "translation divergence at va 0x", std::hex, vaddr,
+            ": resolved pa 0x", paddr, ", page table pa 0x",
             golden->paddr);
     }
     if (!error.empty())
@@ -208,7 +210,8 @@ BatchPipeline::BatchPipeline(cpu::TraceSource &source,
                              vm::Mmu &mmu,
                              const vm::PageTable &page_table,
                              SiptL1Cache &l1, cpu::TraceCore &core)
-    : stream_(source, page_table), machine_(mmu, page_table, l1, core)
+    : stream_(source, page_table, mmu),
+      machine_(mmu.timing(), page_table, l1, core)
 {
 }
 

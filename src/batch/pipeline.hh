@@ -9,17 +9,17 @@
  * on:
  *
  *  - StreamStages (generate + resolve) touch only the reference
- *    stream: workload RNG / cursors and the address space's page
- *    table. They depend on the application and its memory layout,
- *    never on the simulated machine.
+ *    stream: workload RNG / cursors, the address space's page
+ *    table and the TLB hierarchy. They depend on the application
+ *    and its memory layout, never on the simulated machine.
  *  - MachineStages (predict + account) touch only one simulated
- *    machine: predictor tables, TLB hierarchy, L1 array, below-L1
- *    hierarchy and core timing.
+ *    machine: predictor tables, walk latency (radix walker), L1
+ *    array, below-L1 hierarchy and core timing.
  *
  * runPhase() drives one StreamStages and any number of
  * MachineStages: each resolved batch is stepped through every
  * machine in turn, so machines that share a stream pay for
- * generation and resolution once. BatchPipeline is the
+ * generation, resolution and TLB lookups once. BatchPipeline is the
  * one-stream/one-machine composition.
  *
  * Each simulated component's state is touched by exactly one
@@ -28,19 +28,25 @@
  *
  *  - generate (StreamStages): workload RNG / cursors
  *    (TraceSource::nextBatch)
- *  - resolve (StreamStages): nothing — the pure VA->PA function,
- *    read from the address space's dense page table
+ *  - resolve (StreamStages): the TLB hierarchy (Mmu::lookup); the
+ *    VA->PA function itself is read from the address space's dense
+ *    page table
  *  - predict (MachineStages): bypass/combined/xlat tables
  *    (SiptL1Cache::decideBatch)
- *  - account (MachineStages): TLB hierarchy, L1 array, below-L1
+ *  - account (MachineStages): walk latency, L1 array, below-L1
  *    hierarchy and core timing (dispatchRef /
- *    Mmu::translateEntry / accessDecided / completeRef)
+ *    MmuTiming::complete / accessDecided / completeRef)
  *
- * TLB accounting runs in the account stage, at each reference's
- * dispatch cycle: a radix walker's PTE reads go through the same
- * below-L1 hierarchy as L1 fills, and their latency depends on the
- * issue cycle, so they must interleave with the fills in reference
- * order. Predictions need only the resolved address and huge-page
+ * Every design shares one TLB hierarchy (Tab. II), and its contents
+ * depend only on the (vpn, page size) sequence, so the resolve
+ * stage looks each reference up once for every machine and records
+ * the serving level in the batch's tlbLevel lane. What depends on
+ * the machine is the latency, charged in the account stage at each
+ * reference's dispatch cycle: a radix walker's PTE reads go through
+ * the machine's below-L1 hierarchy and their latency depends on
+ * the issue cycle, so they must interleave with the L1 fills in
+ * reference order. The walker never reads the TLBs, so the split is
+ * exact. Predictions need only the resolved address and huge-page
  * bit, never TLB state, which is why the predict stage can run a
  * batch ahead.
  *
@@ -79,7 +85,7 @@ namespace sipt::batch
 
 /**
  * Generate + resolve: produces resolved batches (references plus
- * their paddr/hugePage lanes) from one reference source.
+ * their paddr/hugePage/tlbLevel lanes) from one reference source.
  */
 class StreamStages
 {
@@ -87,9 +93,11 @@ class StreamStages
     /**
      * @param page_table the address space's table; immutable once
      *        references flow (every page is mapped up front)
+     * @param tlbs the stream's TLB hierarchy, advanced by every
+     *        resolved reference (its timing half is not used)
      */
     StreamStages(cpu::TraceSource &source,
-                 const vm::PageTable &page_table);
+                 const vm::PageTable &page_table, vm::Mmu &tlbs);
 
     /**
      * Generate and resolve up to @p want references (at most
@@ -104,6 +112,7 @@ class StreamStages
 
     cpu::TraceSource &source_;
     const vm::PageTable &pageTable_;
+    vm::Mmu &tlbs_;
     cpu::RefBatch batch_;
 };
 
@@ -116,12 +125,14 @@ class MachineStages
 {
   public:
     /**
-     * @param mmu the core's MMU, with or without a radix walker
-     * @param page_table the stream's table, read by the golden-TLB
-     *        check only
+     * @param timing the core's TLB latencies, with or without a
+     *        radix walker
+     * @param page_table the stream's table, read by the
+     *        translation check only
      */
-    MachineStages(vm::Mmu &mmu, const vm::PageTable &page_table,
-                  SiptL1Cache &l1, cpu::TraceCore &core);
+    MachineStages(vm::MmuTiming &timing,
+                  const vm::PageTable &page_table, SiptL1Cache &l1,
+                  cpu::TraceCore &core);
 
     /** Open a phase episode. */
     void beginPhase();
@@ -140,7 +151,7 @@ class MachineStages
     /** The exception a step threw, or null. */
     const std::exception_ptr &error() const { return error_; }
 
-    /** First golden-TLB or latency failure, or empty (sticky). */
+    /** First translation or latency failure, or empty (sticky). */
     const std::string &checkFailure() const { return failure_; }
 
   private:
@@ -148,9 +159,10 @@ class MachineStages
     void account(const cpu::RefBatch &batch);
 
     /**
-     * Golden-TLB check: whatever the timed MMU (TLB hierarchy +
-     * walker) returned must equal an untimed page-table walk —
-     * TLB state may only affect latency, never the translation.
+     * Translation check: the address the resolve stage recorded
+     * must still be the page table's. The TLB model never produces
+     * an address, so this cannot catch a TLB bug; it guards that
+     * the table did not change between resolve and account.
      */
     void checkTranslation(Addr vaddr, Addr paddr);
 
@@ -158,7 +170,7 @@ class MachineStages
      *  Options::abortOnDivergence. */
     void fail(const std::string &error);
 
-    vm::Mmu &mmu_;
+    vm::MmuTiming &timing_;
     const vm::PageTable &pageTable_;
     SiptL1Cache &l1_;
     cpu::TraceCore &core_;
@@ -166,7 +178,7 @@ class MachineStages
     /**
      * Harness self-test corruption (check::Mutation::CorruptProbe):
      * a physical-address bit XORed into what the L1 probes, after
-     * the golden-TLB check, and only under the SIPT-naive policy,
+     * the translation check, and only under the SIPT-naive policy,
      * so the corruption surfaces as a functional-digest divergence
      * between policies that the policy-invariance fuzzer must
      * catch. 0 (no corruption) otherwise.
@@ -200,7 +212,9 @@ class BatchPipeline
 {
   public:
     /**
-     * @param mmu the core's MMU, with or without a radix walker
+     * @param mmu the core's MMU, with or without a radix walker:
+     *        the stream stages look up its TLBs and the machine
+     *        stages charge its latencies
      * @param page_table the address space's table
      */
     BatchPipeline(cpu::TraceSource &source, vm::Mmu &mmu,

@@ -8,10 +8,10 @@
  * arrays describes the i-th reference of the batch. The layout
  * keeps every stage a tight loop over contiguous same-typed data:
  * the generator fills the MemRef lanes, the resolve stage fills
- * the paddr/hugePage lanes, and every machine sharing the stream
- * reads them in order (each keeps its own predict-stage decision
- * lane). No stage allocates; a stream owns exactly one RefBatch
- * and recycles it.
+ * the paddr/hugePage/tlbLevel lanes, and every machine sharing the
+ * stream reads them in order (each keeps its own predict-stage
+ * decision lane). No stage allocates; a stream owns exactly one
+ * RefBatch and recycles it.
  */
 
 #ifndef SIPT_CPU_REF_BATCH_HH
@@ -53,6 +53,9 @@ struct RefBatch
     std::array<Addr, capacity> paddr;
     /** 1 when the page is a 2 MiB mapping, else 0. */
     std::array<std::uint8_t, capacity> hugePage;
+    /** The TLB level that served the reference
+     *  (vm::TlbLevel values). */
+    std::array<std::uint8_t, capacity> tlbLevel;
 
     /** Discard all lanes. */
     void clear() { size = 0; }

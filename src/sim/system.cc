@@ -148,8 +148,9 @@ struct Uncore
 
 /**
  * One simulated core: everything a SystemConfig adds to a Stream
- * — MMU and walker, L1, below-L1 hierarchy and the core model —
- * over its config's LLC and DRAM. Its
+ * — TLB latencies and walker, L1, below-L1 hierarchy and the core
+ * model — over its config's LLC and DRAM. The TLBs are the
+ * stream's. Its
  * batch::MachineStages run predict + account over the stream's
  * resolved batches.
  */
@@ -161,7 +162,7 @@ class Machine
     Machine(const SystemConfig &config, const Stream &stream,
             Uncore &uncore, std::uint64_t seed)
         : check_(check::Options::fromEnv(config.check)),
-          mmu_(mmuPreset()),
+          timing_(mmuPreset()),
           below_([&] {
               const cache::TimingCacheParams l2 = l2Preset();
               return cache::BelowL1(config.outOfOrder ? &l2 : nullptr,
@@ -175,14 +176,14 @@ class Machine
               p.seed = seed + 3;
               return p;
           }()),
-          stages_(mmu_, stream.addressSpace().pageTable(), l1_,
+          stages_(timing_, stream.addressSpace().pageTable(), l1_,
                   core_)
     {
         if (config.radixWalker) {
             walkPort_ = std::make_unique<WalkThroughCaches>(below_);
             walker_ = std::make_unique<vm::PageWalker>(
                 vm::WalkerParams{}, *walkPort_);
-            mmu_.setWalker(walker_.get());
+            timing_.setWalker(walker_.get());
         }
     }
 
@@ -192,13 +193,12 @@ class Machine
     batch::MachineStages &stages() { return stages_; }
 
     /** End of warmup: zero every counter this machine owns (the
-     *  uncore is reset by the group). */
+     *  uncore and the streams are reset by the group). */
     void
     resetStats()
     {
         l1_.resetStats();
         below_.resetStats();
-        mmu_.resetStats();
     }
 
     /** The run's metrics, over the measured episodes' sum
@@ -213,7 +213,7 @@ class Machine
   private:
     /** The checker switches every layer is armed with. */
     check::Options check_;
-    vm::Mmu mmu_;
+    vm::MmuTiming timing_;
     cache::BelowL1 below_;
     SiptL1Cache l1_;
     cpu::TraceCore core_;
@@ -241,17 +241,8 @@ Machine::collect(const std::string &app, const Stream &stream,
                                      llc_static_share_mw, seconds);
     if (const auto *wp = l1_.wayPredictor())
         r.wayPredAccuracy = wp->accuracy();
-    const auto &small = mmu_.l1Small();
-    const auto &huge = mmu_.l1Huge();
-    const std::uint64_t tlb_lookups = small.hits() +
-                                      small.misses() +
-                                      huge.hits() + huge.misses();
-    r.dtlbHitRate =
-        tlb_lookups ? static_cast<double>(small.hits() +
-                                          huge.hits()) /
-                          static_cast<double>(tlb_lookups)
-                    : 0.0;
-    r.pageWalks = mmu_.walks();
+    r.dtlbHitRate = stream.tlbs().l1HitRate();
+    r.pageWalks = stream.tlbs().walks();
     r.l1Mpki = r.instructions
                    ? 1000.0 *
                          static_cast<double>(r.l1.misses) /
@@ -321,7 +312,9 @@ streamSpec(const SystemConfig &config)
 {
     // One binding per field: a new SystemConfig field fails to
     // compile here until it goes to the stream below or is left,
-    // like the others, to the machine.
+    // like the others, to the machine. The stream owns the TLB
+    // hierarchy (mmuPreset() for every config), so a future TLB
+    // parameter would have to join StreamSpec.
     const auto &[outOfOrder, l1Config, l1SizeBytes, l1Assoc,
                  l1HitLatency, policy, xlatPredEntries, wayPrediction,
                  radixWalker, condition, physMemBytes, warmupRefs,
@@ -361,7 +354,8 @@ Stream::Stream(const std::string &app, const StreamSpec &spec,
                os::BuddyAllocator &buddy, std::uint64_t seed,
                const os::SharedSegment *shared)
     : workload_(buildWorkload(spec, app, buddy, seed, shared)),
-      stages_(*workload_.source, workload_.as->pageTable())
+      tlbs_(mmuPreset()),
+      stages_(*workload_.source, workload_.as->pageTable(), tlbs_)
 {
 }
 
@@ -550,6 +544,8 @@ runGroup(JobKind kind, const std::vector<std::string> &apps,
     for (const std::size_t i : live)
         members[i].measured.resize(n);
     run_phase(spec.warmupRefs);
+    for (const auto &stream : streams)
+        stream->resetStats();
     for (const std::size_t i : live) {
         for (const auto &machine : members[i].machines)
             machine->resetStats();

@@ -4,11 +4,11 @@
  *
  * The system splits in two along what each part depends on. A
  * Stream (an application's address space and workload over
- * conditioned memory; generate + resolve) depends only on
- * StreamSpec. A machine (MMU and walker, L1, below-L1, core;
- * predict + account) depends on the rest of SystemConfig; the LLC
- * and DRAM behind it belong to its config and are shared by that
- * config's cores.
+ * conditioned memory, and its TLB hierarchy; generate + resolve)
+ * depends only on StreamSpec. A machine (TLB latencies and walker,
+ * L1, below-L1, core; predict + account) depends on the rest of
+ * SystemConfig; the LLC and DRAM behind it belong to its config and
+ * are shared by that config's cores.
  *
  * runGroup() runs several configs that share one stream over one
  * conditioned memory: one app alone (a single job) or a
@@ -128,7 +128,7 @@ struct SystemConfig
     /**
      * Arm every checking layer for this run: the L1's golden model
      * and counter invariants, the below-L1 writeback shim, and the
-     * pipeline's golden-TLB and latency checks. Part of the
+     * pipeline's translation and latency checks. Part of the
      * run-cache key because it changes the result payload
      * (RunResult::checkDigest and the VIVT counters).
      */
@@ -217,7 +217,8 @@ std::uint64_t coreSeed(JobKind kind, std::uint64_t seed,
 
 /**
  * One application's reference stream: its workload over
- * conditioned memory, and the generate + resolve stages that turn
+ * conditioned memory, its TLB hierarchy (mmuPreset(), Tab. II: one
+ * for every design), and the generate + resolve stages that turn
  * it into resolved batches. Any number of machines can consume one
  * Stream (runGroup()); nothing in it depends on the machine.
  */
@@ -245,8 +246,15 @@ class Stream
         return *workload_.as;
     }
 
+    /** The TLB hierarchy the resolve stage advances. */
+    const vm::Mmu &tlbs() const { return tlbs_; }
+
+    /** End of warmup: zero the TLB counters (entries kept). */
+    void resetStats() { tlbs_.resetStats(); }
+
   private:
     Workload workload_;
+    vm::Mmu tlbs_;
     batch::StreamStages stages_;
 };
 
@@ -278,9 +286,9 @@ struct RunResult
     std::uint64_t checkDigest = 0;
     /** Events behind checkDigest (0 unless checked). */
     std::uint64_t checkEvents = 0;
-    /** First golden-model divergence, invariant violation, TLB
-     *  mismatch, implausible latency, or writeback-shim failure;
-     *  empty when clean. */
+    /** First golden-model divergence, invariant violation,
+     *  translation mismatch, implausible latency, or writeback-shim
+     *  failure; empty when clean. */
     std::string checkFailure;
     /** VIVT strawman bookkeeping over the measured phase (all 0
      *  unless the run was checked): reverse-map probes a virtually

@@ -7,8 +7,8 @@ namespace sipt::vm
 {
 
 Mmu::Mmu(const MmuParams &params)
-    : params_(params), l1Small_(params.l1Small),
-      l1Huge_(params.l1Huge), l2_(params.l2)
+    : l1Small_(params.l1Small), l1Huge_(params.l1Huge),
+      l2_(params.l2), timing_(params)
 {
 }
 
@@ -20,6 +20,17 @@ Mmu::translate(Addr vaddr, const PageTable &page_table,
     if (!xlat)
         panic("MMU translate of unmapped va ", vaddr);
     return translateEntry(vaddr, *xlat, now);
+}
+
+double
+Mmu::l1HitRate() const
+{
+    const std::uint64_t hits = l1Small_.hits() + l1Huge_.hits();
+    const std::uint64_t lookups =
+        hits + l1Small_.misses() + l1Huge_.misses();
+    return lookups ? static_cast<double>(hits) /
+                         static_cast<double>(lookups)
+                   : 0.0;
 }
 
 void

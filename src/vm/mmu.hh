@@ -1,7 +1,7 @@
 /**
  * @file
  * The memory-management unit: a two-level TLB hierarchy in front of
- * the page table, with cycle accounting.
+ * the page table, with cycle accounting split from it (MmuTiming).
  *
  * Matches Tab. II of the SIPT paper: split L1 (64-entry 4 KiB +
  * 32-entry 2 MiB, 2-cycle) and a unified 1024-entry L2 (7-cycle).
@@ -51,8 +51,58 @@ struct MmuResult
     bool l1Hit = false;
 };
 
+/** The level of the TLB hierarchy that served a translation. */
+enum class TlbLevel : std::uint8_t
+{
+    L1,   ///< an L1 TLB hit
+    L2,   ///< an L1 miss that hit the L2 TLB
+    Walk, ///< an L2 miss: a page walk
+};
+
+/**
+ * The machine half of translation: what a TLB outcome costs. It
+ * reads no TLB state, so machines that step one reference stream
+ * share that stream's TLB hierarchy (its Mmu) and each keep only
+ * this: the level latencies and, optionally, a radix walker whose
+ * PTE reads go through the machine's own caches.
+ */
+class MmuTiming
+{
+  public:
+    explicit MmuTiming(const MmuParams &params) : params_(params) {}
+
+    /**
+     * The translation of @p vaddr, whose page-table entry is
+     * @p entry, served at @p level. A Walk runs the attached
+     * walker's PTE reads at issue cycle @p now (plus the L2 TLB
+     * latency), else charges the constant walkLatency.
+     */
+    MmuResult complete(Addr vaddr, const Translation &entry,
+                       TlbLevel level, Cycles now);
+
+    /**
+     * Attach a radix page walker: walks then perform dependent PTE
+     * reads through it instead of charging the constant
+     * walkLatency. Pass nullptr to detach.
+     */
+    void setWalker(PageWalker *walker) { walker_ = walker; }
+
+    const MmuParams &params() const { return params_; }
+
+  private:
+    MmuParams params_;
+    PageWalker *walker_ = nullptr;
+};
+
 /**
  * Two-level TLB + page-table walker with latency accounting.
+ *
+ * Translation is two halves: lookup() advances the TLB hierarchy,
+ * whose contents depend only on the (vpn, page size) sequence, and
+ * MmuTiming::complete() charges the latency of the level that
+ * served it. The pipeline runs lookup() on the stream and complete()
+ * on each machine; translate() and translateEntry() run both at
+ * once.
  */
 class Mmu
 {
@@ -72,20 +122,30 @@ class Mmu
 
     /**
      * Translate @p vaddr whose page-table entry @p entry has
-     * already been resolved (the pipeline's resolve stage reads it
-     * from the page table a batch ahead and charges the TLB/walk
-     * accounting here, at the dispatch cycle @p now). translate()
-     * is exactly a page-table lookup followed by this.
+     * already been resolved: lookup(), then this MMU's
+     * MmuTiming::complete(). translate() is exactly a page-table
+     * lookup followed by this.
      */
-    MmuResult translateEntry(Addr vaddr, const Translation &entry,
-                             Cycles now = 0);
+    MmuResult
+    translateEntry(Addr vaddr, const Translation &entry,
+                   Cycles now = 0)
+    {
+        return timing_.complete(
+            vaddr, entry, lookup(vaddr, entry.hugePage), now);
+    }
 
     /**
-     * Attach a radix page walker: L2 TLB misses then perform
-     * dependent PTE reads through it instead of charging the
-     * constant walkLatency. Pass nullptr to detach.
+     * Probe the L1 TLB of @p vaddr's page size, then the L2; fill
+     * what missed and count a walk on an L2 miss.
+     * @return the level that served the translation
      */
-    void setWalker(PageWalker *walker) { walker_ = walker; }
+    TlbLevel lookup(Addr vaddr, bool huge_page);
+
+    /** The latency half, for a machine that shares these TLBs. */
+    MmuTiming &timing() { return timing_; }
+
+    /** See MmuTiming::setWalker(). */
+    void setWalker(PageWalker *walker) { timing_.setWalker(walker); }
 
     /** Invalidate all TLB state. */
     void flushAll();
@@ -96,7 +156,10 @@ class Mmu
 
     std::uint64_t walks() const { return walks_; }
 
-    const MmuParams &params() const { return params_; }
+    /** Hit rate of the L1 TLBs together (0 when idle). */
+    double l1HitRate() const;
+
+    const MmuParams &params() const { return timing_.params(); }
 
     /** Zero all TLB/walk counters (entries kept: warmup). */
     void
@@ -109,49 +172,54 @@ class Mmu
     }
 
   private:
-    MmuParams params_;
     Tlb l1Small_;
     Tlb l1Huge_;
     Tlb l2_;
-    PageWalker *walker_ = nullptr;
     std::uint64_t walks_ = 0;
+    MmuTiming timing_;
 };
 
-// Inline: translateEntry is on the per-reference critical path; the
-// pipeline's account stage inlines the whole TLB hit path into its
-// loop.
+// Inline: both halves are on the per-reference critical path; the
+// pipeline inlines lookup into its resolve loop and complete into
+// its account loop.
+inline TlbLevel
+Mmu::lookup(Addr vaddr, bool huge_page)
+{
+    const Vpn vpn = huge_page ? hugePageNumber(vaddr)
+                              : pageNumber(vaddr);
+    Tlb &l1 = huge_page ? l1Huge_ : l1Small_;
+    if (l1.lookup(vpn, huge_page))
+        return TlbLevel::L1;
+    // Each fill follows a miss in the same TLB.
+    if (l2_.lookup(vpn, huge_page)) {
+        l1.fill(vpn, huge_page);
+        return TlbLevel::L2;
+    }
+    ++walks_;
+    l2_.fill(vpn, huge_page);
+    l1.fill(vpn, huge_page);
+    return TlbLevel::Walk;
+}
+
 inline MmuResult
-Mmu::translateEntry(Addr vaddr, const Translation &entry,
-                    Cycles now)
+MmuTiming::complete(Addr vaddr, const Translation &entry,
+                    TlbLevel level, Cycles now)
 {
     MmuResult res;
     res.paddr = entry.paddr;
     res.hugePage = entry.hugePage;
-
-    const Vpn vpn = entry.hugePage ? hugePageNumber(vaddr)
-                                   : pageNumber(vaddr);
-    Tlb &l1 = entry.hugePage ? l1Huge_ : l1Small_;
-
-    if (l1.lookup(vpn, entry.hugePage)) {
+    if (level == TlbLevel::L1) {
         res.latency = params_.l1Latency;
         res.l1Hit = true;
         return res;
     }
-
-    if (l2_.lookup(vpn, entry.hugePage)) {
-        res.latency = params_.l2Latency;
-        l1.insert(vpn, entry.hugePage);
-        return res;
+    res.latency = params_.l2Latency;
+    if (level == TlbLevel::Walk) {
+        res.latency +=
+            walker_ ? walker_->walk(vaddr, now + params_.l2Latency,
+                                    entry.hugePage)
+                    : params_.walkLatency;
     }
-
-    ++walks_;
-    const Cycles walk_latency =
-        walker_ ? walker_->walk(vaddr, now + params_.l2Latency,
-                                entry.hugePage)
-                : params_.walkLatency;
-    res.latency = params_.l2Latency + walk_latency;
-    l2_.insert(vpn, entry.hugePage);
-    l1.insert(vpn, entry.hugePage);
     return res;
 }
 

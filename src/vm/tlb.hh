@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace sipt::vm
@@ -50,8 +51,16 @@ class Tlb
      */
     bool lookup(Vpn vpn, bool huge_page = false);
 
-    /** Insert @p vpn, evicting the set's LRU entry if needed. */
+    /** Insert @p vpn, evicting the set's LRU entry if needed; a
+     *  resident @p vpn is only made most recently used. */
     void insert(Vpn vpn, bool huge_page = false);
+
+    /**
+     * Insert @p vpn right after lookup() missed it: insert()
+     * without its scan for a resident copy.
+     * @pre @p vpn of this size class is not resident
+     */
+    void fill(Vpn vpn, bool huge_page = false);
 
     /** Invalidate everything (context switch / munmap). */
     void flush();
@@ -131,15 +140,25 @@ Tlb::lookup(Vpn vpn, bool huge_page)
 inline void
 Tlb::insert(Vpn vpn, bool huge_page)
 {
+    const int hit = findSlot(vpn, huge_page);
+    if (hit < 0) {
+        fill(vpn, huge_page);
+        return;
+    }
+    const std::uint32_t set =
+        static_cast<std::uint32_t>(vpn) & (numSets_ - 1);
+    lastUse_[static_cast<std::size_t>(set) * assoc_ +
+             static_cast<std::uint32_t>(hit)] = ++useClock_;
+}
+
+inline void
+Tlb::fill(Vpn vpn, bool huge_page)
+{
+    SIPT_DEBUG_ASSERT(findSlot(vpn, huge_page) < 0,
+                      "Tlb::fill of a resident vpn ", vpn);
     const std::uint32_t set =
         static_cast<std::uint32_t>(vpn) & (numSets_ - 1);
     const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-    const int hit = findSlot(vpn, huge_page);
-    if (hit >= 0) {
-        lastUse_[base + static_cast<std::uint32_t>(hit)] =
-            ++useClock_;
-        return;
-    }
     // First invalid way, else the least recently used one.
     std::uint32_t victim = 0;
     for (std::uint32_t w = 0; w < assoc_; ++w) {

@@ -330,6 +330,34 @@ TEST(BatchEngine, RadixWalkerConfigs)
     expectMatchesFixture(checkedRows(radixWalkerCases()));
 }
 
+TEST(BatchEngine, MixedWalkGroupMatchesSoloRuns)
+{
+    // One stream's TLB hierarchy serves a radix-walker machine and
+    // a constant-walk machine at once: each must still report its
+    // solo run's cycles, walks and L1 TLB hit rate.
+    SystemConfig constant = smallConfig();
+    SystemConfig radix = smallConfig();
+    radix.radixWalker = true;
+    const std::vector<SystemConfig> configs = {radix, constant};
+    const std::vector<MulticoreResult> grouped =
+        runGroup(JobKind::Single, {"mcf"}, configs);
+    ASSERT_EQ(grouped.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const RunResult solo = runSingleCore("mcf", configs[i]);
+        const RunResult &r = grouped[i].perCore[0];
+        EXPECT_TRUE(r.checkFailure.empty()) << r.checkFailure;
+        EXPECT_GT(r.pageWalks, 0u);
+        EXPECT_EQ(r.cycles, solo.cycles) << i;
+        EXPECT_EQ(r.pageWalks, solo.pageWalks) << i;
+        EXPECT_EQ(r.dtlbHitRate, solo.dtlbHitRate) << i;
+    }
+    // The walks are the stream's; their latency is the machine's.
+    EXPECT_EQ(grouped[0].perCore[0].pageWalks,
+              grouped[1].perCore[0].pageWalks);
+    EXPECT_NE(grouped[0].perCore[0].cycles,
+              grouped[1].perCore[0].cycles);
+}
+
 TEST(BatchEngine, MulticoreBitIdentical)
 {
     SystemConfig config = smallConfig();

@@ -855,8 +855,8 @@ pipelineFailure(Cycles hit_latency, bool abort_on_divergence)
     vm::PageTable table;
     table.mapPage(0x1000, 7);
     OnePageSource source;
-    batch::StreamStages stream(source, table);
     vm::Mmu mmu;
+    batch::StreamStages stream(source, table, mmu);
     dram::Dram dram;
     cache::TimingCache llc(Harness::llcParams());
     cache::BelowL1 below(nullptr, llc, dram);
@@ -865,7 +865,7 @@ pipelineFailure(Cycles hit_latency, bool abort_on_divergence)
     p.check.abortOnDivergence = abort_on_divergence;
     SiptL1Cache l1(p, below);
     cpu::TraceCore core(cpu::outOfOrderCoreParams());
-    batch::MachineStages machine(mmu, table, l1, core);
+    batch::MachineStages machine(mmu.timing(), table, l1, core);
     batch::MachineStages *const machines[] = {&machine};
     batch::runPhase(stream, machines, 100);
     EXPECT_FALSE(machine.error());

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the page table (including its dense layout: map order,
- * span growth and the span cap), TLB, and MMU.
+ * span growth and the span cap), TLB, and MMU (including its split
+ * into a TLB lookup and a latency half).
  */
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "os/buddy_allocator.hh"
 #include "vm/mmu.hh"
 #include "vm/page_table.hh"
+#include "vm/page_walker.hh"
 #include "vm/tlb.hh"
 
 namespace sipt::vm
@@ -379,6 +381,130 @@ TEST(Mmu, UnmappedPanics)
     PageTable pt;
     Mmu mmu;
     EXPECT_DEATH(mmu.translate(0x1234, pt), "unmapped");
+}
+
+/**
+ * The MMU before translation was split into lookup and latency:
+ * one fused pass over its own TLBs that fills with insert() (which
+ * rescans the set) and walks between the L2 probe and the fills.
+ * The split halves must reproduce it exactly.
+ */
+struct FusedMmu
+{
+    MmuParams params;
+    Tlb l1Small{params.l1Small};
+    Tlb l1Huge{params.l1Huge};
+    Tlb l2{params.l2};
+    PageWalker *walker = nullptr;
+    std::uint64_t walks = 0;
+
+    MmuResult
+    translate(Addr vaddr, const Translation &entry, Cycles now)
+    {
+        MmuResult res;
+        res.paddr = entry.paddr;
+        res.hugePage = entry.hugePage;
+        const Vpn vpn = entry.hugePage ? hugePageNumber(vaddr)
+                                       : pageNumber(vaddr);
+        Tlb &l1 = entry.hugePage ? l1Huge : l1Small;
+        if (l1.lookup(vpn, entry.hugePage)) {
+            res.latency = params.l1Latency;
+            res.l1Hit = true;
+            return res;
+        }
+        if (l2.lookup(vpn, entry.hugePage)) {
+            res.latency = params.l2Latency;
+            l1.insert(vpn, entry.hugePage);
+            return res;
+        }
+        ++walks;
+        res.latency = params.l2Latency +
+                      (walker ? walker->walk(vaddr,
+                                             now + params.l2Latency,
+                                             entry.hugePage)
+                              : params.walkLatency);
+        l2.insert(vpn, entry.hugePage);
+        l1.insert(vpn, entry.hugePage);
+        return res;
+    }
+};
+
+/** A walk port whose latency depends on the PTE address and the
+ *  issue cycle, logging every read. */
+class LoggingWalkPort : public WalkPort
+{
+  public:
+    Cycles
+    walkRead(Addr paddr, Cycles now) override
+    {
+        reads.emplace_back(paddr, now);
+        return 3 + (paddr >> 6) % 11 + now % 5;
+    }
+
+    std::vector<std::pair<Addr, Cycles>> reads;
+};
+
+void
+expectSameTlb(const Tlb &split, const Tlb &fused, const char *name)
+{
+    EXPECT_EQ(split.hits(), fused.hits()) << name;
+    EXPECT_EQ(split.misses(), fused.misses()) << name;
+}
+
+TEST(Mmu, SplitReproducesFusedTranslation)
+{
+    // 2048 small pages (twice the L2 TLB) and 64 huge chunks (twice
+    // the huge L1 TLB), so every level serves some references.
+    PageTable pt;
+    constexpr Addr hugeBase = Addr{1} << 32;
+    for (Vpn v = 0; v < 2048; ++v)
+        pt.mapPage(v << pageShift, 7 * v + 3);
+    for (Addr c = 0; c < 64; ++c)
+        pt.mapHugePage(hugeBase + c * hugePageSize, 512 * (c + 100));
+
+    for (const bool radix : {false, true}) {
+        SCOPED_TRACE(radix ? "radix walker" : "constant walk");
+        LoggingWalkPort fused_port;
+        LoggingWalkPort split_port;
+        PageWalker fused_walker(WalkerParams{}, fused_port);
+        PageWalker split_walker(WalkerParams{}, split_port);
+        FusedMmu fused;
+        // The pipeline's shape: the stream's Mmu looks up, and a
+        // machine's own MmuTiming charges the latency.
+        Mmu tlbs;
+        MmuTiming timing(tlbs.params());
+        if (radix) {
+            fused.walker = &fused_walker;
+            timing.setWalker(&split_walker);
+        }
+        Rng rng(2024);
+        std::uint64_t levels[3] = {};
+        for (Cycles now = 0; now < 20'000 * 4; now += 4) {
+            const bool huge = rng() % 4 == 0;
+            const Addr va =
+                huge ? hugeBase + (rng() % 64) * hugePageSize +
+                           rng() % hugePageSize
+                     : ((rng() % 2048) << pageShift) + rng() % pageSize;
+            const Translation entry = *pt.translate(va);
+            const MmuResult want = fused.translate(va, entry, now);
+            const TlbLevel level = tlbs.lookup(va, entry.hugePage);
+            ++levels[static_cast<int>(level)];
+            const MmuResult got = timing.complete(va, entry, level, now);
+            ASSERT_EQ(got.latency, want.latency) << "va " << va;
+            ASSERT_EQ(got.l1Hit, want.l1Hit) << "va " << va;
+            ASSERT_EQ(got.paddr, want.paddr) << "va " << va;
+            ASSERT_EQ(got.hugePage, want.hugePage) << "va " << va;
+        }
+        for (const std::uint64_t n : levels)
+            EXPECT_GT(n, 0u);
+        EXPECT_EQ(tlbs.walks(), fused.walks);
+        expectSameTlb(tlbs.l1Small(), fused.l1Small, "l1Small");
+        expectSameTlb(tlbs.l1Huge(), fused.l1Huge, "l1Huge");
+        expectSameTlb(tlbs.l2(), fused.l2, "l2");
+        EXPECT_EQ(split_port.reads, fused_port.reads);
+        EXPECT_EQ(split_walker.pwcHits(), fused_walker.pwcHits());
+        EXPECT_EQ(radix, !split_port.reads.empty());
+    }
 }
 
 } // namespace
