@@ -337,8 +337,10 @@ ablationPredictors(sim::SweepRunner &sweep)
                 predictor::PerceptronParams{256, 24, 6, -1});
             predictor::CombinedIndexPredictor combined(specBits);
             Row n{};
+            cpu::RefBatch batch;
             for (std::uint64_t done = 0; done < refs;) {
-                const cpu::RefBatch &batch = stream.stages().next(
+                stream.stages().fill(
+                    batch,
                     std::min<std::uint64_t>(refs - done,
                                             cpu::RefBatch::capacity));
                 if (batch.size == 0)

@@ -31,27 +31,25 @@ StreamStages::StreamStages(cpu::TraceSource &source,
 {
 }
 
-const cpu::RefBatch &
-StreamStages::next(std::size_t want)
+void
+StreamStages::fill(cpu::RefBatch &batch, std::size_t want)
 {
-    generate(want);
-    resolve();
-    return batch_;
+    generate(batch, want);
+    resolve(batch);
 }
 
 void
-StreamStages::generate(std::size_t want)
+StreamStages::generate(cpu::RefBatch &batch, std::size_t want)
 {
-    source_.nextBatch(batch_, want);
+    source_.nextBatch(batch, want);
 }
 
 void
-StreamStages::resolve()
+StreamStages::resolve(cpu::RefBatch &batch)
 {
     // The page table is the pure VA->PA function (no page is mapped
     // or unmapped once references flow). The TLB hierarchy sees
     // every reference here, in order, once for all machines.
-    cpu::RefBatch &batch = batch_;
     for (std::size_t i = 0; i < batch.size; ++i) {
         if (i + resolvePrefetchDist < batch.size)
             pageTable_.prefetch(batch.vaddr[i + resolvePrefetchDist]);
@@ -179,33 +177,6 @@ MachineStages::fail(const std::string &error)
         failure_ = error;
 }
 
-std::vector<cpu::CoreResult>
-runPhase(StreamStages &stream, std::span<MachineStages *const> machines,
-         std::uint64_t max_refs)
-{
-    for (MachineStages *machine : machines)
-        machine->beginPhase();
-    std::uint64_t remaining = max_refs;
-    while (remaining > 0) {
-        const auto want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining,
-                                    cpu::RefBatch::capacity));
-        const cpu::RefBatch &batch = stream.next(want);
-        if (batch.size == 0)
-            break;
-        for (MachineStages *machine : machines)
-            machine->step(batch);
-        remaining -= batch.size;
-        if (batch.size < want)
-            break; // source exhausted mid-batch
-    }
-    std::vector<cpu::CoreResult> results;
-    results.reserve(machines.size());
-    for (MachineStages *machine : machines)
-        results.push_back(machine->endPhase());
-    return results;
-}
-
 BatchPipeline::BatchPipeline(cpu::TraceSource &source,
                              vm::Mmu &mmu,
                              const vm::PageTable &page_table,
@@ -219,8 +190,9 @@ cpu::CoreResult
 BatchPipeline::run(std::uint64_t max_refs)
 {
     MachineStages *const machine = &machine_;
+    StreamBatches batches(stream_);
     const cpu::CoreResult result =
-        runPhase(stream_, {&machine, 1}, max_refs)[0];
+        runPhase({&machine, 1}, max_refs, batches)[0];
     if (machine_.error())
         std::rethrow_exception(machine_.error());
     return result;

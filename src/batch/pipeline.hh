@@ -16,11 +16,15 @@
  *    machine: predictor tables, walk latency (radix walker), L1
  *    array, below-L1 hierarchy and core timing.
  *
- * runPhase() drives one StreamStages and any number of
- * MachineStages: each resolved batch is stepped through every
- * machine in turn, so machines that share a stream pay for
- * generation, resolution and TLB lookups once. BatchPipeline is the
- * one-stream/one-machine composition.
+ * runPhase() drives any number of MachineStages over one stream's
+ * resolved batches: each batch is stepped through every machine in
+ * turn, so machines that share a stream pay for generation,
+ * resolution and TLB lookups once. The batches come from a
+ * StreamBatches, which runs the stream stages on the same thread,
+ * or from another host thread that runs them ahead
+ * (sim::runGroup()): the stream stages fill a batch the caller
+ * owns, and the stream half reads nothing the machines write.
+ * BatchPipeline is the one-stream/one-machine composition.
  *
  * Each simulated component's state is touched by exactly one
  * stage, in reference order (tools/stage_ownership.json, checked by
@@ -63,6 +67,7 @@
 #ifndef SIPT_BATCH_PIPELINE_HH
 #define SIPT_BATCH_PIPELINE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -102,18 +107,17 @@ class StreamStages
     /**
      * Generate and resolve up to @p want references (at most
      * RefBatch::capacity; fewer only when the source is
-     * exhausted). The batch stays valid until the next call.
+     * exhausted) into @p batch, replacing its contents.
      */
-    const cpu::RefBatch &next(std::size_t want);
+    void fill(cpu::RefBatch &batch, std::size_t want);
 
   private:
-    void generate(std::size_t want);
-    void resolve();
+    void generate(cpu::RefBatch &batch, std::size_t want);
+    void resolve(cpu::RefBatch &batch);
 
     cpu::TraceSource &source_;
     const vm::PageTable &pageTable_;
     vm::Mmu &tlbs_;
-    cpu::RefBatch batch_;
 };
 
 /**
@@ -193,14 +197,81 @@ class MachineStages
 };
 
 /**
- * Run one phase of up to @p max_refs references: @p stream
- * generates and resolves each batch (min(remaining, capacity)
- * references) once, and every machine steps it in turn. Returns
+ * The batches of one phase of up to @p max_refs references: calls
+ * @p batch(want), which returns how many references the batch got,
+ * with want = min(remaining, RefBatch::capacity) until the phase is
+ * done. A batch short of want ends the phase (the source is
+ * exhausted). Whoever walks a phase's batches, on whichever thread,
+ * walks them through this one loop, so they agree on every batch.
+ */
+template <typename Batch>
+void
+forEachBatch(std::uint64_t max_refs, Batch &&batch)
+{
+    std::uint64_t remaining = max_refs;
+    while (remaining > 0) {
+        const auto want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(remaining,
+                                    cpu::RefBatch::capacity));
+        const std::size_t got = batch(want);
+        remaining -= got;
+        if (got < want)
+            break;
+    }
+}
+
+/**
+ * The batches of one stream, generated and resolved by its
+ * StreamStages on the calling thread: runPhase()'s inline source.
+ */
+class StreamBatches
+{
+  public:
+    explicit StreamBatches(StreamStages &stream) : stream_(stream) {}
+
+    /** The next batch of up to @p want references. */
+    const cpu::RefBatch &
+    take(std::size_t want)
+    {
+        stream_.fill(batch_, want);
+        return batch_;
+    }
+
+    /** Every machine has stepped the batch take() returned. */
+    void release() {}
+
+  private:
+    StreamStages &stream_;
+    cpu::RefBatch batch_;
+};
+
+/**
+ * Run one phase of up to @p max_refs references: each batch
+ * (forEachBatch()) comes from @p batches.take(want), every machine
+ * steps it in turn, and batches.release() gives it back. Returns
  * each machine's episode result, in order.
  */
+template <typename Batches>
 std::vector<cpu::CoreResult>
-runPhase(StreamStages &stream, std::span<MachineStages *const> machines,
-         std::uint64_t max_refs);
+runPhase(std::span<MachineStages *const> machines,
+         std::uint64_t max_refs, Batches &batches)
+{
+    for (MachineStages *machine : machines)
+        machine->beginPhase();
+    forEachBatch(max_refs, [&](std::size_t want) {
+        const cpu::RefBatch &batch = batches.take(want);
+        for (MachineStages *machine : machines)
+            machine->step(batch);
+        const std::size_t got = batch.size;
+        batches.release();
+        return got;
+    });
+    std::vector<cpu::CoreResult> results;
+    results.reserve(machines.size());
+    for (MachineStages *machine : machines)
+        results.push_back(machine->endPhase());
+    return results;
+}
 
 /**
  * One core's stream and machine stages composed: drives its

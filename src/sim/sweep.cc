@@ -15,6 +15,8 @@
 #include <sstream>
 #include <variant>
 
+#include <sched.h>
+
 #include "check/options.hh"
 #include "common/env.hh"
 #include "common/fsio.hh"
@@ -81,13 +83,11 @@ constexpr std::uint64_t cacheFormatVersion = 5;
 unsigned
 threadsFromEnv()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned fallback = hw ? hw : 1;
     // Strict parse: "8x" used to silently run with 8 threads and
     // "-1" with ULONG_MAX's truncation; both now warn and fall
-    // back to the hardware default.
+    // back to the usable CPUs.
     return static_cast<unsigned>(
-        envU64("SIPT_THREADS", fallback, 1, 4096));
+        envU64("SIPT_THREADS", usableCpus(), 1, 4096));
 }
 
 std::string
@@ -552,6 +552,107 @@ SweepStats::jobsPerSec() const
     return wallSeconds > 0.0
                ? static_cast<double>(submitted) / wallSeconds
                : 0.0;
+}
+
+unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        if (const int n = CPU_COUNT(&set); n > 0)
+            return static_cast<unsigned>(n);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
+
+StreamThread::StreamThread(std::function<void(StreamThread &)> produce)
+    : ring_(ringSize)
+{
+    thread_ = std::thread([this, produce = std::move(produce)] {
+        try {
+            produce(*this);
+        } catch (const Cancelled &) {
+        } catch (...) {
+            // Published like a batch, in the next free slot, so the
+            // caller meets it exactly where the stream failed.
+            const std::exception_ptr error = std::current_exception();
+            try {
+                claim();
+            } catch (const Cancelled &) {
+                return;
+            }
+            ring_[head_.load(std::memory_order_relaxed) % ringSize]
+                .error = error;
+            publish();
+        }
+    });
+}
+
+StreamThread::~StreamThread()
+{
+    // Unblock a producer still waiting for a free slot: it waits for
+    // tail_ to change, so change it.
+    cancelled_.store(true);
+    tail_.fetch_add(1);
+    tail_.notify_one();
+    thread_.join();
+}
+
+cpu::RefBatch &
+StreamThread::claim()
+{
+    if (cancelled_.load(std::memory_order_relaxed))
+        throw Cancelled{};
+    const std::uint32_t head = head_.load(std::memory_order_relaxed);
+    std::uint32_t tail = tail_.load();
+    if (head - tail == ringSize) {
+        // Full: sleep until half the ring is free again (pop()
+        // notifies from then on), not until the first free slot.
+        do {
+            tail_.wait(tail);
+            if (cancelled_.load())
+                throw Cancelled{};
+            tail = tail_.load();
+        } while (head - tail > ringSize / 2);
+    }
+    return ring_[head % ringSize].batch;
+}
+
+void
+StreamThread::publish()
+{
+    head_.fetch_add(1);
+    head_.notify_one();
+}
+
+const cpu::RefBatch &
+StreamThread::front()
+{
+    const std::uint32_t tail = tail_.load(std::memory_order_relaxed);
+    std::uint32_t head = head_.load();
+    while (head == tail) {
+        head_.wait(head);
+        head = head_.load();
+    }
+    const Slot &slot = ring_[tail % ringSize];
+    if (slot.error)
+        std::rethrow_exception(slot.error);
+    return slot.batch;
+}
+
+void
+StreamThread::pop()
+{
+    const std::uint32_t tail = tail_.load(std::memory_order_relaxed) + 1;
+    tail_.store(tail);
+    // Sequentially consistent with claim()'s loads: either the
+    // producer sees this slot free or this sees its last publish,
+    // so a producer asleep on a full ring is woken here once it is
+    // half empty.
+    if (head_.load() - tail <= ringSize / 2)
+        tail_.notify_one();
 }
 
 SweepRunner::SweepRunner(const SweepOptions &options)

@@ -3,8 +3,8 @@
  * The parallel sweep engine behind every figure of sipt-figures.
  *
  * A SweepRunner executes (app, SystemConfig) simulation jobs on a
- * std::thread pool sized by SIPT_THREADS (default:
- * hardware_concurrency(); 1 = one worker). Every job runs on a
+ * std::thread pool sized by SIPT_THREADS (default: usableCpus(); 1 =
+ * one worker). Every job runs on a
  * worker, never on the submitting thread, so there is one execution
  * path at every thread count. Each job's result is a pure function
  * of its key — the allocator, address space, RNG streams and
@@ -58,16 +58,24 @@
  * predictor and allocation ablations, trace recording); they are
  * not cached, but their host time counts toward the wall and sim
  * seconds like any job's.
+ *
+ * This file is also the home of the one other host thread the
+ * simulator starts: a group run's stream thread (StreamThread,
+ * runGroup()). A worker's group gets one as any run does, when the
+ * process has two usable CPUs: a pool as large as the host measured
+ * the same with every group threaded as with every group inline.
  */
 
 #ifndef SIPT_SIM_SWEEP_HH
 #define SIPT_SIM_SWEEP_HH
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -82,17 +90,95 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "cpu/ref_batch.hh"
 #include "sim/system.hh"
 
 namespace sipt::sim
 {
 
+/**
+ * The CPUs this process may run on: the size of its affinity mask
+ * (taskset, cpusets), or, where that cannot be read, every online
+ * hardware thread. At least 1.
+ */
+unsigned usableCpus();
+
+/**
+ * The stream thread of one group run (runGroup()): a second host
+ * thread that runs the stream stages ahead of the caller, handing
+ * it resolved batches through a bounded single-producer /
+ * single-consumer ring.
+ *
+ * The stream thread fills slots in order (claim(), publish()); the
+ * caller reads them in the same order (front(), pop()). Both ends
+ * block on std::atomic wait/notify instead of spinning, because the
+ * host may have no CPU to spare for a spinner. A full ring wakes
+ * the stream thread only once half of it is free again, so a fast
+ * stream costs one wake-up per few batches.
+ *
+ * An exception thrown on the stream thread is published in place of
+ * the batch it was producing, and front() rethrows it on the caller
+ * at that batch. The destructor cancels a stream thread still
+ * running and joins it, so no thread outlives the object.
+ */
+class StreamThread
+{
+  public:
+    /** Batches in flight between the two threads. */
+    static constexpr std::uint32_t ringSize = 8;
+
+    /** Start a thread that runs @p produce(*this). Throws
+     *  std::system_error when no thread can be started. */
+    explicit StreamThread(std::function<void(StreamThread &)> produce);
+    ~StreamThread();
+
+    StreamThread(const StreamThread &) = delete;
+    StreamThread &operator=(const StreamThread &) = delete;
+
+    /** Stream thread: the next slot to fill, blocking while the
+     *  ring is full. Unwinds the producer once the caller has given
+     *  up on the run. */
+    cpu::RefBatch &claim();
+
+    /** Stream thread: hand the claimed slot to the caller. */
+    void publish();
+
+    /** Caller: the oldest published batch, blocking until there is
+     *  one; rethrows the stream thread's exception in its place. */
+    const cpu::RefBatch &front();
+
+    /** Caller: give front()'s slot back to the stream thread. */
+    void pop();
+
+  private:
+    struct Slot
+    {
+        cpu::RefBatch batch;
+        std::exception_ptr error;
+    };
+
+    /** Thrown by claim() to unwind a cancelled producer. */
+    struct Cancelled
+    {
+    };
+
+    std::vector<Slot> ring_;
+    /** Slots published (written by the stream thread only). */
+    alignas(64) std::atomic<std::uint32_t> head_{0};
+    /** Slots given back (written by the caller only, except that
+     *  cancelling bumps it to wake a waiting producer). */
+    alignas(64) std::atomic<std::uint32_t> tail_{0};
+    std::atomic<bool> cancelled_{false};
+    /** Last, so that it starts after the ring exists. */
+    std::thread thread_;
+};
+
 /** Construction-time knobs; fields left at defaults read the
  *  corresponding environment variable. */
 struct SweepOptions
 {
-    /** Worker count; 0 = SIPT_THREADS or hardware_concurrency().
-     *  1 is a one-worker pool. */
+    /** Worker count; 0 = SIPT_THREADS or usableCpus(). 1 is a
+     *  one-worker pool. */
     unsigned threads = 0;
     /** On-disk cache directory; empty = SIPT_RUN_CACHE or off.
      *  "-" disables the disk cache even when the env var is set,

@@ -3,7 +3,9 @@
 #include <cctype>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string_view>
+#include <system_error>
 
 #include "batch/pipeline.hh"
 #include "check/options.hh"
@@ -14,6 +16,7 @@
 #include "os/buddy_allocator.hh"
 #include "os/fragmenter.hh"
 #include "os/shared_segment.hh"
+#include "sim/sweep.hh"
 #include "workload/profile.hh"
 #include "workload/synonym.hh"
 #include "workload/synthetic.hh"
@@ -305,6 +308,129 @@ struct GroupMember
     std::vector<cpu::CoreResult> measured;
 };
 
+/**
+ * A group's batch schedule, walked in the same order by both halves
+ * of the run: the warmup phase, then the measure phase; each phase
+ * in episodes — one per stream for a single job, slices of mixSlice
+ * references taken by the streams in turn for a mix. @p half gets
+ * episode(c, len) for each of stream c's episodes, which it walks
+ * in batches through batch::forEachBatch(), and endWarmup() between
+ * the phases. Both halves see the same episode lengths, so they
+ * agree on every batch.
+ */
+template <typename Half>
+void
+walkSchedule(JobKind kind, const StreamSpec &spec, std::size_t n,
+             Half &half)
+{
+    for (const bool warmup : {true, false}) {
+        const std::uint64_t refs =
+            warmup ? spec.warmupRefs : spec.measureRefs;
+        const std::uint64_t episode =
+            kind == JobKind::Single ? refs : mixSlice;
+        std::uint64_t done = 0;
+        do {
+            const std::uint64_t len = std::min(episode, refs - done);
+            for (std::size_t c = 0; c < n; ++c)
+                half.episode(c, len);
+            done += len;
+        } while (done < refs);
+        if (warmup)
+            half.endWarmup();
+    }
+}
+
+/** The stream half of a threaded group run, on the stream thread:
+ *  generates and resolves every batch into the ring. */
+struct StreamHalf
+{
+    std::span<Stream *const> streams;
+    StreamThread &ring;
+
+    void
+    episode(std::size_t c, std::uint64_t len)
+    {
+        batch::forEachBatch(len, [&](std::size_t want) {
+            cpu::RefBatch &slot = ring.claim();
+            streams[c]->stages().fill(slot, want);
+            const std::size_t got = slot.size;
+            ring.publish();
+            return got;
+        });
+    }
+
+    /** The TLB counters are the stream's, so this thread resets
+     *  them. */
+    void
+    endWarmup()
+    {
+        for (Stream *stream : streams)
+            stream->resetStats();
+    }
+};
+
+/** The caller's end of a stream thread's ring, as the batches of
+ *  batch::runPhase(). */
+struct RingBatches
+{
+    StreamThread &ring;
+
+    const cpu::RefBatch &take(std::size_t) { return ring.front(); }
+    void release() { ring.pop(); }
+};
+
+/**
+ * The machine half of a group run, on the caller: runs every live
+ * config's machine for stream c over each of its episodes and sums
+ * them. Its batches come from @c ring, or, when that is null, from
+ * the streams' stages on this thread (and then it also does the
+ * stream half's endWarmup()).
+ */
+struct MachineHalf
+{
+    std::span<Stream *const> streams;
+    std::vector<std::vector<batch::MachineStages *>> &stepping;
+    std::vector<GroupMember> &members;
+    const std::vector<std::size_t> &live;
+    StreamThread *ring = nullptr;
+
+    void
+    episode(std::size_t c, std::uint64_t len)
+    {
+        std::vector<cpu::CoreResult> ran;
+        if (ring) {
+            RingBatches batches{*ring};
+            ran = batch::runPhase(stepping[c], len, batches);
+        } else {
+            batch::StreamBatches batches(streams[c]->stages());
+            ran = batch::runPhase(stepping[c], len, batches);
+        }
+        for (std::size_t j = 0; j < live.size(); ++j) {
+            cpu::CoreResult &sum = members[live[j]].measured[c];
+            sum.cycles += ran[j].cycles;
+            sum.instructions += ran[j].instructions;
+            sum.memRefs += ran[j].memRefs;
+        }
+    }
+
+    void
+    endWarmup()
+    {
+        if (!ring) {
+            for (Stream *stream : streams)
+                stream->resetStats();
+        }
+        for (const std::size_t i : live) {
+            for (const auto &machine : members[i].machines)
+                machine->resetStats();
+            members[i].uncore->llc.resetStats();
+            members[i].uncore->dram.resetStats();
+            members[i].measured.assign(streams.size(),
+                                       cpu::CoreResult{});
+        }
+    }
+};
+
 } // namespace
 
 StreamSpec
@@ -353,8 +479,12 @@ coreSeed(JobKind kind, std::uint64_t seed, std::size_t core)
 Stream::Stream(const std::string &app, const StreamSpec &spec,
                os::BuddyAllocator &buddy, std::uint64_t seed,
                const os::SharedSegment *shared)
-    : workload_(buildWorkload(spec, app, buddy, seed, shared)),
-      tlbs_(mmuPreset()),
+    : Stream(buildWorkload(spec, app, buddy, seed, shared))
+{
+}
+
+Stream::Stream(Workload workload)
+    : workload_(std::move(workload)), tlbs_(mmuPreset()),
       stages_(*workload_.source, workload_.as->pageTable(), tlbs_)
 {
 }
@@ -462,21 +592,13 @@ defaultCheck()
 std::vector<MulticoreResult>
 runGroup(JobKind kind, const std::vector<std::string> &apps,
          const std::vector<SystemConfig> &configs,
-         std::vector<std::exception_ptr> *errors)
+         std::vector<std::exception_ptr> *errors, Overlap overlap)
 {
     if (apps.empty())
         fatal("runGroup: no apps");
-    SIPT_ASSERT(kind == JobKind::Mix || apps.size() == 1,
-                "runGroup: a single job runs one app");
     SIPT_ASSERT(!configs.empty(), "runGroup: no configs");
     const StreamSpec spec = streamSpec(configs.front());
-    for (const SystemConfig &config : configs) {
-        if (streamSpec(config) != spec)
-            panic("runGroup: the configs for ", apps.front(),
-                  " do not share one stream key");
-    }
     const std::size_t n = apps.size();
-    const std::size_t k = configs.size();
 
     // The stream side, declared first so that it outlives every
     // machine: the memory, a mix's shared segments, one Stream per
@@ -488,11 +610,36 @@ runGroup(JobKind kind, const std::vector<std::string> &apps,
             ? sharedSegments(apps, memory.buddy, owned)
             : std::vector<const os::SharedSegment *>(n);
     std::vector<std::unique_ptr<Stream>> streams;
+    std::vector<Stream *> stream_ptrs;
     for (std::size_t c = 0; c < n; ++c) {
         streams.push_back(std::make_unique<Stream>(
             apps[c], spec, memory.buddy, coreSeed(kind, spec.seed, c),
             shared[c]));
+        stream_ptrs.push_back(streams.back().get());
     }
+    return runOnStreams(kind, stream_ptrs, apps, configs, errors,
+                        overlap);
+}
+
+std::vector<MulticoreResult>
+runOnStreams(JobKind kind, std::span<Stream *const> streams,
+             const std::vector<std::string> &apps,
+             const std::vector<SystemConfig> &configs,
+             std::vector<std::exception_ptr> *errors, Overlap overlap)
+{
+    SIPT_ASSERT(kind == JobKind::Mix || apps.size() == 1,
+                "runGroup: a single job runs one app");
+    SIPT_ASSERT(streams.size() == apps.size(),
+                "runGroup: one stream per app");
+    SIPT_ASSERT(!configs.empty(), "runGroup: no configs");
+    const StreamSpec spec = streamSpec(configs.front());
+    for (const SystemConfig &config : configs) {
+        if (streamSpec(config) != spec)
+            panic("runGroup: the configs for ", apps.front(),
+                  " do not share one stream key");
+    }
+    const std::size_t n = apps.size();
+    const std::size_t k = configs.size();
 
     // The machine side: per config, its uncore and one machine per
     // stream. A config that fails to build drops out of the run;
@@ -516,44 +663,34 @@ runGroup(JobKind kind, const std::vector<std::string> &apps,
             continue;
         }
         live.push_back(i);
+        member.measured.resize(n);
         for (std::size_t c = 0; c < n; ++c)
             stepping[c].push_back(&member.machines[c]->stages());
     }
 
-    auto run_phase = [&](std::uint64_t refs) {
-        const std::uint64_t episode =
-            kind == JobKind::Single ? refs : mixSlice;
-        std::uint64_t done = 0;
-        do {
-            const std::uint64_t len = std::min(episode, refs - done);
-            for (std::size_t c = 0; c < n; ++c) {
-                const std::vector<cpu::CoreResult> ran =
-                    batch::runPhase(streams[c]->stages(), stepping[c],
-                                    len);
-                for (std::size_t j = 0; j < live.size(); ++j) {
-                    cpu::CoreResult &sum = members[live[j]].measured[c];
-                    sum.cycles += ran[j].cycles;
-                    sum.instructions += ran[j].instructions;
-                    sum.memRefs += ran[j].memRefs;
-                }
-            }
-            done += len;
-        } while (done < refs);
-    };
-
-    for (const std::size_t i : live)
-        members[i].measured.resize(n);
-    run_phase(spec.warmupRefs);
-    for (const auto &stream : streams)
-        stream->resetStats();
-    for (const std::size_t i : live) {
-        for (const auto &machine : members[i].machines)
-            machine->resetStats();
-        members[i].uncore->llc.resetStats();
-        members[i].uncore->dram.resetStats();
-        members[i].measured.assign(n, cpu::CoreResult{});
+    // The machines' half of the batch loop, on this thread. Its
+    // batches come from the stream thread's ring, or, inline, from
+    // the streams' stages directly.
+    MachineHalf machines{streams, stepping, members, live};
+    const bool threaded =
+        overlap == Overlap::Threaded ||
+        (overlap == Overlap::Auto && usableCpus() >= 2);
+    std::optional<StreamThread> thread;
+    if (threaded) {
+        try {
+            thread.emplace([&](StreamThread &ring) {
+                StreamHalf half{streams, ring};
+                walkSchedule(kind, spec, n, half);
+            });
+        } catch (const std::system_error &) {
+            // No thread to be had: the same loop, inline.
+        }
     }
-    run_phase(spec.measureRefs);
+    machines.ring = thread ? &*thread : nullptr;
+    walkSchedule(kind, spec, n, machines);
+    // Join before reading anything the stream thread wrote (the
+    // TLB counters).
+    thread.reset();
 
     std::vector<MulticoreResult> results(k);
     for (const std::size_t i : live) {

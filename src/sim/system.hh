@@ -15,7 +15,8 @@
  * multiprogrammed mix (Tab. III mixes, Fig. 15), one Stream per
  * app and, per config, one machine per Stream. runSingleCore() and
  * runMulticore() are its one-config cases, and the sweep engine
- * runs every job through it.
+ * runs every job through it. With two usable CPUs, a group runs its
+ * stream half on a second host thread (Overlap).
  */
 
 #ifndef SIPT_SIM_SYSTEM_HH
@@ -25,6 +26,7 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -234,6 +236,9 @@ class Stream
            os::BuddyAllocator &buddy, std::uint64_t seed,
            const os::SharedSegment *shared = nullptr);
 
+    /** The stream of a workload the caller built. */
+    explicit Stream(Workload workload);
+
     Stream(const Stream &) = delete;
     Stream &operator=(const Stream &) = delete;
 
@@ -322,6 +327,21 @@ struct MulticoreResult
 };
 
 /**
+ * Where a group run's stream stages run. Threaded puts generate +
+ * resolve on a second host thread (StreamThread, sim/sweep.hh) that
+ * works ahead of the machines; the caller steps every machine over
+ * the same batches in the same order, so results are bit-identical
+ * to Inline. Auto is Threaded iff the process has at least two
+ * usable CPUs (usableCpus()).
+ */
+enum class Overlap : std::uint8_t
+{
+    Auto,
+    Inline,
+    Threaded,
+};
+
+/**
  * Run @p apps as one @p kind job under every config of @p configs,
  * which must share one stream (equal streamSpec(); panics
  * otherwise). One ConditionedMemory and one Stream per app serve
@@ -335,12 +355,28 @@ struct MulticoreResult
  * One config's exception does not stop the others. With @p errors
  * null the first is rethrown after the run; else (*errors)[i] holds
  * config i's exception or null, and result i is meaningful only
- * when it is null. A stream's exception propagates.
+ * when it is null. A stream's exception propagates, from the
+ * stream thread too. @p overlap says where the stream stages run.
  */
 std::vector<MulticoreResult>
 runGroup(JobKind kind, const std::vector<std::string> &apps,
          const std::vector<SystemConfig> &configs,
-         std::vector<std::exception_ptr> *errors = nullptr);
+         std::vector<std::exception_ptr> *errors = nullptr,
+         Overlap overlap = Overlap::Auto);
+
+/**
+ * runGroup() over streams the caller built (one per app, in
+ * @p apps' order, with coreSeed() seeds) and keeps alive, with the
+ * memory they draw from: builds every config's machines, runs the
+ * warmup and measure phases and collects the results. runGroup()
+ * conditions the memory and builds the streams, then calls this.
+ */
+std::vector<MulticoreResult>
+runOnStreams(JobKind kind, std::span<Stream *const> streams,
+             const std::vector<std::string> &apps,
+             const std::vector<SystemConfig> &configs,
+             std::vector<std::exception_ptr> *errors,
+             Overlap overlap);
 
 /** Run one application on one system: a one-config single job. */
 RunResult runSingleCore(const std::string &app,

@@ -867,7 +867,8 @@ pipelineFailure(Cycles hit_latency, bool abort_on_divergence)
     cpu::TraceCore core(cpu::outOfOrderCoreParams());
     batch::MachineStages machine(mmu.timing(), table, l1, core);
     batch::MachineStages *const machines[] = {&machine};
-    batch::runPhase(stream, machines, 100);
+    batch::StreamBatches batches(stream);
+    batch::runPhase(machines, 100, batches);
     EXPECT_FALSE(machine.error());
     return machine.checkFailure();
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "batch/pipeline.hh"
 #include "common/hash.hh"
 #include "sim/sweep.hh"
 
@@ -239,10 +240,9 @@ streamDigest(const std::string &app, const SystemConfig &config,
         for (int b = 0; b < 8; ++b)
             h = fnv1a64Step(h, static_cast<std::uint8_t>(v >> (8 * b)));
     };
-    while (refs > 0) {
-        const auto want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs, cpu::RefBatch::capacity));
-        const cpu::RefBatch &batch = stream.stages().next(want);
+    cpu::RefBatch batch;
+    batch::forEachBatch(refs, [&](std::size_t want) {
+        stream.stages().fill(batch, want);
         for (std::size_t i = 0; i < batch.size; ++i) {
             mix(batch.vaddr[i]);
             mix(batch.paddr[i]);
@@ -251,10 +251,8 @@ streamDigest(const std::string &app, const SystemConfig &config,
             mix(static_cast<std::uint64_t>(batch.op[i]));
             mix(batch.nonMemBefore[i]);
         }
-        refs -= batch.size;
-        if (batch.size < want)
-            break;
-    }
+        return batch.size;
+    });
     return h;
 }
 

@@ -492,10 +492,11 @@ TEST(PolicyKernel, EngineSpecCountersMatchDirectPredictorLoops)
         sim::Stream stream(
             app, spec, memory.buddy,
             sim::coreSeed(sim::JobKind::Single, spec.seed, 0));
+        cpu::RefBatch batch;
         for (std::uint64_t done = 0; done < refs;) {
-            const cpu::RefBatch &batch = stream.stages().next(
-                std::min<std::uint64_t>(refs - done,
-                                        cpu::RefBatch::capacity));
+            stream.stages().fill(
+                batch, std::min<std::uint64_t>(refs - done,
+                                               cpu::RefBatch::capacity));
             ASSERT_GT(batch.size, 0u);
             for (std::size_t i = 0; i < batch.size; ++i) {
                 const Vpn vpn = pageNumber(batch.vaddr[i]);
