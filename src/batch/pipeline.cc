@@ -82,19 +82,6 @@ MachineStages::beginPhase()
     cursor_ = core_.beginRun();
 }
 
-void
-MachineStages::step(const cpu::RefBatch &batch)
-{
-    if (error_)
-        return;
-    try {
-        predict(batch);
-        account(batch);
-    } catch (...) {
-        error_ = std::current_exception();
-    }
-}
-
 cpu::CoreResult
 MachineStages::endPhase()
 {
@@ -102,57 +89,82 @@ MachineStages::endPhase()
 }
 
 void
-MachineStages::predict(const cpu::RefBatch &batch)
+MachineStages::predict(const cpu::RefBatch &batch, Decisions &out)
 {
+    out.error = predictError_;
+    if (predictError_)
+        return;
     // Predict stage: sole owner of the predictor tables (IDB,
     // perceptron, translation tables, counters). They advance once
     // per reference, in order, exactly as access() would train
     // them. The huge-page lane feeds the superpage-aware policies.
-    l1_.decideBatch(batch.size, batch.pc.data(),
-                    batch.vaddr.data(), batch.paddr.data(),
-                    batch.hugePage.data(), decision_.data());
+    try {
+        l1_.decideBatch(batch.size, batch.pc.data(),
+                        batch.vaddr.data(), batch.paddr.data(),
+                        batch.hugePage.data(), out.lane.data());
+    } catch (...) {
+        predictError_ = std::current_exception();
+        out.error = predictError_;
+    }
 }
 
 void
-MachineStages::account(const cpu::RefBatch &batch)
+MachineStages::account(const cpu::RefBatch &batch,
+                       const Decisions &decided)
 {
-    const bool check = check_.enabled;
-    for (std::size_t i = 0; i < batch.size; ++i) {
-        if (i + accountPrefetchDist < batch.size)
-            l1_.prefetchAccess(batch.paddr[i + accountPrefetchDist]);
-        const MemRef ref = batch.refAt(i);
-        const double disp = core_.dispatchRef(ref);
-        const auto now = static_cast<Cycles>(disp);
-        // Translation latency at the dispatch cycle: a radix walk's
-        // PTE reads reach the below-L1 hierarchy at the cycle the
-        // core issued the reference, interleaved in reference order
-        // with the L1 fills.
-        vm::MmuResult xlat = timing_.complete(
-            ref.vaddr,
-            vm::Translation{batch.paddr[i], batch.hugePage[i] != 0},
-            static_cast<vm::TlbLevel>(batch.tlbLevel[i]), now);
-        if (check)
-            checkTranslation(ref.vaddr, xlat.paddr);
-        xlat.paddr ^= probeFlip_;
-        const L1AccessResult res = l1_.accessDecided(
-            ref, xlat, now, static_cast<SpecDecision>(decision_[i]));
-        // Every access takes at least one cycle, and nothing in the
-        // modelled hierarchy (DRAM queueing included) takes ~10M:
-        // such a latency is an underflow or a runaway queue.
-        if (check && (res.latency == 0 || res.latency > 10'000'000)) {
-            fail(detail::formatMessage(
-                "implausible latency of ", res.latency,
-                " cycles at va 0x", std::hex, ref.vaddr));
+    if (error_)
+        return;
+    if (decided.error) {
+        error_ = decided.error;
+        return;
+    }
+    try {
+        const bool check = check_.enabled;
+        for (std::size_t i = 0; i < batch.size; ++i) {
+            if (i + accountPrefetchDist < batch.size)
+                l1_.prefetchAccess(
+                    batch.paddr[i + accountPrefetchDist]);
+            const MemRef ref = batch.refAt(i);
+            const double disp = core_.dispatchRef(ref);
+            const auto now = static_cast<Cycles>(disp);
+            // Translation latency at the dispatch cycle: a radix
+            // walk's PTE reads reach the below-L1 hierarchy at the
+            // cycle the core issued the reference, interleaved in
+            // reference order with the L1 fills.
+            vm::MmuResult xlat = timing_.complete(
+                ref.vaddr,
+                vm::Translation{batch.paddr[i],
+                                batch.hugePage[i] != 0},
+                static_cast<vm::TlbLevel>(batch.tlbLevel[i]), now);
+            if (check)
+                checkTranslation(ref.vaddr, xlat.paddr);
+            xlat.paddr ^= probeFlip_;
+            const L1AccessResult res = l1_.accessDecided(
+                ref, xlat, now,
+                static_cast<SpecDecision>(decided.lane[i]));
+            // Every access takes at least one cycle, and nothing in
+            // the modelled hierarchy (DRAM queueing included) takes
+            // ~10M: such a latency is an underflow or a runaway
+            // queue.
+            if (check &&
+                (res.latency == 0 || res.latency > 10'000'000)) {
+                fail(detail::formatMessage(
+                    "implausible latency of ", res.latency,
+                    " cycles at va 0x", std::hex, ref.vaddr));
+            }
+            core_.completeRef(ref, disp, res.latency, !res.hit);
         }
-        core_.completeRef(ref, disp, res.latency, !res.hit);
+    } catch (...) {
+        error_ = std::current_exception();
     }
 }
 
 void
 MachineStages::checkTranslation(Addr vaddr, Addr paddr)
 {
-    // The resolve stage read the same table a batch earlier, and
-    // nothing may map or unmap a page while references flow.
+    // The resolve stage read the same table up to a ring of
+    // batches earlier, and nothing may map or unmap a page while
+    // references flow.
     const auto golden = pageTable_.translate(vaddr);
     std::string error;
     if (!golden) {

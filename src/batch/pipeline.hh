@@ -21,10 +21,13 @@
  * turn, so machines that share a stream pay for generation,
  * resolution and TLB lookups once. The batches come from a
  * StreamBatches, which runs the stream stages on the same thread,
- * or from another host thread that runs them ahead
+ * or from other host threads that run them ahead
  * (sim::runGroup()): the stream stages fill a batch the caller
- * owns, and the stream half reads nothing the machines write.
- * BatchPipeline is the one-stream/one-machine composition.
+ * owns, and the stream half reads nothing the machines write. A
+ * batch may arrive with every machine's decision lane already
+ * predicted (its source's decided()); runPhase() then runs only
+ * the account stage. BatchPipeline is the one-stream/one-machine
+ * composition.
  *
  * Each simulated component's state is touched by exactly one
  * stage, in reference order (tools/stage_ownership.json, checked by
@@ -51,14 +54,16 @@
  * the issue cycle, so they must interleave with the L1 fills in
  * reference order. The walker never reads the TLBs, so the split is
  * exact. Predictions need only the resolved address and huge-page
- * bit, never TLB state, which is why the predict stage can run a
- * batch ahead.
+ * bit, never TLB state, which is why the predict stage can run
+ * ahead: a batch ahead on one thread, and up to a ring of batches
+ * ahead when a group run gives it a host thread of its own
+ * (predict() writes a decision lane that account() reads later).
  *
  * The per-access invariant checker snapshots the L1 *counters* at
  * every access, so all counter mutation stays in the account stage
  * (decideBatch touches predictor state only). Predictor state
- * legitimately runs a batch ahead of the counters: nothing
- * observes predictor internals between accesses.
+ * legitimately runs up to the ring's depth ahead of the counters:
+ * nothing observes predictor internals between accesses.
  *
  * Timing is pinned by the committed engine fixtures
  * (tests/test_batch.cpp); function by the golden model.
@@ -121,9 +126,26 @@ class StreamStages
 };
 
 /**
+ * One machine's predict-stage output for one batch: a speculation
+ * outcome code (sipt::SpecDecision value) per reference, or the
+ * exception the predict stage threw instead.
+ */
+struct Decisions
+{
+    std::array<std::uint8_t, cpu::RefBatch::capacity> lane{};
+    std::exception_ptr error;
+};
+
+/**
  * Predict + account: steps one simulated machine over resolved
  * batches. Each phase (warmup, measure) is one
  * beginPhase()/endPhase() episode of the core.
+ *
+ * step() runs both stages on the calling thread. A group run may
+ * instead call predict() on one thread and account() on another:
+ * the two stages share no state but the Decisions each batch
+ * carries from one to the other, and predict() may run any number
+ * of batches ahead of account().
  */
 class MachineStages
 {
@@ -147,7 +169,27 @@ class MachineStages
      * the machine ignores every later batch: the other machines
      * stepping the same stream carry on.
      */
-    void step(const cpu::RefBatch &batch);
+    void
+    step(const cpu::RefBatch &batch)
+    {
+        predict(batch, decisions_);
+        account(batch, decisions_);
+    }
+
+    /**
+     * Predict stage: decide every reference of @p batch into
+     * @p out. Never throws: an exception goes to out.error, and
+     * every later call repeats it without predicting.
+     */
+    void predict(const cpu::RefBatch &batch, Decisions &out);
+
+    /**
+     * Account stage: run @p batch through the machine with
+     * @p decided, what predict() wrote for it. A predict error in
+     * @p decided or an exception from this stage is kept (error()),
+     * and every later batch is ignored.
+     */
+    void account(const cpu::RefBatch &batch, const Decisions &decided);
 
     /** Close the episode opened by beginPhase(). */
     cpu::CoreResult endPhase();
@@ -159,9 +201,6 @@ class MachineStages
     const std::string &checkFailure() const { return failure_; }
 
   private:
-    void predict(const cpu::RefBatch &batch);
-    void account(const cpu::RefBatch &batch);
-
     /**
      * Translation check: the address the resolve stage recorded
      * must still be the page table's. The TLB model never produces
@@ -189,9 +228,11 @@ class MachineStages
      */
     Addr probeFlip_ = 0;
     cpu::TraceCore::RunCursor cursor_;
-    /** This machine's predict-stage lane: speculation outcome
-     *  codes (sipt::SpecDecision values) for the current batch. */
-    std::array<std::uint8_t, cpu::RefBatch::capacity> decision_{};
+    /** step()'s decision lane for the current batch. */
+    Decisions decisions_;
+    /** The predict stage's first exception (predict() only). */
+    std::exception_ptr predictError_;
+    /** The first exception of either stage (account() only). */
     std::exception_ptr error_;
     std::string failure_;
 };
@@ -237,6 +278,10 @@ class StreamBatches
         return batch_;
     }
 
+    /** No predict stage has run ahead: each machine steps the
+     *  batch whole. */
+    const Decisions *decided() const { return nullptr; }
+
     /** Every machine has stepped the batch take() returned. */
     void release() {}
 
@@ -248,7 +293,9 @@ class StreamBatches
 /**
  * Run one phase of up to @p max_refs references: each batch
  * (forEachBatch()) comes from @p batches.take(want), every machine
- * steps it in turn, and batches.release() gives it back. Returns
+ * steps it in turn, and batches.release() gives it back. When
+ * batches.decided() is non-null, it holds machine j's decisions for
+ * the batch at index j, and the machines only account it. Returns
  * each machine's episode result, in order.
  */
 template <typename Batches>
@@ -260,8 +307,13 @@ runPhase(std::span<MachineStages *const> machines,
         machine->beginPhase();
     forEachBatch(max_refs, [&](std::size_t want) {
         const cpu::RefBatch &batch = batches.take(want);
-        for (MachineStages *machine : machines)
-            machine->step(batch);
+        if (const Decisions *decided = batches.decided()) {
+            for (std::size_t j = 0; j < machines.size(); ++j)
+                machines[j]->account(batch, decided[j]);
+        } else {
+            for (MachineStages *machine : machines)
+                machine->step(batch);
+        }
         const std::size_t got = batch.size;
         batches.release();
         return got;

@@ -32,9 +32,10 @@ namespace sipt::cpu
 struct RefBatch
 {
     /** References per full batch. Large enough to amortise the
-     *  per-batch virtual dispatch and stage-switch overhead, small
-     *  enough that all lanes stay cache-resident (~9 KiB total). */
-    static constexpr std::size_t capacity = 256;
+     *  per-batch virtual dispatch, stage switch and cross-thread
+     *  handoff, small enough that all lanes stay cache-resident
+     *  (~34 KiB total). */
+    static constexpr std::size_t capacity = 1024;
 
     /** Valid lanes: indices [0, size) hold references. */
     std::size_t size = 0;

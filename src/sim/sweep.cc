@@ -567,10 +567,16 @@ usableCpus()
     return hw ? hw : 1;
 }
 
-StreamThread::StreamThread(std::function<void(StreamThread &)> produce)
+StreamThread::StreamThread(std::function<void(StreamThread &)> produce,
+                           std::function<void(StreamThread &)> predict,
+                           std::size_t lanes)
     : ring_(ringSize)
 {
-    thread_ = std::thread([this, produce = std::move(produce)] {
+    for (Slot &slot : ring_)
+        slot.decisions.resize(lanes);
+    if (predict)
+        ready_ = &mid_;
+    stream_ = std::thread([this, produce = std::move(produce)] {
         try {
             produce(*this);
         } catch (const Cancelled &) {
@@ -579,45 +585,125 @@ StreamThread::StreamThread(std::function<void(StreamThread &)> produce)
             // caller meets it exactly where the stream failed.
             const std::exception_ptr error = std::current_exception();
             try {
-                claim();
+                claimSlot().error = error;
             } catch (const Cancelled &) {
                 return;
             }
-            ring_[head_.load(std::memory_order_relaxed) % ringSize]
-                .error = error;
             publish();
         }
     });
+    if (!predict)
+        return;
+    try {
+        predict_ = std::thread([this, predict = std::move(predict)] {
+            try {
+                predict(*this);
+            } catch (const Cancelled &) {
+            } catch (...) {
+                // In place of the batch it was predicting, unless
+                // that batch already carries the stream's error.
+                const std::exception_ptr error =
+                    std::current_exception();
+                const std::uint32_t mid =
+                    mid_.load(std::memory_order_relaxed);
+                try {
+                    awaitPast(head_, mid);
+                } catch (const Cancelled &) {
+                    return;
+                }
+                Slot &slot = ring_[mid % ringSize];
+                if (!slot.error)
+                    slot.error = error;
+                predicted();
+            }
+        });
+    } catch (...) {
+        stop();
+        throw;
+    }
 }
 
-StreamThread::~StreamThread()
+StreamThread::~StreamThread() { stop(); }
+
+void
+StreamThread::stop()
 {
-    // Unblock a producer still waiting for a free slot: it waits for
-    // tail_ to change, so change it.
+    // Wake every thread still waiting: each waits for a cursor to
+    // change, so change them. A thread that sees a bumped cursor
+    // also sees cancelled_, set before it, and unwinds instead of
+    // touching a slot.
     cancelled_.store(true);
     tail_.fetch_add(1);
     tail_.notify_one();
-    thread_.join();
+    head_.fetch_add(1);
+    head_.notify_one();
+    if (stream_.joinable())
+        stream_.join();
+    if (predict_.joinable())
+        predict_.join();
 }
 
-cpu::RefBatch &
-StreamThread::claim()
+namespace
 {
-    if (cancelled_.load(std::memory_order_relaxed))
+
+/** How long a waiting end of a StreamThread ring spins before it
+ *  blocks: long enough to catch a batch that is about to arrive,
+ *  too short to matter when no CPU is to spare. */
+constexpr std::chrono::microseconds ringSpin{3};
+
+void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+} // namespace
+
+void
+StreamThread::awaitPast(const std::atomic<std::uint32_t> &cursor,
+                        std::uint32_t seen)
+{
+    const auto until = std::chrono::steady_clock::now() + ringSpin;
+    bool spun = false;
+    while (cursor.load() == seen) {
+        if (!spun) {
+            for (int i = 0; i < 16 && cursor.load() == seen; ++i)
+                cpuRelax();
+            spun = std::chrono::steady_clock::now() >= until;
+        } else {
+            cursor.wait(seen);
+        }
+    }
+    if (cancelled_.load())
         throw Cancelled{};
-    const std::uint32_t head = head_.load(std::memory_order_relaxed);
+}
+
+StreamThread::Slot &
+StreamThread::claimSlot()
+{
+    const std::uint32_t head = head_.load();
     std::uint32_t tail = tail_.load();
+    if (cancelled_.load())
+        throw Cancelled{};
     if (head - tail == ringSize) {
         // Full: sleep until half the ring is free again (pop()
         // notifies from then on), not until the first free slot.
         do {
             tail_.wait(tail);
+            tail = tail_.load();
             if (cancelled_.load())
                 throw Cancelled{};
-            tail = tail_.load();
         } while (head - tail > ringSize / 2);
     }
-    return ring_[head % ringSize].batch;
+    return ring_[head % ringSize];
+}
+
+cpu::RefBatch &
+StreamThread::claim()
+{
+    return claimSlot().batch;
 }
 
 void
@@ -627,19 +713,41 @@ StreamThread::publish()
     head_.notify_one();
 }
 
-const cpu::RefBatch &
+std::size_t
+StreamThread::predictNext(std::span<batch::MachineStages *const> machines)
+{
+    const std::uint32_t mid = mid_.load(std::memory_order_relaxed);
+    awaitPast(head_, mid);
+    Slot &slot = ring_[mid % ringSize];
+    if (slot.error) {
+        // The stream failed here: the caller meets its error at
+        // this batch, and there is nothing more to predict.
+        predicted();
+        throw Cancelled{};
+    }
+    for (std::size_t j = 0; j < machines.size(); ++j)
+        machines[j]->predict(slot.batch, slot.decisions[j]);
+    const std::size_t size = slot.batch.size;
+    predicted();
+    return size;
+}
+
+void
+StreamThread::predicted()
+{
+    mid_.fetch_add(1);
+    mid_.notify_one();
+}
+
+const StreamThread::Slot &
 StreamThread::front()
 {
     const std::uint32_t tail = tail_.load(std::memory_order_relaxed);
-    std::uint32_t head = head_.load();
-    while (head == tail) {
-        head_.wait(head);
-        head = head_.load();
-    }
+    awaitPast(*ready_, tail);
     const Slot &slot = ring_[tail % ringSize];
     if (slot.error)
         std::rethrow_exception(slot.error);
-    return slot.batch;
+    return slot;
 }
 
 void
@@ -1005,10 +1113,15 @@ SweepRunner::execute(const std::shared_ptr<Group> &group,
     const std::size_t k = group->configs.size();
     std::vector<std::exception_ptr> errors;
     std::vector<MulticoreResult> results(k);
+    // A pool's group gets a stream thread, as a lone run does, but
+    // no predict thread: the workers already keep every CPU busy
+    // (DESIGN.md, "Three host threads per lone run").
+    const Overlap overlap =
+        usableCpus() >= 2 ? Overlap::Threaded : Overlap::Inline;
     const auto t0 = std::chrono::steady_clock::now();
     try {
         results = sim::runGroup(group->kind, group->apps,
-                                group->configs, &errors);
+                                group->configs, &errors, overlap);
     } catch (...) {
         // A stream failed: every member gets its error.
         errors.assign(k, std::current_exception());

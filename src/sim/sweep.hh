@@ -59,11 +59,13 @@
  * not cached, but their host time counts toward the wall and sim
  * seconds like any job's.
  *
- * This file is also the home of the one other host thread the
- * simulator starts: a group run's stream thread (StreamThread,
- * runGroup()). A worker's group gets one as any run does, when the
- * process has two usable CPUs: a pool as large as the host measured
- * the same with every group threaded as with every group inline.
+ * This file is also the home of the only other host threads the
+ * simulator starts: a group run's stream thread and predict thread
+ * (StreamThread, runGroup()). A worker's group gets a stream thread
+ * as a lone run does, when the process has two usable CPUs (a pool
+ * as large as the host measured the same with every group threaded
+ * as with every group inline), but never a predict thread: a pool
+ * measured slower with one (DESIGN.md).
  */
 
 #ifndef SIPT_SIM_SWEEP_HH
@@ -90,6 +92,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "batch/pipeline.hh"
 #include "cpu/ref_batch.hh"
 #include "sim/system.hh"
 
@@ -104,32 +107,54 @@ namespace sipt::sim
 unsigned usableCpus();
 
 /**
- * The stream thread of one group run (runGroup()): a second host
- * thread that runs the stream stages ahead of the caller, handing
- * it resolved batches through a bounded single-producer /
- * single-consumer ring.
+ * The host threads of one group run (runGroup()) besides the
+ * caller: a stream thread that runs the stream stages ahead of the
+ * caller, and optionally a predict thread between the two that runs
+ * every machine's predict stage. They hand resolved batches, and
+ * then their decision lanes, through one bounded ring with three
+ * cursors: published (by the stream thread), predicted (by the
+ * predict thread) and consumed (by the caller).
  *
  * The stream thread fills slots in order (claim(), publish()); the
- * caller reads them in the same order (front(), pop()). Both ends
- * block on std::atomic wait/notify instead of spinning, because the
- * host may have no CPU to spare for a spinner. A full ring wakes
- * the stream thread only once half of it is free again, so a fast
- * stream costs one wake-up per few batches.
+ * predict thread, if any, decides them in the same order
+ * (predictNext()); the caller reads them in the same order
+ * (front(), pop(), or Batches). A waiting end spins for a few
+ * microseconds and then blocks on std::atomic wait/notify, because
+ * the host may have no CPU to spare for a spinner. A full ring
+ * wakes the stream thread only once half of it is free again, so a
+ * fast stream costs one wake-up per few batches.
  *
- * An exception thrown on the stream thread is published in place of
- * the batch it was producing, and front() rethrows it on the caller
- * at that batch. The destructor cancels a stream thread still
- * running and joins it, so no thread outlives the object.
+ * An exception thrown on the stream or predict thread is published
+ * in place of the batch it was producing, and front() rethrows it
+ * on the caller at that batch. The destructor cancels the threads
+ * still running and joins them, so no thread outlives the object.
  */
 class StreamThread
 {
   public:
-    /** Batches in flight between the two threads. */
+    /** Batches in flight between the threads. */
     static constexpr std::uint32_t ringSize = 8;
 
-    /** Start a thread that runs @p produce(*this). Throws
-     *  std::system_error when no thread can be started. */
-    explicit StreamThread(std::function<void(StreamThread &)> produce);
+    /** One batch in flight: the stream stages' output, each
+     *  machine's decisions when there is a predict thread, or the
+     *  exception published in their place. */
+    struct Slot
+    {
+        cpu::RefBatch batch;
+        std::vector<batch::Decisions> decisions;
+        std::exception_ptr error;
+    };
+
+    /**
+     * Start a thread that runs @p produce(*this) and, when
+     * @p predict is non-empty, a second one that runs
+     * @p predict(*this) over slots of @p lanes decision lanes each.
+     * Throws std::system_error when a thread cannot be started.
+     */
+    explicit StreamThread(std::function<void(StreamThread &)> produce,
+                          std::function<void(StreamThread &)> predict =
+                              {},
+                          std::size_t lanes = 0);
     ~StreamThread();
 
     StreamThread(const StreamThread &) = delete;
@@ -140,37 +165,92 @@ class StreamThread
      *  up on the run. */
     cpu::RefBatch &claim();
 
-    /** Stream thread: hand the claimed slot to the caller. */
+    /** Stream thread: hand the claimed slot on. */
     void publish();
 
-    /** Caller: the oldest published batch, blocking until there is
-     *  one; rethrows the stream thread's exception in its place. */
-    const cpu::RefBatch &front();
+    /**
+     * Predict thread: run the predict stage of @p machines over the
+     * oldest published batch not yet predicted, machine j into
+     * decision lane j, and hand it to the caller; blocks until
+     * there is one. Returns the batch's size. A slot that carries
+     * the stream's exception is passed on instead, and the predict
+     * thread unwinds.
+     */
+    std::size_t
+    predictNext(std::span<batch::MachineStages *const> machines);
+
+    /** Caller: the oldest slot ready for it (published, and
+     *  predicted when there is a predict thread), blocking until
+     *  there is one; rethrows a thread's exception in its place. */
+    const Slot &front();
 
     /** Caller: give front()'s slot back to the stream thread. */
     void pop();
 
-  private:
-    struct Slot
+    /** The caller's end of the ring as the batches of
+     *  batch::runPhase(): with a predict thread, each batch comes
+     *  with every machine's decisions. */
+    class Batches
     {
-        cpu::RefBatch batch;
-        std::exception_ptr error;
+      public:
+        explicit Batches(StreamThread &ring) : ring_(ring) {}
+
+        const cpu::RefBatch &
+        take(std::size_t)
+        {
+            slot_ = &ring_.front();
+            return slot_->batch;
+        }
+
+        const batch::Decisions *
+        decided() const
+        {
+            return ring_.ready_ == &ring_.mid_
+                       ? slot_->decisions.data()
+                       : nullptr;
+        }
+
+        void release() { ring_.pop(); }
+
+      private:
+        StreamThread &ring_;
+        const Slot *slot_ = nullptr;
     };
 
-    /** Thrown by claim() to unwind a cancelled producer. */
+  private:
+    /** Thrown by a blocking call to unwind a cancelled thread. */
     struct Cancelled
     {
     };
 
+    /** claim(), whole slot. */
+    Slot &claimSlot();
+    /** Predict thread: hand the oldest published slot on to the
+     *  caller. */
+    void predicted();
+    /** Block until @p cursor differs from @p seen; unwinds a
+     *  cancelled thread. */
+    void awaitPast(const std::atomic<std::uint32_t> &cursor,
+                   std::uint32_t seen);
+    /** Cancel and join the threads started so far. */
+    void stop();
+
     std::vector<Slot> ring_;
-    /** Slots published (written by the stream thread only). */
+    /** Slots published (written by the stream thread only, except
+     *  that cancelling bumps it to wake a waiting predict thread). */
     alignas(64) std::atomic<std::uint32_t> head_{0};
+    /** Slots predicted (written by the predict thread only). */
+    alignas(64) std::atomic<std::uint32_t> mid_{0};
     /** Slots given back (written by the caller only, except that
      *  cancelling bumps it to wake a waiting producer). */
     alignas(64) std::atomic<std::uint32_t> tail_{0};
+    /** The cursor the caller reads up to: mid_ with a predict
+     *  thread, else head_. */
+    std::atomic<std::uint32_t> *ready_ = &head_;
     std::atomic<bool> cancelled_{false};
-    /** Last, so that it starts after the ring exists. */
-    std::thread thread_;
+    /** Last, so that they start after the ring exists. */
+    std::thread stream_;
+    std::thread predict_;
 };
 
 /** Construction-time knobs; fields left at defaults read the

@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <cctype>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -369,14 +370,23 @@ struct StreamHalf
     }
 };
 
-/** The caller's end of a stream thread's ring, as the batches of
- *  batch::runPhase(). */
-struct RingBatches
+/** The predict half of a three-thread group run, on the predict
+ *  thread: runs every live config's predict stage for stream c over
+ *  each of its batches. */
+struct PredictHalf
 {
+    const std::vector<std::vector<batch::MachineStages *>> &stepping;
     StreamThread &ring;
 
-    const cpu::RefBatch &take(std::size_t) { return ring.front(); }
-    void release() { ring.pop(); }
+    void
+    episode(std::size_t c, std::uint64_t len)
+    {
+        batch::forEachBatch(len, [&](std::size_t) {
+            return ring.predictNext(stepping[c]);
+        });
+    }
+
+    void endWarmup() {}
 };
 
 /**
@@ -399,7 +409,7 @@ struct MachineHalf
     {
         std::vector<cpu::CoreResult> ran;
         if (ring) {
-            RingBatches batches{*ring};
+            StreamThread::Batches batches(*ring);
             ran = batch::runPhase(stepping[c], len, batches);
         } else {
             batch::StreamBatches batches(streams[c]->stages());
@@ -669,27 +679,38 @@ runOnStreams(JobKind kind, std::span<Stream *const> streams,
     }
 
     // The machines' half of the batch loop, on this thread. Its
-    // batches come from the stream thread's ring, or, inline, from
-    // the streams' stages directly.
+    // batches come from the stream thread's ring, predicted or not,
+    // or, inline, from the streams' stages directly.
     MachineHalf machines{streams, stepping, members, live};
-    const bool threaded =
-        overlap == Overlap::Threaded ||
-        (overlap == Overlap::Auto && usableCpus() >= 2);
+    const unsigned cpus = overlap == Overlap::Auto ? usableCpus() : 0;
+    const bool predicting = overlap == Overlap::Pipelined ||
+                            (overlap == Overlap::Auto && cpus >= 3);
+    const bool threaded = predicting || overlap == Overlap::Threaded ||
+                          (overlap == Overlap::Auto && cpus >= 2);
     std::optional<StreamThread> thread;
     if (threaded) {
-        try {
-            thread.emplace([&](StreamThread &ring) {
-                StreamHalf half{streams, ring};
+        std::function<void(StreamThread &)> predict;
+        if (predicting) {
+            predict = [&](StreamThread &ring) {
+                PredictHalf half{stepping, ring};
                 walkSchedule(kind, spec, n, half);
-            });
+            };
+        }
+        try {
+            thread.emplace(
+                [&](StreamThread &ring) {
+                    StreamHalf half{streams, ring};
+                    walkSchedule(kind, spec, n, half);
+                },
+                std::move(predict), live.size());
         } catch (const std::system_error &) {
             // No thread to be had: the same loop, inline.
         }
     }
     machines.ring = thread ? &*thread : nullptr;
     walkSchedule(kind, spec, n, machines);
-    // Join before reading anything the stream thread wrote (the
-    // TLB counters).
+    // Join before reading anything the other threads wrote (the
+    // TLB counters, the predictor tables).
     thread.reset();
 
     std::vector<MulticoreResult> results(k);

@@ -16,7 +16,8 @@
  * app and, per config, one machine per Stream. runSingleCore() and
  * runMulticore() are its one-config cases, and the sweep engine
  * runs every job through it. With two usable CPUs, a group runs its
- * stream half on a second host thread (Overlap).
+ * stream half on a second host thread, and a lone run with three
+ * runs its predict stage on a third (Overlap).
  */
 
 #ifndef SIPT_SIM_SYSTEM_HH
@@ -327,18 +328,23 @@ struct MulticoreResult
 };
 
 /**
- * Where a group run's stream stages run. Threaded puts generate +
- * resolve on a second host thread (StreamThread, sim/sweep.hh) that
- * works ahead of the machines; the caller steps every machine over
- * the same batches in the same order, so results are bit-identical
- * to Inline. Auto is Threaded iff the process has at least two
- * usable CPUs (usableCpus()).
+ * Where a group run's stages run. Threaded puts generate + resolve
+ * on a second host thread (StreamThread, sim/sweep.hh) that works
+ * ahead of the machines; Pipelined also puts every machine's
+ * predict stage on a third, between the two. The caller accounts
+ * every machine over the same batches in the same order, so results
+ * are bit-identical to Inline. Auto, for a run that has the host to
+ * itself, is Pipelined iff the process has at least three usable
+ * CPUs (usableCpus()), else Threaded iff it has two. A SweepRunner
+ * passes Threaded or Inline for its groups by the same two-CPU
+ * rule; only tests force Pipelined.
  */
 enum class Overlap : std::uint8_t
 {
     Auto,
     Inline,
     Threaded,
+    Pipelined,
 };
 
 /**
@@ -356,7 +362,8 @@ enum class Overlap : std::uint8_t
  * null the first is rethrown after the run; else (*errors)[i] holds
  * config i's exception or null, and result i is meaningful only
  * when it is null. A stream's exception propagates, from the
- * stream thread too. @p overlap says where the stream stages run.
+ * stream thread too. @p overlap says where the stream and predict
+ * stages run.
  */
 std::vector<MulticoreResult>
 runGroup(JobKind kind, const std::vector<std::string> &apps,

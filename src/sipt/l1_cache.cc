@@ -84,33 +84,25 @@ SiptL1Cache::SiptL1Cache(const L1Params &params,
               " speculative bits)");
     }
     if (params.wayPrediction) {
-        wayPredictor_ =
-            std::make_unique<cache::WayPredictor>(array_);
+        wayPredictor_.emplace(array_);
     }
     if (specBits_ > 0 &&
         (params.policy == IndexingPolicy::SiptBypass ||
          params.policy == IndexingPolicy::SiptPcax)) {
-        bypass_ =
-            std::make_unique<predictor::PerceptronBypassPredictor>(
-                params.perceptron);
+        bypass_.emplace(params.perceptron);
     }
     if (specBits_ > 0 &&
         (params.policy == IndexingPolicy::SiptCombined ||
          params.policy == IndexingPolicy::SiptVespa)) {
-        combined_ =
-            std::make_unique<predictor::CombinedIndexPredictor>(
-                specBits_, params.perceptron, params.idb);
+        combined_.emplace(specBits_, params.perceptron, params.idb);
     }
     if (specBits_ > 0 &&
         params.policy == IndexingPolicy::SiptRevelator) {
-        revelator_ =
-            std::make_unique<predictor::HashedXlatPredictor>(
-                params.hashedXlat);
+        revelator_.emplace(params.hashedXlat);
     }
     if (specBits_ > 0 &&
         params.policy == IndexingPolicy::SiptPcax) {
-        pcax_ = std::make_unique<predictor::PcXlatPredictor>(
-            params.pcXlat);
+        pcax_.emplace(params.pcXlat);
     }
     if (params.check.enabled) {
         checker_ = std::make_unique<check::DifferentialChecker>(

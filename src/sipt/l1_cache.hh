@@ -290,7 +290,7 @@ class SiptL1Cache
     const cache::WayPredictor *
     wayPredictor() const
     {
-        return wayPredictor_.get();
+        return wayPredictor_ ? &*wayPredictor_ : nullptr;
     }
 
     /** Number of speculative index bits this geometry needs. */
@@ -384,19 +384,26 @@ class SiptL1Cache
     L1Params params_;
     cache::BelowL1 &below_;
     cache::CacheArray array_;
-    unsigned specBits_;
+
+    // The predict stage's state (decideBatch()), on cache lines of
+    // its own: a group run may predict on another host thread than
+    // the one that accounts, and a line shared with the account
+    // stage's counters would move between the two at every access.
+    alignas(64) unsigned specBits_;
     /** mask(specBits_), precomputed for the decide loops. */
     std::uint64_t specMask_;
-    std::unique_ptr<cache::WayPredictor> wayPredictor_;
     /** Stage-1 perceptron for the Bypass policy, and the stage-1
      *  slot of the Pcax policy. */
-    std::unique_ptr<predictor::PerceptronBypassPredictor> bypass_;
+    std::optional<predictor::PerceptronBypassPredictor> bypass_;
     /** Two-stage predictor for the Combined/Vespa policies. */
-    std::unique_ptr<predictor::CombinedIndexPredictor> combined_;
+    std::optional<predictor::CombinedIndexPredictor> combined_;
     /** Hashed translation predictor for the Revelator policy. */
-    std::unique_ptr<predictor::HashedXlatPredictor> revelator_;
+    std::optional<predictor::HashedXlatPredictor> revelator_;
     /** PC-indexed translation predictor (Pcax stage 2). */
-    std::unique_ptr<predictor::PcXlatPredictor> pcax_;
+    std::optional<predictor::PcXlatPredictor> pcax_;
+
+    // The account stage's state (accessDecided()).
+    alignas(64) std::optional<cache::WayPredictor> wayPredictor_;
     /** Golden-model checker when params.check.enabled. */
     std::unique_ptr<check::DifferentialChecker> checker_;
     L1Stats stats_;

@@ -1,5 +1,7 @@
 #include "workload/trace_replay.hh"
 
+#include <stdexcept>
+
 #include "common/logging.hh"
 
 namespace sipt::workload
@@ -28,7 +30,8 @@ TraceReplaySource::next(MemRef &ref)
     if (reader_.next(ref))
         return true;
     if (!reader_.error().empty())
-        fatal("trace replay '", path_, "': ", reader_.error());
+        throw std::runtime_error(detail::formatMessage(
+            "trace replay '", path_, "': ", reader_.error()));
     if (!loop_)
         return false;
     // End of the recorded window: recycle. The delta decoder
@@ -36,8 +39,8 @@ TraceReplaySource::next(MemRef &ref)
     reader_.rewind();
     ++laps_;
     if (!reader_.next(ref))
-        fatal("trace replay '", path_,
-              "': no records after rewind");
+        throw std::runtime_error(detail::formatMessage(
+            "trace replay '", path_, "': no records after rewind"));
     return true;
 }
 

@@ -43,7 +43,9 @@ class TraceReplaySource : public cpu::TraceSource
     TraceReplaySource(const std::string &path,
                       os::AddressSpace &as, bool loop = true);
 
-    /** Decode the next reference, wrapping around if looping. */
+    /** Decode the next reference, wrapping around if looping.
+     *  Throws std::runtime_error when the record stream is corrupt
+     *  or truncated, so the run fails and the process goes on. */
     bool next(MemRef &ref) override;
 
     /** Restart from the first record. */

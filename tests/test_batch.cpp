@@ -35,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cpu/ref_batch.hh"
 #include "fixture_table.hh"
 #include "run_jobs.hh"
 #include "sim/sweep.hh"
@@ -46,7 +47,7 @@ namespace
 {
 
 /** Small but non-trivial run sizes: several full batches plus a
- *  partial tail (batch capacity is 256). */
+ *  partial tail (cpu::RefBatch::capacity is 1024). */
 SystemConfig
 smallConfig()
 {
@@ -223,13 +224,15 @@ hugePageSynonymCases()
     return cases;
 }
 
-/** Batch capacity is 256: a run smaller than one batch, a
- *  prime-size run, and a multiple-plus-tail run. */
+/** A run one short of a batch, one a reference past it, and a
+ *  multiple-plus-tail run, whatever cpu::RefBatch::capacity is. */
 std::vector<Case>
 partialBatchCases()
 {
+    constexpr std::uint64_t batch = cpu::RefBatch::capacity;
     std::vector<Case> cases;
-    for (const std::uint64_t measure : {100ull, 257ull, 1000ull}) {
+    for (const std::uint64_t measure :
+         {batch - 1, batch + 1, 3 * batch + 7}) {
         SystemConfig config = smallConfig();
         config.warmupRefs = 100;
         config.measureRefs = measure;

@@ -1,10 +1,12 @@
 /**
  * @file
- * The stream thread (sim::StreamThread): a group run that generates
- * and resolves its batches on a second host thread must return
- * exactly what the inline run returns, bit for bit, for every job
- * shape, and must neither hang nor leak its thread when a phase is
- * empty or the stream fails.
+ * The stream and predict threads (sim::StreamThread): a group run
+ * that generates and resolves its batches on a second host thread
+ * (Overlap::Threaded), or also predicts them on a third
+ * (Overlap::Pipelined), must return exactly what the inline run
+ * returns, bit for bit, for every job shape, and must neither hang
+ * nor leak a thread when a phase is empty, the stream fails or a
+ * machine fails.
  */
 
 #include <bit>
@@ -22,11 +24,21 @@
 #include <sched.h>
 #include <unistd.h>
 
+#include "batch/pipeline.hh"
+#include "cache/hierarchy.hh"
+#include "cache/timing_cache.hh"
+#include "cpu/core.hh"
+#include "dram/dram.hh"
 #include "os/address_space.hh"
+#include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
+#include "sipt/l1_cache.hh"
+#include "vm/mmu.hh"
+#include "vm/page_walker.hh"
 #include "workload/profile.hh"
 #include "workload/synthetic.hh"
+#include "workload/trace_format.hh"
 
 namespace sipt::sim
 {
@@ -66,16 +78,17 @@ expectIdentical(const RunResult &threaded, const RunResult &inlined)
               runResultToJson(inlined).dump());
 }
 
-/** runGroup() with and without the stream thread agree on every
- *  config and core. */
+/** runGroup() inline and under @p overlap agree on every config
+ *  and core. */
 void
 expectGroupIdentical(JobKind kind, const std::vector<std::string> &apps,
-                     const std::vector<SystemConfig> &configs)
+                     const std::vector<SystemConfig> &configs,
+                     Overlap overlap = Overlap::Threaded)
 {
     const std::vector<MulticoreResult> inlined =
         runGroup(kind, apps, configs, nullptr, Overlap::Inline);
     const std::vector<MulticoreResult> threaded =
-        runGroup(kind, apps, configs, nullptr, Overlap::Threaded);
+        runGroup(kind, apps, configs, nullptr, overlap);
     ASSERT_EQ(threaded.size(), configs.size());
     ASSERT_EQ(inlined.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -169,16 +182,27 @@ TEST(StreamThread, QuadMixMatchesInline)
                          configs);
 }
 
-TEST(StreamThread, RunShorterThanOneBatchMatchesInline)
+/** Phases shorter than one batch: one partial batch each. */
+SystemConfig
+shortRunConfig()
 {
     SystemConfig config = checkedConfig();
-    config.warmupRefs = 100;
-    config.measureRefs = 77; // one partial batch
+    config.warmupRefs = cpu::RefBatch::capacity / 3;
+    config.measureRefs = cpu::RefBatch::capacity - 1;
+    return config;
+}
+
+TEST(StreamThread, RunShorterThanOneBatchMatchesInline)
+{
+    const SystemConfig config = shortRunConfig();
     expectGroupIdentical(JobKind::Single, {"mcf"}, {config});
     expectGroupIdentical(JobKind::Mix, {"mcf", "gcc"}, {config});
 }
 
-TEST(StreamThread, EmptyAndOneReferencePhasesReturn)
+/** 0- and 1-reference phases, single and mix, return under
+ *  @p overlap exactly what they return inline. */
+void
+expectTinyPhasesIdentical(Overlap overlap)
 {
     for (const auto &[warmup, measure] :
          std::vector<std::pair<std::uint64_t, std::uint64_t>>{
@@ -196,8 +220,8 @@ TEST(StreamThread, EmptyAndOneReferencePhasesReturn)
                     : std::vector<std::string>{"gcc", "mcf"};
             const auto inlined =
                 runGroup(kind, apps, {config}, nullptr, Overlap::Inline);
-            const auto threaded = runGroup(kind, apps, {config}, nullptr,
-                                           Overlap::Threaded);
+            const auto threaded =
+                runGroup(kind, apps, {config}, nullptr, overlap);
             for (std::size_t c = 0; c < apps.size(); ++c) {
                 EXPECT_EQ(threaded[0].perCore[c].l1.accesses, measure);
                 expectIdentical(threaded[0].perCore[c],
@@ -205,6 +229,11 @@ TEST(StreamThread, EmptyAndOneReferencePhasesReturn)
             }
         }
     }
+}
+
+TEST(StreamThread, EmptyAndOneReferencePhasesReturn)
+{
+    expectTinyPhasesIdentical(Overlap::Threaded);
 }
 
 /** What ThrowingSource throws: the batch it failed at. */
@@ -271,33 +300,60 @@ failingRun(std::uint64_t fail_at, Overlap overlap)
     return 0;
 }
 
-TEST(StreamThread, SourceExceptionRethrownOnCaller)
+/** A source exception at the middle of the warmup, at its last
+ *  (partial) batch and at the first measured batch reaches the
+ *  caller under @p overlap, as inline, with no thread left. */
+void
+expectSourceExceptionAtItsBatch(Overlap overlap)
 {
-    // The 3,000-reference warmup is 12 batches: fail in its middle,
-    // at its last (partial) batch, and at the first measured one.
+    const std::uint64_t warmup_batches =
+        (checkedConfig().warmupRefs + cpu::RefBatch::capacity - 1) /
+        cpu::RefBatch::capacity;
+    ASSERT_GE(warmup_batches, 3u);
     const std::size_t threads = threadsAtRest();
-    for (const std::uint64_t fail_at : {5u, 11u, 12u}) {
+    for (const std::uint64_t fail_at :
+         {warmup_batches / 2, warmup_batches - 1, warmup_batches}) {
         SCOPED_TRACE(fail_at);
-        EXPECT_EQ(failingRun(fail_at, Overlap::Threaded), fail_at);
+        EXPECT_EQ(failingRun(fail_at, overlap), fail_at);
         EXPECT_EQ(liveThreads(), threads);
         EXPECT_EQ(failingRun(fail_at, Overlap::Inline), fail_at);
     }
 }
 
+TEST(StreamThread, SourceExceptionRethrownOnCaller)
+{
+    expectSourceExceptionAtItsBatch(Overlap::Threaded);
+}
+
+/** 20 batches of sizes 0..19, then a StreamFailure. */
+void
+twentyBatchesThenThrow(StreamThread &self)
+{
+    for (std::size_t i = 0; i < 20; ++i) {
+        self.claim().size = i;
+        self.publish();
+    }
+    throw StreamFailure(20);
+}
+
 TEST(StreamThread, ErrorArrivesAtItsBatch)
 {
-    StreamThread ring([](StreamThread &self) {
-        for (std::size_t i = 0; i < 20; ++i) {
-            self.claim().size = i;
-            self.publish();
-        }
-        throw StreamFailure(20);
-    });
+    StreamThread ring(twentyBatchesThenThrow);
     for (std::size_t i = 0; i < 20; ++i) {
-        EXPECT_EQ(ring.front().size, i);
+        EXPECT_EQ(ring.front().batch.size, i);
         ring.pop();
     }
     EXPECT_THROW(ring.front(), StreamFailure);
+}
+
+/** Publishes empty batches until cancelled. */
+void
+endlessStream(StreamThread &self)
+{
+    for (;;) {
+        self.claim();
+        self.publish();
+    }
 }
 
 TEST(StreamThread, AbandonedRunJoins)
@@ -307,13 +363,8 @@ TEST(StreamThread, AbandonedRunJoins)
     // wake it and join.
     const std::size_t threads = threadsAtRest();
     {
-        StreamThread ring([](StreamThread &self) {
-            for (;;) {
-                self.claim();
-                self.publish();
-            }
-        });
-        EXPECT_EQ(ring.front().size, 0u);
+        StreamThread ring(endlessStream);
+        EXPECT_EQ(ring.front().batch.size, 0u);
     }
     EXPECT_EQ(liveThreads(), threads);
 }
@@ -332,6 +383,347 @@ TEST(StreamThread, SweepFuturesMatchInlineRuns)
         futures.push_back(runner.enqueue("mcf", config));
     for (std::size_t i = 0; i < configs.size(); ++i)
         expectIdentical(futures[i].get(), inlined[i].perCore[0]);
+}
+
+// ---------------------------------------------------------------
+// The predict thread: Overlap::Pipelined against inline runs.
+// ---------------------------------------------------------------
+
+TEST(PredictThread, EveryPolicyMatchesInline)
+{
+    // One group of every indexing policy, with way prediction on:
+    // each machine's decision lane travels in the same slot.
+    std::vector<SystemConfig> configs;
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::Vipt, IndexingPolicy::Ideal,
+          IndexingPolicy::SiptNaive, IndexingPolicy::SiptBypass,
+          IndexingPolicy::SiptCombined, IndexingPolicy::SiptVespa,
+          IndexingPolicy::SiptRevelator, IndexingPolicy::SiptPcax}) {
+        SystemConfig config = checkedConfig(policy);
+        config.wayPrediction = true;
+        configs.push_back(config);
+    }
+    expectGroupIdentical(JobKind::Single, {"gcc"}, configs,
+                         Overlap::Pipelined);
+}
+
+TEST(PredictThread, RadixWalkerMatchesInline)
+{
+    SystemConfig radix = checkedConfig();
+    radix.radixWalker = true;
+    expectGroupIdentical(JobKind::Single, {"mcf"},
+                         {radix, checkedConfig()}, Overlap::Pipelined);
+}
+
+/** A milc trace recorded with checkedConfig(), at a path no other
+ *  process uses; removed with the object. */
+struct RecordedTrace
+{
+    std::string path;
+
+    explicit RecordedTrace(const std::string &tag)
+    {
+        const auto dir = std::filesystem::temp_directory_path() /
+                         "sipt_test_stream_thread";
+        std::filesystem::create_directories(dir);
+        path = (dir / ("milc." + tag + "." + std::to_string(getpid()) +
+                       ".trace"))
+                   .string();
+        recordTrace("milc", checkedConfig(), path);
+    }
+    ~RecordedTrace() { std::filesystem::remove(path); }
+};
+
+TEST(PredictThread, TraceReplayMatchesInline)
+{
+    const RecordedTrace trace("replay");
+    expectGroupIdentical(JobKind::Single, {"trace:" + trace.path},
+                         {checkedConfig(),
+                          checkedConfig(IndexingPolicy::Vipt)},
+                         Overlap::Pipelined);
+}
+
+TEST(PredictThread, QuadMixMatchesInline)
+{
+    std::vector<SystemConfig> configs = {
+        checkedConfig(IndexingPolicy::SiptBypass), checkedConfig()};
+    for (SystemConfig &config : configs) {
+        config.footprintScale = 0.5;
+        config.warmupRefs = 12'000;
+        config.measureRefs = 11'111;
+    }
+    expectGroupIdentical(JobKind::Mix, {"mcf", "gcc", "lbm", "mcf"},
+                         configs, Overlap::Pipelined);
+}
+
+TEST(PredictThread, ShortAndEmptyPhasesMatchInline)
+{
+    const SystemConfig config = shortRunConfig();
+    expectGroupIdentical(JobKind::Single, {"mcf"}, {config},
+                         Overlap::Pipelined);
+    expectGroupIdentical(JobKind::Mix, {"mcf", "gcc"}, {config},
+                         Overlap::Pipelined);
+    expectTinyPhasesIdentical(Overlap::Pipelined);
+}
+
+TEST(PredictThread, SourceExceptionRethrownAtItsBatch)
+{
+    expectSourceExceptionAtItsBatch(Overlap::Pipelined);
+}
+
+TEST(PredictThread, TruncatedTraceFailsTheRunEveryWay)
+{
+    // Cut the record stream a tenth of the way in, inside the
+    // warmup: decoding fails mid-stream, on whichever thread
+    // decodes, and the run (not the process) fails.
+    const RecordedTrace trace("truncated");
+    std::string error;
+    const auto info = workload::readTraceInfo(trace.path, error);
+    ASSERT_TRUE(info) << error;
+    const auto bytes = std::filesystem::file_size(trace.path);
+    std::filesystem::resize_file(
+        trace.path, bytes - info->recordBytes + info->recordBytes / 10);
+
+    const std::string app = "trace:" + trace.path;
+    const std::size_t threads = threadsAtRest();
+    const auto failure = [&](Overlap overlap) -> std::string {
+        try {
+            runGroup(JobKind::Single, {app}, {checkedConfig()},
+                     nullptr, overlap);
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "no exception";
+    };
+    const std::string inlined = failure(Overlap::Inline);
+    EXPECT_NE(inlined.find("truncated record stream"),
+              std::string::npos)
+        << inlined;
+    EXPECT_EQ(failure(Overlap::Threaded), inlined);
+    EXPECT_EQ(liveThreads(), threads);
+    EXPECT_EQ(failure(Overlap::Pipelined), inlined);
+    EXPECT_EQ(liveThreads(), threads);
+
+    // A pool's future carries the same error.
+    SweepRunner runner(SweepOptions{1, "-"});
+    const auto future = runner.enqueue(app, checkedConfig());
+    try {
+        future.get();
+        ADD_FAILURE() << "the truncated trace's run succeeded";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), inlined);
+    }
+}
+
+/** What ThrowingWalkPort throws: the walk read it failed at. */
+struct MachineFailure : std::runtime_error
+{
+    explicit MachineFailure(std::uint64_t at)
+        : std::runtime_error("machine failed"), at(at)
+    {
+    }
+    std::uint64_t at;
+};
+
+/** A radix walker's memory port whose read number @p fail_at (from
+ *  0) throws; the others take 20 cycles. */
+class ThrowingWalkPort : public vm::WalkPort
+{
+  public:
+    explicit ThrowingWalkPort(std::uint64_t fail_at) : failAt_(fail_at)
+    {
+    }
+
+    Cycles
+    walkRead(Addr, Cycles) override
+    {
+        if (reads_++ == failAt_)
+            throw MachineFailure(failAt_);
+        return 20;
+    }
+
+  private:
+    std::uint64_t failAt_;
+    std::uint64_t reads_ = 0;
+};
+
+/** One machine built from the layer classes, with a radix walker
+ *  whose port fails at read @p fail_at. */
+struct TestMachine
+{
+    ThrowingWalkPort port;
+    vm::PageWalker walker;
+    vm::MmuTiming timing;
+    dram::Dram dram;
+    cache::TimingCache llc;
+    cache::BelowL1 below;
+    SiptL1Cache l1;
+    cpu::TraceCore core;
+    batch::MachineStages stages;
+
+    TestMachine(const vm::PageTable &table, std::uint64_t fail_at)
+        : port(fail_at), walker(vm::WalkerParams{}, port),
+          timing(mmuPreset()), llc(llcPreset(true, 1)),
+          below(nullptr, llc, dram),
+          l1(l1Preset(L1Config::Sipt32K2, IndexingPolicy::SiptCombined),
+             below),
+          core(cpu::outOfOrderCoreParams()),
+          stages(timing, table, l1, core)
+    {
+        timing.setWalker(&walker);
+    }
+};
+
+/** A gcc stream over @p memory, as a single job's core 0. */
+Stream
+gccStream(ConditionedMemory &memory, const StreamSpec &spec)
+{
+    const std::uint64_t seed = coreSeed(JobKind::Single, spec.seed, 0);
+    Workload w;
+    w.as = std::make_unique<os::AddressSpace>(
+        memory.buddy, os::PagingPolicy{}, seed + 1);
+    w.source = std::make_unique<workload::SyntheticWorkload>(
+        workload::appProfile("gcc"), *w.as, seed + 2);
+    return Stream(std::move(w));
+}
+
+/** What one machine of a failing-machine run left. */
+struct MachineOutcome
+{
+    cpu::CoreResult result;
+    L1Stats l1;
+    /** The walk read its MachineFailure names, or -1 for none. */
+    std::int64_t failedAt = -1;
+};
+
+/** One phase of @p refs references of a gcc stream through a
+ *  healthy machine, one that fails at walk read 40 and another
+ *  healthy one, inline or on the stream and predict threads. */
+std::vector<MachineOutcome>
+failingMachineRun(std::uint64_t refs, bool pipelined)
+{
+    const SystemConfig config = checkedConfig();
+    const StreamSpec spec = streamSpec(config);
+    ConditionedMemory memory(spec);
+    Stream stream = gccStream(memory, spec);
+    const vm::PageTable &table = stream.addressSpace().pageTable();
+    std::vector<std::unique_ptr<TestMachine>> machines;
+    for (const std::uint64_t fail_at : {~0ull, 40ull, ~0ull})
+        machines.push_back(std::make_unique<TestMachine>(table, fail_at));
+    std::vector<batch::MachineStages *> stepping;
+    for (const auto &machine : machines)
+        stepping.push_back(&machine->stages);
+
+    std::vector<cpu::CoreResult> ran;
+    if (pipelined) {
+        StreamThread ring(
+            [&](StreamThread &self) {
+                batch::forEachBatch(refs, [&](std::size_t want) {
+                    cpu::RefBatch &slot = self.claim();
+                    stream.stages().fill(slot, want);
+                    const std::size_t got = slot.size;
+                    self.publish();
+                    return got;
+                });
+            },
+            [&](StreamThread &self) {
+                batch::forEachBatch(refs, [&](std::size_t) {
+                    return self.predictNext(stepping);
+                });
+            },
+            stepping.size());
+        StreamThread::Batches batches(ring);
+        ran = batch::runPhase(stepping, refs, batches);
+    } else {
+        batch::StreamBatches batches(stream.stages());
+        ran = batch::runPhase(stepping, refs, batches);
+    }
+    std::vector<MachineOutcome> outcomes;
+    for (std::size_t j = 0; j < machines.size(); ++j) {
+        MachineOutcome outcome{ran[j], machines[j]->l1.stats()};
+        if (const auto &error = machines[j]->stages.error()) {
+            try {
+                std::rethrow_exception(error);
+            } catch (const MachineFailure &failure) {
+                outcome.failedAt =
+                    static_cast<std::int64_t>(failure.at);
+            }
+        }
+        outcomes.push_back(outcome);
+    }
+    return outcomes;
+}
+
+TEST(PredictThread, FailingMachineDropsOut)
+{
+    // The failing machine keeps its exception and stops; the
+    // machines around it finish the phase exactly as inline.
+    const std::size_t threads = threadsAtRest();
+    const std::uint64_t refs = 5 * cpu::RefBatch::capacity + 99;
+    const auto inlined = failingMachineRun(refs, false);
+    const auto pipelined = failingMachineRun(refs, true);
+    EXPECT_EQ(liveThreads(), threads);
+    ASSERT_EQ(inlined.size(), 3u);
+    ASSERT_EQ(pipelined.size(), 3u);
+    EXPECT_EQ(inlined[1].failedAt, 40);
+    EXPECT_LT(inlined[1].l1.accesses, refs);
+    for (std::size_t j = 0; j < 3; ++j) {
+        SCOPED_TRACE(j);
+        EXPECT_EQ(pipelined[j].failedAt, inlined[j].failedAt);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pipelined[j].result.cycles),
+                  std::bit_cast<std::uint64_t>(inlined[j].result.cycles));
+        EXPECT_EQ(pipelined[j].result.instructions,
+                  inlined[j].result.instructions);
+        EXPECT_EQ(pipelined[j].l1.accesses, inlined[j].l1.accesses);
+        EXPECT_EQ(pipelined[j].l1.hits, inlined[j].l1.hits);
+        EXPECT_EQ(pipelined[j].l1.fastAccesses,
+                  inlined[j].l1.fastAccesses);
+    }
+    EXPECT_EQ(inlined[0].l1.accesses, refs);
+    EXPECT_EQ(inlined[2].l1.accesses, refs);
+}
+
+TEST(PredictThread, ErrorsArriveAtTheirBatch)
+{
+    // A stream error passes through the predict thread to the
+    // caller at its batch...
+    {
+        StreamThread ring(twentyBatchesThenThrow, [](StreamThread &self) {
+            for (;;)
+                self.predictNext({});
+        });
+        for (std::size_t i = 0; i < 20; ++i) {
+            EXPECT_EQ(ring.front().batch.size, i);
+            ring.pop();
+        }
+        EXPECT_THROW(ring.front(), StreamFailure);
+    }
+    // ...and so does the predict thread's own.
+    StreamThread ring(endlessStream, [](StreamThread &self) {
+        for (std::size_t i = 0; i < 12; ++i)
+            self.predictNext({});
+        throw StreamFailure(12);
+    });
+    for (std::size_t i = 0; i < 12; ++i) {
+        ring.front();
+        ring.pop();
+    }
+    EXPECT_THROW(ring.front(), StreamFailure);
+}
+
+TEST(PredictThread, AbandonedRunJoins)
+{
+    // Both threads would run forever; the caller reads one batch
+    // and leaves.
+    const std::size_t threads = threadsAtRest();
+    {
+        StreamThread ring(endlessStream, [](StreamThread &self) {
+            for (;;)
+                self.predictNext({});
+        });
+        EXPECT_EQ(ring.front().batch.size, 0u);
+    }
+    EXPECT_EQ(liveThreads(), threads);
 }
 
 TEST(StreamThread, UsableCpusIsTheAffinityMask)
