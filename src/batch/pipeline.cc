@@ -20,7 +20,7 @@ namespace
  * each address only as it processes it, cannot hide.
  */
 constexpr std::size_t resolvePrefetchDist = 8;
-constexpr std::size_t accountPrefetchDist = 4;
+constexpr std::size_t memoryPrefetchDist = 4;
 
 } // namespace
 
@@ -89,71 +89,150 @@ MachineStages::endPhase()
 }
 
 void
-MachineStages::predict(const cpu::RefBatch &batch, Decisions &out)
+MachineStages::predict(const cpu::RefBatch &batch)
 {
-    out.error = predictError_;
-    if (predictError_)
-        return;
     // Predict stage: sole owner of the predictor tables (IDB,
     // perceptron, translation tables, counters). They advance once
     // per reference, in order, exactly as access() would train
     // them. The huge-page lane feeds the superpage-aware policies.
+    l1_.decideBatch(batch.size, batch.pc.data(), batch.vaddr.data(),
+                    batch.paddr.data(), batch.hugePage.data(),
+                    decisions_.data());
+}
+
+[[gnu::always_inline]] inline void
+MachineStages::memoryStep(const cpu::RefBatch &batch, std::size_t i,
+                          std::uint8_t &outcome, vm::WalkShape &walk,
+                          ArrayFacts &facts, dram::AccessLog &log)
+{
+    if (i + memoryPrefetchDist < batch.size)
+        l1_.prefetchAccess(batch.paddr[i + memoryPrefetchDist]);
+    // A radix walk's PTE reads, then the access: the order the
+    // timing step replays them in.
+    walk = timing_.lookupWalk(
+        batch.vaddr[i], batch.hugePage[i] != 0,
+        static_cast<vm::TlbLevel>(batch.tlbLevel[i]), log);
+    outcome = l1_.accessArray(batch.op[i], batch.paddr[i] ^ probeFlip_,
+                              log, facts);
+}
+
+[[gnu::always_inline]] inline void
+MachineStages::timingStep(const cpu::RefBatch &batch, std::size_t i,
+                          std::uint8_t outcome,
+                          const vm::WalkShape &walk,
+                          const ArrayFacts &facts,
+                          const dram::AccessLog &log,
+                          dram::AccessLog::Cursor &cursor)
+{
+    const MemRef ref = batch.refAt(i);
+    const double disp = core_.dispatchRef(ref);
+    const auto now = static_cast<Cycles>(disp);
+    // Translation latency at the dispatch cycle: a radix walk's PTE
+    // reads reach the DRAM queues at the cycle the core issued the
+    // reference, interleaved in reference order with the L1 fills.
+    vm::MmuResult xlat = timing_.complete(
+        ref.vaddr,
+        vm::Translation{batch.paddr[i], batch.hugePage[i] != 0},
+        static_cast<vm::TlbLevel>(batch.tlbLevel[i]), now, walk, log,
+        cursor);
+    const bool check = check_.enabled;
+    if (check)
+        checkTranslation(ref.vaddr, xlat.paddr);
+    xlat.paddr ^= probeFlip_;
+    const L1AccessResult res = l1_.accessTimed(
+        ref, xlat, now, static_cast<SpecDecision>(decisions_[i]),
+        outcome, facts, log, cursor);
+    // Every access takes at least one cycle, and nothing in the
+    // modelled hierarchy (DRAM queueing included) takes ~10M: such
+    // a latency is an underflow or a runaway queue.
+    if (check && (res.latency == 0 || res.latency > 10'000'000)) {
+        fail(detail::formatMessage("implausible latency of ",
+                                   res.latency, " cycles at va 0x",
+                                   std::hex, ref.vaddr));
+    }
+    core_.completeRef(ref, disp, res.latency, !res.hit);
+}
+
+[[gnu::noinline]] void
+MachineStages::stepOne(const cpu::RefBatch &batch, std::size_t i)
+{
+    // Memory and timing of one reference: its record is built and
+    // replayed while it is hot.
+    if (!log_.accesses.empty())
+        log_.clear();
+    std::uint8_t outcome;
+    vm::WalkShape walk;
+    ArrayFacts facts;
+    memoryStep(batch, i, outcome, walk, facts, log_);
+    dram::AccessLog::Cursor cursor;
+    timingStep(batch, i, outcome, walk, facts, log_, cursor);
+}
+
+void
+MachineStages::step(const cpu::RefBatch &batch)
+{
+    if (error_)
+        return;
     try {
-        l1_.decideBatch(batch.size, batch.pc.data(),
-                        batch.vaddr.data(), batch.paddr.data(),
-                        batch.hugePage.data(), out.lane.data());
+        predict(batch);
+        for (std::size_t i = 0; i < batch.size; ++i)
+            stepOne(batch, i);
     } catch (...) {
-        predictError_ = std::current_exception();
-        out.error = predictError_;
+        error_ = std::current_exception();
     }
 }
 
 void
-MachineStages::account(const cpu::RefBatch &batch,
-                       const Decisions &decided)
+MachineStages::memory(const cpu::RefBatch &batch, MemoryRecord &out)
+{
+    out.size = 0;
+    out.walks.clear();
+    out.log.clear();
+    out.error = memoryError_;
+    if (memoryError_)
+        return;
+    if (check_.enabled)
+        out.facts.resize(cpu::RefBatch::capacity);
+    ArrayFacts unchecked;
+    vm::WalkShape walk;
+    try {
+        for (std::size_t i = 0; i < batch.size; ++i) {
+            memoryStep(batch, i, out.outcome[i], walk,
+                       check_.enabled ? out.facts[i] : unchecked,
+                       out.log);
+            if (walk.reads != 0)
+                out.walks.push_back(walk);
+            out.size = i + 1;
+        }
+    } catch (...) {
+        memoryError_ = std::current_exception();
+        out.error = memoryError_;
+    }
+}
+
+void
+MachineStages::timing(const cpu::RefBatch &batch,
+                      const MemoryRecord &recorded)
 {
     if (error_)
         return;
-    if (decided.error) {
-        error_ = decided.error;
-        return;
-    }
     try {
-        const bool check = check_.enabled;
-        for (std::size_t i = 0; i < batch.size; ++i) {
-            if (i + accountPrefetchDist < batch.size)
-                l1_.prefetchAccess(
-                    batch.paddr[i + accountPrefetchDist]);
-            const MemRef ref = batch.refAt(i);
-            const double disp = core_.dispatchRef(ref);
-            const auto now = static_cast<Cycles>(disp);
-            // Translation latency at the dispatch cycle: a radix
-            // walk's PTE reads reach the below-L1 hierarchy at the
-            // cycle the core issued the reference, interleaved in
-            // reference order with the L1 fills.
-            vm::MmuResult xlat = timing_.complete(
-                ref.vaddr,
-                vm::Translation{batch.paddr[i],
-                                batch.hugePage[i] != 0},
-                static_cast<vm::TlbLevel>(batch.tlbLevel[i]), now);
-            if (check)
-                checkTranslation(ref.vaddr, xlat.paddr);
-            xlat.paddr ^= probeFlip_;
-            const L1AccessResult res = l1_.accessDecided(
-                ref, xlat, now,
-                static_cast<SpecDecision>(decided.lane[i]));
-            // Every access takes at least one cycle, and nothing in
-            // the modelled hierarchy (DRAM queueing included) takes
-            // ~10M: such a latency is an underflow or a runaway
-            // queue.
-            if (check &&
-                (res.latency == 0 || res.latency > 10'000'000)) {
-                fail(detail::formatMessage(
-                    "implausible latency of ", res.latency,
-                    " cycles at va 0x", std::hex, ref.vaddr));
-            }
-            core_.completeRef(ref, disp, res.latency, !res.hit);
+        predict(batch);
+        const ArrayFacts unchecked;
+        const vm::WalkShape unwalked;
+        const bool walker = timing_.walker() != nullptr;
+        std::size_t walks = 0;
+        dram::AccessLog::Cursor cursor;
+        for (std::size_t i = 0; i < recorded.size; ++i) {
+            const bool walked =
+                walker && static_cast<vm::TlbLevel>(batch.tlbLevel[i]) ==
+                              vm::TlbLevel::Walk;
+            timingStep(batch, i, recorded.outcome[i],
+                       walked ? recorded.walks[walks++] : unwalked,
+                       check_.enabled ? recorded.facts[i] : unchecked,
+                       recorded.log, cursor);
         }
+        error_ = recorded.error;
     } catch (...) {
         error_ = std::current_exception();
     }

@@ -2,8 +2,9 @@
  * @file
  * The simulation engine: runs every core's reference loop over
  * RefBatch-sized groups of references in fixed stages —
- * generate-N, resolve-N, predict-N, account-N — instead of
- * threading one reference at a time through every layer.
+ * generate-N, resolve-N, predict-N, then memory and timing —
+ * instead of threading one reference at a time through every
+ * layer.
  *
  * The stages split into two halves along what their state depends
  * on:
@@ -12,9 +13,8 @@
  *    stream: workload RNG / cursors, the address space's page
  *    table and the TLB hierarchy. They depend on the application
  *    and its memory layout, never on the simulated machine.
- *  - MachineStages (predict + account) touch only one simulated
- *    machine: predictor tables, walk latency (radix walker), L1
- *    array, below-L1 hierarchy and core timing.
+ *  - MachineStages (predict + memory + timing) touch only one
+ *    simulated machine.
  *
  * runPhase() drives any number of MachineStages over one stream's
  * resolved batches: each batch is stepped through every machine in
@@ -24,10 +24,10 @@
  * or from other host threads that run them ahead
  * (sim::runGroup()): the stream stages fill a batch the caller
  * owns, and the stream half reads nothing the machines write. A
- * batch may arrive with every machine's decision lane already
- * predicted (its source's decided()); runPhase() then runs only
- * the account stage. BatchPipeline is the one-stream/one-machine
- * composition.
+ * batch may arrive with every machine's memory record already
+ * written (its source's records()); runPhase() then runs only the
+ * predict and timing stages. BatchPipeline is the
+ * one-stream/one-machine composition.
  *
  * Each simulated component's state is touched by exactly one
  * stage, in reference order (tools/stage_ownership.json, checked by
@@ -40,30 +40,36 @@
  *    page table
  *  - predict (MachineStages): bypass/combined/xlat tables
  *    (SiptL1Cache::decideBatch)
- *  - account (MachineStages): walk latency, L1 array, below-L1
- *    hierarchy and core timing (dispatchRef /
- *    MmuTiming::complete / accessDecided / completeRef)
+ *  - memory (MachineStages::memoryStep): the function — the radix
+ *    walker's page-walk caches and PTE reads
+ *    (MmuTiming::lookupWalk), the L1 array and way predictor, the
+ *    L2/LLC arrays and their counters, the DRAM row buffers and
+ *    the fill tracker (SiptL1Cache::accessArray)
+ *  - timing (MachineStages::timingStep): the core model, TLB and
+ *    walk latency, DRAM bank/bus queueing, every L1 counter, the
+ *    golden-model checker and the tracer (dispatchRef /
+ *    MmuTiming::complete / accessTimed / completeRef)
  *
- * Every design shares one TLB hierarchy (Tab. II), and its contents
- * depend only on the (vpn, page size) sequence, so the resolve
- * stage looks each reference up once for every machine and records
- * the serving level in the batch's tlbLevel lane. What depends on
- * the machine is the latency, charged in the account stage at each
- * reference's dispatch cycle: a radix walker's PTE reads go through
- * the machine's below-L1 hierarchy and their latency depends on
- * the issue cycle, so they must interleave with the L1 fills in
- * reference order. The walker never reads the TLBs, so the split is
- * exact. Predictions need only the resolved address and huge-page
- * bit, never TLB state, which is why the predict stage can run
- * ahead: a batch ahead on one thread, and up to a ring of batches
- * ahead when a group run gives it a host thread of its own
- * (predict() writes a decision lane that account() reads later).
+ * SIPT keeps physical tags and lines live under their physical
+ * set, so where the index comes from changes when data returns,
+ * never what the L1 and the levels below hold: the memory stage
+ * needs no decision and no cycle. Every design shares one TLB
+ * hierarchy (Tab. II), and its contents depend only on the (vpn,
+ * page size) sequence, so the resolve stage looks each reference
+ * up once for every machine and records the serving level in the
+ * batch's tlbLevel lane. A radix walker's PTE reads and the L1's
+ * fills reach the DRAM queues at the cycle the core issued them,
+ * so the timing stage replays the memory stage's record of each
+ * reference (its walk, then its fill, prefetch and writeback) in
+ * reference order at its dispatch cycle. Predictions need only the
+ * resolved address and huge-page bit, never TLB state.
  *
  * The per-access invariant checker snapshots the L1 *counters* at
- * every access, so all counter mutation stays in the account stage
- * (decideBatch touches predictor state only). Predictor state
- * legitimately runs up to the ring's depth ahead of the counters:
- * nothing observes predictor internals between accesses.
+ * every access, so all counter mutation stays in the timing stage
+ * (decideBatch touches predictor state only, accessArray the
+ * array). The function runs up to a ring of batches ahead of the
+ * counters when a group run gives the memory stage a host thread
+ * of its own: nothing observes the array between accesses.
  *
  * Timing is pinned by the committed engine fixtures
  * (tests/test_batch.cpp); function by the golden model.
@@ -86,6 +92,7 @@
 #include "cpu/core.hh"
 #include "cpu/ref_batch.hh"
 #include "cpu/trace_source.hh"
+#include "dram/dram.hh"
 #include "sipt/l1_cache.hh"
 #include "vm/mmu.hh"
 #include "vm/page_table.hh"
@@ -126,28 +133,48 @@ class StreamStages
 };
 
 /**
- * One machine's predict-stage output for one batch: a speculation
- * outcome code (sipt::SpecDecision value) per reference, or the
- * exception the predict stage threw instead.
+ * One machine's memory-stage output for one batch: the record its
+ * timing stage replays. Per reference, what the access did to the
+ * array (ArrayOutcome bits); per radix walk, its shape; the DRAM
+ * accesses of all of them, in call order (walk reads, then fill,
+ * prefetch and writeback, reference by reference); and, for a
+ * checked L1, each access's checker facts. None of it depends on
+ * timing or on a speculation decision.
  */
-struct Decisions
+struct MemoryRecord
 {
-    std::array<std::uint8_t, cpu::RefBatch::capacity> lane{};
+    std::array<std::uint8_t, cpu::RefBatch::capacity> outcome{};
+    /** One per reference that walked with a radix walker. */
+    std::vector<vm::WalkShape> walks;
+    /** One entry per reference for a checked L1, else empty. */
+    std::vector<ArrayFacts> facts;
+    dram::AccessLog log;
+    /** References recorded: the batch's, or those before the one
+     *  whose memory step threw. */
+    std::size_t size = 0;
+    /** What the memory stage threw, at reference size, or null. */
     std::exception_ptr error;
 };
 
 /**
- * Predict + account: steps one simulated machine over resolved
- * batches. Each phase (warmup, measure) is one
+ * Predict + memory + timing: steps one simulated machine over
+ * resolved batches. Each phase (warmup, measure) is one
  * beginPhase()/endPhase() episode of the core.
  *
- * step() runs both stages on the calling thread. A group run may
- * instead call predict() on one thread and account() on another:
- * the two stages share no state but the Decisions each batch
- * carries from one to the other, and predict() may run any number
- * of batches ahead of account().
+ * step() runs every stage on the calling thread, reference by
+ * reference. A group run may instead call memory() on one thread
+ * and timing() on another: the memory stage owns the machine's
+ * function (L1 array and way predictor, walker PWCs, below-L1
+ * arrays, DRAM rows), the other two stages its predictor tables
+ * and timing (core, TLB and walk latency, DRAM queues, counters,
+ * checker, tracer), and they share nothing but the MemoryRecord
+ * each batch carries from one to the other. memory() may run any
+ * number of batches ahead of timing(). The object is line-aligned:
+ * the memory thread reads its head at every reference, and the
+ * object before it (a sim::Machine's core) is written by the caller
+ * at every reference.
  */
-class MachineStages
+class alignas(64) MachineStages
 {
   public:
     /**
@@ -164,48 +191,69 @@ class MachineStages
     void beginPhase();
 
     /**
-     * Predict and account one resolved batch. An exception from
-     * either stage is kept (error()) instead of propagating, and
-     * the machine ignores every later batch: the other machines
-     * stepping the same stream carry on.
+     * Run one resolved batch through every stage: predict it, then
+     * memory and timing reference by reference. An exception is
+     * kept (error()) instead of propagating, and the machine
+     * ignores every later batch: the other machines stepping the
+     * same stream carry on.
      */
-    void
-    step(const cpu::RefBatch &batch)
-    {
-        predict(batch, decisions_);
-        account(batch, decisions_);
-    }
+    void step(const cpu::RefBatch &batch);
 
     /**
-     * Predict stage: decide every reference of @p batch into
-     * @p out. Never throws: an exception goes to out.error, and
-     * every later call repeats it without predicting.
+     * Memory stage: run the function of every reference of
+     * @p batch into @p out. Never throws: an exception goes to
+     * out.error, after the references recorded before it, and
+     * every later call repeats it without recording.
      */
-    void predict(const cpu::RefBatch &batch, Decisions &out);
+    void memory(const cpu::RefBatch &batch, MemoryRecord &out);
 
     /**
-     * Account stage: run @p batch through the machine with
-     * @p decided, what predict() wrote for it. A predict error in
-     * @p decided or an exception from this stage is kept (error()),
-     * and every later batch is ignored.
+     * Predict and timing stages: decide @p batch and time it from
+     * @p recorded, what memory() wrote for it. A memory error in
+     * @p recorded, after its recorded references, or an exception
+     * from these stages is kept (error()), and every later batch
+     * is ignored: exactly where step() would have stopped.
      */
-    void account(const cpu::RefBatch &batch, const Decisions &decided);
+    void timing(const cpu::RefBatch &batch,
+                const MemoryRecord &recorded);
 
     /** Close the episode opened by beginPhase(). */
     cpu::CoreResult endPhase();
 
-    /** The exception a step threw, or null. */
+    /** The exception a stage threw, or null (caller's side). */
     const std::exception_ptr &error() const { return error_; }
 
     /** First translation or latency failure, or empty (sticky). */
     const std::string &checkFailure() const { return failure_; }
 
   private:
+    /** Predict stage: decide every reference of @p batch into
+     *  decisions_. */
+    void predict(const cpu::RefBatch &batch);
+
+    /** step() of reference @p i: its memory step, then its timing
+     *  step. */
+    void stepOne(const cpu::RefBatch &batch, std::size_t i);
+
+    /** Memory step of reference @p i: its walk's and its access's
+     *  function, recorded into the other arguments. */
+    void memoryStep(const cpu::RefBatch &batch, std::size_t i,
+                    std::uint8_t &outcome, vm::WalkShape &walk,
+                    ArrayFacts &facts, dram::AccessLog &log);
+
+    /** Timing step of reference @p i, from what its memory step
+     *  recorded; @p cursor moves past its operations in @p log. */
+    void timingStep(const cpu::RefBatch &batch, std::size_t i,
+                    std::uint8_t outcome, const vm::WalkShape &walk,
+                    const ArrayFacts &facts,
+                    const dram::AccessLog &log,
+                    dram::AccessLog::Cursor &cursor);
+
     /**
      * Translation check: the address the resolve stage recorded
      * must still be the page table's. The TLB model never produces
      * an address, so this cannot catch a TLB bug; it guards that
-     * the table did not change between resolve and account.
+     * the table did not change between resolve and timing.
      */
     void checkTranslation(Addr vaddr, Addr paddr);
 
@@ -227,12 +275,18 @@ class MachineStages
      * catch. 0 (no corruption) otherwise.
      */
     Addr probeFlip_ = 0;
-    cpu::TraceCore::RunCursor cursor_;
-    /** step()'s decision lane for the current batch. */
-    Decisions decisions_;
-    /** The predict stage's first exception (predict() only). */
-    std::exception_ptr predictError_;
-    /** The first exception of either stage (account() only). */
+
+    // The memory stage's own state, apart from the caller's.
+    /** The memory stage's first exception (memory() only). */
+    alignas(64) std::exception_ptr memoryError_;
+
+    // The caller's state.
+    alignas(64) cpu::TraceCore::RunCursor cursor_;
+    /** The predict stage's decision lane for the current batch. */
+    std::array<std::uint8_t, cpu::RefBatch::capacity> decisions_{};
+    /** step()'s record of its current reference. */
+    dram::AccessLog log_;
+    /** The first exception of any stage, as the caller met it. */
     std::exception_ptr error_;
     std::string failure_;
 };
@@ -278,9 +332,9 @@ class StreamBatches
         return batch_;
     }
 
-    /** No predict stage has run ahead: each machine steps the
+    /** No memory stage has run ahead: each machine steps the
      *  batch whole. */
-    const Decisions *decided() const { return nullptr; }
+    const MemoryRecord *records() const { return nullptr; }
 
     /** Every machine has stepped the batch take() returned. */
     void release() {}
@@ -294,9 +348,9 @@ class StreamBatches
  * Run one phase of up to @p max_refs references: each batch
  * (forEachBatch()) comes from @p batches.take(want), every machine
  * steps it in turn, and batches.release() gives it back. When
- * batches.decided() is non-null, it holds machine j's decisions for
- * the batch at index j, and the machines only account it. Returns
- * each machine's episode result, in order.
+ * batches.records() is non-null, it holds machine j's memory record
+ * for the batch at index j, and the machines only predict and time
+ * it. Returns each machine's episode result, in order.
  */
 template <typename Batches>
 std::vector<cpu::CoreResult>
@@ -307,9 +361,9 @@ runPhase(std::span<MachineStages *const> machines,
         machine->beginPhase();
     forEachBatch(max_refs, [&](std::size_t want) {
         const cpu::RefBatch &batch = batches.take(want);
-        if (const Decisions *decided = batches.decided()) {
+        if (const MemoryRecord *records = batches.records()) {
             for (std::size_t j = 0; j < machines.size(); ++j)
-                machines[j]->account(batch, decided[j]);
+                machines[j]->timing(batch, records[j]);
         } else {
             for (MachineStages *machine : machines)
                 machine->step(batch);
@@ -337,7 +391,7 @@ class BatchPipeline
     /**
      * @param mmu the core's MMU, with or without a radix walker:
      *        the stream stages look up its TLBs and the machine
-     *        stages charge its latencies
+     *        stages walk and charge its latencies
      * @param page_table the address space's table
      */
     BatchPipeline(cpu::TraceSource &source, vm::Mmu &mmu,

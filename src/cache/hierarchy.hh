@@ -24,10 +24,34 @@
 namespace sipt::cache
 {
 
+/** What a fill's function half found, as its timing half needs it
+ *  (BelowL1::fill(), BelowL1::timeFill()): a set of these bits. */
+struct FillOutcome
+{
+    /** It went past the L2 to the LLC (always, with no L2). */
+    static constexpr std::uint8_t llc = 1;
+    /** It reached DRAM: it has accesses in the log. */
+    static constexpr std::uint8_t dram = 2;
+};
+
 /**
  * Per-core view of the below-L1 hierarchy. The LLC and DRAM are
- * shared (not owned); the private L2 is owned. The simulation is
- * single-threaded, so sharing needs no synchronisation.
+ * shared (not owned) by the cores of one config; the private L2 is
+ * owned. Its work splits in two halves:
+ *
+ *  - function (the pipeline's memory stage): the L2 and LLC arrays
+ *    and their counters, the DRAM row buffers (dram::DramRows) and
+ *    the fill tracker. Each operation records its DRAM accesses in
+ *    a dram::AccessLog, and a fill returns how far it went.
+ *  - timing (the timing stage): charges each operation's cache
+ *    latencies and replays its DRAM accesses through the DRAM
+ *    queue (dram::DramQueue) at its issue cycle, and traces the
+ *    fills.
+ *
+ * The halves share no mutable state, so they may run on two host
+ * threads; the cores sharing an LLC and DRAM are stepped one after
+ * another by each half, in the same order (sim::runGroup()). The
+ * Cycles overloads run both halves at once.
  */
 class BelowL1
 {
@@ -64,6 +88,38 @@ class BelowL1
      * latency. Energy and DRAM traffic are charged normally.
      */
     void prefetch(Addr paddr, Cycles now);
+
+    /** Function half of fill(): its DRAM accesses go to @p log.
+     *  @return FillOutcome bits */
+    std::uint8_t fill(Addr paddr, dram::AccessLog &log);
+
+    /** Function half of writeback(): its DRAM accesses go to
+     *  @p log. @return whether it made any */
+    bool writeback(Addr paddr, dram::AccessLog &log);
+
+    /** Function half of prefetch(): its DRAM accesses go to
+     *  @p log. @return whether it made any */
+    bool prefetch(Addr paddr, dram::AccessLog &log);
+
+    /**
+     * Timing half of a fill of the line at @p paddr whose function
+     * half returned @p outcome, issued at @p now: its latency, its
+     * DRAM accesses (if any, at @p cursor in @p log, which moves
+     * past them) queued at their offsets from @p now. The fill is
+     * traced.
+     */
+    Cycles timeFill(Addr paddr, std::uint8_t outcome,
+                    const dram::AccessLog &log,
+                    dram::AccessLog::Cursor &cursor, Cycles now);
+
+    /** Timing half of a prefetch or writeback that reached DRAM:
+     *  queue its accesses at @p cursor. */
+    void
+    time(const dram::AccessLog &log, dram::AccessLog::Cursor &cursor,
+         Cycles now)
+    {
+        queue_.replay(log, cursor, now);
+    }
 
     /**
      * Host-prefetch the tag sets a miss on @p paddr would scan
@@ -107,9 +163,15 @@ class BelowL1
     }
 
   private:
-    /** Access the LLC and, on a miss, DRAM. */
-    Cycles fillFromLlc(Addr paddr, Cycles now, bool write);
+    /**
+     * Access the LLC and, on a miss, DRAM's rows, recording each
+     * DRAM access at @p offset plus the LLC latency; a read miss is
+     * a @p demand access when the caller waits for it.
+     */
+    void fillFromLlc(Addr paddr, Cycles offset, bool write,
+                     bool demand, dram::AccessLog &log);
 
+    // The function half's state.
     std::unique_ptr<TimingCache> l2_;
     TimingCache &llc_;
     dram::Dram &dram_;
@@ -119,6 +181,16 @@ class BelowL1
     std::unique_ptr<check::FillTracker> fillTracker_;
     /** panic() instead of recording. */
     bool checkAbort_ = false;
+    /** The Cycles overloads' log of their one operation. */
+    dram::AccessLog scratch_;
+
+    // The timing half's state, on lines of its own.
+    /** The shared DRAM's queue half. */
+    alignas(64) dram::DramQueue &queue_;
+    /** The L2's latency (0 with no L2) and the LLC's; constants,
+     *  read by both halves. */
+    Cycles l2Latency_;
+    Cycles llcLatency_;
     /** Tracing hook; nullptr unless SIPT_TRACE is set. */
     trace::Tracer *trace_ = nullptr;
     std::uint64_t traceLane_ = 0;

@@ -1,18 +1,18 @@
 #include "dram/dram.hh"
 
-#include <algorithm>
-
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace sipt::dram
 {
 
-Dram::Dram(const DramParams &params)
-    : params_(params),
-      banks_(static_cast<std::size_t>(params.channels) *
-             params.banksPerChannel),
-      channelBusyUntil_(params.channels, 0)
+namespace
+{
+
+/** @p params, or fatal when its topology is not non-zero powers
+ *  of two. */
+const DramParams &
+validated(const DramParams &params)
 {
     if (params.channels == 0 || params.banksPerChannel == 0)
         fatal("Dram: zero channels or banks");
@@ -21,61 +21,35 @@ Dram::Dram(const DramParams &params)
         !isPowerOfTwo(params.rowBytes)) {
         fatal("Dram: topology parameters must be powers of two");
     }
+    return params;
 }
 
-Cycles
-Dram::access(Addr paddr, Cycles now, bool write)
+} // namespace
+
+DramRows::DramRows(const DramParams &params)
+    : channelMask_(validated(params).channels - 1),
+      bankMask_(params.banksPerChannel - 1),
+      channelShift_(floorLog2(params.channels)),
+      rowShift_(floorLog2(params.rowBytes * params.channels)),
+      banksPerChannel_(params.banksPerChannel),
+      rows_(static_cast<std::size_t>(params.channels) *
+            params.banksPerChannel)
 {
-    (void)write; // reads and writes share timing in this model
-    ++accesses_;
+}
 
-    // Line-interleaved channel, then bank, then row: adjacent lines
-    // spread across channels for bandwidth (common BIOS mapping).
-    const Addr line = blockNumber(paddr, lineShift);
-    const std::uint32_t channel = static_cast<std::uint32_t>(
-        line & (params_.channels - 1));
-    const Addr after_ch =
-        blockNumber(line, floorLog2(params_.channels));
-    const std::uint32_t bank = static_cast<std::uint32_t>(
-        after_ch & (params_.banksPerChannel - 1));
-    const std::uint64_t row =
-        blockNumber(paddr, floorLog2(params_.rowBytes *
-                                     params_.channels));
+DramQueue::DramQueue(const DramParams &params)
+    : params_(params),
+      bankShift_(floorLog2(validated(params).banksPerChannel)),
+      bankBusyUntil_(static_cast<std::size_t>(params.channels) *
+                         params.banksPerChannel,
+                     0),
+      channelBusyUntil_(params.channels, 0)
+{
+}
 
-    Bank &b = banks_[static_cast<std::size_t>(channel) *
-                         params_.banksPerChannel +
-                     bank];
-
-    // Queue behind the bank and the channel bus, but only when the
-    // conflicting work is close in time (see queueWindow).
-    Cycles start = now;
-    if (b.busyUntil > start &&
-        b.busyUntil - start <= params_.queueWindow) {
-        start = b.busyUntil;
-    }
-    if (channelBusyUntil_[channel] > start &&
-        channelBusyUntil_[channel] - start <=
-            params_.queueWindow) {
-        start = channelBusyUntil_[channel];
-    }
-
-    Cycles service;
-    if (b.rowOpen && b.openRow == row) {
-        ++rowHits_;
-        service = params_.rowHitLatency;
-    } else if (!b.rowOpen) {
-        ++rowMisses_;
-        service = params_.rowMissLatency;
-    } else {
-        ++rowConflicts_;
-        service = params_.rowMissLatency + params_.rowConflictExtra;
-    }
-    b.rowOpen = true;
-    b.openRow = row;
-    b.busyUntil = start + params_.bankBusy;
-    channelBusyUntil_[channel] = start + params_.busBusy;
-
-    return (start - now) + service;
+Dram::Dram(const DramParams &params)
+    : params_(params), rows_(params), queue_(params)
+{
 }
 
 } // namespace sipt::dram

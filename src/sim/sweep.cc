@@ -568,13 +568,13 @@ usableCpus()
 }
 
 StreamThread::StreamThread(std::function<void(StreamThread &)> produce,
-                           std::function<void(StreamThread &)> predict,
+                           std::function<void(StreamThread &)> memory,
                            std::size_t lanes)
     : ring_(ringSize)
 {
     for (Slot &slot : ring_)
-        slot.decisions.resize(lanes);
-    if (predict)
+        slot.records.resize(lanes);
+    if (memory)
         ready_ = &mid_;
     stream_ = std::thread([this, produce = std::move(produce)] {
         try {
@@ -592,15 +592,15 @@ StreamThread::StreamThread(std::function<void(StreamThread &)> produce,
             publish();
         }
     });
-    if (!predict)
+    if (!memory)
         return;
     try {
-        predict_ = std::thread([this, predict = std::move(predict)] {
+        memory_ = std::thread([this, memory = std::move(memory)] {
             try {
-                predict(*this);
+                memory(*this);
             } catch (const Cancelled &) {
             } catch (...) {
-                // In place of the batch it was predicting, unless
+                // In place of the batch it was recording, unless
                 // that batch already carries the stream's error.
                 const std::exception_ptr error =
                     std::current_exception();
@@ -614,7 +614,7 @@ StreamThread::StreamThread(std::function<void(StreamThread &)> produce,
                 Slot &slot = ring_[mid % ringSize];
                 if (!slot.error)
                     slot.error = error;
-                predicted();
+                recorded();
             }
         });
     } catch (...) {
@@ -639,8 +639,8 @@ StreamThread::stop()
     head_.notify_one();
     if (stream_.joinable())
         stream_.join();
-    if (predict_.joinable())
-        predict_.join();
+    if (memory_.joinable())
+        memory_.join();
 }
 
 namespace
@@ -714,26 +714,26 @@ StreamThread::publish()
 }
 
 std::size_t
-StreamThread::predictNext(std::span<batch::MachineStages *const> machines)
+StreamThread::memoryNext(std::span<batch::MachineStages *const> machines)
 {
     const std::uint32_t mid = mid_.load(std::memory_order_relaxed);
     awaitPast(head_, mid);
     Slot &slot = ring_[mid % ringSize];
     if (slot.error) {
         // The stream failed here: the caller meets its error at
-        // this batch, and there is nothing more to predict.
-        predicted();
+        // this batch, and there is nothing more to record.
+        recorded();
         throw Cancelled{};
     }
     for (std::size_t j = 0; j < machines.size(); ++j)
-        machines[j]->predict(slot.batch, slot.decisions[j]);
+        machines[j]->memory(slot.batch, slot.records[j]);
     const std::size_t size = slot.batch.size;
-    predicted();
+    recorded();
     return size;
 }
 
 void
-StreamThread::predicted()
+StreamThread::recorded()
 {
     mid_.fetch_add(1);
     mid_.notify_one();
@@ -1114,8 +1114,9 @@ SweepRunner::execute(const std::shared_ptr<Group> &group,
     std::vector<std::exception_ptr> errors;
     std::vector<MulticoreResult> results(k);
     // A pool's group gets a stream thread, as a lone run does, but
-    // no predict thread: the workers already keep every CPU busy
-    // (DESIGN.md, "Three host threads per lone run").
+    // no memory thread: the workers already keep every CPU busy,
+    // and its machines run memory and timing fused (DESIGN.md,
+    // "Three host threads per lone run").
     const Overlap overlap =
         usableCpus() >= 2 ? Overlap::Threaded : Overlap::Inline;
     const auto t0 = std::chrono::steady_clock::now();

@@ -60,12 +60,13 @@
  * seconds like any job's.
  *
  * This file is also the home of the only other host threads the
- * simulator starts: a group run's stream thread and predict thread
+ * simulator starts: a group run's stream thread and memory thread
  * (StreamThread, runGroup()). A worker's group gets a stream thread
  * as a lone run does, when the process has two usable CPUs (a pool
  * as large as the host measured the same with every group threaded
- * as with every group inline), but never a predict thread: a pool
- * measured slower with one (DESIGN.md).
+ * as with every group inline), but never a memory thread: its
+ * machines run memory and timing fused, reference by reference, so
+ * a pool's cost per reference does not grow (DESIGN.md).
  */
 
 #ifndef SIPT_SIM_SWEEP_HH
@@ -109,22 +110,22 @@ unsigned usableCpus();
 /**
  * The host threads of one group run (runGroup()) besides the
  * caller: a stream thread that runs the stream stages ahead of the
- * caller, and optionally a predict thread between the two that runs
- * every machine's predict stage. They hand resolved batches, and
- * then their decision lanes, through one bounded ring with three
- * cursors: published (by the stream thread), predicted (by the
- * predict thread) and consumed (by the caller).
+ * caller, and optionally a memory thread between the two that runs
+ * every machine's memory stage. They hand resolved batches, and
+ * then their memory records, through one bounded ring with three
+ * cursors: published (by the stream thread), recorded (by the
+ * memory thread) and consumed (by the caller).
  *
  * The stream thread fills slots in order (claim(), publish()); the
- * predict thread, if any, decides them in the same order
- * (predictNext()); the caller reads them in the same order
+ * memory thread, if any, records them in the same order
+ * (memoryNext()); the caller reads them in the same order
  * (front(), pop(), or Batches). A waiting end spins for a few
  * microseconds and then blocks on std::atomic wait/notify, because
  * the host may have no CPU to spare for a spinner. A full ring
  * wakes the stream thread only once half of it is free again, so a
  * fast stream costs one wake-up per few batches.
  *
- * An exception thrown on the stream or predict thread is published
+ * An exception thrown on the stream or memory thread is published
  * in place of the batch it was producing, and front() rethrows it
  * on the caller at that batch. The destructor cancels the threads
  * still running and joins them, so no thread outlives the object.
@@ -136,23 +137,23 @@ class StreamThread
     static constexpr std::uint32_t ringSize = 8;
 
     /** One batch in flight: the stream stages' output, each
-     *  machine's decisions when there is a predict thread, or the
-     *  exception published in their place. */
+     *  machine's memory record when there is a memory thread, or
+     *  the exception published in their place. */
     struct Slot
     {
         cpu::RefBatch batch;
-        std::vector<batch::Decisions> decisions;
+        std::vector<batch::MemoryRecord> records;
         std::exception_ptr error;
     };
 
     /**
      * Start a thread that runs @p produce(*this) and, when
-     * @p predict is non-empty, a second one that runs
-     * @p predict(*this) over slots of @p lanes decision lanes each.
+     * @p memory is non-empty, a second one that runs
+     * @p memory(*this) over slots of @p lanes memory records each.
      * Throws std::system_error when a thread cannot be started.
      */
     explicit StreamThread(std::function<void(StreamThread &)> produce,
-                          std::function<void(StreamThread &)> predict =
+                          std::function<void(StreamThread &)> memory =
                               {},
                           std::size_t lanes = 0);
     ~StreamThread();
@@ -169,18 +170,18 @@ class StreamThread
     void publish();
 
     /**
-     * Predict thread: run the predict stage of @p machines over the
-     * oldest published batch not yet predicted, machine j into
-     * decision lane j, and hand it to the caller; blocks until
-     * there is one. Returns the batch's size. A slot that carries
-     * the stream's exception is passed on instead, and the predict
+     * Memory thread: run the memory stage of @p machines over the
+     * oldest published batch not yet recorded, machine j into
+     * record j, and hand it to the caller; blocks until there is
+     * one. Returns the batch's size. A slot that carries the
+     * stream's exception is passed on instead, and the memory
      * thread unwinds.
      */
     std::size_t
-    predictNext(std::span<batch::MachineStages *const> machines);
+    memoryNext(std::span<batch::MachineStages *const> machines);
 
     /** Caller: the oldest slot ready for it (published, and
-     *  predicted when there is a predict thread), blocking until
+     *  recorded when there is a memory thread), blocking until
      *  there is one; rethrows a thread's exception in its place. */
     const Slot &front();
 
@@ -188,8 +189,8 @@ class StreamThread
     void pop();
 
     /** The caller's end of the ring as the batches of
-     *  batch::runPhase(): with a predict thread, each batch comes
-     *  with every machine's decisions. */
+     *  batch::runPhase(): with a memory thread, each batch comes
+     *  with every machine's memory record. */
     class Batches
     {
       public:
@@ -202,12 +203,11 @@ class StreamThread
             return slot_->batch;
         }
 
-        const batch::Decisions *
-        decided() const
+        const batch::MemoryRecord *
+        records() const
         {
-            return ring_.ready_ == &ring_.mid_
-                       ? slot_->decisions.data()
-                       : nullptr;
+            return ring_.ready_ == &ring_.mid_ ? slot_->records.data()
+                                               : nullptr;
         }
 
         void release() { ring_.pop(); }
@@ -225,9 +225,9 @@ class StreamThread
 
     /** claim(), whole slot. */
     Slot &claimSlot();
-    /** Predict thread: hand the oldest published slot on to the
+    /** Memory thread: hand the oldest published slot on to the
      *  caller. */
-    void predicted();
+    void recorded();
     /** Block until @p cursor differs from @p seen; unwinds a
      *  cancelled thread. */
     void awaitPast(const std::atomic<std::uint32_t> &cursor,
@@ -237,20 +237,20 @@ class StreamThread
 
     std::vector<Slot> ring_;
     /** Slots published (written by the stream thread only, except
-     *  that cancelling bumps it to wake a waiting predict thread). */
+     *  that cancelling bumps it to wake a waiting memory thread). */
     alignas(64) std::atomic<std::uint32_t> head_{0};
-    /** Slots predicted (written by the predict thread only). */
+    /** Slots recorded (written by the memory thread only). */
     alignas(64) std::atomic<std::uint32_t> mid_{0};
     /** Slots given back (written by the caller only, except that
      *  cancelling bumps it to wake a waiting producer). */
     alignas(64) std::atomic<std::uint32_t> tail_{0};
-    /** The cursor the caller reads up to: mid_ with a predict
+    /** The cursor the caller reads up to: mid_ with a memory
      *  thread, else head_. */
     std::atomic<std::uint32_t> *ready_ = &head_;
     std::atomic<bool> cancelled_{false};
     /** Last, so that they start after the ring exists. */
     std::thread stream_;
-    std::thread predict_;
+    std::thread memory_;
 };
 
 /** Construction-time knobs; fields left at defaults read the

@@ -34,7 +34,8 @@ namespace
  *  many references. */
 constexpr std::uint64_t mixSlice = 5'000;
 
-/** PTE reads of the radix walker go through the hierarchy. */
+/** PTE reads of the radix walker go through the hierarchy, each a
+ *  fill with a function and a timing half. */
 class WalkThroughCaches : public vm::WalkPort
 {
   public:
@@ -47,6 +48,20 @@ class WalkThroughCaches : public vm::WalkPort
     walkRead(Addr paddr, Cycles now) override
     {
         return below_.fill(paddr, now);
+    }
+
+    std::uint8_t
+    walkFunction(Addr paddr, dram::AccessLog &log) override
+    {
+        return below_.fill(paddr, log);
+    }
+
+    Cycles
+    walkTiming(Addr paddr, std::uint8_t outcome, Cycles now,
+               const dram::AccessLog &log,
+               dram::AccessLog::Cursor &cursor) override
+    {
+        return below_.timeFill(paddr, outcome, log, cursor, now);
     }
 
   private:
@@ -138,7 +153,9 @@ l1ParamsFor(const SystemConfig &config, const check::Options &check)
     return l1_params;
 }
 
-/** The LLC and DRAM of one config, shared by its cores. */
+/** The LLC and DRAM of one config, shared by its cores. The LLC
+ *  and DRAM's rows belong to the memory stage, DRAM's queues to the
+ *  timing stage (dram::Dram keeps the two halves apart). */
 struct Uncore
 {
     dram::Dram dram;
@@ -154,9 +171,8 @@ struct Uncore
  * One simulated core: everything a SystemConfig adds to a Stream
  * — TLB latencies and walker, L1, below-L1 hierarchy and the core
  * model — over its config's LLC and DRAM. The TLBs are the
- * stream's. Its
- * batch::MachineStages run predict + account over the stream's
- * resolved batches.
+ * stream's. Its batch::MachineStages run predict + memory + timing
+ * over the stream's resolved batches.
  */
 class Machine
 {
@@ -196,14 +212,19 @@ class Machine
 
     batch::MachineStages &stages() { return stages_; }
 
-    /** End of warmup: zero every counter this machine owns (the
-     *  uncore and the streams are reset by the group). */
+    /** End of warmup: zero every counter of this machine's
+     *  function half, on the memory stage's thread (the uncore and
+     *  the streams are reset by the group). */
     void
-    resetStats()
+    resetMemoryStats()
     {
-        l1_.resetStats();
+        l1_.resetArrayStats();
         below_.resetStats();
     }
+
+    /** End of warmup: zero the timing half's counters, on the
+     *  caller. */
+    void resetTimingStats() { l1_.resetTimingStats(); }
 
     /** The run's metrics, over the measured episodes' sum
      *  @p measured, with @p llc_dyn_share / @p llc_static_share_mw
@@ -370,23 +391,40 @@ struct StreamHalf
     }
 };
 
-/** The predict half of a three-thread group run, on the predict
- *  thread: runs every live config's predict stage for stream c over
+/** Zero the function half's counters of every live config at the
+ *  end of warmup: its machines', LLC's and DRAM rows'. */
+void
+resetMemoryStats(std::vector<GroupMember> &members,
+                 const std::vector<std::size_t> &live)
+{
+    for (const std::size_t i : live) {
+        for (const auto &machine : members[i].machines)
+            machine->resetMemoryStats();
+        members[i].uncore->llc.resetStats();
+        members[i].uncore->dram.resetStats();
+    }
+}
+
+/** The memory half of a three-thread group run, on the memory
+ *  thread: runs every live config's memory stage for stream c over
  *  each of its batches. */
-struct PredictHalf
+struct MemoryHalf
 {
     const std::vector<std::vector<batch::MachineStages *>> &stepping;
+    std::vector<GroupMember> &members;
+    const std::vector<std::size_t> &live;
     StreamThread &ring;
 
     void
     episode(std::size_t c, std::uint64_t len)
     {
         batch::forEachBatch(len, [&](std::size_t) {
-            return ring.predictNext(stepping[c]);
+            return ring.memoryNext(stepping[c]);
         });
     }
 
-    void endWarmup() {}
+    /** The function half's counters belong to this thread. */
+    void endWarmup() { resetMemoryStats(members, live); }
 };
 
 /**
@@ -394,7 +432,8 @@ struct PredictHalf
  * config's machine for stream c over each of its episodes and sums
  * them. Its batches come from @c ring, or, when that is null, from
  * the streams' stages on this thread (and then it also does the
- * stream half's endWarmup()).
+ * stream half's endWarmup()). Without a memory thread it runs the
+ * memory stage too, and resets its counters.
  */
 struct MachineHalf
 {
@@ -403,6 +442,7 @@ struct MachineHalf
     std::vector<GroupMember> &members;
     const std::vector<std::size_t> &live;
     StreamThread *ring = nullptr;
+    bool memoryThread = false;
 
     void
     episode(std::size_t c, std::uint64_t len)
@@ -430,11 +470,11 @@ struct MachineHalf
             for (Stream *stream : streams)
                 stream->resetStats();
         }
+        if (!memoryThread)
+            resetMemoryStats(members, live);
         for (const std::size_t i : live) {
             for (const auto &machine : members[i].machines)
-                machine->resetStats();
-            members[i].uncore->llc.resetStats();
-            members[i].uncore->dram.resetStats();
+                machine->resetTimingStats();
             members[i].measured.assign(streams.size(),
                                        cpu::CoreResult{});
         }
@@ -679,20 +719,20 @@ runOnStreams(JobKind kind, std::span<Stream *const> streams,
     }
 
     // The machines' half of the batch loop, on this thread. Its
-    // batches come from the stream thread's ring, predicted or not,
+    // batches come from the stream thread's ring, recorded or not,
     // or, inline, from the streams' stages directly.
     MachineHalf machines{streams, stepping, members, live};
     const unsigned cpus = overlap == Overlap::Auto ? usableCpus() : 0;
-    const bool predicting = overlap == Overlap::Pipelined ||
-                            (overlap == Overlap::Auto && cpus >= 3);
-    const bool threaded = predicting || overlap == Overlap::Threaded ||
+    const bool recording = overlap == Overlap::Pipelined ||
+                           (overlap == Overlap::Auto && cpus >= 3);
+    const bool threaded = recording || overlap == Overlap::Threaded ||
                           (overlap == Overlap::Auto && cpus >= 2);
     std::optional<StreamThread> thread;
     if (threaded) {
-        std::function<void(StreamThread &)> predict;
-        if (predicting) {
-            predict = [&](StreamThread &ring) {
-                PredictHalf half{stepping, ring};
+        std::function<void(StreamThread &)> memory;
+        if (recording) {
+            memory = [&](StreamThread &ring) {
+                MemoryHalf half{stepping, members, live, ring};
                 walkSchedule(kind, spec, n, half);
             };
         }
@@ -702,15 +742,16 @@ runOnStreams(JobKind kind, std::span<Stream *const> streams,
                     StreamHalf half{streams, ring};
                     walkSchedule(kind, spec, n, half);
                 },
-                std::move(predict), live.size());
+                std::move(memory), live.size());
         } catch (const std::system_error &) {
             // No thread to be had: the same loop, inline.
         }
     }
     machines.ring = thread ? &*thread : nullptr;
+    machines.memoryThread = thread && recording;
     walkSchedule(kind, spec, n, machines);
     // Join before reading anything the other threads wrote (the
-    // TLB counters, the predictor tables).
+    // TLB counters, the arrays and their counters).
     thread.reset();
 
     std::vector<MulticoreResult> results(k);

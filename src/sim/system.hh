@@ -6,7 +6,7 @@
  * Stream (an application's address space and workload over
  * conditioned memory, and its TLB hierarchy; generate + resolve)
  * depends only on StreamSpec. A machine (TLB latencies and walker,
- * L1, below-L1, core; predict + account) depends on the rest of
+ * L1, below-L1, core; predict + memory + timing) depends on the rest of
  * SystemConfig; the LLC and DRAM behind it belong to its config and
  * are shared by that config's cores.
  *
@@ -17,7 +17,7 @@
  * runMulticore() are its one-config cases, and the sweep engine
  * runs every job through it. With two usable CPUs, a group runs its
  * stream half on a second host thread, and a lone run with three
- * runs its predict stage on a third (Overlap).
+ * runs its memory stage on a third (Overlap).
  */
 
 #ifndef SIPT_SIM_SYSTEM_HH
@@ -331,9 +331,10 @@ struct MulticoreResult
  * Where a group run's stages run. Threaded puts generate + resolve
  * on a second host thread (StreamThread, sim/sweep.hh) that works
  * ahead of the machines; Pipelined also puts every machine's
- * predict stage on a third, between the two. The caller accounts
- * every machine over the same batches in the same order, so results
- * are bit-identical to Inline. Auto, for a run that has the host to
+ * memory stage (the hierarchy's function) on a third, between the
+ * two, and the caller predicts and times. The caller steps every
+ * machine over the same batches in the same order, so results are
+ * bit-identical to Inline. Auto, for a run that has the host to
  * itself, is Pipelined iff the process has at least three usable
  * CPUs (usableCpus()), else Threaded iff it has two. A SweepRunner
  * passes Threaded or Inline for its groups by the same two-CPU
@@ -362,7 +363,7 @@ enum class Overlap : std::uint8_t
  * null the first is rethrown after the run; else (*errors)[i] holds
  * config i's exception or null, and result i is meaningful only
  * when it is null. A stream's exception propagates, from the
- * stream thread too. @p overlap says where the stream and predict
+ * stream thread too. @p overlap says where the stream and memory
  * stages run.
  */
 std::vector<MulticoreResult>

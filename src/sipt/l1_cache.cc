@@ -73,9 +73,11 @@ constexpr double pcaxPredictorEnergyFraction = 0.013;
 
 SiptL1Cache::SiptL1Cache(const L1Params &params,
                          cache::BelowL1 &below)
-    : params_(params), below_(below), array_(params.geometry),
+    : params_(params), below_(below),
       specBits_(params.geometry.speculativeBits()),
-      specMask_(mask(params.geometry.speculativeBits()))
+      specMask_(mask(params.geometry.speculativeBits())),
+      array_(params.geometry), recordFacts_(params.check.enabled),
+      wayShare_(1.0 / static_cast<double>(params.geometry.assoc))
 {
     if (params.policy == IndexingPolicy::Vipt && specBits_ != 0) {
         fatal("VIPT geometry infeasible: way size ",
@@ -288,9 +290,8 @@ SiptL1Cache::observeAccess(const MemRef &ref,
                            const vm::MmuResult &xlat, Cycles now,
                            SpecDecision decision,
                            const L1AccessResult &res,
-                           std::uint32_t set, int way,
-                           const std::optional<cache::Eviction>
-                               &evicted)
+                           std::uint8_t outcome,
+                           const ArrayFacts &facts)
 {
     if (checker_) {
         check::Observation obs;
@@ -298,17 +299,13 @@ SiptL1Cache::observeAccess(const MemRef &ref,
         obs.paddr = xlat.paddr;
         obs.op = ref.op;
         obs.hit = res.hit;
-        if (res.hit) {
-            obs.dirtyAfter =
-                array_.dirtyAt(set, static_cast<std::uint32_t>(way));
-        } else {
-            obs.dirtyAfter = ref.op == MemOp::Store;
-            if (evicted) {
-                obs.evicted = true;
-                obs.evictedLine = evicted->lineAddr;
-                obs.evictedDirty = evicted->dirty;
-                obs.writeback = evicted->dirty;
-            }
+        obs.dirtyAfter = facts.dirtyAfter;
+        if (!res.hit && facts.evicted) {
+            obs.evicted = true;
+            obs.evictedLine = facts.evictedLine;
+            obs.evictedDirty =
+                (outcome & ArrayOutcome::writeback) != 0;
+            obs.writeback = obs.evictedDirty;
         }
         if (checker_->onAccess(obs)) {
             // Huge-page legality first: on a 2 MiB page the
@@ -324,8 +321,7 @@ SiptL1Cache::observeAccess(const MemRef &ref,
                     stats_, params_.policy, specBits_);
                 if (closure.empty()) {
                     closure = checkEnergyClosure(
-                        stats_, array_.assoc(),
-                        wayPredictor_ ? wayPredictor_->correct() : 0);
+                        stats_, params_.geometry.assoc, wayCorrect_);
                 }
                 if (!closure.empty())
                     violation = "invariant violated: " + closure;
@@ -349,14 +345,12 @@ SiptL1Cache::observeAccess(const MemRef &ref,
     }
 }
 
-L1AccessResult
-SiptL1Cache::missFill(const MemRef &ref, Addr paddr,
-                      std::uint32_t set, Cycles now, Cycles ready,
-                      bool fast,
-                      std::optional<cache::Eviction> &evicted_out)
+std::uint8_t
+SiptL1Cache::missArray(MemOp op, Addr paddr, std::uint32_t set,
+                       dram::AccessLog &log, ArrayFacts &facts)
 {
-    ++stats_.misses;
-    const Cycles fill_latency = below_.fill(paddr, ready);
+    auto outcome = static_cast<std::uint8_t>(
+        below_.fill(paddr, log) << ArrayOutcome::fillShift);
     // Next-line prefetch into the level below (simple sequential
     // prefetcher, present in any contemporary baseline). The
     // prefetcher works on physical addresses, so it must stop at
@@ -365,19 +359,38 @@ SiptL1Cache::missFill(const MemRef &ref, Addr paddr,
     // would fabricate traffic no hardware prefetcher could emit
     // without a translation of the *next* virtual page.
     const Addr next_line = paddr + lineSize;
-    if (pageNumber(next_line) == pageNumber(paddr))
-        below_.prefetch(next_line, ready);
-    evicted_out = array_.insert(set, paddr, ref.op == MemOp::Store);
-    if (evicted_out && evicted_out->dirty) {
-        ++stats_.writebacks;
-        below_.writeback(evicted_out->lineAddr,
-                         ready + fill_latency);
+    if (pageNumber(next_line) == pageNumber(paddr) &&
+        below_.prefetch(next_line, log))
+        outcome |= ArrayOutcome::prefetchDram;
+    const auto evicted = array_.insert(set, paddr, op == MemOp::Store);
+    if (evicted && evicted->dirty) {
+        outcome |= ArrayOutcome::writeback;
+        if (below_.writeback(evicted->lineAddr, log))
+            outcome |= ArrayOutcome::writebackDram;
     }
-    L1AccessResult res;
-    res.hit = false;
-    res.fast = fast;
-    res.latency = (ready - now) + fill_latency;
-    return res;
+    if (recordFacts_) {
+        facts = {op == MemOp::Store, evicted.has_value(),
+                 evicted ? evicted->lineAddr : 0};
+    }
+    return outcome;
+}
+
+Cycles
+SiptL1Cache::missTimed(Addr paddr, std::uint8_t outcome, Cycles ready,
+                       const dram::AccessLog &log,
+                       dram::AccessLog::Cursor &cursor)
+{
+    ++stats_.misses;
+    const Cycles fill_latency = below_.timeFill(
+        paddr, static_cast<std::uint8_t>(outcome >> ArrayOutcome::fillShift),
+        log, cursor, ready);
+    if (outcome & ArrayOutcome::prefetchDram)
+        below_.time(log, cursor, ready);
+    if (outcome & ArrayOutcome::writeback)
+        ++stats_.writebacks;
+    if (outcome & ArrayOutcome::writebackDram)
+        below_.time(log, cursor, ready + fill_latency);
+    return fill_latency;
 }
 
 std::uint64_t
@@ -443,14 +456,27 @@ SiptL1Cache::dynamicEnergyNj() const
 void
 SiptL1Cache::resetStats()
 {
+    resetTimingStats();
+    resetArrayStats();
+}
+
+void
+SiptL1Cache::resetTimingStats()
+{
     stats_ = L1Stats{};
-    if (wayPredictor_)
-        wayPredictor_->resetStats();
+    wayCorrect_ = 0;
     // The golden model keeps its cache contents (they mirror the
     // array, which survives the reset) but restarts the event
     // stream so measured-phase digests compare across policies.
     if (checker_)
         checker_->resetStream();
+}
+
+void
+SiptL1Cache::resetArrayStats()
+{
+    if (wayPredictor_)
+        wayPredictor_->resetStats();
 }
 
 double

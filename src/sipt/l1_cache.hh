@@ -61,6 +61,7 @@
 #include "check/options.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
+#include "dram/dram.hh"
 #include "predictor/combined.hh"
 #include "predictor/hashed_xlat.hh"
 #include "predictor/perceptron.hh"
@@ -208,7 +209,51 @@ struct L1AccessResult
 };
 
 /**
+ * What the function half of one access (SiptL1Cache::accessArray())
+ * did, as its timing half needs it: a set of these bits, one byte
+ * per reference in the pipeline's memory record.
+ */
+struct ArrayOutcome
+{
+    /** The line was resident. */
+    static constexpr std::uint8_t hit = 1;
+    /** A hit in the way the way predictor predicted. */
+    static constexpr std::uint8_t wayCorrect = 2;
+    /** A miss whose next-line prefetch reached DRAM. */
+    static constexpr std::uint8_t prefetchDram = 4;
+    /** A miss that evicted a dirty line and wrote it back. */
+    static constexpr std::uint8_t writeback = 8;
+    /** ...and the writeback reached DRAM. */
+    static constexpr std::uint8_t writebackDram = 16;
+    /** A miss's fill's cache::FillOutcome bits, shifted up by
+     *  this. */
+    static constexpr unsigned fillShift = 5;
+};
+
+/** The functional facts of one access that the golden-model
+ *  checker compares; accessArray() records them for a checked L1
+ *  only. */
+struct ArrayFacts
+{
+    /** The line's dirty bit after the access. */
+    bool dirtyAfter = false;
+    /** The fill evicted a valid line... */
+    bool evicted = false;
+    /** ...this one. */
+    Addr evictedLine = 0;
+};
+
+/**
  * The L1 data cache with speculative indexing.
+ *
+ * Its state falls in three groups, each touched by one pipeline
+ * stage (batch/pipeline.hh): the predictor tables (predict:
+ * decideBatch()), the array and way predictor (memory:
+ * accessArray(), which also drives the below-L1 hierarchy's
+ * function half) and the counters, checker and tracer (timing:
+ * accessTimed()). Where the physical index comes from changes only
+ * when data returns, never what the array holds, so the memory
+ * half needs no speculation decision.
  */
 class SiptL1Cache
 {
@@ -257,17 +302,43 @@ class SiptL1Cache
 
     /**
      * Execute one memory reference whose speculation outcome was
-     * already decided: applies every statistics counter for the
-     * access, charges the latency model, probes/fills the array
-     * with one set scan, then hands the outcome to the post-access
-     * observers (golden-model checker, tracer) when either is on.
-     * access() is exactly decide() + accessDecided(). Defined
-     * inline below: it is the pipeline's per-reference account
-     * step.
+     * already decided: accessArray(), then accessTimed(). The first
+     * probes/fills the array with one set scan; the second applies
+     * every statistics counter for the access, charges the latency
+     * model, then hands the outcome to the post-access observers
+     * (golden-model checker, tracer) when either is on. access() is
+     * exactly decide() + accessDecided(). The halves are defined
+     * inline below: they are the pipeline's per-reference memory
+     * and timing steps.
      */
     L1AccessResult accessDecided(const MemRef &ref,
                                  const vm::MmuResult &xlat,
                                  Cycles now, SpecDecision decision);
+
+    /**
+     * Function half of accessDecided(): one set scan of the array
+     * at @p paddr (touch/dirty the resident way, or fill from
+     * below, prefetch the next line, insert and write the victim
+     * back), and the way predictor. The below-L1 work goes to
+     * @p log; a checked L1 fills @p facts.
+     * @return ArrayOutcome bits
+     */
+    std::uint8_t accessArray(MemOp op, Addr paddr,
+                             dram::AccessLog &log, ArrayFacts &facts);
+
+    /**
+     * Timing half of accessDecided(), for an access whose function
+     * half returned @p outcome and @p facts: every statistics
+     * counter, the latency model (its below-L1 operations timed
+     * from @p log at @p cursor), then the post-access observers.
+     */
+    L1AccessResult accessTimed(const MemRef &ref,
+                               const vm::MmuResult &xlat, Cycles now,
+                               SpecDecision decision,
+                               std::uint8_t outcome,
+                               const ArrayFacts &facts,
+                               const dram::AccessLog &log,
+                               dram::AccessLog::Cursor &cursor);
 
     /**
      * Host-prefetch the tag sets an access to @p paddr will scan:
@@ -328,8 +399,16 @@ class SiptL1Cache
     double fastFraction() const;
 
     /** Zero all counters; cache contents and trained predictor
-     *  state are kept (end-of-warmup semantics). */
+     *  state are kept (end-of-warmup semantics). Both halves of
+     *  resetTimingStats() and resetArrayStats(). */
     void resetStats();
+
+    /** Zero the timing half's counters (L1Stats) and restart the
+     *  checker's event stream. */
+    void resetTimingStats();
+
+    /** Zero the function half's counters (the way predictor's). */
+    void resetArrayStats();
 
   private:
     /**
@@ -352,43 +431,41 @@ class SiptL1Cache
                     std::uint8_t *decisions_out);
 
     /**
-     * The miss half of accessDecided(): fill from below, next-line
-     * prefetch, insert, writeback accounting. @p evicted_out
-     * receives the eviction for the post-access observers.
+     * The miss half of accessArray(): fill from below, next-line
+     * prefetch, insert, writeback. @return its ArrayOutcome bits
      */
-    L1AccessResult missFill(const MemRef &ref, Addr paddr,
-                            std::uint32_t set, Cycles now,
-                            Cycles ready, bool fast,
-                            std::optional<cache::Eviction>
-                                &evicted_out);
+    std::uint8_t missArray(MemOp op, Addr paddr, std::uint32_t set,
+                           dram::AccessLog &log, ArrayFacts &facts);
+
+    /**
+     * The miss half of accessTimed(): counts the miss (and its
+     * writeback) and times its below-L1 operations from @p ready.
+     * @return the fill latency
+     */
+    Cycles missTimed(Addr paddr, std::uint8_t outcome, Cycles ready,
+                     const dram::AccessLog &log,
+                     dram::AccessLog::Cursor &cursor);
 
     /**
      * Post-access observers, called only when the checker or the
      * tracer is on: feeds the golden model the access, checks the
      * counter invariants (sipt/invariants.hh) as they stand after
      * it, and emits the trace event.
-     * @p way is the resident way on a hit, -1 on a miss.
      */
     void observeAccess(const MemRef &ref, const vm::MmuResult &xlat,
                        Cycles now, SpecDecision decision,
-                       const L1AccessResult &res, std::uint32_t set,
-                       int way,
-                       const std::optional<cache::Eviction>
-                           &evicted);
-
-    /** Account one array access attempt; @p resident_way is the
-     *  way the line was found in, or -1. @return way-mispredict
-     *  latency penalty. */
-    Cycles chargeArrayAccess(std::uint32_t set, int resident_way);
+                       const L1AccessResult &res, std::uint8_t outcome,
+                       const ArrayFacts &facts);
 
     L1Params params_;
     cache::BelowL1 &below_;
-    cache::CacheArray array_;
 
-    // The predict stage's state (decideBatch()), on cache lines of
-    // its own: a group run may predict on another host thread than
-    // the one that accounts, and a line shared with the account
-    // stage's counters would move between the two at every access.
+    // Each stage's state on cache lines of its own: a lone run
+    // accesses the array on another host thread than the one that
+    // predicts and counts, and a line shared between them would
+    // move between the two CPUs at every access.
+
+    // The predict stage's state (decideBatch()).
     alignas(64) unsigned specBits_;
     /** mask(specBits_), precomputed for the decide loops. */
     std::uint64_t specMask_;
@@ -402,46 +479,66 @@ class SiptL1Cache
     /** PC-indexed translation predictor (Pcax stage 2). */
     std::optional<predictor::PcXlatPredictor> pcax_;
 
-    // The account stage's state (accessDecided()).
-    alignas(64) std::optional<cache::WayPredictor> wayPredictor_;
+    // The memory stage's state (accessArray()).
+    alignas(64) cache::CacheArray array_;
+    std::optional<cache::WayPredictor> wayPredictor_;
+    /** Record ArrayFacts (the L1 is checked). */
+    bool recordFacts_;
+
+    // The timing stage's state (accessTimed()).
     /** Golden-model checker when params.check.enabled. */
-    std::unique_ptr<check::DifferentialChecker> checker_;
+    alignas(64) std::unique_ptr<check::DifferentialChecker> checker_;
     L1Stats stats_;
+    /** Correct way predictions among the counted hits: the way
+     *  predictor's own count, kept on this side. */
+    std::uint64_t wayCorrect_ = 0;
+    /** 1 / associativity: a correctly way-predicted read's share
+     *  of a full read's energy. */
+    double wayShare_;
     /** Process tracer when SIPT_TRACE is set, else nullptr; cached
      *  at construction so the per-access cost when disabled is one
      *  branch. */
     trace::Tracer *trace_ = nullptr;
     std::uint64_t traceLane_ = 0;
+
+    /** accessDecided()'s log of its one access. */
+    dram::AccessLog scratch_;
 };
 
-inline Cycles
-SiptL1Cache::chargeArrayAccess(std::uint32_t set, int resident_way)
+[[gnu::always_inline]] inline std::uint8_t
+SiptL1Cache::accessArray(MemOp op, Addr paddr, dram::AccessLog &log,
+                         ArrayFacts &facts)
 {
-    ++stats_.arrayAccesses;
-    if (!wayPredictor_) {
-        stats_.weightedArrayAccesses += 1.0;
-        return 0;
+    // One set scan: probe, then touch/dirty the resident way.
+    const std::uint32_t set = array_.setOf(paddr);
+    const int way = array_.probe(set, paddr);
+    std::uint8_t outcome = 0;
+    if (wayPredictor_) {
+        const std::uint32_t predicted = wayPredictor_->predict(set);
+        if (way < 0)
+            wayPredictor_->recordMiss();
+        else if (wayPredictor_->recordHit(
+                     predicted, static_cast<std::uint32_t>(way)) == 0)
+            outcome |= ArrayOutcome::wayCorrect;
     }
-    const std::uint32_t predicted = wayPredictor_->predict(set);
-    if (resident_way < 0) {
-        wayPredictor_->recordMiss();
-        stats_.weightedArrayAccesses += 1.0;
-        return 0;
+    if (way >= 0) {
+        const auto w = static_cast<std::uint32_t>(way);
+        array_.touch(set, w);
+        if (op == MemOp::Store)
+            array_.setDirty(set, w);
+        if (recordFacts_) [[unlikely]]
+            facts = {array_.dirtyAt(set, w), false, 0};
+        return outcome | ArrayOutcome::hit;
     }
-    const auto actual = static_cast<std::uint32_t>(resident_way);
-    const Cycles penalty =
-        wayPredictor_->recordHit(predicted, actual);
-    stats_.weightedArrayAccesses +=
-        predicted == actual
-            ? 1.0 / static_cast<double>(array_.assoc())
-            : 1.0;
-    return penalty;
+    return outcome | missArray(op, paddr, set, log, facts);
 }
 
-inline L1AccessResult
-SiptL1Cache::accessDecided(const MemRef &ref,
-                           const vm::MmuResult &xlat, Cycles now,
-                           SpecDecision decision)
+[[gnu::always_inline]] inline L1AccessResult
+SiptL1Cache::accessTimed(const MemRef &ref, const vm::MmuResult &xlat,
+                         Cycles now, SpecDecision decision,
+                         std::uint8_t outcome, const ArrayFacts &facts,
+                         const dram::AccessLog &log,
+                         dram::AccessLog::Cursor &cursor)
 {
     ++stats_.accesses;
     if (ref.op == MemOp::Load)
@@ -502,29 +599,45 @@ SiptL1Cache::accessDecided(const MemRef &ref,
                                       xlat.latency)
              : now + xlat.latency + params_.hitLatency;
 
-    // One set scan: probe, then touch/dirty the resident way.
-    const Addr paddr = xlat.paddr;
-    const std::uint32_t set = array_.setOf(paddr);
-    const int way = array_.probe(set, paddr);
-    const Cycles way_penalty = chargeArrayAccess(set, way);
-    L1AccessResult res;
-    std::optional<cache::Eviction> evicted;
-    if (way >= 0) {
-        ++stats_.hits;
-        const auto w = static_cast<std::uint32_t>(way);
-        array_.touch(set, w);
-        if (ref.op == MemOp::Store)
-            array_.setDirty(set, w);
-        res.hit = true;
-        res.fast = fast;
-        res.latency = (ready - now) + way_penalty;
+    // The array access itself: a predicted way reads 1/assoc of
+    // the array, any other read all of it.
+    ++stats_.arrayAccesses;
+    const bool way_correct = (outcome & ArrayOutcome::wayCorrect) != 0;
+    if (way_correct) {
+        ++wayCorrect_;
+        stats_.weightedArrayAccesses += wayShare_;
     } else {
-        res = missFill(ref, paddr, set, now, ready, fast, evicted);
+        stats_.weightedArrayAccesses += 1.0;
+    }
+    L1AccessResult res;
+    res.fast = fast;
+    if (outcome & ArrayOutcome::hit) {
+        ++stats_.hits;
+        res.hit = true;
+        res.latency = ready - now;
+        if (params_.wayPrediction && !way_correct)
+            res.latency += cache::WayPredictor::mispredictPenalty;
+    } else {
+        res.latency = (ready - now) +
+                      missTimed(xlat.paddr, outcome, ready, log, cursor);
     }
     if (checker_ || trace_) [[unlikely]]
-        observeAccess(ref, xlat, now, decision, res, set, way,
-                      evicted);
+        observeAccess(ref, xlat, now, decision, res, outcome, facts);
     return res;
+}
+
+inline L1AccessResult
+SiptL1Cache::accessDecided(const MemRef &ref,
+                           const vm::MmuResult &xlat, Cycles now,
+                           SpecDecision decision)
+{
+    scratch_.clear();
+    ArrayFacts facts;
+    const std::uint8_t outcome =
+        accessArray(ref.op, xlat.paddr, scratch_, facts);
+    dram::AccessLog::Cursor cursor;
+    return accessTimed(ref, xlat, now, decision, outcome, facts,
+                       scratch_, cursor);
 }
 
 } // namespace sipt

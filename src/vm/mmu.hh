@@ -81,15 +81,48 @@ class MmuTiming
                        TlbLevel level, Cycles now);
 
     /**
+     * Function half of complete(): a Walk with a walker attached
+     * runs the walker's PageWalker::lookup() into @p log. Nothing
+     * else has a function half.
+     */
+    WalkShape
+    lookupWalk(Addr vaddr, bool huge_page, TlbLevel level,
+               dram::AccessLog &log)
+    {
+        if (level != TlbLevel::Walk || !walker_)
+            return {};
+        return walker_->lookup(vaddr, huge_page, log);
+    }
+
+    /**
+     * Timing half of complete(), for a reference whose lookupWalk()
+     * returned @p shape: a walker's PTE reads are timed from what
+     * it recorded at @p cursor in @p log.
+     */
+    MmuResult complete(Addr vaddr, const Translation &entry,
+                       TlbLevel level, Cycles now, WalkShape shape,
+                       const dram::AccessLog &log,
+                       dram::AccessLog::Cursor &cursor) const;
+
+    /**
      * Attach a radix page walker: walks then perform dependent PTE
      * reads through it instead of charging the constant
      * walkLatency. Pass nullptr to detach.
      */
     void setWalker(PageWalker *walker) { walker_ = walker; }
 
+    /** The attached walker, or nullptr. */
+    PageWalker *walker() const { return walker_; }
+
     const MmuParams &params() const { return params_; }
 
   private:
+    /** The latency of @p level, where a walker's walk takes
+     *  @p walk(). */
+    template <typename WalkLatency>
+    MmuResult charge(const Translation &entry, TlbLevel level,
+                     WalkLatency &&walk) const;
+
     MmuParams params_;
     PageWalker *walker_ = nullptr;
 };
@@ -201,9 +234,10 @@ Mmu::lookup(Addr vaddr, bool huge_page)
     return TlbLevel::Walk;
 }
 
-inline MmuResult
-MmuTiming::complete(Addr vaddr, const Translation &entry,
-                    TlbLevel level, Cycles now)
+template <typename WalkLatency>
+MmuResult
+MmuTiming::charge(const Translation &entry, TlbLevel level,
+                  WalkLatency &&walk) const
 {
     MmuResult res;
     res.paddr = entry.paddr;
@@ -214,13 +248,31 @@ MmuTiming::complete(Addr vaddr, const Translation &entry,
         return res;
     }
     res.latency = params_.l2Latency;
-    if (level == TlbLevel::Walk) {
-        res.latency +=
-            walker_ ? walker_->walk(vaddr, now + params_.l2Latency,
-                                    entry.hugePage)
-                    : params_.walkLatency;
-    }
+    if (level == TlbLevel::Walk)
+        res.latency += walker_ ? walk() : params_.walkLatency;
     return res;
+}
+
+inline MmuResult
+MmuTiming::complete(Addr vaddr, const Translation &entry,
+                    TlbLevel level, Cycles now)
+{
+    return charge(entry, level, [&] {
+        return walker_->walk(vaddr, now + params_.l2Latency,
+                             entry.hugePage);
+    });
+}
+
+inline MmuResult
+MmuTiming::complete(Addr vaddr, const Translation &entry,
+                    TlbLevel level, Cycles now, WalkShape shape,
+                    const dram::AccessLog &log,
+                    dram::AccessLog::Cursor &cursor) const
+{
+    return charge(entry, level, [&] {
+        return walker_->latency(vaddr, entry.hugePage, shape,
+                                now + params_.l2Latency, log, cursor);
+    });
 }
 
 } // namespace sipt::vm

@@ -14,7 +14,7 @@ constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
 PageWalker::PageWalker(const WalkerParams &params, WalkPort &port)
     : params_(params), port_(port)
 {
-    if (params.levels < 2 || params.levels > 6)
+    if (params.levels < 2 || params.levels > maxWalkLevels)
         fatal("PageWalker: levels must be in 2..6");
     if (!isPowerOfTwo(params.pwcEntries))
         fatal("PageWalker: pwcEntries must be a power of two");
@@ -48,11 +48,11 @@ PageWalker::pteAddr(Addr vaddr, std::uint32_t level) const
            static_cast<Addr>(levelIndex(vaddr, level)) * 8;
 }
 
-Cycles
-PageWalker::walk(Addr vaddr, Cycles now, bool huge_page)
+WalkShape
+PageWalker::lookup(Addr vaddr, bool huge_page, dram::AccessLog &log)
 {
     ++walks_;
-    Cycles latency = 0;
+    WalkShape shape;
     const std::uint32_t leaf = huge_page ? 1 : 0;
 
     // Find the lowest non-leaf level whose translation is cached
@@ -67,7 +67,7 @@ PageWalker::walk(Addr vaddr, Cycles now, bool huge_page)
             tag & (params_.pwcEntries - 1));
         if (pwc_[level][idx] == tag) {
             ++pwcHits_;
-            latency += params_.pwcLatency;
+            shape.pwcHit = true;
             start = level - 1;
             break;
         }
@@ -76,8 +76,8 @@ PageWalker::walk(Addr vaddr, Cycles now, bool huge_page)
     // Dependent PTE reads from 'start' down to the leaf.
     for (std::uint32_t level = start + 1; level-- > leaf;) {
         ++pteReads_;
-        latency += port_.walkRead(pteAddr(vaddr, level),
-                                  now + latency);
+        shape.read[shape.reads++] =
+            port_.walkFunction(pteAddr(vaddr, level), log);
         // Fill the PWC for non-leaf levels.
         if (level > leaf) {
             const std::uint64_t tag =
@@ -88,7 +88,33 @@ PageWalker::walk(Addr vaddr, Cycles now, bool huge_page)
             pwc_[level][idx] = tag;
         }
     }
+    return shape;
+}
+
+Cycles
+PageWalker::latency(Addr vaddr, bool huge_page, WalkShape shape,
+                    Cycles now, const dram::AccessLog &log,
+                    dram::AccessLog::Cursor &cursor) const
+{
+    Cycles latency = shape.pwcHit ? params_.pwcLatency : 0;
+    const std::uint32_t leaf = huge_page ? 1 : 0;
+    std::uint32_t k = 0;
+    for (std::uint32_t level = firstLevel(huge_page, shape) + 1;
+         level-- > leaf;) {
+        latency += port_.walkTiming(pteAddr(vaddr, level),
+                                    shape.read[k++], now + latency,
+                                    log, cursor);
+    }
     return latency;
+}
+
+Cycles
+PageWalker::walk(Addr vaddr, Cycles now, bool huge_page)
+{
+    scratch_.clear();
+    const WalkShape shape = lookup(vaddr, huge_page, scratch_);
+    dram::AccessLog::Cursor cursor;
+    return latency(vaddr, huge_page, shape, now, scratch_, cursor);
 }
 
 } // namespace sipt::vm

@@ -46,7 +46,7 @@ class Tlb
      * @return true on hit (and update LRU state)
      *
      * Defined inline below: lookup/insert are on the per-reference
-     * critical path, and the pipeline's account stage inlines them
+     * critical path, and the pipeline's resolve stage inlines them
      * into its loop.
      */
     bool lookup(Vpn vpn, bool huge_page = false);

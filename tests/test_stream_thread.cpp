@@ -1,12 +1,13 @@
 /**
  * @file
- * The stream and predict threads (sim::StreamThread): a group run
+ * The stream and memory threads (sim::StreamThread): a group run
  * that generates and resolves its batches on a second host thread
- * (Overlap::Threaded), or also predicts them on a third
- * (Overlap::Pipelined), must return exactly what the inline run
- * returns, bit for bit, for every job shape, and must neither hang
- * nor leak a thread when a phase is empty, the stream fails or a
- * machine fails.
+ * (Overlap::Threaded), or also runs every machine's memory stage on
+ * a third while the caller predicts and times (Overlap::Pipelined),
+ * must return exactly what the inline run returns, bit for bit, for
+ * every job shape, and must neither hang nor leak a thread when a
+ * phase is empty, the stream fails or a machine fails. The
+ * PredictThread suite covers the three-thread layout.
  */
 
 #include <bit>
@@ -386,22 +387,25 @@ TEST(StreamThread, SweepFuturesMatchInlineRuns)
 }
 
 // ---------------------------------------------------------------
-// The predict thread: Overlap::Pipelined against inline runs.
+// The three-thread layout: Overlap::Pipelined against inline runs.
 // ---------------------------------------------------------------
 
 TEST(PredictThread, EveryPolicyMatchesInline)
 {
-    // One group of every indexing policy, with way prediction on:
-    // each machine's decision lane travels in the same slot.
+    // One group of every indexing policy, with and without way
+    // prediction: each machine's memory record travels in the same
+    // slot.
     std::vector<SystemConfig> configs;
-    for (const IndexingPolicy policy :
-         {IndexingPolicy::Vipt, IndexingPolicy::Ideal,
-          IndexingPolicy::SiptNaive, IndexingPolicy::SiptBypass,
-          IndexingPolicy::SiptCombined, IndexingPolicy::SiptVespa,
-          IndexingPolicy::SiptRevelator, IndexingPolicy::SiptPcax}) {
-        SystemConfig config = checkedConfig(policy);
-        config.wayPrediction = true;
-        configs.push_back(config);
+    for (const bool way_prediction : {false, true}) {
+        for (const IndexingPolicy policy :
+             {IndexingPolicy::Vipt, IndexingPolicy::Ideal,
+              IndexingPolicy::SiptNaive, IndexingPolicy::SiptBypass,
+              IndexingPolicy::SiptCombined, IndexingPolicy::SiptVespa,
+              IndexingPolicy::SiptRevelator, IndexingPolicy::SiptPcax}) {
+            SystemConfig config = checkedConfig(policy);
+            config.wayPrediction = way_prediction;
+            configs.push_back(config);
+        }
     }
     expectGroupIdentical(JobKind::Single, {"gcc"}, configs,
                          Overlap::Pipelined);
@@ -526,7 +530,8 @@ struct MachineFailure : std::runtime_error
 };
 
 /** A radix walker's memory port whose read number @p fail_at (from
- *  0) throws; the others take 20 cycles. */
+ *  0) throws in its function half, in the memory stage; the others
+ *  take 20 cycles. */
 class ThrowingWalkPort : public vm::WalkPort
 {
   public:
@@ -535,16 +540,31 @@ class ThrowingWalkPort : public vm::WalkPort
     }
 
     Cycles
-    walkRead(Addr, Cycles) override
+    walkRead(Addr paddr, Cycles) override
+    {
+        walkFunction(paddr, scratch_);
+        return 20;
+    }
+
+    std::uint8_t
+    walkFunction(Addr, dram::AccessLog &) override
     {
         if (reads_++ == failAt_)
             throw MachineFailure(failAt_);
+        return 0;
+    }
+
+    Cycles
+    walkTiming(Addr, std::uint8_t, Cycles, const dram::AccessLog &,
+               dram::AccessLog::Cursor &) override
+    {
         return 20;
     }
 
   private:
     std::uint64_t failAt_;
     std::uint64_t reads_ = 0;
+    dram::AccessLog scratch_;
 };
 
 /** One machine built from the layer classes, with a radix walker
@@ -598,7 +618,7 @@ struct MachineOutcome
 
 /** One phase of @p refs references of a gcc stream through a
  *  healthy machine, one that fails at walk read 40 and another
- *  healthy one, inline or on the stream and predict threads. */
+ *  healthy one, inline or on the stream and memory threads. */
 std::vector<MachineOutcome>
 failingMachineRun(std::uint64_t refs, bool pipelined)
 {
@@ -628,7 +648,7 @@ failingMachineRun(std::uint64_t refs, bool pipelined)
             },
             [&](StreamThread &self) {
                 batch::forEachBatch(refs, [&](std::size_t) {
-                    return self.predictNext(stepping);
+                    return self.memoryNext(stepping);
                 });
             },
             stepping.size());
@@ -685,12 +705,12 @@ TEST(PredictThread, FailingMachineDropsOut)
 
 TEST(PredictThread, ErrorsArriveAtTheirBatch)
 {
-    // A stream error passes through the predict thread to the
+    // A stream error passes through the memory thread to the
     // caller at its batch...
     {
         StreamThread ring(twentyBatchesThenThrow, [](StreamThread &self) {
             for (;;)
-                self.predictNext({});
+                self.memoryNext({});
         });
         for (std::size_t i = 0; i < 20; ++i) {
             EXPECT_EQ(ring.front().batch.size, i);
@@ -698,10 +718,10 @@ TEST(PredictThread, ErrorsArriveAtTheirBatch)
         }
         EXPECT_THROW(ring.front(), StreamFailure);
     }
-    // ...and so does the predict thread's own.
+    // ...and so does the memory thread's own.
     StreamThread ring(endlessStream, [](StreamThread &self) {
         for (std::size_t i = 0; i < 12; ++i)
-            self.predictNext({});
+            self.memoryNext({});
         throw StreamFailure(12);
     });
     for (std::size_t i = 0; i < 12; ++i) {
@@ -719,7 +739,7 @@ TEST(PredictThread, AbandonedRunJoins)
     {
         StreamThread ring(endlessStream, [](StreamThread &self) {
             for (;;)
-                self.predictNext({});
+                self.memoryNext({});
         });
         EXPECT_EQ(ring.front().batch.size, 0u);
     }

@@ -295,6 +295,52 @@ class StageOwnership(AnalyzeCase):
             "names stage `MachineStages::retireBatch`, which is not "
             "a member function")
 
+    def test_timing_stage_array_mutation_rejected(self):
+        # The memory/timing split: the array belongs to the memory
+        # stage, which may run on another host thread than the
+        # timing stage, so the timing stage may only replay what
+        # the memory stage recorded.
+        manifest = """\
+{
+  "file": "src/batch/pipeline.cc",
+  "classes": ["MachineStages"],
+  "components": [
+    {"name": "L1 array", "member": "l1_",
+     "mutators": ["accessArray"], "stage": "MachineStages::memoryStep"},
+    {"name": "L1 counters", "member": "l1_",
+     "mutators": ["accessTimed"], "stage": "MachineStages::timingStep"}
+  ]
+}
+"""
+        pipeline = """\
+void
+MachineStages::memoryStep()
+{
+    outcome_ = l1_.accessArray(0, 0, log_);
+}
+
+void
+MachineStages::timingStep()
+{
+    l1_.accessTimed(outcome_, log_);
+}
+"""
+        self.assertEqual(
+            self.run_pass("stage-ownership",
+                          ownership_fixture(manifest, pipeline)),
+            [])
+        pipeline = pipeline.replace(
+            "    l1_.accessTimed(outcome_, log_);\n",
+            "    l1_.accessTimed(outcome_, log_);\n"
+            "    l1_.accessArray(0, 0, log_);\n")
+        diags = self.run_pass(
+            "stage-ownership", ownership_fixture(manifest, pipeline))
+        self.assert_diag(
+            diags, "src/batch/pipeline.cc",
+            "`l1_.accessArray()` mutates L1 array state owned by "
+            "stage `MachineStages::memoryStep` but is called from "
+            "`MachineStages::timingStep`")
+
     def test_double_ownership_rejected(self):
         manifest = OWNERSHIP_MANIFEST.replace(
             '    {"name": "l1",',
