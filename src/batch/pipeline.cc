@@ -8,22 +8,6 @@
 namespace sipt::batch
 {
 
-namespace
-{
-
-/**
- * Host-prefetch lookahead distances, in references. The batch
- * already holds the whole reference window, so each stage can ask
- * the host CPU to start loading the simulator structures (page-table
- * slots, tag sets) that references a few iterations ahead will
- * touch — latency a one-reference-at-a-time loop, which learns
- * each address only as it processes it, cannot hide.
- */
-constexpr std::size_t resolvePrefetchDist = 8;
-constexpr std::size_t memoryPrefetchDist = 4;
-
-} // namespace
-
 StreamStages::StreamStages(cpu::TraceSource &source,
                            const vm::PageTable &page_table,
                            vm::Mmu &tlbs)
@@ -51,8 +35,6 @@ StreamStages::resolve(cpu::RefBatch &batch)
     // or unmapped once references flow). The TLB hierarchy sees
     // every reference here, in order, once for all machines.
     for (std::size_t i = 0; i < batch.size; ++i) {
-        if (i + resolvePrefetchDist < batch.size)
-            pageTable_.prefetch(batch.vaddr[i + resolvePrefetchDist]);
         const Addr va = batch.vaddr[i];
         const auto entry = pageTable_.translate(va);
         if (!entry)
@@ -100,88 +82,6 @@ MachineStages::predict(const cpu::RefBatch &batch)
                     decisions_.data());
 }
 
-[[gnu::always_inline]] inline void
-MachineStages::memoryStep(const cpu::RefBatch &batch, std::size_t i,
-                          std::uint8_t &outcome, vm::WalkShape &walk,
-                          ArrayFacts &facts, dram::AccessLog &log)
-{
-    if (i + memoryPrefetchDist < batch.size)
-        l1_.prefetchAccess(batch.paddr[i + memoryPrefetchDist]);
-    // A radix walk's PTE reads, then the access: the order the
-    // timing step replays them in.
-    walk = timing_.lookupWalk(
-        batch.vaddr[i], batch.hugePage[i] != 0,
-        static_cast<vm::TlbLevel>(batch.tlbLevel[i]), log);
-    outcome = l1_.accessArray(batch.op[i], batch.paddr[i] ^ probeFlip_,
-                              log, facts);
-}
-
-[[gnu::always_inline]] inline void
-MachineStages::timingStep(const cpu::RefBatch &batch, std::size_t i,
-                          std::uint8_t outcome,
-                          const vm::WalkShape &walk,
-                          const ArrayFacts &facts,
-                          const dram::AccessLog &log,
-                          dram::AccessLog::Cursor &cursor)
-{
-    const MemRef ref = batch.refAt(i);
-    const double disp = core_.dispatchRef(ref);
-    const auto now = static_cast<Cycles>(disp);
-    // Translation latency at the dispatch cycle: a radix walk's PTE
-    // reads reach the DRAM queues at the cycle the core issued the
-    // reference, interleaved in reference order with the L1 fills.
-    vm::MmuResult xlat = timing_.complete(
-        ref.vaddr,
-        vm::Translation{batch.paddr[i], batch.hugePage[i] != 0},
-        static_cast<vm::TlbLevel>(batch.tlbLevel[i]), now, walk, log,
-        cursor);
-    const bool check = check_.enabled;
-    if (check)
-        checkTranslation(ref.vaddr, xlat.paddr);
-    xlat.paddr ^= probeFlip_;
-    const L1AccessResult res = l1_.accessTimed(
-        ref, xlat, now, static_cast<SpecDecision>(decisions_[i]),
-        outcome, facts, log, cursor);
-    // Every access takes at least one cycle, and nothing in the
-    // modelled hierarchy (DRAM queueing included) takes ~10M: such
-    // a latency is an underflow or a runaway queue.
-    if (check && (res.latency == 0 || res.latency > 10'000'000)) {
-        fail(detail::formatMessage("implausible latency of ",
-                                   res.latency, " cycles at va 0x",
-                                   std::hex, ref.vaddr));
-    }
-    core_.completeRef(ref, disp, res.latency, !res.hit);
-}
-
-[[gnu::noinline]] void
-MachineStages::stepOne(const cpu::RefBatch &batch, std::size_t i)
-{
-    // Memory and timing of one reference: its record is built and
-    // replayed while it is hot.
-    if (!log_.accesses.empty())
-        log_.clear();
-    std::uint8_t outcome;
-    vm::WalkShape walk;
-    ArrayFacts facts;
-    memoryStep(batch, i, outcome, walk, facts, log_);
-    dram::AccessLog::Cursor cursor;
-    timingStep(batch, i, outcome, walk, facts, log_, cursor);
-}
-
-void
-MachineStages::step(const cpu::RefBatch &batch)
-{
-    if (error_)
-        return;
-    try {
-        predict(batch);
-        for (std::size_t i = 0; i < batch.size; ++i)
-            stepOne(batch, i);
-    } catch (...) {
-        error_ = std::current_exception();
-    }
-}
-
 void
 MachineStages::memory(const cpu::RefBatch &batch, MemoryRecord &out)
 {
@@ -194,20 +94,27 @@ MachineStages::memory(const cpu::RefBatch &batch, MemoryRecord &out)
     if (check_.enabled)
         out.facts.resize(cpu::RefBatch::capacity);
     ArrayFacts unchecked;
-    vm::WalkShape walk;
+    // Counts the references recorded; out.size is stored once, as
+    // a store per reference measurably slowed the loop.
+    std::size_t i = 0;
     try {
-        for (std::size_t i = 0; i < batch.size; ++i) {
-            memoryStep(batch, i, out.outcome[i], walk,
-                       check_.enabled ? out.facts[i] : unchecked,
-                       out.log);
+        for (; i < batch.size; ++i) {
+            // A radix walk's PTE reads, then the access: the order
+            // timing() replays them in.
+            const vm::WalkShape walk = timing_.lookupWalk(
+                batch.vaddr[i], batch.hugePage[i] != 0,
+                static_cast<vm::TlbLevel>(batch.tlbLevel[i]), out.log);
+            out.outcome[i] = l1_.accessArray(
+                batch.op[i], batch.paddr[i] ^ probeFlip_, out.log,
+                check_.enabled ? out.facts[i] : unchecked);
             if (walk.reads != 0)
                 out.walks.push_back(walk);
-            out.size = i + 1;
         }
     } catch (...) {
         memoryError_ = std::current_exception();
         out.error = memoryError_;
     }
+    out.size = i;
 }
 
 void
@@ -218,19 +125,47 @@ MachineStages::timing(const cpu::RefBatch &batch,
         return;
     try {
         predict(batch);
+        const bool check = check_.enabled;
         const ArrayFacts unchecked;
         const vm::WalkShape unwalked;
         const bool walker = timing_.walker() != nullptr;
         std::size_t walks = 0;
         dram::AccessLog::Cursor cursor;
         for (std::size_t i = 0; i < recorded.size; ++i) {
-            const bool walked =
-                walker && static_cast<vm::TlbLevel>(batch.tlbLevel[i]) ==
-                              vm::TlbLevel::Walk;
-            timingStep(batch, i, recorded.outcome[i],
-                       walked ? recorded.walks[walks++] : unwalked,
-                       check_.enabled ? recorded.facts[i] : unchecked,
-                       recorded.log, cursor);
+            const MemRef ref = batch.refAt(i);
+            const auto level =
+                static_cast<vm::TlbLevel>(batch.tlbLevel[i]);
+            const double disp = core_.dispatchRef(ref);
+            const auto now = static_cast<Cycles>(disp);
+            // Translation latency at the dispatch cycle: a radix
+            // walk's PTE reads reach the DRAM queues at the cycle the
+            // core issued the reference, interleaved in reference
+            // order with the L1 fills.
+            vm::MmuResult xlat = timing_.complete(
+                ref.vaddr,
+                vm::Translation{batch.paddr[i], batch.hugePage[i] != 0},
+                level, now,
+                walker && level == vm::TlbLevel::Walk
+                    ? recorded.walks[walks++]
+                    : unwalked,
+                recorded.log, cursor);
+            if (check)
+                checkTranslation(ref.vaddr, xlat.paddr);
+            xlat.paddr ^= probeFlip_;
+            const L1AccessResult res = l1_.accessTimed(
+                ref, xlat, now, static_cast<SpecDecision>(decisions_[i]),
+                recorded.outcome[i], check ? recorded.facts[i] : unchecked,
+                recorded.log, cursor);
+            // Every access takes at least one cycle, and nothing in
+            // the modelled hierarchy (DRAM queueing included) takes
+            // ~10M: such a latency is an underflow or a runaway
+            // queue.
+            if (check && (res.latency == 0 || res.latency > 10'000'000)) {
+                fail(detail::formatMessage(
+                    "implausible latency of ", res.latency,
+                    " cycles at va 0x", std::hex, ref.vaddr));
+            }
+            core_.completeRef(ref, disp, res.latency, !res.hit);
         }
         error_ = recorded.error;
     } catch (...) {

@@ -17,16 +17,20 @@
  *    simulated machine.
  *
  * runPhase() drives any number of MachineStages over one stream's
- * resolved batches: each batch is stepped through every machine in
- * turn, so machines that share a stream pay for generation,
- * resolution and TLB lookups once. The batches come from a
+ * resolved batches: each batch goes through every machine in turn,
+ * so machines that share a stream pay for generation, resolution
+ * and TLB lookups once. Every machine steps a batch the same way:
+ * its memory stage records the whole batch (MachineStages::memory()
+ * into a MemoryRecord), then its predict and timing stages replay
+ * that record (MachineStages::timing()). The batches come from a
  * StreamBatches, which runs the stream stages on the same thread,
  * or from other host threads that run them ahead
  * (sim::runGroup()): the stream stages fill a batch the caller
  * owns, and the stream half reads nothing the machines write. A
  * batch may arrive with every machine's memory record already
- * written (its source's records()); runPhase() then runs only the
- * predict and timing stages. BatchPipeline is the
+ * written by a memory thread (its source's records()); otherwise
+ * runPhase() runs memory() itself. The layouts differ only in which
+ * host thread calls memory(). BatchPipeline is the
  * one-stream/one-machine composition.
  *
  * Each simulated component's state is touched by exactly one
@@ -40,12 +44,12 @@
  *    page table
  *  - predict (MachineStages): bypass/combined/xlat tables
  *    (SiptL1Cache::decideBatch)
- *  - memory (MachineStages::memoryStep): the function — the radix
+ *  - memory (MachineStages::memory): the function — the radix
  *    walker's page-walk caches and PTE reads
  *    (MmuTiming::lookupWalk), the L1 array and way predictor, the
  *    L2/LLC arrays and their counters, the DRAM row buffers and
  *    the fill tracker (SiptL1Cache::accessArray)
- *  - timing (MachineStages::timingStep): the core model, TLB and
+ *  - timing (MachineStages::timing): the core model, TLB and
  *    walk latency, DRAM bank/bus queueing, every L1 counter, the
  *    golden-model checker and the tracer (dispatchRef /
  *    MmuTiming::complete / accessTimed / completeRef)
@@ -67,9 +71,10 @@
  * The per-access invariant checker snapshots the L1 *counters* at
  * every access, so all counter mutation stays in the timing stage
  * (decideBatch touches predictor state only, accessArray the
- * array). The function runs up to a ring of batches ahead of the
- * counters when a group run gives the memory stage a host thread
- * of its own: nothing observes the array between accesses.
+ * array). The function runs a batch ahead of the counters, or up
+ * to a ring of batches ahead when a group run gives the memory
+ * stage a host thread of its own: nothing observes the array
+ * between accesses.
  *
  * Timing is pinned by the committed engine fixtures
  * (tests/test_batch.cpp); function by the golden model.
@@ -150,7 +155,7 @@ struct MemoryRecord
     std::vector<ArrayFacts> facts;
     dram::AccessLog log;
     /** References recorded: the batch's, or those before the one
-     *  whose memory step threw. */
+     *  the memory stage threw at. */
     std::size_t size = 0;
     /** What the memory stage threw, at reference size, or null. */
     std::exception_ptr error;
@@ -161,16 +166,16 @@ struct MemoryRecord
  * resolved batches. Each phase (warmup, measure) is one
  * beginPhase()/endPhase() episode of the core.
  *
- * step() runs every stage on the calling thread, reference by
- * reference. A group run may instead call memory() on one thread
- * and timing() on another: the memory stage owns the machine's
+ * A batch is stepped in two calls: memory() records it, then
+ * timing() predicts and times it from that record. They may run on
+ * one thread or on two: the memory stage owns the machine's
  * function (L1 array and way predictor, walker PWCs, below-L1
  * arrays, DRAM rows), the other two stages its predictor tables
  * and timing (core, TLB and walk latency, DRAM queues, counters,
  * checker, tracer), and they share nothing but the MemoryRecord
  * each batch carries from one to the other. memory() may run any
  * number of batches ahead of timing(). The object is line-aligned:
- * the memory thread reads its head at every reference, and the
+ * a memory thread reads its head at every reference, and the
  * object before it (a sim::Machine's core) is written by the caller
  * at every reference.
  */
@@ -191,15 +196,6 @@ class alignas(64) MachineStages
     void beginPhase();
 
     /**
-     * Run one resolved batch through every stage: predict it, then
-     * memory and timing reference by reference. An exception is
-     * kept (error()) instead of propagating, and the machine
-     * ignores every later batch: the other machines stepping the
-     * same stream carry on.
-     */
-    void step(const cpu::RefBatch &batch);
-
-    /**
      * Memory stage: run the function of every reference of
      * @p batch into @p out. Never throws: an exception goes to
      * out.error, after the references recorded before it, and
@@ -211,8 +207,9 @@ class alignas(64) MachineStages
      * Predict and timing stages: decide @p batch and time it from
      * @p recorded, what memory() wrote for it. A memory error in
      * @p recorded, after its recorded references, or an exception
-     * from these stages is kept (error()), and every later batch
-     * is ignored: exactly where step() would have stopped.
+     * from these stages is kept (error()) instead of propagating,
+     * and every later batch is ignored: the other machines stepping
+     * the same stream carry on.
      */
     void timing(const cpu::RefBatch &batch,
                 const MemoryRecord &recorded);
@@ -230,24 +227,6 @@ class alignas(64) MachineStages
     /** Predict stage: decide every reference of @p batch into
      *  decisions_. */
     void predict(const cpu::RefBatch &batch);
-
-    /** step() of reference @p i: its memory step, then its timing
-     *  step. */
-    void stepOne(const cpu::RefBatch &batch, std::size_t i);
-
-    /** Memory step of reference @p i: its walk's and its access's
-     *  function, recorded into the other arguments. */
-    void memoryStep(const cpu::RefBatch &batch, std::size_t i,
-                    std::uint8_t &outcome, vm::WalkShape &walk,
-                    ArrayFacts &facts, dram::AccessLog &log);
-
-    /** Timing step of reference @p i, from what its memory step
-     *  recorded; @p cursor moves past its operations in @p log. */
-    void timingStep(const cpu::RefBatch &batch, std::size_t i,
-                    std::uint8_t outcome, const vm::WalkShape &walk,
-                    const ArrayFacts &facts,
-                    const dram::AccessLog &log,
-                    dram::AccessLog::Cursor &cursor);
 
     /**
      * Translation check: the address the resolve stage recorded
@@ -284,8 +263,6 @@ class alignas(64) MachineStages
     alignas(64) cpu::TraceCore::RunCursor cursor_;
     /** The predict stage's decision lane for the current batch. */
     std::array<std::uint8_t, cpu::RefBatch::capacity> decisions_{};
-    /** step()'s record of its current reference. */
-    dram::AccessLog log_;
     /** The first exception of any stage, as the caller met it. */
     std::exception_ptr error_;
     std::string failure_;
@@ -332,8 +309,8 @@ class StreamBatches
         return batch_;
     }
 
-    /** No memory stage has run ahead: each machine steps the
-     *  batch whole. */
+    /** No memory stage has run ahead: runPhase() runs each
+     *  machine's. */
     const MemoryRecord *records() const { return nullptr; }
 
     /** Every machine has stepped the batch take() returned. */
@@ -347,10 +324,11 @@ class StreamBatches
 /**
  * Run one phase of up to @p max_refs references: each batch
  * (forEachBatch()) comes from @p batches.take(want), every machine
- * steps it in turn, and batches.release() gives it back. When
- * batches.records() is non-null, it holds machine j's memory record
- * for the batch at index j, and the machines only predict and time
- * it. Returns each machine's episode result, in order.
+ * steps it in turn, and batches.release() gives it back. A machine
+ * times the batch from its memory record: machine j's at index j
+ * of batches.records() when that is non-null, else one that
+ * runPhase() records here, machine by machine. Returns each
+ * machine's episode result, in order.
  */
 template <typename Batches>
 std::vector<cpu::CoreResult>
@@ -359,14 +337,14 @@ runPhase(std::span<MachineStages *const> machines,
 {
     for (MachineStages *machine : machines)
         machine->beginPhase();
+    MemoryRecord record;
     forEachBatch(max_refs, [&](std::size_t want) {
         const cpu::RefBatch &batch = batches.take(want);
-        if (const MemoryRecord *records = batches.records()) {
-            for (std::size_t j = 0; j < machines.size(); ++j)
-                machines[j]->timing(batch, records[j]);
-        } else {
-            for (MachineStages *machine : machines)
-                machine->step(batch);
+        const MemoryRecord *records = batches.records();
+        for (std::size_t j = 0; j < machines.size(); ++j) {
+            if (!records)
+                machines[j]->memory(batch, record);
+            machines[j]->timing(batch, records ? records[j] : record);
         }
         const std::size_t got = batch.size;
         batches.release();

@@ -116,9 +116,9 @@ class CacheArray
 
     /**
      * Host-prefetch the tag storage and replacement record of
-     * @p set. The access pipeline issues this a few references
-     * ahead of the probe/insert that will scan the set; it has no
-     * effect on simulated state.
+     * @p set, ahead of the probe/insert that will scan it
+     * (SiptL1Cache::prefetchAccess); it has no effect on simulated
+     * state.
      */
     void
     prefetchSet(std::uint32_t set) const

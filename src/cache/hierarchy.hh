@@ -123,8 +123,8 @@ class BelowL1
 
     /**
      * Host-prefetch the tag sets a miss on @p paddr would scan
-     * (private L2 and shared LLC). The access pipeline calls this a
-     * few references ahead; no simulated state is touched.
+     * (private L2 and shared LLC), for
+     * SiptL1Cache::prefetchAccess; no simulated state is touched.
      */
     void
     prefetchTags(Addr paddr) const

@@ -1114,9 +1114,9 @@ SweepRunner::execute(const std::shared_ptr<Group> &group,
     std::vector<std::exception_ptr> errors;
     std::vector<MulticoreResult> results(k);
     // A pool's group gets a stream thread, as a lone run does, but
-    // no memory thread: the workers already keep every CPU busy,
-    // and its machines run memory and timing fused (DESIGN.md,
-    // "Three host threads per lone run").
+    // no memory thread: the workers already keep every CPU busy, and
+    // a third thread per group measured slower (DESIGN.md, "Three
+    // host threads per lone run").
     const Overlap overlap =
         usableCpus() >= 2 ? Overlap::Threaded : Overlap::Inline;
     const auto t0 = std::chrono::steady_clock::now();

@@ -64,9 +64,9 @@
  * (StreamThread, runGroup()). A worker's group gets a stream thread
  * as a lone run does, when the process has two usable CPUs (a pool
  * as large as the host measured the same with every group threaded
- * as with every group inline), but never a memory thread: its
- * machines run memory and timing fused, reference by reference, so
- * a pool's cost per reference does not grow (DESIGN.md).
+ * as with every group inline), but never a memory thread: the
+ * workers already keep every CPU busy, and a third thread per group
+ * measured slower (DESIGN.md, "Three host threads per lone run").
  */
 
 #ifndef SIPT_SIM_SWEEP_HH

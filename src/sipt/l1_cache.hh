@@ -343,8 +343,8 @@ class SiptL1Cache
     /**
      * Host-prefetch the tag sets an access to @p paddr will scan:
      * this L1's set and, in case it misses, the L2/LLC sets below.
-     * The pipeline issues this a few references ahead of the
-     * account step; simulated state is untouched.
+     * Simulated state is untouched. perfbench's traced replay is
+     * the only caller.
      */
     void
     prefetchAccess(Addr paddr) const

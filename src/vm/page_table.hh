@@ -23,7 +23,6 @@
 
 #include "common/bitops.hh"
 #include "common/mapped_array.hh"
-#include "common/prefetch.hh"
 #include "common/types.hh"
 
 namespace sipt::vm
@@ -81,16 +80,6 @@ class PageTable
             return Translation{(*frame ^ present) | pageOffset(vaddr),
                                false};
         return std::nullopt;
-    }
-
-    /** Host-prefetch the slots translate(@p vaddr) will read. */
-    void
-    prefetch(Addr vaddr) const
-    {
-        if (const Chunk *chunk = chunkAt(vaddr))
-            prefetchRead(chunk);
-        if (const Addr *frame = frameAt(vaddr))
-            prefetchRead(frame);
     }
 
     /** True iff @p vaddr is mapped (at either granularity). */

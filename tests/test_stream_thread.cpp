@@ -674,10 +674,51 @@ failingMachineRun(std::uint64_t refs, bool pipelined)
     return outcomes;
 }
 
+/** What one machine left after one batch: its memory record's size,
+ *  the errors, the episode and the L1 counters. */
+struct BatchOutcome
+{
+    std::size_t recorded = 0;
+    bool recordError = false;
+    bool machineError = false;
+    cpu::CoreResult result;
+    L1Stats l1;
+};
+
+/** One batch of a gcc stream through a machine in which only
+ *  reference @p at walks, and the walker's first read throws. With
+ *  @p cut the walker never throws and the batch ends before @p at
+ *  instead. */
+BatchOutcome
+throwAtReference(std::size_t at, bool cut)
+{
+    const SystemConfig config = checkedConfig();
+    const StreamSpec spec = streamSpec(config);
+    ConditionedMemory memory(spec);
+    Stream stream = gccStream(memory, spec);
+    cpu::RefBatch batch;
+    stream.stages().fill(batch, cpu::RefBatch::capacity);
+    batch.tlbLevel.fill(static_cast<std::uint8_t>(vm::TlbLevel::L1));
+    batch.tlbLevel[at] = static_cast<std::uint8_t>(vm::TlbLevel::Walk);
+    if (cut)
+        batch.size = at;
+    TestMachine machine(stream.addressSpace().pageTable(),
+                        cut ? ~0ull : 0ull);
+    batch::MemoryRecord record;
+    machine.stages.beginPhase();
+    machine.stages.memory(batch, record);
+    machine.stages.timing(batch, record);
+    return {record.size, record.error != nullptr,
+            machine.stages.error() != nullptr,
+            machine.stages.endPhase(), machine.l1.stats()};
+}
+
 TEST(PredictThread, FailingMachineDropsOut)
 {
-    // The failing machine keeps its exception and stops; the
-    // machines around it finish the phase exactly as inline.
+    // The failing machine keeps its exception and stops at pinned
+    // counts: the inline and pipelined runs share the stage code,
+    // so they cannot check each other. The machines around it
+    // finish the phase exactly as inline.
     const std::size_t threads = threadsAtRest();
     const std::uint64_t refs = 5 * cpu::RefBatch::capacity + 99;
     const auto inlined = failingMachineRun(refs, false);
@@ -686,7 +727,13 @@ TEST(PredictThread, FailingMachineDropsOut)
     ASSERT_EQ(inlined.size(), 3u);
     ASSERT_EQ(pipelined.size(), 3u);
     EXPECT_EQ(inlined[1].failedAt, 40);
-    EXPECT_LT(inlined[1].l1.accesses, refs);
+    for (const auto *run : {&inlined, &pipelined}) {
+        const MachineOutcome &failed = (*run)[1];
+        EXPECT_EQ(failed.l1.accesses, 61u);
+        EXPECT_EQ(failed.result.instructions, 169u);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(failed.result.cycles),
+                  0x4098580000000000ull);
+    }
     for (std::size_t j = 0; j < 3; ++j) {
         SCOPED_TRACE(j);
         EXPECT_EQ(pipelined[j].failedAt, inlined[j].failedAt);
@@ -701,6 +748,29 @@ TEST(PredictThread, FailingMachineDropsOut)
     }
     EXPECT_EQ(inlined[0].l1.accesses, refs);
     EXPECT_EQ(inlined[2].l1.accesses, refs);
+
+    // A memory stage that throws at a batch's first or last
+    // reference records the references before it, and timing()
+    // times exactly those: as a healthy machine times the batch cut
+    // there.
+    for (const std::size_t at : {std::size_t{0},
+                                 cpu::RefBatch::capacity - 1}) {
+        SCOPED_TRACE(at);
+        const BatchOutcome failed = throwAtReference(at, false);
+        const BatchOutcome cut = throwAtReference(at, true);
+        EXPECT_EQ(failed.recorded, at);
+        EXPECT_TRUE(failed.recordError);
+        EXPECT_TRUE(failed.machineError);
+        EXPECT_EQ(cut.recorded, at);
+        EXPECT_FALSE(cut.recordError);
+        EXPECT_FALSE(cut.machineError);
+        EXPECT_EQ(failed.l1.accesses, at);
+        EXPECT_EQ(cut.l1.accesses, at);
+        EXPECT_EQ(failed.l1.hits, cut.l1.hits);
+        EXPECT_EQ(failed.result.instructions, cut.result.instructions);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(failed.result.cycles),
+                  std::bit_cast<std::uint64_t>(cut.result.cycles));
+    }
 }
 
 TEST(PredictThread, ErrorsArriveAtTheirBatch)

@@ -281,6 +281,19 @@ class StageOwnership(AnalyzeCase):
             diags, "tools/stage_ownership.json",
             "stale manifest entry: `l1_.access`")
 
+    def test_stale_readonly_read_rejected(self):
+        # A read left listed after its last call site went would
+        # let that call come back unreviewed.
+        manifest = OWNERSHIP_MANIFEST.replace(
+            '"reads": ["translate"]},',
+            '"reads": ["translate", "prefetch"]},', 1)
+        diags = self.run_pass(
+            "stage-ownership", ownership_fixture(manifest=manifest))
+        self.assert_diag(
+            diags, "tools/stage_ownership.json",
+            "stale read-only entry: StreamStages never calls "
+            "`pageTable_.prefetch`")
+
     def test_unknown_stage_name_rejected(self):
         manifest = OWNERSHIP_MANIFEST.replace(
             '"stage": "MachineStages::accountBatch"',
@@ -306,23 +319,23 @@ class StageOwnership(AnalyzeCase):
   "classes": ["MachineStages"],
   "components": [
     {"name": "L1 array", "member": "l1_",
-     "mutators": ["accessArray"], "stage": "MachineStages::memoryStep"},
+     "mutators": ["accessArray"], "stage": "MachineStages::memory"},
     {"name": "L1 counters", "member": "l1_",
-     "mutators": ["accessTimed"], "stage": "MachineStages::timingStep"}
+     "mutators": ["accessTimed"], "stage": "MachineStages::timing"}
   ]
 }
 """
         pipeline = """\
 void
-MachineStages::memoryStep()
+MachineStages::memory()
 {
-    outcome_ = l1_.accessArray(0, 0, log_);
+    out_.outcome = l1_.accessArray(0, 0, out_.log);
 }
 
 void
-MachineStages::timingStep()
+MachineStages::timing()
 {
-    l1_.accessTimed(outcome_, log_);
+    l1_.accessTimed(recorded_.outcome, recorded_.log);
 }
 """
         self.assertEqual(
@@ -330,16 +343,16 @@ MachineStages::timingStep()
                           ownership_fixture(manifest, pipeline)),
             [])
         pipeline = pipeline.replace(
-            "    l1_.accessTimed(outcome_, log_);\n",
-            "    l1_.accessTimed(outcome_, log_);\n"
-            "    l1_.accessArray(0, 0, log_);\n")
+            "    l1_.accessTimed(recorded_.outcome, recorded_.log);\n",
+            "    l1_.accessTimed(recorded_.outcome, recorded_.log);\n"
+            "    l1_.accessArray(0, 0, recorded_.log);\n")
         diags = self.run_pass(
             "stage-ownership", ownership_fixture(manifest, pipeline))
         self.assert_diag(
             diags, "src/batch/pipeline.cc",
             "`l1_.accessArray()` mutates L1 array state owned by "
-            "stage `MachineStages::memoryStep` but is called from "
-            "`MachineStages::timingStep`")
+            "stage `MachineStages::memory` but is called from "
+            "`MachineStages::timing`")
 
     def test_double_ownership_rejected(self):
         manifest = OWNERSHIP_MANIFEST.replace(
