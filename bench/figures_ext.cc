@@ -9,16 +9,13 @@
 #include <array>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 
 #include "bench/figures.hh"
-#include "cache/hierarchy.hh"
-#include "check/options.hh"
-#include "common/bitops.hh"
 #include "common/logging.hh"
+#include "cpu/trace_source.hh"
 #include "os/address_space.hh"
 #include "sim/presets.hh"
-#include "sipt/l1_cache.hh"
-#include "vm/mmu.hh"
 #include "workload/instruction_stream.hh"
 
 namespace sipt::bench
@@ -78,6 +75,30 @@ planPolicyPack(sim::SweepRunner &sweep)
     }
     return runs;
 }
+
+/** An instruction stream with the fetch-page PC rewrite: the
+ *  predictors are indexed by the fetch page instead of the fetch
+ *  chunk. */
+class FetchPagePc : public cpu::TraceSource
+{
+  public:
+    explicit FetchPagePc(std::unique_ptr<cpu::TraceSource> fetch)
+        : fetch_(std::move(fetch))
+    {
+    }
+
+    bool
+    next(MemRef &ref) override
+    {
+        if (!fetch_->next(ref))
+            return false;
+        ref.pc = (ref.vaddr >> pageShift) << 2;
+        return true;
+    }
+
+  private:
+    std::unique_ptr<cpu::TraceSource> fetch_;
+};
 
 } // namespace
 
@@ -338,13 +359,15 @@ trace13(sim::SweepRunner &sweep)
  * under two predictor-indexing choices: the raw fetch-chunk address
  * (the D-side analogue — aliases badly because hot code has
  * thousands of chunks) and the fetch *page* (deltas are per-page
- * properties, and the hot page set is tiny).
+ * properties, and the hot page set is tiny). Each row is two
+ * engine runs over one fetch stream, SIPT-naive and SIPT-combined,
+ * on this pool task's thread; every value they give is functional.
  */
 Report
 extIcache(sim::SweepRunner &sweep)
 {
     // ITLB hit, unchanged 2 bits, fast, I$ hit, extra accesses;
-    // and the first failure either checker recorded, or empty.
+    // and the first failure either run recorded, or empty.
     struct Row
     {
         std::array<double, 5> values;
@@ -362,54 +385,48 @@ extIcache(sim::SweepRunner &sweep)
             rows.push_back(sweep.async([page_indexed, profile,
                                         refs = measureRefs()] {
                 sim::SystemConfig config;
+                config.l1Config = sim::L1Config::Sipt32K2;
+                config.warmupRefs = 0;
+                config.measureRefs = refs;
                 config.seed = 21;
                 sim::ConditionedMemory memory(sim::streamSpec(config));
                 os::PagingPolicy pol;
                 pol.thpChance = profile.thpAffinity;
-                os::AddressSpace as(memory.buddy, pol, 22);
-                workload::InstructionStream fetch(profile, as, 23);
-
-                vm::Mmu mmu;
-                dram::Dram dram;
-                cache::TimingCache llc(sim::llcPreset(true, 1));
-                const auto l2 = sim::l2Preset();
-                const auto checking =
-                    check::Options::fromEnv(config.check);
-                cache::BelowL1 below(&l2, llc, dram, checking);
-                L1Params p = sim::l1Preset(sim::L1Config::Sipt32K2,
-                                           IndexingPolicy::SiptCombined);
-                p.name = "L1I";
-                p.check = checking;
-                SiptL1Cache l1i(p, below);
-
-                std::uint64_t unchanged2 = 0;
-                MemRef ref;
-                Cycles now = 0;
-                for (std::uint64_t i = 0; i < refs; ++i) {
-                    fetch.next(ref);
-                    if (page_indexed)
-                        ref.pc = (ref.vaddr >> pageShift) << 2;
-                    const auto xlat =
-                        mmu.translate(ref.vaddr, as.pageTable());
-                    const Vpn vpn = ref.vaddr >> pageShift;
-                    const Pfn pfn = xlat.paddr >> pageShift;
-                    unchanged2 += ((vpn & mask(2)) == (pfn & mask(2)));
-                    l1i.access(ref, xlat, now);
-                    now += 2;
+                sim::Workload fetch;
+                fetch.as = std::make_unique<os::AddressSpace>(
+                    memory.buddy, pol, 22);
+                fetch.source =
+                    std::make_unique<workload::InstructionStream>(
+                        profile, *fetch.as, 23);
+                if (page_indexed) {
+                    fetch.source = std::make_unique<FetchPagePc>(
+                        std::move(fetch.source));
                 }
+                sim::Stream stream(std::move(fetch));
+                sim::Stream *const streams[] = {&stream};
 
-                const double itlb_hit = mmu.l1HitRate();
-                std::string failure = l1i.checkFailure();
-                if (failure.empty() && below.fillTracker())
-                    failure = below.fillTracker()->failure();
-                return Row{{itlb_hit,
-                            static_cast<double>(unchanged2) /
-                                static_cast<double>(refs),
-                            l1i.fastFraction(), l1i.hitRate(),
+                // Naive speculates iff the 2 index bits survive
+                // translation, so its fast fraction is the
+                // unchanged fraction. The figure runs as a pool
+                // task, so its machines run on this thread.
+                std::vector<sim::SystemConfig> configs(2, config);
+                configs[0].policy = IndexingPolicy::SiptNaive;
+                configs[1].policy = IndexingPolicy::SiptCombined;
+                const auto results = sim::runOnStreams(
+                    sim::JobKind::Single, streams, {profile.name},
+                    configs, nullptr, sim::Overlap::Inline);
+                const sim::RunResult &naive = results[0].perCore[0];
+                const sim::RunResult &combined =
+                    results[1].perCore[0];
+                return Row{{combined.dtlbHitRate, naive.fastFraction,
+                            combined.fastFraction, combined.l1HitRate,
                             static_cast<double>(
-                                l1i.stats().extraArrayAccesses) /
-                                static_cast<double>(refs)},
-                           failure};
+                                combined.l1.extraArrayAccesses) /
+                                static_cast<double>(
+                                    combined.l1.accesses)},
+                           naive.checkFailure.empty()
+                               ? combined.checkFailure
+                               : naive.checkFailure};
             }));
         }
     }

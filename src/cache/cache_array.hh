@@ -26,7 +26,6 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/prefetch.hh"
 #include "common/types.hh"
 
 namespace sipt::cache
@@ -112,20 +111,6 @@ class CacheArray
         const std::uint64_t low = (std::uint64_t{1} << shift) - 1;
         order = (order & ~((low << 4) | 0xf)) |
                 ((order & low) << 4) | way;
-    }
-
-    /**
-     * Host-prefetch the tag storage and replacement record of
-     * @p set, ahead of the probe/insert that will scan it
-     * (SiptL1Cache::prefetchAccess); it has no effect on simulated
-     * state.
-     */
-    void
-    prefetchSet(std::uint32_t set) const
-    {
-        prefetchWriteRange(&tags_[slot(set, 0)],
-                           sizeof(Addr) * assoc_);
-        prefetchWrite(&sets_[set]);
     }
 
     /** Mark the line at (@p set, @p way) dirty. */

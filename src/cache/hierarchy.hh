@@ -121,19 +121,6 @@ class BelowL1
         queue_.replay(log, cursor, now);
     }
 
-    /**
-     * Host-prefetch the tag sets a miss on @p paddr would scan
-     * (private L2 and shared LLC), for
-     * SiptL1Cache::prefetchAccess; no simulated state is touched.
-     */
-    void
-    prefetchTags(Addr paddr) const
-    {
-        if (l2_)
-            l2_->prefetchTags(paddr);
-        llc_.prefetchTags(paddr);
-    }
-
     /** The private L2, or nullptr. */
     TimingCache *l2() { return l2_.get(); }
     const TimingCache *l2() const { return l2_.get(); }

@@ -65,14 +65,6 @@ class TimingCache
      */
     TimingCacheResult write(Addr paddr);
 
-    /** Host-prefetch the tag set @p paddr maps to (see
-     *  CacheArray::prefetchSet). */
-    void
-    prefetchTags(Addr paddr) const
-    {
-        array_.prefetchSet(array_.setOf(paddr));
-    }
-
     /** Access latency of this level. */
     Cycles latency() const { return params_.latency; }
 

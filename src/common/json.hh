@@ -54,7 +54,6 @@ class Json
     static Json array();
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isUint() const { return kind_ == Kind::Uint; }
     bool isDouble() const { return kind_ == Kind::Double; }

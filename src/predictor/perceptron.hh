@@ -73,7 +73,6 @@ class PerceptronBypassPredictor
     bool
     resolve(Addr pc, bool unchanged)
     {
-        ++predictions_;
         const int y = output(pc);
         train(pc, unchanged, y);
         return y >= 0;
@@ -83,8 +82,6 @@ class PerceptronBypassPredictor
     std::uint64_t storageBytes() const;
 
     const PerceptronParams &params() const { return params_; }
-
-    std::uint64_t predictions() const { return predictions_; }
 
   private:
     using Weight = std::int16_t;
@@ -119,7 +116,6 @@ class PerceptronBypassPredictor
      * instruction instead of a byte-array rotate.
      */
     std::uint64_t historyBits_ = 0;
-    std::uint64_t predictions_ = 0;
     /** Tracing hook (nullptr unless SIPT_TRACE is set): train()
      *  emits one decision event per resolved access, whether an L1
      *  or a bare predictor loop (the predictor ablation) calls it. */

@@ -120,7 +120,14 @@ L1AccessResult
 SiptL1Cache::access(const MemRef &ref, const vm::MmuResult &xlat,
                     Cycles now)
 {
-    return accessDecided(ref, xlat, now, decide(ref, xlat));
+    const SpecDecision decision = decide(ref, xlat);
+    scratch_.clear();
+    ArrayFacts facts;
+    const std::uint8_t outcome =
+        accessArray(ref.op, xlat.paddr, scratch_, facts);
+    dram::AccessLog::Cursor cursor;
+    return accessTimed(ref, xlat, now, decision, outcome, facts,
+                       scratch_, cursor);
 }
 
 template <IndexingPolicy Policy>
@@ -194,35 +201,11 @@ SiptL1Cache::decideOne(Addr pc, Addr vaddr, Addr paddr,
 SpecDecision
 SiptL1Cache::decide(const MemRef &ref, const vm::MmuResult &xlat)
 {
-    if (specBits_ == 0)
-        return SpecDecision::Direct;
-
-    switch (params_.policy) {
-      case IndexingPolicy::Ideal:
-        // Oracle index: always fast.
-        return SpecDecision::Direct;
-      case IndexingPolicy::SiptNaive:
-        return decideOne<IndexingPolicy::SiptNaive>(
-            ref.pc, ref.vaddr, xlat.paddr, xlat.hugePage);
-      case IndexingPolicy::SiptBypass:
-        return decideOne<IndexingPolicy::SiptBypass>(
-            ref.pc, ref.vaddr, xlat.paddr, xlat.hugePage);
-      case IndexingPolicy::SiptCombined:
-        return decideOne<IndexingPolicy::SiptCombined>(
-            ref.pc, ref.vaddr, xlat.paddr, xlat.hugePage);
-      case IndexingPolicy::SiptVespa:
-        return decideOne<IndexingPolicy::SiptVespa>(
-            ref.pc, ref.vaddr, xlat.paddr, xlat.hugePage);
-      case IndexingPolicy::SiptRevelator:
-        return decideOne<IndexingPolicy::SiptRevelator>(
-            ref.pc, ref.vaddr, xlat.paddr, xlat.hugePage);
-      case IndexingPolicy::SiptPcax:
-        return decideOne<IndexingPolicy::SiptPcax>(
-            ref.pc, ref.vaddr, xlat.paddr, xlat.hugePage);
-      case IndexingPolicy::Vipt:
-        panic("VIPT with speculative bits");
-    }
-    return SpecDecision::Direct;
+    const std::uint8_t huge_page = xlat.hugePage ? 1 : 0;
+    std::uint8_t decision;
+    decideBatch(1, &ref.pc, &ref.vaddr, &xlat.paddr, &huge_page,
+                &decision);
+    return static_cast<SpecDecision>(decision);
 }
 
 template <IndexingPolicy Policy>

@@ -33,9 +33,9 @@
  *    a PC-indexed full-frame delta predictor instead of the IDB.
  *
  * Every policy funnels through one per-reference decision kernel
- * (decideOne, shared by decide() and decideBatch()), and every
- * access through one accessDecided() body, so each policy's
- * semantics and the speculation-outcome accounting exist once.
+ * (decideOne, run by decideBatch()), and every access through one
+ * accessArray() + accessTimed() pair, so each policy's semantics
+ * and the speculation-outcome accounting exist once.
  *
  * Correctness never depends on prediction: lines live under their
  * physical set and full physical line-address tags are compared on
@@ -167,14 +167,14 @@ struct L1Stats
 
 /**
  * The speculation outcome decided for one access before it probes
- * the array. Produced by SiptL1Cache::decide()/decideBatch() from
- * predictor state and the VA/PA index bits; consumed by
- * accessDecided(), which applies the corresponding statistics and
- * latency model. Keeping the decision a plain value is what lets
- * the pipeline run the predictor stage over a whole batch while
- * deferring every counter update to the in-order account stage
- * (the per-access invariant checker snapshots counters at every
- * access, so they must advance one access at a time).
+ * the array. Produced by SiptL1Cache::decideBatch() from predictor
+ * state and the VA/PA index bits; consumed by accessTimed(), which
+ * applies the corresponding statistics and latency model. Keeping
+ * the decision a plain value is what lets the pipeline run the
+ * predictor stage over a whole batch while deferring every counter
+ * update to the in-order account stage (the per-access invariant
+ * checker snapshots counters at every access, so they must advance
+ * one access at a time).
  */
 enum class SpecDecision : std::uint8_t
 {
@@ -265,7 +265,9 @@ class SiptL1Cache
     SiptL1Cache(const L1Params &params, cache::BelowL1 &below);
 
     /**
-     * Execute one memory reference.
+     * Execute one memory reference: decide(), accessArray(), then
+     * accessTimed(), the pipeline's three per-reference steps run
+     * back to back.
      *
      * @param ref the trace record (PC, VA, load/store)
      * @param xlat the MMU result for ref.vaddr (the caller performs
@@ -276,24 +278,19 @@ class SiptL1Cache
     L1AccessResult access(const MemRef &ref,
                           const vm::MmuResult &xlat, Cycles now);
 
-    /**
-     * Speculation decision for one access: queries and trains the
-     * policy's predictors (their only mutation point) but touches
-     * no statistics counter. Takes the whole MMU result because
-     * the decision depends on the huge-page bit as well as the PA
-     * (on 2 MiB pages the speculative index bits are statically
-     * correct). One decideOne() kernel serves this and
-     * decideBatch(), so the two cannot drift.
-     */
+    /** Speculation decision for one access: decideBatch() of one
+     *  reference. */
     SpecDecision decide(const MemRef &ref,
                         const vm::MmuResult &xlat);
 
     /**
      * Speculation decisions for @p n already-translated accesses
      * in order, written to @p decisions_out. @p huge_pages carries
-     * the per-reference huge-page bit (nonzero = 2 MiB backing).
-     * Runs the same decideOne() kernel as decide(), with the
-     * policy dispatch hoisted out of the loop.
+     * the per-reference huge-page bit (nonzero = 2 MiB backing),
+     * because on 2 MiB pages the speculative index bits are
+     * statically correct. Queries and trains the policy's
+     * predictors (their only mutation point) but touches no
+     * statistics counter.
      */
     void decideBatch(std::size_t n, const Addr *pcs,
                      const Addr *vaddrs, const Addr *paddrs,
@@ -301,22 +298,7 @@ class SiptL1Cache
                      std::uint8_t *decisions_out);
 
     /**
-     * Execute one memory reference whose speculation outcome was
-     * already decided: accessArray(), then accessTimed(). The first
-     * probes/fills the array with one set scan; the second applies
-     * every statistics counter for the access, charges the latency
-     * model, then hands the outcome to the post-access observers
-     * (golden-model checker, tracer) when either is on. access() is
-     * exactly decide() + accessDecided(). The halves are defined
-     * inline below: they are the pipeline's per-reference memory
-     * and timing steps.
-     */
-    L1AccessResult accessDecided(const MemRef &ref,
-                                 const vm::MmuResult &xlat,
-                                 Cycles now, SpecDecision decision);
-
-    /**
-     * Function half of accessDecided(): one set scan of the array
+     * Function half of one access: one set scan of the array
      * at @p paddr (touch/dirty the resident way, or fill from
      * below, prefetch the next line, insert and write the victim
      * back), and the way predictor. The below-L1 work goes to
@@ -327,7 +309,7 @@ class SiptL1Cache
                              dram::AccessLog &log, ArrayFacts &facts);
 
     /**
-     * Timing half of accessDecided(), for an access whose function
+     * Timing half of one access, for an access whose function
      * half returned @p outcome and @p facts: every statistics
      * counter, the latency model (its below-L1 operations timed
      * from @p log at @p cursor), then the post-access observers.
@@ -340,18 +322,9 @@ class SiptL1Cache
                                const dram::AccessLog &log,
                                dram::AccessLog::Cursor &cursor);
 
-    /**
-     * Host-prefetch the tag sets an access to @p paddr will scan:
-     * this L1's set and, in case it misses, the L2/LLC sets below.
-     * Simulated state is untouched. perfbench's traced replay is
-     * the only caller.
-     */
-    void
-    prefetchAccess(Addr paddr) const
-    {
-        array_.prefetchSet(array_.setOf(paddr));
-        below_.prefetchTags(paddr);
-    }
+    /** Does nothing: the engine issues no host prefetches, and
+     *  perfbench's traced replay still calls this. */
+    void prefetchAccess(Addr) const {}
 
     const L1Params &params() const { return params_; }
     const L1Stats &stats() const { return stats_; }
@@ -414,10 +387,9 @@ class SiptL1Cache
     /**
      * The per-reference decision kernel: the single place the
      * speculation outcome of one access is computed, instantiated
-     * per policy. Both decide() (per-call dispatch) and
-     * decideBatch() (dispatch hoisted out of the loop) call it, so
-     * a policy's semantics exist exactly once. Each predictor is
-     * queried and trained in one resolve() call per access.
+     * per policy and run by decideBatch() with the policy dispatch
+     * hoisted out of the loop. Each predictor is queried and
+     * trained in one resolve() call per access.
      */
     template <IndexingPolicy Policy>
     SpecDecision decideOne(Addr pc, Addr vaddr, Addr paddr,
@@ -501,7 +473,7 @@ class SiptL1Cache
     trace::Tracer *trace_ = nullptr;
     std::uint64_t traceLane_ = 0;
 
-    /** accessDecided()'s log of its one access. */
+    /** access()'s log of its one access. */
     dram::AccessLog scratch_;
 };
 
@@ -624,20 +596,6 @@ SiptL1Cache::accessTimed(const MemRef &ref, const vm::MmuResult &xlat,
     if (checker_ || trace_) [[unlikely]]
         observeAccess(ref, xlat, now, decision, res, outcome, facts);
     return res;
-}
-
-inline L1AccessResult
-SiptL1Cache::accessDecided(const MemRef &ref,
-                           const vm::MmuResult &xlat, Cycles now,
-                           SpecDecision decision)
-{
-    scratch_.clear();
-    ArrayFacts facts;
-    const std::uint8_t outcome =
-        accessArray(ref.op, xlat.paddr, scratch_, facts);
-    dram::AccessLog::Cursor cursor;
-    return accessTimed(ref, xlat, now, decision, outcome, facts,
-                       scratch_, cursor);
 }
 
 } // namespace sipt

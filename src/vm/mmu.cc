@@ -19,7 +19,8 @@ Mmu::translate(Addr vaddr, const PageTable &page_table,
     const auto xlat = page_table.translate(vaddr);
     if (!xlat)
         panic("MMU translate of unmapped va ", vaddr);
-    return translateEntry(vaddr, *xlat, now);
+    return timing_.complete(vaddr, *xlat,
+                            lookup(vaddr, xlat->hugePage), now);
 }
 
 double

@@ -134,8 +134,7 @@ class MmuTiming
  * whose contents depend only on the (vpn, page size) sequence, and
  * MmuTiming::complete() charges the latency of the level that
  * served it. The pipeline runs lookup() on the stream and complete()
- * on each machine; translate() and translateEntry() run both at
- * once.
+ * on each machine; translate() runs both at once.
  */
 class Mmu
 {
@@ -143,7 +142,8 @@ class Mmu
     explicit Mmu(const MmuParams &params = MmuParams{});
 
     /**
-     * Translate @p vaddr using @p page_table.
+     * Translate @p vaddr using @p page_table: the page-table entry,
+     * lookup(), then this MMU's MmuTiming::complete().
      *
      * @param now issue cycle, used by the radix walker's cache
      *        accesses when one is attached (ignored otherwise)
@@ -152,20 +152,6 @@ class Mmu
      */
     MmuResult translate(Addr vaddr, const PageTable &page_table,
                         Cycles now = 0);
-
-    /**
-     * Translate @p vaddr whose page-table entry @p entry has
-     * already been resolved: lookup(), then this MMU's
-     * MmuTiming::complete(). translate() is exactly a page-table
-     * lookup followed by this.
-     */
-    MmuResult
-    translateEntry(Addr vaddr, const Translation &entry,
-                   Cycles now = 0)
-    {
-        return timing_.complete(
-            vaddr, entry, lookup(vaddr, entry.hugePage), now);
-    }
 
     /**
      * Probe the L1 TLB of @p vaddr's page size, then the L2; fill

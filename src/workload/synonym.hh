@@ -133,15 +133,6 @@ class SynonymWorkload : public cpu::TraceSource
 
     const SynonymSpec &spec() const { return spec_; }
 
-    /** Base VA of each mapping, in creation order. */
-    const std::vector<Addr> &mappingBases() const
-    {
-        return bases_;
-    }
-
-    /** Data bytes per mapping. */
-    std::uint64_t mappingBytes() const { return bytes_; }
-
   private:
     void allocatePhase(const os::SharedSegment *shared);
 
@@ -161,7 +152,9 @@ class SynonymWorkload : public cpu::TraceSource
     /** Segment the workload allocated itself (Shared mode without
      *  an external segment). */
     std::unique_ptr<os::SharedSegment> ownSegment_;
+    /** Base VA of each mapping, in creation order. */
     std::vector<Addr> bases_;
+    /** Data bytes per mapping. */
     std::uint64_t bytes_ = 0;
     std::uint64_t totalLines_ = 0;
     /** Line indices of the hot reuse set. */

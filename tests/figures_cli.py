@@ -16,7 +16,7 @@ cold run printed; that a run with a
 SIPT_CHECK_MUTATE self-test armed neither reads nor writes the run
 cache, so a clean run after it still passes; that a recorded check
 failure exits 1 (fig06 through the engine's count, ext_icache
-through its own checkers); and that the
+through its results' checkFailure); and that the
 half-length and speculation figures print no nan/inf cell at
 SIPT_REFS=1. Run it with small SIPT_REFS/SIPT_WARMUP. Standard
 library only.
@@ -195,8 +195,8 @@ def main(argv):
 
     # A recorded check failure fails the figure: an engine figure
     # through the sweep's count (footer and exit status), and
-    # ext_icache, whose hand-built L1 is outside the engine, through
-    # its own checkers.
+    # ext_icache, whose engine runs are outside the sweep, through
+    # its results' checkFailure.
     mutated = {"SIPT_CHECK": "1", "SIPT_CHECK_MUTATE": "tag",
                "SIPT_CHECK_ABORT": "0"}
     for fig in ("fig06", "ext_icache"):

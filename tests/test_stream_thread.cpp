@@ -6,8 +6,13 @@
  * a third while the caller predicts and times (Overlap::Pipelined),
  * must return exactly what the inline run returns, bit for bit, for
  * every job shape, and must neither hang nor leak a thread when a
- * phase is empty, the stream fails or a machine fails. The
- * PredictThread suite covers the three-thread layout.
+ * phase is empty, the stream fails or a machine fails. One helper
+ * body serves each case on any set of layouts: the StreamThread
+ * suite runs it on two threads, the PredictThread suite on three,
+ * and the cases without a twin on both. The PredictThread suite
+ * also covers what only the three-thread layout has: the memory
+ * thread's ring, its errors and a machine failing in its memory
+ * stage.
  */
 
 #include <bit>
@@ -79,31 +84,48 @@ expectIdentical(const RunResult &threaded, const RunResult &inlined)
               runResultToJson(inlined).dump());
 }
 
-/** runGroup() inline and under @p overlap agree on every config
- *  and core. */
+/** Layouts that run stages off the caller's thread. */
+using Layouts = std::vector<Overlap>;
+
+/** Both threaded layouts: two threads and three. */
+const Layouts bothLayouts = {Overlap::Threaded, Overlap::Pipelined};
+
+/** Printable name of a threaded layout, for SCOPED_TRACE. */
+const char *
+layoutName(Overlap overlap)
+{
+    return overlap == Overlap::Threaded ? "two threads"
+                                        : "three threads";
+}
+
+/** runGroup() inline and on each of @p layouts agree on every
+ *  config and core. */
 void
 expectGroupIdentical(JobKind kind, const std::vector<std::string> &apps,
                      const std::vector<SystemConfig> &configs,
-                     Overlap overlap = Overlap::Threaded)
+                     const Layouts &layouts = bothLayouts)
 {
     const std::vector<MulticoreResult> inlined =
         runGroup(kind, apps, configs, nullptr, Overlap::Inline);
-    const std::vector<MulticoreResult> threaded =
-        runGroup(kind, apps, configs, nullptr, overlap);
-    ASSERT_EQ(threaded.size(), configs.size());
     ASSERT_EQ(inlined.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        ASSERT_EQ(threaded[i].perCore.size(), apps.size());
-        ASSERT_EQ(inlined[i].perCore.size(), apps.size());
-        for (std::size_t c = 0; c < apps.size(); ++c) {
-            SCOPED_TRACE("config " + std::to_string(i) + " core " +
-                         std::to_string(c));
-            EXPECT_GT(inlined[i].perCore[c].checkEvents, 0u);
-            expectIdentical(threaded[i].perCore[c],
-                            inlined[i].perCore[c]);
+    for (const Overlap overlap : layouts) {
+        SCOPED_TRACE(layoutName(overlap));
+        const std::vector<MulticoreResult> threaded =
+            runGroup(kind, apps, configs, nullptr, overlap);
+        ASSERT_EQ(threaded.size(), configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            ASSERT_EQ(threaded[i].perCore.size(), apps.size());
+            ASSERT_EQ(inlined[i].perCore.size(), apps.size());
+            for (std::size_t c = 0; c < apps.size(); ++c) {
+                SCOPED_TRACE("config " + std::to_string(i) + " core " +
+                             std::to_string(c));
+                EXPECT_GT(inlined[i].perCore[c].checkEvents, 0u);
+                expectIdentical(threaded[i].perCore[c],
+                                inlined[i].perCore[c]);
+            }
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded[i].sumIpc),
+                      std::bit_cast<std::uint64_t>(inlined[i].sumIpc));
         }
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded[i].sumIpc),
-                  std::bit_cast<std::uint64_t>(inlined[i].sumIpc));
     }
 }
 
@@ -144,43 +166,81 @@ TEST(StreamThread, ThreeConfigGroupMatchesInline)
                           checkedConfig(), ideal});
 }
 
-TEST(StreamThread, RadixWalkerMatchesInline)
+/** An mcf group with the radix walker, and one without, on
+ *  @p layouts. */
+void
+expectRadixWalkerIdentical(const Layouts &layouts)
 {
     SystemConfig radix = checkedConfig();
     radix.radixWalker = true;
     expectGroupIdentical(JobKind::Single, {"mcf"},
-                         {radix, checkedConfig()});
+                         {radix, checkedConfig()}, layouts);
+}
+
+TEST(StreamThread, RadixWalkerMatchesInline)
+{
+    expectRadixWalkerIdentical({Overlap::Threaded});
+}
+
+/** A milc trace recorded with checkedConfig(), at a path no other
+ *  process uses; removed with the object. */
+struct RecordedTrace
+{
+    std::string path;
+
+    explicit RecordedTrace(const std::string &tag)
+    {
+        const auto dir = std::filesystem::temp_directory_path() /
+                         "sipt_test_stream_thread";
+        std::filesystem::create_directories(dir);
+        path = (dir / ("milc." + tag + "." + std::to_string(getpid()) +
+                       ".trace"))
+                   .string();
+        recordTrace("milc", checkedConfig(), path);
+    }
+    ~RecordedTrace() { std::filesystem::remove(path); }
+};
+
+/** A recorded milc trace replayed under two policies, on
+ *  @p layouts. */
+void
+expectTraceReplayIdentical(const Layouts &layouts)
+{
+    const RecordedTrace trace("replay");
+    expectGroupIdentical(JobKind::Single, {"trace:" + trace.path},
+                         {checkedConfig(),
+                          checkedConfig(IndexingPolicy::Vipt)},
+                         layouts);
 }
 
 TEST(StreamThread, TraceReplayMatchesInline)
 {
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "sipt_test_stream_thread";
-    std::filesystem::create_directories(dir);
-    const std::string path =
-        (dir / ("milc." + std::to_string(getpid()) + ".trace")).string();
-    const SystemConfig config = checkedConfig();
-    recordTrace("milc", config, path);
-    expectGroupIdentical(JobKind::Single, {"trace:" + path},
-                         {config, checkedConfig(IndexingPolicy::Vipt)});
-    std::filesystem::remove(path);
+    expectTraceReplayIdentical({Overlap::Threaded});
 }
 
-TEST(StreamThread, QuadMixMatchesInline)
+/** A four-core mix under @p policy and the default SIPT policy, on
+ *  @p layouts. */
+void
+expectQuadMixIdentical(IndexingPolicy policy, const Layouts &layouts)
 {
     // Both phases span several 5,000-reference episodes per core
     // and end mid-episode, and the stream thread resets the TLB
     // counters at the phase boundary while the caller still steps
     // warmup batches.
-    std::vector<SystemConfig> configs = {
-        checkedConfig(IndexingPolicy::Vipt), checkedConfig()};
+    std::vector<SystemConfig> configs = {checkedConfig(policy),
+                                         checkedConfig()};
     for (SystemConfig &config : configs) {
         config.footprintScale = 0.5;
         config.warmupRefs = 12'000;
         config.measureRefs = 11'111;
     }
     expectGroupIdentical(JobKind::Mix, {"mcf", "gcc", "lbm", "mcf"},
-                         configs);
+                         configs, layouts);
+}
+
+TEST(StreamThread, QuadMixMatchesInline)
+{
+    expectQuadMixIdentical(IndexingPolicy::Vipt, {Overlap::Threaded});
 }
 
 /** Phases shorter than one batch: one partial batch each. */
@@ -193,17 +253,25 @@ shortRunConfig()
     return config;
 }
 
-TEST(StreamThread, RunShorterThanOneBatchMatchesInline)
+/** Single and mix runs shorter than one batch, on @p layouts. */
+void
+expectShortRunIdentical(const Layouts &layouts)
 {
     const SystemConfig config = shortRunConfig();
-    expectGroupIdentical(JobKind::Single, {"mcf"}, {config});
-    expectGroupIdentical(JobKind::Mix, {"mcf", "gcc"}, {config});
+    expectGroupIdentical(JobKind::Single, {"mcf"}, {config}, layouts);
+    expectGroupIdentical(JobKind::Mix, {"mcf", "gcc"}, {config},
+                         layouts);
 }
 
-/** 0- and 1-reference phases, single and mix, return under
- *  @p overlap exactly what they return inline. */
+TEST(StreamThread, RunShorterThanOneBatchMatchesInline)
+{
+    expectShortRunIdentical({Overlap::Threaded});
+}
+
+/** 0- and 1-reference phases, single and mix, return on each of
+ *  @p layouts exactly what they return inline. */
 void
-expectTinyPhasesIdentical(Overlap overlap)
+expectTinyPhasesIdentical(const Layouts &layouts)
 {
     for (const auto &[warmup, measure] :
          std::vector<std::pair<std::uint64_t, std::uint64_t>>{
@@ -221,12 +289,16 @@ expectTinyPhasesIdentical(Overlap overlap)
                     : std::vector<std::string>{"gcc", "mcf"};
             const auto inlined =
                 runGroup(kind, apps, {config}, nullptr, Overlap::Inline);
-            const auto threaded =
-                runGroup(kind, apps, {config}, nullptr, overlap);
-            for (std::size_t c = 0; c < apps.size(); ++c) {
-                EXPECT_EQ(threaded[0].perCore[c].l1.accesses, measure);
-                expectIdentical(threaded[0].perCore[c],
-                                inlined[0].perCore[c]);
+            for (const Overlap overlap : layouts) {
+                SCOPED_TRACE(layoutName(overlap));
+                const auto threaded =
+                    runGroup(kind, apps, {config}, nullptr, overlap);
+                for (std::size_t c = 0; c < apps.size(); ++c) {
+                    EXPECT_EQ(threaded[0].perCore[c].l1.accesses,
+                              measure);
+                    expectIdentical(threaded[0].perCore[c],
+                                    inlined[0].perCore[c]);
+                }
             }
         }
     }
@@ -234,7 +306,7 @@ expectTinyPhasesIdentical(Overlap overlap)
 
 TEST(StreamThread, EmptyAndOneReferencePhasesReturn)
 {
-    expectTinyPhasesIdentical(Overlap::Threaded);
+    expectTinyPhasesIdentical({Overlap::Threaded});
 }
 
 /** What ThrowingSource throws: the batch it failed at. */
@@ -303,9 +375,9 @@ failingRun(std::uint64_t fail_at, Overlap overlap)
 
 /** A source exception at the middle of the warmup, at its last
  *  (partial) batch and at the first measured batch reaches the
- *  caller under @p overlap, as inline, with no thread left. */
+ *  caller on each of @p layouts, as inline, with no thread left. */
 void
-expectSourceExceptionAtItsBatch(Overlap overlap)
+expectSourceExceptionAtItsBatch(const Layouts &layouts)
 {
     const std::uint64_t warmup_batches =
         (checkedConfig().warmupRefs + cpu::RefBatch::capacity - 1) /
@@ -315,15 +387,18 @@ expectSourceExceptionAtItsBatch(Overlap overlap)
     for (const std::uint64_t fail_at :
          {warmup_batches / 2, warmup_batches - 1, warmup_batches}) {
         SCOPED_TRACE(fail_at);
-        EXPECT_EQ(failingRun(fail_at, overlap), fail_at);
-        EXPECT_EQ(liveThreads(), threads);
+        for (const Overlap overlap : layouts) {
+            SCOPED_TRACE(layoutName(overlap));
+            EXPECT_EQ(failingRun(fail_at, overlap), fail_at);
+            EXPECT_EQ(liveThreads(), threads);
+        }
         EXPECT_EQ(failingRun(fail_at, Overlap::Inline), fail_at);
     }
 }
 
 TEST(StreamThread, SourceExceptionRethrownOnCaller)
 {
-    expectSourceExceptionAtItsBatch(Overlap::Threaded);
+    expectSourceExceptionAtItsBatch({Overlap::Threaded});
 }
 
 /** 20 batches of sizes 0..19, then a StreamFailure. */
@@ -387,14 +462,15 @@ TEST(StreamThread, SweepFuturesMatchInlineRuns)
 }
 
 // ---------------------------------------------------------------
-// The three-thread layout: Overlap::Pipelined against inline runs.
+// The three-thread layout: Overlap::Pipelined against inline runs,
+// every policy on both layouts, and what only three threads have.
 // ---------------------------------------------------------------
 
 TEST(PredictThread, EveryPolicyMatchesInline)
 {
     // One group of every indexing policy, with and without way
     // prediction: each machine's memory record travels in the same
-    // slot.
+    // slot of the three-thread ring.
     std::vector<SystemConfig> configs;
     for (const bool way_prediction : {false, true}) {
         for (const IndexingPolicy policy :
@@ -407,72 +483,34 @@ TEST(PredictThread, EveryPolicyMatchesInline)
             configs.push_back(config);
         }
     }
-    expectGroupIdentical(JobKind::Single, {"gcc"}, configs,
-                         Overlap::Pipelined);
+    expectGroupIdentical(JobKind::Single, {"gcc"}, configs);
 }
 
 TEST(PredictThread, RadixWalkerMatchesInline)
 {
-    SystemConfig radix = checkedConfig();
-    radix.radixWalker = true;
-    expectGroupIdentical(JobKind::Single, {"mcf"},
-                         {radix, checkedConfig()}, Overlap::Pipelined);
+    expectRadixWalkerIdentical({Overlap::Pipelined});
 }
-
-/** A milc trace recorded with checkedConfig(), at a path no other
- *  process uses; removed with the object. */
-struct RecordedTrace
-{
-    std::string path;
-
-    explicit RecordedTrace(const std::string &tag)
-    {
-        const auto dir = std::filesystem::temp_directory_path() /
-                         "sipt_test_stream_thread";
-        std::filesystem::create_directories(dir);
-        path = (dir / ("milc." + tag + "." + std::to_string(getpid()) +
-                       ".trace"))
-                   .string();
-        recordTrace("milc", checkedConfig(), path);
-    }
-    ~RecordedTrace() { std::filesystem::remove(path); }
-};
 
 TEST(PredictThread, TraceReplayMatchesInline)
 {
-    const RecordedTrace trace("replay");
-    expectGroupIdentical(JobKind::Single, {"trace:" + trace.path},
-                         {checkedConfig(),
-                          checkedConfig(IndexingPolicy::Vipt)},
-                         Overlap::Pipelined);
+    expectTraceReplayIdentical({Overlap::Pipelined});
 }
 
 TEST(PredictThread, QuadMixMatchesInline)
 {
-    std::vector<SystemConfig> configs = {
-        checkedConfig(IndexingPolicy::SiptBypass), checkedConfig()};
-    for (SystemConfig &config : configs) {
-        config.footprintScale = 0.5;
-        config.warmupRefs = 12'000;
-        config.measureRefs = 11'111;
-    }
-    expectGroupIdentical(JobKind::Mix, {"mcf", "gcc", "lbm", "mcf"},
-                         configs, Overlap::Pipelined);
+    expectQuadMixIdentical(IndexingPolicy::SiptBypass,
+                           {Overlap::Pipelined});
 }
 
 TEST(PredictThread, ShortAndEmptyPhasesMatchInline)
 {
-    const SystemConfig config = shortRunConfig();
-    expectGroupIdentical(JobKind::Single, {"mcf"}, {config},
-                         Overlap::Pipelined);
-    expectGroupIdentical(JobKind::Mix, {"mcf", "gcc"}, {config},
-                         Overlap::Pipelined);
-    expectTinyPhasesIdentical(Overlap::Pipelined);
+    expectShortRunIdentical({Overlap::Pipelined});
+    expectTinyPhasesIdentical({Overlap::Pipelined});
 }
 
 TEST(PredictThread, SourceExceptionRethrownAtItsBatch)
 {
-    expectSourceExceptionAtItsBatch(Overlap::Pipelined);
+    expectSourceExceptionAtItsBatch({Overlap::Pipelined});
 }
 
 TEST(PredictThread, TruncatedTraceFailsTheRunEveryWay)
