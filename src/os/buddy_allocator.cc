@@ -60,7 +60,7 @@ BuddyAllocator::BuddyAllocator(std::uint64_t total_frames,
         fatal("BuddyAllocator: ", total_frames,
               " frames exceed the 2^", 32 - orderBits,
               "-frame limit");
-    slot_ = MappedArray<std::uint32_t>(total_frames);
+    slot_ = MappedArray<std::uint32_t>::dense(total_frames);
 
     // Seed the free lists with naturally aligned blocks of the
     // largest possible order, exactly as a fresh zone would look.
@@ -135,25 +135,27 @@ BuddyAllocator::allocate(unsigned order)
     return base;
 }
 
-void
-BuddyAllocator::allocateAll(std::vector<Pfn> &out)
+MappedArray<Pfn>
+BuddyAllocator::allocateAll()
 {
     // allocate(0) pops the lowest non-empty list's back block and
     // pushes its upper halves onto the (empty) lower lists, so the
     // next calls return that block's frames in ascending order
     // before the list's next block is popped.
-    out.reserve(out.size() + freeFrames_);
+    auto out = MappedArray<Pfn>::dense(freeFrames_);
+    Pfn *next = out.data();
     for (unsigned o = 0; o <= maxOrder_; ++o) {
         std::vector<Pfn> &list = freeLists_[o];
         for (auto it = list.rbegin(); it != list.rend(); ++it) {
             slot_[*it] = 0;
             const Pfn end = *it + (Pfn{1} << o);
             for (Pfn pfn = *it; pfn < end; ++pfn)
-                out.push_back(pfn);
+                *next++ = pfn;
         }
         list.clear();
     }
     freeFrames_ = 0;
+    return out;
 }
 
 std::optional<Pfn>

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/mapped_array.hh"
@@ -61,15 +62,15 @@ class BuddyAllocator
     std::optional<Pfn> allocate(unsigned order);
 
     /**
-     * Allocate every free frame as a single page, appending them to
-     * @p out in exactly the order repeated allocate(0) calls would
-     * return them: each order's list from the back, lowest order
-     * first, and each block's frames in ascending order. Leaves
-     * every free list empty and every slot zero, as that loop
-     * would, in one pass over the lists instead of a split per
-     * frame.
+     * Allocate every free frame as a single page and return them
+     * in exactly the order repeated allocate(0) calls would: each
+     * order's list from the back, lowest order first, and each
+     * block's frames in ascending order. Leaves every free list
+     * empty and every slot zero, as that loop would, in one pass
+     * over the lists instead of a split per frame. The list is a
+     * dense MappedArray: this writes it whole.
      */
-    void allocateAll(std::vector<Pfn> &out);
+    MappedArray<Pfn> allocateAll();
 
     /**
      * Allocate like allocate(), but pick a uniformly random free
@@ -109,6 +110,14 @@ class BuddyAllocator
 
     /** Total frames managed. */
     std::uint64_t totalFrames() const { return totalFrames_; }
+
+    /** @p order's free list, in list order (allocate() pops the
+     *  back). */
+    std::span<const Pfn>
+    freeList(unsigned order) const
+    {
+        return freeLists_[order];
+    }
 
     /** Number of free blocks of exactly @p order. */
     std::uint64_t freeBlocks(unsigned order) const;
@@ -167,7 +176,8 @@ class BuddyAllocator
     /** Free block bases per order; LIFO at the back. */
     std::vector<std::vector<Pfn>> freeLists_;
     /** Per frame: the free-block slot (see orderBits), so lookups
-     *  by base are O(1) for every order at 4 B/frame. */
+     *  by base are O(1) for every order at 4 B/frame. Dense: the
+     *  constructor writes one slot per 4 KiB of it. */
     MappedArray<std::uint32_t> slot_;
 };
 

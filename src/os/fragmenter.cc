@@ -31,7 +31,7 @@ constexpr std::size_t prefetchDist = 16;
  * on its way into the host cache.
  */
 void
-shuffle(std::vector<Pfn> &frames, Rng &rng)
+shuffle(std::span<Pfn> frames, Rng &rng)
 {
     const std::size_t n = frames.size();
     std::array<std::size_t, prefetchDist> ahead{};
@@ -66,8 +66,8 @@ MemoryFragmenter::fragmentTo(double target_fu, unsigned j, Rng &rng,
         min_free_fraction * static_cast<double>(total));
 
     // Phase 1: grab all free memory as order-0 pages.
-    std::vector<Pfn> grabbed;
-    allocator_.allocateAll(grabbed);
+    drained_ = allocator_.allocateAll();
+    const std::span<Pfn> grabbed(drained_.data(), drained_.size());
 
     // Phase 2: release a scattered subset (every k-th page of a
     // shuffled order) until the free floor is restored. Released
@@ -88,8 +88,7 @@ MemoryFragmenter::fragmentTo(double target_fu, unsigned j, Rng &rng,
     // the norm here; Fu typically ~1), release whole aligned 2^j
     // runs of pinned frames, lowest first, to create usable blocks
     // until Fu drops to the target.
-    pinned_.assign(grabbed.begin() + static_cast<long>(idx),
-                   grabbed.end());
+    pinned_ = grabbed.subspan(idx);
     if (allocator_.unusableFreeSpaceIndex(j) > target_fu)
         releaseRuns(target_fu, j);
     return allocator_.unusableFreeSpaceIndex(j);
@@ -100,8 +99,8 @@ MemoryFragmenter::releaseRuns(double target_fu, unsigned j)
 {
     // A frame bitmap of the pinned set replaces sorting it: runs
     // are found in ascending order with word masks, and pinned_ is
-    // re-emitted in ascending order, which is the sorted order
-    // because PFNs are distinct. Fu only changes when a run is
+    // re-emitted in place in ascending order, which is the sorted
+    // order because PFNs are distinct. Fu only changes when a run is
     // freed, so checking it once per candidate run stops exactly
     // where a per-frame check would.
     std::vector<std::uint64_t> bits(
@@ -156,13 +155,14 @@ MemoryFragmenter::releaseRuns(double target_fu, unsigned j)
         }
     }
 
-    pinned_.clear();
+    std::size_t kept = 0;
     for (std::size_t w = 0; w < bits.size(); ++w) {
         for (std::uint64_t b = bits[w]; b != 0; b &= b - 1)
-            pinned_.push_back(w * wordBits +
+            pinned_[kept++] = w * wordBits +
                               static_cast<unsigned>(
-                                  std::countr_zero(b)));
+                                  std::countr_zero(b));
     }
+    pinned_ = pinned_.first(kept);
 }
 
 void
@@ -170,7 +170,7 @@ MemoryFragmenter::release()
 {
     for (Pfn pfn : pinned_)
         allocator_.free(pfn, 0);
-    pinned_.clear();
+    pinned_ = {};
 }
 
 SystemAger::SystemAger(BuddyAllocator &allocator)

@@ -17,8 +17,10 @@
 #define SIPT_OS_FRAGMENTER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/mapped_array.hh"
 #include "common/rng.hh"
 #include "os/buddy_allocator.hh"
 
@@ -61,17 +63,25 @@ class MemoryFragmenter
     /** Number of frames currently pinned. */
     std::uint64_t pinnedFrames() const { return pinned_.size(); }
 
+    /** The pinned frames, in the order release() frees them: the
+     *  shuffled drain's unreleased tail, or ascending once phase 3
+     *  has run. */
+    std::span<const Pfn> pinned() const { return pinned_; }
+
   private:
     /**
      * Phase 3 of fragmentTo(): free every fully pinned, naturally
      * aligned run of 2^@p j frames in ascending order, each frame
      * by frame, until Fu(@p j) <= @p target_fu; pinned_ ends up
-     * sorted ascending.
+     * sorted ascending, in place.
      */
     void releaseRuns(double target_fu, unsigned j);
 
     BuddyAllocator &allocator_;
-    std::vector<Pfn> pinned_;
+    /** Phase 1's drain list, shuffled; phase 2 frees its head. */
+    MappedArray<Pfn> drained_;
+    /** The pinned frames: drained_'s unreleased tail. */
+    std::span<Pfn> pinned_;
 };
 
 /**
@@ -109,13 +119,17 @@ class SystemAger
 
     std::uint64_t residentFrames() const { return residentFrames_; }
 
-  private:
     struct Block
     {
         Pfn base;
         unsigned order;
     };
 
+    /** The residual allocations, in the order release() frees
+     *  them. */
+    std::span<const Block> resident() const { return resident_; }
+
+  private:
     BuddyAllocator &allocator_;
     std::vector<Block> resident_;
     std::uint64_t residentFrames_ = 0;

@@ -511,9 +511,8 @@ l1Geometry(const SystemConfig &config)
 
 ConditionedMemory::ConditionedMemory(const StreamSpec &spec)
     : buddy(spec.physMemBytes / pageSize), ager(buddy),
-      fragmenter(buddy)
+      fragmenter(buddy), rng(spec.seed)
 {
-    Rng rng(spec.seed);
     ager.age(os::SystemAger::uptimeChurnOps,
              os::SystemAger::uptimeResidentFraction, rng);
     if (spec.condition == MemCondition::Fragmented)

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "batch/pipeline.hh"
+#include "common/rng.hh"
 #include "cpu/core.hh"
 #include "cpu/trace_source.hh"
 #include "energy/accounting.hh"
@@ -187,6 +188,9 @@ struct ConditionedMemory
     os::BuddyAllocator buddy;
     os::SystemAger ager;
     os::MemoryFragmenter fragmenter;
+    /** The conditioning draws' RNG, seeded by spec.seed, in its
+     *  state after them. */
+    Rng rng;
 
     explicit ConditionedMemory(const StreamSpec &spec);
 };

@@ -1,20 +1,28 @@
 /**
  * @file
  * Unit tests for the RNG, the figure means, text tables, the
- * strict environment/flag parsers and the strict JSON parser.
+ * strict environment/flag parsers, the strict JSON parser and the
+ * mapped per-job arrays.
  */
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/env.hh"
 #include "common/json.hh"
+#include "common/mapped_array.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -23,6 +31,86 @@ namespace sipt
 {
 namespace
 {
+
+/** Whether every byte of [@p p, @p p + @p bytes) is zero. */
+bool
+allZero(const void *p, std::size_t bytes)
+{
+    const auto *b = static_cast<const unsigned char *>(p);
+    return std::all_of(b, b + bytes, [](unsigned char c) { return c == 0; });
+}
+
+TEST(MappedArray, CreationZeroFills)
+{
+    const MappedArray<std::uint64_t> a(10'000);
+    ASSERT_EQ(a.size(), 10'000u);
+    EXPECT_TRUE(allZero(a.data(), a.size() * sizeof(std::uint64_t)));
+    EXPECT_TRUE(MappedArray<int>().empty());
+}
+
+TEST(MappedArray, ResizeKeepsContentsAndZeroFillsTheTail)
+{
+    // The plain array grows by remapping; the dense one crosses the
+    // huge-page size, so it grows by map + copy + unmap.
+    for (const bool dense : {false, true}) {
+        auto a = dense ? MappedArray<std::uint32_t>::dense(100)
+                       : MappedArray<std::uint32_t>(100);
+        for (std::uint32_t i = 0; i < 100; ++i)
+            a[i] = i + 1;
+        a.resize(1'000'000);
+        ASSERT_EQ(a.size(), 1'000'000u) << "dense=" << dense;
+        for (std::uint32_t i = 0; i < 100; ++i)
+            ASSERT_EQ(a[i], i + 1) << "dense=" << dense;
+        EXPECT_TRUE(allZero(&a[100], (a.size() - 100) * sizeof(a[0])))
+            << "dense=" << dense;
+    }
+}
+
+TEST(MappedArray, MoveLeavesTheSourceEmpty)
+{
+    MappedArray<int> a(5);
+    a[4] = 7;
+    MappedArray<int> b(std::move(a));
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.data(), nullptr);
+    ASSERT_EQ(b.size(), 5u);
+    EXPECT_EQ(b[4], 7);
+
+    MappedArray<int> c;
+    c = std::move(b);
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(b.data(), nullptr);
+    EXPECT_EQ(c[4], 7);
+}
+
+TEST(MappedArray, DenseIsHugePageAlignedAndUnmappedWhole)
+{
+    // 3 MiB and a bit: the array aligns its mapping itself, so this
+    // holds under any THP mode.
+    constexpr std::size_t huge = MappedArray<std::uint32_t>::hugePageBytes;
+    constexpr std::size_t n = (3u << 20) / 4 + 5;
+    auto a = MappedArray<std::uint32_t>::dense(n);
+    ASSERT_EQ(a.size(), n);
+    auto *const base = reinterpret_cast<unsigned char *>(a.data());
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % huge, 0u);
+    EXPECT_TRUE(allZero(base, n * sizeof(std::uint32_t)));
+
+    // mincore() fails with ENOMEM on any unmapped page: every page
+    // the array spans is mapped while it lives and none after.
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t bytes =
+        (n * sizeof(std::uint32_t) + page - 1) / page * page;
+    std::vector<unsigned char> vec(bytes / page);
+    ASSERT_EQ(::mincore(base, bytes, vec.data()), 0);
+    std::fill(a.begin(), a.end(), 1u);
+    a = MappedArray<std::uint32_t>();
+    for (std::size_t off = 0; off < bytes; off += page) {
+        errno = 0;
+        ASSERT_EQ(::mincore(base + off, page, vec.data()), -1)
+            << "page at +" << off << " still mapped";
+        ASSERT_EQ(errno, ENOMEM);
+    }
+}
 
 TEST(Rng, DeterministicForSameSeed)
 {

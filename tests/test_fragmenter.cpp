@@ -7,6 +7,9 @@
  * fragmented (but not exhausted) allocator behind. The exactness
  * oracle keeps the fragmenter's original per-frame loops and checks
  * that the bulk passes leave every allocator in the same state.
+ * ConditionedMemory.PinnedStateAtSeed42 pins the default machine's
+ * conditioned allocator, under every memory condition, to digests
+ * taken before the conditioning code last changed.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +18,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "os/buddy_allocator.hh"
 #include "os/fragmenter.hh"
+#include "sim/system.hh"
 
 namespace sipt::os
 {
@@ -234,9 +239,8 @@ TEST(FragmenterOracle, AllocateAllMatchesRepeatedAllocate)
     std::vector<Pfn> expected;
     while (auto pfn = legacy.allocate(0))
         expected.push_back(*pfn);
-    std::vector<Pfn> got;
-    bulk.allocateAll(got);
-    EXPECT_EQ(got, expected);
+    const MappedArray<Pfn> got = bulk.allocateAll();
+    EXPECT_EQ(std::vector<Pfn>(got.begin(), got.end()), expected);
     EXPECT_EQ(bulk.freeFrames(), 0u);
     for (unsigned o = 0; o <= bulk.maxOrder(); ++o)
         EXPECT_EQ(bulk.freeBlocks(o), 0u) << "order " << o;
@@ -261,6 +265,20 @@ TEST(FragmenterOracle, NoRunFreedAtHugeOrder)
               static_cast<std::uint64_t>(0.30 * (1 << 16)));
     EXPECT_TRUE(std::is_sorted(c.legacyPinned.begin(),
                                c.legacyPinned.end()));
+}
+
+TEST(FragmenterOracle, FragmentedConditionAtFullSize)
+{
+    // The Fragmented condition itself: a 4 GiB machine, Fu(9) >=
+    // 0.95 and a 30% floor. Its multi-megabyte drain list is a
+    // dense array, and phase 3 re-sorts the pinned tail in place.
+    const Compared c =
+        compareWithLegacy(std::uint64_t{1} << 20, 0.95, 9, 0.30, 42);
+    EXPECT_EQ(c.fu, 1.0);
+    EXPECT_EQ(c.freeFrames,
+              static_cast<std::uint64_t>(0.30 * (1 << 20)));
+    EXPECT_GT(c.pinned * sizeof(Pfn),
+              MappedArray<Pfn>::hugePageBytes);
 }
 
 TEST(FragmenterOracle, ScanToTheEndFreesEveryRun)
@@ -298,6 +316,66 @@ TEST(FragmenterOracle, TargetReachedPartwayThroughTheScan)
         EXPECT_LE(c.fu, k.target) << "j=" << k.j;
         EXPECT_TRUE(holdsAlignedRun(c.legacyPinned, k.j))
             << "j=" << k.j;
+    }
+}
+
+/** Folds 64-bit values into a running FNV-1a hash. */
+struct Digest
+{
+    std::uint64_t h = fnv1a64Init;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b)
+            h = fnv1a64Step(h, static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+};
+
+TEST(ConditionedMemory, PinnedStateAtSeed42)
+{
+    // The default 4 GiB machine at seed 42: every order's free
+    // list in list order, the free count, the ager's resident
+    // blocks and the fragmenter's pinned frames in release order,
+    // then the conditioning RNG's next draw.
+    const struct
+    {
+        sim::MemCondition condition;
+        std::uint64_t digest;
+        std::uint64_t nextDraw;
+    } pins[] = {
+        {sim::MemCondition::Normal, 0xb8b0f27071e092ed,
+         0x655ae2b4559bd860},
+        {sim::MemCondition::Fragmented, 0x8c150ca800b592bf,
+         0x1b4777720484bfcf},
+        {sim::MemCondition::ThpOff, 0xb8b0f27071e092ed,
+         0x655ae2b4559bd860},
+        {sim::MemCondition::NoContiguity, 0xb8b0f27071e092ed,
+         0x655ae2b4559bd860},
+    };
+    for (const auto &pin : pins) {
+        sim::SystemConfig config;
+        config.condition = pin.condition;
+        sim::ConditionedMemory memory(sim::streamSpec(config));
+        Digest d;
+        const BuddyAllocator &b = memory.buddy;
+        for (unsigned o = 0; o <= b.maxOrder(); ++o) {
+            d.add(b.freeList(o).size());
+            for (const Pfn pfn : b.freeList(o))
+                d.add(pfn);
+        }
+        d.add(b.freeFrames());
+        d.add(memory.ager.resident().size());
+        for (const auto &blk : memory.ager.resident()) {
+            d.add(blk.base);
+            d.add(blk.order);
+        }
+        d.add(memory.fragmenter.pinned().size());
+        for (const Pfn pfn : memory.fragmenter.pinned())
+            d.add(pfn);
+        const char *name = sim::conditionName(pin.condition);
+        EXPECT_EQ(d.h, pin.digest) << name;
+        EXPECT_EQ(memory.rng(), pin.nextDraw) << name;
     }
 }
 
